@@ -1,12 +1,15 @@
 """Command-line interface and certificate JSON serialization.
 
 Exit codes: 0 ZeroGuaranteed / success, 2 NoConclusion, 3 ZeroOnBoundary,
-4 input error, 5 internal error or exhausted budget.
+4 input error, 5 internal error or exhausted budget, 141 stdout closed by
+its reader before the output was written.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -19,14 +22,16 @@ from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
 from .geometry import Region, sample_sphere
 from .homotopy import SampledMap, straight_line
 from .locator import brouwer_fixed_point, locate_zero
-from .mapspec import (BUILTIN_MAPS, MapSpec, evaluate, lipschitz_estimate,
-                      parse_map)
+from .mapspec import (BUILTIN_MAPS, MapSpec, as_evaluator, builtin_map,
+                      lipschitz_estimate, parse_map)
 
 EXIT_OK = 0
 EXIT_NO_CONCLUSION = 2
 EXIT_ZERO_ON_BOUNDARY = 3
 EXIT_INPUT = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141          # 128 + SIGPIPE, as a shell reports a pipe
+                                # reader that quit early
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +109,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_map(text: str, n: int) -> MapSpec:
+    if text in BUILTIN_MAPS:
+        spec = builtin_map(text)
+        if spec.n != n:
+            raise InvalidInput(f"builtin map {text!r} has n={spec.n}, not {n}")
+        return spec
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -124,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="certify zero existence on a disk")
-    p.add_argument("--map", required=True, help="map text or @file")
+    p.add_argument("--map", required=True,
+                   help="map text, @file or a builtin map name")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--center", required=True, help="CSV center coordinates")
     p.add_argument("--radius", type=float, required=True)
@@ -170,22 +181,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_certify(args) -> int:
     spec = _load_map(args.map, args.n)
     region = Region.disk(_csv_floats(args.center), args.radius)
+    auto = args.lipschitz == "auto"
     lipschitz = None
-    if args.lipschitz is not None:
-        if args.lipschitz == "auto":
-            # an estimated constant cannot ground a rigorous claim, so the
-            # estimate is fed through but the certificate stays heuristic
-            lipschitz = lipschitz_estimate(spec, region)
-            forced_heuristic = True
-        else:
-            lipschitz = float(args.lipschitz)
-            forced_heuristic = False
-    else:
-        forced_heuristic = False
+    if auto:
+        lipschitz = lipschitz_estimate(spec, region)
+    elif args.lipschitz is not None:
+        lipschitz = float(args.lipschitz)
     cert = certify_existence(spec, region, level=args.level,
                              lipschitz=lipschitz)
-    if forced_heuristic:
+    if auto:
+        # an estimated constant cannot ground a rigorous claim, so the
+        # estimate is fed through but the certificate stays heuristic
         cert.rigor = "heuristic"
+        cert.evidence = [dataclasses.replace(c, rigor="heuristic")
+                         for c in cert.evidence]
     text = certificate_dumps(cert)
     print(text)
     if args.out:
@@ -220,7 +229,7 @@ def _cmd_locate(args) -> int:
 def _cmd_winding(args) -> int:
     spec = _load_map(args.map, 2)
     sampling = sample_sphere(Region.disk([0.0, 0.0], 1.0), args.level)
-    f = SampledMap.from_evaluator(lambda pts: evaluate(spec, pts), sampling)
+    f = SampledMap.from_evaluator(as_evaluator(spec), sampling)
     result = winding_number(f, refine_budget=args.budget)
     print(result.value)
     return EXIT_OK
@@ -244,8 +253,8 @@ def _cmd_homotopy(args) -> int:
     if source.m != target.m:
         raise _UsageError("maps have different codomain dimensions")
     sampling = sample_sphere(Region.disk(np.zeros(args.n), 1.0), args.level)
-    f = SampledMap.from_evaluator(lambda pts: evaluate(source, pts), sampling)
-    g = SampledMap.from_evaluator(lambda pts: evaluate(target, pts), sampling)
+    f = SampledMap.from_evaluator(as_evaluator(source), sampling)
+    g = SampledMap.from_evaluator(as_evaluator(target), sampling)
     trace, report = straight_line(f, g, t_steps=args.t_steps, L=args.lipschitz)
     witness = None
     if report.witness is not None:
@@ -280,7 +289,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to /dev/null so the
+        # interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

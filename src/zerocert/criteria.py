@@ -10,12 +10,13 @@ zero-free extension witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .degree import sign_obstruction, winding_number
+from .degree import boundary_obstruction
 from .errors import InvalidInput, Unsupported, VanishingOnBoundary
 from .geometry import Region, sample_sphere
 from .homotopy import SampledMap, null_homotopy, radial_extension
@@ -49,27 +50,12 @@ class Certificate:
     reason: Optional[str] = None
 
 
-def _threshold(L, h):
-    return 0.0 if L is None else L * h / 2.0
-
-
 def boundary_nonvanishing(map_like, region: Region, level: int = 6,
                           L: Optional[float] = None) -> CheckResult:
     """Minimum image norm over boundary samples; the standing hypothesis."""
-    if region.kind != "disk":
-        raise InvalidInput("boundary checks need a disk region")
-    ev = as_evaluator(map_like)
-    sampling = sample_sphere(region, level)
-    ims = np.asarray(ev(sampling.points), dtype=float)
-    norms = np.linalg.norm(ims, axis=1)
-    idx = int(np.argmin(norms))
-    threshold = _threshold(L, sampling.h)
-    margin = float(norms[idx])
-    return CheckResult(name="boundary_nonvanishing",
-                       passed=margin > threshold, margin=margin,
-                       witness=sampling.points[idx],
-                       rigor="heuristic" if L is None else "rigorous",
-                       threshold=threshold)
+    sampling, ims = _sample_and_evaluate(map_like, region, level)
+    return _smallest("boundary_nonvanishing", sampling,
+                     np.linalg.norm(ims, axis=1), L)
 
 
 def poincare_bohl(map_like, region: Region, level: int = 6,
@@ -79,11 +65,32 @@ def poincare_bohl(map_like, region: Region, level: int = 6,
     The margin is min over samples of || F(x)/||F(x)|| + (x - x0)/r ||,
     which vanishes exactly at an opposite-pointing sample.
     """
+    sampling, ims = _sample_and_evaluate(map_like, region, level)
+    return _poincare_bohl(sampling, ims, L)
+
+
+def _sample_and_evaluate(map_like, region, level):
     if region.kind != "disk":
         raise InvalidInput("boundary checks need a disk region")
-    ev = as_evaluator(map_like)
     sampling = sample_sphere(region, level)
-    ims = np.asarray(ev(sampling.points), dtype=float)
+    return sampling, np.asarray(as_evaluator(map_like)(sampling.points),
+                                dtype=float)
+
+
+def _smallest(name, sampling, margins, L) -> CheckResult:
+    """Check of the smallest per-sample margin against the mesh threshold
+    L*h/2 (rigorous) or against 0 when no Lipschitz bound is known."""
+    idx = int(np.argmin(margins))
+    threshold = 0.0 if L is None else L * sampling.h / 2.0
+    margin = float(margins[idx])
+    return CheckResult(name=name, passed=margin > threshold, margin=margin,
+                       witness=sampling.points[idx],
+                       rigor="heuristic" if L is None else "rigorous",
+                       threshold=threshold)
+
+
+def _poincare_bohl(sampling, ims, L) -> CheckResult:
+    region = sampling.region
     if ims.shape[1] != region.dim:
         raise InvalidInput("Poincare-Bohl needs codomain dimension m = n")
     norms = np.linalg.norm(ims, axis=1)
@@ -92,14 +99,8 @@ def poincare_bohl(map_like, region: Region, level: int = 6,
         raise VanishingOnBoundary(idx, point=sampling.points[idx])
     unit_f = ims / norms[:, None]
     unit_x = (sampling.points - region.center) / region.radius
-    margins = np.linalg.norm(unit_f + unit_x, axis=1)
-    idx = int(np.argmin(margins))
-    threshold = _threshold(L, sampling.h)
-    margin = float(margins[idx])
-    return CheckResult(name="poincare_bohl", passed=margin > threshold,
-                       margin=margin, witness=sampling.points[idx],
-                       rigor="heuristic" if L is None else "rigorous",
-                       threshold=threshold)
+    return _smallest("poincare_bohl", sampling,
+                     np.linalg.norm(unit_f + unit_x, axis=1), L)
 
 
 def coercivity_radius(map_like, n: int, radii, level: int = 6):
@@ -109,17 +110,15 @@ def coercivity_radius(map_like, n: int, radii, level: int = 6):
     Returns (R, CheckResult of the Poincare-Bohl check on that sphere), or
     None when no listed radius qualifies.
     """
-    ev = as_evaluator(map_like)
     for R in radii:
-        region = Region.disk(np.zeros(n), float(R))
-        sampling = sample_sphere(region, level)
-        ims = np.asarray(ev(sampling.points), dtype=float)
+        sampling, ims = _sample_and_evaluate(
+            map_like, Region.disk(np.zeros(n), float(R)), level)
         if ims.shape[1] != n:
             raise InvalidInput("coercivity reduction needs m = n")
         norms = np.linalg.norm(ims, axis=1)
         inner = np.sum(ims * sampling.points, axis=1)
         if float(np.min(norms)) > 0.0 and float(np.min(inner)) >= 0.0:
-            return float(R), poincare_bohl(map_like, region, level=level)
+            return float(R), _poincare_bohl(sampling, ims, None)
     return None
 
 
@@ -130,7 +129,9 @@ def certify_existence(map_like, region: Region, level: int = 6,
     """Run the full existence pipeline on a disk region.
 
     Internally everything is computed on the unit disk through the rescaling
-    y -> r*y + x0, which preserves the verdict and the obstruction.
+    y -> r*y + x0, which preserves the verdict and the obstruction.  The
+    boundary sphere is sampled and evaluated once; every check reads those
+    images.
     """
     if region.kind != "disk":
         raise InvalidInput("certify_existence needs a disk region")
@@ -140,96 +141,63 @@ def certify_existence(map_like, region: Region, level: int = 6,
         if map_like.n != n:
             raise InvalidInput(
                 f"map domain dimension {map_like.n} != region dimension {n}")
-        m = map_like.m
+        if n > map_like.m:
+            # refuse before sampling, which is costly for n >= 3
+            raise Unsupported(n, map_like.m)
         digest = map_like.digest
-    else:
-        m = np.asarray(ev(region.center[None, :])).shape[1]
-    if n > m:
-        raise Unsupported(n, m)
 
     x0, r = region.center, region.radius
-    unit_region = Region.disk(np.zeros(n), 1.0)
     rescaled = lambda pts: np.asarray(ev(r * np.asarray(pts) + x0), dtype=float)
     L = None if lipschitz is None else lipschitz * r
-
-    sampling = sample_sphere(unit_region, level)
+    sampling = sample_sphere(Region.disk(np.zeros(n), 1.0), level)
     ims = rescaled(sampling.points)
+    m = ims.shape[1]
+    if n > m:
+        raise Unsupported(n, m)
+    # checks report their witness in original coordinates
+    original = lambda check: replace(check, witness=r * check.witness + x0)
+
     norms = np.linalg.norm(ims, axis=1)
-    idx = int(np.argmin(norms))
-    min_norm = float(norms[idx])
+    nonvanish = original(_smallest("boundary_nonvanishing", sampling, norms, L))
+    min_norm = nonvanish.margin
     zero_tol = ZERO_TOL_SCALE * (1.0 + float(np.max(norms)))
-    witness_orig = r * sampling.points[idx] + x0
-    nonvanish = CheckResult(name="boundary_nonvanishing",
-                            passed=min_norm > _threshold(L, sampling.h),
-                            margin=min_norm, witness=witness_orig,
-                            rigor="heuristic" if L is None else "rigorous",
-                            threshold=_threshold(L, sampling.h))
-
+    cert = partial(Certificate, map_digest=digest, region=region,
+                   min_boundary_norm=min_norm)
     if min_norm <= zero_tol:
-        return Certificate(map_digest=digest, region=region,
-                           verdict="ZeroOnBoundary", route=None,
-                           obstruction=None, min_boundary_norm=min_norm,
-                           rigor="heuristic", evidence=[nonvanish],
-                           reason="boundary_zero")
+        return cert(verdict="ZeroOnBoundary", route=None, obstruction=None,
+                    rigor="heuristic", evidence=[nonvanish],
+                    reason="boundary_zero")
 
-    if n == 1 and m == 1:
-        f = SampledMap(sampling=sampling, images=ims, m=1)
-        s = sign_obstruction(f)
-        if s != 0:
-            return Certificate(map_digest=digest, region=region,
-                               verdict="ZeroGuaranteed", route="sign_change",
-                               obstruction=s, min_boundary_norm=min_norm,
-                               rigor=nonvanish.rigor, evidence=[nonvanish])
-        return Certificate(map_digest=digest, region=region,
-                           verdict="NoConclusion", route=None, obstruction=0,
-                           min_boundary_norm=min_norm, rigor=nonvanish.rigor,
-                           evidence=[nonvanish], reason="same_component")
-
-    if n == 2 and m == 2:
-        f = SampledMap(sampling=sampling, images=ims, m=2, evaluator=rescaled)
-        w = winding_number(f, refine_budget=refine_budget, L=L)
-        w_check = CheckResult(name="winding", passed=w.value != 0,
-                              margin=float(w.value), witness=None,
-                              rigor=w.rigor)
-        rigor = _combine(nonvanish.rigor, w.rigor)
-        if w.value != 0:
-            return Certificate(map_digest=digest, region=region,
-                               verdict="ZeroGuaranteed", route="winding",
-                               obstruction=w.value, min_boundary_norm=min_norm,
-                               rigor=rigor, evidence=[nonvanish, w_check])
-        trace = null_homotopy(f, t_steps=t_steps)
-        phi_unit = radial_extension(trace)
-        witness = lambda x: phi_unit((np.asarray(x, dtype=float) - x0) / r)
-        return Certificate(map_digest=digest, region=region,
-                           verdict="NoConclusion", route=None, obstruction=0,
-                           min_boundary_norm=min_norm, rigor=rigor,
-                           evidence=[nonvanish, w_check],
-                           extension_witness=witness, reason="winding_zero")
-
-    if n == m:
-        pb = poincare_bohl(rescaled, unit_region, level=level, L=L)
-        # report the witness in original coordinates
-        pb = CheckResult(name=pb.name, passed=pb.passed, margin=pb.margin,
-                         witness=r * pb.witness + x0, rigor=pb.rigor,
-                         threshold=pb.threshold)
+    if n == m >= 3:
+        pb = original(_poincare_bohl(sampling, ims, L))
         rigor = _combine(nonvanish.rigor, pb.rigor)
         if pb.passed:
-            return Certificate(map_digest=digest, region=region,
-                               verdict="ZeroGuaranteed", route="poincare_bohl",
-                               obstruction=None, min_boundary_norm=min_norm,
-                               rigor=rigor, evidence=[nonvanish, pb])
-        return Certificate(map_digest=digest, region=region,
-                           verdict="NoConclusion", route=None,
-                           obstruction=None, min_boundary_norm=min_norm,
-                           rigor=rigor, evidence=[nonvanish, pb],
-                           reason="poincare_bohl_failed")
+            return cert(verdict="ZeroGuaranteed", route="poincare_bohl",
+                        obstruction=None, rigor=rigor, evidence=[nonvanish, pb])
+        return cert(verdict="NoConclusion", route=None, obstruction=None,
+                    rigor=rigor, evidence=[nonvanish, pb],
+                    reason="poincare_bohl_failed")
 
-    # n < m: a sphere of too-low dimension always contracts in the
-    # punctured codomain, so the obstruction is silent
-    return Certificate(map_digest=digest, region=region,
-                       verdict="NoConclusion", route=None, obstruction=None,
-                       min_boundary_norm=min_norm, rigor=nonvanish.rigor,
-                       evidence=[nonvanish], reason="codomain_dim_excess")
+    f = SampledMap(sampling=sampling, images=ims, m=m, evaluator=rescaled)
+    value, reason, w = boundary_obstruction(f, refine_budget=refine_budget, L=L)
+    evidence = [nonvanish]
+    rigor = nonvanish.rigor
+    if w is not None:
+        evidence.append(CheckResult(name="winding", passed=w.value != 0,
+                                    margin=float(w.value), witness=None,
+                                    rigor=w.rigor))
+        rigor = _combine(rigor, w.rigor)
+    if value:
+        return cert(verdict="ZeroGuaranteed",
+                    route="sign_change" if w is None else "winding",
+                    obstruction=value, rigor=rigor, evidence=evidence)
+    witness = None
+    if w is not None:
+        phi_unit = radial_extension(null_homotopy(f, t_steps=t_steps))
+        witness = lambda x: phi_unit((np.asarray(x, dtype=float) - x0) / r)
+    return cert(verdict="NoConclusion", route=None, obstruction=value,
+                rigor=rigor, evidence=evidence, extension_witness=witness,
+                reason=reason)
 
 
 def _combine(*rigors):

@@ -1,24 +1,24 @@
 """Homotopy-class obstructions of boundary restrictions.
 
 The n=1 obstruction is a sign component check on the two-point sphere; the
-n=m=2 obstruction is an adaptively refined winding number.  Both feed the
-two-valued classification (contractible boundary map or not) that drives the
-existence verdicts.
+n=m=2 obstruction is an adaptively refined winding number, computed with the
+shared angle-step kernel and refinement loop of ``geometry`` (circle-arc
+midpoints).  ``boundary_obstruction`` is the one (n, m) route table; both the
+two-valued classification here and the existence certificate read it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import BudgetExhausted, InvalidInput, Unsupported, VanishingOnBoundary
-from .geometry import circle_arc_midpoint, mesh_norm
+from .geometry import (MAX_STEP, circle_arc_midpoint, mesh_norm,
+                       refine_polyline, wrapped_steps)
 from .homotopy import SampledMap
 
-MAX_STEP = math.pi / 2.0        # angle steps must stay below this for a
-                                # trustworthy discrete angle sum
 RESIDUAL_TOL = 0.05             # tolerated pre-rounding residual, in turns
 
 
@@ -39,12 +39,6 @@ class CatResult:
                                  # same_component
 
 
-def _wrapped_steps(images: np.ndarray) -> np.ndarray:
-    angles = np.arctan2(images[:, 1], images[:, 0])
-    steps = np.diff(np.concatenate([angles, angles[:1]]))
-    return (steps + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def winding_number(f: SampledMap, refine_budget: int = 4096,
                    L: Optional[float] = None) -> WindingResult:
     """Signed turn count of a closed planar boundary map around the origin.
@@ -55,41 +49,23 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
     sampling = f.sampling
     if f.m != 2 or sampling.region.dim != 2 or not sampling.closed:
         raise InvalidInput("winding needs a closed planar sampling into R^2")
-    pts = np.array(sampling.points, dtype=float)
-    ims = np.array(f.images, dtype=float)
-    _check_nonvanishing(ims, pts)
     region = sampling.region
-    inserted = 0
-    while True:
-        steps = _wrapped_steps(ims)
-        bad = np.nonzero(np.abs(steps) >= MAX_STEP)[0]
-        if len(bad) == 0:
-            break
-        if f.evaluator is None or inserted >= refine_budget:
-            raise BudgetExhausted(
-                "winding refinement exhausted with coarse angle steps left",
-                best=_result(ims, pts, inserted, L=None))
-        bad = bad[:refine_budget - inserted]
-        k = len(pts)
-        mids = np.array([circle_arc_midpoint(pts[i], pts[(i + 1) % k], region)
-                         for i in bad])
-        mid_ims = np.asarray(f.evaluator(mids), dtype=float)
-        _check_nonvanishing(mid_ims, mids)
-        pts = np.insert(pts, bad + 1, mids, axis=0)
-        ims = np.insert(ims, bad + 1, mid_ims, axis=0)
-        inserted += len(bad)
-    return _result(ims, pts, inserted, L)
-
-
-def _check_nonvanishing(ims, pts):
-    norms = np.linalg.norm(ims, axis=1)
-    if np.any(norms <= 0.0):
-        idx = int(np.argmin(norms))
-        raise VanishingOnBoundary(idx, point=pts[idx], norm=float(norms[idx]))
+    pts, ims, inserted = refine_polyline(
+        np.array(sampling.points, dtype=float), np.array(f.images, dtype=float),
+        f.evaluator, lambda a, b: circle_arc_midpoint(a, b, region),
+        floor=0.0, budget=refine_budget)
+    result = _result(ims, pts, inserted, L)
+    if result.max_step_angle >= MAX_STEP:
+        # the rigor label needs every step below MAX_STEP, so this result
+        # is the heuristic best estimate
+        raise BudgetExhausted(
+            "winding refinement exhausted with coarse angle steps left",
+            best=result)
+    return result
 
 
 def _result(ims, pts, inserted, L) -> WindingResult:
-    steps = _wrapped_steps(ims)
+    steps = wrapped_steps(ims)
     turns = float(np.sum(steps)) / (2.0 * math.pi)
     value = int(round(turns))
     residual = abs(turns - value)
@@ -118,6 +94,30 @@ def sign_obstruction(f: SampledMap) -> int:
     return 1 if hi > 0 else -1
 
 
+def boundary_obstruction(f: SampledMap, refine_budget: int = 4096,
+                         L: Optional[float] = None
+                         ) -> Tuple[Optional[int], str, Optional[WindingResult]]:
+    """The (n, m) route table: (obstruction value, reason, WindingResult or
+    None) of a sampled boundary map.
+
+    A nonzero value obstructs contraction in the punctured codomain, which
+    forces a zero; n < m gives value None because a sphere of too-low
+    dimension always contracts there.
+    """
+    n = f.sampling.region.dim
+    m = f.m
+    if n < m:
+        return None, "codomain_dim_excess", None
+    if n == 1 and m == 1:
+        s = sign_obstruction(f)
+        return s, "sign_change" if s != 0 else "same_component", None
+    if n == 2 and m == 2:
+        w = winding_number(f, refine_budget=refine_budget, L=L)
+        return (w.value, "winding_nonzero" if w.value != 0 else "winding_zero",
+                w)
+    raise Unsupported(n, m)
+
+
 def classify_cat(f: SampledMap, refine_budget: int = 4096,
                  L: Optional[float] = None) -> CatResult:
     """Two-valued contractibility classification of a boundary map.
@@ -127,18 +127,5 @@ def classify_cat(f: SampledMap, refine_budget: int = 4096,
     yields cat=1 because a sphere of too-low dimension contracts in the
     punctured target.
     """
-    n = f.sampling.region.dim
-    m = f.m
-    if n < m:
-        return CatResult(cat=1, reason="codomain_dim_excess")
-    if n == 1 and m == 1:
-        s = sign_obstruction(f)
-        if s != 0:
-            return CatResult(cat=2, reason="sign_change")
-        return CatResult(cat=1, reason="same_component")
-    if n == 2 and m == 2:
-        w = winding_number(f, refine_budget=refine_budget, L=L)
-        if w.value != 0:
-            return CatResult(cat=2, reason="winding_nonzero")
-        return CatResult(cat=1, reason="winding_zero")
-    raise Unsupported(n, m)
+    value, reason, _ = boundary_obstruction(f, refine_budget=refine_budget, L=L)
+    return CatResult(cat=2 if value else 1, reason=reason)

@@ -2,7 +2,9 @@
 
 Boundary samplings are the finite stand-in for the sphere S^{n-1}: an ordered
 point list together with its mesh norm h (maximum adjacent-sample distance),
-which every downstream rigor bound is stated against.
+which every downstream rigor bound is stated against.  Closed planar
+polylines also get the one angle-step kernel (``wrapped_steps``) and the one
+refinement loop (``refine_polyline``) that every winding computation uses.
 """
 from __future__ import annotations
 
@@ -13,10 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, VanishingOnBoundary
 
 # absolute part of the hybrid boundary-membership tolerance
 BOUNDARY_TOL = 1e-12
+MAX_STEP = math.pi / 2.0        # angle steps must stay below this for a
+                                # trustworthy discrete angle sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,10 +191,7 @@ def refine(sampling: BoundarySampling) -> BoundarySampling:
     region = sampling.region
     if region.dim == 2 and sampling.closed:
         pts = sampling.points
-        nxt = np.roll(pts, -1, axis=0)
-        chord_mid = 0.5 * (pts + nxt) - region.center
-        mids = region.center + region.radius * (
-            chord_mid / np.linalg.norm(chord_mid, axis=1, keepdims=True))
+        mids = circle_arc_midpoint(pts, np.roll(pts, -1, axis=0), region)
         merged = np.empty((2 * len(pts), 2))
         merged[0::2] = pts
         merged[1::2] = mids
@@ -201,15 +202,60 @@ def refine(sampling: BoundarySampling) -> BoundarySampling:
 
 
 def circle_arc_midpoint(a, b, region: Region) -> np.ndarray:
-    """Midpoint along the (minor) circle arc between two boundary points."""
-    mid = 0.5 * (np.asarray(a) + np.asarray(b)) - region.center
-    norm = np.linalg.norm(mid)
-    if norm == 0.0:
+    """Midpoint along the (minor) circle arc between boundary points a and b,
+    one pair (2,) or a batch (k, 2) of pairs."""
+    a = np.asarray(a, dtype=float)
+    mid = 0.5 * (a + np.asarray(b, dtype=float)) - region.center
+    norm = np.linalg.norm(mid, axis=-1, keepdims=True)
+    antipodal = norm[..., 0] == 0.0
+    if np.any(antipodal):
         # antipodal pair: rotate a by 90 degrees as the canonical midpoint
-        v = np.asarray(a) - region.center
-        mid = np.array([-v[1], v[0]])
-        norm = np.linalg.norm(mid)
-    return region.center + region.radius * mid / norm
+        v = a - region.center
+        mid = np.where(antipodal[..., None],
+                       np.stack([-v[..., 1], v[..., 0]], axis=-1), mid)
+        norm = np.linalg.norm(mid, axis=-1, keepdims=True)
+    return region.center + region.radius * (mid / norm)
+
+
+def wrapped_steps(images: np.ndarray) -> np.ndarray:
+    """Angle steps of planar images around a closed polyline, each wrapped
+    into [-pi, pi); their sum is 2 pi times the winding number."""
+    angles = np.arctan2(images[:, 1], images[:, 0])
+    steps = np.diff(np.concatenate([angles, angles[:1]]))
+    return (steps + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def refine_polyline(pts, ims, evaluator, midpoint, floor: float, budget: int):
+    """Split the segments of a closed polyline whose image angle step is at
+    least MAX_STEP, until none is left or the budget of inserted points runs
+    out.
+
+    Each round evaluates all its new points in one batch; ``midpoint(a, b)``
+    places them between the batched segment ends a and b.  An image norm at
+    or below ``floor`` raises VanishingOnBoundary.  Returns the refined
+    points, images and insertion count; a step of MAX_STEP or more is left
+    only when ``evaluator`` is None or the budget is spent.
+    """
+    _check_floor(ims, pts, floor)
+    inserted = 0
+    while True:
+        bad = np.nonzero(np.abs(wrapped_steps(ims)) >= MAX_STEP)[0]
+        if len(bad) == 0 or evaluator is None or inserted >= budget:
+            return pts, ims, inserted
+        bad = bad[:budget - inserted]
+        mids = midpoint(pts[bad], pts[(bad + 1) % len(pts)])
+        mid_ims = np.asarray(evaluator(mids), dtype=float)
+        _check_floor(mid_ims, mids, floor)
+        pts = np.insert(pts, bad + 1, mids, axis=0)
+        ims = np.insert(ims, bad + 1, mid_ims, axis=0)
+        inserted += len(bad)
+
+
+def _check_floor(ims, pts, floor):
+    norms = np.linalg.norm(ims, axis=1)
+    idx = int(np.argmin(norms))
+    if norms[idx] <= floor:
+        raise VanishingOnBoundary(idx, point=pts[idx], norm=float(norms[idx]))
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (EndpointMismatch, InvalidInput, NotANullHomotopy)
-from .geometry import BoundarySampling
+from .geometry import BoundarySampling, wrapped_steps
 
 ENDPOINT_TOL = 1e-9
 
@@ -136,13 +136,12 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
     norms = np.linalg.norm(f.images, axis=1)
     if np.min(norms) <= 0.0:
         raise NotANullHomotopy("map vanishes on a sample")
-    angles = np.arctan2(f.images[:, 1], f.images[:, 0])
-    steps = np.diff(np.concatenate([angles, angles[:1]]))
-    steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
+    steps = wrapped_steps(f.images)
     turns = round(float(np.sum(steps)) / (2.0 * math.pi))
     if turns != 0:
         raise NotANullHomotopy(f"map has winding {turns}, not contractible")
-    lifted = angles[0] + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    angle0 = np.arctan2(f.images[0, 1], f.images[0, 0])
+    lifted = angle0 + np.concatenate([[0.0], np.cumsum(steps[:-1])])
     log_r = np.log(norms)
     target_log_r = float(np.mean(log_r))
     target_angle = float(np.mean(lifted))

@@ -1,10 +1,11 @@
 """Constructive zero localization once existence is certified.
 
 n=1 uses classical sign bisection; n=2 recursively bisects a box into four
-sub-boxes and follows nonzero boundary winding.  When a cut line lands on
-(or numerically near) a zero, the cut point is jiggled by a deterministic
-pseudo-random offset of at most 10% of the cell size, at most five retries
-per level.
+sub-boxes and follows nonzero boundary winding, computed with the shared
+angle-step kernel and refinement loop of ``geometry`` (chord midpoints).
+When a cut line lands on (or numerically near) a zero, the cut point is
+jiggled by a deterministic pseudo-random offset of at most 10% of the cell
+size, at most five retries per level.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import numpy as np
 from .criteria import certify_existence
 from .errors import (BudgetExhausted, DegreeLost, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
-from .geometry import Region, sample_sphere
+from .geometry import (MAX_STEP, Region, refine_polyline, sample_sphere,
+                       wrapped_steps)
 from .mapspec import as_evaluator
 
 SEED_ENV = "ZERO_CERT_SEED"
@@ -35,19 +37,13 @@ class LocateResult:
     termination: str = ""           # residual | cell_diameter | boundary_fixed_point
 
 
-def _wrapped_steps(images):
-    angles = np.arctan2(images[:, 1], images[:, 0])
-    steps = np.diff(np.concatenate([angles, angles[:1]]))
-    return (steps + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def box_winding(map_like, lower, upper, samples_per_edge: int = 16,
                 budget: int = 4096, floor: Optional[float] = None) -> int:
     """Winding of a planar map along a box boundary (counterclockwise).
 
-    Uses the same pi/2 angle-step refinement rule as the circle winding;
-    refinement bisects perimeter segments, which stay on the boundary
-    because the corner samples separate the edges.
+    Uses the shared pi/2 angle-step refinement loop of the circle winding
+    with the chord midpoint rule: bisected perimeter segments stay on the
+    boundary because the corner samples separate the edges.
     """
     ev = as_evaluator(map_like)
     lower = np.asarray(lower, dtype=float)
@@ -66,31 +62,12 @@ def box_winding(map_like, lower, upper, samples_per_edge: int = 16,
         raise InvalidInput("box winding needs codomain dimension 2")
     if floor is None:
         floor = 1e-12 * (1.0 + float(np.max(np.linalg.norm(ims, axis=1))))
-    _check_floor(ims, pts, floor)
-    inserted = 0
-    while True:
-        steps = _wrapped_steps(ims)
-        bad = np.nonzero(np.abs(steps) >= math.pi / 2.0)[0]
-        if len(bad) == 0:
-            break
-        if inserted >= budget:
-            raise BudgetExhausted("box winding refinement budget exhausted")
-        bad = bad[:budget - inserted]
-        k = len(pts)
-        mids = 0.5 * (pts[bad] + pts[(bad + 1) % k])
-        mid_ims = np.asarray(ev(mids), dtype=float)
-        _check_floor(mid_ims, mids, floor)
-        pts = np.insert(pts, bad + 1, mids, axis=0)
-        ims = np.insert(ims, bad + 1, mid_ims, axis=0)
-        inserted += len(bad)
-    return int(round(float(np.sum(_wrapped_steps(ims))) / (2.0 * math.pi)))
-
-
-def _check_floor(ims, pts, floor):
-    norms = np.linalg.norm(ims, axis=1)
-    idx = int(np.argmin(norms))
-    if norms[idx] <= floor:
-        raise VanishingOnBoundary(idx, point=pts[idx], norm=float(norms[idx]))
+    pts, ims, _ = refine_polyline(pts, ims, ev, lambda a, b: 0.5 * (a + b),
+                                  floor=floor, budget=budget)
+    steps = wrapped_steps(ims)
+    if np.any(np.abs(steps) >= MAX_STEP):
+        raise BudgetExhausted("box winding refinement budget exhausted")
+    return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
 
 
 def _resolve_seed(seed):

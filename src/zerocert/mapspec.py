@@ -333,15 +333,14 @@ def lipschitz_estimate(spec: MapSpec, region: Region, samples: int = 200) -> flo
     else:
         pts = rng.uniform(region.lower, region.upper, size=(samples, region.dim))
     step = 1e-6 * region.diameter
-    worst = 0.0
-    for p in pts:
-        jac = np.empty((spec.m, spec.n))
-        for j in range(spec.n):
-            e = np.zeros(spec.n)
-            e[j] = step
-            jac[:, j] = (evaluate(spec, p + e) - evaluate(spec, p - e)) / (2 * step)
-        worst = max(worst, float(np.linalg.norm(jac, 2)))
-    return 2.0 * worst
+    # one batch, ordered p + e_j, p - e_j for each sample p and axis j
+    shifts = step * np.eye(spec.n)
+    probes = np.stack([pts[:, None, :] + shifts, pts[:, None, :] - shifts],
+                      axis=2)
+    values = evaluate(spec, probes.reshape(-1, spec.n))
+    values = values.reshape(samples, spec.n, 2, spec.m)
+    jac = (values[:, :, 0] - values[:, :, 1]).transpose(0, 2, 1) / (2 * step)
+    return 2.0 * float(np.max(np.linalg.norm(jac, 2, axis=(1, 2))))
 
 
 # ---------------------------------------------------------------------------

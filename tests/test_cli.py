@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from zerocert import Region, certify_existence, parse_map
+import zerocert
+from zerocert import Region, builtin_map, certify_existence, parse_map
 from zerocert.cli import (certificate_dumps, certificate_from_dict,
                           certificate_to_dict, main)
 
@@ -60,6 +64,7 @@ class TestCertifyCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["rigor"] == "heuristic"
+        assert [c["rigor"] for c in out["evidence"]] == ["heuristic"] * 2
 
     def test_explicit_lipschitz_is_rigorous(self, capsys):
         code = main(["certify", "--map", "x1, x2", "--n", "2",
@@ -68,6 +73,16 @@ class TestCertifyCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["rigor"] == "rigorous"
+
+    @pytest.mark.parametrize("name, n, code", [
+        ("shifted", 2, 2), ("z2", 2, 0), ("shifted", 3, 4)])
+    def test_builtin_map_name(self, name, n, code, capsys):
+        center = ",".join(["0"] * n)
+        assert main(["certify", "--map", name, "--n", str(n),
+                     "--center", center, "--radius", "1"]) == code
+        if code != 4:
+            out = json.loads(capsys.readouterr().out)
+            assert out["map_digest"] == builtin_map(name).digest
 
     def test_syntax_error_exit_code(self, capsys):
         code = main(["certify", "--map", "x1 +", "--n", "2",
@@ -120,6 +135,23 @@ class TestOtherCommands:
         for name in ("opposite-id", "shifted", "z2", "coercive-shift",
                      "rotation-half"):
             assert name in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # the read end is closed before the command writes, as after `| head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(zerocert.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "zerocert.cli", "examples"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 class TestCertificateSerialization:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from zerocert import (Region, Unsupported, boundary_nonvanishing,
-                      certify_existence, coercivity_radius, locate_zero,
-                      parse_map, poincare_bohl, winding_number)
+                      certify_existence, classify_cat, coercivity_radius,
+                      locate_zero, parse_map, poincare_bohl, winding_number)
 from zerocert.homotopy import SampledMap
 from zerocert.geometry import sample_sphere
+from zerocert.mapspec import as_evaluator
 
 
 IDENTITY = parse_map("x1, x2", 2)
@@ -175,6 +176,36 @@ class TestCertifyExistence:
         unit_cert = certify_existence(rescaled, Region.disk([0.0, 0.0], 1.0))
         assert cert.verdict == unit_cert.verdict
         assert cert.obstruction == unit_cert.obstruction
+
+    def test_one_boundary_evaluation_n3(self):
+        batches = []
+
+        def ev(pts):
+            batches.append(len(pts))
+            return np.asarray(pts, dtype=float) + [0.1, 0.0, -0.2]
+
+        cert = certify_existence(ev, Region.disk(np.zeros(3), 1.0), level=1)
+        assert cert.route == "poincare_bohl"
+        assert batches == [len(sample_sphere(Region.disk(np.zeros(3), 1.0), 1))]
+
+    @pytest.mark.parametrize("text, n, reason, route", [
+        ("x1^3 - 0.5", 1, "sign_change", "sign_change"),
+        ("x1^2 + 1", 1, "same_component", None),
+        ("x1, x2", 2, "winding_nonzero", "winding"),
+        ("x1 + 3, x2 + 3", 2, "winding_zero", None),
+        ("x1 + 2, 1", 1, "codomain_dim_excess", None),
+        ("x1, x2, 1", 2, "codomain_dim_excess", None),
+    ])
+    def test_route_agrees_with_classify_cat(self, text, n, reason, route):
+        spec = parse_map(text, n)
+        region = Region.disk(np.zeros(n), 1.0)
+        cert = certify_existence(spec, region, level=4)
+        cat = classify_cat(SampledMap.from_evaluator(
+            as_evaluator(spec), sample_sphere(region, 4)))
+        assert cat.reason == reason
+        assert cert.route == route
+        assert cert.reason == (None if route else reason)
+        assert (cat.cat == 2) == (cert.verdict == "ZeroGuaranteed")
 
     def test_rigor_is_weakest_of_checks(self, unit_disk):
         heuristic = certify_existence(IDENTITY, unit_disk)

@@ -5,6 +5,7 @@ import pytest
 
 from zerocert import (InvalidInput, Region, refine, rescale_from_unit,
                       rescale_to_unit, sample_sphere)
+from zerocert.geometry import circle_arc_midpoint
 
 
 class TestRescaling:
@@ -120,6 +121,22 @@ class TestRefine:
             s = sample_sphere(Region.disk([0.0, 0.0], r), level)
             assert s.h == pytest.approx(2 * r * math.sin(math.pi / (4 * 2 ** level)))
         assert sample_sphere(Region.disk([0.0, 0.0], r), 10).h < 1e-2
+
+
+class TestCircleArcMidpoint:
+    def test_batch_matches_pairs_including_antipodal(self):
+        region = Region.disk([0.5, -0.25], 2.0)
+        theta = np.array([0.0, 0.4, 2.0, 3.0, 5.5])
+        a = region.center + 2.0 * np.stack([np.cos(theta), np.sin(theta)], 1)
+        b = np.roll(a, -1, axis=0)
+        a[2], b[2] = [2.5, -0.25], [-1.5, -0.25]    # an exact antipodal pair
+        batch = circle_arc_midpoint(a, b, region)
+        pairs = np.array([circle_arc_midpoint(p, q, region)
+                          for p, q in zip(a, b)])
+        assert np.array_equal(batch, pairs)
+        # the antipodal midpoint is a rotated by 90 degrees about the center
+        assert np.array_equal(batch[2], [0.5, 1.75])
+        assert np.allclose(np.linalg.norm(batch - region.center, axis=1), 2.0)
 
 
 class TestRegion:

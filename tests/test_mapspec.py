@@ -5,6 +5,7 @@ from zerocert import (BUILTIN_MAPS, DomainError, MapSyntaxError,
                       NonIntegerExponent, Region, UndefinedVariable,
                       builtin_map, evaluate, lipschitz_estimate, parse_map,
                       to_text)
+import zerocert.mapspec as mapspec
 from zerocert.mapspec import map_digest
 
 
@@ -146,6 +147,39 @@ class TestLipschitzEstimate:
         spec = parse_map("3*x1", 1)
         region = Region.disk([0.0], 1.0)
         assert lipschitz_estimate(spec, region) == pytest.approx(6.0, rel=1e-6)
+
+    @pytest.mark.parametrize("text, region", [
+        ("x1^3 - 2*x1 + sin(x1)", Region.disk([0.2], 1.5)),
+        ("x1^2 - x2^2 + 0.3, 2*x1*x2 - sin(x2)", Region.disk([0.1, -0.4], 1.3)),
+        ("x1*x2, exp(x1) - x2^3, abs(x1)", Region.box([-0.7, -0.7], [1.1, 1.1])),
+        ("x1 + x2*x3, x2^2 - x3, cos(x1*x3)", Region.disk([0.5, 0.0, -1.0], 0.8)),
+    ])
+    def test_one_batch_matches_pointwise_loop(self, text, region, monkeypatch):
+        spec = parse_map(text, region.dim)
+        calls = []
+        monkeypatch.setattr(mapspec, "evaluate",
+                            lambda s, x: calls.append(len(x)) or evaluate(s, x))
+        est = lipschitz_estimate(spec, region)
+        assert calls == [2 * region.dim * 200]
+        # reference: one central difference per sample point and axis
+        rng = np.random.default_rng(0)
+        if region.kind == "disk":
+            raw = rng.normal(size=(200, region.dim))
+            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            radii = region.radius * rng.uniform(size=(200, 1)) ** (1.0 / region.dim)
+            pts = region.center + raw * radii
+        else:
+            pts = rng.uniform(region.lower, region.upper, size=(200, region.dim))
+        step = 1e-6 * region.diameter
+        worst = 0.0
+        for p in pts:
+            jac = np.empty((spec.m, spec.n))
+            for j in range(spec.n):
+                e = np.zeros(spec.n)
+                e[j] = step
+                jac[:, j] = (evaluate(spec, p + e) - evaluate(spec, p - e)) / (2 * step)
+            worst = max(worst, float(np.linalg.norm(jac, 2)))
+        assert est == 2.0 * worst
 
     def test_sample_floor(self, unit_disk):
         from zerocert import InvalidInput

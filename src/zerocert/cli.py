@@ -186,7 +186,11 @@ def _cmd_certify(args) -> int:
     if auto:
         lipschitz = lipschitz_estimate(spec, region)
     elif args.lipschitz is not None:
-        lipschitz = float(args.lipschitz)
+        try:
+            lipschitz = float(args.lipschitz)
+        except ValueError:
+            raise _UsageError("--lipschitz expects a number or 'auto', "
+                              f"got {args.lipschitz!r}") from None
     cert = certify_existence(spec, region, level=args.level,
                              lipschitz=lipschitz)
     if auto:

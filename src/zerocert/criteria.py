@@ -18,7 +18,7 @@ import numpy as np
 
 from .degree import boundary_obstruction
 from .errors import InvalidInput, Unsupported, VanishingOnBoundary
-from .geometry import Region, sample_sphere
+from .geometry import Region, check_lipschitz, sample_sphere
 from .homotopy import SampledMap, null_homotopy, radial_extension
 from .mapspec import MapSpec, as_evaluator
 
@@ -53,6 +53,7 @@ class Certificate:
 def boundary_nonvanishing(map_like, region: Region, level: int = 6,
                           L: Optional[float] = None) -> CheckResult:
     """Minimum image norm over boundary samples; the standing hypothesis."""
+    check_lipschitz(L)
     sampling, ims = _sample_and_evaluate(map_like, region, level)
     return _smallest("boundary_nonvanishing", sampling,
                      np.linalg.norm(ims, axis=1), L)
@@ -65,6 +66,7 @@ def poincare_bohl(map_like, region: Region, level: int = 6,
     The margin is min over samples of || F(x)/||F(x)|| + (x - x0)/r ||,
     which vanishes exactly at an opposite-pointing sample.
     """
+    check_lipschitz(L)
     sampling, ims = _sample_and_evaluate(map_like, region, level)
     return _poincare_bohl(sampling, ims, L)
 
@@ -135,6 +137,7 @@ def certify_existence(map_like, region: Region, level: int = 6,
     """
     if region.kind != "disk":
         raise InvalidInput("certify_existence needs a disk region")
+    check_lipschitz(lipschitz)
     n = region.dim
     ev = as_evaluator(map_like)
     if isinstance(map_like, MapSpec):

@@ -15,8 +15,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExhausted, InvalidInput, Unsupported, VanishingOnBoundary
-from .geometry import (MAX_STEP, circle_arc_midpoint, mesh_norm,
-                       refine_polyline, wrapped_steps)
+from .geometry import (MAX_STEP, check_lipschitz, circle_arc_midpoint,
+                       mesh_norm, refine_polyline, wrapped_steps)
 from .homotopy import SampledMap
 
 RESIDUAL_TOL = 0.05             # tolerated pre-rounding residual, in turns
@@ -46,6 +46,7 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
     Arcs whose image angle step reaches pi/2 are split by re-querying the
     map at the circle midpoint until none remain or the budget runs out.
     """
+    check_lipschitz(L)
     sampling = f.sampling
     if f.m != 2 or sampling.region.dim != 2 or not sampling.closed:
         raise InvalidInput("winding needs a closed planar sampling into R^2")

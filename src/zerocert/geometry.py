@@ -217,6 +217,16 @@ def circle_arc_midpoint(a, b, region: Region) -> np.ndarray:
     return region.center + region.radius * (mid / norm)
 
 
+def check_lipschitz(L: Optional[float]) -> None:
+    """A Lipschitz constant as every rigor bound needs it: finite and
+    nonnegative, or None for unknown.  Anything else raises InvalidInput,
+    because a negative or NaN constant would turn the L*h/2 threshold into
+    a bound that every margin passes."""
+    if L is not None and not (math.isfinite(L) and L >= 0.0):
+        raise InvalidInput(
+            f"Lipschitz constant must be finite and >= 0, got {L!r}")
+
+
 def wrapped_steps(images: np.ndarray) -> np.ndarray:
     """Angle steps of planar images around a closed polyline, each wrapped
     into [-pi, pi); their sum is 2 pi times the winding number."""

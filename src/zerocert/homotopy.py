@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (EndpointMismatch, InvalidInput, NotANullHomotopy)
-from .geometry import BoundarySampling, wrapped_steps
+from .geometry import BoundarySampling, check_lipschitz, wrapped_steps
 
 ENDPOINT_TOL = 1e-9
 
@@ -88,6 +88,7 @@ def _report(trace: HomotopyTrace, L: Optional[float]) -> ValidityReport:
 def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
                   L: Optional[float] = None):
     """Linear interpolation homotopy H(x,t) = (1-t) f(x) + t g(x)."""
+    check_lipschitz(L)
     if t_steps < 2:
         raise InvalidInput("t_steps must be >= 2")
     if f.m != g.m:

@@ -1,11 +1,16 @@
 """Constructive zero localization once existence is certified.
 
-n=1 uses classical sign bisection; n=2 recursively bisects a box into four
-sub-boxes and follows nonzero boundary winding, computed with the shared
-angle-step kernel and refinement loop of ``geometry`` (chord midpoints).
-When a cut line lands on (or numerically near) a zero, the cut point is
-jiggled by a deterministic pseudo-random offset of at most 10% of the cell
-size, at most five retries per level.
+n=1 uses classical sign bisection, with both endpoints in one evaluation.
+n=2 recursively bisects a box into four sub-boxes and follows nonzero
+boundary winding (generalized bisection, Kearfott 1979), computed with the
+shared angle-step kernel and refinement loop of ``geometry`` (chord
+midpoints).  Each box carries its refined, evaluated boundary as four edge
+arrays, so a level reuses the parent's samples and evaluates only the cut:
+one batch holds the centre (whose image is also the residual check), the
+four half-cuts from it to the edges and any edge cut point the parent
+lacks.  When a cut line lands on (or numerically near) a zero, the cut
+point is jiggled by a deterministic pseudo-random offset of at most 10% of
+the cell size, at most five retries per level.
 """
 from __future__ import annotations
 
@@ -19,12 +24,16 @@ import numpy as np
 from .criteria import certify_existence
 from .errors import (BudgetExhausted, DegreeLost, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
-from .geometry import (MAX_STEP, Region, refine_polyline, sample_sphere,
-                       wrapped_steps)
+from .geometry import MAX_STEP, Region, refine_polyline, wrapped_steps
 from .mapspec import as_evaluator
 
 SEED_ENV = "ZERO_CERT_SEED"
 MAX_JIGGLES = 5
+SAMPLES_PER_EDGE = 16             # box_winding default; half per half-cut
+BUDGET = 4096                     # refinement insertions per box winding
+# interior sample fractions of a half-cut from the cut point to a box edge
+_HALF_CUT = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE // 2,
+                        endpoint=False)[1:, None]
 
 
 @dataclass(eq=False)
@@ -37,37 +46,60 @@ class LocateResult:
     termination: str = ""           # residual | cell_diameter | boundary_fixed_point
 
 
-def box_winding(map_like, lower, upper, samples_per_edge: int = 16,
-                budget: int = 4096, floor: Optional[float] = None) -> int:
+def box_winding(map_like, lower, upper,
+                samples_per_edge: int = SAMPLES_PER_EDGE, budget: int = BUDGET,
+                floor: Optional[float] = None) -> int:
     """Winding of a planar map along a box boundary (counterclockwise).
 
     Uses the shared pi/2 angle-step refinement loop of the circle winding
     with the chord midpoint rule: bisected perimeter segments stay on the
     boundary because the corner samples separate the edges.
     """
-    ev = as_evaluator(map_like)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (2,) or upper.shape != (2,):
         raise InvalidInput("box winding is planar only")
-    corners = np.array([[lower[0], lower[1]], [upper[0], lower[1]],
-                        [upper[0], upper[1]], [lower[0], upper[1]]])
-    edges = []
-    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
-        frac = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)[:, None]
-        edges.append(a + frac * (b - a))
-    pts = np.concatenate(edges, axis=0)
+    ev = as_evaluator(map_like)
+    return _wind(ev, _box_boundary(ev, lower, upper, samples_per_edge),
+                 budget, floor)[0]
+
+
+def _box_boundary(ev, lo, hi, samples_per_edge):
+    """Evaluated counterclockwise boundary of the box [lo, hi], starting at
+    lo, as rows (x, y, F1, F2) with ``samples_per_edge`` samples per edge."""
+    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]],
+                        [hi[0], hi[1]], [lo[0], hi[1]]])
+    frac = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)[:, None]
+    pts = np.concatenate([a + frac * (b - a) for a, b in
+                          zip(corners, np.roll(corners, -1, axis=0))])
     ims = np.asarray(ev(pts), dtype=float)
-    if ims.shape[1] != 2:
+    if ims.ndim != 2 or ims.shape[1] != 2:
         raise InvalidInput("box winding needs codomain dimension 2")
+    return np.hstack((pts, ims))
+
+
+def _chord_midpoint(a, b):
+    return 0.5 * (a + b)
+
+
+def _wind(ev, poly, budget, floor=None):
+    """Winding of the closed polyline ``poly`` (rows x, y, F1, F2) after
+    chord refinement, and the refined polyline.
+
+    The default floor is 1e-12 * (1 + the largest image norm of ``poly``).
+    """
+    ims = poly[:, 2:]
     if floor is None:
         floor = 1e-12 * (1.0 + float(np.max(np.linalg.norm(ims, axis=1))))
-    pts, ims, _ = refine_polyline(pts, ims, ev, lambda a, b: 0.5 * (a + b),
-                                  floor=floor, budget=budget)
+    pts, ims, inserted = refine_polyline(poly[:, :2], ims, ev,
+                                         _chord_midpoint, floor=floor,
+                                         budget=budget)
     steps = wrapped_steps(ims)
     if np.any(np.abs(steps) >= MAX_STEP):
         raise BudgetExhausted("box winding refinement budget exhausted")
-    return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
+    if inserted:
+        poly = np.hstack((pts, ims))
+    return int(round(float(np.sum(steps)) / (2.0 * math.pi))), poly
 
 
 def _resolve_seed(seed):
@@ -93,8 +125,8 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
 
 def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
     a, b = float(box.lower[0]), float(box.upper[0])
-    fa = float(ev(np.array([[a]]))[0, 0])
-    fb = float(ev(np.array([[b]]))[0, 0])
+    ends = np.asarray(ev(np.array([[a], [b]])), dtype=float)
+    fa, fb = float(ends[0, 0]), float(ends[1, 0])
     if fa == 0.0:
         return _finish(ev, np.array([a]), b - a, 0, [], "residual")
     if fb == 0.0:
@@ -120,41 +152,38 @@ def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
                                        max_iter, trail, "budget"))
 
 
-def _subboxes(lo, hi, cut):
-    return [
-        (np.array([lo[0], lo[1]]), np.array([cut[0], cut[1]])),
-        (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]])),
-        (np.array([cut[0], cut[1]]), np.array([hi[0], hi[1]])),
-        (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]])),
-    ]
-
-
 def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
     rng = np.random.default_rng(seed)
     lo = box.lower.copy()
     hi = box.upper.copy()
-    if box_winding(ev, lo, hi) == 0:
+    winding, poly = _wind(ev, _box_boundary(ev, lo, hi, SAMPLES_PER_EDGE),
+                          BUDGET)
+    if winding == 0:
         raise DegreeLost((lo, hi))
+    edges = _split_edges(poly, lo, hi)
     trail = []
     for it in range(1, max_iter + 1):
         center = 0.5 * (lo + hi)
         diameter = float(np.linalg.norm(hi - lo))
-        residual = float(np.linalg.norm(ev(center[None, :])[0]))
-        if residual <= eps_f:
-            return _finish(ev, center, diameter, it - 1, trail, "residual")
         if diameter <= eps_x:
+            residual = float(np.linalg.norm(ev(center[None, :])[0]))
             return _finish(ev, center, diameter, it - 1, trail,
-                           "cell_diameter")
+                           "residual" if residual <= eps_f
+                           else "cell_diameter")
+        center_image, children = _cut_children(ev, lo, hi, edges, center)
+        if float(np.linalg.norm(center_image)) <= eps_f:
+            return _finish(ev, center, diameter, it - 1, trail, "residual")
         chosen = None
         for attempt in range(MAX_JIGGLES + 1):
-            if attempt == 0:
-                cut = center
-            else:
+            if attempt:
                 cut = center + rng.uniform(-0.1, 0.1, size=2) * (hi - lo)
+                _, children = _cut_children(ev, lo, hi, edges, cut)
             try:
-                for sub_lo, sub_hi in _subboxes(lo, hi, cut):
-                    if box_winding(ev, sub_lo, sub_hi) != 0:
-                        chosen = (sub_lo, sub_hi)
+                for sub_lo, sub_hi, pieces in children:
+                    winding, poly = _wind(ev, np.concatenate(pieces), BUDGET)
+                    if winding != 0:
+                        chosen = (sub_lo, sub_hi,
+                                  _split_edges(poly, sub_lo, sub_hi))
                         break
             except VanishingOnBoundary:
                 continue
@@ -162,12 +191,71 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
                 break
         if chosen is None:
             raise DegreeLost((lo, hi))
-        lo, hi = chosen
+        lo, hi, edges = chosen
         trail.append((lo.copy(), hi.copy()))
     raise BudgetExhausted("quadtree iteration limit reached",
                           best=_finish(ev, 0.5 * (lo + hi),
                                        float(np.linalg.norm(hi - lo)),
                                        max_iter, trail, "budget"))
+
+
+def _split_edges(poly, lo, hi):
+    """Bottom, right, top and left edge of a counterclockwise box polyline
+    that starts at corner lo; each edge runs from its first corner up to,
+    not including, the next one."""
+    x, y = poly[:, 0], poly[:, 1]
+    r = int(np.argmax(x == hi[0]))
+    t = r + int(np.argmax(y[r:] == hi[1]))
+    left = t + int(np.argmax(x[t:] == lo[0]))
+    return [poly[:r], poly[r:t], poly[t:left], poly[left:]]
+
+
+def _cut_children(ev, lo, hi, edges, cut):
+    """The image of ``cut`` and the four sub-boxes of [lo, hi] at it, in
+    bisection order, each as (lower, upper, boundary pieces); the pieces
+    concatenate to the sub-box boundary, counterclockwise from its lower
+    corner.
+
+    One evaluation covers the cut point, the interior samples of the four
+    half-cuts from it to the box edges, and each edge cut point that the
+    parent edges lack; every other sample is reused from the parent edges.
+    """
+    ends = np.array([[cut[0], lo[1]], [hi[0], cut[1]],
+                     [cut[0], hi[1]], [lo[0], cut[1]]])
+    splits, missing = [], []
+    for side, edge in enumerate(edges):
+        axis = side % 2
+        coord = edge[:, axis]
+        if side < 2:        # bottom and right edges run up their coordinate
+            k = int(np.searchsorted(coord, cut[axis]))
+        else:               # top and left edges run down it
+            k = len(coord) - int(np.searchsorted(coord[::-1], cut[axis],
+                                                 side="right"))
+        splits.append(k)
+        if k == len(coord) or coord[k] != cut[axis]:
+            missing.append(side)
+    cross = (cut + _HALF_CUT * (ends - cut)[:, None, :]).reshape(-1, 2)
+    pts = np.concatenate((cut[None, :], cross, ends[missing]))
+    rows = np.hstack((pts, np.asarray(ev(pts), dtype=float)))
+    c = rows[:1]
+    hb, hr, ht, hl = rows[1:1 + len(cross)].reshape(4, -1, 4)
+    new_heads = iter(rows[1 + len(cross):, None])
+    # per edge: the part before its cut point, the cut point, the rest
+    parts = []
+    for side, (edge, k) in enumerate(zip(edges, splits)):
+        if side in missing:
+            parts.append((edge[:k], next(new_heads), edge[k:]))
+        else:
+            parts.append((edge[:k], edge[k:k + 1], edge[k + 1:]))
+    (b1, bc, b2), (r1, rc, r2), (t1, tc, t2), (l1, lc, l2) = parts
+    return rows[0, 2:], [
+        (lo, cut, (b1, bc, hb[::-1], c, hl, lc, l2)),
+        (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]]),
+         (bc, b2, r1, rc, hr[::-1], c, hb)),
+        (cut, hi, (c, hr, rc, r2, t1, tc, ht[::-1])),
+        (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]]),
+         (lc, hl[::-1], c, ht, tc, t2, l1)),
+    ]
 
 
 def _finish(ev, point, diameter, iterations, trail, termination):
@@ -204,20 +292,14 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6, level: int = 6,
             f"map leaves the unit disk (||f|| up to {np.max(f_norms):.6f})")
 
     g = lambda pts: np.asarray(pts, dtype=float) - np.asarray(f(pts), dtype=float)
-    disk = Region.disk(np.zeros(n), 1.0)
-    sampling = sample_sphere(disk, level)
-    g_boundary = g(sampling.points)
-    g_norms = np.linalg.norm(g_boundary, axis=1)
-    zero_tol = 1e-12 * (1.0 + float(np.max(g_norms)))
-    idx = int(np.argmin(g_norms))
-    if g_norms[idx] <= zero_tol:
-        point = sampling.points[idx]
+    cert = certify_existence(g, Region.disk(np.zeros(n), 1.0), level=level)
+    if cert.verdict == "ZeroOnBoundary":
+        # the boundary sample where G vanishes is itself a fixed point
+        point = cert.evidence[0].witness
         residual = float(np.linalg.norm(np.asarray(f(point[None, :]))[0] - point))
         return LocateResult(point=point, residual=residual, cell_diameter=0.0,
                             iterations=0, trail=[],
                             termination="boundary_fixed_point")
-
-    cert = certify_existence(g, disk, level=level)
     if cert.verdict != "ZeroGuaranteed":
         raise ZeroCertError(
             f"could not certify a fixed point (verdict {cert.verdict})")

@@ -1,10 +1,12 @@
-"""Shared test helpers: brute-force winding oracle and random map factories."""
+"""Shared test helpers: brute-force winding oracle, random map factories and
+an evaluator that records its batch sizes."""
 import math
 
 import numpy as np
 import pytest
 
 from zerocert import Region, SampledMap, sample_sphere
+from zerocert.mapspec import as_evaluator
 
 
 def wrapped_angle_steps(images):
@@ -58,3 +60,22 @@ def random_trig_map(rng, max_harmonic=3, min_norm=0.1):
 @pytest.fixture
 def unit_disk():
     return Region.disk([0.0, 0.0], 1.0)
+
+
+class CountingEvaluator:
+    """Batch evaluator of a MapSpec or callable that appends the size of
+    every batch it is called with to ``batches``."""
+
+    def __init__(self, map_like):
+        self._ev = as_evaluator(map_like)
+        self.batches = []
+
+    def __call__(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        self.batches.append(len(pts))
+        return self._ev(pts)
+
+
+@pytest.fixture
+def counting_evaluator():
+    return CountingEvaluator

@@ -84,6 +84,22 @@ class TestCertifyCommand:
             out = json.loads(capsys.readouterr().out)
             assert out["map_digest"] == builtin_map(name).digest
 
+    def test_non_numeric_lipschitz_exits_4(self, capsys):
+        code = main(["certify", "--map", "x1, x2", "--n", "2",
+                     "--center", "0,0", "--radius", "1",
+                     "--lipschitz", "abc"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.count("\n") == 1 and "--lipschitz" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_invalid_lipschitz_exits_4(self, value, capsys):
+        code = main(["certify", "--map", "x1, x2", "--n", "2",
+                     "--center", "0,0", "--radius", "1",
+                     "--lipschitz", value])
+        assert code == 4
+        assert capsys.readouterr().out == ""
+
     def test_syntax_error_exit_code(self, capsys):
         code = main(["certify", "--map", "x1 +", "--n", "2",
                      "--center", "0,0", "--radius", "1"])

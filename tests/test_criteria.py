@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from zerocert import (Region, Unsupported, boundary_nonvanishing,
-                      certify_existence, classify_cat, coercivity_radius,
-                      locate_zero, parse_map, poincare_bohl, winding_number)
-from zerocert.homotopy import SampledMap
+from zerocert import (InvalidInput, Region, Unsupported,
+                      boundary_nonvanishing, certify_existence, classify_cat,
+                      coercivity_radius, locate_zero, parse_map, poincare_bohl,
+                      winding_number)
+from zerocert.homotopy import SampledMap, straight_line
 from zerocert.geometry import sample_sphere
 from zerocert.mapspec import as_evaluator
 
@@ -177,16 +178,12 @@ class TestCertifyExistence:
         assert cert.verdict == unit_cert.verdict
         assert cert.obstruction == unit_cert.obstruction
 
-    def test_one_boundary_evaluation_n3(self):
-        batches = []
-
-        def ev(pts):
-            batches.append(len(pts))
-            return np.asarray(pts, dtype=float) + [0.1, 0.0, -0.2]
-
+    def test_one_boundary_evaluation_n3(self, counting_evaluator):
+        ev = counting_evaluator(lambda pts: pts + [0.1, 0.0, -0.2])
         cert = certify_existence(ev, Region.disk(np.zeros(3), 1.0), level=1)
         assert cert.route == "poincare_bohl"
-        assert batches == [len(sample_sphere(Region.disk(np.zeros(3), 1.0), 1))]
+        assert ev.batches == [
+            len(sample_sphere(Region.disk(np.zeros(3), 1.0), 1))]
 
     @pytest.mark.parametrize("text, n, reason, route", [
         ("x1^3 - 0.5", 1, "sign_change", "sign_change"),
@@ -212,6 +209,36 @@ class TestCertifyExistence:
         rigorous = certify_existence(IDENTITY, unit_disk, lipschitz=1.0)
         assert heuristic.rigor == "heuristic"
         assert rigorous.rigor == "rigorous"
+
+
+class TestLipschitzValidation:
+    def test_negative_constant_gives_no_false_rigorous_zero(self):
+        # the map has no zero in the disk; a negative L made the L*h/2
+        # threshold negative, which every Poincare-Bohl margin passed
+        spec = parse_map("x1+3, x2+3, x3+3", 3)
+        with pytest.raises(InvalidInput):
+            certify_existence(spec, Region.disk(np.zeros(3), 1.0), level=1,
+                              lipschitz=-1.0)
+
+    @pytest.mark.parametrize("L", [-1.0, math.nan, math.inf])
+    def test_every_entry_point_rejects(self, L, unit_disk):
+        f = SampledMap.from_evaluator(as_evaluator(IDENTITY),
+                                      sample_sphere(unit_disk, 3))
+        calls = [
+            lambda: certify_existence(IDENTITY, unit_disk, level=3,
+                                      lipschitz=L),
+            lambda: boundary_nonvanishing(IDENTITY, unit_disk, level=3, L=L),
+            lambda: poincare_bohl(IDENTITY, unit_disk, level=3, L=L),
+            lambda: winding_number(f, L=L),
+            lambda: straight_line(f, f, t_steps=4, L=L),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInput):
+                call()
+
+    def test_zero_constant_is_accepted(self, unit_disk):
+        cert = certify_existence(IDENTITY, unit_disk, level=3, lipschitz=0.0)
+        assert cert.verdict == "ZeroGuaranteed"
 
 
 class TestSoundness:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from zerocert import (DegreeLost, InvalidInput, Region, box_winding,
-                      brouwer_fixed_point, evaluate, locate_zero, parse_map)
+from zerocert import (DegreeLost, InvalidInput, Region, VanishingOnBoundary,
+                      box_winding, brouwer_fixed_point, evaluate, locate_zero,
+                      parse_map, sample_sphere)
+from zerocert.mapspec import as_evaluator
 
 UNIT_BOX = Region.box([-1.0, -1.0], [1.0, 1.0])
 
@@ -99,6 +101,103 @@ class TestLocateZero2D:
         assert np.array_equal(a.point, b.point)
 
 
+def reference_quadtree(ev, box, eps_x, eps_f, max_iter=100, seed=0):
+    """The quadtree that evaluates a fresh box_winding for every sub-box:
+    the behaviour the incremental quadtree must reproduce.  Returns the
+    trail, point, termination, iterations and whether a cut was jiggled."""
+    rng = np.random.default_rng(seed)
+    lo, hi = box.lower.copy(), box.upper.copy()
+    assert box_winding(ev, lo, hi) != 0
+    trail, jiggled = [], False
+    for it in range(1, max_iter + 1):
+        center = 0.5 * (lo + hi)
+        diameter = float(np.linalg.norm(hi - lo))
+        if float(np.linalg.norm(ev(center[None, :])[0])) <= eps_f:
+            return trail, center, "residual", it - 1, jiggled
+        if diameter <= eps_x:
+            return trail, center, "cell_diameter", it - 1, jiggled
+        chosen = None
+        for attempt in range(6):
+            cut = center
+            if attempt:
+                jiggled = True
+                cut = center + rng.uniform(-0.1, 0.1, size=2) * (hi - lo)
+            subs = [(np.array([lo[0], lo[1]]), np.array([cut[0], cut[1]])),
+                    (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]])),
+                    (np.array([cut[0], cut[1]]), np.array([hi[0], hi[1]])),
+                    (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]]))]
+            try:
+                chosen = next((s for s in subs if box_winding(ev, *s) != 0),
+                              None)
+            except VanishingOnBoundary:
+                continue
+            if chosen is not None:
+                break
+        lo, hi = chosen
+        trail.append((lo.copy(), hi.copy()))
+    raise AssertionError("reference quadtree hit max_iter")
+
+
+def complex_poly_map(coeffs):
+    def ev(pts):
+        z = pts[:, 0] + 1j * pts[:, 1]
+        v = np.polyval(coeffs, z)
+        return np.stack([v.real, v.imag], axis=1)
+    return ev
+
+
+class TestIncrementalQuadtree:
+    def assert_matches_reference(self, ev, box, eps_x, eps_f, seed=0):
+        trail, point, termination, iterations, jiggled = reference_quadtree(
+            ev, box, eps_x, eps_f, seed=seed)
+        result = locate_zero(ev, box, eps_x=eps_x, eps_f=eps_f, seed=seed)
+        assert result.termination == termination
+        assert result.iterations == iterations
+        assert np.array_equal(result.point, point)
+        assert len(result.trail) == len(trail)
+        for (lo, hi), (ref_lo, ref_hi) in zip(result.trail, trail):
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        return jiggled
+
+    def test_random_polynomials_match_reference(self):
+        rng = np.random.default_rng(53)
+        checked = 0
+        for _ in range(24):
+            degree = int(rng.integers(1, 5))
+            roots = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
+            coeffs = np.poly(roots) * complex(*rng.uniform(0.5, 2.0, 2))
+            width = rng.uniform(0.3, 2.5, 2)
+            lower = (np.array([roots[0].real, roots[0].imag])
+                     - rng.uniform(0.05, 0.95, 2) * width)
+            box = Region.box(lower, lower + width)
+            ev = complex_poly_map(coeffs)
+            if box_winding(ev, box.lower, box.upper) == 0:
+                continue    # the other roots cancel the first one's degree
+            self.assert_matches_reference(ev, box, eps_x=1e-9, eps_f=1e-12)
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_zero_on_cut_sample_jiggles_like_reference(self, seed):
+        # (0, 0.5) is a sample of the first level's upper half-cut
+        ev = as_evaluator(parse_map("x1, x2 - 0.5", 2))
+        jiggled = self.assert_matches_reference(ev, UNIT_BOX, eps_x=1e-7,
+                                                eps_f=0.0, seed=seed)
+        assert jiggled
+
+    def test_one_evaluation_per_level(self, counting_evaluator):
+        # an affine map needs no refinement: the top box, one batch per
+        # level, the last centre and the re-evaluated residual
+        ev = counting_evaluator(parse_map("x1 - 0.3, x2 - 0.4", 2))
+        result = locate_zero(ev, UNIT_BOX, eps_x=1e-6)
+        assert result.termination == "cell_diameter"
+        assert len(ev.batches) == result.iterations + 3
+        assert ev.batches[0] == 64
+        # cut point, four half-cuts of 7 interior samples, <= 4 edge points
+        assert all(29 <= size <= 33 for size in ev.batches[1:-2])
+        assert ev.batches[-2:] == [1, 1]
+
+
 class TestLocateZero1D:
     def test_cube_root(self):
         spec = parse_map("x1^3 - 0.5", 1)
@@ -110,6 +209,13 @@ class TestLocateZero1D:
         spec = parse_map("x1^2 + 1", 1)
         with pytest.raises(DegreeLost):
             locate_zero(spec, Region.box([-1.0], [1.0]))
+
+    def test_endpoints_in_one_evaluation(self, counting_evaluator):
+        ev = counting_evaluator(parse_map("x1^3 - 0.5", 1))
+        result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_x=1e-9,
+                             eps_f=0.0)
+        # endpoints, one midpoint per iteration, the re-evaluated residual
+        assert ev.batches == [2] + [1] * result.iterations + [1]
 
 
 class TestBrouwerFixedPoint:
@@ -149,3 +255,21 @@ class TestBrouwerFixedPoint:
         spec = parse_map("x1/2 + 0.25", 1)
         result = brouwer_fixed_point(spec)
         assert abs(result.point[0] - 0.5) <= 1e-6
+
+    def test_boundary_evaluated_once(self, counting_evaluator):
+        f = counting_evaluator(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2", 2))
+        result = brouwer_fixed_point(f, n=2)
+        assert np.linalg.norm(result.point - [0.2, -0.1]) <= 1e-6
+        boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
+        assert f.batches.count(boundary) == 1
+
+    def test_boundary_fixed_point(self, counting_evaluator):
+        # f fixes (1, 0), a sample of the boundary circle
+        f = counting_evaluator(parse_map("x1/2 + 0.5, x2/2", 2))
+        result = brouwer_fixed_point(f, n=2)
+        assert result.termination == "boundary_fixed_point"
+        assert np.array_equal(result.point, [1.0, 0.0])
+        assert result.residual == 0.0
+        boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
+        # disk validation grid, boundary, residual at the fixed point
+        assert f.batches[1:] == [boundary, 1]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, InvalidInput, Unsupported, VanishingOnBoundary
 from .geometry import (MAX_STEP, check_lipschitz, circle_arc_midpoint,
-                       mesh_norm, refine_polyline, wrapped_steps)
+                       mesh_norm, refine_polyline)
 from .homotopy import SampledMap
 
 RESIDUAL_TOL = 0.05             # tolerated pre-rounding residual, in turns
@@ -51,11 +51,11 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
     if f.m != 2 or sampling.region.dim != 2 or not sampling.closed:
         raise InvalidInput("winding needs a closed planar sampling into R^2")
     region = sampling.region
-    pts, ims, inserted = refine_polyline(
+    pts, ims, inserted, steps = refine_polyline(
         np.array(sampling.points, dtype=float), np.array(f.images, dtype=float),
         f.evaluator, lambda a, b: circle_arc_midpoint(a, b, region),
         floor=0.0, budget=refine_budget)
-    result = _result(ims, pts, inserted, L)
+    result = _result(steps, ims, pts, inserted, L)
     if result.max_step_angle >= MAX_STEP:
         # the rigor label needs every step below MAX_STEP, so this result
         # is the heuristic best estimate
@@ -65,8 +65,7 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
     return result
 
 
-def _result(ims, pts, inserted, L) -> WindingResult:
-    steps = wrapped_steps(ims)
+def _result(steps, ims, pts, inserted, L) -> WindingResult:
     turns = float(np.sum(steps)) / (2.0 * math.pi)
     value = int(round(turns))
     residual = abs(turns - value)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -21,6 +20,8 @@ from .errors import InvalidInput, VanishingOnBoundary
 BOUNDARY_TOL = 1e-12
 MAX_STEP = math.pi / 2.0        # angle steps must stay below this for a
                                 # trustworthy discrete angle sum
+GAP_BLOCK = 1 << 20             # score entries (8 MB) per nearest-neighbour
+                                # block, so memory stays flat as N grows
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +158,10 @@ def sample_sphere(region: Region, level: int) -> BoundarySampling:
     n=1 gives the two endpoints, n=2 gives 4*2^level equispaced angles with
     the exact chord mesh norm, n>=3 gives 100*4^level deterministic
     low-discrepancy points whose h is an empirical estimate (twice the max
-    nearest-neighbor gap).
+    nearest-neighbor gap).  That gap is found by a Gram screen with a proven
+    rounding bound and an exact recheck of the screened candidates (see
+    ``_max_nearest_neighbor_gap``), so it equals the brute-force pairwise
+    value bit for bit; it costs O(N^2) time but at most 8 MB of scores.
     """
     if region.kind != "disk":
         raise InvalidInput("sample_sphere needs a disk region")
@@ -243,15 +247,17 @@ def refine_polyline(pts, ims, evaluator, midpoint, floor: float, budget: int):
     Each round evaluates all its new points in one batch; ``midpoint(a, b)``
     places them between the batched segment ends a and b.  An image norm at
     or below ``floor`` raises VanishingOnBoundary.  Returns the refined
-    points, images and insertion count; a step of MAX_STEP or more is left
-    only when ``evaluator`` is None or the budget is spent.
+    points, images, insertion count and the wrapped angle steps of those
+    images; a step of MAX_STEP or more is left only when ``evaluator`` is
+    None or the budget is spent.
     """
     _check_floor(ims, pts, floor)
     inserted = 0
     while True:
-        bad = np.nonzero(np.abs(wrapped_steps(ims)) >= MAX_STEP)[0]
+        steps = wrapped_steps(ims)
+        bad = np.nonzero(np.abs(steps) >= MAX_STEP)[0]
         if len(bad) == 0 or evaluator is None or inserted >= budget:
-            return pts, ims, inserted
+            return pts, ims, inserted, steps
         bad = bad[:budget - inserted]
         mids = midpoint(pts[bad], pts[(bad + 1) % len(pts)])
         mid_ims = np.asarray(evaluator(mids), dtype=float)
@@ -285,9 +291,77 @@ def _kronecker_sphere(count: int, n: int) -> np.ndarray:
     i = np.arange(1, count + 1)[:, None]
     u = np.mod(0.5 + i * alpha[None, :], 1.0)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    inv = NormalDist().inv_cdf
-    g = np.array([[inv(v) for v in row] for row in u])
+    g = _normal_inv_cdf(u)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+# AS241 rational approximations (Wichura, Applied Statistics 37, 1988):
+# numerator and denominator coefficients, highest degree first, of the
+# central region |p - 1/2| <= 0.425 and of the two tail regions
+# r = sqrt(-log(min(p, 1 - p))) <= 5 and > 5.  The denominators end in 1.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4,
+     6.7265770927008700853e+4, 4.5921953931549871457e+4,
+     1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+     3.9307895800092710610e+4, 2.1213794301586595867e+4,
+     5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_AS241_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2,
+     2.41780725177450611770e-1, 1.27045825245236838258e+0,
+     3.64784832476320460504e+0, 5.76949722146069140550e+0,
+     4.63033784615654529590e+0, 1.42343711074968357734e+0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4,
+     1.51986665636164571966e-2, 1.48103976427480074590e-1,
+     6.89767334985100004550e-1, 1.67638483018380384940e+0,
+     2.05319162663775882187e+0, 1.0))
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5,
+     1.24266094738807843860e-3, 2.65321895265761230930e-2,
+     2.96560571828504891230e-1, 1.78482653991729133580e+0,
+     5.46378491116411436990e+0, 6.65790464350110377720e+0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7,
+     1.84631831751005468180e-5, 7.86869131145613259100e-4,
+     1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0))
+
+
+def _horner(coeffs, r):
+    acc = coeffs[0] * r + coeffs[1]
+    for c in coeffs[2:]:
+        acc = acc * r + c
+    return acc
+
+
+def _normal_inv_cdf(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each entry of p in (0, 1).
+
+    AS241 with the coefficients and the operation order of CPython's
+    ``statistics.NormalDist().inv_cdf``, so every entry is bit-identical to
+    it.  The logarithm of the tail entries goes through ``math.log``,
+    because ``np.log`` can differ from libm in the last bit.
+    """
+    q = p - 0.5
+    x = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    num, den = _AS241_CENTRAL
+    x[central] = _horner(num, r) * qc / _horner(den, r)
+    tail = ~central
+    qt = q[tail]
+    r = np.where(qt <= 0.0, p[tail], 1.0 - p[tail])
+    r = np.sqrt(-np.array([math.log(v) for v in r.tolist()]))
+    xt = np.empty_like(r)
+    near = r <= 5.0
+    for rows, shift, (num, den) in ((near, 1.6, _AS241_NEAR),
+                                    (~near, 5.0, _AS241_FAR)):
+        rs = r[rows] - shift
+        xt[rows] = _horner(num, rs) / _horner(den, rs)
+    x[tail] = np.where(qt < 0.0, -xt, xt)
+    return x
 
 
 def _generalized_golden(d: int) -> float:
@@ -299,11 +373,48 @@ def _generalized_golden(d: int) -> float:
 
 
 def _max_nearest_neighbor_gap(pts: np.ndarray, chunk: int = 512) -> float:
+    """Largest distance from a point to its nearest other point, exactly as
+    the brute force ``sqrt(min_j np.sum((p_i - p_j) ** 2))`` gives it.
+
+    A Gram screen picks the candidate neighbours of each block of at most
+    ``chunk`` rows (fewer when N is large, see GAP_BLOCK), and only those
+    are measured with the brute-force formula, so no (rows x N x n)
+    difference tensor is built.  With the points centred, q = p - mean and
+    s_j = |q_j|^2, one matrix product gives each row the score
+    s_j - 2 q_i . q_j, which is |q_i - q_j|^2 up to the row constant
+    |q_i|^2.  Its rounding error is at most (4n + 3) u S (S = max s_j,
+    u = eps / 2); centring moves a squared distance by at most 8 u S; and a
+    brute-force squared distance, at most about 4 S, has a relative error
+    of at most (n + 2) u.  So a brute-force nearest neighbour scores within
+    (16n + 38) u S of the row's smallest score.  Every column within the
+    larger 32 (n + 2) eps S of it is measured, which makes the result
+    bit-identical to the brute force.  Columns other than the smallest
+    score's one pass this screen only on (near) ties.
+    """
+    count, n = pts.shape
+    q = pts - pts.mean(axis=0)
+    sq = np.sum(q * q, axis=1)
+    tol = 32.0 * (n + 2) * np.finfo(float).eps * float(np.max(sq))
+    rows_ext = np.hstack((q, np.ones((count, 1))))
+    cols_ext = np.hstack((-2.0 * q, sq[:, None]))
+    chunk = max(1, min(chunk, GAP_BLOCK // count))
+    buf = np.empty((min(chunk, count), count))
     worst = 0.0
-    for start in range(0, len(pts), chunk):
-        block = pts[start:start + chunk]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        for row, idx in enumerate(range(start, start + len(block))):
-            d2[row, idx] = np.inf
-        worst = max(worst, float(np.max(np.sqrt(np.min(d2, axis=1)))))
-    return worst
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        rows = np.arange(stop - start)
+        score = np.matmul(rows_ext[start:stop], cols_ext.T,
+                          out=buf[:stop - start])
+        score[rows, start + rows] = np.inf
+        best = np.argmin(score, axis=1)
+        bound = score[rows, best] + tol
+        score[rows, best] = np.inf
+        d2 = np.sum((pts[start:stop] - pts[best]) ** 2, axis=-1)
+        # rows with another candidate: measure those too
+        tied = np.flatnonzero(np.min(score, axis=1) <= bound)
+        r, other = np.nonzero(score[tied] <= bound[tied, None])
+        i = tied[r]
+        np.minimum.at(d2, i,
+                      np.sum((pts[start + i] - pts[other]) ** 2, axis=-1))
+        worst = max(worst, float(np.max(d2)))
+    return math.sqrt(worst)

@@ -24,7 +24,7 @@ import numpy as np
 from .criteria import certify_existence
 from .errors import (BudgetExhausted, DegreeLost, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
-from .geometry import MAX_STEP, Region, refine_polyline, wrapped_steps
+from .geometry import MAX_STEP, Region, refine_polyline
 from .mapspec import as_evaluator
 
 SEED_ENV = "ZERO_CERT_SEED"
@@ -39,7 +39,7 @@ _HALF_CUT = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE // 2,
 @dataclass(eq=False)
 class LocateResult:
     point: np.ndarray
-    residual: float                 # ||F(point)||, independently re-evaluated
+    residual: float                 # ||F(point)||, from an evaluation at point
     cell_diameter: float
     iterations: int
     trail: List[tuple] = field(default_factory=list)
@@ -91,10 +91,9 @@ def _wind(ev, poly, budget, floor=None):
     ims = poly[:, 2:]
     if floor is None:
         floor = 1e-12 * (1.0 + float(np.max(np.linalg.norm(ims, axis=1))))
-    pts, ims, inserted = refine_polyline(poly[:, :2], ims, ev,
-                                         _chord_midpoint, floor=floor,
-                                         budget=budget)
-    steps = wrapped_steps(ims)
+    pts, ims, inserted, steps = refine_polyline(poly[:, :2], ims, ev,
+                                                _chord_midpoint, floor=floor,
+                                                budget=budget)
     if np.any(np.abs(steps) >= MAX_STEP):
         raise BudgetExhausted("box winding refinement budget exhausted")
     if inserted:
@@ -128,22 +127,24 @@ def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
     ends = np.asarray(ev(np.array([[a], [b]])), dtype=float)
     fa, fb = float(ends[0, 0]), float(ends[1, 0])
     if fa == 0.0:
-        return _finish(ev, np.array([a]), b - a, 0, [], "residual")
+        return _finish(ev, np.array([a]), b - a, 0, [], "residual", ends[0])
     if fb == 0.0:
-        return _finish(ev, np.array([b]), b - a, 0, [], "residual")
+        return _finish(ev, np.array([b]), b - a, 0, [], "residual", ends[1])
     if (fa > 0) == (fb > 0):
         raise DegreeLost((a, b))
     trail = []
     for it in range(1, max_iter + 1):
         mid = 0.5 * (a + b)
-        fm = float(ev(np.array([[mid]]))[0, 0])
+        image = ev(np.array([[mid]]))[0]
+        fm = float(image[0])
         if (fm > 0) == (fa > 0):
             a, fa = mid, fm
         else:
             b, fb = mid, fm
         trail.append((a, b))
         if abs(fm) <= eps_f:
-            return _finish(ev, np.array([mid]), b - a, it, trail, "residual")
+            return _finish(ev, np.array([mid]), b - a, it, trail, "residual",
+                           image)
         if b - a <= eps_x:
             return _finish(ev, np.array([0.5 * (a + b)]), b - a, it, trail,
                            "cell_diameter")
@@ -166,13 +167,15 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
         center = 0.5 * (lo + hi)
         diameter = float(np.linalg.norm(hi - lo))
         if diameter <= eps_x:
-            residual = float(np.linalg.norm(ev(center[None, :])[0]))
-            return _finish(ev, center, diameter, it - 1, trail,
-                           "residual" if residual <= eps_f
-                           else "cell_diameter")
+            result = _finish(ev, center, diameter, it - 1, trail,
+                             "cell_diameter")
+            if result.residual <= eps_f:
+                result.termination = "residual"
+            return result
         center_image, children = _cut_children(ev, lo, hi, edges, center)
         if float(np.linalg.norm(center_image)) <= eps_f:
-            return _finish(ev, center, diameter, it - 1, trail, "residual")
+            return _finish(ev, center, diameter, it - 1, trail, "residual",
+                           center_image)
         chosen = None
         for attempt in range(MAX_JIGGLES + 1):
             if attempt:
@@ -258,8 +261,13 @@ def _cut_children(ev, lo, hi, edges, cut):
     ]
 
 
-def _finish(ev, point, diameter, iterations, trail, termination):
-    residual = float(np.linalg.norm(np.atleast_1d(ev(point[None, :])[0])))
+def _finish(ev, point, diameter, iterations, trail, termination,
+            image=None):
+    """The result at ``point``; ``image`` is F(point) when the caller has
+    just evaluated it, else the point is evaluated here."""
+    if image is None:
+        image = ev(point[None, :])[0]
+    residual = float(np.linalg.norm(np.atleast_1d(image)))
     return LocateResult(point=point, residual=residual,
                         cell_diameter=float(diameter), iterations=iterations,
                         trail=trail, termination=termination)
@@ -304,13 +312,8 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6, level: int = 6,
         raise ZeroCertError(
             f"could not certify a fixed point (verdict {cert.verdict})")
     box = Region.box(-np.ones(n), np.ones(n))
-    result = locate_zero(g, box, eps_x=0.5 * eps, eps_f=1e-12, max_iter=200)
-    residual = float(np.linalg.norm(
-        np.asarray(f(result.point[None, :]))[0] - result.point))
-    return LocateResult(point=result.point, residual=residual,
-                        cell_diameter=result.cell_diameter,
-                        iterations=result.iterations, trail=result.trail,
-                        termination=result.termination)
+    # ||p - f(p)||, the located residual, is ||f(p) - p|| bit for bit
+    return locate_zero(g, box, eps_x=0.5 * eps, eps_f=1e-12, max_iter=200)
 
 
 def _disk_validation_grid(n: int) -> np.ndarray:

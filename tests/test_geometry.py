@@ -1,11 +1,36 @@
+import itertools
 import math
+import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from zerocert import (InvalidInput, Region, refine, rescale_from_unit,
                       rescale_to_unit, sample_sphere)
-from zerocert.geometry import circle_arc_midpoint
+from zerocert.geometry import (_generalized_golden, _kronecker_sphere,
+                               _max_nearest_neighbor_gap, _normal_inv_cdf,
+                               circle_arc_midpoint)
+
+
+def brute_force_gap(pts):
+    """Reference: every pairwise squared distance, one row at a time."""
+    worst = 0.0
+    for i in range(len(pts)):
+        d2 = np.sum((pts[i] - pts) ** 2, axis=-1)
+        d2[i] = np.inf
+        worst = max(worst, float(np.min(d2)))
+    return math.sqrt(worst)
+
+
+def kronecker_reference(count, n):
+    """Reference: the recurrence with a per-entry NormalDist().inv_cdf."""
+    alpha = _generalized_golden(n) ** -np.arange(1, n + 1)
+    i = np.arange(1, count + 1)[:, None]
+    u = np.clip(np.mod(0.5 + i * alpha[None, :], 1.0), 1e-12, 1.0 - 1e-12)
+    inv = NormalDist().inv_cdf
+    g = np.array([[inv(v) for v in row] for row in u])
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 class TestRescaling:
@@ -92,6 +117,100 @@ class TestSampleSphere:
         a = sample_sphere(region, 0)
         b = sample_sphere(region, 0)
         assert np.array_equal(a.points, b.points)
+
+
+class TestNearestNeighborGap:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("count", [511, 512, 513, 1025])
+    def test_equals_brute_force(self, n, count):
+        rng = np.random.default_rng(1000 * n + count)
+        raw = rng.normal(size=(count, n))
+        unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        for center, radius in ((0.0, 1.0), (1e3, 1.0), (-3.0, 1e-3),
+                               (1e3, 250.0)):
+            pts = center + radius * unit
+            assert _max_nearest_neighbor_gap(pts) == brute_force_gap(pts)
+
+    def test_duplicates_give_zero(self):
+        unit = sample_sphere(Region.disk(np.zeros(4), 1.0), 1).points
+        pts = 1e3 + np.concatenate([unit, unit[::-1]])
+        assert _max_nearest_neighbor_gap(pts) == 0.0
+
+    def test_exact_ties(self):
+        # every permutation and sign choice of (1, 2, 2)/3: each point has
+        # several nearest neighbours at exactly the same distance
+        base = np.array(sorted(set(itertools.permutations((1.0, 2.0, 2.0)))))
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        unit = (base[:, None, :] * signs[None, :, :]).reshape(-1, 3) / 3.0
+        for center, radius in ((0.0, 1.0), (1e3, 1.0), (0.5, 7.0)):
+            pts = center + radius * unit
+            for chunk in (5, 512):
+                assert (_max_nearest_neighbor_gap(pts, chunk=chunk)
+                        == brute_force_gap(pts))
+        assert (_max_nearest_neighbor_gap(unit)
+                == pytest.approx(math.sqrt(2.0) / 3.0))
+
+    def test_near_ties_decided_by_brute_force(self):
+        # a point i whose two neighbours lie at distances 1e-14 apart,
+        # far below the resolution of the screen's scores, and whose
+        # nearest-neighbour gap is the largest; all other points come in
+        # close pairs
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            far = rng.normal(size=(8, 3))
+            far /= np.linalg.norm(far, axis=1, keepdims=True)
+            far = np.concatenate([far, far + 1e-4 * rng.normal(size=(8, 3))])
+            i = far[0] + 0.5
+            e = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            j = i + 0.01 * e[0]
+            k = i + 0.01 * (1.0 + 1e-14 * rng.normal()) * e[1]
+            pts = np.concatenate(
+                [far, [i, j, k, j + 1e-4 * e[2], k + 1e-4 * e[2]]])
+            assert _max_nearest_neighbor_gap(pts) == brute_force_gap(pts)
+
+    def test_integer_lattice_ties(self):
+        pts = np.array(list(itertools.product(range(4), repeat=3)), float)
+        pts = np.concatenate([pts, pts[:7] + 0.5])
+        assert _max_nearest_neighbor_gap(pts, chunk=16) == brute_force_gap(pts)
+
+    @pytest.mark.parametrize("n,level", [(3, 0), (3, 1), (4, 1), (5, 0),
+                                         (6, 1)])
+    def test_sample_sphere_h_matches_brute_force(self, n, level):
+        region = Region.disk(np.linspace(-1e3, 1e3, n), 3.0)
+        s = sample_sphere(region, level)
+        assert s.h == 2.0 * brute_force_gap(s.points)
+
+    @pytest.mark.parametrize("n,level,bound", [(4, 2, 10e6), (3, 3, 12e6)])
+    def test_no_quadratic_temporary(self, n, level, bound):
+        # n = 4, level 2 has 1600 points: a (512, N, n) difference tensor
+        # alone is 26 MB, the screen's (512, N) score block 6.6 MB; at 6400
+        # points the score block shrinks to 8 MB instead of growing with N
+        region = Region.disk(np.zeros(n), 1.0)
+        tracemalloc.start()
+        try:
+            sample_sphere(region, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+class TestKroneckerSphere:
+    def test_inverse_cdf_equals_normal_dist(self):
+        rng = np.random.default_rng(5)
+        u = np.concatenate([
+            rng.random(200_000),
+            [1e-12, 1.0 - 1e-12, 1e-11, 0.5, 0.075, 0.925,
+             np.nextafter(0.075, 0.0), np.nextafter(0.925, 1.0)]])
+        inv = NormalDist().inv_cdf
+        assert np.array_equal(_normal_inv_cdf(u), [inv(v) for v in u])
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_equals_normal_dist_reference(self, n):
+        for level in (0, 1, 2):
+            count = 100 * 4 ** level
+            assert np.array_equal(_kronecker_sphere(count, n),
+                                  kronecker_reference(count, n))
 
 
 class TestRefine:

@@ -187,15 +187,15 @@ class TestIncrementalQuadtree:
 
     def test_one_evaluation_per_level(self, counting_evaluator):
         # an affine map needs no refinement: the top box, one batch per
-        # level, the last centre and the re-evaluated residual
+        # level and the last centre, whose image is the residual
         ev = counting_evaluator(parse_map("x1 - 0.3, x2 - 0.4", 2))
         result = locate_zero(ev, UNIT_BOX, eps_x=1e-6)
         assert result.termination == "cell_diameter"
-        assert len(ev.batches) == result.iterations + 3
+        assert len(ev.batches) == result.iterations + 2
         assert ev.batches[0] == 64
         # cut point, four half-cuts of 7 interior samples, <= 4 edge points
-        assert all(29 <= size <= 33 for size in ev.batches[1:-2])
-        assert ev.batches[-2:] == [1, 1]
+        assert all(29 <= size <= 33 for size in ev.batches[1:-1])
+        assert ev.batches[-1] == 1
 
 
 class TestLocateZero1D:
@@ -214,8 +214,18 @@ class TestLocateZero1D:
         ev = counting_evaluator(parse_map("x1^3 - 0.5", 1))
         result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_x=1e-9,
                              eps_f=0.0)
-        # endpoints, one midpoint per iteration, the re-evaluated residual
+        assert result.termination == "cell_diameter"
+        # endpoints, one midpoint per iteration, and the midpoint of the
+        # last cell, which no iteration evaluated
         assert ev.batches == [2] + [1] * result.iterations + [1]
+
+    def test_residual_stop_reuses_last_midpoint(self, counting_evaluator):
+        # the zero 0.5 is the second midpoint: its image is the residual
+        ev = counting_evaluator(parse_map("x1 - 0.5", 1))
+        result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_f=0.0)
+        assert result.termination == "residual"
+        assert result.point[0] == 0.5 and result.residual == 0.0
+        assert ev.batches == [2, 1, 1]
 
 
 class TestBrouwerFixedPoint:

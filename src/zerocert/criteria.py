@@ -81,12 +81,13 @@ def _sample_and_evaluate(map_like, region, level):
 
 def _smallest(name, sampling, margins, L) -> CheckResult:
     """Check of the smallest per-sample margin against the mesh threshold
-    L*h/2 (rigorous) or against 0 when no Lipschitz bound is known."""
+    L*h/2 (rigorous) or against 0 when no Lipschitz bound is known.  The
+    witness is a copy, never a view of the (possibly cached) sampling."""
     idx = int(np.argmin(margins))
     threshold = 0.0 if L is None else L * sampling.h / 2.0
     margin = float(margins[idx])
     return CheckResult(name=name, passed=margin > threshold, margin=margin,
-                       witness=sampling.points[idx],
+                       witness=sampling.points[idx].copy(),
                        rigor="heuristic" if L is None else "rigorous",
                        threshold=threshold)
 
@@ -98,7 +99,7 @@ def _poincare_bohl(sampling, ims, L) -> CheckResult:
     norms = np.linalg.norm(ims, axis=1)
     if np.any(norms <= 0.0):
         idx = int(np.argmin(norms))
-        raise VanishingOnBoundary(idx, point=sampling.points[idx])
+        raise VanishingOnBoundary(idx, point=sampling.points[idx].copy())
     unit_f = ims / norms[:, None]
     unit_x = (sampling.points - region.center) / region.radius
     return _smallest("poincare_bohl", sampling,

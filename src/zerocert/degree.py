@@ -88,7 +88,7 @@ def sign_obstruction(f: SampledMap) -> int:
     lo, hi = float(f.images[0, 0]), float(f.images[1, 0])
     for idx, v in ((0, lo), (1, hi)):
         if v == 0.0:
-            raise VanishingOnBoundary(idx, point=f.sampling.points[idx])
+            raise VanishingOnBoundary(idx, point=f.sampling.points[idx].copy())
     if (lo > 0) == (hi > 0):
         return 0
     return 1 if hi > 0 else -1

@@ -2,12 +2,16 @@
 
 Boundary samplings are the finite stand-in for the sphere S^{n-1}: an ordered
 point list together with its mesh norm h (maximum adjacent-sample distance),
-which every downstream rigor bound is stated against.  Closed planar
-polylines also get the one angle-step kernel (``wrapped_steps``) and the one
-refinement loop (``refine_polyline``) that every winding computation uses.
+which every downstream rigor bound is stated against.  The unit-sphere
+sampling of each (n, level) is built once and kept, read-only, in a small
+LRU cache; a sampling of any other disk is its affine image x0 + r * unit.
+Closed planar polylines also get the one angle-step kernel
+(``wrapped_steps``) and the one refinement loop (``refine_polyline``) that
+every winding computation uses.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,6 +26,8 @@ MAX_STEP = math.pi / 2.0        # angle steps must stay below this for a
                                 # trustworthy discrete angle sum
 GAP_BLOCK = 1 << 20             # score entries (8 MB) per nearest-neighbour
                                 # block, so memory stays flat as N grows
+SPHERE_CACHE = 8                # unit-sphere samplings kept, one per
+                                # (n, level), least recently used dropped
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,32 +168,51 @@ def sample_sphere(region: Region, level: int) -> BoundarySampling:
     rounding bound and an exact recheck of the screened candidates (see
     ``_max_nearest_neighbor_gap``), so it equals the brute-force pairwise
     value bit for bit; it costs O(N^2) time but at most 8 MB of scores.
+
+    The unit-disk sampling of each (n, level) is built once and cached (at
+    most SPHERE_CACHE of them); its ``points`` and ``region.center`` are
+    read-only, and the unit disk gets that cached object itself.  Any other
+    disk gets fresh points x0 + r * unit, bit-identical to placing freshly
+    built unit points on it.  So is h: 2r for n=1 and 2r sin(pi/k) for
+    n=2, which is r times the unit h exactly because doubling is exact; for
+    n>=3 the gap of the actual points is measured again, since it is not r
+    times the unit gap in floating point.
     """
     if region.kind != "disk":
         raise InvalidInput("sample_sphere needs a disk region")
     if level < 0:
         raise InvalidInput("level must be >= 0")
     n, x0, r = region.dim, region.center, region.radius
+    unit = _unit_sampling(n, level)
+    if r == 1.0 and not np.any(x0):
+        return unit
+    pts = x0 + r * unit.points
+    h = 2.0 * _max_nearest_neighbor_gap(pts) if n >= 3 else r * unit.h
+    return BoundarySampling(points=pts, h=h, level=level, closed=unit.closed,
+                            region=region)
+
+
+@functools.lru_cache(maxsize=SPHERE_CACHE)
+def _unit_sampling(n: int, level: int) -> BoundarySampling:
+    """The read-only sampling of the unit sphere S^{n-1} at ``level``."""
     if n == 1:
-        pts = np.array([[x0[0] - r], [x0[0] + r]])
-        return BoundarySampling(points=pts, h=2.0 * r, level=level,
-                                closed=False, region=region)
-    if n == 2:
+        pts = np.array([[-1.0], [1.0]])
+        h = 2.0
+    elif n == 2:
         k = 4 * 2 ** level
         theta = 2.0 * math.pi * np.arange(k) / k
-        pts = x0 + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        h = 2.0 * r * math.sin(math.pi / k)
-        return BoundarySampling(points=pts, h=h, level=level,
-                                closed=True, region=region)
-    count = 100 * 4 ** level
-    if n == 3:
-        unit = _fibonacci_sphere(count)
+        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        h = 2.0 * math.sin(math.pi / k)
     else:
-        unit = _kronecker_sphere(count, n)
-    pts = x0 + r * unit
-    h = 2.0 * _max_nearest_neighbor_gap(pts)
-    return BoundarySampling(points=pts, h=h, level=level,
-                            closed=False, region=region)
+        count = 100 * 4 ** level
+        pts = (_fibonacci_sphere(count) if n == 3
+               else _kronecker_sphere(count, n))
+        h = 2.0 * _max_nearest_neighbor_gap(pts)
+    region = Region.disk(np.zeros(n), 1.0)
+    pts.flags.writeable = False
+    region.center.flags.writeable = False
+    return BoundarySampling(points=pts, h=h, level=level, closed=n == 2,
+                            region=region)
 
 
 def refine(sampling: BoundarySampling) -> BoundarySampling:
@@ -239,19 +264,24 @@ def wrapped_steps(images: np.ndarray) -> np.ndarray:
     return (steps + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def refine_polyline(pts, ims, evaluator, midpoint, floor: float, budget: int):
+def refine_polyline(pts, ims, evaluator, midpoint, floor: Optional[float],
+                    budget: int):
     """Split the segments of a closed polyline whose image angle step is at
     least MAX_STEP, until none is left or the budget of inserted points runs
     out.
 
     Each round evaluates all its new points in one batch; ``midpoint(a, b)``
     places them between the batched segment ends a and b.  An image norm at
-    or below ``floor`` raises VanishingOnBoundary.  Returns the refined
+    or below ``floor`` raises VanishingOnBoundary; a ``floor`` of None means
+    1e-12 * (1 + the largest norm of the input images).  Returns the refined
     points, images, insertion count and the wrapped angle steps of those
     images; a step of MAX_STEP or more is left only when ``evaluator`` is
     None or the budget is spent.
     """
-    _check_floor(ims, pts, floor)
+    norms = np.linalg.norm(ims, axis=1)
+    if floor is None:
+        floor = 1e-12 * (1.0 + float(np.max(norms)))
+    _check_floor(norms, pts, floor)
     inserted = 0
     while True:
         steps = wrapped_steps(ims)
@@ -261,14 +291,13 @@ def refine_polyline(pts, ims, evaluator, midpoint, floor: float, budget: int):
         bad = bad[:budget - inserted]
         mids = midpoint(pts[bad], pts[(bad + 1) % len(pts)])
         mid_ims = np.asarray(evaluator(mids), dtype=float)
-        _check_floor(mid_ims, mids, floor)
+        _check_floor(np.linalg.norm(mid_ims, axis=1), mids, floor)
         pts = np.insert(pts, bad + 1, mids, axis=0)
         ims = np.insert(ims, bad + 1, mid_ims, axis=0)
         inserted += len(bad)
 
 
-def _check_floor(ims, pts, floor):
-    norms = np.linalg.norm(ims, axis=1)
+def _check_floor(norms, pts, floor):
     idx = int(np.argmin(norms))
     if norms[idx] <= floor:
         raise VanishingOnBoundary(idx, point=pts[idx], norm=float(norms[idx]))

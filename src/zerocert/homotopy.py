@@ -147,12 +147,10 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
     target_log_r = float(np.mean(log_r))
     target_angle = float(np.mean(lifted))
     t_grid = np.linspace(0.0, 1.0, t_steps)
-    frames = np.empty((t_steps, len(norms), 2))
-    for i, t in enumerate(t_grid):
-        r = np.exp((1.0 - t) * log_r + t * target_log_r)
-        a = (1.0 - t) * lifted + t * target_angle
-        frames[i, :, 0] = r * np.cos(a)
-        frames[i, :, 1] = r * np.sin(a)
+    t = t_grid[:, None]
+    r = np.exp((1.0 - t) * log_r + t * target_log_r)
+    a = (1.0 - t) * lifted + t * target_angle
+    frames = np.stack([r * np.cos(a), r * np.sin(a)], axis=2)
     frames[0] = f.images   # exact endpoint agreement
     return _make_trace(f.sampling, t_grid, frames)
 

@@ -86,12 +86,10 @@ def _wind(ev, poly, budget, floor=None):
     """Winding of the closed polyline ``poly`` (rows x, y, F1, F2) after
     chord refinement, and the refined polyline.
 
-    The default floor is 1e-12 * (1 + the largest image norm of ``poly``).
+    The default floor is refine_polyline's: 1e-12 * (1 + the largest image
+    norm of ``poly``).
     """
-    ims = poly[:, 2:]
-    if floor is None:
-        floor = 1e-12 * (1.0 + float(np.max(np.linalg.norm(ims, axis=1))))
-    pts, ims, inserted, steps = refine_polyline(poly[:, :2], ims, ev,
+    pts, ims, inserted, steps = refine_polyline(poly[:, :2], poly[:, 2:], ev,
                                                 _chord_midpoint, floor=floor,
                                                 budget=budget)
     if np.any(np.abs(steps) >= MAX_STEP):

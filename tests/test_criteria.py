@@ -7,6 +7,7 @@ from zerocert import (InvalidInput, Region, Unsupported,
                       boundary_nonvanishing, certify_existence, classify_cat,
                       coercivity_radius, locate_zero, parse_map, poincare_bohl,
                       winding_number)
+from zerocert import geometry
 from zerocert.homotopy import SampledMap, straight_line
 from zerocert.geometry import sample_sphere
 from zerocert.mapspec import as_evaluator
@@ -184,6 +185,27 @@ class TestCertifyExistence:
         assert cert.route == "poincare_bohl"
         assert ev.batches == [
             len(sample_sphere(Region.disk(np.zeros(3), 1.0), 1))]
+
+    def test_unit_mesh_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_max_nearest_neighbor_gap", "_fibonacci_sphere"):
+            monkeypatch.setattr(geometry, name,
+                                counted(getattr(geometry, name)))
+        geometry._unit_sampling.cache_clear()
+        spec = parse_map("x1 - 0.2, x2, x3 + 0.1", 3)
+        for center, radius in ((np.zeros(3), 1.0), (np.full(3, 5.0), 2.0)):
+            cert = certify_existence(spec, Region.disk(center, radius),
+                                     level=2)
+            assert cert.route == "poincare_bohl"
+        assert sorted(calls) == ["_fibonacci_sphere",
+                                 "_max_nearest_neighbor_gap"]
 
     @pytest.mark.parametrize("text, n, reason, route", [
         ("x1^3 - 0.5", 1, "sign_change", "sign_change"),

@@ -6,11 +6,14 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from zerocert import (InvalidInput, Region, refine, rescale_from_unit,
-                      rescale_to_unit, sample_sphere)
-from zerocert.geometry import (_generalized_golden, _kronecker_sphere,
+from zerocert import (InvalidInput, Region, VanishingOnBoundary,
+                      boundary_nonvanishing, parse_map, refine,
+                      rescale_from_unit, rescale_to_unit, sample_sphere)
+from zerocert.geometry import (SPHERE_CACHE, _fibonacci_sphere,
+                               _generalized_golden, _kronecker_sphere,
                                _max_nearest_neighbor_gap, _normal_inv_cdf,
-                               circle_arc_midpoint)
+                               _unit_sampling, circle_arc_midpoint,
+                               refine_polyline)
 
 
 def brute_force_gap(pts):
@@ -31,6 +34,23 @@ def kronecker_reference(count, n):
     inv = NormalDist().inv_cdf
     g = np.array([[inv(v) for v in row] for row in u])
     return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def uncached_sampling(region, level):
+    """Reference: the construction without a cache, which builds the unit
+    points again and places them on the disk on every call."""
+    n, x0, r = region.dim, region.center, region.radius
+    if n == 1:
+        return np.array([[x0[0] - r], [x0[0] + r]]), 2.0 * r
+    if n == 2:
+        k = 4 * 2 ** level
+        theta = 2.0 * math.pi * np.arange(k) / k
+        pts = x0 + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return pts, 2.0 * r * math.sin(math.pi / k)
+    count = 100 * 4 ** level
+    unit = _fibonacci_sphere(count) if n == 3 else _kronecker_sphere(count, n)
+    pts = x0 + r * unit
+    return pts, 2.0 * _max_nearest_neighbor_gap(pts)
 
 
 class TestRescaling:
@@ -113,10 +133,62 @@ class TestSampleSphere:
         assert s.h > 0
 
     def test_high_dim_deterministic(self):
+        # two cold builds, not one build and its cached copy
         region = Region.disk(np.zeros(3), 1.0)
+        _unit_sampling.cache_clear()
         a = sample_sphere(region, 0)
+        _unit_sampling.cache_clear()
         b = sample_sphere(region, 0)
+        assert a is not b
         assert np.array_equal(a.points, b.points)
+
+
+class TestSphereCache:
+    @pytest.mark.parametrize("n,level", [(n, level) for n in range(1, 7)
+                                         for level in range(3)] + [(3, 3)])
+    def test_equals_uncached_construction(self, n, level):
+        for center, radius in ((0.0, 1.0), (1e3, 1e-3), (1e3, 250.0)):
+            region = Region.disk(np.full(n, center), radius)
+            pts, h = uncached_sampling(region, level)
+            _unit_sampling.cache_clear()
+            cold = sample_sphere(region, level)
+            warm = sample_sphere(region, level)
+            for s in (cold, warm):
+                assert s.points.tobytes() == pts.tobytes()
+                assert s.h == h
+                assert s.level == level and s.closed == (n == 2)
+
+    def test_unit_disk_gets_the_cached_sampling(self):
+        region = Region.disk(np.zeros(3), 1.0)
+        s = sample_sphere(region, 1)
+        assert sample_sphere(Region.disk(np.zeros(3), 1.0), 1) is s
+        assert refine(sample_sphere(region, 0)) is s
+
+    def test_cached_arrays_are_read_only(self):
+        s = sample_sphere(Region.disk(np.zeros(3), 1.0), 0)
+        with pytest.raises(ValueError):
+            s.points[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            s.region.center[0] = 1.0
+        offset = sample_sphere(Region.disk(np.ones(3), 2.0), 0)
+        offset.points[0, 0] = 5.0      # a fresh array, the caller's own
+
+    def test_witness_is_a_fresh_array(self):
+        region = Region.disk(np.zeros(3), 1.0)
+        pts, _ = uncached_sampling(region, 0)
+        check = boundary_nonvanishing(parse_map("x1, x2, x3 + 0.5", 3),
+                                      region, level=0)
+        assert not np.shares_memory(check.witness,
+                                    sample_sphere(region, 0).points)
+        check.witness[:] = 7.0
+        assert np.array_equal(sample_sphere(region, 0).points, pts)
+
+    def test_bounded(self):
+        _unit_sampling.cache_clear()
+        for level in range(SPHERE_CACHE + 3):
+            sample_sphere(Region.disk([0.0], 1.0), level)
+            assert _unit_sampling.cache_info().currsize <= SPHERE_CACHE
+        assert _unit_sampling.cache_info().currsize == SPHERE_CACHE
 
 
 class TestNearestNeighborGap:
@@ -186,6 +258,7 @@ class TestNearestNeighborGap:
         # alone is 26 MB, the screen's (512, N) score block 6.6 MB; at 6400
         # points the score block shrinks to 8 MB instead of growing with N
         region = Region.disk(np.zeros(n), 1.0)
+        _unit_sampling.cache_clear()    # measure a build, not a cache hit
         tracemalloc.start()
         try:
             sample_sphere(region, level)
@@ -240,6 +313,21 @@ class TestRefine:
             s = sample_sphere(Region.disk([0.0, 0.0], r), level)
             assert s.h == pytest.approx(2 * r * math.sin(math.pi / (4 * 2 ** level)))
         assert sample_sphere(Region.disk([0.0, 0.0], r), 10).h < 1e-2
+
+
+class TestRefinePolyline:
+    def test_default_floor_is_relative_to_input_images(self):
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        floor = 1e-12 * (1.0 + 4.0)
+        for norm, vanishes in ((floor, True), (2.0 * floor, False)):
+            ims = np.array([[4.0, 0.0], [0.0, 3.0], [-norm, 0.0],
+                            [0.0, -2.0]])
+            if vanishes:
+                with pytest.raises(VanishingOnBoundary) as err:
+                    refine_polyline(pts, ims, None, None, None, 0)
+                assert err.value.index == 2
+            else:
+                refine_polyline(pts, ims, None, None, None, 0)
 
 
 class TestCircleArcMidpoint:

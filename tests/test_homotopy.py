@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from conftest import circle_map, sampled_circle_map
 
-from zerocert import (EndpointMismatch, NotANullHomotopy, Region, SampledMap,
-                      concatenate, contraction_from_extension, null_homotopy,
+from zerocert import (BoundarySampling, EndpointMismatch, NotANullHomotopy,
+                      Region, SampledMap, concatenate,
+                      contraction_from_extension, null_homotopy,
                       radial_extension, reverse, sample_sphere, straight_line)
+from zerocert.geometry import mesh_norm, wrapped_steps
+from zerocert.homotopy import _make_trace
 
 
 def _identity_map(level=6):
@@ -216,3 +219,47 @@ class TestContractionFromExtension:
         assert report.min_norm == 0.0
         _, t_idx = report.witness
         assert trace.t_grid[t_idx] == 1.0
+
+
+def null_homotopy_loop(f, t_steps):
+    """Reference: the log-polar contraction built one frame at a time."""
+    norms = np.linalg.norm(f.images, axis=1)
+    steps = wrapped_steps(f.images)
+    angle0 = np.arctan2(f.images[0, 1], f.images[0, 0])
+    lifted = angle0 + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    log_r = np.log(norms)
+    target_log_r = float(np.mean(log_r))
+    target_angle = float(np.mean(lifted))
+    t_grid = np.linspace(0.0, 1.0, t_steps)
+    frames = np.empty((t_steps, len(norms), 2))
+    for i, t in enumerate(t_grid):
+        r = np.exp((1.0 - t) * log_r + t * target_log_r)
+        a = (1.0 - t) * lifted + t * target_angle
+        frames[i, :, 0] = r * np.cos(a)
+        frames[i, :, 1] = r * np.sin(a)
+    frames[0] = f.images
+    return _make_trace(f.sampling, t_grid, frames)
+
+
+class TestNullHomotopy:
+    @pytest.mark.parametrize("t_steps", [2, 3, 17, 65])
+    def test_equals_frame_loop(self, t_steps):
+        rng = np.random.default_rng(t_steps)
+        region = Region.disk([0.25, -0.5], 1.5)
+        for k in (5, 37, 100, 256, 333):
+            theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
+            pts = region.center + 1.5 * np.stack([np.cos(theta),
+                                                  np.sin(theta)], axis=1)
+            sampling = BoundarySampling(points=pts, h=mesh_norm(pts, True),
+                                        level=0, closed=True, region=region)
+            # angles stay within 1.4 of a constant: winding 0
+            a = rng.uniform(-math.pi, math.pi) + 1.4 * np.sin(
+                int(rng.integers(1, 4)) * theta + rng.uniform(0.0, 6.0))
+            r = rng.uniform(0.2, 5.0, k)
+            f = SampledMap(sampling=sampling, m=2, images=np.stack(
+                [r * np.cos(a), r * np.sin(a)], axis=1))
+            got, want = null_homotopy(f, t_steps), null_homotopy_loop(f, t_steps)
+            assert np.array_equal(got.t_grid, want.t_grid)
+            assert got.frames.tobytes() == want.frames.tobytes()
+            assert got.min_norm == want.min_norm
+            assert got.witness == want.witness

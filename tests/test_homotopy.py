@@ -241,7 +241,7 @@ def null_homotopy_loop(f, t_steps):
     return _make_trace(f.sampling, t_grid, frames)
 
 
-class TestNullHomotopy:
+class TestNullHomotopyMatchesLoop:
     @pytest.mark.parametrize("t_steps", [2, 3, 17, 65])
     def test_equals_frame_loop(self, t_steps):
         rng = np.random.default_rng(t_steps)

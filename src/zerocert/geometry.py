@@ -2,9 +2,10 @@
 
 Boundary samplings are the finite stand-in for the sphere S^{n-1}: an ordered
 point list together with its mesh norm h (maximum adjacent-sample distance),
-which every downstream rigor bound is stated against.  The unit-sphere
-sampling of each (n, level) is built once and kept, read-only, in a small
-LRU cache; a sampling of any other disk is its affine image x0 + r * unit.
+which every downstream rigor bound is stated against.  For n >= 2 the
+unit-sphere sampling of each (n, level) is built once and kept, read-only,
+in a small LRU cache; a sampling of any other disk is its affine image
+x0 + r * unit.
 Closed planar polylines also get the one angle-step kernel
 (``wrapped_steps``) and the one refinement loop (``refine_polyline``) that
 every winding computation uses.
@@ -27,7 +28,7 @@ MAX_STEP = math.pi / 2.0        # angle steps must stay below this for a
 GAP_BLOCK = 1 << 20             # score entries (8 MB) per nearest-neighbour
                                 # block, so memory stays flat as N grows
 SPHERE_CACHE = 8                # unit-sphere samplings kept, one per
-                                # (n, level), least recently used dropped
+                                # (n >= 2, level), least recently used dropped
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,20 +170,26 @@ def sample_sphere(region: Region, level: int) -> BoundarySampling:
     ``_max_nearest_neighbor_gap``), so it equals the brute-force pairwise
     value bit for bit; it costs O(N^2) time but at most 8 MB of scores.
 
-    The unit-disk sampling of each (n, level) is built once and cached (at
-    most SPHERE_CACHE of them); its ``points`` and ``region.center`` are
+    The two n=1 endpoints x0 + r * (-1, 1), with h = 2r, are built on
+    every call: they do not depend on ``level``.  For n >= 2 the unit-disk
+    sampling of each (n, level) is built once and cached (at most
+    SPHERE_CACHE of them); its ``points`` and ``region.center`` are
     read-only, and the unit disk gets that cached object itself.  Any other
     disk gets fresh points x0 + r * unit, bit-identical to placing freshly
-    built unit points on it.  So is h: 2r for n=1 and 2r sin(pi/k) for
-    n=2, which is r times the unit h exactly because doubling is exact; for
-    n>=3 the gap of the actual points is measured again, since it is not r
-    times the unit gap in floating point.
+    built unit points on it.  So is h: 2r sin(pi/k) for n=2, which is r
+    times the unit h exactly because doubling is exact; for n>=3 the gap of
+    the actual points is measured again, since it is not r times the unit
+    gap in floating point.
     """
     if region.kind != "disk":
         raise InvalidInput("sample_sphere needs a disk region")
     if level < 0:
         raise InvalidInput("level must be >= 0")
     n, x0, r = region.dim, region.center, region.radius
+    if n == 1:
+        return BoundarySampling(points=x0 + r * np.array([[-1.0], [1.0]]),
+                                h=r * 2.0, level=level, closed=False,
+                                region=region)
     unit = _unit_sampling(n, level)
     if r == 1.0 and not np.any(x0):
         return unit
@@ -194,11 +201,8 @@ def sample_sphere(region: Region, level: int) -> BoundarySampling:
 
 @functools.lru_cache(maxsize=SPHERE_CACHE)
 def _unit_sampling(n: int, level: int) -> BoundarySampling:
-    """The read-only sampling of the unit sphere S^{n-1} at ``level``."""
-    if n == 1:
-        pts = np.array([[-1.0], [1.0]])
-        h = 2.0
-    elif n == 2:
+    """The read-only sampling of the unit sphere S^{n-1} (n >= 2) at ``level``."""
+    if n == 2:
         k = 4 * 2 ** level
         theta = 2.0 * math.pi * np.arange(k) / k
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)

@@ -9,15 +9,24 @@ Grammar::
     map    := expr (',' expr)*
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := ['-'] atom ['^' integer]
+    factor := ['-'] atom ['^' ['-'] integer]
     atom   := number | 'x' integer | func '(' expr ')' | '(' expr ')'
     func   := 'sin' | 'cos' | 'exp' | 'sqrt' | 'abs'
 
-'^' binds tighter than unary minus; whitespace is insignificant.
+'^' binds tighter than unary minus.  Space, tab, CR and LF are ignored;
+any other character outside a token (a form feed, say) is a syntax error.
+A literal that overflows to infinity is rejected.
+
+The lexer is one ``findall`` of a token regex that also eats the
+whitespace after each token; a character it skipped shows as a length
+mismatch.  The parser walks the plain list of token strings.  No line or
+column is tracked on the way: an error scans the text again up to the
+failing token to report its position.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -78,136 +87,134 @@ class MapSpec:
 # ---------------------------------------------------------------------------
 # lexer / parser
 
-_TOKEN_RE = re.compile(
-    r"(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[-+*/^(),]))")
+_TOKEN_RE = re.compile(              # one token and the whitespace after it
+    r"((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+    r"|[A-Za-z_][A-Za-z_0-9]*|[-+*/^(),])[ \t\r\n]*")
+_WHITESPACE = " \t\r\n"
+_SYMS = frozenset("-+*/^(),") | {""}     # "" is the end-of-input token
+
+
+def _position(text: str, pos: int):
+    """1-based line and column of character offset ``pos``."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return text.count("\n", 0, pos) + 1, pos - line_start + 1
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if ch == "\n":
-            pos += 1
-            line += 1
-            line_start = pos
-            continue
-        col = pos - line_start + 1
-        mo = _TOKEN_RE.match(text, pos)
-        if mo is None:
-            raise MapSyntaxError(f"unexpected character {ch!r}", line, col)
-        tokens.append((mo.lastgroup, mo.group(mo.lastgroup), line, col))
-        pos = mo.end()
-    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    """The token strings of ``text``, ending in the end-of-input token ''."""
+    tokens = _TOKEN_RE.findall(text)
+    if sum(map(len, tokens)) != len(text) - sum(map(text.count, _WHITESPACE)):
+        # findall skipped a character that starts no token: find the first
+        pos = len(text) - len(text.lstrip(_WHITESPACE))
+        for mo in _TOKEN_RE.finditer(text):
+            if mo.start() != pos:
+                break
+            pos = mo.end()
+        raise MapSyntaxError(f"unexpected character {text[pos]!r}",
+                             *_position(text, pos))
+    tokens.append("")
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list; ``i`` is the next token."""
+
     def __init__(self, text: str, n: int):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.n = n
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_sym(self, sym):
-        kind, value, line, col = self.peek()
-        if kind != "sym" or value != sym:
-            raise MapSyntaxError(f"expected {sym!r}, got {value or 'end of input'!r}",
-                                 line, col)
-        return self.advance()
+    def error(self, i, exc, *args):
+        """``exc(*args, line, column)`` at token ``i``, located by scanning
+        the text again up to that token."""
+        pos = len(self.text)                     # the end-of-input token
+        for k, mo in enumerate(_TOKEN_RE.finditer(self.text)):
+            if k == i:
+                pos = mo.start()
+                break
+        return exc(*args, *_position(self.text, pos))
 
     def parse_map(self):
         comps = [self.parse_expr(0)]
-        while self.peek()[:2] == ("sym", ","):
-            self.advance()
+        while self.tokens[self.i] == ",":
+            self.i += 1
             comps.append(self.parse_expr(0))
-        kind, value, line, col = self.peek()
-        if kind != "eof":
-            raise MapSyntaxError(f"unexpected trailing input {value!r}", line, col)
+        tok = self.tokens[self.i]
+        if tok:
+            raise self.error(self.i, MapSyntaxError,
+                             f"unexpected trailing input {tok!r}")
         return comps
 
     def parse_expr(self, depth):
-        self.check_depth(depth)
         node = self.parse_term(depth + 1)
-        while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
-            op = "add" if self.advance()[1] == "+" else "sub"
-            node = Binary(op, node, self.parse_term(depth + 1))
+        while (op := self.tokens[self.i]) == "+" or op == "-":
+            self.i += 1
+            node = Binary("add" if op == "+" else "sub", node,
+                          self.parse_term(depth + 1))
         return node
 
     def parse_term(self, depth):
-        self.check_depth(depth)
+        # depth grows by 4 per nesting level (expr, term, factor, atom), so
+        # with MAX_DEPTH = 64 this is the first check that can fail: at the
+        # 16th nested parenthesis or call, on the token after it
+        if depth > MAX_DEPTH:
+            raise self.error(self.i, MapSyntaxError,
+                             "expression nesting too deep")
         node = self.parse_factor(depth + 1)
-        while self.peek()[:2] in (("sym", "*"), ("sym", "/")):
-            op = "mul" if self.advance()[1] == "*" else "div"
-            node = Binary(op, node, self.parse_factor(depth + 1))
+        while (op := self.tokens[self.i]) == "*" or op == "/":
+            self.i += 1
+            node = Binary("mul" if op == "*" else "div", node,
+                          self.parse_factor(depth + 1))
         return node
 
     def parse_factor(self, depth):
-        self.check_depth(depth)
-        negate = False
-        if self.peek()[:2] == ("sym", "-"):
-            self.advance()
-            negate = True
+        negate = self.tokens[self.i] == "-"
+        self.i += negate
         node = self.parse_atom(depth + 1)
-        if self.peek()[:2] == ("sym", "^"):
-            self.advance()
-            node = Power(node, self.parse_exponent())
-        if negate:
-            node = Unary("neg", node)
-        return node
-
-    def parse_exponent(self):
-        sign = 1
-        if self.peek()[:2] == ("sym", "-"):
-            self.advance()
-            sign = -1
-        kind, value, line, col = self.advance()
-        if kind != "num":
-            raise NonIntegerExponent(value or "end of input", line, col)
-        if any(c in value for c in ".eE"):
-            raise NonIntegerExponent(value, line, col)
-        return sign * int(value)
+        if self.tokens[self.i] == "^":
+            negative = self.tokens[self.i + 1] == "-"
+            i = self.i + 1 + negative
+            tok = self.tokens[i]
+            self.i = i + 1
+            if not tok.isdecimal():      # exactly the digit-only number tokens
+                raise self.error(i, NonIntegerExponent, tok or "end of input")
+            node = Power(node, -int(tok) if negative else int(tok))
+        return Unary("neg", node) if negate else node
 
     def parse_atom(self, depth):
-        self.check_depth(depth)
-        kind, value, line, col = self.advance()
-        if kind == "num":
-            return Const(float(value))
-        if kind == "name":
-            if re.fullmatch(r"x\d+", value):
-                index = int(value[1:])
-                if not 1 <= index <= self.n:
-                    raise UndefinedVariable(value, self.n, line, col)
-                return Var(index)
-            if value in _FUNCS:
-                self.expect_sym("(")
-                arg = self.parse_expr(depth + 1)
-                self.expect_sym(")")
-                return Unary(value, arg)
-            raise MapSyntaxError(f"unknown identifier {value!r}", line, col)
-        if (kind, value) == ("sym", "("):
+        tokens, i = self.tokens, self.i
+        tok = tokens[i]
+        self.i = i + 1
+        if tok == "(" or tok in _FUNCS:
+            if tok != "(":
+                i += 1
+                if tokens[i] != "(":
+                    raise self.error(i, MapSyntaxError, "expected '(', got "
+                                     f"{tokens[i] or 'end of input'!r}")
+                self.i = i + 1
             node = self.parse_expr(depth + 1)
-            self.expect_sym(")")
-            return node
-        raise MapSyntaxError(f"unexpected token {value or 'end of input'!r}",
-                             line, col)
-
-    def check_depth(self, depth):
-        if depth > MAX_DEPTH:
-            kind, value, line, col = self.peek()
-            raise MapSyntaxError("expression nesting too deep", line, col)
+            i = self.i
+            if tokens[i] != ")":
+                raise self.error(i, MapSyntaxError, "expected ')', got "
+                                 f"{tokens[i] or 'end of input'!r}")
+            self.i = i + 1
+            return node if tok == "(" else Unary(tok, node)
+        if tok in _SYMS:
+            raise self.error(i, MapSyntaxError,
+                             f"unexpected token {tok or 'end of input'!r}")
+        if tok[0] == "." or tok[0].isdecimal():     # a number
+            value = float(tok)
+            if value == math.inf:
+                raise self.error(i, MapSyntaxError,
+                                 f"number {tok!r} out of range")
+            return Const(value)
+        if tok[0] != "x" or not tok[1:].isdecimal():
+            raise self.error(i, MapSyntaxError, f"unknown identifier {tok!r}")
+        index = int(tok[1:])
+        if not 1 <= index <= self.n:
+            raise self.error(i, UndefinedVariable, tok, self.n)
+        return Var(index)
 
 
 def map_digest(text: str) -> str:
@@ -220,9 +227,12 @@ def parse_map(text: str, n: int) -> MapSpec:
     """Parse a comma-separated expression list into a MapSpec."""
     if n < 1:
         raise InvalidInput(f"domain dimension must be >= 1, got {n}")
-    comps = _Parser(text, n).parse_map()
+    parser = _Parser(text, n)
+    comps = parser.parse_map()
+    # equals map_digest(text): the lexer skips nothing but whitespace
+    digest = hashlib.sha256("".join(parser.tokens).encode("utf-8")).hexdigest()
     return MapSpec(n=n, m=len(comps), components=tuple(comps),
-                   source_text=text, digest=map_digest(text))
+                   source_text=text, digest=digest)
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,24 @@ class TestSphereCache:
     def test_bounded(self):
         _unit_sampling.cache_clear()
         for level in range(SPHERE_CACHE + 3):
-            sample_sphere(Region.disk([0.0], 1.0), level)
+            sample_sphere(Region.disk([0.0, 0.0], 1.0), level)
             assert _unit_sampling.cache_info().currsize <= SPHERE_CACHE
         assert _unit_sampling.cache_info().currsize == SPHERE_CACHE
+
+    def test_n1_does_not_evict(self):
+        # the two endpoints do not depend on the level, so n = 1 samplings
+        # at many levels take no cache slot from a costly n = 3 mesh
+        _unit_sampling.cache_clear()
+        unit = Region.disk(np.zeros(3), 1.0)
+        mesh = sample_sphere(unit, 1)
+        for level in range(SPHERE_CACHE + 3):
+            for center, radius in ((0.0, 1.0), (-2.5, 0.3)):
+                s = sample_sphere(Region.disk([center], radius), level)
+                assert s.points.tobytes() == (
+                    center + radius * np.array([[-1.0], [1.0]])).tobytes()
+                assert s.h == radius * 2.0 and s.level == level
+        assert _unit_sampling.cache_info().currsize == 1
+        assert sample_sphere(unit, 1) is mesh
 
 
 class TestNearestNeighborGap:

@@ -16,9 +16,8 @@ import numpy as np
 
 from .criteria import Certificate, CheckResult, certify_existence
 from .degree import winding_number
-from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
-                     MapSyntaxError, Unsupported, VanishingOnBoundary,
-                     ZeroCertError)
+from .errors import (DomainError, InvalidInput, MapSyntaxError, Unsupported,
+                     VanishingOnBoundary, ZeroCertError)
 from .geometry import Region, sample_sphere
 from .homotopy import SampledMap, straight_line
 from .locator import brouwer_fixed_point, locate_zero
@@ -97,15 +96,11 @@ def certificate_from_dict(d: dict) -> Certificate:
 # ---------------------------------------------------------------------------
 # argument handling
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags, which collides with the
     # NoConclusion exit code; raise instead and map to 4
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidInput(message)
 
 
 def _load_map(text: str, n: int) -> MapSpec:
@@ -124,7 +119,7 @@ def _csv_floats(text: str):
     try:
         return [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise _UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise InvalidInput(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--center", required=True, help="CSV center coordinates")
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--level", type=int, default=6)
+    p.add_argument("--level", type=int, default=None,
+                   help="sphere mesh level (default 6 for n <= 2, 2 for n >= 3)")
     p.add_argument("--lipschitz", default=None,
                    help="Lipschitz constant, or 'auto' for a heuristic estimate")
     p.add_argument("--out", default=None, help="write the certificate JSON here")
@@ -154,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("winding", help="winding number of a planar map on S^1")
     p.add_argument("--map", required=True)
-    p.add_argument("--level", type=int, default=6)
+    p.add_argument("--level", type=int, default=None)
     p.add_argument("--budget", type=int, default=4096)
 
     p = sub.add_parser("fixed-point", help="fixed point of a disk self-map")
@@ -168,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="target", required=True, metavar="MAP")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--t-steps", type=int, default=64)
-    p.add_argument("--level", type=int, default=6)
+    p.add_argument("--level", type=int, default=None)
     p.add_argument("--lipschitz", type=float, default=None)
 
     sub.add_parser("examples", help="list builtin maps")
@@ -189,8 +185,8 @@ def _cmd_certify(args) -> int:
         try:
             lipschitz = float(args.lipschitz)
         except ValueError:
-            raise _UsageError("--lipschitz expects a number or 'auto', "
-                              f"got {args.lipschitz!r}") from None
+            raise InvalidInput("--lipschitz expects a number or 'auto', "
+                               f"got {args.lipschitz!r}") from None
     cert = certify_existence(spec, region, level=args.level,
                              lipschitz=lipschitz)
     if auto:
@@ -212,7 +208,7 @@ def _cmd_certify(args) -> int:
 def _cmd_locate(args) -> int:
     bounds = _csv_floats(args.box)
     if len(bounds) % 2 != 0:
-        raise _UsageError("box needs an even number of bounds")
+        raise InvalidInput("box needs an even number of bounds")
     n = len(bounds) // 2
     lower = bounds[0::2]
     upper = bounds[1::2]
@@ -255,7 +251,7 @@ def _cmd_homotopy(args) -> int:
     source = _load_map(args.source, args.n)
     target = _load_map(args.target, args.n)
     if source.m != target.m:
-        raise _UsageError("maps have different codomain dimensions")
+        raise InvalidInput("maps have different codomain dimensions")
     sampling = sample_sphere(Region.disk(np.zeros(args.n), 1.0), args.level)
     f = SampledMap.from_evaluator(as_evaluator(source), sampling)
     g = SampledMap.from_evaluator(as_evaluator(target), sampling)
@@ -301,19 +297,13 @@ def main(argv=None) -> int:
         # interpreter's flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (MapSyntaxError, InvalidInput, DomainError, Unsupported,
+    except (InvalidInput, MapSyntaxError, DomainError, Unsupported,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VanishingOnBoundary as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ZERO_ON_BOUNDARY
-    except (BudgetExhausted, DegreeLost) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except ZeroCertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -50,7 +50,8 @@ class Certificate:
     reason: Optional[str] = None
 
 
-def boundary_nonvanishing(map_like, region: Region, level: int = 6,
+def boundary_nonvanishing(map_like, region: Region,
+                          level: Optional[int] = None,
                           L: Optional[float] = None) -> CheckResult:
     """Minimum image norm over boundary samples; the standing hypothesis."""
     check_lipschitz(L)
@@ -59,7 +60,7 @@ def boundary_nonvanishing(map_like, region: Region, level: int = 6,
                      np.linalg.norm(ims, axis=1), L)
 
 
-def poincare_bohl(map_like, region: Region, level: int = 6,
+def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
                   L: Optional[float] = None) -> CheckResult:
     """Never-points-opposite check: F(x) is not a negative multiple of x - x0.
 
@@ -106,7 +107,7 @@ def _poincare_bohl(sampling, ims, L) -> CheckResult:
                      np.linalg.norm(unit_f + unit_x, axis=1), L)
 
 
-def coercivity_radius(map_like, n: int, radii, level: int = 6):
+def coercivity_radius(map_like, n: int, radii, level: Optional[int] = None):
     """First listed radius whose origin-centered sphere has <F(x), x> >= 0
     and a nonvanishing boundary, reducing existence to Poincare-Bohl.
 
@@ -125,22 +126,22 @@ def coercivity_radius(map_like, n: int, radii, level: int = 6):
     return None
 
 
-def certify_existence(map_like, region: Region, level: int = 6,
-                      lipschitz: Optional[float] = None,
-                      refine_budget: int = 4096, t_steps: int = 65,
-                      digest: str = "") -> Certificate:
+def certify_existence(map_like, region: Region, level: Optional[int] = None,
+                      lipschitz: Optional[float] = None) -> Certificate:
     """Run the full existence pipeline on a disk region.
 
     Internally everything is computed on the unit disk through the rescaling
     y -> r*y + x0, which preserves the verdict and the obstruction.  The
     boundary sphere is sampled and evaluated once; every check reads those
-    images.
+    images.  ``level=None`` is sample_sphere's per-dimension default.  A
+    callable map gets the empty digest.
     """
     if region.kind != "disk":
         raise InvalidInput("certify_existence needs a disk region")
     check_lipschitz(lipschitz)
     n = region.dim
     ev = as_evaluator(map_like)
+    digest = ""
     if isinstance(map_like, MapSpec):
         if map_like.n != n:
             raise InvalidInput(
@@ -183,7 +184,7 @@ def certify_existence(map_like, region: Region, level: int = 6,
                     reason="poincare_bohl_failed")
 
     f = SampledMap(sampling=sampling, images=ims, m=m, evaluator=rescaled)
-    value, reason, w = boundary_obstruction(f, refine_budget=refine_budget, L=L)
+    value, reason, w = boundary_obstruction(f, L=L)
     evidence = [nonvanish]
     rigor = nonvanish.rigor
     if w is not None:
@@ -197,7 +198,7 @@ def certify_existence(map_like, region: Region, level: int = 6,
                     obstruction=value, rigor=rigor, evidence=evidence)
     witness = None
     if w is not None:
-        phi_unit = radial_extension(null_homotopy(f, t_steps=t_steps))
+        phi_unit = radial_extension(null_homotopy(f))
         witness = lambda x: phi_unit((np.asarray(x, dtype=float) - x0) / r)
     return cert(verdict="NoConclusion", route=None, obstruction=value,
                 rigor=rigor, evidence=evidence, extension_witness=witness,

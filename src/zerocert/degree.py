@@ -94,8 +94,7 @@ def sign_obstruction(f: SampledMap) -> int:
     return 1 if hi > 0 else -1
 
 
-def boundary_obstruction(f: SampledMap, refine_budget: int = 4096,
-                         L: Optional[float] = None
+def boundary_obstruction(f: SampledMap, L: Optional[float] = None
                          ) -> Tuple[Optional[int], str, Optional[WindingResult]]:
     """The (n, m) route table: (obstruction value, reason, WindingResult or
     None) of a sampled boundary map.
@@ -112,14 +111,13 @@ def boundary_obstruction(f: SampledMap, refine_budget: int = 4096,
         s = sign_obstruction(f)
         return s, "sign_change" if s != 0 else "same_component", None
     if n == 2 and m == 2:
-        w = winding_number(f, refine_budget=refine_budget, L=L)
+        w = winding_number(f, L=L)
         return (w.value, "winding_nonzero" if w.value != 0 else "winding_zero",
                 w)
     raise Unsupported(n, m)
 
 
-def classify_cat(f: SampledMap, refine_budget: int = 4096,
-                 L: Optional[float] = None) -> CatResult:
+def classify_cat(f: SampledMap, L: Optional[float] = None) -> CatResult:
     """Two-valued contractibility classification of a boundary map.
 
     cat=2 means the restriction is not contractible in the punctured
@@ -127,5 +125,5 @@ def classify_cat(f: SampledMap, refine_budget: int = 4096,
     yields cat=1 because a sphere of too-low dimension contracts in the
     punctured target.
     """
-    value, reason, _ = boundary_obstruction(f, refine_budget=refine_budget, L=L)
+    value, reason, _ = boundary_obstruction(f, L=L)
     return CatResult(cat=2 if value else 1, reason=reason)

@@ -29,7 +29,7 @@ from .mapspec import as_evaluator
 
 SEED_ENV = "ZERO_CERT_SEED"
 MAX_JIGGLES = 5
-SAMPLES_PER_EDGE = 16             # box_winding default; half per half-cut
+SAMPLES_PER_EDGE = 16             # per box edge; half per half-cut
 BUDGET = 4096                     # refinement insertions per box winding
 # interior sample fractions of a half-cut from the cut point to a box edge
 _HALF_CUT = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE // 2,
@@ -46,9 +46,7 @@ class LocateResult:
     termination: str = ""           # residual | cell_diameter | boundary_fixed_point
 
 
-def box_winding(map_like, lower, upper,
-                samples_per_edge: int = SAMPLES_PER_EDGE, budget: int = BUDGET,
-                floor: Optional[float] = None) -> int:
+def box_winding(map_like, lower, upper) -> int:
     """Winding of a planar map along a box boundary (counterclockwise).
 
     Uses the shared pi/2 angle-step refinement loop of the circle winding
@@ -60,16 +58,15 @@ def box_winding(map_like, lower, upper,
     if lower.shape != (2,) or upper.shape != (2,):
         raise InvalidInput("box winding is planar only")
     ev = as_evaluator(map_like)
-    return _wind(ev, _box_boundary(ev, lower, upper, samples_per_edge),
-                 budget, floor)[0]
+    return _wind(ev, _box_boundary(ev, lower, upper))[0]
 
 
-def _box_boundary(ev, lo, hi, samples_per_edge):
+def _box_boundary(ev, lo, hi):
     """Evaluated counterclockwise boundary of the box [lo, hi], starting at
-    lo, as rows (x, y, F1, F2) with ``samples_per_edge`` samples per edge."""
+    lo, as rows (x, y, F1, F2) with SAMPLES_PER_EDGE samples per edge."""
     corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]],
                         [hi[0], hi[1]], [lo[0], hi[1]]])
-    frac = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)[:, None]
+    frac = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE, endpoint=False)[:, None]
     pts = np.concatenate([a + frac * (b - a) for a, b in
                           zip(corners, np.roll(corners, -1, axis=0))])
     ims = np.asarray(ev(pts), dtype=float)
@@ -82,16 +79,16 @@ def _chord_midpoint(a, b):
     return 0.5 * (a + b)
 
 
-def _wind(ev, poly, budget, floor=None):
+def _wind(ev, poly):
     """Winding of the closed polyline ``poly`` (rows x, y, F1, F2) after
-    chord refinement, and the refined polyline.
+    chord refinement of at most BUDGET insertions, and the refined polyline.
 
-    The default floor is refine_polyline's: 1e-12 * (1 + the largest image
-    norm of ``poly``).
+    The vanishing floor is refine_polyline's default: 1e-12 * (1 + the
+    largest image norm of ``poly``).
     """
     pts, ims, inserted, steps = refine_polyline(poly[:, :2], poly[:, 2:], ev,
-                                                _chord_midpoint, floor=floor,
-                                                budget=budget)
+                                                _chord_midpoint, floor=None,
+                                                budget=BUDGET)
     if np.any(np.abs(steps) >= MAX_STEP):
         raise BudgetExhausted("box winding refinement budget exhausted")
     if inserted:
@@ -155,8 +152,7 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
     rng = np.random.default_rng(seed)
     lo = box.lower.copy()
     hi = box.upper.copy()
-    winding, poly = _wind(ev, _box_boundary(ev, lo, hi, SAMPLES_PER_EDGE),
-                          BUDGET)
+    winding, poly = _wind(ev, _box_boundary(ev, lo, hi))
     if winding == 0:
         raise DegreeLost((lo, hi))
     edges = _split_edges(poly, lo, hi)
@@ -181,7 +177,7 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
                 _, children = _cut_children(ev, lo, hi, edges, cut)
             try:
                 for sub_lo, sub_hi, pieces in children:
-                    winding, poly = _wind(ev, np.concatenate(pieces), BUDGET)
+                    winding, poly = _wind(ev, np.concatenate(pieces))
                     if winding != 0:
                         chosen = (sub_lo, sub_hi,
                                   _split_edges(poly, sub_lo, sub_hi))
@@ -271,7 +267,7 @@ def _finish(ev, point, diameter, iterations, trail, termination,
                         trail=trail, termination=termination)
 
 
-def brouwer_fixed_point(map_like, eps: float = 1e-6, level: int = 6,
+def brouwer_fixed_point(map_like, eps: float = 1e-6,
                         n: Optional[int] = None) -> LocateResult:
     """Fixed point of a continuous self-map f of the unit disk D^n, n in {1,2}.
 
@@ -298,7 +294,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6, level: int = 6,
             f"map leaves the unit disk (||f|| up to {np.max(f_norms):.6f})")
 
     g = lambda pts: np.asarray(pts, dtype=float) - np.asarray(f(pts), dtype=float)
-    cert = certify_existence(g, Region.disk(np.zeros(n), 1.0), level=level)
+    cert = certify_existence(g, Region.disk(np.zeros(n), 1.0))
     if cert.verdict == "ZeroOnBoundary":
         # the boundary sample where G vanishes is itself a fixed point
         point = cert.evidence[0].witness

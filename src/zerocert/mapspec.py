@@ -15,7 +15,8 @@ Grammar::
 
 '^' binds tighter than unary minus.  Space, tab, CR and LF are ignored;
 any other character outside a token (a form feed, say) is a syntax error.
-A literal that overflows to infinity is rejected.
+A literal that overflows to infinity is rejected.  Numbers, like variable
+indices, are ASCII digits: the token regex is compiled with re.ASCII.
 
 The lexer is one ``findall`` of a token regex that also eats the
 whitespace after each token; a character it skipped shows as a length
@@ -89,7 +90,7 @@ class MapSpec:
 
 _TOKEN_RE = re.compile(              # one token and the whitespace after it
     r"((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-    r"|[A-Za-z_][A-Za-z_0-9]*|[-+*/^(),])[ \t\r\n]*")
+    r"|[A-Za-z_][A-Za-z_0-9]*|[-+*/^(),])[ \t\r\n]*", re.ASCII)
 _WHITESPACE = " \t\r\n"
 _SYMS = frozenset("-+*/^(),") | {""}     # "" is the end-of-input token
 
@@ -326,14 +327,13 @@ def _print_node(node: Expr) -> str:
 # ---------------------------------------------------------------------------
 # derivative-based Lipschitz estimation
 
-def lipschitz_estimate(spec: MapSpec, region: Region, samples: int = 200) -> float:
+def lipschitz_estimate(spec: MapSpec, region: Region) -> float:
     """Heuristic Lipschitz constant: 2x the max sampled Jacobian norm.
 
     Central finite differences with step 1e-6 * region diameter at a
-    deterministic sample of interior points.
+    deterministic sample of 200 interior points.
     """
-    if samples < 100:
-        raise InvalidInput("need at least 100 samples")
+    samples = 200
     rng = np.random.default_rng(0)
     if region.kind == "disk":
         raw = rng.normal(size=(samples, region.dim))

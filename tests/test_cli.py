@@ -8,8 +8,13 @@ import pytest
 
 import zerocert
 from zerocert import Region, builtin_map, certify_existence, parse_map
+from zerocert import cli
 from zerocert.cli import (certificate_dumps, certificate_from_dict,
                           certificate_to_dict, main)
+from zerocert.errors import (BudgetExhausted, DegreeLost, DomainError,
+                             EndpointMismatch, InvalidInput, MapSyntaxError,
+                             NotANullHomotopy, Unsupported,
+                             VanishingOnBoundary, ZeroCertError)
 
 
 class TestCertifyCommand:
@@ -151,6 +156,41 @@ class TestOtherCommands:
         for name in ("opposite-id", "shifted", "z2", "coercive-shift",
                      "rotation-half"):
             assert name in out
+
+
+@pytest.mark.parametrize("error, code", [
+    (InvalidInput("bad input"), 4),
+    (MapSyntaxError("unexpected token", 1, 2), 4),
+    (DomainError([0.0], "division by zero"), 4),
+    (Unsupported(3, 2), 4),
+    (FileNotFoundError("no such file"), 4),
+    (VanishingOnBoundary(0, norm=0.0), 3),
+    (BudgetExhausted("budget spent"), 5),
+    (DegreeLost((0.0, 1.0)), 5),
+    (EndpointMismatch(0.5), 5),
+    (NotANullHomotopy("not constant"), 5),
+    (ZeroCertError("internal"), 5),
+])
+def test_error_exit_codes(error, code, monkeypatch, capsys):
+    def raise_error(_args):
+        raise error
+    monkeypatch.setitem(cli._COMMANDS, "examples", raise_error)
+    assert main(["examples"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_default_level_finishes_for_n3():
+    # with no --level, an n = 3 certificate uses the 1600-point mesh
+    src = os.path.dirname(os.path.dirname(zerocert.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerocert.cli", "certify", "--map",
+         "x1, x2, x3", "--n", "3", "--center=0,0,0", "--radius", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "ZeroGuaranteed"
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

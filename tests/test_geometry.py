@@ -11,9 +11,8 @@ from zerocert import (InvalidInput, Region, VanishingOnBoundary,
                       rescale_from_unit, rescale_to_unit, sample_sphere)
 from zerocert.geometry import (SPHERE_CACHE, _fibonacci_sphere,
                                _generalized_golden, _kronecker_sphere,
-                               _max_nearest_neighbor_gap, _normal_inv_cdf,
-                               _unit_sampling, circle_arc_midpoint,
-                               refine_polyline)
+                               _max_nearest_neighbor_gap, _unit_sampling,
+                               circle_arc_midpoint, refine_polyline)
 
 
 def brute_force_gap(pts):
@@ -183,6 +182,17 @@ class TestSphereCache:
         check.witness[:] = 7.0
         assert np.array_equal(sample_sphere(region, 0).points, pts)
 
+    @pytest.mark.parametrize("n,level", [(1, 6), (2, 6), (3, 2), (4, 2)])
+    def test_default_level(self, n, level):
+        # level=None must finish for every n: 1600 points for n >= 3
+        for center, radius in ((0.0, 1.0), (0.5, 2.0)):
+            region = Region.disk(np.full(n, center), radius)
+            s = sample_sphere(region)
+            explicit = sample_sphere(region, level)
+            assert s.level == level
+            assert s.points.tobytes() == explicit.points.tobytes()
+            assert s.h == explicit.h
+
     def test_bounded(self):
         _unit_sampling.cache_clear()
         for level in range(SPHERE_CACHE + 3):
@@ -284,15 +294,6 @@ class TestNearestNeighborGap:
 
 
 class TestKroneckerSphere:
-    def test_inverse_cdf_equals_normal_dist(self):
-        rng = np.random.default_rng(5)
-        u = np.concatenate([
-            rng.random(200_000),
-            [1e-12, 1.0 - 1e-12, 1e-11, 0.5, 0.075, 0.925,
-             np.nextafter(0.075, 0.0), np.nextafter(0.925, 1.0)]])
-        inv = NormalDist().inv_cdf
-        assert np.array_equal(_normal_inv_cdf(u), [inv(v) for v in u])
-
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_equals_normal_dist_reference(self, n):
         for level in (0, 1, 2):

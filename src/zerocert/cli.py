@@ -21,8 +21,8 @@ from .errors import (DomainError, InvalidInput, MapSyntaxError, Unsupported,
 from .geometry import Region, sample_sphere
 from .homotopy import SampledMap, straight_line
 from .locator import brouwer_fixed_point, locate_zero
-from .mapspec import (BUILTIN_MAPS, MapSpec, as_evaluator, builtin_map,
-                      lipschitz_estimate, parse_map)
+from .mapspec import (BUILTIN_MAPS, MapSpec, builtin_map, lipschitz_estimate,
+                      parse_map)
 
 EXIT_OK = 0
 EXIT_NO_CONCLUSION = 2
@@ -229,7 +229,7 @@ def _cmd_locate(args) -> int:
 def _cmd_winding(args) -> int:
     spec = _load_map(args.map, 2)
     sampling = sample_sphere(Region.disk([0.0, 0.0], 1.0), args.level)
-    f = SampledMap.from_evaluator(as_evaluator(spec), sampling)
+    f = SampledMap.from_evaluator(spec, sampling)
     result = winding_number(f, refine_budget=args.budget)
     print(result.value)
     return EXIT_OK
@@ -253,8 +253,8 @@ def _cmd_homotopy(args) -> int:
     if source.m != target.m:
         raise InvalidInput("maps have different codomain dimensions")
     sampling = sample_sphere(Region.disk(np.zeros(args.n), 1.0), args.level)
-    f = SampledMap.from_evaluator(as_evaluator(source), sampling)
-    g = SampledMap.from_evaluator(as_evaluator(target), sampling)
+    f = SampledMap.from_evaluator(source, sampling)
+    g = SampledMap.from_evaluator(target, sampling)
     trace, report = straight_line(f, g, t_steps=args.t_steps, L=args.lipschitz)
     witness = None
     if report.witness is not None:

@@ -40,8 +40,7 @@ class Certificate:
     map_digest: str
     region: Region
     verdict: str                    # ZeroGuaranteed | NoConclusion | ZeroOnBoundary
-    route: Optional[str]            # sign_change | winding | poincare_bohl |
-                                    # coercive_reduction
+    route: Optional[str]            # sign_change | winding | poincare_bohl
     obstruction: Optional[int]
     min_boundary_norm: float
     rigor: str
@@ -55,9 +54,9 @@ def boundary_nonvanishing(map_like, region: Region,
                           L: Optional[float] = None) -> CheckResult:
     """Minimum image norm over boundary samples; the standing hypothesis."""
     check_lipschitz(L)
-    sampling, ims = _sample_and_evaluate(map_like, region, level)
-    return _smallest("boundary_nonvanishing", sampling,
-                     np.linalg.norm(ims, axis=1), L)
+    f = SampledMap.from_evaluator(map_like, sample_sphere(region, level))
+    return _smallest("boundary_nonvanishing", f.sampling,
+                     np.linalg.norm(f.images, axis=1), L)
 
 
 def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
@@ -68,16 +67,8 @@ def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
     which vanishes exactly at an opposite-pointing sample.
     """
     check_lipschitz(L)
-    sampling, ims = _sample_and_evaluate(map_like, region, level)
-    return _poincare_bohl(sampling, ims, L)
-
-
-def _sample_and_evaluate(map_like, region, level):
-    if region.kind != "disk":
-        raise InvalidInput("boundary checks need a disk region")
-    sampling = sample_sphere(region, level)
-    return sampling, np.asarray(as_evaluator(map_like)(sampling.points),
-                                dtype=float)
+    return _poincare_bohl(
+        SampledMap.from_evaluator(map_like, sample_sphere(region, level)), L)
 
 
 def _smallest(name, sampling, margins, L) -> CheckResult:
@@ -93,15 +84,15 @@ def _smallest(name, sampling, margins, L) -> CheckResult:
                        threshold=threshold)
 
 
-def _poincare_bohl(sampling, ims, L) -> CheckResult:
-    region = sampling.region
-    if ims.shape[1] != region.dim:
+def _poincare_bohl(f: SampledMap, L) -> CheckResult:
+    sampling, region = f.sampling, f.sampling.region
+    if f.m != region.dim:
         raise InvalidInput("Poincare-Bohl needs codomain dimension m = n")
-    norms = np.linalg.norm(ims, axis=1)
+    norms = np.linalg.norm(f.images, axis=1)
     if np.any(norms <= 0.0):
         idx = int(np.argmin(norms))
         raise VanishingOnBoundary(idx, point=sampling.points[idx].copy())
-    unit_f = ims / norms[:, None]
+    unit_f = f.images / norms[:, None]
     unit_x = (sampling.points - region.center) / region.radius
     return _smallest("poincare_bohl", sampling,
                      np.linalg.norm(unit_f + unit_x, axis=1), L)
@@ -115,14 +106,14 @@ def coercivity_radius(map_like, n: int, radii, level: Optional[int] = None):
     None when no listed radius qualifies.
     """
     for R in radii:
-        sampling, ims = _sample_and_evaluate(
-            map_like, Region.disk(np.zeros(n), float(R)), level)
-        if ims.shape[1] != n:
+        f = SampledMap.from_evaluator(
+            map_like, sample_sphere(Region.disk(np.zeros(n), float(R)), level))
+        if f.m != n:
             raise InvalidInput("coercivity reduction needs m = n")
-        norms = np.linalg.norm(ims, axis=1)
-        inner = np.sum(ims * sampling.points, axis=1)
+        norms = np.linalg.norm(f.images, axis=1)
+        inner = np.sum(f.images * f.sampling.points, axis=1)
         if float(np.min(norms)) > 0.0 and float(np.min(inner)) >= 0.0:
-            return float(R), _poincare_bohl(sampling, ims, None)
+            return float(R), _poincare_bohl(f, None)
     return None
 
 
@@ -152,13 +143,15 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
         digest = map_like.digest
 
     x0, r = region.center, region.radius
-    rescaled = lambda pts: np.asarray(ev(r * np.asarray(pts) + x0), dtype=float)
     L = None if lipschitz is None else lipschitz * r
+    # the checked evaluator composed with y -> r*y + x0 keeps its contract
+    rescaled = lambda pts: ev(r * pts + x0)
     sampling = sample_sphere(Region.disk(np.zeros(n), 1.0), level)
     ims = rescaled(sampling.points)
     m = ims.shape[1]
     if n > m:
         raise Unsupported(n, m)
+    f = SampledMap(sampling=sampling, images=ims, m=m, evaluator=rescaled)
     # checks report their witness in original coordinates
     original = lambda check: replace(check, witness=r * check.witness + x0)
 
@@ -174,7 +167,7 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
                     reason="boundary_zero")
 
     if n == m >= 3:
-        pb = original(_poincare_bohl(sampling, ims, L))
+        pb = original(_poincare_bohl(f, L))
         rigor = _combine(nonvanish.rigor, pb.rigor)
         if pb.passed:
             return cert(verdict="ZeroGuaranteed", route="poincare_bohl",
@@ -183,7 +176,6 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
                     rigor=rigor, evidence=[nonvanish, pb],
                     reason="poincare_bohl_failed")
 
-    f = SampledMap(sampling=sampling, images=ims, m=m, evaluator=rescaled)
     value, reason, w = boundary_obstruction(f, L=L)
     evidence = [nonvanish]
     rigor = nonvanish.rigor

@@ -52,8 +52,8 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
         raise InvalidInput("winding needs a closed planar sampling into R^2")
     region = sampling.region
     pts, ims, inserted, steps = refine_polyline(
-        np.array(sampling.points, dtype=float), np.array(f.images, dtype=float),
-        f.evaluator, lambda a, b: circle_arc_midpoint(a, b, region),
+        sampling.points, f.images, f.evaluator,
+        lambda a, b: circle_arc_midpoint(a, b, region),
         floor=0.0, budget=refine_budget)
     result = _result(steps, ims, pts, inserted, L)
     if result.max_step_angle >= MAX_STEP:

@@ -34,6 +34,11 @@ DEFAULT_LEVELS = (6, 2)         # level=None means 6 for n <= 2 (256 circle
                                 # points) and 2 for n >= 3 (1600 points)
 
 
+def _check_finite_field(name, values):
+    if not np.all(np.isfinite(values)):
+        raise InvalidInput(f"{name} must be finite, got {values}")
+
+
 @dataclass(frozen=True, eq=False)
 class Region:
     """Closed disk D^n_r(x0) or axis-aligned box, the domain of a map."""
@@ -53,13 +58,17 @@ class Region:
                 raise InvalidInput("disk region needs center and radius")
             if len(self.center) != self.dim:
                 raise InvalidInput("center length does not match dim")
-            if not self.radius > 0:
-                raise InvalidInput(f"radius must be positive, got {self.radius}")
+            _check_finite_field("center", self.center)
+            if not (self.radius > 0 and math.isfinite(self.radius)):
+                raise InvalidInput(
+                    f"radius must be positive and finite, got {self.radius}")
         elif self.kind == "box":
             if self.lower is None or self.upper is None:
                 raise InvalidInput("box region needs lower and upper corners")
             if len(self.lower) != self.dim or len(self.upper) != self.dim:
                 raise InvalidInput("corner length does not match dim")
+            _check_finite_field("lower corner", self.lower)
+            _check_finite_field("upper corner", self.upper)
             if not np.all(self.lower < self.upper):
                 raise InvalidInput("box corners must satisfy lower < upper componentwise")
         else:
@@ -166,28 +175,20 @@ def sample_sphere(region: Region,
                   level: Optional[int] = None) -> BoundarySampling:
     """Sample the boundary sphere of a disk region at a refinement depth.
 
-    n=1 gives the two endpoints, n=2 gives 4*2^level equispaced angles with
-    the exact chord mesh norm, n>=3 gives 100*4^level deterministic
-    low-discrepancy points whose h is an empirical estimate (twice the max
-    nearest-neighbor gap).  That gap is found by a Gram screen with a proven
-    rounding bound and an exact recheck of the screened candidates (see
-    ``_max_nearest_neighbor_gap``), so it equals the brute-force pairwise
-    value bit for bit; it costs O(N^2) time but at most 8 MB of scores.
+    n=1 gives the two endpoints x0 + r * (-1, 1) with h = 2r, built on every
+    call (they do not depend on ``level``).  n=2 gives 4*2^level equispaced
+    angles with the exact chord mesh norm; n>=3 gives 100*4^level
+    deterministic low-discrepancy points whose h is an empirical estimate,
+    twice the max nearest-neighbor gap (exact and O(N^2), see
+    ``_max_nearest_neighbor_gap``).  For n >= 2 the unit-disk sampling of
+    each (n, level) is built once and cached (at most SPHERE_CACHE of
+    them); its arrays are read-only, and the unit disk gets that object
+    itself.  Any other disk gets fresh points x0 + r * unit and
+    h = r * unit.h.
 
-    The two n=1 endpoints x0 + r * (-1, 1), with h = 2r, are built on
-    every call: they do not depend on ``level``.  For n >= 2 the unit-disk
-    sampling of each (n, level) is built once and cached (at most
-    SPHERE_CACHE of them); its ``points`` and ``region.center`` are
-    read-only, and the unit disk gets that cached object itself.  Any other
-    disk gets fresh points x0 + r * unit, bit-identical to placing freshly
-    built unit points on it.  So is h: 2r sin(pi/k) for n=2, which is r
-    times the unit h exactly because doubling is exact; for n>=3 the gap of
-    the actual points is measured again, since it is not r times the unit
-    gap in floating point.
-
-    ``level=None`` takes the per-dimension default of DEFAULT_LEVELS: 6 for
-    n <= 2 and 2 for n >= 3, whose 1600-point mesh builds in well under a
-    second (level 6 would have 409,600 points and an O(N^2) gap).
+    ``level=None`` takes DEFAULT_LEVELS: 6 for n <= 2 and 2 for n >= 3, a
+    1600-point mesh that builds in well under a second (level 6 would have
+    409,600 points).
     """
     if region.kind != "disk":
         raise InvalidInput("sample_sphere needs a disk region")
@@ -203,10 +204,8 @@ def sample_sphere(region: Region,
     unit = _unit_sampling(n, level)
     if r == 1.0 and not np.any(x0):
         return unit
-    pts = x0 + r * unit.points
-    h = 2.0 * _max_nearest_neighbor_gap(pts) if n >= 3 else r * unit.h
-    return BoundarySampling(points=pts, h=h, level=level, closed=unit.closed,
-                            region=region)
+    return BoundarySampling(points=x0 + r * unit.points, h=r * unit.h,
+                            level=level, closed=unit.closed, region=region)
 
 
 @functools.lru_cache(maxsize=SPHERE_CACHE)
@@ -304,7 +303,7 @@ def refine_polyline(pts, ims, evaluator, midpoint, floor: Optional[float],
             return pts, ims, inserted, steps
         bad = bad[:budget - inserted]
         mids = midpoint(pts[bad], pts[(bad + 1) % len(pts)])
-        mid_ims = np.asarray(evaluator(mids), dtype=float)
+        mid_ims = evaluator(mids)
         _check_floor(np.linalg.norm(mid_ims, axis=1), mids, floor)
         pts = np.insert(pts, bad + 1, mids, axis=0)
         ims = np.insert(ims, bad + 1, mid_ims, axis=0)

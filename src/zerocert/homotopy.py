@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (EndpointMismatch, InvalidInput, NotANullHomotopy)
 from .geometry import BoundarySampling, check_lipschitz, wrapped_steps
+from .mapspec import as_evaluator
 
 ENDPOINT_TOL = 1e-9
 
@@ -37,8 +38,11 @@ class SampledMap:
             raise InvalidInput("images contain non-finite entries")
 
     @staticmethod
-    def from_evaluator(evaluator, sampling: BoundarySampling) -> "SampledMap":
-        images = np.asarray(evaluator(sampling.points), dtype=float)
+    def from_evaluator(map_like, sampling: BoundarySampling) -> "SampledMap":
+        """Evaluate a MapSpec or callable on ``sampling``; the map is kept
+        as its checked evaluator (``mapspec.as_evaluator``)."""
+        evaluator = as_evaluator(map_like)
+        images = evaluator(sampling.points)
         return SampledMap(sampling=sampling, images=images,
                           m=images.shape[1], evaluator=evaluator)
 

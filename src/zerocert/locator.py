@@ -15,7 +15,6 @@ the cell size, at most five retries per level.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -27,7 +26,6 @@ from .errors import (BudgetExhausted, DegreeLost, InvalidInput,
 from .geometry import MAX_STEP, Region, refine_polyline
 from .mapspec import as_evaluator
 
-SEED_ENV = "ZERO_CERT_SEED"
 MAX_JIGGLES = 5
 SAMPLES_PER_EDGE = 16             # per box edge; half per half-cut
 BUDGET = 4096                     # refinement insertions per box winding
@@ -69,8 +67,8 @@ def _box_boundary(ev, lo, hi):
     frac = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE, endpoint=False)[:, None]
     pts = np.concatenate([a + frac * (b - a) for a, b in
                           zip(corners, np.roll(corners, -1, axis=0))])
-    ims = np.asarray(ev(pts), dtype=float)
-    if ims.ndim != 2 or ims.shape[1] != 2:
+    ims = ev(pts)
+    if ims.shape[1] != 2:
         raise InvalidInput("box winding needs codomain dimension 2")
     return np.hstack((pts, ims))
 
@@ -96,15 +94,9 @@ def _wind(ev, poly):
     return int(round(float(np.sum(steps)) / (2.0 * math.pi))), poly
 
 
-def _resolve_seed(seed):
-    if seed is not None:
-        return int(seed)
-    return int(os.environ.get(SEED_ENV, "0"))
-
-
 def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
                 eps_f: float = 1e-9, max_iter: int = 100,
-                seed: Optional[int] = None) -> LocateResult:
+                seed: int = 0) -> LocateResult:
     """Approximate a zero inside a box with nonzero boundary obstruction."""
     if box.kind != "box":
         raise InvalidInput("locate_zero needs a box region")
@@ -112,14 +104,15 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
     if box.dim == 1:
         return _bisect_1d(ev, box, eps_x, eps_f, max_iter)
     if box.dim == 2:
-        return _quadtree_2d(ev, box, eps_x, eps_f, max_iter,
-                            _resolve_seed(seed))
+        return _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed)
     raise InvalidInput("localization is implemented for n in {1, 2}")
 
 
 def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
     a, b = float(box.lower[0]), float(box.upper[0])
-    ends = np.asarray(ev(np.array([[a], [b]])), dtype=float)
+    ends = ev(np.array([[a], [b]]))
+    if ends.shape[1] != 1:
+        raise InvalidInput("1D localization needs codomain dimension 1")
     fa, fb = float(ends[0, 0]), float(ends[1, 0])
     if fa == 0.0:
         return _finish(ev, np.array([a]), b - a, 0, [], "residual", ends[0])
@@ -233,7 +226,7 @@ def _cut_children(ev, lo, hi, edges, cut):
             missing.append(side)
     cross = (cut + _HALF_CUT * (ends - cut)[:, None, :]).reshape(-1, 2)
     pts = np.concatenate((cut[None, :], cross, ends[missing]))
-    rows = np.hstack((pts, np.asarray(ev(pts), dtype=float)))
+    rows = np.hstack((pts, ev(pts)))
     c = rows[:1]
     hb, hr, ht, hl = rows[1:1 + len(cross)].reshape(4, -1, 4)
     new_heads = iter(rows[1 + len(cross):, None])
@@ -261,7 +254,7 @@ def _finish(ev, point, diameter, iterations, trail, termination,
     just evaluated it, else the point is evaluated here."""
     if image is None:
         image = ev(point[None, :])[0]
-    residual = float(np.linalg.norm(np.atleast_1d(image)))
+    residual = float(np.linalg.norm(image))
     return LocateResult(point=point, residual=residual,
                         cell_diameter=float(diameter), iterations=iterations,
                         trail=trail, termination=termination)
@@ -281,24 +274,24 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
         if not isinstance(map_like, MapSpec):
             raise InvalidInput("pass n explicitly for callable maps")
         n = map_like.n
-        if map_like.m != n:
-            raise InvalidInput("a self-map needs m = n")
     if n not in (1, 2):
         raise InvalidInput("fixed points are located for n in {1, 2}")
     f = as_evaluator(map_like)
 
-    grid = _disk_validation_grid(n)
-    f_norms = np.linalg.norm(np.asarray(f(grid), dtype=float), axis=1)
+    grid_images = f(_disk_validation_grid(n))
+    if grid_images.shape[1] != n:
+        raise InvalidInput("a self-map needs m = n")
+    f_norms = np.linalg.norm(grid_images, axis=1)
     if float(np.max(f_norms)) > 1.0 + 1e-9:
         raise InvalidInput(
             f"map leaves the unit disk (||f|| up to {np.max(f_norms):.6f})")
 
-    g = lambda pts: np.asarray(pts, dtype=float) - np.asarray(f(pts), dtype=float)
+    g = lambda pts: pts - f(pts)
     cert = certify_existence(g, Region.disk(np.zeros(n), 1.0))
     if cert.verdict == "ZeroOnBoundary":
         # the boundary sample where G vanishes is itself a fixed point
         point = cert.evidence[0].witness
-        residual = float(np.linalg.norm(np.asarray(f(point[None, :]))[0] - point))
+        residual = float(np.linalg.norm(f(point[None, :])[0] - point))
         return LocateResult(point=point, residual=residual, cell_diameter=0.0,
                             iterations=0, trail=[],
                             termination="boundary_fixed_point")

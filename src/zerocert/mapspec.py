@@ -281,21 +281,48 @@ def evaluate(spec: MapSpec, x) -> np.ndarray:
     cols = [pts[:, j] for j in range(spec.n)]
     with np.errstate(all="ignore"):
         out = np.stack([_eval_node(c, cols) for c in spec.components], axis=1)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        row = int(np.nonzero(np.any(bad, axis=1))[0][0])
-        raise DomainError(pts[row], "non-finite value (division by zero or "
-                                    "sqrt of a negative)")
+    _check_finite(pts, out, "non-finite value (division by zero or sqrt of "
+                            "a negative)")
     return out[0] if single else out
 
 
+def _check_finite(pts, out, detail):
+    """DomainError at the first point whose row of ``out`` is not finite."""
+    finite = np.isfinite(out)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise DomainError(pts[row], detail)
+
+
 def as_evaluator(map_like):
-    """Turn a MapSpec or callable into a batch evaluator (k,n) -> (k,m)."""
+    """The one evaluation contract: a batch evaluator that takes (k, n)
+    points and returns a finite float64 (k, m) ndarray.
+
+    A MapSpec goes through ``evaluate``, which checks its own output.  A
+    callable's output is converted once: it must be a real 2-D array (or
+    nested list) with one row per point, else InvalidInput, and a
+    non-finite row raises DomainError.
+    """
     if isinstance(map_like, MapSpec):
         return lambda pts: evaluate(map_like, pts)
-    if callable(map_like):
-        return map_like
-    raise InvalidInput(f"expected MapSpec or callable, got {type(map_like)!r}")
+    if not callable(map_like):
+        raise InvalidInput(
+            f"expected MapSpec or callable, got {type(map_like)!r}")
+
+    def checked(pts):
+        values = map_like(pts)
+        try:
+            out = np.asarray(values)
+        except ValueError:
+            raise InvalidInput("map returned a ragged nested list") from None
+        if out.dtype.kind not in "biuf" or out.ndim != 2 or len(out) != len(pts):
+            raise InvalidInput(
+                f"map returned a {out.dtype} array of shape {out.shape} for "
+                f"{len(pts)} points, not one row of real values per point")
+        out = out.astype(float, copy=False)
+        _check_finite(pts, out, "non-finite value")
+        return out
+    return checked
 
 
 # ---------------------------------------------------------------------------

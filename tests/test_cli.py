@@ -129,6 +129,27 @@ class TestOtherCommands:
         assert code == 0
         assert np.linalg.norm(np.array(out["point"]) - [0.3, 0.4]) <= 1e-5
 
+    def test_locate_1d_vector_codomain_exits_4(self, capsys):
+        code = main(["locate", "--map", "x1 - 0.3, x1", "--box=-1,1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "codomain dimension 1" in captured.err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["certify", "--map", "x1, x2", "--n", "2", "--center=nan,0",
+          "--radius", "1"], "center"),
+        (["certify", "--map", "x1, x2", "--n", "2", "--center=0,0",
+          "--radius", "inf"], "radius"),
+        (["locate", "--map", "x1, x2", "--box=-inf,1,-1,1"], "lower corner"),
+    ])
+    def test_non_finite_region_exits_4(self, argv, field, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be")
+
     def test_fixed_point(self, capsys):
         code = main(["fixed-point", "--map", "(x1 + 0.2)/2, (x2 - 0.1)/2"])
         out = json.loads(capsys.readouterr().out)
@@ -240,10 +261,3 @@ class TestCertificateSerialization:
                                   "obstruction", "min_boundary_norm", "rigor",
                                   "evidence", "extension_witness_present"]
 
-
-class TestSeedEnvironment:
-    def test_seed_env_respected(self, monkeypatch):
-        from zerocert.locator import _resolve_seed
-        monkeypatch.setenv("ZERO_CERT_SEED", "123")
-        assert _resolve_seed(None) == 123
-        assert _resolve_seed(7) == 7

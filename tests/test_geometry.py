@@ -9,6 +9,7 @@ import pytest
 from zerocert import (InvalidInput, Region, VanishingOnBoundary,
                       boundary_nonvanishing, parse_map, refine,
                       rescale_from_unit, rescale_to_unit, sample_sphere)
+from zerocert import geometry
 from zerocert.geometry import (SPHERE_CACHE, _fibonacci_sphere,
                                _generalized_golden, _kronecker_sphere,
                                _max_nearest_neighbor_gap, _unit_sampling,
@@ -37,7 +38,8 @@ def kronecker_reference(count, n):
 
 def uncached_sampling(region, level):
     """Reference: the construction without a cache, which builds the unit
-    points again and places them on the disk on every call."""
+    points again and places them on the disk on every call, with r times
+    the unit h."""
     n, x0, r = region.dim, region.center, region.radius
     if n == 1:
         return np.array([[x0[0] - r], [x0[0] + r]]), 2.0 * r
@@ -48,8 +50,7 @@ def uncached_sampling(region, level):
         return pts, 2.0 * r * math.sin(math.pi / k)
     count = 100 * 4 ** level
     unit = _fibonacci_sphere(count) if n == 3 else _kronecker_sphere(count, n)
-    pts = x0 + r * unit
-    return pts, 2.0 * _max_nearest_neighbor_gap(pts)
+    return x0 + r * unit, r * (2.0 * _max_nearest_neighbor_gap(unit))
 
 
 class TestRescaling:
@@ -193,6 +194,21 @@ class TestSphereCache:
             assert s.points.tobytes() == explicit.points.tobytes()
             assert s.h == explicit.h
 
+    def test_offset_disk_measures_no_gap(self, monkeypatch):
+        # an offset n = 3 sampling, such as each radius coercivity_radius
+        # tries, takes h = r * unit.h from the cached unit mesh
+        calls = []
+        gap = geometry._max_nearest_neighbor_gap
+        monkeypatch.setattr(geometry, "_max_nearest_neighbor_gap",
+                            lambda pts: calls.append(len(pts)) or gap(pts))
+        _unit_sampling.cache_clear()
+        unit = sample_sphere(Region.disk(np.zeros(3), 1.0), 1)
+        assert calls == [400]
+        for center, radius in ((0.0, 2.5), (-3.0, 1.0), (1e3, 1e-3)):
+            s = sample_sphere(Region.disk(np.full(3, center), radius), 1)
+            assert s.h == radius * unit.h
+        assert calls == [400]
+
     def test_bounded(self):
         _unit_sampling.cache_clear()
         for level in range(SPHERE_CACHE + 3):
@@ -273,9 +289,13 @@ class TestNearestNeighborGap:
     @pytest.mark.parametrize("n,level", [(3, 0), (3, 1), (4, 1), (5, 0),
                                          (6, 1)])
     def test_sample_sphere_h_matches_brute_force(self, n, level):
-        region = Region.disk(np.linspace(-1e3, 1e3, n), 3.0)
-        s = sample_sphere(region, level)
-        assert s.h == 2.0 * brute_force_gap(s.points)
+        # the unit mesh's gap is measured; another disk takes r times it,
+        # which differs from its own measured gap only by rounding
+        unit = sample_sphere(Region.disk(np.zeros(n), 1.0), level)
+        assert unit.h == 2.0 * brute_force_gap(unit.points)
+        s = sample_sphere(Region.disk(np.linspace(-1e3, 1e3, n), 3.0), level)
+        assert s.h == 3.0 * unit.h
+        assert s.h == pytest.approx(2.0 * brute_force_gap(s.points), rel=1e-9)
 
     @pytest.mark.parametrize("n,level,bound", [(4, 2, 10e6), (3, 3, 12e6)])
     def test_no_quadratic_temporary(self, n, level, bound):
@@ -370,6 +390,16 @@ class TestRegion:
     def test_bad_box(self):
         with pytest.raises(InvalidInput):
             Region.box([0.0, 0.0], [1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields(self, bad):
+        for build, field in (
+                (lambda: Region.disk([bad, 0.0], 1.0), "center"),
+                (lambda: Region.disk([0.0, 0.0], bad), "radius"),
+                (lambda: Region.box([bad, 0.0], [1.0, 1.0]), "lower corner"),
+                (lambda: Region.box([0.0, 0.0], [1.0, bad]), "upper corner")):
+            with pytest.raises(InvalidInput, match=f"^{field} must be"):
+                build()
 
     def test_diameter(self):
         assert Region.disk([0.0, 0.0], 2.0).diameter == 4.0

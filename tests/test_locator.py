@@ -219,6 +219,12 @@ class TestLocateZero1D:
         # last cell, which no iteration evaluated
         assert ev.batches == [2] + [1] * result.iterations + [1]
 
+    def test_vector_codomain_rejected(self):
+        # F = (x1 - 0.3, x1) has no zero; column 0 alone would give 0.3
+        spec = parse_map("x1 - 0.3, x1", 1)
+        with pytest.raises(InvalidInput, match="codomain dimension 1"):
+            locate_zero(spec, Region.box([-1.0], [1.0]))
+
     def test_residual_stop_reuses_last_midpoint(self, counting_evaluator):
         # the zero 0.5 is the second midpoint: its image is the residual
         ev = counting_evaluator(parse_map("x1 - 0.5", 1))
@@ -229,6 +235,14 @@ class TestLocateZero1D:
 
 
 class TestBrouwerFixedPoint:
+    @pytest.mark.parametrize("map_like", [
+        parse_map("x1/2, x2/2, 0", 2),
+        lambda pts: 0.5 * pts[:, :1],      # would broadcast against x
+    ])
+    def test_codomain_must_equal_domain(self, map_like):
+        with pytest.raises(InvalidInput, match="m = n"):
+            brouwer_fixed_point(map_like, n=2)
+
     def test_constant_map(self):
         spec = parse_map("0.3, -0.2", 2)
         result = brouwer_fixed_point(spec)

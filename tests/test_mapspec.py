@@ -5,10 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from zerocert import (BUILTIN_MAPS, DomainError, MapSyntaxError,
-                      NonIntegerExponent, Region, UndefinedVariable,
-                      builtin_map, evaluate, lipschitz_estimate, parse_map,
-                      to_text)
+from zerocert import (BUILTIN_MAPS, DomainError, InvalidInput,
+                      MapSyntaxError, NonIntegerExponent, Region,
+                      SampledMap, UndefinedVariable, boundary_nonvanishing,
+                      box_winding, brouwer_fixed_point, builtin_map,
+                      certify_existence, coercivity_radius, evaluate,
+                      lipschitz_estimate, locate_zero, parse_map,
+                      poincare_bohl, sample_sphere, to_text, winding_number)
+from zerocert.cli import certificate_dumps
 import zerocert.mapspec as mapspec
 from zerocert.mapspec import (MAX_DEPTH, Binary, Const, Power, Unary, Var,
                               map_digest)
@@ -90,6 +94,95 @@ class TestEvaluation:
         spec = parse_map("x1, x2", 2)
         with pytest.raises(InvalidInput):
             evaluate(spec, [1.0, 2.0, 3.0])
+
+
+def _shift(*a):
+    return lambda pts: pts - np.array(a)
+
+
+# entry point -> (map F as an ndarray-returning callable, run(F) -> answer)
+_ENTRY_POINTS = {
+    "certify_n1": (_shift(0.3), lambda F: certificate_dumps(
+        certify_existence(F, Region.disk([0.0], 1.0)))),
+    "certify_n1_lipschitz": (_shift(0.3), lambda F: certificate_dumps(
+        certify_existence(F, Region.disk([0.0], 1.0), lipschitz=1.0))),
+    "certify_n2": (_shift(0.3, -0.2), lambda F: certificate_dumps(
+        certify_existence(F, Region.disk([0.0, 0.0], 1.0)))),
+    "certify_n2_lipschitz": (_shift(0.3, -0.2), lambda F: certificate_dumps(
+        certify_existence(F, Region.disk([0.0, 0.0], 1.0), lipschitz=1.0))),
+    "certify_n3": (_shift(0.1, 0.2, -0.1), lambda F: certificate_dumps(
+        certify_existence(F, Region.disk(np.zeros(3), 1.0), level=1))),
+    "certify_n3_lipschitz": (_shift(0.1, 0.2, -0.1), lambda F: certificate_dumps(
+        certify_existence(F, Region.disk(np.zeros(3), 1.0), level=1,
+                          lipschitz=1.0))),
+    "boundary_nonvanishing": (_shift(0.3, -0.2), lambda F: repr(
+        boundary_nonvanishing(F, Region.disk([0.0, 0.0], 1.0)).margin)),
+    "poincare_bohl": (_shift(0.3, -0.2), lambda F: repr(
+        poincare_bohl(F, Region.disk([0.0, 0.0], 1.0)).margin)),
+    "coercivity_radius": (_shift(0.3, -0.2), lambda F: repr(
+        coercivity_radius(F, 2, [0.5, 2.0])[1].margin)),
+    "winding_number": (_shift(0.3, -0.2), lambda F: winding_number(
+        SampledMap.from_evaluator(F, sample_sphere(
+            Region.disk([0.0, 0.0], 1.0)))).value),
+    "box_winding": (_shift(0.3, -0.2),
+                    lambda F: box_winding(F, [-1.0, -1.0], [1.0, 1.0])),
+    "locate_zero_1d": (_shift(0.3), lambda F: locate_zero(
+        F, Region.box([-1.0], [1.0])).point.tobytes()),
+    "locate_zero_2d": (_shift(0.3, -0.2), lambda F: locate_zero(
+        F, Region.box([-1.0, -1.0], [1.0, 1.0])).point.tobytes()),
+    "brouwer_fixed_point": (lambda pts: 0.5 * pts + [0.1, -0.05],
+                            lambda F: brouwer_fixed_point(F, n=2)
+                            .point.tobytes()),
+}
+
+
+class TestEvaluatorContract:
+    """Every entry point reads a callable through as_evaluator: the same bad
+    output gets the same typed error on every route."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_non_finite_rows_raise_domain_error(self, entry):
+        F, run = _ENTRY_POINTS[entry]
+        with pytest.raises(DomainError) as err:
+            run(lambda pts: np.where(pts[:, :1] > 0.45, np.nan, F(pts)))
+        assert err.value.point[0] > 0.45     # a point where F is NaN
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_flat_output_raises_invalid_input(self, entry):
+        F, run = _ENTRY_POINTS[entry]
+        with pytest.raises(InvalidInput, match="one row of real values"):
+            run(lambda pts: F(pts)[:, 0])
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_list_of_lists_is_accepted(self, entry):
+        F, run = _ENTRY_POINTS[entry]
+        assert run(lambda pts: F(pts).tolist()) == run(F)
+
+    def test_mapspec_evaluator_is_evaluate(self, monkeypatch):
+        # the MapSpec path reaches evaluate through the module global, so a
+        # rebinding of mapspec.evaluate sees every call
+        spec = parse_map("x1 - 0.3, x2", 2)
+        calls = []
+        original = mapspec.evaluate
+        monkeypatch.setattr(mapspec, "evaluate",
+                            lambda s, x: calls.append(len(x)) or original(s, x))
+        ev = mapspec.as_evaluator(spec)
+        assert ev(np.zeros((3, 2))).shape == (3, 2) and calls == [3]
+
+    @pytest.mark.parametrize("output", [
+        [[1.0, 2.0], [3.0]],                # ragged
+        [["a", "b"]],
+        [[None, 1.0]],
+        np.array([[1.0 + 1.0j, 0.0]]),      # would lose its imaginary part
+    ])
+    def test_no_real_array_raises_invalid_input(self, output):
+        ev = mapspec.as_evaluator(lambda pts: output)
+        with pytest.raises(InvalidInput, match="^map returned"):
+            ev(np.zeros((len(output), 2)))
+
+    def test_not_a_map(self):
+        with pytest.raises(InvalidInput):
+            mapspec.as_evaluator("x1, x2")
 
 
 class TestDigest:

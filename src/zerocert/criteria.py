@@ -64,7 +64,11 @@ def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
     """Never-points-opposite check: F(x) is not a negative multiple of x - x0.
 
     The margin is min over samples of || F(x)/||F(x)|| + (x - x0)/r ||,
-    which vanishes exactly at an opposite-pointing sample.
+    which vanishes exactly at an opposite-pointing sample.  With L the check
+    passes when the margin exceeds L*h/2, but it is labelled "rigorous" only
+    when min|F| > L*h/2 and the margin exceeds
+    (2L / (min|F| - L*h/2) + 1/r) * h/2, a Lipschitz bound of
+    F/|F| + (x - x0)/r within h/2 of the samples; otherwise "heuristic".
     """
     check_lipschitz(L)
     return _poincare_bohl(
@@ -94,8 +98,17 @@ def _poincare_bohl(f: SampledMap, L) -> CheckResult:
         raise VanishingOnBoundary(idx, point=sampling.points[idx].copy())
     unit_f = f.images / norms[:, None]
     unit_x = (sampling.points - region.center) / region.radius
-    return _smallest("poincare_bohl", sampling,
-                     np.linalg.norm(unit_f + unit_x, axis=1), L)
+    check = _smallest("poincare_bohl", sampling,
+                      np.linalg.norm(unit_f + unit_x, axis=1), L)
+    if L is not None:
+        # a proof needs |F| > 0 within h/2 of every sample, and the margin
+        # above h/2 times the Lipschitz bound of F/|F| + (x - x0)/r there
+        half = sampling.h / 2.0
+        slack = float(np.min(norms)) - L * half
+        if not (slack > 0.0 and check.margin
+                > (2.0 * L / slack + 1.0 / region.radius) * half):
+            check = replace(check, rigor="heuristic")
+    return check
 
 
 def coercivity_radius(map_like, n: int, radii, level: Optional[int] = None):

@@ -47,6 +47,8 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
     map at the circle midpoint until none remain or the budget runs out.
     """
     check_lipschitz(L)
+    if refine_budget < 0:
+        raise InvalidInput(f"refine_budget must be >= 0, got {refine_budget!r}")
     sampling = f.sampling
     if f.m != 2 or sampling.region.dim != 2 or not sampling.closed:
         raise InvalidInput("winding needs a closed planar sampling into R^2")

@@ -1,11 +1,13 @@
 """Regions, boundary sampling of spheres, and the disk rescaling homeomorphism.
 
 Boundary samplings are the finite stand-in for the sphere S^{n-1}: an ordered
-point list together with its mesh norm h (maximum adjacent-sample distance),
-which every downstream rigor bound is stated against.  For n >= 2 the
-unit-sphere sampling of each (n, level) is built once and kept, read-only,
-in a small LRU cache; a sampling of any other disk is its affine image
-x0 + r * unit.
+point list together with its mesh norm h, which every downstream rigor bound
+is stated against.  For n <= 2 h is the largest adjacent-sample distance;
+for n >= 3 the samples are a cubed sphere (Ronchi, Iacono & Paolucci 1996)
+and h/2 is a proven covering radius: every sphere point lies within h/2 of
+a sample.  For n >= 2 the unit-sphere sampling of each (n, level) is built
+once and kept, read-only, in a small LRU cache; a sampling of any other disk
+is its affine image x0 + r * unit.
 Closed planar polylines also get the one angle-step kernel
 (``wrapped_steps``) and the one refinement loop (``refine_polyline``) that
 every winding computation uses.
@@ -15,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -26,12 +27,10 @@ from .errors import InvalidInput, VanishingOnBoundary
 BOUNDARY_TOL = 1e-12
 MAX_STEP = math.pi / 2.0        # angle steps must stay below this for a
                                 # trustworthy discrete angle sum
-GAP_BLOCK = 1 << 20             # score entries (8 MB) per nearest-neighbour
-                                # block, so memory stays flat as N grows
 SPHERE_CACHE = 8                # unit-sphere samplings kept, one per
                                 # (n >= 2, level), least recently used dropped
 DEFAULT_LEVELS = (6, 2)         # level=None means 6 for n <= 2 (256 circle
-                                # points) and 2 for n >= 3 (1600 points)
+                                # points) and 2 for n >= 3 (1536 for n = 3)
 
 
 def _check_finite_field(name, values):
@@ -101,9 +100,11 @@ class Region:
 class BoundarySampling:
     """Ordered samples on a region boundary with mesh norm h.
 
-    For n = 2 disks the points are in counterclockwise angular order and the
-    list is cyclic (``closed``).  The region is kept so refinement can place
-    new points back on the exact boundary.
+    For n <= 2 h is the largest adjacent-sample distance; for n >= 3 every
+    point of the sphere lies within h/2 of a sample.  For n = 2 disks the
+    points are in counterclockwise angular order and the list is cyclic
+    (``closed``).  The region is kept so refinement can place new points
+    back on the exact boundary.
     """
 
     points: np.ndarray            # (k, n)
@@ -177,18 +178,15 @@ def sample_sphere(region: Region,
 
     n=1 gives the two endpoints x0 + r * (-1, 1) with h = 2r, built on every
     call (they do not depend on ``level``).  n=2 gives 4*2^level equispaced
-    angles with the exact chord mesh norm; n>=3 gives 100*4^level
-    deterministic low-discrepancy points whose h is an empirical estimate,
-    twice the max nearest-neighbor gap (exact and O(N^2), see
-    ``_max_nearest_neighbor_gap``).  For n >= 2 the unit-disk sampling of
-    each (n, level) is built once and cached (at most SPHERE_CACHE of
-    them); its arrays are read-only, and the unit disk gets that object
-    itself.  Any other disk gets fresh points x0 + r * unit and
-    h = r * unit.h.
+    angles with the exact chord mesh norm; n>=3 gives the cubed sphere of
+    ``_cubed_sphere``, at most max(100*4^level, 2n) points, whose h/2 is a
+    proven covering radius.  For n >= 2 the unit-disk sampling of each
+    (n, level) is built once and cached (at most SPHERE_CACHE of them); its
+    arrays are read-only, and the unit disk gets that object itself.  Any
+    other disk gets fresh points x0 + r * unit and h = r * unit.h.
 
-    ``level=None`` takes DEFAULT_LEVELS: 6 for n <= 2 and 2 for n >= 3, a
-    1600-point mesh that builds in well under a second (level 6 would have
-    409,600 points).
+    ``level=None`` takes DEFAULT_LEVELS: 6 for n <= 2 and 2 for n >= 3,
+    1536 points for n = 3 (level 6 would have up to 409,600).
     """
     if region.kind != "disk":
         raise InvalidInput("sample_sphere needs a disk region")
@@ -217,10 +215,7 @@ def _unit_sampling(n: int, level: int) -> BoundarySampling:
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         h = 2.0 * math.sin(math.pi / k)
     else:
-        count = 100 * 4 ** level
-        pts = (_fibonacci_sphere(count) if n == 3
-               else _kronecker_sphere(count, n))
-        h = 2.0 * _max_nearest_neighbor_gap(pts)
+        pts, h = _cubed_sphere(n, level)
     region = Region.disk(np.zeros(n), 1.0)
     pts.flags.writeable = False
     region.center.flags.writeable = False
@@ -229,7 +224,8 @@ def _unit_sampling(n: int, level: int) -> BoundarySampling:
 
 
 def refine(sampling: BoundarySampling) -> BoundarySampling:
-    """Halve the mesh: midpoint insertion for n=2 circles, re-sampling otherwise."""
+    """The next level: midpoint insertion for n=2 circles, which halves the
+    arcs, and re-sampling at level + 1 otherwise."""
     region = sampling.region
     if region.dim == 2 and sampling.closed:
         pts = sampling.points
@@ -316,80 +312,21 @@ def _check_floor(norms, pts, floor):
         raise VanishingOnBoundary(idx, point=pts[idx], norm=float(norms[idx]))
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    i = np.arange(count)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    phi = golden * i
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-
-
-def _kronecker_sphere(count: int, n: int) -> np.ndarray:
-    # additive low-discrepancy recurrence in [0,1)^n, pushed to the sphere
-    # through the Gaussian inverse CDF (statistics.NormalDist, one call per
-    # entry; built once per (n, level)) and normalization
-    gamma = _generalized_golden(n)
-    alpha = gamma ** -np.arange(1, n + 1)
-    i = np.arange(1, count + 1)[:, None]
-    u = np.mod(0.5 + i * alpha[None, :], 1.0)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    inv = NormalDist().inv_cdf
-    g = np.array([[inv(v) for v in row] for row in u.tolist()])
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def _generalized_golden(d: int) -> float:
-    # unique real root > 1 of x^(d+1) = x + 1
-    x = 1.5
-    for _ in range(64):
-        x = (1.0 + x) ** (1.0 / (d + 1))
-    return x
-
-
-def _max_nearest_neighbor_gap(pts: np.ndarray, chunk: int = 512) -> float:
-    """Largest distance from a point to its nearest other point, exactly as
-    the brute force ``sqrt(min_j np.sum((p_i - p_j) ** 2))`` gives it.
-
-    A Gram screen picks the candidate neighbours of each block of at most
-    ``chunk`` rows (fewer when N is large, see GAP_BLOCK), and only those
-    are measured with the brute-force formula, so no (rows x N x n)
-    difference tensor is built.  With the points centred, q = p - mean and
-    s_j = |q_j|^2, one matrix product gives each row the score
-    s_j - 2 q_i . q_j, which is |q_i - q_j|^2 up to the row constant
-    |q_i|^2.  Its rounding error is at most (4n + 3) u S (S = max s_j,
-    u = eps / 2); centring moves a squared distance by at most 8 u S; and a
-    brute-force squared distance, at most about 4 S, has a relative error
-    of at most (n + 2) u.  So a brute-force nearest neighbour scores within
-    (16n + 38) u S of the row's smallest score.  Every column within the
-    larger 32 (n + 2) eps S of it is measured, which makes the result
-    bit-identical to the brute force.  Columns other than the smallest
-    score's one pass this screen only on (near) ties.
-    """
-    count, n = pts.shape
-    q = pts - pts.mean(axis=0)
-    sq = np.sum(q * q, axis=1)
-    tol = 32.0 * (n + 2) * np.finfo(float).eps * float(np.max(sq))
-    rows_ext = np.hstack((q, np.ones((count, 1))))
-    cols_ext = np.hstack((-2.0 * q, sq[:, None]))
-    chunk = max(1, min(chunk, GAP_BLOCK // count))
-    buf = np.empty((min(chunk, count), count))
-    worst = 0.0
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        rows = np.arange(stop - start)
-        score = np.matmul(rows_ext[start:stop], cols_ext.T,
-                          out=buf[:stop - start])
-        score[rows, start + rows] = np.inf
-        best = np.argmin(score, axis=1)
-        bound = score[rows, best] + tol
-        score[rows, best] = np.inf
-        d2 = np.sum((pts[start:stop] - pts[best]) ** 2, axis=-1)
-        # rows with another candidate: measure those too
-        tied = np.flatnonzero(np.min(score, axis=1) <= bound)
-        r, other = np.nonzero(score[tied] <= bound[tied, None])
-        i = tied[r]
-        np.minimum.at(d2, i,
-                      np.sum((pts[start + i] - pts[other]) ** 2, axis=-1))
-        worst = max(worst, float(np.max(d2)))
-    return math.sqrt(worst)
+def _cubed_sphere(n: int, level: int):
+    """Cell centres of the 2n faces of [-1, 1]^n, each cut into g^(n-1)
+    cubes of side 2/g and pushed radially onto the unit sphere, with
+    h = 2 sqrt(n-1) / g.  g is the largest integer (at least 1) with
+    2n g^(n-1) <= 100 * 4^level.  x -> x/|x| is the metric projection onto
+    the unit ball, 1-Lipschitz outside it, and a face point lies within
+    sqrt(n-1)/g of its cell's centre, so every sphere point lies within h/2
+    of a sample."""
+    g = 1
+    while 2 * n * (g + 1) ** (n - 1) <= 100 * 4 ** level:
+        g += 1
+    ticks = (2.0 * np.arange(g) + 1.0) / g - 1.0
+    grid = np.stack(np.meshgrid(*[ticks] * (n - 1), indexing="ij"),
+                    axis=-1).reshape(-1, n - 1)
+    pts = np.concatenate([np.insert(grid, axis, sign, axis=1)
+                          for axis in range(n) for sign in (-1.0, 1.0)])
+    return (pts / np.linalg.norm(pts, axis=1, keepdims=True),
+            2.0 * math.sqrt(n - 1) / g)

@@ -100,12 +100,22 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
     """Approximate a zero inside a box with nonzero boundary obstruction."""
     if box.kind != "box":
         raise InvalidInput("locate_zero needs a box region")
+    _check_tolerance("eps_x", eps_x)
+    _check_tolerance("eps_f", eps_f)
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be >= 1, got {max_iter!r}")
     ev = as_evaluator(map_like)
     if box.dim == 1:
         return _bisect_1d(ev, box, eps_x, eps_f, max_iter)
     if box.dim == 2:
         return _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed)
     raise InvalidInput("localization is implemented for n in {1, 2}")
+
+
+def _check_tolerance(name, value):
+    # NaN fails this comparison too
+    if not value >= 0.0:
+        raise InvalidInput(f"{name} must be >= 0, got {value!r}")
 
 
 def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
@@ -270,6 +280,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     result is ||f(point) - point||.
     """
     from .mapspec import MapSpec
+    _check_tolerance("eps", eps)
     if n is None:
         if not isinstance(map_like, MapSpec):
             raise InvalidInput("pass n explicitly for callable maps")

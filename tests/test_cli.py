@@ -150,6 +150,27 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {field} must be")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["locate", "--map", "x1-0.3, x2-0.4", "--box=-1,1,-1,1",
+          "--eps-x", "nan"], "eps_x"),
+        (["locate", "--map", "x1-0.3, x2-0.4", "--box=-1,1,-1,1",
+          "--eps-x=-1"], "eps_x"),
+        (["locate", "--map", "x1-0.3, x2-0.4", "--box=-1,1,-1,1",
+          "--eps-f", "nan", "--eps-x", "0"], "eps_f"),
+        (["locate", "--map", "x1-0.3", "--box=-1,1", "--max-iter=-3"],
+         "max_iter"),
+        (["fixed-point", "--map", "x1/2, x2/2", "--eps", "nan"], "eps"),
+        (["winding", "--map", "x1, x2", "--budget=-5"], "refine_budget"),
+        (["winding", "--map", "x1, x2", "--budget=-5", "--level", "0"],
+         "refine_budget"),
+    ])
+    def test_invalid_tolerance_exits_4(self, argv, name, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be >= ")
+
     def test_fixed_point(self, capsys):
         code = main(["fixed-point", "--map", "(x1 + 0.2)/2, (x2 - 0.1)/2"])
         out = json.loads(capsys.readouterr().out)
@@ -203,7 +224,7 @@ def test_error_exit_codes(error, code, monkeypatch, capsys):
 
 
 def test_default_level_finishes_for_n3():
-    # with no --level, an n = 3 certificate uses the 1600-point mesh
+    # with no --level, an n = 3 certificate uses the 1536-point mesh
     src = os.path.dirname(os.path.dirname(zerocert.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "zerocert.cli", "certify", "--map",

@@ -91,6 +91,45 @@ class TestPoincareBohl:
         assert winding_number(f, L=1.0).value == 1
 
 
+class TestPoincareBohlRigor:
+    # the only zero of x - a lies just outside the unit 3-disk
+    A = 1.05 * np.array([0.3, -0.5, 0.81]) / np.linalg.norm([0.3, -0.5, 0.81])
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("center, radius", [(np.zeros(3), 1.0),
+                                                (np.array([1.0, -2.0, 0.5]),
+                                                 2.0)])
+    def test_zero_outside_is_never_rigorous(self, level, center, radius):
+        a = center + radius * self.A
+        f = lambda pts: np.asarray(pts, float) - a     # Lipschitz constant 1
+        region = Region.disk(center, radius)
+        cert = certify_existence(f, region, level=level, lipschitz=1.0)
+        check = poincare_bohl(f, region, level=level, L=1.0)
+        assert cert.rigor == "heuristic"
+        assert check.rigor == "heuristic"
+        assert check.threshold == 1.0 * sample_sphere(region, level).h / 2.0
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_zero_inside_stays_rigorous(self, level):
+        spec = parse_map("x1 - 0.3, x2 - 0.3, x3 - 0.3", 3)
+        region = Region.disk(np.zeros(3), 1.0)
+        cert = certify_existence(spec, region, level=level, lipschitz=1.0)
+        assert cert.verdict == "ZeroGuaranteed"
+        assert cert.route == "poincare_bohl" and cert.rigor == "rigorous"
+        assert poincare_bohl(spec, region, level=level, L=1.0).rigor == \
+            "rigorous"
+
+    def test_label_needs_nonvanishing_within_h(self):
+        # F = 0.05 x points along x everywhere (margin 2); with L = 1 the
+        # mesh bound L*h/2 = 0.18 of level 1 exceeds min|F| = 0.05, so F may
+        # vanish between the samples: the check passes but proves nothing
+        spec = parse_map("0.05*x1, 0.05*x2, 0.05*x3", 3)
+        region = Region.disk(np.zeros(3), 1.0)
+        for L, rigor in ((0.05, "rigorous"), (1.0, "heuristic")):
+            check = poincare_bohl(spec, region, level=1, L=L)
+            assert check.passed and check.rigor == rigor
+
+
 class TestCoercivityRadius:
     def test_identity_first_radius(self):
         result = coercivity_radius(IDENTITY, 2, [1.0, 2.0, 4.0], level=4)
@@ -188,24 +227,17 @@ class TestCertifyExistence:
 
     def test_unit_mesh_built_once(self, monkeypatch):
         calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("_max_nearest_neighbor_gap", "_fibonacci_sphere"):
-            monkeypatch.setattr(geometry, name,
-                                counted(getattr(geometry, name)))
+        build = geometry._cubed_sphere
+        monkeypatch.setattr(geometry, "_cubed_sphere",
+                            lambda n, level: calls.append((n, level))
+                            or build(n, level))
         geometry._unit_sampling.cache_clear()
         spec = parse_map("x1 - 0.2, x2, x3 + 0.1", 3)
         for center, radius in ((np.zeros(3), 1.0), (np.full(3, 5.0), 2.0)):
             cert = certify_existence(spec, Region.disk(center, radius),
                                      level=2)
             assert cert.route == "poincare_bohl"
-        assert sorted(calls) == ["_fibonacci_sphere",
-                                 "_max_nearest_neighbor_gap"]
+        assert calls == [(3, 2)]
 
     @pytest.mark.parametrize("text, n, reason, route", [
         ("x1^3 - 0.5", 1, "sign_change", "sign_change"),

@@ -5,9 +5,10 @@ import pytest
 from conftest import (brute_force_winding, circle_map, random_trig_map,
                       sampled_circle_map)
 
-from zerocert import (BudgetExhausted, Region, SampledMap, Unsupported,
-                      VanishingOnBoundary, classify_cat, sample_sphere,
-                      sign_obstruction, straight_line, winding_number)
+from zerocert import (BudgetExhausted, InvalidInput, Region, SampledMap,
+                      Unsupported, VanishingOnBoundary, classify_cat,
+                      sample_sphere, sign_obstruction, straight_line,
+                      winding_number)
 
 
 def _sampled(evaluator, level=6):
@@ -54,6 +55,13 @@ class TestWindingNumber:
         with pytest.raises(BudgetExhausted) as err:
             winding_number(f)
         assert err.value.best.value == 1  # the coarse estimate is still right
+
+    @pytest.mark.parametrize("level", [0, 6])
+    def test_negative_budget_rejected(self, level):
+        ev = lambda pts: np.asarray(pts, dtype=float)
+        with pytest.raises(InvalidInput, match="refine_budget"):
+            winding_number(_sampled(ev, level), refine_budget=-5)
+        assert winding_number(_sampled(ev, 6), refine_budget=0).value == 1
 
     def test_rigor_labels(self):
         ev = lambda pts: np.asarray(pts, dtype=float)

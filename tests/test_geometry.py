@@ -1,7 +1,6 @@
 import itertools
 import math
 import tracemalloc
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,31 +8,14 @@ import pytest
 from zerocert import (InvalidInput, Region, VanishingOnBoundary,
                       boundary_nonvanishing, parse_map, refine,
                       rescale_from_unit, rescale_to_unit, sample_sphere)
-from zerocert import geometry
-from zerocert.geometry import (SPHERE_CACHE, _fibonacci_sphere,
-                               _generalized_golden, _kronecker_sphere,
-                               _max_nearest_neighbor_gap, _unit_sampling,
+from zerocert.geometry import (SPHERE_CACHE, _unit_sampling,
                                circle_arc_midpoint, refine_polyline)
 
 
-def brute_force_gap(pts):
-    """Reference: every pairwise squared distance, one row at a time."""
-    worst = 0.0
-    for i in range(len(pts)):
-        d2 = np.sum((pts[i] - pts) ** 2, axis=-1)
-        d2[i] = np.inf
-        worst = max(worst, float(np.min(d2)))
-    return math.sqrt(worst)
-
-
-def kronecker_reference(count, n):
-    """Reference: the recurrence with a per-entry NormalDist().inv_cdf."""
-    alpha = _generalized_golden(n) ** -np.arange(1, n + 1)
-    i = np.arange(1, count + 1)[:, None]
-    u = np.clip(np.mod(0.5 + i * alpha[None, :], 1.0), 1e-12, 1.0 - 1e-12)
-    inv = NormalDist().inv_cdf
-    g = np.array([[inv(v) for v in row] for row in u])
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+def cells_per_edge(n, level):
+    """Reference: the largest g >= 1 with 2n g^(n-1) <= 100 * 4^level."""
+    return max([g for g in range(1, 200)
+                if 2 * n * g ** (n - 1) <= 100 * 4 ** level] or [1])
 
 
 def uncached_sampling(region, level):
@@ -48,9 +30,17 @@ def uncached_sampling(region, level):
         theta = 2.0 * math.pi * np.arange(k) / k
         pts = x0 + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return pts, 2.0 * r * math.sin(math.pi / k)
-    count = 100 * 4 ** level
-    unit = _fibonacci_sphere(count) if n == 3 else _kronecker_sphere(count, n)
-    return x0 + r * unit, r * (2.0 * _max_nearest_neighbor_gap(unit))
+    # n >= 3: the cell centres of each face of [-1, 1]^n, face by face
+    g = cells_per_edge(n, level)
+    ticks = [(2 * i + 1) / g - 1.0 for i in range(g)]
+    cube = []
+    for axis in range(n):
+        for sign in (-1.0, 1.0):
+            for rest in itertools.product(ticks, repeat=n - 1):
+                cube.append(rest[:axis] + (sign,) + rest[axis:])
+    cube = np.array(cube)
+    unit = cube / np.linalg.norm(cube, axis=1, keepdims=True)
+    return x0 + r * unit, r * (2.0 * math.sqrt(n - 1) / g)
 
 
 class TestRescaling:
@@ -126,11 +116,38 @@ class TestSampleSphere:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_high_dim_counts_and_membership(self, n):
+        # 2n faces of g^(n-1) cells, g the largest with at most 100 * 4^level
+        # points
+        counts = {3: (96, 384, 1536), 4: (64, 216, 1000), 5: (10, 160, 810)}
         region = Region.disk(np.zeros(n), 2.0)
-        s = sample_sphere(region, 0)
-        assert len(s.points) == 100
-        assert np.max(np.abs(np.linalg.norm(s.points, axis=1) - 2.0)) < 1e-9
-        assert s.h > 0
+        for level in range(3):
+            s = sample_sphere(region, level)
+            g = cells_per_edge(n, level)
+            assert len(s.points) == 2 * n * g ** (n - 1) == counts[n][level]
+            assert 2 * n * (g + 1) ** (n - 1) > 100 * 4 ** level
+            radii = np.linalg.norm(s.points, axis=1)
+            assert np.max(np.abs(radii - 2.0)) < 1e-9
+            assert s.h == 2.0 * (2.0 * math.sqrt(n - 1) / g)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_half_h_is_a_covering_radius(self, n, level):
+        # every seeded random unit vector, and every normalized corner of
+        # [-1, 1]^n, lies within h/2 of a sample
+        s = sample_sphere(Region.disk(np.zeros(n), 1.0), level)
+        rng = np.random.default_rng(1000 * n + level)
+        probes = rng.normal(size=(20000, n))
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        probes = np.concatenate([probes, corners])
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        worst = 0.0
+        for start in range(0, len(probes), 2000):
+            chunk = probes[start:start + 2000]
+            d2 = (np.sum(chunk ** 2, axis=1)[:, None]
+                  - 2.0 * chunk @ s.points.T
+                  + np.sum(s.points ** 2, axis=1)[None, :])
+            worst = max(worst, float(np.max(np.min(d2, axis=1))))
+        assert math.sqrt(max(worst, 0.0)) <= s.h / 2.0 * (1.0 + 1e-12)
 
     def test_high_dim_deterministic(self):
         # two cold builds, not one build and its cached copy
@@ -185,7 +202,7 @@ class TestSphereCache:
 
     @pytest.mark.parametrize("n,level", [(1, 6), (2, 6), (3, 2), (4, 2)])
     def test_default_level(self, n, level):
-        # level=None must finish for every n: 1600 points for n >= 3
+        # level=None must finish for every n: at most 1600 points for n >= 3
         for center, radius in ((0.0, 1.0), (0.5, 2.0)):
             region = Region.disk(np.full(n, center), radius)
             s = sample_sphere(region)
@@ -193,21 +210,6 @@ class TestSphereCache:
             assert s.level == level
             assert s.points.tobytes() == explicit.points.tobytes()
             assert s.h == explicit.h
-
-    def test_offset_disk_measures_no_gap(self, monkeypatch):
-        # an offset n = 3 sampling, such as each radius coercivity_radius
-        # tries, takes h = r * unit.h from the cached unit mesh
-        calls = []
-        gap = geometry._max_nearest_neighbor_gap
-        monkeypatch.setattr(geometry, "_max_nearest_neighbor_gap",
-                            lambda pts: calls.append(len(pts)) or gap(pts))
-        _unit_sampling.cache_clear()
-        unit = sample_sphere(Region.disk(np.zeros(3), 1.0), 1)
-        assert calls == [400]
-        for center, radius in ((0.0, 2.5), (-3.0, 1.0), (1e3, 1e-3)):
-            s = sample_sphere(Region.disk(np.full(3, center), radius), 1)
-            assert s.h == radius * unit.h
-        assert calls == [400]
 
     def test_bounded(self):
         _unit_sampling.cache_clear()
@@ -233,75 +235,13 @@ class TestSphereCache:
 
 
 class TestNearestNeighborGap:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    @pytest.mark.parametrize("count", [511, 512, 513, 1025])
-    def test_equals_brute_force(self, n, count):
-        rng = np.random.default_rng(1000 * n + count)
-        raw = rng.normal(size=(count, n))
-        unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        for center, radius in ((0.0, 1.0), (1e3, 1.0), (-3.0, 1e-3),
-                               (1e3, 250.0)):
-            pts = center + radius * unit
-            assert _max_nearest_neighbor_gap(pts) == brute_force_gap(pts)
-
-    def test_duplicates_give_zero(self):
-        unit = sample_sphere(Region.disk(np.zeros(4), 1.0), 1).points
-        pts = 1e3 + np.concatenate([unit, unit[::-1]])
-        assert _max_nearest_neighbor_gap(pts) == 0.0
-
-    def test_exact_ties(self):
-        # every permutation and sign choice of (1, 2, 2)/3: each point has
-        # several nearest neighbours at exactly the same distance
-        base = np.array(sorted(set(itertools.permutations((1.0, 2.0, 2.0)))))
-        signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
-        unit = (base[:, None, :] * signs[None, :, :]).reshape(-1, 3) / 3.0
-        for center, radius in ((0.0, 1.0), (1e3, 1.0), (0.5, 7.0)):
-            pts = center + radius * unit
-            for chunk in (5, 512):
-                assert (_max_nearest_neighbor_gap(pts, chunk=chunk)
-                        == brute_force_gap(pts))
-        assert (_max_nearest_neighbor_gap(unit)
-                == pytest.approx(math.sqrt(2.0) / 3.0))
-
-    def test_near_ties_decided_by_brute_force(self):
-        # a point i whose two neighbours lie at distances 1e-14 apart,
-        # far below the resolution of the screen's scores, and whose
-        # nearest-neighbour gap is the largest; all other points come in
-        # close pairs
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            far = rng.normal(size=(8, 3))
-            far /= np.linalg.norm(far, axis=1, keepdims=True)
-            far = np.concatenate([far, far + 1e-4 * rng.normal(size=(8, 3))])
-            i = far[0] + 0.5
-            e = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-            j = i + 0.01 * e[0]
-            k = i + 0.01 * (1.0 + 1e-14 * rng.normal()) * e[1]
-            pts = np.concatenate(
-                [far, [i, j, k, j + 1e-4 * e[2], k + 1e-4 * e[2]]])
-            assert _max_nearest_neighbor_gap(pts) == brute_force_gap(pts)
-
-    def test_integer_lattice_ties(self):
-        pts = np.array(list(itertools.product(range(4), repeat=3)), float)
-        pts = np.concatenate([pts, pts[:7] + 0.5])
-        assert _max_nearest_neighbor_gap(pts, chunk=16) == brute_force_gap(pts)
-
-    @pytest.mark.parametrize("n,level", [(3, 0), (3, 1), (4, 1), (5, 0),
-                                         (6, 1)])
-    def test_sample_sphere_h_matches_brute_force(self, n, level):
-        # the unit mesh's gap is measured; another disk takes r times it,
-        # which differs from its own measured gap only by rounding
-        unit = sample_sphere(Region.disk(np.zeros(n), 1.0), level)
-        assert unit.h == 2.0 * brute_force_gap(unit.points)
-        s = sample_sphere(Region.disk(np.linspace(-1e3, 1e3, n), 3.0), level)
-        assert s.h == 3.0 * unit.h
-        assert s.h == pytest.approx(2.0 * brute_force_gap(s.points), rel=1e-9)
+    """A mesh build measures no nearest-neighbour gap, so its memory stays
+    linear in the number of points."""
 
     @pytest.mark.parametrize("n,level,bound", [(4, 2, 10e6), (3, 3, 12e6)])
     def test_no_quadratic_temporary(self, n, level, bound):
-        # n = 4, level 2 has 1600 points: a (512, N, n) difference tensor
-        # alone is 26 MB, the screen's (512, N) score block 6.6 MB; at 6400
-        # points the score block shrinks to 8 MB instead of growing with N
+        # a cold build of the mesh needs no (N, N) temporary: at n = 3,
+        # level 3 (6144 points) one would take 302 MB
         region = Region.disk(np.zeros(n), 1.0)
         _unit_sampling.cache_clear()    # measure a build, not a cache hit
         tracemalloc.start()
@@ -311,15 +251,6 @@ class TestNearestNeighborGap:
         finally:
             tracemalloc.stop()
         assert peak < bound
-
-
-class TestKroneckerSphere:
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_equals_normal_dist_reference(self, n):
-        for level in (0, 1, 2):
-            count = 100 * 4 ** level
-            assert np.array_equal(_kronecker_sphere(count, n),
-                                  kronecker_reference(count, n))
 
 
 class TestRefine:

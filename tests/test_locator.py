@@ -234,6 +234,35 @@ class TestLocateZero1D:
         assert ev.batches == [2, 1, 1]
 
 
+class TestToleranceValidation:
+    @pytest.mark.parametrize("box", [Region.box([-1.0], [1.0]), UNIT_BOX])
+    @pytest.mark.parametrize("kwargs", [
+        {"eps_x": math.nan}, {"eps_x": -1.0}, {"eps_f": math.nan},
+        {"eps_f": -1e-9}, {"eps_f": math.nan, "eps_x": 0.0},
+        {"max_iter": 0}, {"max_iter": -3}])
+    def test_locate_rejects(self, box, kwargs, counting_evaluator):
+        ev = counting_evaluator(lambda pts: np.asarray(pts, float) - 0.25)
+        with pytest.raises(InvalidInput):
+            locate_zero(ev, box, **kwargs)
+        assert ev.batches == []
+
+    def test_zero_tolerances_and_one_iteration_accepted(self):
+        box = Region.box([-1.0], [1.0])
+        result = locate_zero(parse_map("x1 - 0.5", 1), box, eps_x=0.0,
+                             eps_f=0.0, max_iter=2)
+        assert result.point[0] == 0.5
+        result = locate_zero(parse_map("x1 - 0.5", 1), box, eps_x=2.0,
+                             max_iter=1)
+        assert result.termination == "cell_diameter"
+
+    @pytest.mark.parametrize("eps", [math.nan, -1e-6])
+    def test_fixed_point_rejects(self, eps, counting_evaluator):
+        f = counting_evaluator(parse_map("x1/2, x2/2", 2))
+        with pytest.raises(InvalidInput, match="eps must be >= 0"):
+            brouwer_fixed_point(f, eps=eps, n=2)
+        assert f.batches == []
+
+
 class TestBrouwerFixedPoint:
     @pytest.mark.parametrize("map_like", [
         parse_map("x1/2, x2/2, 0", 2),

@@ -4,15 +4,13 @@ from .criteria import (Certificate, CheckResult, boundary_nonvanishing,
                        certify_existence, coercivity_radius, poincare_bohl)
 from .degree import (CatResult, WindingResult, classify_cat, sign_obstruction,
                      winding_number)
-from .errors import (BudgetExhausted, DegreeLost, DomainError,
-                     EndpointMismatch, InvalidInput, MapSyntaxError,
-                     NonIntegerExponent, NotANullHomotopy, UndefinedVariable,
-                     Unsupported, VanishingOnBoundary, ZeroCertError)
-from .geometry import (BoundarySampling, Region, refine, rescale_from_unit,
-                       rescale_to_unit, sample_sphere)
-from .homotopy import (HomotopyTrace, SampledMap, ValidityReport, concatenate,
-                       contraction_from_extension, null_homotopy,
-                       radial_extension, reverse, straight_line)
+from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
+                     MapSyntaxError, NonIntegerExponent, NotANullHomotopy,
+                     UndefinedVariable, Unsupported, VanishingOnBoundary,
+                     ZeroCertError)
+from .geometry import BoundarySampling, Region, sample_sphere
+from .homotopy import (HomotopyTrace, SampledMap, ValidityReport,
+                       null_homotopy, radial_extension, straight_line)
 from .locator import (LocateResult, box_winding, brouwer_fixed_point,
                       locate_zero)
 from .mapspec import (BUILTIN_MAPS, MapSpec, builtin_map, evaluate,

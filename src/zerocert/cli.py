@@ -46,12 +46,6 @@ def region_to_dict(region: Region) -> dict:
             "upper": [float(v) for v in region.upper]}
 
 
-def region_from_dict(d: dict) -> Region:
-    if d["kind"] == "disk":
-        return Region.disk(d["center"], d["radius"])
-    return Region.box(d["lower"], d["upper"])
-
-
 def check_to_dict(check: CheckResult) -> dict:
     return {"check": check.name, "passed": check.passed,
             "margin": float(check.margin),
@@ -78,21 +72,6 @@ def certificate_dumps(cert: Certificate) -> str:
     return json.dumps(certificate_to_dict(cert), indent=2)
 
 
-def certificate_from_dict(d: dict) -> Certificate:
-    evidence = [CheckResult(name=c["check"], passed=c["passed"],
-                            margin=c["margin"],
-                            witness=None if c["witness"] is None
-                            else np.asarray(c["witness"]),
-                            rigor=c["rigor"], threshold=c["threshold"])
-                for c in d["evidence"]]
-    return Certificate(map_digest=d["map_digest"],
-                       region=region_from_dict(d["region"]),
-                       verdict=d["verdict"], route=d["route"],
-                       obstruction=d["obstruction"],
-                       min_boundary_norm=d["min_boundary_norm"],
-                       rigor=d["rigor"], evidence=evidence)
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -110,8 +89,12 @@ def _load_map(text: str, n: int) -> MapSpec:
             raise InvalidInput(f"builtin map {text!r} has n={spec.n}, not {n}")
         return spec
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"map file {text[1:]!r} is not UTF-8: "
+                               f"{exc.reason} at byte {exc.start}") from None
     return parse_map(text, n)
 
 
@@ -298,7 +281,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except (InvalidInput, MapSyntaxError, DomainError, Unsupported,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VanishingOnBoundary as exc:

@@ -164,7 +164,7 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
     m = ims.shape[1]
     if n > m:
         raise Unsupported(n, m)
-    f = SampledMap(sampling=sampling, images=ims, m=m, evaluator=rescaled)
+    f = SampledMap(sampling=sampling, images=ims, evaluator=rescaled)
     # checks report their witness in original coordinates
     original = lambda check: replace(check, witness=r * check.witness + x0)
 

@@ -27,14 +27,6 @@ class BudgetExhausted(ZeroCertError):
         super().__init__(message)
 
 
-class EndpointMismatch(ZeroCertError):
-    """Homotopy concatenation endpoints do not agree."""
-
-    def __init__(self, max_deviation):
-        self.max_deviation = max_deviation
-        super().__init__(f"endpoint frames differ by up to {max_deviation:.3e}")
-
-
 class NotANullHomotopy(ZeroCertError):
     """The final frame of a homotopy trace is not a nonzero constant."""
 

@@ -1,4 +1,4 @@
-"""Regions, boundary sampling of spheres, and the disk rescaling homeomorphism.
+"""Regions and boundary sampling of spheres.
 
 Boundary samplings are the finite stand-in for the sphere S^{n-1}: an ordered
 point list together with its mesh norm h, which every downstream rigor bound
@@ -109,15 +109,12 @@ class BoundarySampling:
 
     points: np.ndarray            # (k, n)
     h: float
-    level: int
     closed: bool
     region: Region
 
     def __post_init__(self):
         if self.points.ndim != 2 or self.points.shape[1] != self.region.dim:
             raise InvalidInput("sampling points have wrong shape")
-        if self.level < 0:
-            raise InvalidInput("level must be >= 0")
         n = self.region.dim
         if self.region.kind == "disk":
             tol = self.region.boundary_tolerance()
@@ -147,31 +144,6 @@ def mesh_norm(points: np.ndarray, closed: bool) -> float:
     return h
 
 
-def rescale_to_unit(x, region: Region) -> np.ndarray:
-    """Map a point of D^n_r(x0) to the unit disk: (x - x0) / r."""
-    if region.kind != "disk":
-        raise InvalidInput("rescaling is defined for disk regions only")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != region.dim:
-        raise InvalidInput(
-            f"point dimension {x.shape[-1]} != region dimension {region.dim}")
-    dist = np.linalg.norm(x - region.center, axis=-1)
-    if np.any(dist > region.radius + region.boundary_tolerance()):
-        raise InvalidInput("point lies outside the disk")
-    return (x - region.center) / region.radius
-
-
-def rescale_from_unit(y, region: Region) -> np.ndarray:
-    """Inverse of :func:`rescale_to_unit`: r*y + x0."""
-    if region.kind != "disk":
-        raise InvalidInput("rescaling is defined for disk regions only")
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != region.dim:
-        raise InvalidInput(
-            f"point dimension {y.shape[-1]} != region dimension {region.dim}")
-    return region.radius * y + region.center
-
-
 def sample_sphere(region: Region,
                   level: Optional[int] = None) -> BoundarySampling:
     """Sample the boundary sphere of a disk region at a refinement depth.
@@ -197,13 +169,12 @@ def sample_sphere(region: Region,
         raise InvalidInput("level must be >= 0")
     if n == 1:
         return BoundarySampling(points=x0 + r * np.array([[-1.0], [1.0]]),
-                                h=r * 2.0, level=level, closed=False,
-                                region=region)
+                                h=r * 2.0, closed=False, region=region)
     unit = _unit_sampling(n, level)
     if r == 1.0 and not np.any(x0):
         return unit
     return BoundarySampling(points=x0 + r * unit.points, h=r * unit.h,
-                            level=level, closed=unit.closed, region=region)
+                            closed=unit.closed, region=region)
 
 
 @functools.lru_cache(maxsize=SPHERE_CACHE)
@@ -219,24 +190,7 @@ def _unit_sampling(n: int, level: int) -> BoundarySampling:
     region = Region.disk(np.zeros(n), 1.0)
     pts.flags.writeable = False
     region.center.flags.writeable = False
-    return BoundarySampling(points=pts, h=h, level=level, closed=n == 2,
-                            region=region)
-
-
-def refine(sampling: BoundarySampling) -> BoundarySampling:
-    """The next level: midpoint insertion for n=2 circles, which halves the
-    arcs, and re-sampling at level + 1 otherwise."""
-    region = sampling.region
-    if region.dim == 2 and sampling.closed:
-        pts = sampling.points
-        mids = circle_arc_midpoint(pts, np.roll(pts, -1, axis=0), region)
-        merged = np.empty((2 * len(pts), 2))
-        merged[0::2] = pts
-        merged[1::2] = mids
-        return BoundarySampling(points=merged, h=mesh_norm(merged, True),
-                                level=sampling.level + 1, closed=True,
-                                region=region)
-    return sample_sphere(region, sampling.level + 1)
+    return BoundarySampling(points=pts, h=h, closed=n == 2, region=region)
 
 
 def circle_arc_midpoint(a, b, region: Region) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (EndpointMismatch, InvalidInput, NotANullHomotopy)
+from .errors import InvalidInput, NotANullHomotopy
 from .geometry import BoundarySampling, check_lipschitz, wrapped_steps
 from .mapspec import as_evaluator
 
@@ -26,16 +26,19 @@ class SampledMap:
 
     sampling: BoundarySampling
     images: np.ndarray              # (k, m)
-    m: int
     evaluator: Optional[Callable] = None   # batch evaluator (k,n)->(k,m)
 
     def __post_init__(self):
+        if self.images.ndim != 2:
+            raise InvalidInput("image array must be 2-D")
         if len(self.images) != len(self.sampling.points):
             raise InvalidInput("images and sampling points differ in length")
-        if self.images.ndim != 2 or self.images.shape[1] != self.m:
-            raise InvalidInput("image array has wrong shape")
         if not np.all(np.isfinite(self.images)):
             raise InvalidInput("images contain non-finite entries")
+
+    @property
+    def m(self) -> int:
+        return self.images.shape[1]
 
     @staticmethod
     def from_evaluator(map_like, sampling: BoundarySampling) -> "SampledMap":
@@ -44,7 +47,7 @@ class SampledMap:
         evaluator = as_evaluator(map_like)
         images = evaluator(sampling.points)
         return SampledMap(sampling=sampling, images=images,
-                          m=images.shape[1], evaluator=evaluator)
+                          evaluator=evaluator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +65,6 @@ class ValidityReport:
     min_norm: float
     witness: Optional[tuple]
     rigor: str                      # "heuristic" | "rigorous"
-    lipschitz_bound: Optional[float] = None
     threshold: float = 0.0
 
 
@@ -85,8 +87,7 @@ def _report(trace: HomotopyTrace, L: Optional[float]) -> ValidityReport:
     threshold = L * g / 2.0
     return ValidityReport(valid=trace.min_norm > threshold,
                           min_norm=trace.min_norm, witness=trace.witness,
-                          rigor="rigorous", lipschitz_bound=L,
-                          threshold=threshold)
+                          rigor="rigorous", threshold=threshold)
 
 
 def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
@@ -107,26 +108,6 @@ def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
               + t_grid[:, None, None] * g.images[None])
     trace = _make_trace(f.sampling, t_grid, frames)
     return trace, _report(trace, L)
-
-
-def reverse(H: HomotopyTrace) -> HomotopyTrace:
-    """Time-reversed homotopy: endpoints swap, min_norm is unchanged."""
-    return HomotopyTrace(base=H.base, t_grid=1.0 - H.t_grid[::-1],
-                         frames=H.frames[::-1].copy(), min_norm=H.min_norm,
-                         witness=(H.witness[0], len(H.t_grid) - 1 - H.witness[1])
-                         if H.witness else None)
-
-
-def concatenate(H: HomotopyTrace, G: HomotopyTrace) -> HomotopyTrace:
-    """Run H on t in [0, 1/2] and G on t in [1/2, 1]."""
-    if not np.allclose(H.base.points, G.base.points, atol=1e-12):
-        raise InvalidInput("traces are based on different samplings")
-    deviation = float(np.max(np.abs(H.frames[-1] - G.frames[0])))
-    if deviation > ENDPOINT_TOL:
-        raise EndpointMismatch(deviation)
-    t_grid = np.concatenate([0.5 * H.t_grid, 0.5 + 0.5 * G.t_grid[1:]])
-    frames = np.concatenate([H.frames, G.frames[1:]], axis=0)
-    return _make_trace(H.base, t_grid, frames)
 
 
 def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
@@ -210,18 +191,3 @@ def radial_extension(H: HomotopyTrace):
 
     return phi
 
-
-def contraction_from_extension(phi, sampling: BoundarySampling,
-                               t_steps: int = 65):
-    """Boundary-to-center contraction H(x,t) = phi((1-t) x) of a disk map."""
-    if t_steps < 2:
-        raise InvalidInput("t_steps must be >= 2")
-    t_grid = np.linspace(0.0, 1.0, t_steps)
-    pts = sampling.points
-    m = len(np.atleast_1d(phi(pts[0])))
-    frames = np.empty((t_steps, len(pts), m))
-    for i, t in enumerate(t_grid):
-        scaled = (1.0 - t) * pts
-        frames[i] = np.array([phi(p) for p in scaled])
-    trace = _make_trace(sampling, t_grid, frames)
-    return trace, _report(trace, None)

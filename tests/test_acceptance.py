@@ -39,7 +39,7 @@ def test_criterion_01_winding_oracle():
 def test_criterion_02_paper_nonhomotopy_example():
     start = time.perf_counter()
     f = sampled_circle_map(lambda pts: np.asarray(pts, dtype=float), level=6)
-    g = SampledMap(sampling=f.sampling, images=f.images + [3.0, 3.0], m=2,
+    g = SampledMap(sampling=f.sampling, images=f.images + [3.0, 3.0],
                    evaluator=lambda pts: np.asarray(pts, float) + [3.0, 3.0])
     assert winding_number(f).value == 1
     assert winding_number(g).value == 0
@@ -165,7 +165,7 @@ def test_criterion_10_property_suites():
         min_f = float(np.min(np.linalg.norm(f.images, axis=1)))
         shift = rng.normal(size=2)
         shift *= 0.4 * min_f / np.linalg.norm(shift)
-        g = SampledMap(sampling=f.sampling, images=f.images + shift, m=2,
+        g = SampledMap(sampling=f.sampling, images=f.images + shift,
                        evaluator=lambda pts, e=f_ev, s=shift: e(pts) + s)
         _, report = straight_line(f, g, t_steps=9)
         assert report.valid

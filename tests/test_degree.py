@@ -51,7 +51,7 @@ class TestWindingNumber:
 
     def test_budget_exhausted_without_evaluator(self):
         sampling = sample_sphere(Region.disk([0.0, 0.0], 1.0), 0)
-        f = SampledMap(sampling=sampling, images=sampling.points.copy(), m=2)
+        f = SampledMap(sampling=sampling, images=sampling.points.copy())
         with pytest.raises(BudgetExhausted) as err:
             winding_number(f)
         assert err.value.best.value == 1  # the coarse estimate is still right
@@ -87,7 +87,7 @@ class TestWindingNumber:
             shift = rng.normal(size=2)
             shift *= 0.4 * min_f / np.linalg.norm(shift)
             g_ev = lambda pts, s=shift: f_ev(pts) + s
-            g = SampledMap(sampling=f.sampling, images=f.images + shift, m=2,
+            g = SampledMap(sampling=f.sampling, images=f.images + shift,
                            evaluator=g_ev)
             _, report = straight_line(f, g, t_steps=16)
             assert report.valid
@@ -120,7 +120,7 @@ class TestSignObstruction:
     def _scalar_map(self, lo, hi):
         sampling = sample_sphere(Region.disk([0.0], 1.0), 0)
         return SampledMap(sampling=sampling,
-                          images=np.array([[lo], [hi]], dtype=float), m=1)
+                          images=np.array([[lo], [hi]], dtype=float))
 
     def test_sign_change_positive(self):
         assert sign_obstruction(self._scalar_map(-2.0, 3.0)) == 1
@@ -168,20 +168,20 @@ class TestClassifyCat:
         sampling = sample_sphere(Region.disk([0.0, 0.0], 1.0), 3)
         images = np.concatenate([sampling.points,
                                  np.ones((len(sampling.points), 1))], axis=1)
-        f = SampledMap(sampling=sampling, images=images, m=3)
+        f = SampledMap(sampling=sampling, images=images)
         result = classify_cat(f)
         assert result.cat == 1
         assert result.reason == "codomain_dim_excess"
 
     def test_s0_sign_change(self):
         sampling = sample_sphere(Region.disk([0.0], 1.0), 0)
-        f = SampledMap(sampling=sampling, images=np.array([[-1.0], [1.0]]), m=1)
+        f = SampledMap(sampling=sampling, images=np.array([[-1.0], [1.0]]))
         result = classify_cat(f)
         assert result.cat == 2
         assert result.reason == "sign_change"
 
     def test_unsupported_dimensions(self):
         sampling = sample_sphere(Region.disk(np.zeros(3), 1.0), 0)
-        f = SampledMap(sampling=sampling, images=sampling.points.copy(), m=3)
+        f = SampledMap(sampling=sampling, images=sampling.points.copy())
         with pytest.raises(Unsupported):
             classify_cat(f)

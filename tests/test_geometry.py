@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from zerocert import (InvalidInput, Region, VanishingOnBoundary,
-                      boundary_nonvanishing, parse_map, refine,
-                      rescale_from_unit, rescale_to_unit, sample_sphere)
+                      boundary_nonvanishing, parse_map, sample_sphere)
 from zerocert.geometry import (SPHERE_CACHE, _unit_sampling,
                                circle_arc_midpoint, refine_polyline)
 
@@ -43,47 +42,6 @@ def uncached_sampling(region, level):
     return x0 + r * unit, r * (2.0 * math.sqrt(n - 1) / g)
 
 
-class TestRescaling:
-    def test_identity_disk(self):
-        region = Region.disk([0.0, 0.0], 1.0)
-        assert np.allclose(rescale_to_unit([0.3, 0.4], region), [0.3, 0.4])
-
-    def test_shifted_disk(self):
-        region = Region.disk([1.0, 1.0], 2.0)
-        assert np.allclose(rescale_to_unit([3.0, 1.0], region), [1.0, 0.0])
-        assert np.allclose(rescale_from_unit([1.0, 0.0], region), [3.0, 1.0])
-
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(7)
-        region = Region.disk([0.5, -1.0, 2.0], 3.5)
-        for _ in range(100):
-            x = region.center + rng.uniform(-1, 1, 3) * region.radius / 2
-            back = rescale_from_unit(rescale_to_unit(x, region), region)
-            assert np.max(np.abs(back - x)) <= 1e-15 * max(1.0, np.max(np.abs(x)))
-
-    def test_boundary_preserved(self):
-        rng = np.random.default_rng(8)
-        region = Region.disk([1.0, 2.0], 4.0)
-        for _ in range(50):
-            y = rng.normal(size=2)
-            y /= np.linalg.norm(y)
-            out = rescale_from_unit(y, region)
-            assert abs(np.linalg.norm(out - region.center) - 4.0) < 1e-12
-
-    def test_sphere_to_sphere_deviation(self):
-        rng = np.random.default_rng(9)
-        region = Region.disk([0.2, -0.7], 17.0)
-        raw = rng.normal(size=(1000, 2))
-        pts = region.center + 17.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        unit = rescale_to_unit(pts, region)
-        assert np.max(np.abs(np.linalg.norm(unit, axis=1) - 1.0)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        region = Region.disk([0.0, 0.0], 1.0)
-        with pytest.raises(InvalidInput):
-            rescale_to_unit([1.0, 0.0, 0.0], region)
-
-
 class TestSampleSphere:
     def test_s0_two_points(self):
         region = Region.disk([0.0], 1.0)
@@ -113,6 +71,14 @@ class TestSampleSphere:
         ang = np.arctan2(s.points[:, 1] + 1.0, s.points[:, 0] - 1.0)
         unwrapped = np.unwrap(ang)
         assert np.all(np.diff(unwrapped) > 0)
+
+    def test_h_to_zero_by_formula(self):
+        # closed-form: h(level) = 2 r sin(pi / (4 * 2^level))
+        r = 3.0
+        for level in range(10):
+            s = sample_sphere(Region.disk([0.0, 0.0], r), level)
+            assert s.h == pytest.approx(2 * r * math.sin(math.pi / (4 * 2 ** level)))
+        assert sample_sphere(Region.disk([0.0, 0.0], r), 10).h < 1e-2
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_high_dim_counts_and_membership(self, n):
@@ -173,13 +139,12 @@ class TestSphereCache:
             for s in (cold, warm):
                 assert s.points.tobytes() == pts.tobytes()
                 assert s.h == h
-                assert s.level == level and s.closed == (n == 2)
+                assert s.closed == (n == 2)
 
     def test_unit_disk_gets_the_cached_sampling(self):
         region = Region.disk(np.zeros(3), 1.0)
         s = sample_sphere(region, 1)
         assert sample_sphere(Region.disk(np.zeros(3), 1.0), 1) is s
-        assert refine(sample_sphere(region, 0)) is s
 
     def test_cached_arrays_are_read_only(self):
         s = sample_sphere(Region.disk(np.zeros(3), 1.0), 0)
@@ -207,7 +172,6 @@ class TestSphereCache:
             region = Region.disk(np.full(n, center), radius)
             s = sample_sphere(region)
             explicit = sample_sphere(region, level)
-            assert s.level == level
             assert s.points.tobytes() == explicit.points.tobytes()
             assert s.h == explicit.h
 
@@ -229,7 +193,7 @@ class TestSphereCache:
                 s = sample_sphere(Region.disk([center], radius), level)
                 assert s.points.tobytes() == (
                     center + radius * np.array([[-1.0], [1.0]])).tobytes()
-                assert s.h == radius * 2.0 and s.level == level
+                assert s.h == radius * 2.0
         assert _unit_sampling.cache_info().currsize == 1
         assert sample_sphere(unit, 1) is mesh
 
@@ -251,35 +215,6 @@ class TestNearestNeighborGap:
         finally:
             tracemalloc.stop()
         assert peak < bound
-
-
-class TestRefine:
-    def test_midpoint_insertion(self):
-        s0 = sample_sphere(Region.disk([0.0, 0.0], 1.0), 0)
-        s1 = refine(s0)
-        assert len(s1.points) == 8
-        assert s1.level == 1
-        assert s1.h == pytest.approx(2.0 * math.sin(math.pi / 8))
-
-    def test_nesting(self):
-        s0 = sample_sphere(Region.disk([0.3, 0.1], 2.0), 1)
-        s1 = refine(s0)
-        assert np.allclose(s1.points[0::2], s0.points, atol=1e-12)
-
-    def test_h_strictly_decreases(self):
-        s = sample_sphere(Region.disk([0.0, 0.0], 5.0), 0)
-        for _ in range(5):
-            nxt = refine(s)
-            assert nxt.h < s.h
-            s = nxt
-
-    def test_h_to_zero_by_formula(self):
-        # closed-form: h(level) = 2 r sin(pi / (4 * 2^level))
-        r = 3.0
-        for level in range(10):
-            s = sample_sphere(Region.disk([0.0, 0.0], r), level)
-            assert s.h == pytest.approx(2 * r * math.sin(math.pi / (4 * 2 ** level)))
-        assert sample_sphere(Region.disk([0.0, 0.0], r), 10).h < 1e-2
 
 
 class TestRefinePolyline:

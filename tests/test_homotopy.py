@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from conftest import circle_map, sampled_circle_map
 
-from zerocert import (BoundarySampling, EndpointMismatch, NotANullHomotopy,
-                      Region, SampledMap, concatenate,
-                      contraction_from_extension, null_homotopy,
-                      radial_extension, reverse, sample_sphere, straight_line)
+from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
+                      Region, SampledMap, null_homotopy, radial_extension,
+                      sample_sphere, straight_line)
 from zerocert.geometry import mesh_norm, wrapped_steps
 from zerocert.homotopy import _make_trace
 
@@ -19,6 +18,35 @@ def _identity_map(level=6):
 def _shifted_map(level=6, shift=(3.0, 3.0)):
     return sampled_circle_map(
         lambda pts: np.asarray(pts, dtype=float) + np.asarray(shift), level)
+
+
+class TestSampledMap:
+    """The constructor checks of a SampledMap built directly."""
+
+    def test_row_count_must_match_sampling(self):
+        f = _identity_map(level=3)
+        with pytest.raises(InvalidInput, match="differ in length"):
+            SampledMap(sampling=f.sampling, images=f.images[:-1])
+
+    def test_one_dimensional_images_rejected(self):
+        f = _identity_map(level=3)
+        with pytest.raises(InvalidInput, match="2-D"):
+            SampledMap(sampling=f.sampling, images=f.images[:, 0].copy())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        f = _identity_map(level=3)
+        images = f.images.copy()
+        images[5, 1] = bad
+        with pytest.raises(InvalidInput, match="non-finite"):
+            SampledMap(sampling=f.sampling, images=images)
+
+    def test_m_is_the_image_width(self):
+        sampling = sample_sphere(Region.disk(np.zeros(3), 1.0), 0)
+        f = SampledMap.from_evaluator(lambda pts: pts[:, :2] + 2.0, sampling)
+        assert f.m == f.images.shape[1] == 2
+        g = SampledMap(sampling=sampling, images=np.ones((len(sampling), 5)))
+        assert g.m == g.images.shape[1] == 5
 
 
 class TestStraightLine:
@@ -45,7 +73,7 @@ class TestStraightLine:
 
     def test_positive_multiple_is_valid(self):
         f = _identity_map()
-        g = SampledMap(sampling=f.sampling, images=2.0 * f.images, m=2)
+        g = SampledMap(sampling=f.sampling, images=2.0 * f.images)
         _, report = straight_line(f, g, t_steps=32)
         assert report.valid
 
@@ -54,7 +82,7 @@ class TestStraightLine:
         f = _shifted_map(level=4, shift=(0.5, -0.2))
         for _ in range(100):
             lam = rng.uniform(0.1, 10.0, size=(len(f.images), 1))
-            g = SampledMap(sampling=f.sampling, images=lam * f.images, m=2)
+            g = SampledMap(sampling=f.sampling, images=lam * f.images)
             _, report = straight_line(f, g, t_steps=16)
             assert report.valid
 
@@ -63,74 +91,13 @@ class TestStraightLine:
         g = _shifted_map(level=4, shift=(0.1, 0.4))
         fwd, _ = straight_line(f, g, t_steps=9)
         bwd, _ = straight_line(g, f, t_steps=9)
-        assert np.allclose(fwd.frames, reverse(bwd).frames)
+        assert np.allclose(fwd.frames, bwd.frames[::-1])
 
     def test_mismatched_samplings_rejected(self):
-        from zerocert import InvalidInput
         f = _identity_map(level=3)
         g = _identity_map(level=4)
         with pytest.raises(InvalidInput):
             straight_line(f, g, t_steps=8)
-
-
-class TestReverse:
-    def test_involution(self):
-        f = _identity_map(level=4)
-        g = _shifted_map(level=4, shift=(0.2, 0.1))
-        trace, _ = straight_line(f, g, t_steps=11)
-        assert np.allclose(reverse(reverse(trace)).frames, trace.frames)
-
-    def test_endpoints_swap(self):
-        f = _identity_map(level=4)
-        g = _shifted_map(level=4, shift=(0.2, 0.1))
-        trace, _ = straight_line(f, g, t_steps=11)
-        rev = reverse(trace)
-        assert np.allclose(rev.frames[0], trace.frames[-1])
-        assert rev.min_norm == trace.min_norm
-
-    def test_constant_trace_fixed(self):
-        f = _shifted_map(level=3)
-        trace, _ = straight_line(f, f, t_steps=7)
-        assert np.allclose(reverse(trace).frames, trace.frames)
-
-
-class TestConcatenate:
-    def test_round_trip(self):
-        f = _identity_map(level=4)
-        g = _shifted_map(level=4, shift=(0.3, 0.0))
-        trace, _ = straight_line(f, g, t_steps=9)
-        loop = concatenate(trace, reverse(trace))
-        assert np.allclose(loop.frames[0], loop.frames[-1])
-
-    def test_min_norm_is_min_of_parts(self):
-        rng = np.random.default_rng(5)
-        f = _shifted_map(level=3, shift=(2.0, 1.0))
-        for _ in range(10):
-            mid_images = f.images + rng.normal(scale=0.3, size=f.images.shape)
-            mid = SampledMap(sampling=f.sampling, images=mid_images, m=2)
-            h, _ = straight_line(f, mid, t_steps=7)
-            back, _ = straight_line(mid, f, t_steps=5)
-            joined = concatenate(h, back)
-            assert joined.min_norm == pytest.approx(min(h.min_norm, back.min_norm))
-
-    def test_endpoint_mismatch(self):
-        f = _identity_map(level=4)
-        g = _shifted_map(level=4)
-        h, _ = straight_line(f, g, t_steps=5)
-        with pytest.raises(EndpointMismatch):
-            concatenate(h, h)
-
-    def test_associativity_of_endpoints(self):
-        f = _identity_map(level=3)
-        g = _shifted_map(level=3, shift=(0.2, -0.1))
-        k = _shifted_map(level=3, shift=(0.5, 0.5))
-        hg, _ = straight_line(f, g, t_steps=5)
-        gk, _ = straight_line(g, k, t_steps=5)
-        kf, _ = straight_line(k, f, t_steps=5)
-        left = concatenate(concatenate(hg, gk), kf)
-        right = concatenate(hg, concatenate(gk, kf))
-        assert np.allclose(left.frames[-1], right.frames[-1])
-        assert np.allclose(left.frames[0], right.frames[0])
 
 
 class TestNullHomotopy:
@@ -151,7 +118,7 @@ class TestRadialExtension:
     def test_constant_map(self):
         f = _shifted_map(level=4, shift=(5.0, 0.0))
         const = SampledMap(sampling=f.sampling,
-                           images=np.tile([5.0, 0.0], (len(f.images), 1)), m=2)
+                           images=np.tile([5.0, 0.0], (len(f.images), 1)))
         trace, _ = straight_line(const, const, t_steps=5)
         phi = radial_extension(trace)
         for x in ([0.0, 0.0], [0.3, 0.2], [0.9, 0.0], [0.0, -1.0]):
@@ -190,37 +157,6 @@ class TestRadialExtension:
             radial_extension(trace)
 
 
-class TestContractionFromExtension:
-    def _sampling(self, level=4):
-        return sample_sphere(Region.disk([0.0, 0.0], 1.0), level)
-
-    def test_constant_extension(self):
-        sampling = self._sampling()
-        trace, report = contraction_from_extension(
-            lambda x: np.array([2.0, 1.0]), sampling, t_steps=9)
-        assert np.allclose(trace.frames, 0.0 + np.array([2.0, 1.0]))
-        assert report.valid
-
-    def test_shift_extension_margin(self):
-        # min of ||x + (3,3)|| over the disk is 3 sqrt(2) - 1, attained at
-        # the boundary point opposite the shift
-        sampling = self._sampling(level=3)
-        phi = lambda x: np.asarray(x, dtype=float) + np.array([3.0, 3.0])
-        trace, report = contraction_from_extension(phi, sampling, t_steps=33)
-        assert report.valid
-        assert np.allclose(trace.frames[-1], [3.0, 3.0])
-        assert report.min_norm == pytest.approx(3.0 * math.sqrt(2.0) - 1.0)
-
-    def test_identity_extension_vanishes_at_center(self):
-        sampling = self._sampling()
-        trace, report = contraction_from_extension(
-            lambda x: np.asarray(x, dtype=float), sampling, t_steps=9)
-        assert not report.valid
-        assert report.min_norm == 0.0
-        _, t_idx = report.witness
-        assert trace.t_grid[t_idx] == 1.0
-
-
 def null_homotopy_loop(f, t_steps):
     """Reference: the log-polar contraction built one frame at a time."""
     norms = np.linalg.norm(f.images, axis=1)
@@ -251,12 +187,12 @@ class TestNullHomotopyMatchesLoop:
             pts = region.center + 1.5 * np.stack([np.cos(theta),
                                                   np.sin(theta)], axis=1)
             sampling = BoundarySampling(points=pts, h=mesh_norm(pts, True),
-                                        level=0, closed=True, region=region)
+                                        closed=True, region=region)
             # angles stay within 1.4 of a constant: winding 0
             a = rng.uniform(-math.pi, math.pi) + 1.4 * np.sin(
                 int(rng.integers(1, 4)) * theta + rng.uniform(0.0, 6.0))
             r = rng.uniform(0.2, 5.0, k)
-            f = SampledMap(sampling=sampling, m=2, images=np.stack(
+            f = SampledMap(sampling=sampling, images=np.stack(
                 [r * np.cos(a), r * np.sin(a)], axis=1))
             got, want = null_homotopy(f, t_steps), null_homotopy_loop(f, t_steps)
             assert np.array_equal(got.t_grid, want.t_grid)

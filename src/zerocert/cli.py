@@ -179,10 +179,11 @@ def _cmd_certify(args) -> int:
         cert.evidence = [dataclasses.replace(c, rigor="heuristic")
                          for c in cert.evidence]
     text = certificate_dumps(cert)
-    print(text)
     if args.out:
+        # written first, so an unwritable --out prints no certificate
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
     return {"ZeroGuaranteed": EXIT_OK,
             "NoConclusion": EXIT_NO_CONCLUSION,
             "ZeroOnBoundary": EXIT_ZERO_ON_BOUNDARY}[cert.verdict]

@@ -1,8 +1,12 @@
 """Expression DSL for map specifications.
 
 A map F: R^n -> R^m is written as m comma-separated expressions over the
-variables x1..xn, e.g. ``"x1^2 - x2^2, 2*x1*x2"``.  Parsing produces an
-immutable tree; evaluation is vectorized over batches of points.
+variables x1..xn, e.g. ``"x1^2 - x2^2, 2*x1*x2"``.  One parse gives both
+the immutable tree (the public AST) and its tape: a flat list of steps
+``(op, a, b)``, where ``a`` and ``b`` are earlier slots (or a variable
+index, a constant, an exponent).  Equal subtrees are merged as they are
+parsed, so they share one slot and one tree node.  Evaluation runs the tape
+in one loop over a batch of points.
 
 Grammar::
 
@@ -28,9 +32,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -39,7 +44,16 @@ from .errors import (DomainError, InvalidInput, MapSyntaxError,
 from .geometry import Region
 
 MAX_DEPTH = 64
+# evaluate keeps one array per tape step alive, so it runs a large batch
+# this many points at a time to bound that memory
+_CHUNK = 8192
 _FUNCS = ("sin", "cos", "exp", "sqrt", "abs")
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": operator.truediv}
+_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "sqrt": np.sqrt, "abs": np.abs}
+# the ops that round a numpy scalar operand exactly as the array loop does
+_EXACT = frozenset(_BINARY) | {"neg"}
 
 
 @dataclass(frozen=True)
@@ -74,15 +88,24 @@ class Power:
 Expr = Union[Const, Var, Unary, Binary, Power]
 
 
+class Tape(NamedTuple):
+    """The steps of a map and the slots of its m outputs."""
+
+    steps: tuple
+    outputs: tuple
+
+
 @dataclass(frozen=True)
 class MapSpec:
-    """Parsed map F: R^n -> R^m with a stable content digest."""
+    """Parsed map F: R^n -> R^m with a stable content digest.  ``tape`` is
+    what ``evaluate`` runs; only ``parse_map`` builds it."""
 
     n: int
     m: int
     components: tuple
     source_text: str
     digest: str
+    tape: Tape = field(repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +141,64 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent over the token list; ``i`` is the next token."""
+    """Recursive descent over the token list; ``i`` is the next token.
+
+    Each parse method returns the tape slot of what it parsed.  ``slots``
+    maps each step ``(op, a, b)`` to its slot, so a subtree that was seen
+    before costs no new step, and ``tree`` builds no second node for it.
+    ``leaves`` maps each number or variable token to its slot, so a leaf
+    that repeats is converted and checked once.
+    """
 
     def __init__(self, text: str, n: int):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.n = n
+        self.slots = {}      # step -> slot; in insertion order, the tape
+        self.leaves = {}     # number or variable token -> slot
+        self.scalars = set()  # slots that hold one numpy scalar, not an array
+
+    def emit(self, op, a, b=None):
+        """Slot of the step ``(op, a, b)``.  ``a`` and ``b`` are slots,
+        except in a constant (its np.float64 value), a variable (its 1-based
+        index) and ``pow`` (its integer exponent).  A step seen before keeps
+        its slot, so equal subtrees share one slot."""
+        key = (op, a, b)
+        slot = self.slots.get(key)
+        if slot is None:
+            slots, scalars = self.slots, self.scalars
+            slot = slots[key] = len(slots)
+            if op == "const" or (op in _EXACT and a in scalars
+                                 and (b is None or b in scalars)):
+                scalars.add(slot)
+        return slot
+
+    def array(self, slot):
+        """``slot``, or a step that broadcasts it to one value per point if
+        it holds a scalar.  Scalars round as the array loops do under
+        + - * / and neg, but not under ``**`` or a function:
+        ``exp(-2.6391)^-3`` would be one ulp off."""
+        return self.emit("full", slot) if slot in self.scalars else slot
+
+    def tree(self):
+        """The tree node of every slot: one node per step, so equal
+        subtrees are one shared node."""
+        nodes = []
+        for op, a, b in self.slots:
+            if op in _BINARY:
+                nodes.append(Binary(op, nodes[a], nodes[b]))
+            elif op == "const":
+                nodes.append(Const(float(a)))
+            elif op == "var":
+                nodes.append(Var(a))
+            elif op == "pow":
+                nodes.append(Power(nodes[a], b))
+            elif op == "full":
+                nodes.append(nodes[a])
+            else:
+                nodes.append(Unary(op, nodes[a]))
+        return nodes
 
     def error(self, i, exc, *args):
         """``exc(*args, line, column)`` at token ``i``, located by scanning
@@ -137,23 +211,24 @@ class _Parser:
         return exc(*args, *_position(self.text, pos))
 
     def parse_map(self):
-        comps = [self.parse_expr(0)]
+        """The slots of the m components."""
+        outputs = [self.parse_expr(0)]
         while self.tokens[self.i] == ",":
             self.i += 1
-            comps.append(self.parse_expr(0))
+            outputs.append(self.parse_expr(0))
         tok = self.tokens[self.i]
         if tok:
             raise self.error(self.i, MapSyntaxError,
                              f"unexpected trailing input {tok!r}")
-        return comps
+        return outputs
 
     def parse_expr(self, depth):
-        node = self.parse_term(depth + 1)
+        slot = self.parse_term(depth + 1)
         while (op := self.tokens[self.i]) == "+" or op == "-":
             self.i += 1
-            node = Binary("add" if op == "+" else "sub", node,
-                          self.parse_term(depth + 1))
-        return node
+            slot = self.emit("add" if op == "+" else "sub", slot,
+                             self.parse_term(depth + 1))
+        return slot
 
     def parse_term(self, depth):
         # depth grows by 4 per nesting level (expr, term, factor, atom), so
@@ -162,17 +237,17 @@ class _Parser:
         if depth > MAX_DEPTH:
             raise self.error(self.i, MapSyntaxError,
                              "expression nesting too deep")
-        node = self.parse_factor(depth + 1)
+        slot = self.parse_factor(depth + 1)
         while (op := self.tokens[self.i]) == "*" or op == "/":
             self.i += 1
-            node = Binary("mul" if op == "*" else "div", node,
-                          self.parse_factor(depth + 1))
-        return node
+            slot = self.emit("mul" if op == "*" else "div", slot,
+                             self.parse_factor(depth + 1))
+        return slot
 
     def parse_factor(self, depth):
         negate = self.tokens[self.i] == "-"
         self.i += negate
-        node = self.parse_atom(depth + 1)
+        slot = self.parse_atom(depth + 1)
         if self.tokens[self.i] == "^":
             negative = self.tokens[self.i + 1] == "-"
             i = self.i + 1 + negative
@@ -180,13 +255,17 @@ class _Parser:
             self.i = i + 1
             if not tok.isdecimal():      # exactly the digit-only number tokens
                 raise self.error(i, NonIntegerExponent, tok or "end of input")
-            node = Power(node, -int(tok) if negative else int(tok))
-        return Unary("neg", node) if negate else node
+            slot = self.emit("pow", self.array(slot),
+                             -int(tok) if negative else int(tok))
+        return self.emit("neg", slot) if negate else slot
 
     def parse_atom(self, depth):
         tokens, i = self.tokens, self.i
         tok = tokens[i]
         self.i = i + 1
+        slot = self.leaves.get(tok)
+        if slot is not None:             # a number or variable parsed before
+            return slot
         if tok == "(" or tok in _FUNCS:
             if tok != "(":
                 i += 1
@@ -194,13 +273,13 @@ class _Parser:
                     raise self.error(i, MapSyntaxError, "expected '(', got "
                                      f"{tokens[i] or 'end of input'!r}")
                 self.i = i + 1
-            node = self.parse_expr(depth + 1)
+            slot = self.parse_expr(depth + 1)
             i = self.i
             if tokens[i] != ")":
                 raise self.error(i, MapSyntaxError, "expected ')', got "
                                  f"{tokens[i] or 'end of input'!r}")
             self.i = i + 1
-            return node if tok == "(" else Unary(tok, node)
+            return slot if tok == "(" else self.emit(tok, self.array(slot))
         if tok in _SYMS:
             raise self.error(i, MapSyntaxError,
                              f"unexpected token {tok or 'end of input'!r}")
@@ -209,13 +288,17 @@ class _Parser:
             if value == math.inf:
                 raise self.error(i, MapSyntaxError,
                                  f"number {tok!r} out of range")
-            return Const(value)
-        if tok[0] != "x" or not tok[1:].isdecimal():
-            raise self.error(i, MapSyntaxError, f"unknown identifier {tok!r}")
-        index = int(tok[1:])
-        if not 1 <= index <= self.n:
-            raise self.error(i, UndefinedVariable, tok, self.n)
-        return Var(index)
+            slot = self.emit("const", np.float64(value))
+        else:
+            if tok[0] != "x" or not tok[1:].isdecimal():
+                raise self.error(i, MapSyntaxError,
+                                 f"unknown identifier {tok!r}")
+            index = int(tok[1:])
+            if not 1 <= index <= self.n:
+                raise self.error(i, UndefinedVariable, tok, self.n)
+            slot = self.emit("var", index)
+        self.leaves[tok] = slot
+        return slot
 
 
 def map_digest(text: str) -> str:
@@ -229,46 +312,18 @@ def parse_map(text: str, n: int) -> MapSpec:
     if n < 1:
         raise InvalidInput(f"domain dimension must be >= 1, got {n}")
     parser = _Parser(text, n)
-    comps = parser.parse_map()
+    outputs = parser.parse_map()
+    nodes = parser.tree()
     # equals map_digest(text): the lexer skips nothing but whitespace
     digest = hashlib.sha256("".join(parser.tokens).encode("utf-8")).hexdigest()
-    return MapSpec(n=n, m=len(comps), components=tuple(comps),
-                   source_text=text, digest=digest)
+    return MapSpec(n=n, m=len(outputs),
+                   components=tuple([nodes[s] for s in outputs]),
+                   source_text=text, digest=digest,
+                   tape=Tape(tuple(parser.slots), tuple(outputs)))
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def _eval_node(node: Expr, cols):
-    if isinstance(node, Const):
-        return np.full_like(cols[0], node.value)
-    if isinstance(node, Var):
-        return cols[node.index - 1]
-    if isinstance(node, Unary):
-        a = _eval_node(node.arg, cols)
-        if node.op == "neg":
-            return -a
-        if node.op == "sin":
-            return np.sin(a)
-        if node.op == "cos":
-            return np.cos(a)
-        if node.op == "exp":
-            return np.exp(a)
-        if node.op == "sqrt":
-            return np.sqrt(a)
-        return np.abs(a)
-    if isinstance(node, Binary):
-        a = _eval_node(node.left, cols)
-        b = _eval_node(node.right, cols)
-        if node.op == "add":
-            return a + b
-        if node.op == "sub":
-            return a - b
-        if node.op == "mul":
-            return a * b
-        return a / b
-    return _eval_node(node.base, cols) ** float(node.exponent)
-
 
 def evaluate(spec: MapSpec, x) -> np.ndarray:
     """Evaluate the map at a point (n,) or batch (k, n) of points."""
@@ -278,9 +333,27 @@ def evaluate(spec: MapSpec, x) -> np.ndarray:
     if pts.shape[1] != spec.n:
         raise InvalidInput(
             f"point dimension {pts.shape[1]} != map domain dimension {spec.n}")
-    cols = [pts[:, j] for j in range(spec.n)]
+    k = len(pts)
+    out = np.empty((k, spec.m))
     with np.errstate(all="ignore"):
-        out = np.stack([_eval_node(c, cols) for c in spec.components], axis=1)
+        for lo in range(0, k, _CHUNK):
+            rows = pts[lo:lo + _CHUNK]
+            vals = []
+            for op, a, b in spec.tape.steps:
+                if op in _BINARY:
+                    vals.append(_BINARY[op](vals[a], vals[b]))
+                elif op == "pow":
+                    vals.append(vals[a] ** float(b))
+                elif op == "var":
+                    vals.append(rows[:, a - 1])
+                elif op == "const":
+                    vals.append(a)
+                elif op == "full":
+                    vals.append(np.full(len(rows), vals[a]))
+                else:
+                    vals.append(_UNARY[op](vals[a]))
+            for j, slot in enumerate(spec.tape.outputs):
+                out[lo:lo + _CHUNK, j] = vals[slot]
     _check_finite(pts, out, "non-finite value (division by zero or sqrt of "
                             "a negative)")
     return out[0] if single else out

@@ -75,8 +75,10 @@ class TestCertifyCommand:
             out = ["--out", str(tmp_path)]
         code = main(["certify", "--map", map_arg, "--n", "2",
                      "--center", "0,0", "--radius", "1", *out])
-        err = capsys.readouterr().err
-        assert code == 4
+        captured = capsys.readouterr()
+        err = captured.err
+        # a certificate on stdout would contradict the exit code
+        assert code == 4 and captured.out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 

@@ -160,14 +160,17 @@ class TestEvaluatorContract:
 
     def test_mapspec_evaluator_is_evaluate(self, monkeypatch):
         # the MapSpec path reaches evaluate through the module global, so a
-        # rebinding of mapspec.evaluate sees every call
-        spec = parse_map("x1 - 0.3, x2", 2)
+        # rebinding of mapspec.evaluate sees every call, merged map or not
         calls = []
         original = mapspec.evaluate
         monkeypatch.setattr(mapspec, "evaluate",
                             lambda s, x: calls.append(len(x)) or original(s, x))
-        ev = mapspec.as_evaluator(spec)
-        assert ev(np.zeros((3, 2))).shape == (3, 2) and calls == [3]
+        for text in ("x1 - 0.3, x2",
+                     "(x1 - 0.5)^2 + (x1 - 0.5)^2, sin(x1 - 0.5)"):
+            calls.clear()
+            ev = mapspec.as_evaluator(parse_map(text, 2))
+            assert ev(np.zeros((3, 2))).shape == (3, 2) and calls == [3]
+            assert ev(np.zeros((5, 2))).shape == (5, 2) and calls == [3, 5]
 
     @pytest.mark.parametrize("output", [
         [[1.0, 2.0], [3.0]],                # ragged
@@ -428,6 +431,122 @@ class _RefParserRejectingOverflow(_RefParser):
         return super().parse_atom(depth)
 
 
+# reference: the recursive tree evaluator that the tape replaced, kept to
+# check that both give the same bits and the same DomainError
+
+def _eval_node(node, cols):
+    if isinstance(node, Const):
+        return np.full_like(cols[0], node.value)
+    if isinstance(node, Var):
+        return cols[node.index - 1]
+    if isinstance(node, Unary):
+        a = _eval_node(node.arg, cols)
+        if node.op == "neg":
+            return -a
+        if node.op == "sin":
+            return np.sin(a)
+        if node.op == "cos":
+            return np.cos(a)
+        if node.op == "exp":
+            return np.exp(a)
+        if node.op == "sqrt":
+            return np.sqrt(a)
+        return np.abs(a)
+    if isinstance(node, Binary):
+        a = _eval_node(node.left, cols)
+        b = _eval_node(node.right, cols)
+        if node.op == "add":
+            return a + b
+        if node.op == "sub":
+            return a - b
+        if node.op == "mul":
+            return a * b
+        return a / b
+    return _eval_node(node.base, cols) ** float(node.exponent)
+
+
+def _ref_evaluate(spec, pts):
+    cols = [pts[:, j] for j in range(spec.n)]
+    with np.errstate(all="ignore"):
+        out = np.stack([_eval_node(c, cols) for c in spec.components], axis=1)
+    mapspec._check_finite(pts, out, "non-finite value (division by zero or "
+                                    "sqrt of a negative)")
+    return out
+
+
+def _eval_outcome(evaluate_fn, spec, pts):
+    """The output bytes, or the DomainError's point bytes and message."""
+    try:
+        out = evaluate_fn(spec, pts)
+    except DomainError as err:
+        return "DomainError", err.point.tobytes(), str(err)
+    assert out.dtype == np.float64 and out.shape == (len(pts), spec.m)
+    return out.tobytes()
+
+
+def _tape_expr(rng, depth=0):
+    """Every op of the DSL; constant-only subtrees are frequent."""
+    choice = rng.integers(0, 8 if depth < 4 else 2)
+    if choice == 0:
+        return rng.choice(["0", "1", "2.5", "0.5", "(-2.6391)", "1e-3",
+                           f"{rng.uniform(0.0, 4.0):.4f}"])
+    if choice == 1:
+        return f"x{rng.integers(1, 3)}"
+    if choice in (2, 3):
+        op = rng.choice(["+", "-", "*", "/"])
+        return f"({_tape_expr(rng, depth + 1)} {op} {_tape_expr(rng, depth + 1)})"
+    if choice in (4, 5):
+        fn = rng.choice(["sin", "cos", "exp", "sqrt", "abs"])
+        return f"{fn}({_tape_expr(rng, depth + 1)})"
+    if choice == 6:
+        return f"-({_tape_expr(rng, depth + 1)})"
+    return f"({_tape_expr(rng, depth + 1)})^{rng.integers(-3, 4)}"
+
+
+class TestTapeMatchesTree:
+    @pytest.mark.parametrize("k", [1, 9, 421])
+    def test_fuzz_matches_recursive_evaluator(self, k):
+        rng = np.random.default_rng(k)
+        texts = ["exp(-2.6391)^-3 + 1.324", "x1, 0", "x2, 1/0",
+                 "sqrt(x1), (2 - 3)^-2 * x2", "sin(-0.5)^2 + x1 / x2"]
+        texts += [", ".join(_tape_expr(rng) for _ in range(rng.integers(1, 4)))
+                  for _ in range(1500)]
+        ops, outcomes = set(), set()
+        for text in texts:
+            spec = parse_map(text, 2)
+            pts = rng.normal(scale=2.0, size=(k, 2))
+            pts[rng.random(size=pts.shape) < 0.1] = 0.0
+            expected = _eval_outcome(_ref_evaluate, spec, pts)
+            assert _eval_outcome(evaluate, spec, pts) == expected, text
+            ops.update(op for op, _, _ in spec.tape.steps)
+            outcomes.add(type(expected))
+        assert ops == {"const", "var", "full", "neg", "add", "sub", "mul",
+                       "div", "pow", "sin", "cos", "exp", "sqrt", "abs"}
+        assert outcomes == {bytes, tuple}
+
+    def test_batch_of_several_chunks(self):
+        spec = parse_map("sqrt(x1) * (x2 - 0.5)^2 + exp(-1)^-3, 1 / x2", 2)
+        rng = np.random.default_rng(5)
+        k = 2 * mapspec._CHUNK + 3
+        pts = rng.uniform(0.1, 2.0, size=(k, 2))
+        assert _eval_outcome(evaluate, spec, pts) \
+            == _eval_outcome(_ref_evaluate, spec, pts)
+        pts[[mapspec._CHUNK + 1, k - 1], 0] = -1.0    # sqrt of a negative
+        outcome = _eval_outcome(evaluate, spec, pts)
+        assert outcome == _eval_outcome(_ref_evaluate, spec, pts)
+        assert outcome[1] == pts[mapspec._CHUNK + 1].tobytes()
+
+
+class TestMerging:
+    def test_equal_subtrees_share_one_step(self):
+        spec = parse_map("(x1 - 0.5)^2 + (x1 - 0.5)^2, sin(x1 - 0.5)", 1)
+        assert [op for op, _, _ in spec.tape.steps].count("sub") == 1
+        square = spec.components[0].left
+        assert spec.components[0].right is square
+        assert spec.components[1].arg is square.base
+        assert parse_map(to_text(spec), 1).components == spec.components
+
+
 def _outcome(parse):
     """(tree, digest, to_text) of a successful parse, or the error's
     (type, message, line, column)."""
@@ -441,8 +560,10 @@ def _outcome(parse):
 def _ref_outcome(text, n):
     def parse():
         comps = _RefParserRejectingOverflow(text, n).parse_map()
+        # the tape is not compared, and this spec is never evaluated
         return mapspec.MapSpec(n=n, m=len(comps), components=tuple(comps),
-                               source_text=text, digest=map_digest(text))
+                               source_text=text, digest=map_digest(text),
+                               tape=None)
     return _outcome(parse)
 
 

@@ -8,14 +8,20 @@ midpoints).  Each box carries its refined, evaluated boundary as four edge
 arrays, so a level reuses the parent's samples and evaluates only the cut:
 one batch holds the centre (whose image is also the residual check), the
 four half-cuts from it to the edges and any edge cut point the parent
-lacks.  When a cut line lands on (or numerically near) a zero, the cut
-point is jiggled by a deterministic pseudo-random offset of at most 10% of
-the cell size, at most five retries per level.
+lacks.  The four sub-box boundaries are then wound in one batched pass
+over a single array; only a sub-box with an angle step of pi/2 or more
+goes through the refinement loop.  When a cut line lands on (or
+numerically near) a zero, the cut point is jiggled by a deterministic
+pseudo-random offset of at most 10% of the cell size, at most five retries
+per level.  A level whose every attempt stays within the vanishing floor
+ends in BudgetExhausted (the cell has shrunk onto the zero); one where
+some attempt wound all four sub-boxes to 0 ends in DegreeLost.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import List, Optional
 
 import numpy as np
@@ -23,7 +29,7 @@ import numpy as np
 from .criteria import certify_existence
 from .errors import (BudgetExhausted, DegreeLost, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
-from .geometry import MAX_STEP, Region, refine_polyline
+from .geometry import MAX_STEP, Region, refine_polyline, wrapped_steps
 from .mapspec import as_evaluator
 
 MAX_JIGGLES = 5
@@ -32,6 +38,9 @@ BUDGET = 4096                     # refinement insertions per box winding
 # interior sample fractions of a half-cut from the cut point to a box edge
 _HALF_CUT = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE // 2,
                         endpoint=False)[1:, None]
+# per sub-box, in bisection order: the pieces of its boundary (of the seven
+# that _cut concatenates) at which its bottom, right, top and left edge start
+_EDGE_PIECES = ((0, 1, 3, 5), (0, 2, 3, 5), (0, 2, 4, 5), (0, 2, 4, 6))
 
 
 @dataclass(eq=False)
@@ -130,15 +139,20 @@ def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
         return _finish(ev, np.array([b]), b - a, 0, [], "residual", ends[1])
     if (fa > 0) == (fb > 0):
         raise DegreeLost((a, b))
+    image_a, image_b = ends
     trail = []
     for it in range(1, max_iter + 1):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            # a and b are adjacent floats: the cell cannot shrink further
+            return _finish(ev, np.array([mid]), b - a, it - 1, trail,
+                           "cell_diameter", image_a if mid == a else image_b)
         image = ev(np.array([[mid]]))[0]
         fm = float(image[0])
         if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
+            a, fa, image_a = mid, fm, image
         else:
-            b, fb = mid, fm
+            b, fb, image_b = mid, fm, image
         trail.append((a, b))
         if abs(fm) <= eps_f:
             return _finish(ev, np.array([mid]), b - a, it, trail, "residual",
@@ -169,27 +183,31 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
             if result.residual <= eps_f:
                 result.termination = "residual"
             return result
-        center_image, children = _cut_children(ev, lo, hi, edges, center)
+        center_image, *level = _cut(ev, lo, hi, edges, center)
         if float(np.linalg.norm(center_image)) <= eps_f:
             return _finish(ev, center, diameter, it - 1, trail, "residual",
                            center_image)
-        chosen = None
+        chosen, vanished = None, 0
         for attempt in range(MAX_JIGGLES + 1):
             if attempt:
                 cut = center + rng.uniform(-0.1, 0.1, size=2) * (hi - lo)
-                _, children = _cut_children(ev, lo, hi, edges, cut)
+                level = _cut(ev, lo, hi, edges, cut)[1:]
             try:
-                for sub_lo, sub_hi, pieces in children:
-                    winding, poly = _wind(ev, np.concatenate(pieces))
-                    if winding != 0:
-                        chosen = (sub_lo, sub_hi,
-                                  _split_edges(poly, sub_lo, sub_hi))
-                        break
+                chosen = _choose(ev, *level)
             except VanishingOnBoundary:
+                vanished += 1
                 continue
             if chosen is not None:
                 break
         if chosen is None:
+            if vanished == MAX_JIGGLES + 1:
+                # no attempt got past the vanishing floor, so none could
+                # tell whether the degree was lost
+                raise BudgetExhausted(
+                    "jiggle budget spent: every cut of the cell came within "
+                    "the vanishing floor of a zero",
+                    best=_finish(ev, center, diameter, it - 1, trail,
+                                 "budget", center_image))
             raise DegreeLost((lo, hi))
         lo, hi, edges = chosen
         trail.append((lo.copy(), hi.copy()))
@@ -202,7 +220,8 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
 def _split_edges(poly, lo, hi):
     """Bottom, right, top and left edge of a counterclockwise box polyline
     that starts at corner lo; each edge runs from its first corner up to,
-    not including, the next one."""
+    not including, the next one.  Used where no piece offsets are known:
+    the top box and a refined sub-box."""
     x, y = poly[:, 0], poly[:, 1]
     r = int(np.argmax(x == hi[0]))
     t = r + int(np.argmax(y[r:] == hi[1]))
@@ -210,11 +229,12 @@ def _split_edges(poly, lo, hi):
     return [poly[:r], poly[r:t], poly[t:left], poly[left:]]
 
 
-def _cut_children(ev, lo, hi, edges, cut):
+def _cut(ev, lo, hi, edges, cut):
     """The image of ``cut`` and the four sub-boxes of [lo, hi] at it, in
-    bisection order, each as (lower, upper, boundary pieces); the pieces
-    concatenate to the sub-box boundary, counterclockwise from its lower
-    corner.
+    bisection order: their bounds, their boundaries concatenated into one
+    row array, and the row offsets of the 28 pieces of that array.  Sub-box
+    i is made of pieces 7i to 7i + 6, counterclockwise from its lower
+    corner, and its edges start at the pieces 7i + _EDGE_PIECES[i].
 
     One evaluation covers the cut point, the interior samples of the four
     half-cuts from it to the box edges, and each edge cut point that the
@@ -248,14 +268,46 @@ def _cut_children(ev, lo, hi, edges, cut):
         else:
             parts.append((edge[:k], edge[k:k + 1], edge[k + 1:]))
     (b1, bc, b2), (r1, rc, r2), (t1, tc, t2), (l1, lc, l2) = parts
-    return rows[0, 2:], [
-        (lo, cut, (b1, bc, hb[::-1], c, hl, lc, l2)),
-        (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]]),
-         (bc, b2, r1, rc, hr[::-1], c, hb)),
-        (cut, hi, (c, hr, rc, r2, t1, tc, ht[::-1])),
-        (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]]),
-         (lc, hl[::-1], c, ht, tc, t2, l1)),
-    ]
+    pieces = (b1, bc, hb[::-1], c, hl, lc, l2,
+              bc, b2, r1, rc, hr[::-1], c, hb,
+              c, hr, rc, r2, t1, tc, ht[::-1],
+              lc, hl[::-1], c, ht, tc, t2, l1)
+    subs = ((lo, cut),
+            (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]])),
+            (cut, hi),
+            (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]])))
+    offsets = list(accumulate(map(len, pieces), initial=0))
+    return rows[0, 2:], subs, np.concatenate(pieces), offsets
+
+
+def _choose(ev, subs, rows, offsets):
+    """Bounds and edges of the first sub-box, in bisection order, whose
+    boundary winding is nonzero, or None when all four windings are 0.
+
+    One pass over ``rows`` (as made by _cut) gives each sub-box its
+    vanishing floor, its largest angle step and its winding.  A sub-box at
+    or below its floor, or with a step of MAX_STEP or more, goes through
+    _wind instead, which raises VanishingOnBoundary or refines.
+    """
+    starts = offsets[:-1:7]
+    norms = np.linalg.norm(rows[:, 2:], axis=1)
+    # refine_polyline's default floor, per sub-box
+    floors = 1e-12 * (1.0 + np.maximum.reduceat(norms, starts))
+    low = np.minimum.reduceat(norms, starts) <= floors
+    steps = wrapped_steps(rows[:, 2:], starts)
+    steep = np.maximum.reduceat(np.abs(steps), starts) >= MAX_STEP
+    windings = np.rint(np.add.reduceat(steps, starts) / (2.0 * math.pi))
+    for child, (sub_lo, sub_hi) in enumerate(subs):
+        first, end = offsets[7 * child], offsets[7 * child + 7]
+        if low[child] or steep[child]:
+            winding, poly = _wind(ev, rows[first:end])
+            if winding != 0:
+                return sub_lo, sub_hi, _split_edges(poly, sub_lo, sub_hi)
+        elif windings[child] != 0:
+            bounds = [offsets[7 * child + p] for p in _EDGE_PIECES[child]]
+            return sub_lo, sub_hi, [rows[a:b] for a, b in
+                                    zip(bounds, bounds[1:] + [end])]
+    return None
 
 
 def _finish(ev, point, diameter, iterations, trail, termination,

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from zerocert import (DegreeLost, InvalidInput, Region, VanishingOnBoundary,
-                      box_winding, brouwer_fixed_point, evaluate, locate_zero,
-                      parse_map, sample_sphere)
+from zerocert import (BudgetExhausted, DegreeLost, InvalidInput, Region,
+                      VanishingOnBoundary, box_winding, brouwer_fixed_point,
+                      evaluate, locate_zero, parse_map, sample_sphere)
+from zerocert import locator
+from zerocert.locator import (MAX_JIGGLES, _HALF_CUT, _box_boundary, _finish,
+                              _split_edges)
 from zerocert.mapspec import as_evaluator
 
 UNIT_BOX = Region.box([-1.0, -1.0], [1.0, 1.0])
@@ -87,6 +90,36 @@ class TestLocateZero2D:
         spec = parse_map("x1 + 3, x2 + 3", 2)
         with pytest.raises(DegreeLost):
             locate_zero(spec, UNIT_BOX)
+
+    def test_degree_lost_when_a_level_winds_to_zero(self):
+        # F = (z - a)^2 with a just below the box has no zero in it, but
+        # its full turn near a falls between two samples of the bottom edge,
+        # so the box reads winding 1; a cut point near a resolves the turn
+        # and then all four sub-box windings are 0
+        spec = parse_map("(x1 - 0.3)^2 - (x2 + 1.001)^2, "
+                         "2*(x1 - 0.3)*(x2 + 1.001)", 2)
+        assert box_winding(spec, [-1, -1], [1, 1]) == 1
+        with pytest.raises(DegreeLost) as info:
+            locate_zero(spec, UNIT_BOX, eps_x=1e-10)
+        lo, hi = info.value.cell
+        assert lo[1] == -1.0 and lo[0] < 0.3 < hi[0]
+
+    def test_cell_at_a_zero_on_every_cut_exhausts_the_jiggles(self):
+        # at eps_x = 0 the cell shrinks around the zero until every cut
+        # passes within the vanishing floor of it: the degree is not lost,
+        # the jiggle budget is spent, and the centre is the best estimate
+        spec = parse_map("x1 - 0.3, x2 - 0.4", 2)
+        with pytest.raises(BudgetExhausted, match="jiggle budget") as info:
+            locate_zero(spec, UNIT_BOX, eps_x=0.0, eps_f=0.0)
+        best = info.value.best
+        assert best.termination == "budget"
+        assert best.cell_diameter < 1e-10
+        assert np.linalg.norm(best.point - [0.3, 0.4]) <= best.cell_diameter
+        assert best.residual == float(np.linalg.norm(evaluate(spec,
+                                                              best.point)))
+        lo, hi = best.trail[-1]
+        assert np.array_equal(best.point, 0.5 * (lo + hi))
+        assert best.iterations == len(best.trail)
 
     def test_zero_on_initial_cut_is_jiggled_past(self):
         # the zero sits exactly at the first cut point
@@ -198,6 +231,203 @@ class TestIncrementalQuadtree:
         assert ev.batches[-1] == 1
 
 
+def _cut_children(ev, lo, hi, edges, cut):
+    """The image of ``cut`` and the four sub-boxes of [lo, hi] at it, in
+    bisection order, each as (lower, upper, boundary pieces); the pieces
+    concatenate to the sub-box boundary, counterclockwise from its lower
+    corner.
+
+    One evaluation covers the cut point, the interior samples of the four
+    half-cuts from it to the box edges, and each edge cut point that the
+    parent edges lack; every other sample is reused from the parent edges.
+    """
+    ends = np.array([[cut[0], lo[1]], [hi[0], cut[1]],
+                     [cut[0], hi[1]], [lo[0], cut[1]]])
+    splits, missing = [], []
+    for side, edge in enumerate(edges):
+        axis = side % 2
+        coord = edge[:, axis]
+        if side < 2:        # bottom and right edges run up their coordinate
+            k = int(np.searchsorted(coord, cut[axis]))
+        else:               # top and left edges run down it
+            k = len(coord) - int(np.searchsorted(coord[::-1], cut[axis],
+                                                 side="right"))
+        splits.append(k)
+        if k == len(coord) or coord[k] != cut[axis]:
+            missing.append(side)
+    cross = (cut + _HALF_CUT * (ends - cut)[:, None, :]).reshape(-1, 2)
+    pts = np.concatenate((cut[None, :], cross, ends[missing]))
+    rows = np.hstack((pts, ev(pts)))
+    c = rows[:1]
+    hb, hr, ht, hl = rows[1:1 + len(cross)].reshape(4, -1, 4)
+    new_heads = iter(rows[1 + len(cross):, None])
+    # per edge: the part before its cut point, the cut point, the rest
+    parts = []
+    for side, (edge, k) in enumerate(zip(edges, splits)):
+        if side in missing:
+            parts.append((edge[:k], next(new_heads), edge[k:]))
+        else:
+            parts.append((edge[:k], edge[k:k + 1], edge[k + 1:]))
+    (b1, bc, b2), (r1, rc, r2), (t1, tc, t2), (l1, lc, l2) = parts
+    return rows[0, 2:], [
+        (lo, cut, (b1, bc, hb[::-1], c, hl, lc, l2)),
+        (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]]),
+         (bc, b2, r1, rc, hr[::-1], c, hb)),
+        (cut, hi, (c, hr, rc, r2, t1, tc, ht[::-1])),
+        (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]]),
+         (lc, hl[::-1], c, ht, tc, t2, l1)),
+    ]
+
+
+def oracle_quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
+    """The quadtree that winds the four sub-boxes of a level one after
+    another, each through _wind and the refinement loop, and searches the
+    chosen boundary for its corners: the behaviour, evaluated batches
+    included, that the batched level pass must reproduce."""
+    rng = np.random.default_rng(seed)
+    lo = box.lower.copy()
+    hi = box.upper.copy()
+    winding, poly = locator._wind(ev, _box_boundary(ev, lo, hi))
+    if winding == 0:
+        raise DegreeLost((lo, hi))
+    edges = _split_edges(poly, lo, hi)
+    trail = []
+    for it in range(1, max_iter + 1):
+        center = 0.5 * (lo + hi)
+        diameter = float(np.linalg.norm(hi - lo))
+        if diameter <= eps_x:
+            result = _finish(ev, center, diameter, it - 1, trail,
+                             "cell_diameter")
+            if result.residual <= eps_f:
+                result.termination = "residual"
+            return result
+        center_image, children = _cut_children(ev, lo, hi, edges, center)
+        if float(np.linalg.norm(center_image)) <= eps_f:
+            return _finish(ev, center, diameter, it - 1, trail, "residual",
+                           center_image)
+        chosen = None
+        for attempt in range(MAX_JIGGLES + 1):
+            if attempt:
+                cut = center + rng.uniform(-0.1, 0.1, size=2) * (hi - lo)
+                _, children = _cut_children(ev, lo, hi, edges, cut)
+            try:
+                for sub_lo, sub_hi, pieces in children:
+                    winding, poly = locator._wind(ev, np.concatenate(pieces))
+                    if winding != 0:
+                        chosen = (sub_lo, sub_hi,
+                                  _split_edges(poly, sub_lo, sub_hi))
+                        break
+            except VanishingOnBoundary:
+                continue
+            if chosen is not None:
+                break
+        if chosen is None:
+            raise DegreeLost((lo, hi))
+        lo, hi, edges = chosen
+        trail.append((lo.copy(), hi.copy()))
+    raise BudgetExhausted("quadtree iteration limit reached",
+                          best=_finish(ev, 0.5 * (lo + hi),
+                                       float(np.linalg.norm(hi - lo)),
+                                       max_iter, trail, "budget"))
+
+
+class RecordingEvaluator:
+    """Batch evaluator that keeps the bytes of every batch of points."""
+
+    def __init__(self, map_like):
+        self._ev = as_evaluator(map_like)
+        self.batches = []
+
+    def __call__(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        self.batches.append(pts.tobytes())
+        return self._ev(pts)
+
+
+def outcome_bytes(result):
+    return (b"".join(lo.tobytes() + hi.tobytes() for lo, hi in result.trail),
+            result.point.tobytes(), np.float64(result.residual).tobytes(),
+            result.iterations, result.termination)
+
+
+class TestBatchedLevelMatchesOracle:
+    """The batched level pass of locate_zero evaluates the same batches, in
+    the same order, and returns the same bytes as the per-sub-box loop."""
+
+    def run_both(self, call, map_like):
+        """Outcome of ``call(evaluator)`` with the batched quadtree, which
+        must equal that with the oracle, and the number of boundaries each
+        of the two wound through _wind."""
+        runs = []
+        for oracle in (False, True):
+            ev, winds = RecordingEvaluator(map_like), []
+            with pytest.MonkeyPatch.context() as patch:
+                wind = locator._wind
+                patch.setattr(locator, "_wind",
+                              lambda *args: winds.append(1) or wind(*args))
+                if oracle:
+                    patch.setattr(locator, "_quadtree_2d", oracle_quadtree_2d)
+                try:
+                    outcome = outcome_bytes(call(ev))
+                except (DegreeLost, BudgetExhausted) as exc:
+                    outcome = (type(exc), str(exc))
+            runs.append((ev.batches, outcome, len(winds)))
+        (batches, outcome, winds), (oracle_batches, oracle_outcome,
+                                    oracle_winds) = runs
+        assert batches == oracle_batches
+        assert outcome == oracle_outcome
+        return outcome, winds, oracle_winds
+
+    def test_random_polynomial_boxes(self):
+        rng = np.random.default_rng(71)
+        winds = np.zeros(2, dtype=int)
+        for _ in range(200):
+            degree = int(rng.integers(1, 5))
+            roots = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
+            coeffs = np.poly(roots) * complex(*rng.uniform(0.5, 2.0, 2))
+            width = rng.uniform(0.3, 4.0, 2)
+            lower = (np.array([roots[0].real, roots[0].imag])
+                     - rng.uniform(0.05, 0.95, 2) * width)
+            box = Region.box(lower, lower + width)
+            outcome, *counts = self.run_both(
+                lambda ev: locate_zero(ev, box, eps_x=1e-4, eps_f=1e-12),
+                complex_poly_map(coeffs))
+            winds += counts
+        # besides the top boxes, the batched pass refined some sub-boxes,
+        # and it wound most of them without _wind
+        assert 200 < winds[0] < winds[1] / 2
+
+    @pytest.mark.parametrize("text, seed, termination", [
+        # a zero on a half-cut sample: every level jiggles
+        ("x1, x2 - 0.5", 0, "cell_diameter"),
+        ("x1, x2 - 0.5", 42, "cell_diameter"),
+        # the centre of the second level is the zero
+        ("x1 - 0.25, x2 + 0.25", 0, "residual"),
+    ])
+    def test_jiggles_and_residual_stop(self, text, seed, termination):
+        outcome, *_ = self.run_both(
+            lambda ev: locate_zero(ev, UNIT_BOX, eps_x=1e-7, eps_f=0.0,
+                                   seed=seed),
+            parse_map(text, 2))
+        assert outcome[4] == termination
+
+    def test_fixed_point_contractions(self):
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            a = rng.uniform(-0.5, 0.5, size=(2, 2))
+            a *= 0.6 / max(0.6, np.linalg.norm(a, 2))
+            fix = rng.uniform(-0.3, 0.3, size=2)
+            b = (np.eye(2) - a) @ fix
+            a, b = a.tolist(), b.tolist()
+            text = (f"{a[0][0]!r}*x1 + {a[0][1]!r}*x2 + {b[0]!r} "
+                    f"+ 0.05*sin(3*x2), "
+                    f"{a[1][0]!r}*x1 + {a[1][1]!r}*x2 + {b[1]!r}")
+            outcome, *_ = self.run_both(
+                lambda ev: brouwer_fixed_point(ev, n=2),
+                parse_map(text, 2))
+            assert outcome[4] in ("residual", "cell_diameter")
+
+
 class TestLocateZero1D:
     def test_cube_root(self):
         spec = parse_map("x1^3 - 0.5", 1)
@@ -218,6 +448,23 @@ class TestLocateZero1D:
         # endpoints, one midpoint per iteration, and the midpoint of the
         # last cell, which no iteration evaluated
         assert ev.batches == [2] + [1] * result.iterations + [1]
+
+    def test_stops_at_float_resolution(self, counting_evaluator):
+        # with eps_x = 0 the bracket reaches two adjacent floats; their
+        # midpoint rounds to one of them and is not evaluated again
+        ev = counting_evaluator(parse_map("x1^3 - 0.1", 1))
+        result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_x=0.0,
+                             eps_f=0.0)
+        assert result.termination == "cell_diameter"
+        assert result.iterations < 100
+        a, b = result.trail[-1]
+        assert b == np.nextafter(a, 1.0)
+        assert result.cell_diameter == b - a
+        assert result.point[0] in (a, b)
+        root = 0.1 ** (1.0 / 3.0)
+        assert abs(result.point[0] - root) <= np.spacing(root)
+        assert result.residual == abs(result.point[0] ** 3 - 0.1)
+        assert ev.batches == [2] + [1] * result.iterations
 
     def test_vector_codomain_rejected(self):
         # F = (x1 - 0.3, x1) has no zero; column 0 alone would give 0.3

@@ -172,9 +172,10 @@ def _cmd_certify(args) -> int:
                                f"got {args.lipschitz!r}") from None
     cert = certify_existence(spec, region, level=args.level,
                              lipschitz=lipschitz)
-    if auto:
+    if auto and region.dim > 1:
         # an estimated constant cannot ground a rigorous claim, so the
-        # estimate is fed through but the certificate stays heuristic
+        # estimate is fed through but the certificate stays heuristic;
+        # the exact n = 1 check never uses it
         cert.rigor = "heuristic"
         cert.evidence = [dataclasses.replace(c, rigor="heuristic")
                          for c in cert.evidence]

@@ -55,8 +55,7 @@ def boundary_nonvanishing(map_like, region: Region,
     """Minimum image norm over boundary samples; the standing hypothesis."""
     check_lipschitz(L)
     f = SampledMap.from_evaluator(map_like, sample_sphere(region, level))
-    return _smallest("boundary_nonvanishing", f.sampling,
-                     np.linalg.norm(f.images, axis=1), L)
+    return _nonvanishing(f.sampling, np.linalg.norm(f.images, axis=1), L)
 
 
 def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
@@ -86,6 +85,16 @@ def _smallest(name, sampling, margins, L) -> CheckResult:
                        witness=sampling.points[idx].copy(),
                        rigor="heuristic" if L is None else "rigorous",
                        threshold=threshold)
+
+
+def _nonvanishing(sampling, norms, L) -> CheckResult:
+    """The smallest boundary image norm.  For n = 1 the two samples are the
+    whole boundary S^0, so no mesh argument is involved: the check is exact,
+    labelled rigorous with threshold 0 whatever L is."""
+    if sampling.region.dim == 1:
+        return replace(_smallest("boundary_nonvanishing", sampling, norms,
+                                 None), rigor="rigorous")
+    return _smallest("boundary_nonvanishing", sampling, norms, L)
 
 
 def _poincare_bohl(f: SampledMap, L) -> CheckResult:
@@ -169,7 +178,7 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
     original = lambda check: replace(check, witness=r * check.witness + x0)
 
     norms = np.linalg.norm(ims, axis=1)
-    nonvanish = original(_smallest("boundary_nonvanishing", sampling, norms, L))
+    nonvanish = original(_nonvanishing(sampling, norms, L))
     min_norm = nonvanish.margin
     zero_tol = ZERO_TOL_SCALE * (1.0 + float(np.max(norms)))
     cert = partial(Certificate, map_digest=digest, region=region,

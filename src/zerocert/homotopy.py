@@ -1,14 +1,19 @@
 """Sampled homotopies between boundary maps.
 
-A homotopy is stored on a finite (sample point, t) grid.  Validity ("the
-homotopy misses zero") is certified only up to the grid: heuristically when
-the minimum image norm is positive, rigorously when it exceeds L*g/2 for a
-supplied Lipschitz constant L and grid diameter g.
+A homotopy lives on a finite (sample point, t) grid, held in closed form:
+``HomotopyTrace.frame(i, j)`` evaluates any set of grid entries, and the
+whole frame grid is built only when it is read.  Validity ("the homotopy
+misses zero") is certified only up to the grid: heuristically when the
+minimum image norm is positive, rigorously when it exceeds L*g/2 for a
+supplied Lipschitz constant L and grid diameter g.  The zero-free extension
+of ``radial_extension`` evaluates the four grid entries it blends per point.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,11 +57,37 @@ class SampledMap:
 
 @dataclass(frozen=True, eq=False)
 class HomotopyTrace:
+    """H(x_j, t_i) on the grid of ``base.points`` and ``t_grid``.
+
+    ``frame(i, j)`` takes two integer index arrays of one length and returns
+    the images H(x_j, t_i) of those pairs, shape (length, m).  ``frames``
+    (the (T, k, m) grid), ``min_norm`` and ``witness`` are computed from it
+    on first read."""
+
     base: BoundarySampling
     t_grid: np.ndarray              # ordered, includes 0 and 1
-    frames: np.ndarray              # (T, k, m)
-    min_norm: float
-    witness: Optional[tuple]        # (point index, t index) attaining min_norm
+    frame: Callable                 # (i, j) index arrays -> (len, m) images
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        T, k = len(self.t_grid), len(self.base.points)
+        return self.frame(np.repeat(np.arange(T), k),
+                          np.tile(np.arange(k), T)).reshape(T, k, -1)
+
+    @cached_property
+    def _least(self) -> tuple:
+        norms = np.linalg.norm(self.frames, axis=2)
+        t_idx, p_idx = np.unravel_index(int(np.argmin(norms)), norms.shape)
+        return float(norms[t_idx, p_idx]), (int(p_idx), int(t_idx))
+
+    @property
+    def min_norm(self) -> float:
+        return self._least[0]
+
+    @property
+    def witness(self) -> tuple:
+        """(point index, t index) attaining ``min_norm``."""
+        return self._least[1]
 
 
 @dataclass(frozen=True)
@@ -66,15 +97,6 @@ class ValidityReport:
     witness: Optional[tuple]
     rigor: str                      # "heuristic" | "rigorous"
     threshold: float = 0.0
-
-
-def _make_trace(base, t_grid, frames) -> HomotopyTrace:
-    norms = np.linalg.norm(frames, axis=2)
-    t_idx, p_idx = np.unravel_index(int(np.argmin(norms)), norms.shape)
-    return HomotopyTrace(base=base, t_grid=np.asarray(t_grid, dtype=float),
-                         frames=np.asarray(frames, dtype=float),
-                         min_norm=float(norms[t_idx, p_idx]),
-                         witness=(int(p_idx), int(t_idx)))
 
 
 def _report(trace: HomotopyTrace, L: Optional[float]) -> ValidityReport:
@@ -104,9 +126,12 @@ def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
                                atol=1e-12)):
         raise InvalidInput("maps are sampled on different boundary points")
     t_grid = np.linspace(0.0, 1.0, t_steps)
-    frames = ((1.0 - t_grid)[:, None, None] * f.images[None]
-              + t_grid[:, None, None] * g.images[None])
-    trace = _make_trace(f.sampling, t_grid, frames)
+
+    def frame(i, j):
+        t = t_grid[i][:, None]
+        return (1.0 - t) * f.images[j] + t * g.images[j]
+
+    trace = HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame)
     return trace, _report(trace, L)
 
 
@@ -115,8 +140,11 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
 
     Works in log-polar coordinates: radii are interpolated geometrically and
     the (unwrapped) angles linearly, so no frame ever vanishes.  Requires the
-    discrete angle sum to close up to a full turn count of zero.
+    discrete angle sum to close up to a full turn count of zero.  Row 0 is
+    the exact boundary images.
     """
+    if t_steps < 2:
+        raise InvalidInput("t_steps must be >= 2")
     if f.m != 2:
         raise InvalidInput("null_homotopy needs a planar codomain")
     norms = np.linalg.norm(f.images, axis=1)
@@ -132,12 +160,19 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
     target_log_r = float(np.mean(log_r))
     target_angle = float(np.mean(lifted))
     t_grid = np.linspace(0.0, 1.0, t_steps)
-    t = t_grid[:, None]
-    r = np.exp((1.0 - t) * log_r + t * target_log_r)
-    a = (1.0 - t) * lifted + t * target_angle
-    frames = np.stack([r * np.cos(a), r * np.sin(a)], axis=2)
-    frames[0] = f.images   # exact endpoint agreement
-    return _make_trace(f.sampling, t_grid, frames)
+    s_grid = 1.0 - t_grid
+    r_tail, a_tail = t_grid * target_log_r, t_grid * target_angle
+    is_row0 = np.arange(t_steps) == 0
+    exact = np.ascontiguousarray(f.images.T)      # row 0 is the exact images
+
+    def frame(i, j):
+        s = s_grid[i]
+        r = np.exp(s * log_r[j] + r_tail[i])
+        a = s * lifted[j] + a_tail[i]
+        out = r * np.array([np.cos(a), np.sin(a)])
+        return np.where(is_row0[i], exact.take(j, 1), out).T
+
+    return HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame)
 
 
 def radial_extension(H: HomotopyTrace):
@@ -146,8 +181,11 @@ def radial_extension(H: HomotopyTrace):
     Returns an evaluator phi on the unit disk: constant on the inner half
     disk, and the homotopy frames (bilinearly interpolated in angle and t)
     on the annulus, matching the boundary map exactly at sampling points.
+    Only the last frame is built here; each call evaluates the four frame
+    entries it blends.
     """
-    last = H.frames[-1]
+    k, frame = len(H.base.points), H.frame
+    last = frame(np.full(k, len(H.t_grid) - 1), np.arange(k))
     c = last[0].copy()
     if float(np.max(np.abs(last - c))) > ENDPOINT_TOL:
         raise NotANullHomotopy("final frame is not constant")
@@ -156,38 +194,42 @@ def radial_extension(H: HomotopyTrace):
     region = H.base.region
     rel = (H.base.points - region.center) / region.radius
     angles = np.arctan2(rel[:, 1], rel[:, 0])
-    theta0 = angles[0]
-    rel_ang = np.mod(angles - theta0, 2.0 * math.pi)
+    rel_ang = np.mod(angles - angles[0], 2.0 * math.pi)
     order = np.argsort(rel_ang)
-    rel_ang = rel_ang[order]
-    frames = H.frames[:, order, :]
-    t_grid = H.t_grid
-    k = len(rel_ang)
+    # the frame indices of the four entries a call blends: rows (i, i+1)
+    # and the samples at sorted angular positions (j, j+1)
+    rows = np.arange(len(H.t_grid) - 1)[:, None] + np.array([0, 0, 1, 1])
+    cols = order[(np.arange(k)[:, None] + np.array([0, 1, 0, 1])) % k]
+    # the scalar work runs on Python floats, which round as numpy does
+    rel_ang = rel_ang[order].tolist()
+    theta0 = float(angles[0])
+    t_grid = H.t_grid.tolist()
+    two_pi = 2.0 * math.pi
 
     def phi(x):
         x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
+        r = math.sqrt(x.dot(x))         # np.linalg.norm, bit for bit
         if r <= 0.5:
             return c.copy()
         t = min(max(2.0 - 2.0 * r, 0.0), 1.0)
         theta = math.atan2(x[1], x[0])
-        a = (theta - theta0) % (2.0 * math.pi)
-        j = int(np.searchsorted(rel_ang, a, side="right")) - 1
+        a = (theta - theta0) % two_pi
+        j = bisect_right(rel_ang, a) - 1
         if j < 0:
             j = k - 1
         j2 = (j + 1) % k
-        width = (rel_ang[j2] - rel_ang[j]) % (2.0 * math.pi)
+        width = (rel_ang[j2] - rel_ang[j]) % two_pi
         if width == 0.0:
             w = 0.0
         else:
-            w = ((a - rel_ang[j]) % (2.0 * math.pi)) / width
-        i = int(np.searchsorted(t_grid, t, side="right")) - 1
+            w = ((a - rel_ang[j]) % two_pi) / width
+        i = bisect_right(t_grid, t) - 1
         i = min(max(i, 0), len(t_grid) - 2)
         span = t_grid[i + 1] - t_grid[i]
         s = (t - t_grid[i]) / span if span > 0 else 0.0
-        lo = (1.0 - w) * frames[i, j] + w * frames[i, j2]
-        hi = (1.0 - w) * frames[i + 1, j] + w * frames[i + 1, j2]
-        return (1.0 - s) * lo + s * hi
+        u, v = 1.0 - w, 1.0 - s
+        return np.array([
+            v * (u * f00 + w * f01) + s * (u * f10 + w * f11)
+            for f00, f01, f10, f11 in frame(rows[i], cols[j]).T.tolist()])
 
     return phi
-

@@ -91,6 +91,14 @@ class TestCertifyCommand:
         assert out["rigor"] == "heuristic"
         assert [c["rigor"] for c in out["evidence"]] == ["heuristic"] * 2
 
+    def test_lipschitz_auto_keeps_the_exact_n1_check(self, capsys):
+        code = main(["certify", "--map", "x1^3 - 0.5", "--n", "1",
+                     "--center=0.5", "--radius", "1", "--lipschitz", "auto"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["verdict"] == "ZeroGuaranteed"
+        assert out["rigor"] == "rigorous"
+        assert out["evidence"][0]["rigor"] == "rigorous"
+
     def test_explicit_lipschitz_is_rigorous(self, capsys):
         code = main(["certify", "--map", "x1, x2", "--n", "2",
                      "--center", "0,0", "--radius", "1",

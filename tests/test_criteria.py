@@ -265,6 +265,39 @@ class TestCertifyExistence:
         assert rigorous.rigor == "rigorous"
 
 
+class TestOneDimensionalIsExact:
+    """The n = 1 boundary S^0 is its two endpoints, both sampled, so the
+    sign route needs no mesh argument and no Lipschitz bound."""
+
+    @pytest.mark.parametrize("L", [None, 1.0, 100.0])
+    def test_sign_change_is_rigorous(self, L):
+        spec = parse_map("x1^3 - 0.5", 1)
+        cert = certify_existence(spec, Region.disk([0.5], 1.0), lipschitz=L)
+        assert cert.verdict == "ZeroGuaranteed" and cert.route == "sign_change"
+        assert cert.rigor == "rigorous"
+        [check] = cert.evidence
+        assert check.name == "boundary_nonvanishing"
+        assert check.passed and check.margin == 0.625
+        assert check.rigor == "rigorous" and check.threshold == 0.0
+
+    @pytest.mark.parametrize("L", [None, 1.0, 100.0])
+    def test_no_conclusion_is_rigorous(self, L):
+        cert = certify_existence(parse_map("x1^2 + 1", 1),
+                                 Region.disk([0.0], 1.0), lipschitz=L)
+        assert cert.verdict == "NoConclusion"
+        assert cert.reason == "same_component" and cert.rigor == "rigorous"
+        check = boundary_nonvanishing(parse_map("x1^2 + 1", 1),
+                                      Region.disk([0.0], 1.0), L=L)
+        assert check.passed and check.rigor == "rigorous"
+        assert check.threshold == 0.0
+
+    def test_boundary_zero_stays_heuristic(self):
+        cert = certify_existence(parse_map("x1 - 1", 1), Region.disk([0.0], 1.0),
+                                 lipschitz=1.0)
+        assert cert.verdict == "ZeroOnBoundary" and cert.rigor == "heuristic"
+        assert not cert.evidence[0].passed
+
+
 class TestLipschitzValidation:
     def test_negative_constant_gives_no_false_rigorous_zero(self):
         # the map has no zero in the disk; a negative L made the L*h/2

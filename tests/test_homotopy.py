@@ -1,14 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import circle_map, sampled_circle_map
 
 from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
-                      Region, SampledMap, null_homotopy, radial_extension,
+                      Region, SampledMap, certify_existence, evaluate,
+                      null_homotopy, parse_map, radial_extension,
                       sample_sphere, straight_line)
 from zerocert.geometry import mesh_norm, wrapped_steps
-from zerocert.homotopy import _make_trace
+from zerocert.homotopy import ENDPOINT_TOL
 
 
 def _identity_map(level=6):
@@ -157,6 +159,15 @@ class TestRadialExtension:
             radial_extension(trace)
 
 
+def eager_trace(t_grid, frames):
+    """Reference: a trace's grid, its smallest norm and where it is hit."""
+    norms = np.linalg.norm(frames, axis=2)
+    t_idx, p_idx = np.unravel_index(int(np.argmin(norms)), norms.shape)
+    return SimpleNamespace(t_grid=t_grid, frames=frames,
+                           min_norm=float(norms[t_idx, p_idx]),
+                           witness=(int(p_idx), int(t_idx)))
+
+
 def null_homotopy_loop(f, t_steps):
     """Reference: the log-polar contraction built one frame at a time."""
     norms = np.linalg.norm(f.images, axis=1)
@@ -174,7 +185,7 @@ def null_homotopy_loop(f, t_steps):
         frames[i, :, 0] = r * np.cos(a)
         frames[i, :, 1] = r * np.sin(a)
     frames[0] = f.images
-    return _make_trace(f.sampling, t_grid, frames)
+    return eager_trace(t_grid, frames)
 
 
 class TestNullHomotopyMatchesLoop:
@@ -199,3 +210,195 @@ class TestNullHomotopyMatchesLoop:
             assert got.frames.tobytes() == want.frames.tobytes()
             assert got.min_norm == want.min_norm
             assert got.witness == want.witness
+
+
+def radial_extension_eager(H):
+    """Reference: the extension over the whole reordered frame grid."""
+    last = H.frames[-1]
+    c = last[0].copy()
+    if float(np.max(np.abs(last - c))) > ENDPOINT_TOL:
+        raise NotANullHomotopy("final frame is not constant")
+    if np.linalg.norm(c) <= 0.0:
+        raise NotANullHomotopy("final constant is zero")
+    region = H.base.region
+    rel = (H.base.points - region.center) / region.radius
+    angles = np.arctan2(rel[:, 1], rel[:, 0])
+    theta0 = angles[0]
+    rel_ang = np.mod(angles - theta0, 2.0 * math.pi)
+    order = np.argsort(rel_ang)
+    rel_ang = rel_ang[order]
+    frames = H.frames[:, order, :]
+    t_grid = H.t_grid
+    k = len(rel_ang)
+
+    def phi(x):
+        x = np.asarray(x, dtype=float)
+        r = float(np.linalg.norm(x))
+        if r <= 0.5:
+            return c.copy()
+        t = min(max(2.0 - 2.0 * r, 0.0), 1.0)
+        theta = math.atan2(x[1], x[0])
+        a = (theta - theta0) % (2.0 * math.pi)
+        j = int(np.searchsorted(rel_ang, a, side="right")) - 1
+        if j < 0:
+            j = k - 1
+        j2 = (j + 1) % k
+        width = (rel_ang[j2] - rel_ang[j]) % (2.0 * math.pi)
+        if width == 0.0:
+            w = 0.0
+        else:
+            w = ((a - rel_ang[j]) % (2.0 * math.pi)) / width
+        i = int(np.searchsorted(t_grid, t, side="right")) - 1
+        i = min(max(i, 0), len(t_grid) - 2)
+        span = t_grid[i + 1] - t_grid[i]
+        s = (t - t_grid[i]) / span if span > 0 else 0.0
+        lo = (1.0 - w) * frames[i, j] + w * frames[i, j2]
+        hi = (1.0 - w) * frames[i + 1, j] + w * frames[i + 1, j2]
+        return (1.0 - s) * lo + s * hi
+
+    return phi
+
+
+def _winding_zero_map(rng, sampling):
+    """Images whose angle stays within 1.4 of a constant, so every wrapped
+    step is below pi in any sample order and the winding is 0."""
+    rel = (sampling.points - sampling.region.center) / sampling.region.radius
+    theta = np.arctan2(rel[:, 1], rel[:, 0])
+    a = rng.uniform(-math.pi, math.pi) + 1.4 * np.sin(
+        int(rng.integers(1, 4)) * theta + rng.uniform(0.0, 6.0))
+    r = rng.uniform(0.2, 5.0, len(theta))
+    return SampledMap(sampling=sampling,
+                      images=np.stack([r * np.cos(a), r * np.sin(a)], axis=1))
+
+
+def _probe_points(rng, sampling, count):
+    """Unit-disk points: the inner half disk, the annulus, just outside it,
+    and exact boundary samples."""
+    rel = (sampling.points - sampling.region.center) / sampling.region.radius
+    quarter = count // 4
+    radii = np.concatenate([rng.uniform(0.0, 0.5, quarter),
+                            rng.uniform(0.5, 1.0, quarter),
+                            rng.uniform(1.0, 1.5, quarter)])
+    angles = rng.uniform(-math.pi, math.pi, len(radii))
+    inside = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+    picked = rel[rng.choice(len(rel), count - len(radii))]
+    return np.concatenate([inside, picked, [[0.0, 0.0], [0.5, 0.0]]])
+
+
+def _assert_same_witness(trace, points):
+    got, want = radial_extension(trace), radial_extension_eager(trace)
+    for x in points:
+        a, b = got(x), want(x)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), x
+
+
+class TestRadialExtensionMatchesEager:
+    """The extension built from four frame entries per point equals the one
+    interpolating the whole frame grid, bit for bit."""
+
+    @pytest.mark.parametrize("t_steps", [2, 3, 65])
+    def test_null_homotopy_witness(self, t_steps):
+        rng = np.random.default_rng(100 + t_steps)
+        checked = 0
+        for m in range(140):
+            level = 2 + m % 7
+            region = (Region.disk([0.0, 0.0], 1.0) if m % 2 else Region.disk(
+                rng.uniform(-2.0, 2.0, 2), float(rng.uniform(0.3, 3.0))))
+            sampling = sample_sphere(region, level)
+            trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
+            points = _probe_points(rng, sampling, 80)
+            _assert_same_witness(trace, points)
+            checked += len(points)
+        assert checked >= 140 * 80
+
+    def test_certify_witness(self):
+        spec = parse_map("x1 + 3, x2 + 3", 2)
+        region = Region.disk([0.5, -1.0], 2.0)
+        cert = certify_existence(spec, region)
+        assert cert.verdict == "NoConclusion" and cert.obstruction == 0
+        sampling = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6)
+        f = SampledMap.from_evaluator(
+            lambda pts: evaluate(spec, 2.0 * pts + region.center), sampling)
+        want = radial_extension_eager(null_homotopy(f))
+        rng = np.random.default_rng(5)
+        for x in _probe_points(rng, sampling, 200):
+            y = 2.0 * x + region.center
+            got = cert.extension_witness(y)
+            assert got.tobytes() == want((y - region.center) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("shift", [0.0, 0.7, -2.9])
+    def test_sampling_out_of_angular_order(self, shift):
+        # rotated so sample 0 is not at angle 0, then shuffled: the sorted
+        # angular order is not the sample order
+        rng = np.random.default_rng(int(10 * shift) + 50)
+        region = Region.disk([0.3, -0.2], 1.7)
+        for k in (3, 8, 61):
+            theta = shift + np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
+            if shift:
+                theta = rng.permutation(theta)
+            pts = region.center + 1.7 * np.stack([np.cos(theta),
+                                                  np.sin(theta)], axis=1)
+            sampling = BoundarySampling(points=pts, h=mesh_norm(pts, True),
+                                        closed=True, region=region)
+            for t_steps in (2, 5, 65):
+                trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
+                _assert_same_witness(trace, _probe_points(rng, sampling, 80))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_straight_line_to_a_constant(self, m):
+        rng = np.random.default_rng(m)
+        for level in (2, 5):
+            sampling = sample_sphere(Region.disk([1.0, 2.0], 0.5), level)
+            f = SampledMap(sampling=sampling,
+                           images=rng.normal(size=(len(sampling), m)))
+            g = SampledMap(sampling=sampling, images=np.tile(
+                rng.normal(size=m), (len(sampling), 1)))
+            for t_steps in (2, 3, 17):
+                trace, _ = straight_line(f, g, t_steps)
+                _assert_same_witness(trace, _probe_points(rng, sampling, 80))
+
+    def test_checks_raise_the_same(self):
+        f = _identity_map(level=4)
+        g = _shifted_map(level=4)
+        trace, _ = straight_line(f, g, t_steps=5)
+        for build in (radial_extension, radial_extension_eager):
+            with pytest.raises(NotANullHomotopy, match="not constant"):
+                build(trace)
+        zero = SampledMap(sampling=f.sampling, images=np.zeros_like(f.images))
+        trace, _ = straight_line(f, zero, t_steps=5)
+        for build in (radial_extension, radial_extension_eager):
+            with pytest.raises(NotANullHomotopy, match="constant is zero"):
+                build(trace)
+
+
+class TestStraightLineMatchesEager:
+    @pytest.mark.parametrize("t_steps", [2, 3, 16, 257])
+    def test_frames_min_norm_witness(self, t_steps):
+        rng = np.random.default_rng(t_steps)
+        for level, m in ((2, 1), (4, 2), (6, 3)):
+            sampling = sample_sphere(Region.disk([0.0, 0.5], 2.0), level)
+            f = SampledMap(sampling=sampling,
+                           images=rng.normal(size=(len(sampling), m)))
+            g = SampledMap(sampling=sampling,
+                           images=rng.normal(size=(len(sampling), m)))
+            t_grid = np.linspace(0.0, 1.0, t_steps)
+            want = eager_trace(t_grid, (1.0 - t_grid)[:, None, None]
+                               * f.images[None]
+                               + t_grid[:, None, None] * g.images[None])
+            got, report = straight_line(f, g, t_steps)
+            assert got.frames.tobytes() == want.frames.tobytes()
+            assert got.min_norm == want.min_norm == report.min_norm
+            assert got.witness == want.witness == report.witness
+
+    def test_frame_entries_match_the_grid(self):
+        f = _identity_map(level=3)
+        g = _shifted_map(level=3)
+        trace, _ = straight_line(f, g, t_steps=9)
+        i, j = np.array([0, 8, 3, 3]), np.array([5, 0, 31, 7])
+        assert trace.frame(i, j).tobytes() == trace.frames[i, j].tobytes()
+        trace = null_homotopy(_shifted_map(level=3), t_steps=9)
+        assert trace.frame(i, j).tobytes() == trace.frames[i, j].tobytes()
+
+    def test_null_homotopy_needs_two_steps(self):
+        with pytest.raises(InvalidInput, match="t_steps"):
+            null_homotopy(_shifted_map(level=3), t_steps=1)

@@ -1,12 +1,13 @@
 """Expression DSL for map specifications.
 
 A map F: R^n -> R^m is written as m comma-separated expressions over the
-variables x1..xn, e.g. ``"x1^2 - x2^2, 2*x1*x2"``.  One parse gives both
-the immutable tree (the public AST) and its tape: a flat list of steps
-``(op, a, b)``, where ``a`` and ``b`` are earlier slots (or a variable
-index, a constant, an exponent).  Equal subtrees are merged as they are
-parsed, so they share one slot and one tree node.  Evaluation runs the tape
-in one loop over a batch of points.
+variables x1..xn, e.g. ``"x1^2 - x2^2, 2*x1*x2"``.  A parse gives its
+tape: a flat list of steps ``(op, a, b)``, where ``a`` and ``b`` are
+earlier slots (or a variable index, a constant, an exponent).  Equal
+subtrees are merged as they are parsed, so they share one slot.  Evaluation
+runs the tape in one loop over a batch of points.  The immutable tree (the
+public AST, ``MapSpec.components``) is built from the tape when first read,
+one node per step, so merged subtrees share one node.
 
 Grammar::
 
@@ -24,7 +25,9 @@ indices, are ASCII digits: the token regex is compiled with re.ASCII.
 
 The lexer is one ``findall`` of a token regex that also eats the
 whitespace after each token; a character it skipped shows as a length
-mismatch.  The parser walks the plain list of token strings.  No line or
+mismatch.  The parser walks the plain list of token strings in one loop per
+nesting level: sums, products, unary minus, '^' and leaves seen before take
+no call, and only a parenthesis or a function call recurses.  No line or
 column is tracked on the way: an error scans the text again up to the
 failing token to report its position.
 """
@@ -35,6 +38,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -98,22 +103,46 @@ class Tape(NamedTuple):
 @dataclass(frozen=True)
 class MapSpec:
     """Parsed map F: R^n -> R^m with a stable content digest.  ``tape`` is
-    what ``evaluate`` runs; only ``parse_map`` builds it."""
+    what ``evaluate`` runs; only ``parse_map`` builds it.  The tree
+    ``components`` is built from the tape when first read."""
 
     n: int
     m: int
-    components: tuple
     source_text: str
     digest: str
     tape: Tape = field(repr=False, compare=False)
+
+    @cached_property
+    def components(self) -> tuple:
+        return _tree(self.tape)
+
+
+def _tree(tape: Tape) -> tuple:
+    """The tree of each output: one node per step, so equal subtrees are
+    one shared node."""
+    nodes = []
+    for op, a, b in tape.steps:
+        if op in _BINARY:
+            nodes.append(Binary(op, nodes[a], nodes[b]))
+        elif op == "const":
+            nodes.append(Const(float(a)))
+        elif op == "var":
+            nodes.append(Var(a))
+        elif op == "pow":
+            nodes.append(Power(nodes[a], b))
+        elif op == "full":
+            nodes.append(nodes[a])
+        else:
+            nodes.append(Unary(op, nodes[a]))
+    return tuple([nodes[s] for s in tape.outputs])
 
 
 # ---------------------------------------------------------------------------
 # lexer / parser
 
 _TOKEN_RE = re.compile(              # one token and the whitespace after it
-    r"((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-    r"|[A-Za-z_][A-Za-z_0-9]*|[-+*/^(),])[ \t\r\n]*", re.ASCII)
+    r"([-+*/^(),]|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_]\w*)"
+    r"[ \t\r\n]*", re.ASCII)
 _WHITESPACE = " \t\r\n"
 _SYMS = frozenset("-+*/^(),") | {""}     # "" is the end-of-input token
 
@@ -141,19 +170,20 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent over the token list; ``i`` is the next token.
+    """One pass over the token list.  ``parse_expr`` parses sums, products,
+    unary minus, '^' and leaves seen before in one loop; it recurses, by
+    ``parse_atom``, only into a parenthesis or a function call.  Both take
+    the index of their first token and return the tape slot of what they
+    parsed and the index after it.
 
-    Each parse method returns the tape slot of what it parsed.  ``slots``
-    maps each step ``(op, a, b)`` to its slot, so a subtree that was seen
-    before costs no new step, and ``tree`` builds no second node for it.
-    ``leaves`` maps each number or variable token to its slot, so a leaf
-    that repeats is converted and checked once.
+    ``slots`` maps each step ``(op, a, b)`` to its slot, so a subtree seen
+    before costs no new step.  ``leaves`` maps each number or variable
+    token to its slot, so a leaf that repeats is converted and checked once.
     """
 
     def __init__(self, text: str, n: int):
         self.text = text
         self.tokens = _tokenize(text)
-        self.i = 0
         self.n = n
         self.slots = {}      # step -> slot; in insertion order, the tape
         self.leaves = {}     # number or variable token -> slot
@@ -181,105 +211,65 @@ class _Parser:
         ``exp(-2.6391)^-3`` would be one ulp off."""
         return self.emit("full", slot) if slot in self.scalars else slot
 
-    def tree(self):
-        """The tree node of every slot: one node per step, so equal
-        subtrees are one shared node."""
-        nodes = []
-        for op, a, b in self.slots:
-            if op in _BINARY:
-                nodes.append(Binary(op, nodes[a], nodes[b]))
-            elif op == "const":
-                nodes.append(Const(float(a)))
-            elif op == "var":
-                nodes.append(Var(a))
-            elif op == "pow":
-                nodes.append(Power(nodes[a], b))
-            elif op == "full":
-                nodes.append(nodes[a])
-            else:
-                nodes.append(Unary(op, nodes[a]))
-        return nodes
-
     def error(self, i, exc, *args):
         """``exc(*args, line, column)`` at token ``i``, located by scanning
         the text again up to that token."""
-        pos = len(self.text)                     # the end-of-input token
-        for k, mo in enumerate(_TOKEN_RE.finditer(self.text)):
-            if k == i:
-                pos = mo.start()
-                break
+        mo = next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        pos = mo.start() if mo else len(self.text)   # or the end of input
         return exc(*args, *_position(self.text, pos))
 
-    def parse_map(self):
-        """The slots of the m components."""
-        outputs = [self.parse_expr(0)]
-        while self.tokens[self.i] == ",":
-            self.i += 1
-            outputs.append(self.parse_expr(0))
-        tok = self.tokens[self.i]
-        if tok:
-            raise self.error(self.i, MapSyntaxError,
-                             f"unexpected trailing input {tok!r}")
-        return outputs
-
-    def parse_expr(self, depth):
-        slot = self.parse_term(depth + 1)
-        while (op := self.tokens[self.i]) == "+" or op == "-":
-            self.i += 1
-            slot = self.emit("add" if op == "+" else "sub", slot,
-                             self.parse_term(depth + 1))
-        return slot
-
-    def parse_term(self, depth):
-        # depth grows by 4 per nesting level (expr, term, factor, atom), so
-        # with MAX_DEPTH = 64 this is the first check that can fail: at the
-        # 16th nested parenthesis or call, on the token after it
+    def parse_expr(self, i, depth):
+        # depth grows by 4 per nesting level (expr, term, factor, atom): the
+        # 16th nested parenthesis or call fails, on the token after it
         if depth > MAX_DEPTH:
-            raise self.error(self.i, MapSyntaxError,
-                             "expression nesting too deep")
-        slot = self.parse_factor(depth + 1)
-        while (op := self.tokens[self.i]) == "*" or op == "/":
-            self.i += 1
-            slot = self.emit("mul" if op == "*" else "div", slot,
-                             self.parse_factor(depth + 1))
-        return slot
+            raise self.error(i, MapSyntaxError, "expression nesting too deep")
+        tokens, leaves, emit = self.tokens, self.leaves, self.emit
+        total = add = prod = mul = None      # the sum and product so far
+        while True:
+            negate = tokens[i] == "-"
+            i += negate
+            if (slot := leaves.get(tokens[i])) is None:
+                slot, i = self.parse_atom(i, depth)
+            else:                            # a number or variable seen before
+                i += 1
+            if (tok := tokens[i]) == "^":
+                negative = tokens[i + 1] == "-"
+                i += 1 + negative
+                if not (tok := tokens[i]).isdecimal():  # digit-only numbers
+                    raise self.error(i, NonIntegerExponent,
+                                     tok or "end of input")
+                slot = emit("pow", self.array(slot),
+                            -int(tok) if negative else int(tok))
+                i += 1
+                tok = tokens[i]
+            if negate:
+                slot = emit("neg", slot)
+            prod = emit(mul, prod, slot) if mul else slot
+            if tok == "*" or tok == "/":
+                mul = "mul" if tok == "*" else "div"
+            else:
+                total = emit(add, total, prod) if add else prod
+                if tok != "+" and tok != "-":
+                    return total, i
+                add, mul = "add" if tok == "+" else "sub", None
+            i += 1
 
-    def parse_factor(self, depth):
-        negate = self.tokens[self.i] == "-"
-        self.i += negate
-        slot = self.parse_atom(depth + 1)
-        if self.tokens[self.i] == "^":
-            negative = self.tokens[self.i + 1] == "-"
-            i = self.i + 1 + negative
-            tok = self.tokens[i]
-            self.i = i + 1
-            if not tok.isdecimal():      # exactly the digit-only number tokens
-                raise self.error(i, NonIntegerExponent, tok or "end of input")
-            slot = self.emit("pow", self.array(slot),
-                             -int(tok) if negative else int(tok))
-        return self.emit("neg", slot) if negate else slot
-
-    def parse_atom(self, depth):
-        tokens, i = self.tokens, self.i
+    def parse_atom(self, i, depth):
+        """A new number or variable, a parenthesis or a call at token ``i``."""
+        tokens = self.tokens
         tok = tokens[i]
-        self.i = i + 1
-        slot = self.leaves.get(tok)
-        if slot is not None:             # a number or variable parsed before
-            return slot
         if tok == "(" or tok in _FUNCS:
             if tok != "(":
                 i += 1
                 if tokens[i] != "(":
                     raise self.error(i, MapSyntaxError, "expected '(', got "
                                      f"{tokens[i] or 'end of input'!r}")
-                self.i = i + 1
-            slot = self.parse_expr(depth + 1)
-            i = self.i
+            slot, i = self.parse_expr(i + 1, depth + 4)
             if tokens[i] != ")":
                 raise self.error(i, MapSyntaxError, "expected ')', got "
                                  f"{tokens[i] or 'end of input'!r}")
-            self.i = i + 1
-            return slot if tok == "(" else self.emit(tok, self.array(slot))
+            return (slot if tok == "(" else self.emit(tok, self.array(slot)),
+                    i + 1)
         if tok in _SYMS:
             raise self.error(i, MapSyntaxError,
                              f"unexpected token {tok or 'end of input'!r}")
@@ -298,7 +288,7 @@ class _Parser:
                 raise self.error(i, UndefinedVariable, tok, self.n)
             slot = self.emit("var", index)
         self.leaves[tok] = slot
-        return slot
+        return slot, i + 1
 
 
 def map_digest(text: str) -> str:
@@ -312,13 +302,18 @@ def parse_map(text: str, n: int) -> MapSpec:
     if n < 1:
         raise InvalidInput(f"domain dimension must be >= 1, got {n}")
     parser = _Parser(text, n)
-    outputs = parser.parse_map()
-    nodes = parser.tree()
+    tokens = parser.tokens
+    slot, i = parser.parse_expr(0, 1)
+    outputs = [slot]
+    while tokens[i] == ",":
+        slot, i = parser.parse_expr(i + 1, 1)
+        outputs.append(slot)
+    if tokens[i]:
+        raise parser.error(i, MapSyntaxError,
+                           f"unexpected trailing input {tokens[i]!r}")
     # equals map_digest(text): the lexer skips nothing but whitespace
-    digest = hashlib.sha256("".join(parser.tokens).encode("utf-8")).hexdigest()
-    return MapSpec(n=n, m=len(outputs),
-                   components=tuple([nodes[s] for s in outputs]),
-                   source_text=text, digest=digest,
+    digest = hashlib.sha256("".join(tokens).encode("utf-8")).hexdigest()
+    return MapSpec(n=n, m=len(outputs), source_text=text, digest=digest,
                    tape=Tape(tuple(parser.slots), tuple(outputs)))
 
 
@@ -326,13 +321,17 @@ def parse_map(text: str, n: int) -> MapSpec:
 # evaluation
 
 def evaluate(spec: MapSpec, x) -> np.ndarray:
-    """Evaluate the map at a point (n,) or batch (k, n) of points."""
-    x = np.asarray(x, dtype=float)
+    """Evaluate the map at a point (n,) or batch (k, n) of real points."""
+    try:
+        x = np.asarray(x)
+    except ValueError:
+        raise InvalidInput("points form a ragged nested list") from None
+    if x.dtype.kind not in "biuf" or not 1 <= x.ndim <= 2 \
+            or x.shape[-1] != spec.n:
+        raise InvalidInput(f"points must be a real ({spec.n},) or (k, "
+                           f"{spec.n}) array, got {x.dtype} {x.shape}")
     single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != spec.n:
-        raise InvalidInput(
-            f"point dimension {pts.shape[1]} != map domain dimension {spec.n}")
+    pts = (x[None, :] if single else x).astype(float, copy=False)
     k = len(pts)
     out = np.empty((k, spec.m))
     with np.errstate(all="ignore"):

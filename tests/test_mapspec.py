@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from zerocert import (BUILTIN_MAPS, DomainError, InvalidInput,
                       poincare_bohl, sample_sphere, to_text, winding_number)
 from zerocert.cli import certificate_dumps
 import zerocert.mapspec as mapspec
-from zerocert.mapspec import (MAX_DEPTH, Binary, Const, Power, Unary, Var,
-                              map_digest)
+from zerocert.mapspec import (_EXACT, _FUNCS, _SYMS, MAX_DEPTH, Binary,
+                              Const, Power, Tape, Unary, Var, _position,
+                              _tokenize, _TOKEN_RE, map_digest)
 
 
 class TestParsing:
@@ -94,6 +96,21 @@ class TestEvaluation:
         spec = parse_map("x1, x2", 2)
         with pytest.raises(InvalidInput):
             evaluate(spec, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("points", [
+        np.float64(3.0), np.zeros((2, 2, 2)), [[1, "a"]], [[1, 2], [3]],
+        np.array([1.0 + 2.0j, 3.0]), [[1.0, 2.0j]], [[1.0, None]]],
+        ids=["scalar", "3-d", "string", "ragged", "complex", "complex-list",
+             "object"])
+    def test_bad_points_raise_invalid_input(self, points):
+        spec = parse_map("x1*x2, x1", 2)
+        with pytest.raises(InvalidInput):
+            evaluate(spec, points)
+
+    def test_integer_and_boolean_points_are_real(self):
+        spec = parse_map("x1*x2, x1", 2)
+        assert evaluate(spec, [[3, 2]]).tolist() == [[6.0, 3.0]]
+        assert evaluate(spec, np.array([True, False])).tolist() == [0.0, 1.0]
 
 
 def _shift(*a):
@@ -547,6 +564,260 @@ class TestMerging:
         assert parse_map(to_text(spec), 1).components == spec.components
 
 
+# oracle: the four-method recursive descent (parse_expr, parse_term,
+# parse_factor, parse_atom) that the one-loop parser replaced, kept to check
+# that both emit the same tape, step for step, and the same errors
+
+class _OracleParser:
+    """Recursive descent over the token list; ``i`` is the next token.
+
+    Each parse method returns the tape slot of what it parsed.  ``slots``
+    maps each step ``(op, a, b)`` to its slot, so a subtree that was seen
+    before costs no new step, and ``_tree`` builds no second node for it.
+    ``leaves`` maps each number or variable token to its slot, so a leaf
+    that repeats is converted and checked once.
+    """
+
+    def __init__(self, text: str, n: int):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.n = n
+        self.slots = {}      # step -> slot; in insertion order, the tape
+        self.leaves = {}     # number or variable token -> slot
+        self.scalars = set()  # slots that hold one numpy scalar, not an array
+
+    def emit(self, op, a, b=None):
+        """Slot of the step ``(op, a, b)``.  ``a`` and ``b`` are slots,
+        except in a constant (its np.float64 value), a variable (its 1-based
+        index) and ``pow`` (its integer exponent).  A step seen before keeps
+        its slot, so equal subtrees share one slot."""
+        key = (op, a, b)
+        slot = self.slots.get(key)
+        if slot is None:
+            slots, scalars = self.slots, self.scalars
+            slot = slots[key] = len(slots)
+            if op == "const" or (op in _EXACT and a in scalars
+                                 and (b is None or b in scalars)):
+                scalars.add(slot)
+        return slot
+
+    def array(self, slot):
+        """``slot``, or a step that broadcasts it to one value per point if
+        it holds a scalar.  Scalars round as the array loops do under
+        + - * / and neg, but not under ``**`` or a function:
+        ``exp(-2.6391)^-3`` would be one ulp off."""
+        return self.emit("full", slot) if slot in self.scalars else slot
+
+    def error(self, i, exc, *args):
+        """``exc(*args, line, column)`` at token ``i``, located by scanning
+        the text again up to that token."""
+        pos = len(self.text)                     # the end-of-input token
+        for k, mo in enumerate(_TOKEN_RE.finditer(self.text)):
+            if k == i:
+                pos = mo.start()
+                break
+        return exc(*args, *_position(self.text, pos))
+
+    def parse_map(self):
+        """The slots of the m components."""
+        outputs = [self.parse_expr(0)]
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            outputs.append(self.parse_expr(0))
+        tok = self.tokens[self.i]
+        if tok:
+            raise self.error(self.i, MapSyntaxError,
+                             f"unexpected trailing input {tok!r}")
+        return outputs
+
+    def parse_expr(self, depth):
+        slot = self.parse_term(depth + 1)
+        while (op := self.tokens[self.i]) == "+" or op == "-":
+            self.i += 1
+            slot = self.emit("add" if op == "+" else "sub", slot,
+                             self.parse_term(depth + 1))
+        return slot
+
+    def parse_term(self, depth):
+        # depth grows by 4 per nesting level (expr, term, factor, atom), so
+        # with MAX_DEPTH = 64 this is the first check that can fail: at the
+        # 16th nested parenthesis or call, on the token after it
+        if depth > MAX_DEPTH:
+            raise self.error(self.i, MapSyntaxError,
+                             "expression nesting too deep")
+        slot = self.parse_factor(depth + 1)
+        while (op := self.tokens[self.i]) == "*" or op == "/":
+            self.i += 1
+            slot = self.emit("mul" if op == "*" else "div", slot,
+                             self.parse_factor(depth + 1))
+        return slot
+
+    def parse_factor(self, depth):
+        negate = self.tokens[self.i] == "-"
+        self.i += negate
+        slot = self.parse_atom(depth + 1)
+        if self.tokens[self.i] == "^":
+            negative = self.tokens[self.i + 1] == "-"
+            i = self.i + 1 + negative
+            tok = self.tokens[i]
+            self.i = i + 1
+            if not tok.isdecimal():      # exactly the digit-only number tokens
+                raise self.error(i, NonIntegerExponent, tok or "end of input")
+            slot = self.emit("pow", self.array(slot),
+                             -int(tok) if negative else int(tok))
+        return self.emit("neg", slot) if negate else slot
+
+    def parse_atom(self, depth):
+        tokens, i = self.tokens, self.i
+        tok = tokens[i]
+        self.i = i + 1
+        slot = self.leaves.get(tok)
+        if slot is not None:             # a number or variable parsed before
+            return slot
+        if tok == "(" or tok in _FUNCS:
+            if tok != "(":
+                i += 1
+                if tokens[i] != "(":
+                    raise self.error(i, MapSyntaxError, "expected '(', got "
+                                     f"{tokens[i] or 'end of input'!r}")
+                self.i = i + 1
+            slot = self.parse_expr(depth + 1)
+            i = self.i
+            if tokens[i] != ")":
+                raise self.error(i, MapSyntaxError, "expected ')', got "
+                                 f"{tokens[i] or 'end of input'!r}")
+            self.i = i + 1
+            return slot if tok == "(" else self.emit(tok, self.array(slot))
+        if tok in _SYMS:
+            raise self.error(i, MapSyntaxError,
+                             f"unexpected token {tok or 'end of input'!r}")
+        if tok[0] == "." or tok[0].isdecimal():     # a number
+            value = float(tok)
+            if value == math.inf:
+                raise self.error(i, MapSyntaxError,
+                                 f"number {tok!r} out of range")
+            slot = self.emit("const", np.float64(value))
+        else:
+            if tok[0] != "x" or not tok[1:].isdecimal():
+                raise self.error(i, MapSyntaxError,
+                                 f"unknown identifier {tok!r}")
+            index = int(tok[1:])
+            if not 1 <= index <= self.n:
+                raise self.error(i, UndefinedVariable, tok, self.n)
+            slot = self.emit("var", index)
+        self.leaves[tok] = slot
+        return slot
+
+
+def _oracle_tape(text, n):
+    parser = _OracleParser(text, n)
+    outputs = parser.parse_map()
+    return Tape(tuple(parser.slots), tuple(outputs))
+
+
+def _tape_outcome(parse):
+    """The tape and its repr (which tells np.float64 from float and int
+    from np.int64), or the error's (type, message, line, column)."""
+    try:
+        tape = parse()
+    except MapSyntaxError as err:
+        return type(err), str(err), err.line, err.column
+    return tape, repr(tape)
+
+
+def _tape_matches_oracle(text, n):
+    return _tape_outcome(lambda: parse_map(text, n).tape) \
+        == _tape_outcome(lambda: _oracle_tape(text, n))
+
+
+def _num(rng, scale=2.0):
+    v = float(rng.uniform(-scale, scale))
+    return repr(v) if v >= 0.0 else f"(-{-v!r})"
+
+
+def _shifted(rng, j):
+    a = float(rng.uniform(-1.0, 1.0))
+    return f"(x{j} - {a!r})" if a >= 0.0 else f"(x{j} + {-a!r})"
+
+
+def _monomials(rng, degree, n):
+    """A dense polynomial of the given degree in x1..xn (n <= 2)."""
+    terms = []
+    for p in range(degree + 1):
+        for q in range(degree + 1 - p if n == 2 else 1):
+            factors = [_num(rng)]
+            factors += [f"x{j}" if e == 1 else f"x{j}^{e}"
+                        for j, e in ((1, p), (2, q)) if e]
+            terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+def _sphere_text(rng, n):
+    """(A + c|y|^2 I) y with y = x - a, written out per component."""
+    y = [_shifted(rng, j + 1) for j in range(n)]
+    sq = " + ".join(f"{yj}^2" for yj in y)
+    return ", ".join(" + ".join(f"{_num(rng)}*{yj}" for yj in y)
+                     + f" + {_num(rng)}*({sq})*{y[i]}" for i in range(n))
+
+
+class TestTapeMatchesOracle:
+    """Maps shaped like the benchmark's, parsed step for step as the
+    four-method parser did."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sphere_maps(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            text = _sphere_text(rng, n)
+            assert _tape_matches_oracle(text, n), text
+            spec = parse_map(text, n)
+            assert spec.components == tuple(_RefParser(text, n).parse_map())
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_plane_polynomials(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(20):
+            text = ", ".join(_monomials(rng, degree, 2) for _ in range(2))
+            assert _tape_matches_oracle(text, 2), text
+
+    def test_locate_maps(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            cubic = _monomials(rng, 3, 1)
+            contraction = ", ".join(
+                f"{_num(rng)} + {_num(rng)}*{_shifted(rng, 1)}"
+                f" + {_num(rng)}*{_shifted(rng, 2)}" for _ in range(2))
+            assert _tape_matches_oracle(cubic, 1), cubic
+            assert _tape_matches_oracle(contraction, 2), contraction
+
+
+class TestLazyTree:
+    TEXT = "(x1 - 0.5)^2 - x2^2, 2*x1*x2 - sin(x1 - 0.5)"
+
+    def test_parse_builds_no_tree(self):
+        spec = parse_map(self.TEXT, 2)
+        assert "components" not in vars(spec)
+        components = spec.components
+        assert vars(spec)["components"] is components
+        assert spec.components is components
+
+    def test_equal_parses_are_equal_and_hash_equal(self):
+        a, b = parse_map(self.TEXT, 2), parse_map(self.TEXT, 2)
+        a.components                     # a tree read on one side only
+        assert a == b and hash(a) == hash(b)
+        assert a.components == b.components
+        assert a != parse_map(self.TEXT + ", x1", 2)
+        assert len({a, b}) == 1
+
+    def test_to_text_round_trips(self):
+        spec = parse_map(self.TEXT, 2)
+        again = parse_map(to_text(spec), 2)
+        assert "components" not in vars(again)
+        assert again.components == spec.components
+        assert to_text(again) == to_text(spec)
+
+
 def _outcome(parse):
     """(tree, digest, to_text) of a successful parse, or the error's
     (type, message, line, column)."""
@@ -560,10 +831,9 @@ def _outcome(parse):
 def _ref_outcome(text, n):
     def parse():
         comps = _RefParserRejectingOverflow(text, n).parse_map()
-        # the tape is not compared, and this spec is never evaluated
-        return mapspec.MapSpec(n=n, m=len(comps), components=tuple(comps),
-                               source_text=text, digest=map_digest(text),
-                               tape=None)
+        # what _outcome and to_text read of a MapSpec
+        return SimpleNamespace(components=tuple(comps),
+                               digest=map_digest(text))
     return _outcome(parse)
 
 
@@ -611,6 +881,10 @@ class TestOneScanParser:
             n = int(rng.integers(1, 4))
             expected = _ref_outcome(text, n)
             assert _outcome(lambda: parse_map(text, n)) == expected, text
+            assert _tape_matches_oracle(text, n), text
+            if not expected[1].startswith("unexpected character"):
+                # the token list is the reference lexer's
+                assert _tokenize(text) == [t[1] for t in _ref_tokenize(text)]
             kinds.add(expected[1].split(" (")[0][:20]
                       if isinstance(expected[0], type) else "ok")
         # every kind of outcome occurs

@@ -1,16 +1,32 @@
 """Constructive zero localization once existence is certified.
 
-n=1 uses classical sign bisection, with both endpoints in one evaluation.
-n=2 recursively bisects a box into four sub-boxes and follows nonzero
-boundary winding (generalized bisection, Kearfott 1979), computed with the
-shared angle-step kernel and refinement loop of ``geometry`` (chord
-midpoints).  Each box carries its refined, evaluated boundary as four edge
-arrays, so a level reuses the parent's samples and evaluates only the cut:
-one batch holds the centre (whose image is also the residual check), the
-four half-cuts from it to the edges and any edge cut point the parent
-lacks.  The four sub-box boundaries are then wound in one batched pass
-over a single array; only a sub-box with an angle step of pi/2 or more
-goes through the refinement loop.  When a cut line lands on (or
+n=1 brackets a sign change, with both endpoints in one evaluation.  Each
+step evaluates the ITP point (Oliveira & Takahashi 2020): regula falsi,
+truncated towards the midpoint and projected into a shrinking band around
+it, so the step count is at most bisection's plus ITP_N0 and usually far
+less.  With eps_x = 0 it bisects plainly, down to adjacent floats.
+
+n=2 first winds the top box, then runs a Newton tail from its centre: each
+step evaluates the iterate and a central-difference stencil in one batch.
+The tail gives up when an iterate leaves the box, when the difference
+Jacobian is singular or not finite, or when a step after the second fails
+to shrink fourfold; a failed tail costs a few evaluations and the answer
+is the quadtree's below, unchanged.  Once a step is at most eps_x / 8, the
+point is accepted only when a square of diameter at most eps_x around it,
+clipped to the box, has nonzero boundary winding: the guarantee of a
+quadtree cell.  A box with several zeros may so return a different zero
+than the quadtree would.
+
+The quadtree recursively bisects a box into four sub-boxes and follows
+nonzero boundary winding (generalized bisection, Kearfott 1979), computed
+with the shared angle-step kernel and refinement loop of ``geometry``
+(chord midpoints).  Each box carries its refined, evaluated boundary as
+four edge arrays, so a level reuses the parent's samples and evaluates
+only the cut: one batch holds the centre (whose image is also the residual
+check), the four half-cuts from it to the edges and any edge cut point the
+parent lacks.  The four sub-box boundaries are then wound in one batched
+pass over a single array; only a sub-box with an angle step of pi/2 or
+more goes through the refinement loop.  When a cut line lands on (or
 numerically near) a zero, the cut point is jiggled by a deterministic
 pseudo-random offset of at most 10% of the cell size, at most five retries
 per level.  A level whose every attempt stays within the vanishing floor
@@ -27,7 +43,7 @@ from typing import List, Optional
 import numpy as np
 
 from .criteria import certify_existence
-from .errors import (BudgetExhausted, DegreeLost, InvalidInput,
+from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
 from .geometry import MAX_STEP, Region, refine_polyline, wrapped_steps
 from .mapspec import as_evaluator
@@ -42,6 +58,20 @@ _HALF_CUT = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE // 2,
 # that _cut concatenates) at which its bottom, right, top and left edge start
 _EDGE_PIECES = ((0, 1, 3, 5), (0, 2, 3, 5), (0, 2, 4, 5), (0, 2, 4, 6))
 
+# Newton tail of the 2D locator
+NEWTON_H = 2.0 ** -20   # difference step, times the top box's width per axis
+NEWTON_STOP = 0.125     # a step of at most NEWTON_STOP * eps_x ends the tail
+NEWTON_SHRINK = 4.0     # each step after the second is this much shorter
+ACCEPT_HALF = 0.35      # half-side of the accepted square, times eps_x: its
+                        # diameter 0.99 eps_x leaves room for rounding
+# the iterate, then the +-h stencil of x1 and of x2
+_STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
+                     [0.0, 1.0], [0.0, -1.0]])
+# ITP in 1D: k1 = ITP_K1 / (width of the first bracket), k2 = ITP_K2
+ITP_K1 = 0.2
+ITP_K2 = 2
+ITP_N0 = 1
+
 
 @dataclass(eq=False)
 class LocateResult:
@@ -50,7 +80,8 @@ class LocateResult:
     cell_diameter: float
     iterations: int
     trail: List[tuple] = field(default_factory=list)
-    termination: str = ""           # residual | cell_diameter | boundary_fixed_point
+    termination: str = ""           # residual | cell_diameter | newton |
+                                    # boundary_fixed_point | budget
 
 
 def box_winding(map_like, lower, upper) -> int:
@@ -68,14 +99,20 @@ def box_winding(map_like, lower, upper) -> int:
     return _wind(ev, _box_boundary(ev, lower, upper))[0]
 
 
-def _box_boundary(ev, lo, hi):
-    """Evaluated counterclockwise boundary of the box [lo, hi], starting at
-    lo, as rows (x, y, F1, F2) with SAMPLES_PER_EDGE samples per edge."""
+def _box_points(lo, hi):
+    """Counterclockwise boundary samples of the box [lo, hi], starting at
+    lo, SAMPLES_PER_EDGE per edge."""
     corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]],
                         [hi[0], hi[1]], [lo[0], hi[1]]])
     frac = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE, endpoint=False)[:, None]
-    pts = np.concatenate([a + frac * (b - a) for a, b in
-                          zip(corners, np.roll(corners, -1, axis=0))])
+    return np.concatenate([a + frac * (b - a) for a, b in
+                           zip(corners, np.roll(corners, -1, axis=0))])
+
+
+def _box_boundary(ev, lo, hi):
+    """Evaluated counterclockwise boundary of the box [lo, hi], starting at
+    lo, as rows (x, y, F1, F2) with SAMPLES_PER_EDGE samples per edge."""
+    pts = _box_points(lo, hi)
     ims = ev(pts)
     if ims.shape[1] != 2:
         raise InvalidInput("box winding needs codomain dimension 2")
@@ -140,6 +177,8 @@ def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
     if (fa > 0) == (fb > 0):
         raise DegreeLost((a, b))
     image_a, image_b = ends
+    width = b - a
+    n_max = _itp_budget(width, eps_x)
     trail = []
     for it in range(1, max_iter + 1):
         mid = 0.5 * (a + b)
@@ -147,15 +186,20 @@ def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
             # a and b are adjacent floats: the cell cannot shrink further
             return _finish(ev, np.array([mid]), b - a, it - 1, trail,
                            "cell_diameter", image_a if mid == a else image_b)
-        image = ev(np.array([[mid]]))[0]
+        x = mid
+        if n_max is not None:
+            # ITP keeps the bracket within eps_x * 2^(n_max - it) of width
+            r = max(0.0, math.ldexp(eps_x, n_max - it) - 0.5 * (b - a))
+            x = _itp_point(a, b, fa, fb, width, r)
+        image = ev(np.array([[x]]))[0]
         fm = float(image[0])
         if (fm > 0) == (fa > 0):
-            a, fa, image_a = mid, fm, image
+            a, fa, image_a = x, fm, image
         else:
-            b, fb, image_b = mid, fm, image
+            b, fb, image_b = x, fm, image
         trail.append((a, b))
         if abs(fm) <= eps_f:
-            return _finish(ev, np.array([mid]), b - a, it, trail, "residual",
+            return _finish(ev, np.array([x]), b - a, it, trail, "residual",
                            image)
         if b - a <= eps_x:
             return _finish(ev, np.array([0.5 * (a + b)]), b - a, it, trail,
@@ -165,6 +209,32 @@ def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
                                        max_iter, trail, "budget"))
 
 
+def _itp_budget(width, eps_x):
+    """ITP's step budget n_max for a bracket of ``width``: the bisection
+    count that shrinks it to eps_x, plus ITP_N0.  None, for plain bisection,
+    when eps_x is 0 or so small against the width that 2^n_max overflows."""
+    if eps_x == 0.0 or not math.isfinite(2.0 * width / eps_x):
+        return None
+    return max(0, math.ceil(math.log2(width / eps_x))) + ITP_N0
+
+
+def _itp_point(a, b, fa, fb, width, r):
+    """The ITP point of the bracket [a, b] (Oliveira & Takahashi 2020): the
+    regula falsi point, moved k1 * (b - a)^k2 towards the midpoint, then kept
+    within ``r`` of it.  The midpoint when that point is not strictly inside
+    the bracket.  ``width`` is the first bracket's, which sets k1."""
+    mid = 0.5 * (a + b)
+    falsi = a + (b - a) * (fa / (fa - fb))
+    delta = ITP_K1 * (b - a) * ((b - a) / width) ** (ITP_K2 - 1)
+    toward_mid = mid - falsi
+    x = mid
+    if delta <= abs(toward_mid):
+        x = falsi + math.copysign(delta, toward_mid)
+    if abs(x - mid) > r:
+        x = mid - math.copysign(r, toward_mid)
+    return x if a < x < b else mid
+
+
 def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
     rng = np.random.default_rng(seed)
     lo = box.lower.copy()
@@ -172,6 +242,13 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
     winding, poly = _wind(ev, _box_boundary(ev, lo, hi))
     if winding == 0:
         raise DegreeLost((lo, hi))
+    if 0.0 < eps_x < float(np.linalg.norm(hi - lo)):
+        try:
+            result = _newton_tail(ev, lo, hi, eps_x, max_iter)
+        except (DomainError, VanishingOnBoundary, BudgetExhausted):
+            result = None   # the tail gives up; the quadtree decides
+        if result is not None:
+            return result
     edges = _split_edges(poly, lo, hi)
     trail = []
     for it in range(1, max_iter + 1):
@@ -215,6 +292,63 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
                           best=_finish(ev, 0.5 * (lo + hi),
                                        float(np.linalg.norm(hi - lo)),
                                        max_iter, trail, "budget"))
+
+
+def _newton_tail(ev, lo, hi, eps_x, max_iter):
+    """Newton's method from the centre of the box [lo, hi], whose winding is
+    nonzero: the result at the zero it finds, or None when it gives up.
+
+    Each step evaluates the iterate and a central-difference stencil,
+    clipped to the box, in one batch.  The tail gives up when an iterate
+    leaves the box, when the difference Jacobian is singular or not finite,
+    or when a step after the second is not NEWTON_SHRINK times shorter than
+    the one before.  Once a step is at most NEWTON_STOP * eps_x, the new
+    iterate is kept only when a square around it of diameter at most eps_x,
+    clipped to the box, winds nonzero: the same guarantee as a quadtree
+    cell.
+    """
+    h = NEWTON_H * (hi - lo)
+    x = 0.5 * (lo + hi)
+    last = math.inf
+    for it in range(1, max_iter + 1):
+        pts = np.clip(x + _STENCIL * h, lo, hi)
+        (f, g), (f1, g1), (f2, g2), (f3, g3), (f4, g4) = ev(pts).tolist()
+        # the Jacobian's columns are these differences over the stencil
+        # widths, so -J^-1 F needs no division by a width
+        c1x, c1y, c2x, c2y = f1 - f2, g1 - g2, f3 - f4, g3 - g4
+        det = c1x * c2y - c2x * c1y
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        dx = (pts[1, 0] - pts[2, 0]) * (c2x * g - c2y * f) / det
+        dy = (pts[3, 1] - pts[4, 1]) * (c1y * f - c1x * g) / det
+        x = x + (dx, dy)
+        if not np.all((lo <= x) & (x <= hi)):
+            return None
+        size = math.hypot(dx, dy)
+        if size <= NEWTON_STOP * eps_x:
+            return _accept(ev, lo, hi, x, eps_x, it)
+        if it > 2 and NEWTON_SHRINK * size > last:
+            return None
+        last = size
+    return None
+
+
+def _accept(ev, lo, hi, point, eps_x, steps):
+    """The Newton result at ``point`` when the square of diameter
+    2 * sqrt(2) * ACCEPT_HALF * eps_x around it, clipped to [lo, hi], winds
+    nonzero, else None.  One batch evaluates the square's boundary and the
+    point, whose image gives the residual."""
+    sub_lo = np.maximum(lo, point - ACCEPT_HALF * eps_x)
+    sub_hi = np.minimum(hi, point + ACCEPT_HALF * eps_x)
+    diameter = float(np.linalg.norm(sub_hi - sub_lo))
+    if not (np.all(sub_lo < sub_hi) and diameter <= eps_x):
+        return None     # eps_x is below the float spacing at the point
+    pts = np.vstack((_box_points(sub_lo, sub_hi), point))
+    rows = np.hstack((pts, ev(pts)))
+    if _wind(ev, rows[:-1])[0] == 0:
+        return None
+    return _finish(ev, point, diameter, steps, [(sub_lo, sub_hi)], "newton",
+                   rows[-1, 2:])
 
 
 def _split_edges(poly, lo, hi):
@@ -328,7 +462,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
 
     Reduces to locating a zero of G(x) = x - f(x): on the boundary sphere G
     never points opposite to x (that would force ||f(x)|| > 1), so existence
-    is certified first and then followed by bisection.  The residual of the
+    is certified first and then located by locate_zero.  The residual of the
     result is ||f(point) - point||.
     """
     from .mapspec import MapSpec

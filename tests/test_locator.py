@@ -14,6 +14,16 @@ from zerocert.mapspec import as_evaluator
 UNIT_BOX = Region.box([-1.0, -1.0], [1.0, 1.0])
 
 
+def without_tail(patch):
+    """Make locate_zero skip its Newton tail: the quadtree alone decides."""
+    patch.setattr(locator, "_newton_tail", lambda *args: None)
+
+
+@pytest.fixture
+def quadtree_only(monkeypatch):
+    without_tail(monkeypatch)
+
+
 class TestBoxWinding:
     def test_identity(self):
         spec = parse_map("x1, x2", 2)
@@ -58,7 +68,7 @@ class TestLocateZero2D:
         spec = parse_map("x1, x2", 2)
         result = locate_zero(spec, UNIT_BOX, eps_x=1e-7)
         assert np.linalg.norm(result.point) <= 1e-6
-        assert result.termination in ("residual", "cell_diameter")
+        assert result.termination in ("residual", "cell_diameter", "newton")
 
     def test_offset_zero(self):
         spec = parse_map("x1 - 0.3, x2 - 0.4", 2)
@@ -79,7 +89,7 @@ class TestLocateZero2D:
         assert result.residual == pytest.approx(
             float(np.linalg.norm(evaluate(spec, result.point))))
 
-    def test_shrinkage(self):
+    def test_shrinkage(self, quadtree_only):
         spec = parse_map("x1 - 0.3, x2 - 0.4", 2)
         result = locate_zero(spec, UNIT_BOX, eps_x=1e-5)
         diams = [float(np.linalg.norm(hi - lo)) for lo, hi in result.trail]
@@ -121,17 +131,105 @@ class TestLocateZero2D:
         assert np.array_equal(best.point, 0.5 * (lo + hi))
         assert best.iterations == len(best.trail)
 
-    def test_zero_on_initial_cut_is_jiggled_past(self):
+    def test_zero_on_initial_cut_is_jiggled_past(self, quadtree_only):
         # the zero sits exactly at the first cut point
         spec = parse_map("x1, x2", 2)
         result = locate_zero(spec, UNIT_BOX, eps_x=1e-7, eps_f=0.0)
         assert np.linalg.norm(result.point) <= 1e-6
 
-    def test_seed_reproducibility(self):
+    def test_seed_reproducibility(self, quadtree_only):
         spec = parse_map("x1, x2", 2)
         a = locate_zero(spec, UNIT_BOX, eps_x=1e-7, eps_f=0.0, seed=42)
         b = locate_zero(spec, UNIT_BOX, eps_x=1e-7, eps_f=0.0, seed=42)
         assert np.array_equal(a.point, b.point)
+
+
+class TestNewtonTail:
+    def test_affine_map_in_two_steps(self, counting_evaluator):
+        # top box, two Newton steps of 5 points (the second one is below
+        # eps_x / 8), then the accepted square's 64 boundary samples and the
+        # point in one batch
+        spec = parse_map("x1 - 0.3, x2 - 0.4", 2)
+        ev = counting_evaluator(spec)
+        result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
+        assert result.termination == "newton"
+        assert result.iterations == 2
+        assert ev.batches == [64, 5, 5, 65]
+        assert np.linalg.norm(result.point - [0.3, 0.4]) <= 1e-10
+        (lo, hi), = result.trail
+        assert np.all(lo < result.point) and np.all(result.point < hi)
+        assert result.cell_diameter == float(np.linalg.norm(hi - lo))
+        assert 0.9e-10 < result.cell_diameter <= 1e-10
+        assert box_winding(ev, lo, hi) == 1
+        assert result.residual == float(np.linalg.norm(evaluate(
+            spec, result.point)))
+
+    def test_abs_map(self):
+        # piecewise linear: Newton lands on the zero's piece and solves it
+        spec = parse_map("x1 - 0.3 + 0.5*abs(x2 - 0.2), "
+                         "x2 - 0.2 + 0.2*abs(x1 - 0.3)", 2)
+        result = locate_zero(spec, UNIT_BOX, eps_x=1e-10)
+        assert result.termination == "newton"
+        assert np.linalg.norm(result.point - [0.3, 0.2]) <= 1e-10
+        (lo, hi), = result.trail
+        assert result.cell_diameter <= 1e-10
+        assert box_winding(spec, lo, hi) != 0
+
+    def test_clipped_to_the_box(self):
+        # the zero sits on the top box's right edge, so the accepted square
+        # is cut at it
+        spec = parse_map("x1 - 1, x2 - 0.4", 2)
+        box = Region.box([-1.0, -1.0], [1.0 + 1e-9, 1.0])
+        result = locate_zero(spec, box, eps_x=1e-8)
+        assert result.termination == "newton"
+        (lo, hi), = result.trail
+        assert hi[0] == box.upper[0] and hi[0] - lo[0] < hi[1] - lo[1]
+
+    @pytest.mark.parametrize("eps_x", [0.0, 3.0])
+    def test_skipped(self, eps_x, counting_evaluator, monkeypatch):
+        # eps_x = 0 asks for float resolution, and a top box within eps_x
+        # is already small enough: neither runs the tail
+        calls = []
+        monkeypatch.setattr(locator, "_newton_tail",
+                            lambda *args: calls.append(args))
+        ev = counting_evaluator(parse_map("x1 - 0.3, x2 - 0.4", 2))
+        locate_zero(ev, UNIT_BOX, eps_x=eps_x, eps_f=1e-9)
+        assert calls == []
+
+
+class TestNewtonFallback:
+    """When the tail gives up, the quadtree continues from the top box: the
+    answer is the quadtree's own, for at most 3 more evaluations."""
+
+    @pytest.mark.parametrize("text, box", [
+        # a double zero: Newton converges only linearly, halving each step
+        ("(x1-0.3)^2 - (x2-0.2)^2, 2*(x1-0.3)*(x2-0.2)", UNIT_BOX),
+        # three zeros around the centre, where the Jacobian is ~0: the first
+        # step leaves the box
+        ("x1^3 - 3*x1*x2^2 - 0.001, 3*x1^2*x2 - x2^3", UNIT_BOX),
+        # (z - 0.5 - 2.9i)(z + 1.02): the centre is nearer the zero just
+        # outside the left edge, and Newton runs to it
+        ("(x1 - 0.5)*(x1 + 1.02) - (x2 - 2.9)*x2, "
+         "(x1 - 0.5)*x2 + (x2 - 2.9)*(x1 + 1.02)",
+         Region.box([-1.0, -3.0], [1.0, 3.0])),
+        # the double zero at the origin of the fallback the CLI pins
+        ("x1^2 - x2^2, 2*x1*x2", Region.box([-0.5, -0.7], [1.0, 1.0])),
+        # undefined (0/0) on the line x1 = 0.3, where the first Newton step
+        # lands; no quadtree cut point is on it
+        ("(x1 - 0.3)^2/(x1 - 0.3), x2 - 0.4", UNIT_BOX),
+    ])
+    def test_answer_is_the_quadtree_one(self, text, box, counting_evaluator):
+        spec = parse_map(text, 2)
+        ev = counting_evaluator(spec)
+        result = locate_zero(ev, box, eps_x=1e-10)
+        quadtree = counting_evaluator(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            without_tail(patch)
+            expected = locate_zero(quadtree, box, eps_x=1e-10)
+        assert result.termination != "newton"
+        assert outcome_bytes(result) == outcome_bytes(expected)
+        assert result.cell_diameter == expected.cell_diameter
+        assert len(ev.batches) <= len(quadtree.batches) + 3
 
 
 def reference_quadtree(ev, box, eps_x, eps_f, max_iter=100, seed=0):
@@ -179,6 +277,7 @@ def complex_poly_map(coeffs):
     return ev
 
 
+@pytest.mark.usefixtures("quadtree_only")
 class TestIncrementalQuadtree:
     def assert_matches_reference(self, ev, box, eps_x, eps_f, seed=0):
         trail, point, termination, iterations, jiggled = reference_quadtree(
@@ -350,6 +449,7 @@ def outcome_bytes(result):
             result.iterations, result.termination)
 
 
+@pytest.mark.usefixtures("quadtree_only")
 class TestBatchedLevelMatchesOracle:
     """The batched level pass of locate_zero evaluates the same batches, in
     the same order, and returns the same bytes as the per-sub-box loop."""
@@ -473,12 +573,37 @@ class TestLocateZero1D:
             locate_zero(spec, Region.box([-1.0], [1.0]))
 
     def test_residual_stop_reuses_last_midpoint(self, counting_evaluator):
-        # the zero 0.5 is the second midpoint: its image is the residual
+        # ITP points 0.1, 0.55, 0.47975, ...: the sixth is within eps_f of
+        # the zero 0.5, and its image is the residual
         ev = counting_evaluator(parse_map("x1 - 0.5", 1))
-        result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_f=0.0)
+        result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_f=1e-6)
         assert result.termination == "residual"
-        assert result.point[0] == 0.5 and result.residual == 0.0
-        assert ev.batches == [2, 1, 1]
+        assert result.iterations == 6
+        assert result.residual == abs(result.point[0] - 0.5) <= 1e-6
+        assert ev.batches == [2] + [1] * 6
+
+    def test_fewer_steps_than_bisection(self, counting_evaluator):
+        # bisection halves [-1, 1] 31 times to reach eps_x = 1e-9
+        ev = counting_evaluator(parse_map("x1^3 - 0.5", 1))
+        result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_x=1e-9,
+                             eps_f=0.0)
+        assert result.iterations <= 12
+        assert abs(result.point[0] - 0.5 ** (1.0 / 3.0)) <= 1e-9
+
+    @pytest.mark.parametrize("eps_x", [1e-6, 1e-12])
+    def test_itp_worst_case(self, eps_x, counting_evaluator):
+        # a steep convex map: regula falsi would creep in from the left end;
+        # ITP needs at most bisection's count plus n0, and the endpoints and
+        # the final midpoint are one evaluation each
+        a, b = -0.7, 1.0
+        ev = counting_evaluator(parse_map("exp(20*x1) - 1", 1))
+        result = locate_zero(ev, Region.box([a], [b]), eps_x=eps_x,
+                             eps_f=0.0)
+        assert result.termination == "cell_diameter"
+        assert result.cell_diameter <= eps_x
+        assert abs(result.point[0]) <= eps_x
+        bound = math.ceil(math.log2((b - a) / eps_x)) + locator.ITP_N0 + 2
+        assert len(ev.batches) <= bound
 
 
 class TestToleranceValidation:
@@ -529,6 +654,7 @@ class TestBrouwerFixedPoint:
         result = brouwer_fixed_point(spec)
         assert np.linalg.norm(result.point - [0.2, -0.1]) <= 1e-6
         assert result.residual <= 1e-6
+        assert result.termination == "newton"
 
     def test_quarter_rotation(self):
         spec = parse_map("-x2, x1", 2)

@@ -147,7 +147,8 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
     y -> r*y + x0, which preserves the verdict and the obstruction.  The
     boundary sphere is sampled and evaluated once; every check reads those
     images.  ``level=None`` is sample_sphere's per-dimension default.  A
-    callable map gets the empty digest.
+    callable map gets the empty digest.  A winding-0 certificate's extension
+    witness is built on its first call and kept for later ones.
     """
     if region.kind != "disk":
         raise InvalidInput("certify_existence needs a disk region")
@@ -163,16 +164,32 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
             # refuse before sampling, which is costly for n >= 3
             raise Unsupported(n, map_like.m)
         digest = map_like.digest
+    sampling, points = _boundary(region, level)
+    return _certify_sampled(ev, region, sampling, ev(points), lipschitz,
+                            digest)
 
+
+def _boundary(region: Region, level: Optional[int]):
+    """The unit-sphere sampling of ``level`` and its image under the
+    rescaling y -> r*y + x0 onto the boundary of ``region``: the points at
+    which certify_existence evaluates the map."""
+    sampling = sample_sphere(Region.disk(np.zeros(region.dim), 1.0), level)
+    return sampling, region.radius * sampling.points + region.center
+
+
+def _certify_sampled(ev, region, sampling, ims, lipschitz,
+                     digest="") -> Certificate:
+    """certify_existence of the checked evaluator ``ev`` from its images
+    ``ims`` at the points of _boundary(region, level), whose sampling is
+    ``sampling``."""
+    n = region.dim
     x0, r = region.center, region.radius
     L = None if lipschitz is None else lipschitz * r
-    # the checked evaluator composed with y -> r*y + x0 keeps its contract
-    rescaled = lambda pts: ev(r * pts + x0)
-    sampling = sample_sphere(Region.disk(np.zeros(n), 1.0), level)
-    ims = rescaled(sampling.points)
     m = ims.shape[1]
     if n > m:
         raise Unsupported(n, m)
+    # the checked evaluator composed with y -> r*y + x0 keeps its contract
+    rescaled = lambda pts: ev(r * pts + x0)
     f = SampledMap(sampling=sampling, images=ims, evaluator=rescaled)
     # checks report their witness in original coordinates
     original = lambda check: replace(check, witness=r * check.witness + x0)
@@ -212,8 +229,15 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
                     obstruction=value, rigor=rigor, evidence=evidence)
     witness = None
     if w is not None:
-        phi_unit = radial_extension(null_homotopy(f))
-        witness = lambda x: phi_unit((np.asarray(x, dtype=float) - x0) / r)
+        phi_unit = None
+
+        def witness(x):
+            # built on the first call, from the boundary the winding summed
+            # (refined samples included)
+            nonlocal phi_unit
+            if phi_unit is None:
+                phi_unit = radial_extension(null_homotopy(w.boundary))
+            return phi_unit((np.asarray(x, dtype=float) - x0) / r)
     return cert(verdict="NoConclusion", route=None, obstruction=value,
                 rigor=rigor, evidence=evidence, extension_witness=witness,
                 reason=reason)

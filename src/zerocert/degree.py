@@ -9,14 +9,14 @@ two-valued classification here and the existence certificate read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import BudgetExhausted, InvalidInput, Unsupported, VanishingOnBoundary
-from .geometry import (MAX_STEP, check_lipschitz, circle_arc_midpoint,
-                       mesh_norm, refine_polyline)
+from .geometry import (MAX_STEP, BoundarySampling, check_lipschitz,
+                       circle_arc_midpoint, mesh_norm, refine_polyline)
 from .homotopy import SampledMap
 
 RESIDUAL_TOL = 0.05             # tolerated pre-rounding residual, in turns
@@ -29,6 +29,9 @@ class WindingResult:
     rigor: str                   # "rigorous" | "heuristic"
     max_step_angle: float
     residual: float = 0.0        # |angle sum / 2 pi - value|
+    # the boundary map as refined: the samples whose angle steps were summed
+    boundary: Optional[SampledMap] = field(default=None, repr=False,
+                                           compare=False)
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
 
     Arcs whose image angle step reaches pi/2 are split by re-querying the
     map at the circle midpoint until none remain or the budget runs out.
+    The result's ``boundary`` is ``f`` with those midpoints inserted (``f``
+    itself when none was).
     """
     check_lipschitz(L)
     if refine_budget < 0:
@@ -57,7 +62,11 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
         sampling.points, f.images, f.evaluator,
         lambda a, b: circle_arc_midpoint(a, b, region),
         floor=0.0, budget=refine_budget)
-    result = _result(steps, ims, pts, inserted, L)
+    if inserted:
+        f = SampledMap(sampling=BoundarySampling(
+            points=pts, h=mesh_norm(pts, closed=True), closed=True,
+            region=region), images=ims, evaluator=f.evaluator)
+    result = _result(steps, f, inserted, L)
     if result.max_step_angle >= MAX_STEP:
         # the rigor label needs every step below MAX_STEP, so this result
         # is the heuristic best estimate
@@ -67,7 +76,8 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
     return result
 
 
-def _result(steps, ims, pts, inserted, L) -> WindingResult:
+def _result(steps, boundary, inserted, L) -> WindingResult:
+    pts, ims = boundary.sampling.points, boundary.images
     turns = float(np.sum(steps)) / (2.0 * math.pi)
     value = int(round(turns))
     residual = abs(turns - value)
@@ -79,7 +89,7 @@ def _result(steps, ims, pts, inserted, L) -> WindingResult:
             rigor = "rigorous"
     return WindingResult(value=value, total_refinements=inserted,
                          rigor=rigor, max_step_angle=max_step,
-                         residual=residual)
+                         residual=residual, boundary=boundary)
 
 
 def sign_obstruction(f: SampledMap) -> int:

@@ -8,14 +8,17 @@ less.  With eps_x = 0 it bisects plainly, down to adjacent floats.
 
 n=2 first winds the top box, then runs a Newton tail from its centre: each
 step evaluates the iterate and a central-difference stencil in one batch.
-The tail gives up when an iterate leaves the box, when the difference
-Jacobian is singular or not finite, or when a step after the second fails
-to shrink fourfold; a failed tail costs a few evaluations and the answer
-is the quadtree's below, unchanged.  Once a step is at most eps_x / 8, the
-point is accepted only when a square of diameter at most eps_x around it,
-clipped to the box, has nonzero boundary winding: the guarantee of a
-quadtree cell.  A box with several zeros may so return a different zero
-than the quadtree would.
+The first step's batch depends only on the box, so one call evaluates it
+with the top box's boundary; when that call raises DomainError, the
+boundary is evaluated alone and the tail is skipped.  The tail gives up
+when an iterate leaves the box, when the difference Jacobian is singular
+or not finite, or when a step after the second fails to shrink fourfold;
+a failed tail costs a few evaluations and the answer is the quadtree's
+below, unchanged.  Once a step is at most eps_x / 8, the point is accepted
+only when a square of diameter at most eps_x around it, clipped to the
+box, has nonzero boundary winding: the guarantee of a quadtree cell.  A
+box with several zeros may so return a different zero than the quadtree
+would.
 
 The quadtree recursively bisects a box into four sub-boxes and follows
 nonzero boundary winding (generalized bisection, Kearfott 1979), computed
@@ -42,7 +45,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .criteria import certify_existence
+from .criteria import _boundary, _certify_sampled
 from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
 from .geometry import MAX_STEP, Region, refine_polyline, wrapped_steps
@@ -109,10 +112,12 @@ def _box_points(lo, hi):
                            zip(corners, np.roll(corners, -1, axis=0))])
 
 
-def _box_boundary(ev, lo, hi):
+def _box_boundary(ev, lo, hi, extra=np.empty((0, 2))):
     """Evaluated counterclockwise boundary of the box [lo, hi], starting at
-    lo, as rows (x, y, F1, F2) with SAMPLES_PER_EDGE samples per edge."""
-    pts = _box_points(lo, hi)
+    lo, as rows (x, y, F1, F2) with SAMPLES_PER_EDGE samples per edge,
+    followed by the rows of the points ``extra``, evaluated in the same
+    call."""
+    pts = np.concatenate((_box_points(lo, hi), extra))
     ims = ev(pts)
     if ims.shape[1] != 2:
         raise InvalidInput("box winding needs codomain dimension 2")
@@ -239,12 +244,21 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
     rng = np.random.default_rng(seed)
     lo = box.lower.copy()
     hi = box.upper.copy()
-    winding, poly = _wind(ev, _box_boundary(ev, lo, hi))
+    first = None    # the images of the Newton tail's first batch
+    if _runs_tail(lo, hi, eps_x):
+        try:
+            rows = _box_boundary(ev, lo, hi, _stencil(0.5 * (lo + hi), lo, hi))
+            rows, first = rows[:-len(_STENCIL)], rows[-len(_STENCIL):, 2:]
+        except DomainError:
+            pass    # alone, the boundary raises again when it is at fault
+    if first is None:
+        rows = _box_boundary(ev, lo, hi)
+    winding, poly = _wind(ev, rows)
     if winding == 0:
         raise DegreeLost((lo, hi))
-    if 0.0 < eps_x < float(np.linalg.norm(hi - lo)):
+    if first is not None:
         try:
-            result = _newton_tail(ev, lo, hi, eps_x, max_iter)
+            result = _newton_tail(ev, lo, hi, eps_x, max_iter, first)
         except (DomainError, VanishingOnBoundary, BudgetExhausted):
             result = None   # the tail gives up; the quadtree decides
         if result is not None:
@@ -294,25 +308,41 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
                                        max_iter, trail, "budget"))
 
 
-def _newton_tail(ev, lo, hi, eps_x, max_iter):
+def _runs_tail(lo, hi, eps_x):
+    """Whether the Newton tail runs on the top box [lo, hi]: eps_x = 0 asks
+    for float resolution, and a box within eps_x is already small enough."""
+    return 0.0 < eps_x < float(np.linalg.norm(hi - lo))
+
+
+def _stencil(x, lo, hi):
+    """The batch of a Newton step at ``x``: x and its central-difference
+    stencil, NEWTON_H times the width of the top box [lo, hi] per axis,
+    clipped to the box."""
+    return np.clip(x + _STENCIL * (NEWTON_H * (hi - lo)), lo, hi)
+
+
+def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
     """Newton's method from the centre of the box [lo, hi], whose winding is
     nonzero: the result at the zero it finds, or None when it gives up.
 
-    Each step evaluates the iterate and a central-difference stencil,
-    clipped to the box, in one batch.  The tail gives up when an iterate
-    leaves the box, when the difference Jacobian is singular or not finite,
-    or when a step after the second is not NEWTON_SHRINK times shorter than
-    the one before.  Once a step is at most NEWTON_STOP * eps_x, the new
+    Each step evaluates the batch of _stencil at its iterate; ``first``
+    holds the images of the first step's batch, which the top box's
+    evaluation covered.  The tail gives up when an iterate leaves the box,
+    when the difference Jacobian is singular or not finite, or when a step
+    after the second is not NEWTON_SHRINK times shorter than the one
+    before.  Once a step is at most NEWTON_STOP * eps_x, the new
     iterate is kept only when a square around it of diameter at most eps_x,
     clipped to the box, winds nonzero: the same guarantee as a quadtree
     cell.
     """
-    h = NEWTON_H * (hi - lo)
     x = 0.5 * (lo + hi)
+    images = first
     last = math.inf
     for it in range(1, max_iter + 1):
-        pts = np.clip(x + _STENCIL * h, lo, hi)
-        (f, g), (f1, g1), (f2, g2), (f3, g3), (f4, g4) = ev(pts).tolist()
+        pts = _stencil(x, lo, hi)
+        if it > 1:
+            images = ev(pts)
+        (f, g), (f1, g1), (f2, g2), (f3, g3), (f4, g4) = images.tolist()
         # the Jacobian's columns are these differences over the stencil
         # widths, so -J^-1 F needs no division by a width
         c1x, c1y, c2x, c2y = f1 - f2, g1 - g2, f3 - f4, g3 - g4
@@ -343,8 +373,7 @@ def _accept(ev, lo, hi, point, eps_x, steps):
     diameter = float(np.linalg.norm(sub_hi - sub_lo))
     if not (np.all(sub_lo < sub_hi) and diameter <= eps_x):
         return None     # eps_x is below the float spacing at the point
-    pts = np.vstack((_box_points(sub_lo, sub_hi), point))
-    rows = np.hstack((pts, ev(pts)))
+    rows = _box_boundary(ev, sub_lo, sub_hi, point[None, :])
     if _wind(ev, rows[:-1])[0] == 0:
         return None
     return _finish(ev, point, diameter, steps, [(sub_lo, sub_hi)], "newton",
@@ -464,6 +493,12 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     never points opposite to x (that would force ||f(x)|| > 1), so existence
     is certified first and then located by locate_zero.  The residual of the
     result is ||f(point) - point||.
+
+    One evaluation of f covers a grid of the disk, on which f must map into
+    the disk, and the certificate's boundary samples, whose images give G
+    there.  When that call raises DomainError, the grid is evaluated and
+    checked alone, so the error is the one of a grid evaluated before the
+    boundary.
     """
     from .mapspec import MapSpec
     _check_tolerance("eps", eps)
@@ -475,16 +510,21 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
         raise InvalidInput("fixed points are located for n in {1, 2}")
     f = as_evaluator(map_like)
 
-    grid_images = f(_disk_validation_grid(n))
-    if grid_images.shape[1] != n:
-        raise InvalidInput("a self-map needs m = n")
-    f_norms = np.linalg.norm(grid_images, axis=1)
-    if float(np.max(f_norms)) > 1.0 + 1e-9:
-        raise InvalidInput(
-            f"map leaves the unit disk (||f|| up to {np.max(f_norms):.6f})")
+    disk = Region.disk(np.zeros(n), 1.0)
+    sampling, circle = _boundary(disk, None)
+    grid = _disk_validation_grid(n)
+    try:
+        images = f(np.concatenate((grid, circle)))
+    except DomainError:
+        # the grid alone raises again when a grid point is at fault, and
+        # is checked before the boundary's error goes out
+        _check_self_map(f(grid), n)
+        raise
+    _check_self_map(images[:len(grid)], n)
 
-    g = lambda pts: pts - f(pts)
-    cert = certify_existence(g, Region.disk(np.zeros(n), 1.0))
+    g = as_evaluator(lambda pts: pts - f(pts))
+    cert = _certify_sampled(g, disk, sampling, circle - images[len(grid):],
+                            None)
     if cert.verdict == "ZeroOnBoundary":
         # the boundary sample where G vanishes is itself a fixed point
         point = cert.evidence[0].witness
@@ -500,11 +540,23 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     return locate_zero(g, box, eps_x=0.5 * eps, eps_f=1e-12, max_iter=200)
 
 
+def _check_self_map(grid_images, n):
+    """InvalidInput unless f's images on the validation grid have m = n
+    and lie in the unit disk."""
+    if grid_images.shape[1] != n:
+        raise InvalidInput("a self-map needs m = n")
+    f_norms = np.linalg.norm(grid_images, axis=1)
+    if float(np.max(f_norms)) > 1.0 + 1e-9:
+        raise InvalidInput(
+            f"map leaves the unit disk (||f|| up to {np.max(f_norms):.6f})")
+
+
 def _disk_validation_grid(n: int) -> np.ndarray:
     if n == 1:
         return np.linspace(-1.0, 1.0, 101)[:, None]
-    radii = np.linspace(0.0, 1.0, 15)
+    # the centre once, then 40 rays of 14 radii each
+    radii = np.linspace(0.0, 1.0, 15)[1:]
     angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
     rr, aa = np.meshgrid(radii, angles)
-    return np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()],
-                    axis=1)
+    return np.concatenate((np.zeros((1, 2)), np.stack(
+        [(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)))

@@ -5,9 +5,9 @@ import pytest
 
 from zerocert import (InvalidInput, Region, Unsupported,
                       boundary_nonvanishing, certify_existence, classify_cat,
-                      coercivity_radius, locate_zero, parse_map, poincare_bohl,
-                      winding_number)
-from zerocert import geometry
+                      coercivity_radius, evaluate, locate_zero, parse_map,
+                      poincare_bohl, winding_number)
+from zerocert import criteria, geometry
 from zerocert.homotopy import SampledMap, straight_line
 from zerocert.geometry import sample_sphere
 from zerocert.mapspec import as_evaluator
@@ -165,6 +165,46 @@ class TestCertifyExistence:
         phi = cert.extension_witness
         assert np.allclose(phi([1.0, 0.0]), [4.0, 3.0])
         assert np.linalg.norm(phi([0.2, -0.1])) > 0
+
+    def test_witness_of_a_refined_winding(self, unit_disk):
+        # F = (z - a)^2, a just outside the disk: the image turns by more
+        # than pi between two of the 256 samples, so the winding inserts
+        # midpoints and gets 0, which the witness must contract; their
+        # wrapped steps alone sum to a full turn
+        a = (1.0079240994538576, 0.012369710592005685)
+        spec = parse_map(f"(x1 - {a[0]!r})^2 - (x2 - {a[1]!r})^2, "
+                         f"2*(x1 - {a[0]!r})*(x2 - {a[1]!r})", 2)
+        samples = sample_sphere(unit_disk, 6).points
+        w = winding_number(SampledMap.from_evaluator(spec, sample_sphere(
+            unit_disk, 6)))
+        assert (w.value, w.total_refinements) == (0, 3)
+        assert len(w.boundary.sampling) == len(samples) + 3
+        cert = certify_existence(spec, unit_disk)
+        assert cert.verdict == "NoConclusion" and cert.obstruction == 0
+        phi = cert.extension_witness
+        want = evaluate(spec, samples)
+        got = np.array([phi(p) for p in samples])
+        scale = 1.0 + float(np.max(np.linalg.norm(want, axis=1)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        rng = np.random.default_rng(8)
+        radii = np.sqrt(rng.uniform(0.0, 1.0, 400))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 400)
+        for r, t in zip(radii, angles):
+            assert np.linalg.norm(phi([r * math.cos(t), r * math.sin(t)])) > 0
+
+    def test_witness_built_on_first_call(self, unit_disk, monkeypatch):
+        built = []
+        for name in ("null_homotopy", "radial_extension"):
+            real = getattr(criteria, name)
+            monkeypatch.setattr(criteria, name, lambda arg, real=real, name=name:
+                                built.append(name) or real(arg))
+        cert = certify_existence(SHIFTED, unit_disk)
+        assert cert.extension_witness is not None and built == []
+        first = cert.extension_witness([0.9, 0.1])
+        assert built == ["null_homotopy", "radial_extension"]
+        again = cert.extension_witness([0.9, 0.1])
+        assert again.tobytes() == first.tobytes()
+        assert built == ["null_homotopy", "radial_extension"]
 
     def test_large_disk_contains_zero(self):
         spec = parse_map("x1 - 1.2, x2 + 0.5", 2)

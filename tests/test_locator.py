@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from zerocert import (BudgetExhausted, DegreeLost, InvalidInput, Region,
-                      VanishingOnBoundary, box_winding, brouwer_fixed_point,
-                      evaluate, locate_zero, parse_map, sample_sphere)
+from zerocert import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
+                      Region, VanishingOnBoundary, box_winding,
+                      brouwer_fixed_point, evaluate, locate_zero, parse_map,
+                      sample_sphere)
 from zerocert import locator
 from zerocert.locator import (MAX_JIGGLES, _HALF_CUT, _box_boundary, _finish,
                               _split_edges)
@@ -15,8 +16,9 @@ UNIT_BOX = Region.box([-1.0, -1.0], [1.0, 1.0])
 
 
 def without_tail(patch):
-    """Make locate_zero skip its Newton tail: the quadtree alone decides."""
-    patch.setattr(locator, "_newton_tail", lambda *args: None)
+    """Make locate_zero skip its Newton tail, and the tail's first batch in
+    the top box's evaluation: the quadtree alone decides."""
+    patch.setattr(locator, "_runs_tail", lambda *args: False)
 
 
 @pytest.fixture
@@ -146,15 +148,15 @@ class TestLocateZero2D:
 
 class TestNewtonTail:
     def test_affine_map_in_two_steps(self, counting_evaluator):
-        # top box, two Newton steps of 5 points (the second one is below
-        # eps_x / 8), then the accepted square's 64 boundary samples and the
-        # point in one batch
+        # the top box with the first Newton step's 5 points, the second step
+        # (below eps_x / 8), then the accepted square's 64 boundary samples
+        # and the point in one batch
         spec = parse_map("x1 - 0.3, x2 - 0.4", 2)
         ev = counting_evaluator(spec)
         result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
         assert result.termination == "newton"
         assert result.iterations == 2
-        assert ev.batches == [64, 5, 5, 65]
+        assert ev.batches == [69, 5, 65]
         assert np.linalg.norm(result.point - [0.3, 0.4]) <= 1e-10
         (lo, hi), = result.trail
         assert np.all(lo < result.point) and np.all(result.point < hi)
@@ -184,6 +186,14 @@ class TestNewtonTail:
         assert result.termination == "newton"
         (lo, hi), = result.trail
         assert hi[0] == box.upper[0] and hi[0] - lo[0] < hi[1] - lo[1]
+
+    def test_top_box_of_winding_zero(self, counting_evaluator):
+        # the first Newton step rides along with the top box, which then
+        # winds 0: no more evaluations
+        ev = counting_evaluator(parse_map("x1 - 3, x2", 2))
+        with pytest.raises(DegreeLost):
+            locate_zero(ev, UNIT_BOX, eps_x=1e-10)
+        assert ev.batches == [69]
 
     @pytest.mark.parametrize("eps_x", [0.0, 3.0])
     def test_skipped(self, eps_x, counting_evaluator, monkeypatch):
@@ -230,6 +240,23 @@ class TestNewtonFallback:
         assert outcome_bytes(result) == outcome_bytes(expected)
         assert result.cell_diameter == expected.cell_diameter
         assert len(ev.batches) <= len(quadtree.batches) + 3
+
+
+    def test_undefined_at_a_first_stencil_point(self, counting_evaluator):
+        # 0/0 only at (2^-20 * 2, 0), the first step's +h point of x1: the
+        # top box with the stencil raises, the top box alone is fine, and
+        # the quadtree decides, with one evaluation more than it needs, as
+        # when the tail's own first batch raised
+        spec = parse_map("x1 - 0.3 + 0/((x1 - 1.9073486328125e-06)^2 + x2^2), "
+                         "x2 - 0.4", 2)
+        ev = counting_evaluator(spec)
+        result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
+        quadtree = counting_evaluator(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            without_tail(patch)
+            expected = locate_zero(quadtree, UNIT_BOX, eps_x=1e-10)
+        assert outcome_bytes(result) == outcome_bytes(expected)
+        assert ev.batches == [69] + quadtree.batches
 
 
 def reference_quadtree(ev, box, eps_x, eps_f, max_iter=100, seed=0):
@@ -683,11 +710,46 @@ class TestBrouwerFixedPoint:
         assert abs(result.point[0] - 0.5) <= 1e-6
 
     def test_boundary_evaluated_once(self, counting_evaluator):
+        # the validation grid and the boundary circle in one batch, and
+        # neither again
         f = counting_evaluator(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2", 2))
         result = brouwer_fixed_point(f, n=2)
         assert np.linalg.norm(result.point - [0.2, -0.1]) <= 1e-6
+        grid = len(locator._disk_validation_grid(2))
         boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
-        assert f.batches.count(boundary) == 1
+        assert f.batches[0] == grid + boundary
+        assert not {grid, boundary, grid + boundary} & set(f.batches[1:])
+
+    def test_validation_grid_has_the_centre_once(self):
+        # radius 0 of each of the 40 rays is the centre (with signed zeros)
+        radii = np.linspace(0.0, 1.0, 15)
+        angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+        rr, aa = np.meshgrid(radii, angles)
+        rays = np.stack([(rr * np.cos(aa)).ravel(),
+                         (rr * np.sin(aa)).ravel()], axis=1)
+        grid = locator._disk_validation_grid(2)
+        assert grid.shape == (561, 2)
+        assert grid[0].tobytes() == np.zeros(2).tobytes()
+        assert grid[1:].tobytes() == rays[rr.ravel() > 0.0].tobytes()
+
+    @pytest.mark.parametrize("first, error, match", [
+        ("x1/2", DomainError, "non-finite"),
+        # leaves the disk on the grid: the grid's check speaks first
+        ("2*x1", InvalidInput, r"leaves the unit disk \(\|\|f\|\| up to 2\.0"),
+    ])
+    def test_finite_on_the_grid_only(self, first, error, match,
+                                     counting_evaluator):
+        # 0/0 only where x2 is the second boundary sample's, on no grid point
+        circle = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6).points
+        spec = parse_map(f"{first} + 0/(x2 - {float(circle[1, 1])!r}), "
+                         f"{first.replace('x1', 'x2')}", 2)
+        f = counting_evaluator(spec)
+        with pytest.raises(error, match=match) as raised:
+            brouwer_fixed_point(f, n=2)
+        # the grid with the circle raises; the grid alone does not
+        assert f.batches == [561 + 256, 561]
+        if error is DomainError:
+            assert raised.value.point.tobytes() == circle[1].tobytes()
 
     def test_boundary_fixed_point(self, counting_evaluator):
         # f fixes (1, 0), a sample of the boundary circle
@@ -696,6 +758,7 @@ class TestBrouwerFixedPoint:
         assert result.termination == "boundary_fixed_point"
         assert np.array_equal(result.point, [1.0, 0.0])
         assert result.residual == 0.0
+        grid = len(locator._disk_validation_grid(2))
         boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
-        # disk validation grid, boundary, residual at the fixed point
-        assert f.batches[1:] == [boundary, 1]
+        # disk validation grid with the boundary, residual at the fixed point
+        assert f.batches == [grid + boundary, 1]

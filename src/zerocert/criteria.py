@@ -7,10 +7,14 @@ order: sign change (n=1), winding (n=m=2), never-points-opposite
 condition certifies that every continuous extension of the boundary data
 has a zero in the disk; a vanishing winding instead yields an explicit
 zero-free extension witness.
+
+The boundary is evaluated once and its image norms are computed once; every
+check reads them against the cached unit samples and is built once, with
+its witness already in the coordinates of the region.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, List, Optional
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .degree import boundary_obstruction
 from .errors import InvalidInput, Unsupported, VanishingOnBoundary
-from .geometry import Region, check_lipschitz, sample_sphere
+from .geometry import Region, check_lipschitz, unit_sphere
 from .homotopy import SampledMap, null_homotopy, radial_extension
 from .mapspec import MapSpec, as_evaluator
 
@@ -54,8 +58,8 @@ def boundary_nonvanishing(map_like, region: Region,
                           L: Optional[float] = None) -> CheckResult:
     """Minimum image norm over boundary samples; the standing hypothesis."""
     check_lipschitz(L)
-    f = SampledMap.from_evaluator(map_like, sample_sphere(region, level))
-    return _nonvanishing(f.sampling, np.linalg.norm(f.images, axis=1), L)
+    unit, _, _, norms = _sampled(map_like, region, level)
+    return _nonvanishing(unit, region, norms, L)
 
 
 def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
@@ -70,54 +74,67 @@ def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
     F/|F| + (x - x0)/r within h/2 of the samples; otherwise "heuristic".
     """
     check_lipschitz(L)
-    return _poincare_bohl(
-        SampledMap.from_evaluator(map_like, sample_sphere(region, level)), L)
+    unit, _, ims, norms = _sampled(map_like, region, level)
+    return _poincare_bohl(unit, region, ims, norms, L)
 
 
-def _smallest(name, sampling, margins, L) -> CheckResult:
-    """Check of the smallest per-sample margin against the mesh threshold
-    L*h/2 (rigorous) or against 0 when no Lipschitz bound is known.  The
-    witness is a copy, never a view of the (possibly cached) sampling."""
-    idx = int(np.argmin(margins))
-    threshold = 0.0 if L is None else L * sampling.h / 2.0
-    margin = float(margins[idx])
+def _sampled(map_like, region: Region, level: Optional[int]):
+    """(unit sampling, boundary points, images, image norms) of a map."""
+    unit, points = _boundary(region, level)
+    ims = as_evaluator(map_like)(points)
+    return unit, points, ims, _row_norms(ims)
+
+
+def _row_norms(a):
+    # np.linalg.norm(a, axis=1) bit for bit, without its dispatch
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
+def _check(name, unit, region, idx, margin, threshold, rigor) -> CheckResult:
+    """The check of the smallest margin, at sample ``idx``; its witness is a
+    fresh array in region coordinates, never a view of the cached sampling."""
     return CheckResult(name=name, passed=margin > threshold, margin=margin,
-                       witness=sampling.points[idx].copy(),
-                       rigor="heuristic" if L is None else "rigorous",
-                       threshold=threshold)
+                       witness=region.radius * unit.points[idx] + region.center,
+                       rigor=rigor, threshold=threshold)
 
 
-def _nonvanishing(sampling, norms, L) -> CheckResult:
-    """The smallest boundary image norm.  For n = 1 the two samples are the
-    whole boundary S^0, so no mesh argument is involved: the check is exact,
-    labelled rigorous with threshold 0 whatever L is."""
-    if sampling.region.dim == 1:
-        return replace(_smallest("boundary_nonvanishing", sampling, norms,
-                                 None), rigor="rigorous")
-    return _smallest("boundary_nonvanishing", sampling, norms, L)
+def _nonvanishing(unit, region, norms, L) -> CheckResult:
+    """The smallest boundary image norm against the mesh threshold L*h/2 on
+    the unit disk, where the map is (L*r)-Lipschitz, or against 0 without L.
+    For n = 1 the two samples are the whole boundary S^0, so no mesh
+    argument is involved: the check is exact, labelled rigorous with
+    threshold 0 whatever L is."""
+    idx = int(norms.argmin())
+    exact = region.dim == 1
+    threshold = 0.0 if L is None or exact else L * region.radius * unit.h / 2.0
+    rigor = "heuristic" if L is None and not exact else "rigorous"
+    return _check("boundary_nonvanishing", unit, region, idx,
+                  float(norms[idx]), threshold, rigor)
 
 
-def _poincare_bohl(f: SampledMap, L) -> CheckResult:
-    sampling, region = f.sampling, f.sampling.region
-    if f.m != region.dim:
+def _poincare_bohl(unit, region, ims, norms, L) -> CheckResult:
+    """poincare_bohl from the images and their norms, on the unit disk: the
+    margins read F/|F| + y at the unit samples y; the map is (L*r)-Lipschitz."""
+    if ims.shape[1] != region.dim:
         raise InvalidInput("Poincare-Bohl needs codomain dimension m = n")
-    norms = np.linalg.norm(f.images, axis=1)
-    if np.any(norms <= 0.0):
-        idx = int(np.argmin(norms))
-        raise VanishingOnBoundary(idx, point=sampling.points[idx].copy())
-    unit_f = f.images / norms[:, None]
-    unit_x = (sampling.points - region.center) / region.radius
-    check = _smallest("poincare_bohl", sampling,
-                      np.linalg.norm(unit_f + unit_x, axis=1), L)
+    least = int(norms.argmin())
+    if norms[least] <= 0.0:
+        raise VanishingOnBoundary(
+            least, point=region.radius * unit.points[least] + region.center)
+    margins = _row_norms(ims / norms[:, None] + unit.points)
+    idx = int(margins.argmin())
+    margin = float(margins[idx])
+    threshold, rigor = 0.0, "heuristic"
     if L is not None:
         # a proof needs |F| > 0 within h/2 of every sample, and the margin
-        # above h/2 times the Lipschitz bound of F/|F| + (x - x0)/r there
-        half = sampling.h / 2.0
-        slack = float(np.min(norms)) - L * half
-        if not (slack > 0.0 and check.margin
-                > (2.0 * L / slack + 1.0 / region.radius) * half):
-            check = replace(check, rigor="heuristic")
-    return check
+        # above h/2 times the Lipschitz bound of F/|F| + y there
+        L = L * region.radius
+        threshold, half = L * unit.h / 2.0, unit.h / 2.0
+        slack = float(norms[least]) - L * half
+        if slack > 0.0 and margin > (2.0 * L / slack + 1.0) * half:
+            rigor = "rigorous"
+    return _check("poincare_bohl", unit, region, idx, margin, threshold,
+                  rigor)
 
 
 def coercivity_radius(map_like, n: int, radii, level: Optional[int] = None):
@@ -128,14 +145,13 @@ def coercivity_radius(map_like, n: int, radii, level: Optional[int] = None):
     None when no listed radius qualifies.
     """
     for R in radii:
-        f = SampledMap.from_evaluator(
-            map_like, sample_sphere(Region.disk(np.zeros(n), float(R)), level))
-        if f.m != n:
+        region = Region.disk(np.zeros(n), float(R))
+        unit, points, ims, norms = _sampled(map_like, region, level)
+        if ims.shape[1] != n:
             raise InvalidInput("coercivity reduction needs m = n")
-        norms = np.linalg.norm(f.images, axis=1)
-        inner = np.sum(f.images * f.sampling.points, axis=1)
+        inner = np.sum(ims * points, axis=1)
         if float(np.min(norms)) > 0.0 and float(np.min(inner)) >= 0.0:
-            return float(R), _poincare_bohl(f, None)
+            return float(R), _poincare_bohl(unit, region, ims, norms, None)
     return None
 
 
@@ -144,11 +160,10 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
     """Run the full existence pipeline on a disk region.
 
     Internally everything is computed on the unit disk through the rescaling
-    y -> r*y + x0, which preserves the verdict and the obstruction.  The
-    boundary sphere is sampled and evaluated once; every check reads those
-    images.  ``level=None`` is sample_sphere's per-dimension default.  A
-    callable map gets the empty digest.  A winding-0 certificate's extension
-    witness is built on its first call and kept for later ones.
+    y -> r*y + x0, which preserves the verdict and the obstruction.
+    ``level=None`` is sample_sphere's per-dimension default.  A callable map
+    gets the empty digest.  A winding-0 certificate's extension witness is
+    built on its first call and kept for later ones.
     """
     if region.kind != "disk":
         raise InvalidInput("certify_existence needs a disk region")
@@ -164,40 +179,32 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
             # refuse before sampling, which is costly for n >= 3
             raise Unsupported(n, map_like.m)
         digest = map_like.digest
-    sampling, points = _boundary(region, level)
-    return _certify_sampled(ev, region, sampling, ev(points), lipschitz,
-                            digest)
+    unit, points = _boundary(region, level)
+    return _certify_sampled(ev, region, unit, ev(points), lipschitz, digest)
 
 
 def _boundary(region: Region, level: Optional[int]):
     """The unit-sphere sampling of ``level`` and its image under the
     rescaling y -> r*y + x0 onto the boundary of ``region``: the points at
-    which certify_existence evaluates the map."""
-    sampling = sample_sphere(Region.disk(np.zeros(region.dim), 1.0), level)
-    return sampling, region.radius * sampling.points + region.center
+    which a map is evaluated for every check of the boundary."""
+    if region.kind != "disk":
+        raise InvalidInput("boundary checks need a disk region")
+    unit = unit_sphere(region.dim, level)
+    return unit, region.radius * unit.points + region.center
 
 
-def _certify_sampled(ev, region, sampling, ims, lipschitz,
+def _certify_sampled(ev, region, unit, ims, lipschitz,
                      digest="") -> Certificate:
     """certify_existence of the checked evaluator ``ev`` from its images
-    ``ims`` at the points of _boundary(region, level), whose sampling is
-    ``sampling``."""
-    n = region.dim
-    x0, r = region.center, region.radius
-    L = None if lipschitz is None else lipschitz * r
-    m = ims.shape[1]
+    ``ims`` at the points of _boundary(region, level), whose unit sampling
+    is ``unit``."""
+    n, m = region.dim, ims.shape[1]
     if n > m:
         raise Unsupported(n, m)
-    # the checked evaluator composed with y -> r*y + x0 keeps its contract
-    rescaled = lambda pts: ev(r * pts + x0)
-    f = SampledMap(sampling=sampling, images=ims, evaluator=rescaled)
-    # checks report their witness in original coordinates
-    original = lambda check: replace(check, witness=r * check.witness + x0)
-
-    norms = np.linalg.norm(ims, axis=1)
-    nonvanish = original(_nonvanishing(sampling, norms, L))
+    norms = _row_norms(ims)
+    nonvanish = _nonvanishing(unit, region, norms, lipschitz)
     min_norm = nonvanish.margin
-    zero_tol = ZERO_TOL_SCALE * (1.0 + float(np.max(norms)))
+    zero_tol = ZERO_TOL_SCALE * (1.0 + float(norms.max()))
     cert = partial(Certificate, map_digest=digest, region=region,
                    min_boundary_norm=min_norm)
     if min_norm <= zero_tol:
@@ -206,7 +213,7 @@ def _certify_sampled(ev, region, sampling, ims, lipschitz,
                     reason="boundary_zero")
 
     if n == m >= 3:
-        pb = original(_poincare_bohl(f, L))
+        pb = _poincare_bohl(unit, region, ims, norms, lipschitz)
         rigor = _combine(nonvanish.rigor, pb.rigor)
         if pb.passed:
             return cert(verdict="ZeroGuaranteed", route="poincare_bohl",
@@ -215,7 +222,12 @@ def _certify_sampled(ev, region, sampling, ims, lipschitz,
                     rigor=rigor, evidence=[nonvanish, pb],
                     reason="poincare_bohl_failed")
 
-    value, reason, w = boundary_obstruction(f, L=L)
+    # the checked evaluator composed with y -> r*y + x0 keeps its contract
+    x0, r = region.center, region.radius
+    f = SampledMap(sampling=unit, images=ims,
+                   evaluator=lambda pts: ev(r * pts + x0))
+    value, reason, w = boundary_obstruction(
+        f, L=None if lipschitz is None else lipschitz * r)
     evidence = [nonvanish]
     rigor = nonvanish.rigor
     if w is not None:

@@ -5,9 +5,9 @@ point list together with its mesh norm h, which every downstream rigor bound
 is stated against.  For n <= 2 h is the largest adjacent-sample distance;
 for n >= 3 the samples are a cubed sphere (Ronchi, Iacono & Paolucci 1996)
 and h/2 is a proven covering radius: every sphere point lies within h/2 of
-a sample.  For n >= 2 the unit-sphere sampling of each (n, level) is built
-once and kept, read-only, in a small LRU cache; a sampling of any other disk
-is its affine image x0 + r * unit.
+a sample.  The unit-sphere sampling of each (n, level) is built once and
+kept, read-only (for n >= 2 in a small LRU cache); a sampling of any other
+disk is its affine image x0 + r * unit.
 Closed planar polylines also get the one angle-step kernel
 (``wrapped_steps``) and the one refinement loop (``refine_polyline``) that
 every winding computation uses.
@@ -146,41 +146,43 @@ def mesh_norm(points: np.ndarray, closed: bool) -> float:
 
 def sample_sphere(region: Region,
                   level: Optional[int] = None) -> BoundarySampling:
-    """Sample the boundary sphere of a disk region at a refinement depth.
-
-    n=1 gives the two endpoints x0 + r * (-1, 1) with h = 2r, built on every
-    call (they do not depend on ``level``).  n=2 gives 4*2^level equispaced
-    angles with the exact chord mesh norm; n>=3 gives the cubed sphere of
-    ``_cubed_sphere``, at most max(100*4^level, 2n) points, whose h/2 is a
-    proven covering radius.  For n >= 2 the unit-disk sampling of each
-    (n, level) is built once and cached (at most SPHERE_CACHE of them); its
-    arrays are read-only, and the unit disk gets that object itself.  Any
-    other disk gets fresh points x0 + r * unit and h = r * unit.h.
-
-    ``level=None`` takes DEFAULT_LEVELS: 6 for n <= 2 and 2 for n >= 3,
-    1536 points for n = 3 (level 6 would have up to 409,600).
-    """
+    """Sample the boundary sphere of a disk region at a refinement depth:
+    the affine image x0 + r * unit of ``unit_sphere(n, level)``, with
+    h = r * unit.h.  The unit disk gets that read-only object itself; any
+    other disk gets fresh points."""
     if region.kind != "disk":
         raise InvalidInput("sample_sphere needs a disk region")
     n, x0, r = region.dim, region.center, region.radius
-    if level is None:
-        level = DEFAULT_LEVELS[n >= 3]
-    if level < 0:
-        raise InvalidInput("level must be >= 0")
-    if n == 1:
-        return BoundarySampling(points=x0 + r * np.array([[-1.0], [1.0]]),
-                                h=r * 2.0, closed=False, region=region)
-    unit = _unit_sampling(n, level)
+    unit = unit_sphere(n, level)
     if r == 1.0 and not np.any(x0):
         return unit
     return BoundarySampling(points=x0 + r * unit.points, h=r * unit.h,
                             closed=unit.closed, region=region)
 
 
+def unit_sphere(n: int, level: Optional[int] = None) -> BoundarySampling:
+    """The read-only sampling of the unit sphere S^{n-1} at ``level``.
+
+    n=1 gives the two endpoints (-1, 1) with h = 2 at every level.  n=2
+    gives 4*2^level equispaced angles with the exact chord mesh norm; n>=3
+    the cubed sphere of ``_cubed_sphere``, at most max(100*4^level, 2n)
+    points, whose h/2 is a proven covering radius.  For n >= 2 each
+    (n, level) is built once and cached (at most SPHERE_CACHE of them).
+    ``level=None`` takes DEFAULT_LEVELS: 6 for n <= 2 and 2 for n >= 3,
+    1536 points for n = 3 (level 6 would have up to 409,600).
+    """
+    if level is None:
+        level = DEFAULT_LEVELS[n >= 3]
+    if level < 0:
+        raise InvalidInput("level must be >= 0")
+    return _UNIT_S0 if n == 1 else _unit_sampling(n, level)
+
+
 @functools.lru_cache(maxsize=SPHERE_CACHE)
 def _unit_sampling(n: int, level: int) -> BoundarySampling:
-    """The read-only sampling of the unit sphere S^{n-1} (n >= 2) at ``level``."""
-    if n == 2:
+    if n == 1:
+        pts, h = np.array([[-1.0], [1.0]]), 2.0
+    elif n == 2:
         k = 4 * 2 ** level
         theta = 2.0 * math.pi * np.arange(k) / k
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -191,6 +193,10 @@ def _unit_sampling(n: int, level: int) -> BoundarySampling:
     pts.flags.writeable = False
     region.center.flags.writeable = False
     return BoundarySampling(points=pts, h=h, closed=n == 2, region=region)
+
+
+# S^0 is the same at every level: built once, outside the cache
+_UNIT_S0 = _unit_sampling.__wrapped__(1, 0)
 
 
 def circle_arc_midpoint(a, b, region: Region) -> np.ndarray:

@@ -523,12 +523,14 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     _check_self_map(images[:len(grid)], n)
 
     g = as_evaluator(lambda pts: pts - f(pts))
-    cert = _certify_sampled(g, disk, sampling, circle - images[len(grid):],
-                            None)
+    g_circle = circle - images[len(grid):]
+    cert = _certify_sampled(g, disk, sampling, g_circle, None)
     if cert.verdict == "ZeroOnBoundary":
-        # the boundary sample where G vanishes is itself a fixed point
+        # the boundary sample where G vanishes is a fixed point; f there is
+        # the batch row of that sample
         point = cert.evidence[0].witness
-        residual = float(np.linalg.norm(f(point[None, :])[0] - point))
+        row = len(grid) + int(np.argmin(np.linalg.norm(g_circle, axis=1)))
+        residual = float(np.linalg.norm(images[row] - point))
         return LocateResult(point=point, residual=residual, cell_diameter=0.0,
                             iterations=0, trail=[],
                             termination="boundary_fixed_point")

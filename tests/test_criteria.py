@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from zerocert import (InvalidInput, Region, Unsupported,
                       coercivity_radius, evaluate, locate_zero, parse_map,
                       poincare_bohl, winding_number)
 from zerocert import criteria, geometry
+from zerocert.cli import certificate_dumps
 from zerocert.homotopy import SampledMap, straight_line
 from zerocert.geometry import sample_sphere
 from zerocert.mapspec import as_evaluator
@@ -406,3 +408,184 @@ class TestSoundness:
 def zc_eval(spec, point):
     from zerocert import evaluate
     return evaluate(spec, point)
+
+
+# Golden certificates: (id, map, n, center, radius, level, lipschitz), where
+# a map given as text is parsed with parse_map.  They cover n = 1-4, with
+# and without a Lipschitz constant, off-centre disks with r != 1, and every
+# verdict and reason; the SHA-256 of each certificate_dumps is pinned below.
+_A = 1.05 * np.array([0.3, -0.5, 0.81]) / np.linalg.norm([0.3, -0.5, 0.81])
+GOLDEN_CASES = [
+    ("n1-sign", "x1^3 - 0.2", 1, [0.0], 1.0, None, None),
+    ("n1-sign-L", "x1^3 - 0.2", 1, [0.0], 1.0, None, 3.0),
+    ("n1-same-offcentre-L", "x1^2 + 0.5", 1, [0.25], 1.5, 3, 2.0),
+    ("n1-boundary-zero", "x1 - 1", 1, [0.0], 1.0, None, 1.0),
+    ("n1-codomain-excess", "x1 + 2, 1", 1, [0.0], 1.0, None, None),
+    ("n2-winding", "x1, x2", 2, [0.0, 0.0], 1.0, 4, None),
+    ("n2-winding-L-offcentre",
+     "(x1 - 0.2)^2 - (x2 + 0.1)^2, 2*(x1 - 0.2)*(x2 + 0.1)",
+     2, [0.1, -0.2], 1.5, 5, 8.0),
+    ("n2-winding-zero", "x1 + 3, x2 + 3", 2, [0.0, 0.0], 1.0, 4, None),
+    ("n2-winding-zero-refined",
+     "(x1 - 1.0079240994538576)^2 - (x2 - 0.012369710592005685)^2, "
+     "2*(x1 - 1.0079240994538576)*(x2 - 0.012369710592005685)",
+     2, [0.0, 0.0], 1.0, None, None),
+    ("n2-boundary-zero", "x1 - 1, x2", 2, [0.0, 0.0], 1.0, 3, None),
+    ("n2-codomain-excess", "x1, x2, 1", 2, [0.0, 0.0], 1.0, 3, None),
+    ("n3-pb-L-offcentre", "x1 - 0.5*x2, x2 + x3^2, x3 - x1*x2", 3,
+     [0.1, -0.2, 0.3], 1.5, 1, 3.0),
+    ("n3-pb", "x1 - 0.5*x2, x2 + x3^2, x3 - x1*x2", 3, [0.0] * 3, 1.0, 1,
+     None),
+    ("n3-pb-failed", "-x1, -x2, -x3", 3, [0.0] * 3, 1.0, 1, None),
+    # 10 R x, R the rotation by 150 degrees about x3
+    ("n3-pb-failed-rigorous",
+     "-8.660254037844386*x1 - 5*x2, 5*x1 - 8.660254037844386*x2, 10*x3",
+     3, [0.0] * 3, 1.0, 2, 10.0),
+    ("n3-pb-failed-L",
+     ", ".join(f"x{j + 1} - {float(v)!r}" for j, v in enumerate(_A)),
+     3, [0.0] * 3, 1.0, 1, 1.0),
+    ("n3-pb-rigorous", "x1 - 0.3, x2 - 0.3, x3 - 0.3", 3, [0.0] * 3, 1.0,
+     2, 1.0),
+    ("n3-pb-callable", lambda pts: pts - [0.1, 0.0, -0.2], 3, [0.0] * 3,
+     1.0, 0, None),
+    # x - p for the sixth level-0 sample p, which vanishes exactly there
+    ("n3-boundary-zero", ", ".join(
+        f"x{j + 1} - {float(v)!r}" for j, v in enumerate(
+            sample_sphere(Region.disk(np.zeros(3), 1.0), 0).points[5])),
+     3, [0.0] * 3, 1.0, 0, None),
+    ("n3-codomain-excess", "x1, x2, x3, 1", 3, [0.0] * 3, 1.0, 0, None),
+    ("n4-pb-L", "x1 + 0.1, x2, x3 - 0.2, x4", 4, [0.0] * 4, 1.0, 1, 1.0),
+    ("n4-pb-offcentre", "x1 + 0.1, x2, x3 - 0.2, x4", 4,
+     [0.5, -0.25, 0.0, 1.0], 0.75, 1, None),
+    ("n4-pb-failed", "-x1, -x2, -x3, -x4", 4, [0.0] * 4, 1.0, 0, 2.0),
+]
+GOLDEN_SHA256 = {
+    "n1-sign":
+        "a0986887bcb461119ac984f4f01b51dc932aff17b5cc52e87ea55b043a59e1ad",
+    "n1-sign-L":
+        "a0986887bcb461119ac984f4f01b51dc932aff17b5cc52e87ea55b043a59e1ad",
+    "n1-same-offcentre-L":
+        "b0aedc77b550b34dfbe4cf6a30a63e2ef62b6d997865016719c08db19b52fc64",
+    "n1-boundary-zero":
+        "81b11d7f3110697481d68fe301ca0b4a493b378b91f4b3111f3699a338b39680",
+    "n1-codomain-excess":
+        "9ad8ac1a02803e7e93ba8a8b7831d02688522c7e61464ae748427753e4e56e82",
+    "n2-winding":
+        "5c7477312c96033499e1fd61dd529b54fee333ce0120a8e6a63f70ad2627ea32",
+    "n2-winding-L-offcentre":
+        "dc126bc58c468ec8dbb357651564b221aecc87144dc310d0ca81874fb35b4e1b",
+    "n2-winding-zero":
+        "81bd8a518e5200a75b743c0b6f6dfac4b23a546ebd358b99ddc054efa2c059f7",
+    "n2-winding-zero-refined":
+        "f26936dd9d2c9292521c2a4832403d05e7556b5790df48ca599226999d1d1bcb",
+    "n2-boundary-zero":
+        "ebdb8e35e867d91e494bb142d3e3fcd9b619c6e5e2602c3020d200c816a524b2",
+    "n2-codomain-excess":
+        "db3cfadc1874f2f03c40bc0c9b44979de165583acc50db5bc7043d01144dc046",
+    "n3-pb-L-offcentre":
+        "af5d0e118dab5e28aad2dada8c4f04f9f4d52281d43afaac92dfea4c6dfa8510",
+    "n3-pb":
+        "802393f417c95fd47a61b2ab2212669e9c87b32a30d444a50688199341f681ca",
+    "n3-pb-failed":
+        "4147c194c6165a9ad379b2b5189ea07e5391efb3a1e275d7c3f9748837765490",
+    "n3-pb-failed-rigorous":
+        "3032185dc5170bc428431bbdd69d6a8d81e2b9a706017c621b1fca61229b0ad2",
+    "n3-pb-failed-L":
+        "611c54514b2eab9825dd3dd6f15677e61dd9393e4debb2f42997b84c90775427",
+    "n3-pb-rigorous":
+        "d46738751d85ce5c7d1ea92d00761ae17543cf628842e77795d28fdb7c55fcc9",
+    "n3-pb-callable":
+        "9311b989d0cb661c946c71c2c85f81aefeaaeaf83b19f32ebed51603decd5640",
+    "n3-boundary-zero":
+        "f35648dd6a15c7e5fb2af3b6f3eb4085607439405f0bd8c3415018e8174b4da3",
+    "n3-codomain-excess":
+        "dd35a3e8a514c1a910a50dc22d9498940fbbaf60cacd618438721131793daa21",
+    "n4-pb-L":
+        "9cdf2a2801d6ed11c79c8d3a6bf36c18b7a8fab87f912d1aee2d8839839b96bb",
+    "n4-pb-offcentre":
+        "38a0a2b7277d9df62318a0c17b3c6cd96b568677ffe20c78a6eb2168652caee2",
+    "n4-pb-failed":
+        "e462138fb17b6ddcc431b4f2dc84711baa9015156b359a9bc9ca9828eb3477b4",
+}
+# extension witness of each winding-0 certificate at WITNESS_POINTS
+WITNESS_POINTS = [[0.0, 0.0], [0.7, -0.2], [-0.5, 0.5], [0.9, 0.1]]
+GOLDEN_WITNESS = {
+    "n2-winding-zero": [(2.999999999999999, 3.0000000000000004),
+        (3.4294333933513736, 2.900732825881773),
+        (2.7294050709942494, 3.3102799336525592),
+        (3.7910576519248678, 3.0977434509868425)],
+    "n2-winding-zero-refined": [(0.912230296825436, 0.02239399683307962),
+        (0.08267273772806909, 0.29711038990677635),
+        (1.5054766389633174, -0.4731900526812475),
+        (-0.015718290269376323, -0.017181586857507803)],
+}
+
+
+def _golden(case):
+    _, text, n, center, radius, level, lipschitz = case
+    spec = text if callable(text) else parse_map(text, n)
+    region = Region.disk(center, radius)
+    return spec, region, certify_existence(spec, region, level=level,
+                                           lipschitz=lipschitz)
+
+
+def _fields(check):
+    return (check.name, check.passed, check.margin, check.rigor,
+            check.threshold, check.witness.tobytes())
+
+
+class TestGoldenCertificates:
+    """Every certificate byte of a fixed set of certificates, pinned before
+    the boundary checks were reworked into one pass: a change to a verdict,
+    margin, threshold, witness or rigor label shows here.  The n = 2 cases
+    and the witness values also pin numpy's float64 cos, sin and arctan2
+    (captured with numpy 2.4 on x86-64)."""
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c[0])
+    def test_certificate_bytes(self, case):
+        _, _, cert = _golden(case)
+        text = certificate_dumps(cert)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            GOLDEN_SHA256[case[0]], text
+        if case[0] in GOLDEN_WITNESS:
+            values = [tuple(float(v) for v in cert.extension_witness(p))
+                      for p in WITNESS_POINTS]
+            assert values == GOLDEN_WITNESS[case[0]]
+        else:
+            assert cert.extension_witness is None
+
+    def test_every_verdict_and_reason(self):
+        seen = {(c.verdict, c.reason) for c in
+                (_golden(case)[2] for case in GOLDEN_CASES)}
+        assert seen == {("ZeroGuaranteed", None),
+                        ("ZeroOnBoundary", "boundary_zero"),
+                        ("NoConclusion", "same_component"),
+                        ("NoConclusion", "codomain_dim_excess"),
+                        ("NoConclusion", "winding_zero"),
+                        ("NoConclusion", "poincare_bohl_failed")}
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c[0])
+    def test_public_checks_are_the_evidence(self, case):
+        spec, region, cert = _golden(case)
+        level, L = case[5], case[6]
+        assert _fields(boundary_nonvanishing(spec, region, level, L)) == \
+            _fields(cert.evidence[0])
+        if cert.evidence[-1].name == "poincare_bohl":
+            assert _fields(poincare_bohl(spec, region, level, L)) == \
+                _fields(cert.evidence[1])
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c[0])
+    def test_witness_is_the_callers_copy(self, case):
+        spec, region, cert = _golden(case)
+        n, level = region.dim, case[5]
+        unit = Region.disk(np.zeros(n), 1.0)
+        before = sample_sphere(unit, level).points.copy()
+        checks = cert.evidence + [boundary_nonvanishing(spec, region, level)]
+        if cert.evidence[-1].name == "poincare_bohl":
+            checks.append(poincare_bohl(spec, region, level))
+        for check in checks:
+            if check.witness is None:       # the winding check has none
+                continue
+            assert check.witness.flags.writeable
+            check.witness[:] = 7.0
+            assert np.array_equal(sample_sphere(unit, level).points, before)

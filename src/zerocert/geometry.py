@@ -225,19 +225,11 @@ def check_lipschitz(L: Optional[float]) -> None:
             f"Lipschitz constant must be finite and >= 0, got {L!r}")
 
 
-def wrapped_steps(images: np.ndarray, starts=None) -> np.ndarray:
+def wrapped_steps(images: np.ndarray) -> np.ndarray:
     """Angle steps of planar images around a closed polyline, each wrapped
-    into [-pi, pi); their sum is 2 pi times the winding number.
-
-    ``starts`` (increasing row indices from 0) splits ``images`` into
-    several closed polylines stored one after another, each running from
-    its start up to the next one and closing on its own first row.
-    """
+    into [-pi, pi); their sum is 2 pi times the winding number."""
     angles = np.arctan2(images[:, 1], images[:, 0])
     steps = np.diff(np.concatenate([angles, angles[:1]]))
-    if starts is not None:
-        last = [s - 1 for s in starts[1:]] + [len(angles) - 1]
-        steps[last] = angles[starts] - angles[last]
     return (steps + math.pi) % (2.0 * math.pi) - math.pi
 
 

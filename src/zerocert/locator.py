@@ -27,20 +27,19 @@ with the shared angle-step kernel and refinement loop of ``geometry``
 four edge arrays, so a level reuses the parent's samples and evaluates
 only the cut: one batch holds the centre (whose image is also the residual
 check), the four half-cuts from it to the edges and any edge cut point the
-parent lacks.  The four sub-box boundaries are then wound in one batched
-pass over a single array; only a sub-box with an angle step of pi/2 or
-more goes through the refinement loop.  When a cut line lands on (or
-numerically near) a zero, the cut point is jiggled by a deterministic
-pseudo-random offset of at most 10% of the cell size, at most five retries
-per level.  A level whose every attempt stays within the vanishing floor
-ends in BudgetExhausted (the cell has shrunk onto the zero); one where
-some attempt wound all four sub-boxes to 0 ends in DegreeLost.
+parent lacks.  The sub-boxes are then wound one after another, each through
+the refinement loop, and the first of nonzero winding is kept.  When a cut
+line lands on (or numerically near) a zero, the cut point is jiggled by a
+deterministic pseudo-random offset of at most 10% of the cell size, at most
+five retries per level.  A level whose every attempt stays within the
+vanishing floor ends in BudgetExhausted (the cell has shrunk onto the
+zero); one where some attempt wound all four sub-boxes to 0 ends in
+DegreeLost.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import List, Optional
 
 import numpy as np
@@ -48,7 +47,7 @@ import numpy as np
 from .criteria import _boundary, _certify_sampled
 from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
-from .geometry import MAX_STEP, Region, refine_polyline, wrapped_steps
+from .geometry import MAX_STEP, Region, refine_polyline
 from .mapspec import as_evaluator
 
 MAX_JIGGLES = 5
@@ -57,9 +56,6 @@ BUDGET = 4096                     # refinement insertions per box winding
 # interior sample fractions of a half-cut from the cut point to a box edge
 _HALF_CUT = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE // 2,
                         endpoint=False)[1:, None]
-# per sub-box, in bisection order: the pieces of its boundary (of the seven
-# that _cut concatenates) at which its bottom, right, top and left edge start
-_EDGE_PIECES = ((0, 1, 3, 5), (0, 2, 3, 5), (0, 2, 4, 5), (0, 2, 4, 6))
 
 # Newton tail of the 2D locator
 NEWTON_H = 2.0 ** -20   # difference step, times the top box's width per axis
@@ -98,6 +94,7 @@ def box_winding(map_like, lower, upper) -> int:
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (2,) or upper.shape != (2,):
         raise InvalidInput("box winding is planar only")
+    Region.box(lower, upper)    # InvalidInput unless finite, lower < upper
     ev = as_evaluator(map_like)
     return _wind(ev, _box_boundary(ev, lower, upper))[0]
 
@@ -155,7 +152,11 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
     _check_tolerance("eps_f", eps_f)
     if max_iter < 1:
         raise InvalidInput(f"max_iter must be >= 1, got {max_iter!r}")
-    ev = as_evaluator(map_like)
+    return _locate(as_evaluator(map_like), box, eps_x, eps_f, max_iter, seed)
+
+
+def _locate(ev, box, eps_x, eps_f, max_iter, seed):
+    """locate_zero of the checked evaluator ``ev``, with checked arguments."""
     if box.dim == 1:
         return _bisect_1d(ev, box, eps_x, eps_f, max_iter)
     if box.dim == 2:
@@ -274,7 +275,7 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
             if result.residual <= eps_f:
                 result.termination = "residual"
             return result
-        center_image, *level = _cut(ev, lo, hi, edges, center)
+        center_image, children = _cut(ev, lo, hi, edges, center)
         if float(np.linalg.norm(center_image)) <= eps_f:
             return _finish(ev, center, diameter, it - 1, trail, "residual",
                            center_image)
@@ -282,9 +283,9 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
         for attempt in range(MAX_JIGGLES + 1):
             if attempt:
                 cut = center + rng.uniform(-0.1, 0.1, size=2) * (hi - lo)
-                level = _cut(ev, lo, hi, edges, cut)[1:]
+                children = _cut(ev, lo, hi, edges, cut)[1]
             try:
-                chosen = _choose(ev, *level)
+                chosen = _choose(ev, children)
             except VanishingOnBoundary:
                 vanished += 1
                 continue
@@ -383,8 +384,8 @@ def _accept(ev, lo, hi, point, eps_x, steps):
 def _split_edges(poly, lo, hi):
     """Bottom, right, top and left edge of a counterclockwise box polyline
     that starts at corner lo; each edge runs from its first corner up to,
-    not including, the next one.  Used where no piece offsets are known:
-    the top box and a refined sub-box."""
+    not including, the next one.  The top box and each chosen sub-box carry
+    their boundary to the next level this way."""
     x, y = poly[:, 0], poly[:, 1]
     r = int(np.argmax(x == hi[0]))
     t = r + int(np.argmax(y[r:] == hi[1]))
@@ -394,10 +395,9 @@ def _split_edges(poly, lo, hi):
 
 def _cut(ev, lo, hi, edges, cut):
     """The image of ``cut`` and the four sub-boxes of [lo, hi] at it, in
-    bisection order: their bounds, their boundaries concatenated into one
-    row array, and the row offsets of the 28 pieces of that array.  Sub-box
-    i is made of pieces 7i to 7i + 6, counterclockwise from its lower
-    corner, and its edges start at the pieces 7i + _EDGE_PIECES[i].
+    bisection order, each as (lower, upper, boundary pieces); the pieces
+    concatenate to the sub-box boundary, counterclockwise from its lower
+    corner.
 
     One evaluation covers the cut point, the interior samples of the four
     half-cuts from it to the box edges, and each edge cut point that the
@@ -431,45 +431,25 @@ def _cut(ev, lo, hi, edges, cut):
         else:
             parts.append((edge[:k], edge[k:k + 1], edge[k + 1:]))
     (b1, bc, b2), (r1, rc, r2), (t1, tc, t2), (l1, lc, l2) = parts
-    pieces = (b1, bc, hb[::-1], c, hl, lc, l2,
-              bc, b2, r1, rc, hr[::-1], c, hb,
-              c, hr, rc, r2, t1, tc, ht[::-1],
-              lc, hl[::-1], c, ht, tc, t2, l1)
-    subs = ((lo, cut),
-            (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]])),
-            (cut, hi),
-            (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]])))
-    offsets = list(accumulate(map(len, pieces), initial=0))
-    return rows[0, 2:], subs, np.concatenate(pieces), offsets
+    return rows[0, 2:], [
+        (lo, cut, (b1, bc, hb[::-1], c, hl, lc, l2)),
+        (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]]),
+         (bc, b2, r1, rc, hr[::-1], c, hb)),
+        (cut, hi, (c, hr, rc, r2, t1, tc, ht[::-1])),
+        (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]]),
+         (lc, hl[::-1], c, ht, tc, t2, l1)),
+    ]
 
 
-def _choose(ev, subs, rows, offsets):
-    """Bounds and edges of the first sub-box, in bisection order, whose
-    boundary winding is nonzero, or None when all four windings are 0.
-
-    One pass over ``rows`` (as made by _cut) gives each sub-box its
-    vanishing floor, its largest angle step and its winding.  A sub-box at
-    or below its floor, or with a step of MAX_STEP or more, goes through
-    _wind instead, which raises VanishingOnBoundary or refines.
-    """
-    starts = offsets[:-1:7]
-    norms = np.linalg.norm(rows[:, 2:], axis=1)
-    # refine_polyline's default floor, per sub-box
-    floors = 1e-12 * (1.0 + np.maximum.reduceat(norms, starts))
-    low = np.minimum.reduceat(norms, starts) <= floors
-    steps = wrapped_steps(rows[:, 2:], starts)
-    steep = np.maximum.reduceat(np.abs(steps), starts) >= MAX_STEP
-    windings = np.rint(np.add.reduceat(steps, starts) / (2.0 * math.pi))
-    for child, (sub_lo, sub_hi) in enumerate(subs):
-        first, end = offsets[7 * child], offsets[7 * child + 7]
-        if low[child] or steep[child]:
-            winding, poly = _wind(ev, rows[first:end])
-            if winding != 0:
-                return sub_lo, sub_hi, _split_edges(poly, sub_lo, sub_hi)
-        elif windings[child] != 0:
-            bounds = [offsets[7 * child + p] for p in _EDGE_PIECES[child]]
-            return sub_lo, sub_hi, [rows[a:b] for a, b in
-                                    zip(bounds, bounds[1:] + [end])]
+def _choose(ev, children):
+    """Bounds and edges of the first of the sub-boxes ``children`` (as made
+    by _cut) whose boundary winding is nonzero, or None when all four wind
+    0.  Each is wound through _wind, which refines it or raises
+    VanishingOnBoundary."""
+    for sub_lo, sub_hi, pieces in children:
+        winding, poly = _wind(ev, np.concatenate(pieces))
+        if winding != 0:
+            return sub_lo, sub_hi, _split_edges(poly, sub_lo, sub_hi)
     return None
 
 
@@ -522,7 +502,9 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
         raise
     _check_self_map(images[:len(grid)], n)
 
-    g = as_evaluator(lambda pts: pts - f(pts))
+    # G is evaluated only in [-1, 1]^n, where x - f(x) of a finite f(x) is
+    # finite: f's own check covers it
+    g = lambda pts: pts - f(pts)
     g_circle = circle - images[len(grid):]
     cert = _certify_sampled(g, disk, sampling, g_circle, None)
     if cert.verdict == "ZeroOnBoundary":
@@ -539,7 +521,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
             f"could not certify a fixed point (verdict {cert.verdict})")
     box = Region.box(-np.ones(n), np.ones(n))
     # ||p - f(p)||, the located residual, is ||f(p) - p|| bit for bit
-    return locate_zero(g, box, eps_x=0.5 * eps, eps_f=1e-12, max_iter=200)
+    return _locate(g, box, 0.5 * eps, 1e-12, 200, 0)
 
 
 def _check_self_map(grid_images, n):

@@ -7,7 +7,7 @@ from zerocert import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                       Region, VanishingOnBoundary, box_winding,
                       brouwer_fixed_point, evaluate, locate_zero, parse_map,
                       sample_sphere)
-from zerocert import locator
+from zerocert import locator, mapspec
 from zerocert.locator import (MAX_JIGGLES, _HALF_CUT, _box_boundary, _finish,
                               _split_edges)
 from zerocert.mapspec import as_evaluator
@@ -63,6 +63,17 @@ class TestBoxWinding:
                 continue  # map vanished on a cut line; not a conservation case
             assert sum(subs) == parent
             checked += 1
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([1.0, -1.0], [-1.0, 1.0]),         # flipped in x
+        ([-1.0, 0.5], [1.0, 0.5]),          # flat
+        ([math.nan, -1.0], [1.0, 1.0]),
+    ])
+    def test_invalid_corners_rejected(self, lower, upper, counting_evaluator):
+        ev = counting_evaluator(parse_map("x1, x2", 2))
+        with pytest.raises(InvalidInput, match="corner"):
+            box_winding(ev, lower, upper)
+        assert ev.batches == []
 
 
 class TestLocateZero2D:
@@ -409,7 +420,7 @@ def oracle_quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
     """The quadtree that winds the four sub-boxes of a level one after
     another, each through _wind and the refinement loop, and searches the
     chosen boundary for its corners: the behaviour, evaluated batches
-    included, that the batched level pass must reproduce."""
+    included, that locate_zero's quadtree must reproduce."""
     rng = np.random.default_rng(seed)
     lo = box.lower.copy()
     hi = box.upper.copy()
@@ -477,12 +488,13 @@ def outcome_bytes(result):
 
 
 @pytest.mark.usefixtures("quadtree_only")
-class TestBatchedLevelMatchesOracle:
-    """The batched level pass of locate_zero evaluates the same batches, in
-    the same order, and returns the same bytes as the per-sub-box loop."""
+class TestQuadtreeMatchesOracle:
+    """The quadtree of locate_zero evaluates the same batches, in the same
+    order, winds as many boundaries and returns the same bytes as the
+    oracle's per-sub-box loop."""
 
     def run_both(self, call, map_like):
-        """Outcome of ``call(evaluator)`` with the batched quadtree, which
+        """Outcome of ``call(evaluator)`` with locate_zero's quadtree, which
         must equal that with the oracle, and the number of boundaries each
         of the two wound through _wind."""
         runs = []
@@ -520,9 +532,8 @@ class TestBatchedLevelMatchesOracle:
                 lambda ev: locate_zero(ev, box, eps_x=1e-4, eps_f=1e-12),
                 complex_poly_map(coeffs))
             winds += counts
-        # besides the top boxes, the batched pass refined some sub-boxes,
-        # and it wound most of them without _wind
-        assert 200 < winds[0] < winds[1] / 2
+        # the quadtree winds each sub-box through _wind, as the oracle does
+        assert winds[0] == winds[1]
 
     @pytest.mark.parametrize("text, seed, termination", [
         # a zero on a half-cut sample: every level jiggles
@@ -719,6 +730,21 @@ class TestBrouwerFixedPoint:
         boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
         assert f.batches[0] == grid + boundary
         assert not {grid, boundary, grid + boundary} & set(f.batches[1:])
+
+    def test_each_batch_checked_once(self, monkeypatch):
+        # G = x - f(x) is finite wherever f is on [-1, 1]^n, so only f's
+        # own evaluation checks a batch of G
+        calls = {"evaluate": 0, "_check_finite": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(mapspec, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(mapspec, name, counted)
+        result = brouwer_fixed_point(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2",
+                                               2))
+        assert result.termination == "newton"
+        assert calls["evaluate"] > 1
+        assert calls["_check_finite"] == calls["evaluate"]
 
     def test_validation_grid_has_the_centre_once(self):
         # radius 0 of each of the 40 rays is the centre (with signed zeros)

@@ -37,13 +37,9 @@ EXIT_BROKEN_PIPE = 141          # 128 + SIGPIPE, as a shell reports a pipe
 # certificate serialization
 
 def region_to_dict(region: Region) -> dict:
-    if region.kind == "disk":
-        return {"kind": "disk", "dim": region.dim,
-                "center": [float(v) for v in region.center],
-                "radius": float(region.radius)}
-    return {"kind": "box", "dim": region.dim,
-            "lower": [float(v) for v in region.lower],
-            "upper": [float(v) for v in region.upper]}
+    return {"kind": "disk", "dim": region.dim,
+            "center": [float(v) for v in region.center],
+            "radius": float(region.radius)}
 
 
 def check_to_dict(check: CheckResult) -> dict:

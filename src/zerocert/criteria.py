@@ -22,11 +22,9 @@ import numpy as np
 
 from .degree import boundary_obstruction
 from .errors import InvalidInput, Unsupported, VanishingOnBoundary
-from .geometry import Region, check_lipschitz, unit_sphere
+from .geometry import Region, check_lipschitz, unit_sphere, vanishing_floor
 from .homotopy import SampledMap, null_homotopy, radial_extension
 from .mapspec import MapSpec, as_evaluator
-
-ZERO_TOL_SCALE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +202,9 @@ def _certify_sampled(ev, region, unit, ims, lipschitz,
     norms = _row_norms(ims)
     nonvanish = _nonvanishing(unit, region, norms, lipschitz)
     min_norm = nonvanish.margin
-    zero_tol = ZERO_TOL_SCALE * (1.0 + float(norms.max()))
     cert = partial(Certificate, map_digest=digest, region=region,
                    min_boundary_norm=min_norm)
-    if min_norm <= zero_tol:
+    if min_norm <= vanishing_floor(norms):
         return cert(verdict="ZeroOnBoundary", route=None, obstruction=None,
                     rigor="heuristic", evidence=[nonvanish],
                     reason="boundary_zero")

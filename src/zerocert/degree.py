@@ -15,8 +15,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExhausted, InvalidInput, Unsupported, VanishingOnBoundary
-from .geometry import (MAX_STEP, BoundarySampling, check_lipschitz,
-                       circle_arc_midpoint, mesh_norm, refine_polyline)
+from .geometry import (MAX_STEP, BoundarySampling, check_count,
+                       check_lipschitz, circle_arc_midpoint, mesh_norm,
+                       refine_polyline)
 from .homotopy import SampledMap
 
 RESIDUAL_TOL = 0.05             # tolerated pre-rounding residual, in turns
@@ -47,25 +48,23 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
     """Signed turn count of a closed planar boundary map around the origin.
 
     Arcs whose image angle step reaches pi/2 are split by re-querying the
-    map at the circle midpoint until none remain or the budget runs out.
-    The result's ``boundary`` is ``f`` with those midpoints inserted (``f``
-    itself when none was).
+    map at the circle midpoint until none remain or the budget runs out; a
+    norm within geometry.vanishing_floor raises VanishingOnBoundary.  The
+    result's ``boundary`` is ``f`` with those midpoints inserted.
     """
     check_lipschitz(L)
-    if refine_budget < 0:
-        raise InvalidInput(f"refine_budget must be >= 0, got {refine_budget!r}")
+    check_count("refine_budget", refine_budget, 0)
     sampling = f.sampling
-    if f.m != 2 or sampling.region.dim != 2 or not sampling.closed:
+    if f.m != 2 or sampling.region.dim != 2:
         raise InvalidInput("winding needs a closed planar sampling into R^2")
     region = sampling.region
     pts, ims, inserted, steps = refine_polyline(
         sampling.points, f.images, f.evaluator,
-        lambda a, b: circle_arc_midpoint(a, b, region),
-        floor=0.0, budget=refine_budget)
+        lambda a, b: circle_arc_midpoint(a, b, region), budget=refine_budget)
     if inserted:
         f = SampledMap(sampling=BoundarySampling(
-            points=pts, h=mesh_norm(pts, closed=True), closed=True,
-            region=region), images=ims, evaluator=f.evaluator)
+            points=pts, h=mesh_norm(pts), region=region), images=ims,
+            evaluator=f.evaluator)
     result = _result(steps, f, inserted, L)
     if result.max_step_angle >= MAX_STEP:
         # the rigor label needs every step below MAX_STEP, so this result
@@ -84,7 +83,7 @@ def _result(steps, boundary, inserted, L) -> WindingResult:
     max_step = float(np.max(np.abs(steps)))
     rigor = "heuristic"
     if L is not None and max_step < MAX_STEP and residual < RESIDUAL_TOL:
-        h = mesh_norm(pts, closed=True)
+        h = mesh_norm(pts)
         if float(np.min(np.linalg.norm(ims, axis=1))) > L * h / 2.0:
             rigor = "rigorous"
     return WindingResult(value=value, total_refinements=inserted,
@@ -129,7 +128,7 @@ def boundary_obstruction(f: SampledMap, L: Optional[float] = None
     raise Unsupported(n, m)
 
 
-def classify_cat(f: SampledMap, L: Optional[float] = None) -> CatResult:
+def classify_cat(f: SampledMap) -> CatResult:
     """Two-valued contractibility classification of a boundary map.
 
     cat=2 means the restriction is not contractible in the punctured
@@ -137,5 +136,5 @@ def classify_cat(f: SampledMap, L: Optional[float] = None) -> CatResult:
     yields cat=1 because a sphere of too-low dimension contracts in the
     punctured target.
     """
-    value, reason, _ = boundary_obstruction(f, L=L)
+    value, reason, _ = boundary_obstruction(f)
     return CatResult(cat=2 if value else 1, reason=reason)

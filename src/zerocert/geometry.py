@@ -10,12 +10,14 @@ kept, read-only (for n >= 2 in a small LRU cache); a sampling of any other
 disk is its affine image x0 + r * unit.
 Closed planar polylines also get the one angle-step kernel
 (``wrapped_steps``) and the one refinement loop (``refine_polyline``) that
-every winding computation uses.
+every winding computation uses; ``vanishing_floor`` is the one rule by
+which any boundary check says that a map vanishes.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,20 +45,15 @@ class Region:
     """Closed disk D^n_r(x0) or axis-aligned box, the domain of a map."""
 
     kind: str                      # "disk" | "box"
-    dim: int
     center: Optional[np.ndarray] = None
     radius: Optional[float] = None
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidInput(f"dimension must be >= 1, got {self.dim}")
         if self.kind == "disk":
             if self.center is None or self.radius is None:
                 raise InvalidInput("disk region needs center and radius")
-            if len(self.center) != self.dim:
-                raise InvalidInput("center length does not match dim")
             _check_finite_field("center", self.center)
             if not (self.radius > 0 and math.isfinite(self.radius)):
                 raise InvalidInput(
@@ -64,7 +61,7 @@ class Region:
         elif self.kind == "box":
             if self.lower is None or self.upper is None:
                 raise InvalidInput("box region needs lower and upper corners")
-            if len(self.lower) != self.dim or len(self.upper) != self.dim:
+            if len(self.lower) != len(self.upper):
                 raise InvalidInput("corner length does not match dim")
             _check_finite_field("lower corner", self.lower)
             _check_finite_field("upper corner", self.upper)
@@ -72,18 +69,23 @@ class Region:
                 raise InvalidInput("box corners must satisfy lower < upper componentwise")
         else:
             raise InvalidInput(f"unknown region kind {self.kind!r}")
+        if self.dim < 1:
+            raise InvalidInput(f"dimension must be >= 1, got {self.dim}")
 
     @staticmethod
     def disk(center, radius) -> "Region":
         center = np.asarray(center, dtype=float)
-        return Region(kind="disk", dim=len(center), center=center,
-                      radius=float(radius))
+        return Region(kind="disk", center=center, radius=float(radius))
 
     @staticmethod
     def box(lower, upper) -> "Region":
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
-        return Region(kind="box", dim=len(lower), lower=lower, upper=upper)
+        return Region(kind="box", lower=lower, upper=upper)
+
+    @property
+    def dim(self) -> int:
+        return len(self.center if self.kind == "disk" else self.lower)
 
     @property
     def diameter(self) -> float:
@@ -100,16 +102,15 @@ class Region:
 class BoundarySampling:
     """Ordered samples on a region boundary with mesh norm h.
 
-    For n <= 2 h is the largest adjacent-sample distance; for n >= 3 every
-    point of the sphere lies within h/2 of a sample.  For n = 2 disks the
-    points are in counterclockwise angular order and the list is cyclic
-    (``closed``).  The region is kept so refinement can place new points
-    back on the exact boundary.
+    For n <= 2 h is the largest distance between cyclically adjacent
+    samples; for n >= 3 every point of the sphere lies within h/2 of a
+    sample.  For n = 2 disks the points are in counterclockwise angular
+    order and the list is cyclic.  The region is kept so refinement can
+    place new points back on the exact boundary.
     """
 
     points: np.ndarray            # (k, n)
     h: float
-    closed: bool
     region: Region
 
     def __post_init__(self):
@@ -124,7 +125,7 @@ class BoundarySampling:
                 raise InvalidInput(
                     f"sample off the boundary by {np.max(dev):.3e} (tol {tol:.3e})")
         if n <= 2:
-            recomputed = mesh_norm(self.points, self.closed)
+            recomputed = mesh_norm(self.points)
             if abs(recomputed - self.h) > 1e-9 * max(1.0, self.h):
                 raise InvalidInput(
                     f"declared h={self.h} does not match recomputed {recomputed}")
@@ -133,15 +134,14 @@ class BoundarySampling:
         return len(self.points)
 
 
-def mesh_norm(points: np.ndarray, closed: bool) -> float:
-    """Maximum Euclidean distance between adjacent samples."""
+def mesh_norm(points: np.ndarray) -> float:
+    """Maximum Euclidean distance between cyclically adjacent samples (for
+    the two points of S^0 the closing gap is the one gap)."""
     if len(points) < 2:
         return 0.0
     diffs = np.diff(points, axis=0)
     h = float(np.max(np.linalg.norm(diffs, axis=1)))
-    if closed:
-        h = max(h, float(np.linalg.norm(points[-1] - points[0])))
-    return h
+    return max(h, float(np.linalg.norm(points[-1] - points[0])))
 
 
 def sample_sphere(region: Region,
@@ -157,7 +157,7 @@ def sample_sphere(region: Region,
     if r == 1.0 and not np.any(x0):
         return unit
     return BoundarySampling(points=x0 + r * unit.points, h=r * unit.h,
-                            closed=unit.closed, region=region)
+                            region=region)
 
 
 def unit_sphere(n: int, level: Optional[int] = None) -> BoundarySampling:
@@ -173,8 +173,7 @@ def unit_sphere(n: int, level: Optional[int] = None) -> BoundarySampling:
     """
     if level is None:
         level = DEFAULT_LEVELS[n >= 3]
-    if level < 0:
-        raise InvalidInput("level must be >= 0")
+    check_count("level", level, 0)
     return _UNIT_S0 if n == 1 else _unit_sampling(n, level)
 
 
@@ -192,7 +191,7 @@ def _unit_sampling(n: int, level: int) -> BoundarySampling:
     region = Region.disk(np.zeros(n), 1.0)
     pts.flags.writeable = False
     region.center.flags.writeable = False
-    return BoundarySampling(points=pts, h=h, closed=n == 2, region=region)
+    return BoundarySampling(points=pts, h=h, region=region)
 
 
 # S^0 is the same at every level: built once, outside the cache
@@ -225,6 +224,19 @@ def check_lipschitz(L: Optional[float]) -> None:
             f"Lipschitz constant must be finite and >= 0, got {L!r}")
 
 
+def check_count(name: str, value, least: int) -> None:
+    """InvalidInput unless ``value`` is an integer (``operator.index``
+    takes it) of at least ``least``: a NaN or fractional count passes a
+    bare comparison and fails later, or is silently truncated."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidInput(
+            f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidInput(f"{name} must be >= {least}, got {value!r}")
+
+
 def wrapped_steps(images: np.ndarray) -> np.ndarray:
     """Angle steps of planar images around a closed polyline, each wrapped
     into [-pi, pi); their sum is 2 pi times the winding number."""
@@ -233,43 +245,43 @@ def wrapped_steps(images: np.ndarray) -> np.ndarray:
     return (steps + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def refine_polyline(pts, ims, evaluator, midpoint, floor: Optional[float],
-                    budget: int):
+def vanishing_floor(norms) -> float:
+    """The norm at or below which a boundary image of ``norms`` vanishes."""
+    return 1e-12 * (1.0 + float(np.max(norms)))
+
+
+def refine_polyline(pts, ims, evaluator, midpoint, budget: int):
     """Split the segments of a closed polyline whose image angle step is at
     least MAX_STEP, until none is left or the budget of inserted points runs
     out.
 
     Each round evaluates all its new points in one batch; ``midpoint(a, b)``
-    places them between the batched segment ends a and b.  An image norm at
-    or below ``floor`` raises VanishingOnBoundary; a ``floor`` of None means
-    1e-12 * (1 + the largest norm of the input images).  Returns the refined
+    places them between the batched segment ends a and b.  An image norm,
+    of an input or an inserted point, at or below the vanishing_floor of
+    the input images raises VanishingOnBoundary.  Returns the refined
     points, images, insertion count and the wrapped angle steps of those
     images; a step of MAX_STEP or more is left only when ``evaluator`` is
     None or the budget is spent.
     """
-    norms = np.linalg.norm(ims, axis=1)
-    if floor is None:
-        floor = 1e-12 * (1.0 + float(np.max(norms)))
-    _check_floor(norms, pts, floor)
+    new, norms = pts, np.linalg.norm(ims, axis=1)
+    floor = vanishing_floor(norms)
     inserted = 0
     while True:
+        idx = int(np.argmin(norms))     # an index into ``new``, the last batch
+        if norms[idx] <= floor:
+            raise VanishingOnBoundary(idx, point=new[idx],
+                                      norm=float(norms[idx]))
         steps = wrapped_steps(ims)
         bad = np.nonzero(np.abs(steps) >= MAX_STEP)[0]
         if len(bad) == 0 or evaluator is None or inserted >= budget:
             return pts, ims, inserted, steps
         bad = bad[:budget - inserted]
-        mids = midpoint(pts[bad], pts[(bad + 1) % len(pts)])
-        mid_ims = evaluator(mids)
-        _check_floor(np.linalg.norm(mid_ims, axis=1), mids, floor)
-        pts = np.insert(pts, bad + 1, mids, axis=0)
+        new = midpoint(pts[bad], pts[(bad + 1) % len(pts)])
+        mid_ims = evaluator(new)
+        norms = np.linalg.norm(mid_ims, axis=1)
+        pts = np.insert(pts, bad + 1, new, axis=0)
         ims = np.insert(ims, bad + 1, mid_ims, axis=0)
         inserted += len(bad)
-
-
-def _check_floor(norms, pts, floor):
-    idx = int(np.argmin(norms))
-    if norms[idx] <= floor:
-        raise VanishingOnBoundary(idx, point=pts[idx], norm=float(norms[idx]))
 
 
 def _cubed_sphere(n: int, level: int):

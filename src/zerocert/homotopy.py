@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInput, NotANullHomotopy
-from .geometry import BoundarySampling, check_lipschitz, wrapped_steps
+from .geometry import (BoundarySampling, check_count, check_lipschitz,
+                       wrapped_steps)
 from .mapspec import as_evaluator
 
 ENDPOINT_TOL = 1e-9
@@ -116,8 +117,7 @@ def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
                   L: Optional[float] = None):
     """Linear interpolation homotopy H(x,t) = (1-t) f(x) + t g(x)."""
     check_lipschitz(L)
-    if t_steps < 2:
-        raise InvalidInput("t_steps must be >= 2")
+    check_count("t_steps", t_steps, 2)
     if f.m != g.m:
         raise InvalidInput("codomain dimensions differ")
     if f.sampling is not g.sampling and (
@@ -143,8 +143,7 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
     discrete angle sum to close up to a full turn count of zero.  Row 0 is
     the exact boundary images.
     """
-    if t_steps < 2:
-        raise InvalidInput("t_steps must be >= 2")
+    check_count("t_steps", t_steps, 2)
     if f.m != 2:
         raise InvalidInput("null_homotopy needs a planar codomain")
     norms = np.linalg.norm(f.images, axis=1)
@@ -214,9 +213,7 @@ def radial_extension(H: HomotopyTrace):
         t = min(max(2.0 - 2.0 * r, 0.0), 1.0)
         theta = math.atan2(x[1], x[0])
         a = (theta - theta0) % two_pi
-        j = bisect_right(rel_ang, a) - 1
-        if j < 0:
-            j = k - 1
+        j = bisect_right(rel_ang, a) - 1    # >= 0: rel_ang[0] is 0, a >= 0
         j2 = (j + 1) % k
         width = (rel_ang[j2] - rel_ang[j]) % two_pi
         if width == 0.0:

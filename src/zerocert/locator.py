@@ -47,7 +47,7 @@ import numpy as np
 from .criteria import _boundary, _certify_sampled
 from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
-from .geometry import MAX_STEP, Region, refine_polyline
+from .geometry import MAX_STEP, Region, check_count, refine_polyline
 from .mapspec import as_evaluator
 
 MAX_JIGGLES = 5
@@ -129,12 +129,11 @@ def _wind(ev, poly):
     """Winding of the closed polyline ``poly`` (rows x, y, F1, F2) after
     chord refinement of at most BUDGET insertions, and the refined polyline.
 
-    The vanishing floor is refine_polyline's default: 1e-12 * (1 + the
-    largest image norm of ``poly``).
+    A norm within geometry.vanishing_floor of those of ``poly`` raises
+    VanishingOnBoundary, as in winding_number.
     """
     pts, ims, inserted, steps = refine_polyline(poly[:, :2], poly[:, 2:], ev,
-                                                _chord_midpoint, floor=None,
-                                                budget=BUDGET)
+                                                _chord_midpoint, BUDGET)
     if np.any(np.abs(steps) >= MAX_STEP):
         raise BudgetExhausted("box winding refinement budget exhausted")
     if inserted:
@@ -143,24 +142,22 @@ def _wind(ev, poly):
 
 
 def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
-                eps_f: float = 1e-9, max_iter: int = 100,
-                seed: int = 0) -> LocateResult:
+                eps_f: float = 1e-9, max_iter: int = 100) -> LocateResult:
     """Approximate a zero inside a box with nonzero boundary obstruction."""
-    if box.kind != "box":
+    if not isinstance(box, Region) or box.kind != "box":
         raise InvalidInput("locate_zero needs a box region")
     _check_tolerance("eps_x", eps_x)
     _check_tolerance("eps_f", eps_f)
-    if max_iter < 1:
-        raise InvalidInput(f"max_iter must be >= 1, got {max_iter!r}")
-    return _locate(as_evaluator(map_like), box, eps_x, eps_f, max_iter, seed)
+    check_count("max_iter", max_iter, 1)
+    return _locate(as_evaluator(map_like), box, eps_x, eps_f, max_iter)
 
 
-def _locate(ev, box, eps_x, eps_f, max_iter, seed):
+def _locate(ev, box, eps_x, eps_f, max_iter):
     """locate_zero of the checked evaluator ``ev``, with checked arguments."""
     if box.dim == 1:
         return _bisect_1d(ev, box, eps_x, eps_f, max_iter)
     if box.dim == 2:
-        return _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed)
+        return _quadtree_2d(ev, box, eps_x, eps_f, max_iter)
     raise InvalidInput("localization is implemented for n in {1, 2}")
 
 
@@ -241,8 +238,8 @@ def _itp_point(a, b, fa, fb, width, r):
     return x if a < x < b else mid
 
 
-def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
-    rng = np.random.default_rng(seed)
+def _quadtree_2d(ev, box, eps_x, eps_f, max_iter):
+    rng = None      # the jiggle generator, seeded 0 at the first jiggle
     lo = box.lower.copy()
     hi = box.upper.copy()
     first = None    # the images of the Newton tail's first batch
@@ -282,6 +279,8 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
         chosen, vanished = None, 0
         for attempt in range(MAX_JIGGLES + 1):
             if attempt:
+                if rng is None:
+                    rng = np.random.default_rng(0)
                 cut = center + rng.uniform(-0.1, 0.1, size=2) * (hi - lo)
                 children = _cut(ev, lo, hi, edges, cut)[1]
             try:
@@ -521,7 +520,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
             f"could not certify a fixed point (verdict {cert.verdict})")
     box = Region.box(-np.ones(n), np.ones(n))
     # ||p - f(p)||, the located residual, is ||f(p) - p|| bit for bit
-    return _locate(g, box, 0.5 * eps, 1e-12, 200, 0)
+    return _locate(g, box, 0.5 * eps, 1e-12, 200)
 
 
 def _check_self_map(grid_images, n):

@@ -6,9 +6,10 @@ from conftest import (brute_force_winding, circle_map, random_trig_map,
                       sampled_circle_map)
 
 from zerocert import (BudgetExhausted, InvalidInput, Region, SampledMap,
-                      Unsupported, VanishingOnBoundary, classify_cat,
-                      sample_sphere, sign_obstruction, straight_line,
-                      winding_number)
+                      Unsupported, VanishingOnBoundary, certify_existence,
+                      classify_cat, parse_map, sample_sphere,
+                      sign_obstruction, straight_line, winding_number)
+from zerocert.geometry import vanishing_floor
 
 
 def _sampled(evaluator, level=6):
@@ -185,3 +186,25 @@ class TestClassifyCat:
         f = SampledMap(sampling=sampling, images=sampling.points.copy())
         with pytest.raises(Unsupported):
             classify_cat(f)
+
+
+class TestVanishingFloor:
+    """One rule, geometry.vanishing_floor, decides that a boundary image
+    vanishes, for the winding and for the certificate alike."""
+
+    TEXT = "x1 - 0.99999999999999, x2"     # |F(1, 0)| = 1e-14
+
+    def test_winding_raises_within_the_floor(self):
+        spec = parse_map(self.TEXT, 2)
+        f = SampledMap.from_evaluator(
+            spec, sample_sphere(Region.disk([0.0, 0.0], 1.0)))
+        with pytest.raises(VanishingOnBoundary) as err:
+            winding_number(f)
+        assert err.value.index == 0
+        assert 0.0 < err.value.norm <= vanishing_floor(
+            np.linalg.norm(f.images, axis=1))
+
+    def test_certificate_says_zero_on_boundary(self):
+        cert = certify_existence(parse_map(self.TEXT, 2),
+                                 Region.disk([0.0, 0.0], 1.0))
+        assert cert.verdict == "ZeroOnBoundary"

@@ -1,0 +1,121 @@
+"""Every bad argument and every failing input maps to its typed error, and
+the CLI to its documented exit code."""
+import math
+
+import numpy as np
+import pytest
+
+from zerocert import (InvalidInput, NotANullHomotopy, Region, SampledMap,
+                      Unsupported, VanishingOnBoundary, boundary_nonvanishing,
+                      box_winding, brouwer_fixed_point, builtin_map,
+                      certify_existence, locate_zero, null_homotopy,
+                      parse_map, poincare_bohl, sample_sphere,
+                      sign_obstruction, straight_line, winding_number)
+from zerocert.cli import main
+
+PLANE = parse_map("x1, x2", 2)
+DISK2 = Region.disk([0.0, 0.0], 1.0)
+DISK3 = Region.disk([0.0, 0.0, 0.0], 1.0)
+BOX2 = Region.box([-1.0, -1.0], [1.0, 1.0])
+
+
+def _circle(images, level=0):
+    """A SampledMap on the unit circle with the given image function."""
+    sampling = sample_sphere(DISK2, level)
+    return SampledMap(sampling=sampling, images=images(sampling.points),
+                      evaluator=images)
+
+
+def _planar():
+    return SampledMap.from_evaluator(PLANE, sample_sphere(DISK2, 0))
+
+
+# Each case failed at the time it was added: max_iter=nan and 2.5 raised
+# TypeError, a tuple box AttributeError, level=nan numpy's ValueError for
+# n = 2 and nothing for n = 3 (a 6-point mesh), level=2.5 built a 23-point
+# circle with one short gap, and refine_budget=nan and t_steps=2.5 were not
+# rejected as integers.
+@pytest.mark.parametrize("call", [
+    lambda: locate_zero(PLANE, BOX2, max_iter=math.nan),
+    lambda: locate_zero(PLANE, BOX2, max_iter=2.5),
+    lambda: locate_zero(PLANE, ((-1.0, 1.0), (-1.0, 1.0))),
+    lambda: certify_existence(PLANE, DISK2, level=math.nan),
+    lambda: certify_existence(parse_map("x1, x2, x3", 3), DISK3,
+                              level=math.nan),
+    lambda: sample_sphere(DISK2, 2.5),
+    lambda: winding_number(_planar(), refine_budget=math.nan),
+    lambda: straight_line(_planar(), _planar(), t_steps=2.5),
+    lambda: null_homotopy(_circle(lambda p: p + 3.0), t_steps=2.5),
+], ids=["max_iter-nan", "max_iter-2.5", "tuple-box", "level-nan-n2",
+        "level-nan-n3", "level-2.5-n2", "refine_budget-nan",
+        "straight_line-t_steps-2.5", "null_homotopy-t_steps-2.5"])
+def test_count_arguments_must_be_integers(call):
+    with pytest.raises(InvalidInput,
+                       match="must be an integer|needs a box region"):
+        call()
+
+
+@pytest.mark.parametrize("error, call", [
+    (InvalidInput, lambda: certify_existence(PLANE, BOX2)),
+    (InvalidInput, lambda: certify_existence(PLANE, DISK3)),
+    (InvalidInput, lambda: certify_existence(PLANE, DISK2, level=-1)),
+    (InvalidInput, lambda: boundary_nonvanishing(PLANE, BOX2)),
+    (InvalidInput, lambda: poincare_bohl(parse_map("x1, x2, x1", 2), DISK2)),
+    (InvalidInput, lambda: locate_zero(PLANE, DISK2)),
+    (InvalidInput, lambda: locate_zero(parse_map("x1, x2, x3", 3),
+                                       Region.box(-np.ones(3), np.ones(3)))),
+    (InvalidInput, lambda: box_winding(PLANE, [-1, -1, -1], [1, 1, 1])),
+    (InvalidInput, lambda: box_winding(parse_map("x1", 2), [-1, -1], [1, 1])),
+    (InvalidInput, lambda: brouwer_fixed_point(lambda p: 0.5 * p)),
+    (InvalidInput, lambda: brouwer_fixed_point(parse_map("x1, x2, x3", 3))),
+    (InvalidInput, lambda: null_homotopy(_circle(
+        lambda p: np.hstack((p + 3.0, p[:, :1]))))),
+    (InvalidInput, lambda: straight_line(_planar(), _planar(), t_steps=1)),
+    (InvalidInput, lambda: straight_line(
+        _planar(), _circle(lambda p: np.hstack((p, p[:, :1]))), t_steps=2)),
+    (InvalidInput, lambda: winding_number(SampledMap.from_evaluator(
+        parse_map("x1, x2", 3), sample_sphere(DISK3, 0)))),
+    (InvalidInput, lambda: sign_obstruction(SampledMap.from_evaluator(
+        parse_map("x1, 1", 1), sample_sphere(Region.disk([0.0], 1.0))))),
+    (InvalidInput, lambda: parse_map("x1", 0)),
+    (InvalidInput, lambda: builtin_map("nope")),
+    (VanishingOnBoundary,
+     lambda: poincare_bohl(lambda p: p - [1.0, 0.0], DISK2, level=0)),
+    (NotANullHomotopy, lambda: null_homotopy(_circle(
+        lambda p: p - [1.0, 0.0]))),
+    (Unsupported, lambda: certify_existence(lambda p: p[:, :1], DISK2)),
+], ids=["certify-box", "certify-2d-map-3d-disk", "certify-level-1",
+        "nonvanishing-box", "poincare_bohl-m-ne-n", "locate-disk",
+        "locate-3d-box", "box_winding-3d", "box_winding-scalar",
+        "fixed_point-callable-without-n", "fixed_point-n3", "null-m3",
+        "straight_line-t_steps-1", "straight_line-m-differs", "winding-n3",
+        "sign-m2", "parse_map-n0", "builtin-unknown",
+        "poincare_bohl-vanishes", "null-vanishes", "certify-n-gt-m"])
+def test_typed_failure(error, call):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--map", "x1, x2", "--n", "2", "--center=a,b",
+     "--radius", "1"],
+    ["locate", "--map", "x1, x2", "--box=0,1,2"],
+    ["homotopy", "--from", "x1, x2", "--to", "x1 + x2, x1, x2"],
+    ["certify", "--map", "x1, x2", "--n", "2", "--center=0,0",
+     "--radius", "1", "--level", "-1"],
+], ids=["certify-center", "locate-odd-box", "homotopy-m-differs",
+        "certify-level-1"])
+def test_cli_input_error_exits_4(argv, capsys):
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "2", "--center=0,0", "--radius", "1"],
+    ["winding"],
+], ids=["certify", "winding"])
+def test_cli_commands_agree_on_a_boundary_zero(argv, capsys):
+    # |F(1, 0)| = 1e-14 is within the one vanishing floor
+    assert main(argv + ["--map", "x1 - 0.99999999999999, x2"]) == 3

@@ -49,7 +49,6 @@ class TestSampleSphere:
             s = sample_sphere(region, level)
             assert np.allclose(sorted(s.points[:, 0]), [-1.0, 1.0])
             assert s.h == 2.0
-            assert not s.closed
 
     def test_circle_level0(self):
         s = sample_sphere(Region.disk([0.0, 0.0], 1.0), 0)
@@ -139,7 +138,6 @@ class TestSphereCache:
             for s in (cold, warm):
                 assert s.points.tobytes() == pts.tobytes()
                 assert s.h == h
-                assert s.closed == (n == 2)
 
     def test_unit_disk_gets_the_cached_sampling(self):
         region = Region.disk(np.zeros(3), 1.0)
@@ -218,7 +216,7 @@ class TestNearestNeighborGap:
 
 
 class TestRefinePolyline:
-    def test_default_floor_is_relative_to_input_images(self):
+    def test_floor_is_relative_to_input_images(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         floor = 1e-12 * (1.0 + 4.0)
         for norm, vanishes in ((floor, True), (2.0 * floor, False)):
@@ -226,10 +224,10 @@ class TestRefinePolyline:
                             [0.0, -2.0]])
             if vanishes:
                 with pytest.raises(VanishingOnBoundary) as err:
-                    refine_polyline(pts, ims, None, None, None, 0)
+                    refine_polyline(pts, ims, None, None, 0)
                 assert err.value.index == 2
             else:
-                refine_polyline(pts, ims, None, None, None, 0)
+                refine_polyline(pts, ims, None, None, 0)
 
 
 class TestCircleArcMidpoint:

@@ -197,8 +197,8 @@ class TestNullHomotopyMatchesLoop:
             theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
             pts = region.center + 1.5 * np.stack([np.cos(theta),
                                                   np.sin(theta)], axis=1)
-            sampling = BoundarySampling(points=pts, h=mesh_norm(pts, True),
-                                        closed=True, region=region)
+            sampling = BoundarySampling(points=pts, h=mesh_norm(pts),
+                                        region=region)
             # angles stay within 1.4 of a constant: winding 0
             a = rng.uniform(-math.pi, math.pi) + 1.4 * np.sin(
                 int(rng.integers(1, 4)) * theta + rng.uniform(0.0, 6.0))
@@ -338,8 +338,8 @@ class TestRadialExtensionMatchesEager:
                 theta = rng.permutation(theta)
             pts = region.center + 1.7 * np.stack([np.cos(theta),
                                                   np.sin(theta)], axis=1)
-            sampling = BoundarySampling(points=pts, h=mesh_norm(pts, True),
-                                        closed=True, region=region)
+            sampling = BoundarySampling(points=pts, h=mesh_norm(pts),
+                                        region=region)
             for t_steps in (2, 5, 65):
                 trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
                 _assert_same_witness(trace, _probe_points(rng, sampling, 80))

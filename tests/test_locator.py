@@ -152,8 +152,8 @@ class TestLocateZero2D:
 
     def test_seed_reproducibility(self, quadtree_only):
         spec = parse_map("x1, x2", 2)
-        a = locate_zero(spec, UNIT_BOX, eps_x=1e-7, eps_f=0.0, seed=42)
-        b = locate_zero(spec, UNIT_BOX, eps_x=1e-7, eps_f=0.0, seed=42)
+        a = locate_zero(spec, UNIT_BOX, eps_x=1e-7, eps_f=0.0)
+        b = locate_zero(spec, UNIT_BOX, eps_x=1e-7, eps_f=0.0)
         assert np.array_equal(a.point, b.point)
 
 
@@ -317,10 +317,10 @@ def complex_poly_map(coeffs):
 
 @pytest.mark.usefixtures("quadtree_only")
 class TestIncrementalQuadtree:
-    def assert_matches_reference(self, ev, box, eps_x, eps_f, seed=0):
+    def assert_matches_reference(self, ev, box, eps_x, eps_f):
         trail, point, termination, iterations, jiggled = reference_quadtree(
-            ev, box, eps_x, eps_f, seed=seed)
-        result = locate_zero(ev, box, eps_x=eps_x, eps_f=eps_f, seed=seed)
+            ev, box, eps_x, eps_f)
+        result = locate_zero(ev, box, eps_x=eps_x, eps_f=eps_f)
         assert result.termination == termination
         assert result.iterations == iterations
         assert np.array_equal(result.point, point)
@@ -347,12 +347,11 @@ class TestIncrementalQuadtree:
             checked += 1
         assert checked >= 20
 
-    @pytest.mark.parametrize("seed", [0, 42])
-    def test_zero_on_cut_sample_jiggles_like_reference(self, seed):
+    def test_zero_on_cut_sample_jiggles_like_reference(self):
         # (0, 0.5) is a sample of the first level's upper half-cut
         ev = as_evaluator(parse_map("x1, x2 - 0.5", 2))
         jiggled = self.assert_matches_reference(ev, UNIT_BOX, eps_x=1e-7,
-                                                eps_f=0.0, seed=seed)
+                                                eps_f=0.0)
         assert jiggled
 
     def test_one_evaluation_per_level(self, counting_evaluator):
@@ -416,12 +415,12 @@ def _cut_children(ev, lo, hi, edges, cut):
     ]
 
 
-def oracle_quadtree_2d(ev, box, eps_x, eps_f, max_iter, seed):
+def oracle_quadtree_2d(ev, box, eps_x, eps_f, max_iter):
     """The quadtree that winds the four sub-boxes of a level one after
     another, each through _wind and the refinement loop, and searches the
     chosen boundary for its corners: the behaviour, evaluated batches
     included, that locate_zero's quadtree must reproduce."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lo = box.lower.copy()
     hi = box.upper.copy()
     winding, poly = locator._wind(ev, _box_boundary(ev, lo, hi))
@@ -535,17 +534,15 @@ class TestQuadtreeMatchesOracle:
         # the quadtree winds each sub-box through _wind, as the oracle does
         assert winds[0] == winds[1]
 
-    @pytest.mark.parametrize("text, seed, termination", [
+    @pytest.mark.parametrize("text, termination", [
         # a zero on a half-cut sample: every level jiggles
-        ("x1, x2 - 0.5", 0, "cell_diameter"),
-        ("x1, x2 - 0.5", 42, "cell_diameter"),
+        ("x1, x2 - 0.5", "cell_diameter"),
         # the centre of the second level is the zero
-        ("x1 - 0.25, x2 + 0.25", 0, "residual"),
+        ("x1 - 0.25, x2 + 0.25", "residual"),
     ])
-    def test_jiggles_and_residual_stop(self, text, seed, termination):
+    def test_jiggles_and_residual_stop(self, text, termination):
         outcome, *_ = self.run_both(
-            lambda ev: locate_zero(ev, UNIT_BOX, eps_x=1e-7, eps_f=0.0,
-                                   seed=seed),
+            lambda ev: locate_zero(ev, UNIT_BOX, eps_x=1e-7, eps_f=0.0),
             parse_map(text, 2))
         assert outcome[4] == termination
 
@@ -642,6 +639,25 @@ class TestLocateZero1D:
         assert abs(result.point[0]) <= eps_x
         bound = math.ceil(math.log2((b - a) / eps_x)) + locator.ITP_N0 + 2
         assert len(ev.batches) <= bound
+
+    @pytest.mark.parametrize("text, point", [("x1", 0.0), ("x1 - 1", 1.0)])
+    def test_zero_at_an_endpoint(self, text, point):
+        result = locate_zero(parse_map(text, 1), Region.box([0.0], [1.0]))
+        assert result.point.tolist() == [point]
+        assert result.residual == 0.0
+        assert result.iterations == 0
+        assert result.termination == "residual"
+
+    def test_iteration_limit_keeps_the_best_cell(self):
+        spec = parse_map("x1^3 - 0.2", 1)
+        with pytest.raises(BudgetExhausted) as err:
+            locate_zero(spec, Region.box([0.0], [1.0]), eps_x=1e-12,
+                        eps_f=0.0, max_iter=3)
+        best = err.value.best
+        assert best.termination == "budget"
+        assert best.iterations == 3 == len(best.trail)
+        a, b = best.trail[-1]
+        assert a < 0.2 ** (1.0 / 3.0) < b
 
 
 class TestToleranceValidation:

@@ -1,7 +1,7 @@
 """Zero-existence certification and localization for continuous maps on disks."""
 
 from .criteria import (Certificate, CheckResult, boundary_nonvanishing,
-                       certify_existence, coercivity_radius, poincare_bohl)
+                       certify_existence, poincare_bohl)
 from .degree import (CatResult, WindingResult, classify_cat, sign_obstruction,
                      winding_number)
 from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,

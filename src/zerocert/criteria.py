@@ -56,7 +56,7 @@ def boundary_nonvanishing(map_like, region: Region,
                           L: Optional[float] = None) -> CheckResult:
     """Minimum image norm over boundary samples; the standing hypothesis."""
     check_lipschitz(L)
-    unit, _, _, norms = _sampled(map_like, region, level)
+    unit, _, norms = _sampled(map_like, region, level)
     return _nonvanishing(unit, region, norms, L)
 
 
@@ -72,15 +72,15 @@ def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
     F/|F| + (x - x0)/r within h/2 of the samples; otherwise "heuristic".
     """
     check_lipschitz(L)
-    unit, _, ims, norms = _sampled(map_like, region, level)
+    unit, ims, norms = _sampled(map_like, region, level)
     return _poincare_bohl(unit, region, ims, norms, L)
 
 
 def _sampled(map_like, region: Region, level: Optional[int]):
-    """(unit sampling, boundary points, images, image norms) of a map."""
+    """(unit sampling, boundary images, image norms) of a map."""
     unit, points = _boundary(region, level)
     ims = as_evaluator(map_like)(points)
-    return unit, points, ims, _row_norms(ims)
+    return unit, ims, _row_norms(ims)
 
 
 def _row_norms(a):
@@ -133,24 +133,6 @@ def _poincare_bohl(unit, region, ims, norms, L) -> CheckResult:
             rigor = "rigorous"
     return _check("poincare_bohl", unit, region, idx, margin, threshold,
                   rigor)
-
-
-def coercivity_radius(map_like, n: int, radii, level: Optional[int] = None):
-    """First listed radius whose origin-centered sphere has <F(x), x> >= 0
-    and a nonvanishing boundary, reducing existence to Poincare-Bohl.
-
-    Returns (R, CheckResult of the Poincare-Bohl check on that sphere), or
-    None when no listed radius qualifies.
-    """
-    for R in radii:
-        region = Region.disk(np.zeros(n), float(R))
-        unit, points, ims, norms = _sampled(map_like, region, level)
-        if ims.shape[1] != n:
-            raise InvalidInput("coercivity reduction needs m = n")
-        inner = np.sum(ims * points, axis=1)
-        if float(np.min(norms)) > 0.0 and float(np.min(inner)) >= 0.0:
-            return float(R), _poincare_bohl(unit, region, ims, norms, None)
-    return None
 
 
 def certify_existence(map_like, region: Region, level: Optional[int] = None,

@@ -35,8 +35,11 @@ DEFAULT_LEVELS = (6, 2)         # level=None means 6 for n <= 2 (256 circle
                                 # points) and 2 for n >= 3 (1536 for n = 3)
 
 
-def _check_finite_field(name, values):
-    if not np.all(np.isfinite(values)):
+def _check_finite_vector(name, values):
+    finite = np.isfinite(values)
+    if finite.ndim != 1:
+        raise InvalidInput(f"{name} must be 1-D, got shape {finite.shape}")
+    if not finite.all():
         raise InvalidInput(f"{name} must be finite, got {values}")
 
 
@@ -54,17 +57,17 @@ class Region:
         if self.kind == "disk":
             if self.center is None or self.radius is None:
                 raise InvalidInput("disk region needs center and radius")
-            _check_finite_field("center", self.center)
+            _check_finite_vector("center", self.center)
             if not (self.radius > 0 and math.isfinite(self.radius)):
                 raise InvalidInput(
                     f"radius must be positive and finite, got {self.radius}")
         elif self.kind == "box":
             if self.lower is None or self.upper is None:
                 raise InvalidInput("box region needs lower and upper corners")
+            _check_finite_vector("lower corner", self.lower)
+            _check_finite_vector("upper corner", self.upper)
             if len(self.lower) != len(self.upper):
                 raise InvalidInput("corner length does not match dim")
-            _check_finite_field("lower corner", self.lower)
-            _check_finite_field("upper corner", self.upper)
             if not np.all(self.lower < self.upper):
                 raise InvalidInput("box corners must satisfy lower < upper componentwise")
         else:
@@ -75,7 +78,12 @@ class Region:
     @staticmethod
     def disk(center, radius) -> "Region":
         center = np.asarray(center, dtype=float)
-        return Region(kind="disk", center=center, radius=float(radius))
+        try:
+            radius = float(radius)
+        except (TypeError, ValueError):
+            raise InvalidInput(
+                f"radius must be a real scalar, got {radius!r}") from None
+        return Region(kind="disk", center=center, radius=radius)
 
     @staticmethod
     def box(lower, upper) -> "Region":

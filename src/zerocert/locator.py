@@ -90,13 +90,11 @@ def box_winding(map_like, lower, upper) -> int:
     with the chord midpoint rule: bisected perimeter segments stay on the
     boundary because the corner samples separate the edges.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != (2,) or upper.shape != (2,):
+    box = Region.box(lower, upper)      # 1-D, finite, lower < upper
+    if box.dim != 2:
         raise InvalidInput("box winding is planar only")
-    Region.box(lower, upper)    # InvalidInput unless finite, lower < upper
     ev = as_evaluator(map_like)
-    return _wind(ev, _box_boundary(ev, lower, upper))[0]
+    return _wind(ev, _box_boundary(ev, box.lower, box.upper))[0]
 
 
 def _box_points(lo, hi):

@@ -13,8 +13,8 @@ from conftest import (brute_force_winding, circle_map, random_trig_map,
                       sampled_circle_map)
 
 from zerocert import (Region, SampledMap, box_winding, brouwer_fixed_point,
-                      certify_existence, coercivity_radius, evaluate,
-                      locate_zero, null_homotopy, parse_map, poincare_bohl,
+                      certify_existence, evaluate, locate_zero,
+                      null_homotopy, parse_map, poincare_bohl,
                       radial_extension, sample_sphere, straight_line, to_text,
                       winding_number)
 from zerocert.cli import certificate_dumps, main
@@ -101,18 +101,6 @@ def test_criterion_05_poincare_bohl_route():
                           eps_x=1e-7, eps_f=0.0)
     assert np.linalg.norm(located.point - (-a)) <= 1e-6
     _report(5, "Poincare-Bohl margin and located zero")
-
-
-def test_criterion_06_coercivity_route():
-    spec = parse_map("x1 - 2, x2", 2)
-    result = coercivity_radius(spec, 2, [1.0, 2.0, 4.0], level=6)
-    assert result is not None and result[0] == 4.0
-    cert = certify_existence(spec, Region.disk([0.0, 0.0], 4.0))
-    assert cert.verdict == "ZeroGuaranteed"
-    located = locate_zero(spec, Region.box([-4.0, -4.0], [4.0, 4.0]),
-                          eps_x=1e-7, eps_f=0.0)
-    assert np.linalg.norm(located.point - [2.0, 0.0]) <= 1e-6
-    _report(6, "coercivity radius search and existence on the found disk")
 
 
 def test_criterion_07_brouwer_fixed_points():

@@ -6,8 +6,8 @@ import pytest
 
 from zerocert import (InvalidInput, Region, Unsupported,
                       boundary_nonvanishing, certify_existence, classify_cat,
-                      coercivity_radius, evaluate, locate_zero, parse_map,
-                      poincare_bohl, winding_number)
+                      evaluate, locate_zero, parse_map, poincare_bohl,
+                      winding_number)
 from zerocert import criteria, geometry
 from zerocert.cli import certificate_dumps
 from zerocert.homotopy import SampledMap, straight_line
@@ -132,25 +132,6 @@ class TestPoincareBohlRigor:
             assert check.passed and check.rigor == rigor
 
 
-class TestCoercivityRadius:
-    def test_identity_first_radius(self):
-        result = coercivity_radius(IDENTITY, 2, [1.0, 2.0, 4.0], level=4)
-        assert result is not None
-        R, check = result
-        assert R == 1.0
-        assert check.passed
-
-    def test_shift_by_two(self):
-        spec = parse_map("x1 - 2, x2", 2)
-        result = coercivity_radius(spec, 2, [1.0, 2.0, 4.0], level=4)
-        assert result is not None
-        assert result[0] == 4.0
-
-    def test_negated_identity_none(self):
-        spec = parse_map("-x1, -x2", 2)
-        assert coercivity_radius(spec, 2, [1.0, 2.0, 4.0], level=4) is None
-
-
 class TestCertifyExistence:
     def test_identity_zero_guaranteed(self, unit_disk):
         cert = certify_existence(IDENTITY, unit_disk)
@@ -215,6 +196,15 @@ class TestCertifyExistence:
         assert cert.verdict == "ZeroGuaranteed"
         assert cert.route == "winding"
         assert cert.obstruction == 1
+
+    def test_coercive_map_on_a_disk_where_it_points_out(self):
+        # <F(x), x> >= 0 on the boundary circle of radius 4
+        spec = parse_map("x1 - 2, x2", 2)
+        cert = certify_existence(spec, Region.disk([0.0, 0.0], 4.0))
+        assert cert.verdict == "ZeroGuaranteed"
+        located = locate_zero(spec, Region.box([-4.0, -4.0], [4.0, 4.0]),
+                              eps_x=1e-7, eps_f=0.0)
+        assert np.linalg.norm(located.point - [2.0, 0.0]) <= 1e-6
 
     def test_boundary_zero(self, unit_disk):
         spec = parse_map("x1 - 1, x2", 2)

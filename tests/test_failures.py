@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from zerocert import (InvalidInput, NotANullHomotopy, Region, SampledMap,
-                      Unsupported, VanishingOnBoundary, boundary_nonvanishing,
-                      box_winding, brouwer_fixed_point, builtin_map,
-                      certify_existence, locate_zero, null_homotopy,
-                      parse_map, poincare_bohl, sample_sphere,
+from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
+                      Region, SampledMap, Unsupported, VanishingOnBoundary,
+                      boundary_nonvanishing, box_winding, brouwer_fixed_point,
+                      builtin_map, certify_existence, locate_zero,
+                      null_homotopy, parse_map, poincare_bohl, sample_sphere,
                       sign_obstruction, straight_line, winding_number)
 from zerocert.cli import main
 
@@ -26,8 +26,16 @@ def _circle(images, level=0):
                       evaluator=images)
 
 
-def _planar():
-    return SampledMap.from_evaluator(PLANE, sample_sphere(DISK2, 0))
+def _planar(radius=1.0):
+    return SampledMap.from_evaluator(
+        PLANE, sample_sphere(Region.disk([0.0, 0.0], radius), 0))
+
+
+def _axis_points(h=math.sqrt(2.0), first=1.0):
+    """A BoundarySampling of the unit circle's four axis points, the first
+    at distance ``first`` from the centre, declared with mesh norm ``h``."""
+    points = np.array([[first, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    return BoundarySampling(points=points, h=h, region=DISK2)
 
 
 # Each case failed at the time it was added: max_iter=nan and 2.5 raised
@@ -84,13 +92,31 @@ def test_count_arguments_must_be_integers(call):
     (NotANullHomotopy, lambda: null_homotopy(_circle(
         lambda p: p - [1.0, 0.0]))),
     (Unsupported, lambda: certify_existence(lambda p: p[:, :1], DISK2)),
+    (InvalidInput, lambda: Region(kind="disk", center=None, radius=1.0)),
+    (InvalidInput, lambda: Region(kind="box", lower=None, upper=np.ones(2))),
+    (InvalidInput, lambda: Region(kind="ball", center=np.zeros(2),
+                                  radius=1.0)),
+    (InvalidInput, lambda: Region.box([0.0, 0.0], [1.0])),
+    (InvalidInput, lambda: Region.disk([], 1.0)),
+    (InvalidInput, lambda: BoundarySampling(points=np.zeros((4, 3)), h=1.0,
+                                            region=DISK2)),
+    (InvalidInput, lambda: _axis_points(
+        h=math.hypot(1.1, 1.0), first=1.1)),
+    (InvalidInput, lambda: _axis_points(h=1.0)),
+    (InvalidInput, lambda: sample_sphere(BOX2)),
+    (InvalidInput, lambda: straight_line(_planar(1.0), _planar(2.0),
+                                         t_steps=2)),
 ], ids=["certify-box", "certify-2d-map-3d-disk", "certify-level-1",
         "nonvanishing-box", "poincare_bohl-m-ne-n", "locate-disk",
         "locate-3d-box", "box_winding-3d", "box_winding-scalar",
         "fixed_point-callable-without-n", "fixed_point-n3", "null-m3",
         "straight_line-t_steps-1", "straight_line-m-differs", "winding-n3",
         "sign-m2", "parse_map-n0", "builtin-unknown",
-        "poincare_bohl-vanishes", "null-vanishes", "certify-n-gt-m"])
+        "poincare_bohl-vanishes", "null-vanishes", "certify-n-gt-m",
+        "disk-without-center", "box-without-lower", "unknown-kind",
+        "box-corner-lengths", "disk-dim-0", "sampling-3-columns",
+        "sampling-off-circle", "sampling-wrong-h", "sample_sphere-box",
+        "straight_line-radii-differ"])
 def test_typed_failure(error, call):
     with pytest.raises(error):
         call()

@@ -265,6 +265,23 @@ class TestRegion:
             with pytest.raises(InvalidInput, match=f"^{field} must be"):
                 build()
 
+    # each raised TypeError, or built a region of dim 1 from a (1, 2)
+    # centre or corners, before the shape checks
+    @pytest.mark.parametrize("build, match", [
+        (lambda: Region.disk(0.5, 1.0), "center must be 1-D"),
+        (lambda: Region.disk([[0.0, 0.0]], 1.0), "center must be 1-D"),
+        (lambda: Region.box([[0.0, 0.0]], [[1.0, 1.0]]),
+         "lower corner must be 1-D"),
+        (lambda: Region.box([0.0, 0.0], 1.0), "upper corner must be 1-D"),
+        (lambda: Region.disk([0.0, 0.0], [1.0]), "radius must be a real"),
+        (lambda: Region.disk([0.0, 0.0], np.array([1.0])),
+         "radius must be a real"),
+    ], ids=["scalar-center", "2d-center", "2d-corners", "scalar-corner",
+            "list-radius", "array-radius"])
+    def test_badly_shaped_input(self, build, match):
+        with pytest.raises(InvalidInput, match=match):
+            build()
+
     def test_diameter(self):
         assert Region.disk([0.0, 0.0], 2.0).diameter == 4.0
         assert Region.box([0.0, 0.0], [3.0, 4.0]).diameter == 5.0

@@ -144,6 +144,34 @@ class TestLocateZero2D:
         assert np.array_equal(best.point, 0.5 * (lo + hi))
         assert best.iterations == len(best.trail)
 
+    @pytest.mark.parametrize("lower, termination", [
+        ([0.2, 0.3], "residual"), ([0.1, 0.3], "cell_diameter")])
+    def test_top_box_within_eps_x_ends_at_its_centre(self, lower,
+                                                     termination,
+                                                     counting_evaluator):
+        spec = parse_map("x1 - 0.3, x2 - 0.4", 2)
+        ev = counting_evaluator(spec)
+        box = Region.box(lower, [0.4, 0.5])
+        result = locate_zero(ev, box, eps_x=1.0)
+        assert np.array_equal(result.point, 0.5 * (box.lower + box.upper))
+        assert result.residual == float(np.linalg.norm(evaluate(
+            spec, result.point)))
+        assert result.iterations == 0 and result.trail == []
+        assert result.termination == termination
+        # the top box's boundary, then its centre: no Newton step
+        assert ev.batches == [64, 1]
+
+    def test_iteration_limit_keeps_the_best_cell(self):
+        with pytest.raises(BudgetExhausted, match="quadtree") as err:
+            locate_zero(parse_map("x1 - 0.3, x2 - 0.4", 2), UNIT_BOX,
+                        eps_x=0.0, eps_f=0.0, max_iter=3)
+        best = err.value.best
+        assert (best.termination, best.iterations) == ("budget", 3)
+        assert len(best.trail) == 3
+        lo, hi = best.trail[-1]
+        assert np.array_equal(best.point, 0.5 * (lo + hi))
+        assert np.all((lo < [0.3, 0.4]) & ([0.3, 0.4] < hi))
+
     def test_zero_on_initial_cut_is_jiggled_past(self, quadtree_only):
         # the zero sits exactly at the first cut point
         spec = parse_map("x1, x2", 2)
@@ -252,6 +280,23 @@ class TestNewtonFallback:
         assert result.cell_diameter == expected.cell_diameter
         assert len(ev.batches) <= len(quadtree.batches) + 3
 
+    @pytest.mark.parametrize("box, batches", [
+        # at the centre of [-1, 1]^2 the Jacobian is nearly 0: the first
+        # step leaves the box
+        (UNIT_BOX, [64 + 5, 29, 29, 29, 1]),
+        # on [0, 1]^2 Newton needs 6 steps: the tail takes all 3, the first
+        # with the top box, then two stencils of 5
+        (Region.box([0.0, 0.0], [1.0, 1.0]), [64 + 5, 5, 5, 29, 29, 29, 1]),
+    ], ids=["leaves-the-box", "out-of-steps"])
+    def test_quadtree_takes_over_the_iteration_limit(self, box, batches,
+                                                     counting_evaluator):
+        # the quadtree then gets the same max_iter and runs out of it
+        ev = counting_evaluator(parse_map("x1^3 - 0.2, x2^3 - 0.3", 2))
+        with pytest.raises(BudgetExhausted, match="quadtree") as err:
+            locate_zero(ev, box, eps_x=1e-10, max_iter=3)
+        assert ev.batches == batches
+        assert (err.value.best.termination,
+                err.value.best.iterations) == ("budget", 3)
 
     def test_undefined_at_a_first_stencil_point(self, counting_evaluator):
         # 0/0 only at (2^-20 * 2, 0), the first step's +h point of x1: the

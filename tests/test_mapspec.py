@@ -10,9 +10,9 @@ from zerocert import (BUILTIN_MAPS, DomainError, InvalidInput,
                       MapSyntaxError, NonIntegerExponent, Region,
                       SampledMap, UndefinedVariable, boundary_nonvanishing,
                       box_winding, brouwer_fixed_point, builtin_map,
-                      certify_existence, coercivity_radius, evaluate,
-                      lipschitz_estimate, locate_zero, parse_map,
-                      poincare_bohl, sample_sphere, to_text, winding_number)
+                      certify_existence, evaluate, lipschitz_estimate,
+                      locate_zero, parse_map, poincare_bohl, sample_sphere,
+                      to_text, winding_number)
 from zerocert.cli import certificate_dumps
 import zerocert.mapspec as mapspec
 from zerocert.mapspec import (_EXACT, _FUNCS, _SYMS, MAX_DEPTH, Binary,
@@ -136,8 +136,6 @@ _ENTRY_POINTS = {
         boundary_nonvanishing(F, Region.disk([0.0, 0.0], 1.0)).margin)),
     "poincare_bohl": (_shift(0.3, -0.2), lambda F: repr(
         poincare_bohl(F, Region.disk([0.0, 0.0], 1.0)).margin)),
-    "coercivity_radius": (_shift(0.3, -0.2), lambda F: repr(
-        coercivity_radius(F, 2, [0.5, 2.0])[1].margin)),
     "winding_number": (_shift(0.3, -0.2), lambda F: winding_number(
         SampledMap.from_evaluator(F, sample_sphere(
             Region.disk([0.0, 0.0], 1.0)))).value),

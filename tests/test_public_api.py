@@ -7,7 +7,7 @@ import zerocert
 PUBLIC_API = {
     # criteria
     "Certificate", "CheckResult", "boundary_nonvanishing", "certify_existence",
-    "coercivity_radius", "poincare_bohl",
+    "poincare_bohl",
     # degree
     "CatResult", "WindingResult", "classify_cat", "sign_obstruction",
     "winding_number",

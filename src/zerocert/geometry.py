@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -58,6 +59,9 @@ class Region:
             if self.center is None or self.radius is None:
                 raise InvalidInput("disk region needs center and radius")
             _check_finite_vector("center", self.center)
+            if not isinstance(self.radius, numbers.Real):
+                raise InvalidInput(
+                    f"radius must be a real scalar, got {self.radius!r}")
             if not (self.radius > 0 and math.isfinite(self.radius)):
                 raise InvalidInput(
                     f"radius must be positive and finite, got {self.radius}")
@@ -178,6 +182,12 @@ def unit_sphere(n: int, level: Optional[int] = None) -> BoundarySampling:
     (n, level) is built once and cached (at most SPHERE_CACHE of them).
     ``level=None`` takes DEFAULT_LEVELS: 6 for n <= 2 and 2 for n >= 3,
     1536 points for n = 3 (level 6 would have up to 409,600).
+
+    For n >= 3 a level is a point budget, not a refinement step: when the
+    next budget admits no finer grid, consecutive levels give the same
+    mesh and the same h.  n = 6 has 384 points with h = sqrt(5) at levels
+    1 and 2, and n = 8 the same 16 points at levels 0-2.  So h never grows
+    with the level, but it need not shrink.
     """
     if level is None:
         level = DEFAULT_LEVELS[n >= 3]

@@ -23,18 +23,17 @@ would.
 The quadtree recursively bisects a box into four sub-boxes and follows
 nonzero boundary winding (generalized bisection, Kearfott 1979), computed
 with the shared angle-step kernel and refinement loop of ``geometry``
-(chord midpoints).  Each box carries its refined, evaluated boundary as
-four edge arrays, so a level reuses the parent's samples and evaluates
-only the cut: one batch holds the centre (whose image is also the residual
-check), the four half-cuts from it to the edges and any edge cut point the
-parent lacks.  The sub-boxes are then wound one after another, each through
-the refinement loop, and the first of nonzero winding is kept.  When a cut
-line lands on (or numerically near) a zero, the cut point is jiggled by a
-deterministic pseudo-random offset of at most 10% of the cell size, at most
-five retries per level.  A level whose every attempt stays within the
-vanishing floor ends in BudgetExhausted (the cell has shrunk onto the
-zero); one where some attempt wound all four sub-boxes to 0 ends in
-DegreeLost.
+(chord midpoints).  Each level evaluates one batch: the cut point, whose
+image is also the residual check, and the four sub-boxes' own boundaries
+of SAMPLES_PER_EDGE samples per edge, 1 + 4 * 64 = 257 points.  The
+sub-boxes are then wound one after another, each through the refinement
+loop, and the first of nonzero winding is kept.  When a cut line lands on
+(or numerically near) a zero, the cut point is jiggled by a deterministic
+pseudo-random offset of at most 10% of the cell size, at most five retries
+per level, each one more batch of 257 points.  A level whose every attempt
+stays within the vanishing floor ends in BudgetExhausted (the cell has
+shrunk onto the zero); one where some attempt wound all four sub-boxes to
+0 ends in DegreeLost.
 """
 from __future__ import annotations
 
@@ -48,14 +47,11 @@ from .criteria import _boundary, _certify_sampled
 from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
 from .geometry import MAX_STEP, Region, check_count, refine_polyline
-from .mapspec import as_evaluator
+from .mapspec import MapSpec, as_evaluator
 
 MAX_JIGGLES = 5
-SAMPLES_PER_EDGE = 16             # per box edge; half per half-cut
+SAMPLES_PER_EDGE = 16             # per box edge
 BUDGET = 4096                     # refinement insertions per box winding
-# interior sample fractions of a half-cut from the cut point to a box edge
-_HALF_CUT = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE // 2,
-                        endpoint=False)[1:, None]
 
 # Newton tail of the 2D locator
 NEWTON_H = 2.0 ** -20   # difference step, times the top box's width per axis
@@ -94,7 +90,8 @@ def box_winding(map_like, lower, upper) -> int:
     if box.dim != 2:
         raise InvalidInput("box winding is planar only")
     ev = as_evaluator(map_like)
-    return _wind(ev, _box_boundary(ev, box.lower, box.upper))[0]
+    pts, ims, _ = _box_boundary(ev, box.lower, box.upper)
+    return _wind(ev, pts, ims)
 
 
 def _box_points(lo, hi):
@@ -108,35 +105,30 @@ def _box_points(lo, hi):
 
 
 def _box_boundary(ev, lo, hi, extra=np.empty((0, 2))):
-    """Evaluated counterclockwise boundary of the box [lo, hi], starting at
-    lo, as rows (x, y, F1, F2) with SAMPLES_PER_EDGE samples per edge,
-    followed by the rows of the points ``extra``, evaluated in the same
-    call."""
-    pts = np.concatenate((_box_points(lo, hi), extra))
-    ims = ev(pts)
+    """The _box_points of the box [lo, hi], their images and the images of
+    the points ``extra``, all evaluated in one call."""
+    pts = _box_points(lo, hi)
+    ims = ev(np.concatenate((pts, extra)))
     if ims.shape[1] != 2:
         raise InvalidInput("box winding needs codomain dimension 2")
-    return np.hstack((pts, ims))
+    return pts, ims[:len(pts)], ims[len(pts):]
 
 
 def _chord_midpoint(a, b):
     return 0.5 * (a + b)
 
 
-def _wind(ev, poly):
-    """Winding of the closed polyline ``poly`` (rows x, y, F1, F2) after
-    chord refinement of at most BUDGET insertions, and the refined polyline.
+def _wind(ev, pts, ims):
+    """Winding of the closed polyline through ``pts``, whose images are
+    ``ims``, after chord refinement of at most BUDGET insertions.
 
-    A norm within geometry.vanishing_floor of those of ``poly`` raises
+    A norm within geometry.vanishing_floor of ``ims`` raises
     VanishingOnBoundary, as in winding_number.
     """
-    pts, ims, inserted, steps = refine_polyline(poly[:, :2], poly[:, 2:], ev,
-                                                _chord_midpoint, BUDGET)
+    steps = refine_polyline(pts, ims, ev, _chord_midpoint, BUDGET)[3]
     if np.any(np.abs(steps) >= MAX_STEP):
         raise BudgetExhausted("box winding refinement budget exhausted")
-    if inserted:
-        poly = np.hstack((pts, ims))
-    return int(round(float(np.sum(steps)) / (2.0 * math.pi))), poly
+    return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
 
 
 def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
@@ -243,14 +235,13 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter):
     first = None    # the images of the Newton tail's first batch
     if _runs_tail(lo, hi, eps_x):
         try:
-            rows = _box_boundary(ev, lo, hi, _stencil(0.5 * (lo + hi), lo, hi))
-            rows, first = rows[:-len(_STENCIL)], rows[-len(_STENCIL):, 2:]
+            pts, ims, first = _box_boundary(
+                ev, lo, hi, _stencil(0.5 * (lo + hi), lo, hi))
         except DomainError:
             pass    # alone, the boundary raises again when it is at fault
     if first is None:
-        rows = _box_boundary(ev, lo, hi)
-    winding, poly = _wind(ev, rows)
-    if winding == 0:
+        pts, ims, _ = _box_boundary(ev, lo, hi)
+    if _wind(ev, pts, ims) == 0:
         raise DegreeLost((lo, hi))
     if first is not None:
         try:
@@ -259,7 +250,6 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter):
             result = None   # the tail gives up; the quadtree decides
         if result is not None:
             return result
-    edges = _split_edges(poly, lo, hi)
     trail = []
     for it in range(1, max_iter + 1):
         center = 0.5 * (lo + hi)
@@ -270,7 +260,7 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter):
             if result.residual <= eps_f:
                 result.termination = "residual"
             return result
-        center_image, children = _cut(ev, lo, hi, edges, center)
+        center_image, children = _level(ev, lo, hi, center)
         if float(np.linalg.norm(center_image)) <= eps_f:
             return _finish(ev, center, diameter, it - 1, trail, "residual",
                            center_image)
@@ -280,9 +270,10 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter):
                 if rng is None:
                     rng = np.random.default_rng(0)
                 cut = center + rng.uniform(-0.1, 0.1, size=2) * (hi - lo)
-                children = _cut(ev, lo, hi, edges, cut)[1]
+                children = _level(ev, lo, hi, cut)[1]
             try:
-                chosen = _choose(ev, children)
+                chosen = next((sub for sub, pts, ims in children
+                               if _wind(ev, pts, ims) != 0), None)
             except VanishingOnBoundary:
                 vanished += 1
                 continue
@@ -298,12 +289,23 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter):
                     best=_finish(ev, center, diameter, it - 1, trail,
                                  "budget", center_image))
             raise DegreeLost((lo, hi))
-        lo, hi, edges = chosen
+        lo, hi = chosen
         trail.append((lo.copy(), hi.copy()))
     raise BudgetExhausted("quadtree iteration limit reached",
                           best=_finish(ev, 0.5 * (lo + hi),
                                        float(np.linalg.norm(hi - lo)),
                                        max_iter, trail, "budget"))
+
+
+def _level(ev, lo, hi, cut):
+    """F(cut) and the four sub-boxes of [lo, hi] at ``cut``, in bisection
+    order, each as ((lower, upper), boundary points, their images).  One
+    call evaluates the cut point and the _box_points of the four sub-boxes."""
+    subs = [(lo, cut), (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]])),
+            (cut, hi), (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]]))]
+    boundaries = [_box_points(sub_lo, sub_hi) for sub_lo, sub_hi in subs]
+    ims = ev(np.concatenate([cut[None, :]] + boundaries))
+    return ims[0], list(zip(subs, boundaries, np.split(ims[1:], 4)))
 
 
 def _runs_tail(lo, hi, eps_x):
@@ -371,83 +373,11 @@ def _accept(ev, lo, hi, point, eps_x, steps):
     diameter = float(np.linalg.norm(sub_hi - sub_lo))
     if not (np.all(sub_lo < sub_hi) and diameter <= eps_x):
         return None     # eps_x is below the float spacing at the point
-    rows = _box_boundary(ev, sub_lo, sub_hi, point[None, :])
-    if _wind(ev, rows[:-1])[0] == 0:
+    pts, ims, image = _box_boundary(ev, sub_lo, sub_hi, point[None, :])
+    if _wind(ev, pts, ims) == 0:
         return None
     return _finish(ev, point, diameter, steps, [(sub_lo, sub_hi)], "newton",
-                   rows[-1, 2:])
-
-
-def _split_edges(poly, lo, hi):
-    """Bottom, right, top and left edge of a counterclockwise box polyline
-    that starts at corner lo; each edge runs from its first corner up to,
-    not including, the next one.  The top box and each chosen sub-box carry
-    their boundary to the next level this way."""
-    x, y = poly[:, 0], poly[:, 1]
-    r = int(np.argmax(x == hi[0]))
-    t = r + int(np.argmax(y[r:] == hi[1]))
-    left = t + int(np.argmax(x[t:] == lo[0]))
-    return [poly[:r], poly[r:t], poly[t:left], poly[left:]]
-
-
-def _cut(ev, lo, hi, edges, cut):
-    """The image of ``cut`` and the four sub-boxes of [lo, hi] at it, in
-    bisection order, each as (lower, upper, boundary pieces); the pieces
-    concatenate to the sub-box boundary, counterclockwise from its lower
-    corner.
-
-    One evaluation covers the cut point, the interior samples of the four
-    half-cuts from it to the box edges, and each edge cut point that the
-    parent edges lack; every other sample is reused from the parent edges.
-    """
-    ends = np.array([[cut[0], lo[1]], [hi[0], cut[1]],
-                     [cut[0], hi[1]], [lo[0], cut[1]]])
-    splits, missing = [], []
-    for side, edge in enumerate(edges):
-        axis = side % 2
-        coord = edge[:, axis]
-        if side < 2:        # bottom and right edges run up their coordinate
-            k = int(np.searchsorted(coord, cut[axis]))
-        else:               # top and left edges run down it
-            k = len(coord) - int(np.searchsorted(coord[::-1], cut[axis],
-                                                 side="right"))
-        splits.append(k)
-        if k == len(coord) or coord[k] != cut[axis]:
-            missing.append(side)
-    cross = (cut + _HALF_CUT * (ends - cut)[:, None, :]).reshape(-1, 2)
-    pts = np.concatenate((cut[None, :], cross, ends[missing]))
-    rows = np.hstack((pts, ev(pts)))
-    c = rows[:1]
-    hb, hr, ht, hl = rows[1:1 + len(cross)].reshape(4, -1, 4)
-    new_heads = iter(rows[1 + len(cross):, None])
-    # per edge: the part before its cut point, the cut point, the rest
-    parts = []
-    for side, (edge, k) in enumerate(zip(edges, splits)):
-        if side in missing:
-            parts.append((edge[:k], next(new_heads), edge[k:]))
-        else:
-            parts.append((edge[:k], edge[k:k + 1], edge[k + 1:]))
-    (b1, bc, b2), (r1, rc, r2), (t1, tc, t2), (l1, lc, l2) = parts
-    return rows[0, 2:], [
-        (lo, cut, (b1, bc, hb[::-1], c, hl, lc, l2)),
-        (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]]),
-         (bc, b2, r1, rc, hr[::-1], c, hb)),
-        (cut, hi, (c, hr, rc, r2, t1, tc, ht[::-1])),
-        (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]]),
-         (lc, hl[::-1], c, ht, tc, t2, l1)),
-    ]
-
-
-def _choose(ev, children):
-    """Bounds and edges of the first of the sub-boxes ``children`` (as made
-    by _cut) whose boundary winding is nonzero, or None when all four wind
-    0.  Each is wound through _wind, which refines it or raises
-    VanishingOnBoundary."""
-    for sub_lo, sub_hi, pieces in children:
-        winding, poly = _wind(ev, np.concatenate(pieces))
-        if winding != 0:
-            return sub_lo, sub_hi, _split_edges(poly, sub_lo, sub_hi)
-    return None
+                   image[0])
 
 
 def _finish(ev, point, diameter, iterations, trail, termination,
@@ -477,7 +407,6 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     checked alone, so the error is the one of a grid evaluated before the
     boundary.
     """
-    from .mapspec import MapSpec
     _check_tolerance("eps", eps)
     if n is None:
         if not isinstance(map_like, MapSpec):

@@ -8,7 +8,8 @@ import pytest
 from zerocert import (InvalidInput, Region, VanishingOnBoundary,
                       boundary_nonvanishing, parse_map, sample_sphere)
 from zerocert.geometry import (SPHERE_CACHE, _unit_sampling,
-                               circle_arc_midpoint, refine_polyline)
+                               circle_arc_midpoint, refine_polyline,
+                               unit_sphere)
 
 
 def cells_per_edge(n, level):
@@ -123,6 +124,25 @@ class TestSampleSphere:
         b = sample_sphere(region, 0)
         assert a is not b
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_h_never_grows_with_the_level(self, n):
+        # a level is a point budget: where it admits no finer grid, the next
+        # level has the same points and the same h
+        samplings = [unit_sphere(n, level) for level in range(4)]
+        for coarse, fine in zip(samplings, samplings[1:]):
+            assert fine.h <= coarse.h
+            if len(fine.points) == len(coarse.points):
+                assert fine.h == coarse.h
+                assert fine.points.tobytes() == coarse.points.tobytes()
+
+    def test_plateaus(self):
+        six = [unit_sphere(6, level) for level in (1, 2)]
+        assert [len(s.points) for s in six] == [384, 384]
+        assert six[0].h == six[1].h == pytest.approx(math.sqrt(5.0))
+        eight = [unit_sphere(8, level) for level in range(3)]
+        assert [len(s.points) for s in eight] == [16, 16, 16]
+        assert eight[0].h == eight[1].h == eight[2].h
 
 
 class TestSphereCache:
@@ -276,8 +296,14 @@ class TestRegion:
         (lambda: Region.disk([0.0, 0.0], [1.0]), "radius must be a real"),
         (lambda: Region.disk([0.0, 0.0], np.array([1.0])),
          "radius must be a real"),
+    ] + [
+        (lambda radius=radius: Region(kind="disk", center=np.zeros(2),
+                                      radius=radius), "radius must be a real")
+        for radius in ([1.0], np.array([1.0]), "1", 1 + 0j)
     ], ids=["scalar-center", "2d-center", "2d-corners", "scalar-corner",
-            "list-radius", "array-radius"])
+            "list-radius", "array-radius", "direct-list-radius",
+            "direct-array-radius", "direct-str-radius",
+            "direct-complex-radius"])
     def test_badly_shaped_input(self, build, match):
         with pytest.raises(InvalidInput, match=match):
             build()

@@ -8,8 +8,6 @@ from zerocert import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                       brouwer_fixed_point, evaluate, locate_zero, parse_map,
                       sample_sphere)
 from zerocert import locator, mapspec
-from zerocert.locator import (MAX_JIGGLES, _HALF_CUT, _box_boundary, _finish,
-                              _split_edges)
 from zerocert.mapspec import as_evaluator
 
 UNIT_BOX = Region.box([-1.0, -1.0], [1.0, 1.0])
@@ -283,10 +281,11 @@ class TestNewtonFallback:
     @pytest.mark.parametrize("box, batches", [
         # at the centre of [-1, 1]^2 the Jacobian is nearly 0: the first
         # step leaves the box
-        (UNIT_BOX, [64 + 5, 29, 29, 29, 1]),
+        (UNIT_BOX, [64 + 5, 257, 257, 257, 1]),
         # on [0, 1]^2 Newton needs 6 steps: the tail takes all 3, the first
         # with the top box, then two stencils of 5
-        (Region.box([0.0, 0.0], [1.0, 1.0]), [64 + 5, 5, 5, 29, 29, 29, 1]),
+        (Region.box([0.0, 0.0], [1.0, 1.0]),
+         [64 + 5, 5, 5, 257, 257, 257, 1]),
     ], ids=["leaves-the-box", "out-of-steps"])
     def test_quadtree_takes_over_the_iteration_limit(self, box, batches,
                                                      counting_evaluator):
@@ -316,9 +315,10 @@ class TestNewtonFallback:
 
 
 def reference_quadtree(ev, box, eps_x, eps_f, max_iter=100, seed=0):
-    """The quadtree that evaluates a fresh box_winding for every sub-box:
-    the behaviour the incremental quadtree must reproduce.  Returns the
-    trail, point, termination, iterations and whether a cut was jiggled."""
+    """The quadtree that evaluates a fresh box_winding for every sub-box,
+    and the centre of every cell on its own: the behaviour locate_zero's
+    quadtree must reproduce.  Returns the trail, point, termination,
+    iterations and whether a cut was jiggled."""
     rng = np.random.default_rng(seed)
     lo, hi = box.lower.copy(), box.upper.copy()
     assert box_winding(ev, lo, hi) != 0
@@ -361,11 +361,14 @@ def complex_poly_map(coeffs):
 
 
 @pytest.mark.usefixtures("quadtree_only")
-class TestIncrementalQuadtree:
-    def assert_matches_reference(self, ev, box, eps_x, eps_f):
+class TestQuadtreeMatchesReference:
+    def assert_matches_reference(self, ev, box, eps_x, eps_f, result=None):
+        """Compare ``result``, by default locate_zero's, with the reference
+        quadtree on ``ev``; return whether the reference jiggled a cut."""
         trail, point, termination, iterations, jiggled = reference_quadtree(
             ev, box, eps_x, eps_f)
-        result = locate_zero(ev, box, eps_x=eps_x, eps_f=eps_f)
+        if result is None:
+            result = locate_zero(ev, box, eps_x=eps_x, eps_f=eps_f)
         assert result.termination == termination
         assert result.iterations == iterations
         assert np.array_equal(result.point, point)
@@ -393,205 +396,22 @@ class TestIncrementalQuadtree:
         assert checked >= 20
 
     def test_zero_on_cut_sample_jiggles_like_reference(self):
-        # (0, 0.5) is a sample of the first level's upper half-cut
+        # (0, 0.5) is a boundary sample of the first level's upper sub-boxes
         ev = as_evaluator(parse_map("x1, x2 - 0.5", 2))
         jiggled = self.assert_matches_reference(ev, UNIT_BOX, eps_x=1e-7,
                                                 eps_f=0.0)
         assert jiggled
 
-    def test_one_evaluation_per_level(self, counting_evaluator):
-        # an affine map needs no refinement: the top box, one batch per
-        # level and the last centre, whose image is the residual
-        ev = counting_evaluator(parse_map("x1 - 0.3, x2 - 0.4", 2))
-        result = locate_zero(ev, UNIT_BOX, eps_x=1e-6)
-        assert result.termination == "cell_diameter"
-        assert len(ev.batches) == result.iterations + 2
-        assert ev.batches[0] == 64
-        # cut point, four half-cuts of 7 interior samples, <= 4 edge points
-        assert all(29 <= size <= 33 for size in ev.batches[1:-1])
-        assert ev.batches[-1] == 1
-
-
-def _cut_children(ev, lo, hi, edges, cut):
-    """The image of ``cut`` and the four sub-boxes of [lo, hi] at it, in
-    bisection order, each as (lower, upper, boundary pieces); the pieces
-    concatenate to the sub-box boundary, counterclockwise from its lower
-    corner.
-
-    One evaluation covers the cut point, the interior samples of the four
-    half-cuts from it to the box edges, and each edge cut point that the
-    parent edges lack; every other sample is reused from the parent edges.
-    """
-    ends = np.array([[cut[0], lo[1]], [hi[0], cut[1]],
-                     [cut[0], hi[1]], [lo[0], cut[1]]])
-    splits, missing = [], []
-    for side, edge in enumerate(edges):
-        axis = side % 2
-        coord = edge[:, axis]
-        if side < 2:        # bottom and right edges run up their coordinate
-            k = int(np.searchsorted(coord, cut[axis]))
-        else:               # top and left edges run down it
-            k = len(coord) - int(np.searchsorted(coord[::-1], cut[axis],
-                                                 side="right"))
-        splits.append(k)
-        if k == len(coord) or coord[k] != cut[axis]:
-            missing.append(side)
-    cross = (cut + _HALF_CUT * (ends - cut)[:, None, :]).reshape(-1, 2)
-    pts = np.concatenate((cut[None, :], cross, ends[missing]))
-    rows = np.hstack((pts, ev(pts)))
-    c = rows[:1]
-    hb, hr, ht, hl = rows[1:1 + len(cross)].reshape(4, -1, 4)
-    new_heads = iter(rows[1 + len(cross):, None])
-    # per edge: the part before its cut point, the cut point, the rest
-    parts = []
-    for side, (edge, k) in enumerate(zip(edges, splits)):
-        if side in missing:
-            parts.append((edge[:k], next(new_heads), edge[k:]))
-        else:
-            parts.append((edge[:k], edge[k:k + 1], edge[k + 1:]))
-    (b1, bc, b2), (r1, rc, r2), (t1, tc, t2), (l1, lc, l2) = parts
-    return rows[0, 2:], [
-        (lo, cut, (b1, bc, hb[::-1], c, hl, lc, l2)),
-        (np.array([cut[0], lo[1]]), np.array([hi[0], cut[1]]),
-         (bc, b2, r1, rc, hr[::-1], c, hb)),
-        (cut, hi, (c, hr, rc, r2, t1, tc, ht[::-1])),
-        (np.array([lo[0], cut[1]]), np.array([cut[0], hi[1]]),
-         (lc, hl[::-1], c, ht, tc, t2, l1)),
-    ]
-
-
-def oracle_quadtree_2d(ev, box, eps_x, eps_f, max_iter):
-    """The quadtree that winds the four sub-boxes of a level one after
-    another, each through _wind and the refinement loop, and searches the
-    chosen boundary for its corners: the behaviour, evaluated batches
-    included, that locate_zero's quadtree must reproduce."""
-    rng = np.random.default_rng(0)
-    lo = box.lower.copy()
-    hi = box.upper.copy()
-    winding, poly = locator._wind(ev, _box_boundary(ev, lo, hi))
-    if winding == 0:
-        raise DegreeLost((lo, hi))
-    edges = _split_edges(poly, lo, hi)
-    trail = []
-    for it in range(1, max_iter + 1):
-        center = 0.5 * (lo + hi)
-        diameter = float(np.linalg.norm(hi - lo))
-        if diameter <= eps_x:
-            result = _finish(ev, center, diameter, it - 1, trail,
-                             "cell_diameter")
-            if result.residual <= eps_f:
-                result.termination = "residual"
-            return result
-        center_image, children = _cut_children(ev, lo, hi, edges, center)
-        if float(np.linalg.norm(center_image)) <= eps_f:
-            return _finish(ev, center, diameter, it - 1, trail, "residual",
-                           center_image)
-        chosen = None
-        for attempt in range(MAX_JIGGLES + 1):
-            if attempt:
-                cut = center + rng.uniform(-0.1, 0.1, size=2) * (hi - lo)
-                _, children = _cut_children(ev, lo, hi, edges, cut)
-            try:
-                for sub_lo, sub_hi, pieces in children:
-                    winding, poly = locator._wind(ev, np.concatenate(pieces))
-                    if winding != 0:
-                        chosen = (sub_lo, sub_hi,
-                                  _split_edges(poly, sub_lo, sub_hi))
-                        break
-            except VanishingOnBoundary:
-                continue
-            if chosen is not None:
-                break
-        if chosen is None:
-            raise DegreeLost((lo, hi))
-        lo, hi, edges = chosen
-        trail.append((lo.copy(), hi.copy()))
-    raise BudgetExhausted("quadtree iteration limit reached",
-                          best=_finish(ev, 0.5 * (lo + hi),
-                                       float(np.linalg.norm(hi - lo)),
-                                       max_iter, trail, "budget"))
-
-
-class RecordingEvaluator:
-    """Batch evaluator that keeps the bytes of every batch of points."""
-
-    def __init__(self, map_like):
-        self._ev = as_evaluator(map_like)
-        self.batches = []
-
-    def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        self.batches.append(pts.tobytes())
-        return self._ev(pts)
-
-
-def outcome_bytes(result):
-    return (b"".join(lo.tobytes() + hi.tobytes() for lo, hi in result.trail),
-            result.point.tobytes(), np.float64(result.residual).tobytes(),
-            result.iterations, result.termination)
-
-
-@pytest.mark.usefixtures("quadtree_only")
-class TestQuadtreeMatchesOracle:
-    """The quadtree of locate_zero evaluates the same batches, in the same
-    order, winds as many boundaries and returns the same bytes as the
-    oracle's per-sub-box loop."""
-
-    def run_both(self, call, map_like):
-        """Outcome of ``call(evaluator)`` with locate_zero's quadtree, which
-        must equal that with the oracle, and the number of boundaries each
-        of the two wound through _wind."""
-        runs = []
-        for oracle in (False, True):
-            ev, winds = RecordingEvaluator(map_like), []
-            with pytest.MonkeyPatch.context() as patch:
-                wind = locator._wind
-                patch.setattr(locator, "_wind",
-                              lambda *args: winds.append(1) or wind(*args))
-                if oracle:
-                    patch.setattr(locator, "_quadtree_2d", oracle_quadtree_2d)
-                try:
-                    outcome = outcome_bytes(call(ev))
-                except (DegreeLost, BudgetExhausted) as exc:
-                    outcome = (type(exc), str(exc))
-            runs.append((ev.batches, outcome, len(winds)))
-        (batches, outcome, winds), (oracle_batches, oracle_outcome,
-                                    oracle_winds) = runs
-        assert batches == oracle_batches
-        assert outcome == oracle_outcome
-        return outcome, winds, oracle_winds
-
-    def test_random_polynomial_boxes(self):
-        rng = np.random.default_rng(71)
-        winds = np.zeros(2, dtype=int)
-        for _ in range(200):
-            degree = int(rng.integers(1, 5))
-            roots = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
-            coeffs = np.poly(roots) * complex(*rng.uniform(0.5, 2.0, 2))
-            width = rng.uniform(0.3, 4.0, 2)
-            lower = (np.array([roots[0].real, roots[0].imag])
-                     - rng.uniform(0.05, 0.95, 2) * width)
-            box = Region.box(lower, lower + width)
-            outcome, *counts = self.run_both(
-                lambda ev: locate_zero(ev, box, eps_x=1e-4, eps_f=1e-12),
-                complex_poly_map(coeffs))
-            winds += counts
-        # the quadtree winds each sub-box through _wind, as the oracle does
-        assert winds[0] == winds[1]
-
-    @pytest.mark.parametrize("text, termination", [
-        # a zero on a half-cut sample: every level jiggles
-        ("x1, x2 - 0.5", "cell_diameter"),
+    def test_residual_stop_at_a_level_centre(self):
         # the centre of the second level is the zero
-        ("x1 - 0.25, x2 + 0.25", "residual"),
-    ])
-    def test_jiggles_and_residual_stop(self, text, termination):
-        outcome, *_ = self.run_both(
-            lambda ev: locate_zero(ev, UNIT_BOX, eps_x=1e-7, eps_f=0.0),
-            parse_map(text, 2))
-        assert outcome[4] == termination
+        ev = as_evaluator(parse_map("x1 - 0.25, x2 + 0.25", 2))
+        result = locate_zero(ev, UNIT_BOX, eps_x=1e-7, eps_f=0.0)
+        assert result.termination == "residual"
+        self.assert_matches_reference(ev, UNIT_BOX, 1e-7, 0.0, result)
 
     def test_fixed_point_contractions(self):
+        # brouwer_fixed_point locates a zero of G = x - f(x) on [-1, 1]^2
+        # with eps_x = eps / 2 and eps_f = 1e-12
         rng = np.random.default_rng(43)
         for _ in range(8):
             a = rng.uniform(-0.5, 0.5, size=(2, 2))
@@ -602,10 +422,29 @@ class TestQuadtreeMatchesOracle:
             text = (f"{a[0][0]!r}*x1 + {a[0][1]!r}*x2 + {b[0]!r} "
                     f"+ 0.05*sin(3*x2), "
                     f"{a[1][0]!r}*x1 + {a[1][1]!r}*x2 + {b[1]!r}")
-            outcome, *_ = self.run_both(
-                lambda ev: brouwer_fixed_point(ev, n=2),
-                parse_map(text, 2))
-            assert outcome[4] in ("residual", "cell_diameter")
+            f = as_evaluator(parse_map(text, 2))
+            result = brouwer_fixed_point(f, n=2)
+            assert result.termination in ("residual", "cell_diameter")
+            self.assert_matches_reference(lambda pts: pts - f(pts), UNIT_BOX,
+                                          5e-7, 1e-12, result)
+
+    def test_one_evaluation_per_level(self, counting_evaluator):
+        # an affine map needs no refinement: the top box, one batch per
+        # level and the last centre, whose image is the residual
+        ev = counting_evaluator(parse_map("x1 - 0.3, x2 - 0.4", 2))
+        result = locate_zero(ev, UNIT_BOX, eps_x=1e-6)
+        assert result.termination == "cell_diameter"
+        assert len(ev.batches) == result.iterations + 2
+        assert ev.batches[0] == 64
+        # the cut point and the 64 boundary samples of each sub-box
+        assert ev.batches[1:-1] == [1 + 4 * 64] * result.iterations
+        assert ev.batches[-1] == 1
+
+
+def outcome_bytes(result):
+    return (b"".join(lo.tobytes() + hi.tobytes() for lo, hi in result.trail),
+            result.point.tobytes(), np.float64(result.residual).tobytes(),
+            result.iterations, result.termination)
 
 
 class TestLocateZero1D:

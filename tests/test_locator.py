@@ -361,7 +361,10 @@ def complex_poly_map(coeffs):
 
 
 @pytest.mark.usefixtures("quadtree_only")
-class TestQuadtreeMatchesReference:
+class TestQuadtreeMatchesOracle:
+    """The oracle is ``reference_quadtree``, which winds four fresh boxes
+    per level through ``box_winding``."""
+
     def assert_matches_reference(self, ev, box, eps_x, eps_f, result=None):
         """Compare ``result``, by default locate_zero's, with the reference
         quadtree on ``ev``; return whether the reference jiggled a cut."""
@@ -395,19 +398,24 @@ class TestQuadtreeMatchesReference:
             checked += 1
         assert checked >= 20
 
+    @pytest.mark.parametrize("text, termination", [
+        # a zero on a half-cut sample: every level jiggles
+        ("x1, x2 - 0.5", "cell_diameter"),
+        # the centre of the second level is the zero
+        ("x1 - 0.25, x2 + 0.25", "residual"),
+    ])
+    def test_jiggles_and_residual_stop(self, text, termination):
+        ev = as_evaluator(parse_map(text, 2))
+        result = locate_zero(ev, UNIT_BOX, eps_x=1e-7, eps_f=0.0)
+        assert result.termination == termination
+        self.assert_matches_reference(ev, UNIT_BOX, 1e-7, 0.0, result)
+
     def test_zero_on_cut_sample_jiggles_like_reference(self):
         # (0, 0.5) is a boundary sample of the first level's upper sub-boxes
         ev = as_evaluator(parse_map("x1, x2 - 0.5", 2))
         jiggled = self.assert_matches_reference(ev, UNIT_BOX, eps_x=1e-7,
                                                 eps_f=0.0)
         assert jiggled
-
-    def test_residual_stop_at_a_level_centre(self):
-        # the centre of the second level is the zero
-        ev = as_evaluator(parse_map("x1 - 0.25, x2 + 0.25", 2))
-        result = locate_zero(ev, UNIT_BOX, eps_x=1e-7, eps_f=0.0)
-        assert result.termination == "residual"
-        self.assert_matches_reference(ev, UNIT_BOX, 1e-7, 0.0, result)
 
     def test_fixed_point_contractions(self):
         # brouwer_fixed_point locates a zero of G = x - f(x) on [-1, 1]^2

@@ -23,7 +23,8 @@ import numpy as np
 from .degree import boundary_obstruction
 from .errors import InvalidInput, Unsupported, VanishingOnBoundary
 from .geometry import Region, check_lipschitz, unit_sphere, vanishing_floor
-from .homotopy import SampledMap, null_homotopy, radial_extension
+from .homotopy import (SampledMap, null_homotopy, planar_point,
+                       radial_extension)
 from .mapspec import MapSpec, as_evaluator
 
 
@@ -228,7 +229,7 @@ def _certify_sampled(ev, region, unit, ims, lipschitz,
             nonlocal phi_unit
             if phi_unit is None:
                 phi_unit = radial_extension(null_homotopy(w.boundary))
-            return phi_unit((np.asarray(x, dtype=float) - x0) / r)
+            return phi_unit((planar_point(x) - x0) / r)
     return cert(verdict="NoConclusion", route=None, obstruction=value,
                 rigor=rigor, evidence=evidence, extension_witness=witness,
                 reason=reason)

@@ -1,12 +1,14 @@
 """Sampled homotopies between boundary maps.
 
-A homotopy lives on a finite (sample point, t) grid, held in closed form:
-``HomotopyTrace.frame(i, j)`` evaluates any set of grid entries, and the
-whole frame grid is built only when it is read.  Validity ("the homotopy
-misses zero") is certified only up to the grid: heuristically when the
-minimum image norm is positive, rigorously when it exceeds L*g/2 for a
-supplied Lipschitz constant L and grid diameter g.  The zero-free extension
-of ``radial_extension`` evaluates the four grid entries it blends per point.
+A homotopy lives on a finite (sample point, t) grid, held in closed form
+twice: ``HomotopyTrace.frame(i, j)`` evaluates any set of grid entries as
+one numpy array, and ``HomotopyTrace.corners(i, j, j2)`` evaluates the four
+entries of one grid cell as Python floats.  The whole frame grid is built
+only when it is read.  Validity ("the homotopy misses zero") is certified
+only up to the grid: heuristically when the minimum image norm is positive,
+rigorously when it exceeds L*g/2 for a supplied Lipschitz constant L and
+grid diameter g.  The zero-free extension of ``radial_extension`` blends
+one cell's ``corners`` per point; it evaluates no map.
 """
 from __future__ import annotations
 
@@ -63,11 +65,15 @@ class HomotopyTrace:
     ``frame(i, j)`` takes two integer index arrays of one length and returns
     the images H(x_j, t_i) of those pairs, shape (length, m).  ``frames``
     (the (T, k, m) grid), ``min_norm`` and ``witness`` are computed from it
-    on first read."""
+    on first read.  ``corners(i, j, j2)`` takes integers and returns the
+    entries (i, j), (i, j2), (i+1, j) and (i+1, j2), each a list of m
+    Python floats equal bit for bit to the same entries of ``frame``; it is
+    the single-point path of ``radial_extension``."""
 
     base: BoundarySampling
     t_grid: np.ndarray              # ordered, includes 0 and 1
     frame: Callable                 # (i, j) index arrays -> (len, m) images
+    corners: Callable               # (i, j, j2) ints -> four m-lists
 
     @cached_property
     def frames(self) -> np.ndarray:
@@ -131,7 +137,14 @@ def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
         t = t_grid[i][:, None]
         return (1.0 - t) * f.images[j] + t * g.images[j]
 
-    trace = HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame)
+    def corners(i, j, j2):
+        fs, gs = f.images[[j, j2]], g.images[[j, j2]]
+        lo, hi = [((1.0 - t) * fs + t * gs).tolist()
+                  for t in t_grid[i:i + 2].tolist()]
+        return lo + hi
+
+    trace = HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame,
+                          corners=corners)
     return trace, _report(trace, L)
 
 
@@ -146,23 +159,25 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
     check_count("t_steps", t_steps, 2)
     if f.m != 2:
         raise InvalidInput("null_homotopy needs a planar codomain")
-    norms = np.linalg.norm(f.images, axis=1)
-    if np.min(norms) <= 0.0:
+    # np.linalg.norm, np.sum and np.mean bit for bit, without their dispatch
+    images, k = np.asarray(f.images, dtype=float), len(f.images)
+    norms = np.sqrt(np.add.reduce(images * images, axis=1))
+    if norms.min() <= 0.0:
         raise NotANullHomotopy("map vanishes on a sample")
-    steps = wrapped_steps(f.images)
-    turns = round(float(np.sum(steps)) / (2.0 * math.pi))
+    steps = wrapped_steps(images)
+    turns = round(float(np.add.reduce(steps)) / (2.0 * math.pi))
     if turns != 0:
         raise NotANullHomotopy(f"map has winding {turns}, not contractible")
-    angle0 = np.arctan2(f.images[0, 1], f.images[0, 0])
+    angle0 = np.arctan2(images[0, 1], images[0, 0])
     lifted = angle0 + np.concatenate([[0.0], np.cumsum(steps[:-1])])
     log_r = np.log(norms)
-    target_log_r = float(np.mean(log_r))
-    target_angle = float(np.mean(lifted))
+    target_log_r = float(np.add.reduce(log_r)) / k
+    target_angle = float(np.add.reduce(lifted)) / k
     t_grid = np.linspace(0.0, 1.0, t_steps)
     s_grid = 1.0 - t_grid
     r_tail, a_tail = t_grid * target_log_r, t_grid * target_angle
     is_row0 = np.arange(t_steps) == 0
-    exact = np.ascontiguousarray(f.images.T)      # row 0 is the exact images
+    exact = np.ascontiguousarray(images.T)        # row 0 is the exact images
 
     def frame(i, j):
         s = s_grid[i]
@@ -171,7 +186,28 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
         out = r * np.array([np.cos(a), np.sin(a)])
         return np.where(is_row0[i], exact.take(j, 1), out).T
 
-    return HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame)
+    # the same arithmetic on Python floats; exp stays numpy's, which rounds
+    # unlike math.exp, while math.cos and math.sin agree with numpy's
+    s_list, r_list, a_list = s_grid.tolist(), r_tail.tolist(), a_tail.tolist()
+    lr_list, lf_list = log_r.tolist(), lifted.tolist()
+    exp, cos, sin = np.exp, math.cos, math.sin
+
+    def corners(i, j, j2):
+        s0, s1 = s_list[i], s_list[i + 1]
+        r0, r1 = r_list[i], r_list[i + 1]
+        a0, a1 = a_list[i], a_list[i + 1]
+        lr, lr2, ang, ang2 = lr_list[j], lr_list[j2], lf_list[j], lf_list[j2]
+        radii = exp([s0 * lr + r0, s0 * lr2 + r0,
+                     s1 * lr + r1, s1 * lr2 + r1]).tolist()
+        out = [[r * cos(a), r * sin(a)] for r, a in zip(
+            radii, (s0 * ang + a0, s0 * ang2 + a0, s1 * ang + a1,
+                    s1 * ang2 + a1))]
+        if i == 0:
+            out[0], out[1] = images[j].tolist(), images[j2].tolist()
+        return out
+
+    return HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame,
+                         corners=corners)
 
 
 def radial_extension(H: HomotopyTrace):
@@ -180,11 +216,12 @@ def radial_extension(H: HomotopyTrace):
     Returns an evaluator phi on the unit disk: constant on the inner half
     disk, and the homotopy frames (bilinearly interpolated in angle and t)
     on the annulus, matching the boundary map exactly at sampling points.
-    Only the last frame is built here; each call evaluates the four frame
-    entries it blends.
+    Only the last frame is built here, with ``H.frame``.  A call takes one
+    finite real point of shape (2,) and blends the four Python-float
+    entries of ``H.corners`` for its grid cell; it evaluates no map.
     """
-    k, frame = len(H.base.points), H.frame
-    last = frame(np.full(k, len(H.t_grid) - 1), np.arange(k))
+    k = len(H.base.points)
+    last = H.frame(np.full(k, len(H.t_grid) - 1), np.arange(k))
     c = last[0].copy()
     if float(np.max(np.abs(last - c))) > ENDPOINT_TOL:
         raise NotANullHomotopy("final frame is not constant")
@@ -195,24 +232,22 @@ def radial_extension(H: HomotopyTrace):
     angles = np.arctan2(rel[:, 1], rel[:, 0])
     rel_ang = np.mod(angles - angles[0], 2.0 * math.pi)
     order = np.argsort(rel_ang)
-    # the frame indices of the four entries a call blends: rows (i, i+1)
-    # and the samples at sorted angular positions (j, j+1)
-    rows = np.arange(len(H.t_grid) - 1)[:, None] + np.array([0, 0, 1, 1])
-    cols = order[(np.arange(k)[:, None] + np.array([0, 1, 0, 1])) % k]
     # the scalar work runs on Python floats, which round as numpy does
-    rel_ang = rel_ang[order].tolist()
+    rel_ang, order = rel_ang[order].tolist(), order.tolist()
     theta0 = float(angles[0])
     t_grid = H.t_grid.tolist()
-    two_pi = 2.0 * math.pi
+    corners, two_pi = H.corners, 2.0 * math.pi
 
     def phi(x):
-        x = np.asarray(x, dtype=float)
+        x = planar_point(x)
         r = math.sqrt(x.dot(x))         # np.linalg.norm, bit for bit
-        if r <= 0.5:
+        if r <= 0.5:                    # false for a nan entry
             return c.copy()
+        x0, x1 = x.tolist()
+        if not (math.isfinite(x0) and math.isfinite(x1)):
+            raise InvalidInput(f"a point must be finite, got {[x0, x1]}")
         t = min(max(2.0 - 2.0 * r, 0.0), 1.0)
-        theta = math.atan2(x[1], x[0])
-        a = (theta - theta0) % two_pi
+        a = (math.atan2(x1, x0) - theta0) % two_pi
         j = bisect_right(rel_ang, a) - 1    # >= 0: rel_ang[0] is 0, a >= 0
         j2 = (j + 1) % k
         width = (rel_ang[j2] - rel_ang[j]) % two_pi
@@ -227,6 +262,18 @@ def radial_extension(H: HomotopyTrace):
         u, v = 1.0 - w, 1.0 - s
         return np.array([
             v * (u * f00 + w * f01) + s * (u * f10 + w * f11)
-            for f00, f01, f10, f11 in frame(rows[i], cols[j]).T.tolist()])
+            for f00, f01, f10, f11 in zip(*corners(i, order[j], order[j2]))])
 
     return phi
+
+
+def planar_point(x) -> np.ndarray:
+    """``x`` as a float64 array of shape (2,), or InvalidInput unless it is
+    one real point (finiteness is the caller's check)."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"a point must be real, got {x!r}") from exc
+    if x.shape != (2,):
+        raise InvalidInput(f"a point must have shape (2,), got {x.shape}")
+    return x

@@ -9,8 +9,9 @@ from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
                       Region, SampledMap, Unsupported, VanishingOnBoundary,
                       boundary_nonvanishing, box_winding, brouwer_fixed_point,
                       builtin_map, certify_existence, locate_zero,
-                      null_homotopy, parse_map, poincare_bohl, sample_sphere,
-                      sign_obstruction, straight_line, winding_number)
+                      null_homotopy, parse_map, poincare_bohl,
+                      radial_extension, sample_sphere, sign_obstruction,
+                      straight_line, winding_number)
 from zerocert.cli import main
 
 PLANE = parse_map("x1, x2", 2)
@@ -29,6 +30,23 @@ def _circle(images, level=0):
 def _planar(radius=1.0):
     return SampledMap.from_evaluator(
         PLANE, sample_sphere(Region.disk([0.0, 0.0], radius), 0))
+
+
+def _witness():
+    """The extension witness of a winding-0 certificate off the origin."""
+    cert = certify_existence(parse_map("x1 + 3, x2 + 3", 2),
+                             Region.disk([0.5, -1.0], 2.0))
+    return cert.extension_witness
+
+
+def _phi():
+    """The radial extension of a winding-0 unit-circle map."""
+    return radial_extension(null_homotopy(_circle(lambda p: p + 3.0, 4)))
+
+
+BAD_POINTS = {"scalar": 0.5, "one-entry": [0.9], "three-entries":
+              [0.9, 0.1, 5.0], "row": [[0.9, 0.1]], "nan": [math.nan, 0.1],
+              "inf": [math.inf, 0.0], "text": ["a", "b"]}
 
 
 def _axis_points(h=math.sqrt(2.0), first=1.0):
@@ -106,6 +124,8 @@ def test_count_arguments_must_be_integers(call):
     (InvalidInput, lambda: sample_sphere(BOX2)),
     (InvalidInput, lambda: straight_line(_planar(1.0), _planar(2.0),
                                          t_steps=2)),
+    *[(InvalidInput, lambda x=x: _witness()(x)) for x in BAD_POINTS.values()],
+    *[(InvalidInput, lambda x=x: _phi()(x)) for x in BAD_POINTS.values()],
 ], ids=["certify-box", "certify-2d-map-3d-disk", "certify-level-1",
         "nonvanishing-box", "poincare_bohl-m-ne-n", "locate-disk",
         "locate-3d-box", "box_winding-3d", "box_winding-scalar",
@@ -116,7 +136,9 @@ def test_count_arguments_must_be_integers(call):
         "disk-without-center", "box-without-lower", "unknown-kind",
         "box-corner-lengths", "disk-dim-0", "sampling-3-columns",
         "sampling-off-circle", "sampling-wrong-h", "sample_sphere-box",
-        "straight_line-radii-differ"])
+        "straight_line-radii-differ",
+        *[f"witness-{name}" for name in BAD_POINTS],
+        *[f"phi-{name}" for name in BAD_POINTS]])
 def test_typed_failure(error, call):
     with pytest.raises(error):
         call()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -402,3 +403,62 @@ class TestStraightLineMatchesEager:
     def test_null_homotopy_needs_two_steps(self):
         with pytest.raises(InvalidInput, match="t_steps"):
             null_homotopy(_shifted_map(level=3), t_steps=1)
+
+
+class TestScalarCorners:
+    """``corners`` is the witness's single-point path: it equals the frame
+    grid bit for bit, and ``phi`` never calls the vector ``frame``."""
+
+    @staticmethod
+    def _assert_corners_match(trace, rng):
+        k, frames = len(trace.base.points), trace.frames
+        js = np.unique(np.concatenate([[0, k - 1], rng.integers(0, k, 12)]))
+        for i in range(len(trace.t_grid) - 1):
+            for j in js.tolist():
+                for j2 in ((j + 1) % k, int(rng.integers(0, k))):
+                    got = trace.corners(i, j, j2)
+                    want = frames[[i, i, i + 1, i + 1], [j, j2, j, j2]]
+                    assert np.array(got).tobytes() == want.tobytes(), (i, j)
+                    assert all(type(v) is float for e in got for v in e)
+
+    @pytest.mark.parametrize("t_steps", [2, 3, 65])
+    def test_null_homotopy_corners_equal_frames(self, t_steps):
+        rng = np.random.default_rng(200 + t_steps)
+        for level in (2, 6):
+            sampling = sample_sphere(Region.disk(rng.uniform(-2, 2, 2), 1.3),
+                                     level)
+            trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
+            self._assert_corners_match(trace, rng)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_straight_line_corners_equal_frames(self, m):
+        rng = np.random.default_rng(300 + m)
+        sampling = sample_sphere(Region.disk([0.5, 0.0], 2.0), 4)
+        f, g = (SampledMap(sampling=sampling,
+                           images=rng.normal(size=(len(sampling), m)))
+                for _ in range(2))
+        for t_steps in (2, 3, 17):
+            trace, _ = straight_line(f, g, t_steps)
+            self._assert_corners_match(trace, rng)
+
+    @pytest.mark.parametrize("build", ["null", "straight"])
+    def test_phi_never_calls_frame(self, build):
+        f = _shifted_map(level=5)
+        if build == "null":
+            trace = null_homotopy(f)
+        else:
+            const = SampledMap(sampling=f.sampling,
+                               images=np.tile([3.0, -1.0], (len(f.images), 1)))
+            trace, _ = straight_line(f, const, t_steps=9)
+        calls = []
+
+        def counted(i, j):
+            calls.append(np.unique(i).tolist())
+            return trace.frame(i, j)
+
+        phi = radial_extension(replace(trace, frame=counted))
+        assert calls == [[len(trace.t_grid) - 1]]
+        rng = np.random.default_rng(7)
+        for x in _probe_points(rng, f.sampling, 80):
+            phi(x)
+        assert len(calls) == 1

@@ -14,6 +14,7 @@ its witness already in the coordinates of the region.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, List, Optional
@@ -22,7 +23,8 @@ import numpy as np
 
 from .degree import boundary_obstruction
 from .errors import InvalidInput, Unsupported, VanishingOnBoundary
-from .geometry import Region, check_lipschitz, unit_sphere, vanishing_floor
+from .geometry import (Region, check_lipschitz, row_norms, unit_sphere,
+                       vanishing_floor)
 from .homotopy import (SampledMap, null_homotopy, planar_point,
                        radial_extension)
 from .mapspec import MapSpec, as_evaluator
@@ -81,12 +83,7 @@ def _sampled(map_like, region: Region, level: Optional[int]):
     """(unit sampling, boundary images, image norms) of a map."""
     unit, points = _boundary(region, level)
     ims = as_evaluator(map_like)(points)
-    return unit, ims, _row_norms(ims)
-
-
-def _row_norms(a):
-    # np.linalg.norm(a, axis=1) bit for bit, without its dispatch
-    return np.sqrt(np.add.reduce(a * a, axis=1))
+    return unit, ims, row_norms(ims)
 
 
 def _check(name, unit, region, idx, margin, threshold, rigor) -> CheckResult:
@@ -120,7 +117,7 @@ def _poincare_bohl(unit, region, ims, norms, L) -> CheckResult:
     if norms[least] <= 0.0:
         raise VanishingOnBoundary(
             least, point=region.radius * unit.points[least] + region.center)
-    margins = _row_norms(ims / norms[:, None] + unit.points)
+    margins = row_norms(ims / norms[:, None] + unit.points)
     idx = int(margins.argmin())
     margin = float(margins[idx])
     threshold, rigor = 0.0, "heuristic"
@@ -182,7 +179,7 @@ def _certify_sampled(ev, region, unit, ims, lipschitz,
     n, m = region.dim, ims.shape[1]
     if n > m:
         raise Unsupported(n, m)
-    norms = _row_norms(ims)
+    norms = row_norms(ims)
     nonvanish = _nonvanishing(unit, region, norms, lipschitz)
     min_norm = nonvanish.margin
     cert = partial(Certificate, map_digest=digest, region=region,
@@ -222,6 +219,7 @@ def _certify_sampled(ev, region, unit, ims, lipschitz,
     witness = None
     if w is not None:
         phi_unit = None
+        c0, c1 = x0.tolist()
 
         def witness(x):
             # built on the first call, from the boundary the winding summed
@@ -229,7 +227,19 @@ def _certify_sampled(ev, region, unit, ims, lipschitz,
             nonlocal phi_unit
             if phi_unit is None:
                 phi_unit = radial_extension(null_homotopy(w.boundary))
-            return phi_unit((planar_point(x) - x0) / r)
+            a, b = planar_point(x).tolist()
+            # (x - x0) / r on Python floats, which overflow without a warning
+            y0, y1 = (a - c0) / r, (b - c1) / r
+            if not math.isfinite(y0 * y0 + y1 * y1):
+                # |y|^2 overflows: phi depends only on the direction u of so
+                # far a point (t clamps to 0), so y = 2u, from quarters of the
+                # coordinates, which cannot overflow
+                d0, d1 = 0.25 * a - 0.25 * c0, 0.25 * b - 0.25 * c1
+                half = 0.5 * math.hypot(d0, d1)
+                if not math.isfinite(half):
+                    raise InvalidInput(f"a point must be finite, got {[a, b]}")
+                y0, y1 = d0 / half, d1 / half
+            return phi_unit((y0, y1))
     return cert(verdict="NoConclusion", route=None, obstruction=value,
                 rigor=rigor, evidence=evidence, extension_witness=witness,
                 reason=reason)

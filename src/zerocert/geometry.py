@@ -7,11 +7,13 @@ for n >= 3 the samples are a cubed sphere (Ronchi, Iacono & Paolucci 1996)
 and h/2 is a proven covering radius: every sphere point lies within h/2 of
 a sample.  The unit-sphere sampling of each (n, level) is built once and
 kept, read-only (for n >= 2 in a small LRU cache); a sampling of any other
-disk is its affine image x0 + r * unit.
+disk is its affine image x0 + r * unit.  A planar sampling sorts its
+samples by angle once, on first read of ``angular_order``.
 Closed planar polylines also get the one angle-step kernel
 (``wrapped_steps``) and the one refinement loop (``refine_polyline``) that
 every winding computation uses; ``vanishing_floor`` is the one rule by
-which any boundary check says that a map vanishes.
+which any boundary check says that a map vanishes, and ``row_norms`` the
+one row-norm helper.
 """
 from __future__ import annotations
 
@@ -145,6 +147,18 @@ class BoundarySampling:
     def __len__(self):
         return len(self.points)
 
+    @functools.cached_property
+    def angular_order(self) -> tuple:
+        """For n = 2, (theta0, angles, order), computed on first read:
+        the first sample's angle about the centre, the samples' angles from
+        it in [0, 2 pi) sorted as Python floats, and their sorting order."""
+        rel = (self.points - self.region.center) / self.region.radius
+        angles = np.arctan2(rel[:, 1], rel[:, 0])
+        rel_ang = np.mod(angles - angles[0], 2.0 * math.pi)
+        order = np.argsort(rel_ang)
+        return (float(angles[0]), tuple(rel_ang[order].tolist()),
+                tuple(order.tolist()))
+
 
 def mesh_norm(points: np.ndarray) -> float:
     """Maximum Euclidean distance between cyclically adjacent samples (for
@@ -263,6 +277,12 @@ def wrapped_steps(images: np.ndarray) -> np.ndarray:
     return (steps + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the rows of a 2-D array: np.linalg.norm(a,
+    axis=1) bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 def vanishing_floor(norms) -> float:
     """The norm at or below which a boundary image of ``norms`` vanishes."""
     return 1e-12 * (1.0 + float(np.max(norms)))
@@ -281,7 +301,7 @@ def refine_polyline(pts, ims, evaluator, midpoint, budget: int):
     images; a step of MAX_STEP or more is left only when ``evaluator`` is
     None or the budget is spent.
     """
-    new, norms = pts, np.linalg.norm(ims, axis=1)
+    new, norms = pts, row_norms(ims)
     floor = vanishing_floor(norms)
     inserted = 0
     while True:
@@ -296,7 +316,7 @@ def refine_polyline(pts, ims, evaluator, midpoint, budget: int):
         bad = bad[:budget - inserted]
         new = midpoint(pts[bad], pts[(bad + 1) % len(pts)])
         mid_ims = evaluator(new)
-        norms = np.linalg.norm(mid_ims, axis=1)
+        norms = row_norms(mid_ims)
         pts = np.insert(pts, bad + 1, new, axis=0)
         ims = np.insert(ims, bad + 1, mid_ims, axis=0)
         inserted += len(bad)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotANullHomotopy
 from .geometry import (BoundarySampling, check_count, check_lipschitz,
-                       wrapped_steps)
+                       row_norms, wrapped_steps)
 from .mapspec import as_evaluator
 
 ENDPOINT_TOL = 1e-9
@@ -159,9 +159,9 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
     check_count("t_steps", t_steps, 2)
     if f.m != 2:
         raise InvalidInput("null_homotopy needs a planar codomain")
-    # np.linalg.norm, np.sum and np.mean bit for bit, without their dispatch
+    # np.sum and np.mean bit for bit, without their dispatch
     images, k = np.asarray(f.images, dtype=float), len(f.images)
-    norms = np.sqrt(np.add.reduce(images * images, axis=1))
+    norms = row_norms(images)
     if norms.min() <= 0.0:
         raise NotANullHomotopy("map vanishes on a sample")
     steps = wrapped_steps(images)
@@ -216,7 +216,9 @@ def radial_extension(H: HomotopyTrace):
     Returns an evaluator phi on the unit disk: constant on the inner half
     disk, and the homotopy frames (bilinearly interpolated in angle and t)
     on the annulus, matching the boundary map exactly at sampling points.
-    Only the last frame is built here, with ``H.frame``.  A call takes one
+    Only the last frame is built here, with ``H.frame``; the boundary's
+    angular order is the sampling's ``angular_order``, sorted once for each
+    sampling, so once per process for a cached unit one.  A call takes one
     finite real point of shape (2,) and blends the four Python-float
     entries of ``H.corners`` for its grid cell; it evaluates no map.
     """
@@ -227,14 +229,8 @@ def radial_extension(H: HomotopyTrace):
         raise NotANullHomotopy("final frame is not constant")
     if np.linalg.norm(c) <= 0.0:
         raise NotANullHomotopy("final constant is zero")
-    region = H.base.region
-    rel = (H.base.points - region.center) / region.radius
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    rel_ang = np.mod(angles - angles[0], 2.0 * math.pi)
-    order = np.argsort(rel_ang)
     # the scalar work runs on Python floats, which round as numpy does
-    rel_ang, order = rel_ang[order].tolist(), order.tolist()
-    theta0 = float(angles[0])
+    theta0, rel_ang, order = H.base.angular_order
     t_grid = H.t_grid.tolist()
     corners, two_pi = H.corners, 2.0 * math.pi
 

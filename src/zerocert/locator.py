@@ -34,9 +34,15 @@ per level, each one more batch of 257 points.  A level whose every attempt
 stays within the vanishing floor ends in BudgetExhausted (the cell has
 shrunk onto the zero); one where some attempt wound all four sub-boxes to
 0 ends in DegreeLost.
+
+Box boundaries come from one box-edge template (each sample's start and
+end corner and its fraction along the edge), and brouwer_fixed_point's
+validation grid is built once per n; both are built once per process and
+are read-only, like the unit-sphere samplings of ``geometry``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -46,7 +52,8 @@ import numpy as np
 from .criteria import _boundary, _certify_sampled
 from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
-from .geometry import MAX_STEP, Region, check_count, refine_polyline
+from .geometry import (MAX_STEP, Region, check_count, refine_polyline,
+                       row_norms)
 from .mapspec import MapSpec, as_evaluator
 
 MAX_JIGGLES = 5
@@ -66,6 +73,15 @@ _STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
 ITP_K1 = 0.2
 ITP_K2 = 2
 ITP_N0 = 1
+# the box-edge template of _box_points: per sample, the indices in
+# (lo[0], lo[1], hi[0], hi[1]) of its edge's start and end corner, the
+# corners counterclockwise from lo, and its fraction along the edge
+_CORNERS = [[0, 1], [2, 1], [2, 3], [0, 3]]
+_BOX_EDGES = np.repeat([_CORNERS, _CORNERS[1:] + _CORNERS[:1]],
+                       SAMPLES_PER_EDGE, axis=1)
+_BOX_FRACTIONS = np.tile(np.linspace(0.0, 1.0, SAMPLES_PER_EDGE,
+                                     endpoint=False), 4)[:, None]
+_BOX_EDGES.flags.writeable = _BOX_FRACTIONS.flags.writeable = False
 
 
 @dataclass(eq=False)
@@ -96,12 +112,10 @@ def box_winding(map_like, lower, upper) -> int:
 
 def _box_points(lo, hi):
     """Counterclockwise boundary samples of the box [lo, hi], starting at
-    lo, SAMPLES_PER_EDGE per edge."""
-    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]],
-                        [hi[0], hi[1]], [lo[0], hi[1]]])
-    frac = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE, endpoint=False)[:, None]
-    return np.concatenate([a + frac * (b - a) for a, b in
-                           zip(corners, np.roll(corners, -1, axis=0))])
+    lo, SAMPLES_PER_EDGE per edge: a + f * (b - a) for the start corner a,
+    end corner b and fraction f of each sample in the box-edge template."""
+    a, b = np.array(lo.tolist() + hi.tolist())[_BOX_EDGES]
+    return a + _BOX_FRACTIONS * (b - a)
 
 
 def _box_boundary(ev, lo, hi, extra=np.empty((0, 2))):
@@ -126,9 +140,9 @@ def _wind(ev, pts, ims):
     VanishingOnBoundary, as in winding_number.
     """
     steps = refine_polyline(pts, ims, ev, _chord_midpoint, BUDGET)[3]
-    if np.any(np.abs(steps) >= MAX_STEP):
+    if float(np.max(np.abs(steps))) >= MAX_STEP:
         raise BudgetExhausted("box winding refinement budget exhausted")
-    return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
+    return int(round(float(np.add.reduce(steps)) / (2.0 * math.pi)))
 
 
 def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
@@ -317,8 +331,9 @@ def _runs_tail(lo, hi, eps_x):
 def _stencil(x, lo, hi):
     """The batch of a Newton step at ``x``: x and its central-difference
     stencil, NEWTON_H times the width of the top box [lo, hi] per axis,
-    clipped to the box."""
-    return np.clip(x + _STENCIL * (NEWTON_H * (hi - lo)), lo, hi)
+    clipped to the box (np.clip, bit for bit, without its dispatch)."""
+    return np.minimum(np.maximum(x + _STENCIL * (NEWTON_H * (hi - lo)), lo),
+                      hi)
 
 
 def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
@@ -405,7 +420,8 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     the disk, and the certificate's boundary samples, whose images give G
     there.  When that call raises DomainError, the grid is evaluated and
     checked alone, so the error is the one of a grid evaluated before the
-    boundary.
+    boundary.  The grid is built once per process for each n and is
+    read-only, like the unit-sphere samplings.
     """
     _check_tolerance("eps", eps)
     if n is None:
@@ -423,7 +439,8 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
         images = f(np.concatenate((grid, circle)))
     except DomainError:
         # the grid alone raises again when a grid point is at fault, and
-        # is checked before the boundary's error goes out
+        # is checked before the boundary's error goes out; a callable map
+        # gets its own copy of the read-only grid (as_evaluator)
         _check_self_map(f(grid), n)
         raise
     _check_self_map(images[:len(grid)], n)
@@ -437,7 +454,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
         # the boundary sample where G vanishes is a fixed point; f there is
         # the batch row of that sample
         point = cert.evidence[0].witness
-        row = len(grid) + int(np.argmin(np.linalg.norm(g_circle, axis=1)))
+        row = len(grid) + int(np.argmin(row_norms(g_circle)))
         residual = float(np.linalg.norm(images[row] - point))
         return LocateResult(point=point, residual=residual, cell_diameter=0.0,
                             iterations=0, trail=[],
@@ -455,18 +472,23 @@ def _check_self_map(grid_images, n):
     and lie in the unit disk."""
     if grid_images.shape[1] != n:
         raise InvalidInput("a self-map needs m = n")
-    f_norms = np.linalg.norm(grid_images, axis=1)
-    if float(np.max(f_norms)) > 1.0 + 1e-9:
+    largest = float(np.max(row_norms(grid_images)))
+    if largest > 1.0 + 1e-9:
         raise InvalidInput(
-            f"map leaves the unit disk (||f|| up to {np.max(f_norms):.6f})")
+            f"map leaves the unit disk (||f|| up to {largest:.6f})")
 
 
+@functools.cache
 def _disk_validation_grid(n: int) -> np.ndarray:
+    """The read-only grid of D^n that a self-map is checked on."""
     if n == 1:
-        return np.linspace(-1.0, 1.0, 101)[:, None]
-    # the centre once, then 40 rays of 14 radii each
-    radii = np.linspace(0.0, 1.0, 15)[1:]
-    angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
-    rr, aa = np.meshgrid(radii, angles)
-    return np.concatenate((np.zeros((1, 2)), np.stack(
-        [(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)))
+        grid = np.linspace(-1.0, 1.0, 101)[:, None]
+    else:
+        # the centre once, then 40 rays of 14 radii each
+        radii = np.linspace(0.0, 1.0, 15)[1:]
+        angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+        rr, aa = np.meshgrid(radii, angles)
+        grid = np.concatenate((np.zeros((1, 2)), np.stack(
+            [(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)))
+    grid.flags.writeable = False
+    return grid

@@ -371,9 +371,10 @@ def as_evaluator(map_like):
     points and returns a finite float64 (k, m) ndarray.
 
     A MapSpec goes through ``evaluate``, which checks its own output.  A
-    callable's output is converted once: it must be a real 2-D array (or
-    nested list) with one row per point, else InvalidInput, and a
-    non-finite row raises DomainError.
+    callable gets its own copy of the points, which it may write into, and
+    its output is converted once: it must be a real 2-D array (or nested
+    list) with one row per point, else InvalidInput, and a non-finite row
+    raises DomainError.
     """
     if isinstance(map_like, MapSpec):
         return lambda pts: evaluate(map_like, pts)
@@ -382,7 +383,7 @@ def as_evaluator(map_like):
             f"expected MapSpec or callable, got {type(map_like)!r}")
 
     def checked(pts):
-        values = map_like(pts)
+        values = map_like(pts.copy())
         try:
             out = np.asarray(values)
         except ValueError:

@@ -1,6 +1,7 @@
 """Every bad argument and every failing input maps to its typed error, and
 the CLI to its documented exit code."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def _phi():
 BAD_POINTS = {"scalar": 0.5, "one-entry": [0.9], "three-entries":
               [0.9, 0.1, 5.0], "row": [[0.9, 0.1]], "nan": [math.nan, 0.1],
               "inf": [math.inf, 0.0], "text": ["a", "b"]}
+
+
+# finite points whose (x - x0) / r, or its squared norm, overflows on the
+# radius-0.5 disk: each must give the witness of its direction u, at x0 + 2ru
+FAR_POINTS = {"1.7e308": ([1.7e308, 0.0], [1.0, 0.0]),
+              "1e300-diagonal": ([1e300, 1e300], [math.sqrt(0.5)] * 2),
+              "max-negative": ([-1.7976931348623157e308, -1e308],
+                               [-1.7976931348623157, -1.0]),
+              "1e160": ([0.0, -1e160], [0.0, -1.0])}
 
 
 def _axis_points(h=math.sqrt(2.0), first=1.0):
@@ -142,6 +152,23 @@ def test_count_arguments_must_be_integers(call):
 def test_typed_failure(error, call):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("point, direction", FAR_POINTS.values(),
+                         ids=list(FAR_POINTS))
+def test_far_witness_point(point, direction):
+    # each warned of an overflow, and 1.7e308 then raised InvalidInput
+    cert = certify_existence(parse_map("x1 + 3, x2 + 3", 2),
+                             Region.disk([0.0, 0.0], 0.5))
+    u = np.array(direction) / np.linalg.norm(direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cert.extension_witness(point)
+        want = cert.extension_witness(2.0 * 0.5 * u)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        for bad in ([math.nan, 1e300], [1e300, -math.inf]):
+            with pytest.raises(InvalidInput):
+                cert.extension_witness(bad)
 
 
 @pytest.mark.parametrize("argv", [

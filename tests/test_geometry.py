@@ -9,7 +9,7 @@ from zerocert import (InvalidInput, Region, VanishingOnBoundary,
                       boundary_nonvanishing, parse_map, sample_sphere)
 from zerocert.geometry import (SPHERE_CACHE, _unit_sampling,
                                circle_arc_midpoint, refine_polyline,
-                               unit_sphere)
+                               row_norms, unit_sphere)
 
 
 def cells_per_edge(n, level):
@@ -248,6 +248,28 @@ class TestRefinePolyline:
                 assert err.value.index == 2
             else:
                 refine_polyline(pts, ims, None, None, 0)
+
+
+class TestRowNorms:
+    def test_equals_linalg_norm(self):
+        rng = np.random.default_rng(21)
+        for m in range(1, 6):
+            for k in range(1, 1001):
+                a = rng.normal(size=(k, m)) * 10.0 ** rng.integers(
+                    -100, 100, size=(k, 1))
+                assert row_norms(a).tobytes() == \
+                    np.linalg.norm(a, axis=1).tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -2.2e-308,
+                                       1e200, -1e200])
+    def test_special_rows(self, value):
+        for m in range(1, 6):
+            a = np.full((3, m), value)
+            a[1, 0] = 1.0
+            # 1e200 squared overflows to inf in both
+            with np.errstate(over="ignore"):
+                assert row_norms(a).tobytes() == \
+                    np.linalg.norm(a, axis=1).tobytes()
 
 
 class TestCircleArcMidpoint:

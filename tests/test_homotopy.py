@@ -372,6 +372,57 @@ class TestRadialExtensionMatchesEager:
                 build(trace)
 
 
+def angular_order_eager(sampling):
+    """Reference: the sampling's angles about its centre, relative to the
+    first sample's, sorted, as radial_extension computed them per build."""
+    rel = (sampling.points - sampling.region.center) / sampling.region.radius
+    angles = np.arctan2(rel[:, 1], rel[:, 0])
+    rel_ang = np.mod(angles - angles[0], 2.0 * math.pi)
+    order = np.argsort(rel_ang)
+    return float(angles[0]), rel_ang[order].tolist(), order.tolist()
+
+
+class TestAngularOrder:
+    def test_equals_the_eager_sort(self):
+        rng = np.random.default_rng(8)
+        region = Region.disk([0.3, -0.2], 1.7)
+        samplings = [sample_sphere(region, level) for level in range(7)]
+        for k in (3, 8, 61):
+            theta = rng.permutation(rng.uniform(0.0, 2.0 * math.pi, k))
+            pts = region.center + 1.7 * np.stack([np.cos(theta),
+                                                  np.sin(theta)], axis=1)
+            samplings.append(BoundarySampling(points=pts, h=mesh_norm(pts),
+                                              region=region))
+        for sampling in samplings:
+            theta0, angles, order = sampling.angular_order
+            want = angular_order_eager(sampling)
+            assert (theta0, list(angles), list(order)) == want
+
+    def test_cached_unit_sampling_sorts_once(self, monkeypatch):
+        unit = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6)
+        assert unit.angular_order is unit.angular_order
+        sorts = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            sorts.append(1)
+            return argsort(*args, **kwargs)
+        monkeypatch.setattr(np, "argsort", counted)
+        spec = parse_map("x1 + 3, x2 + 3", 2)
+        for _ in range(2):
+            cert = certify_existence(spec, Region.disk([0.5, -1.0], 2.0))
+            assert cert.extension_witness([0.9, 1.1]).shape == (2,)
+        assert sorts == []
+        # a fresh sampling sorts on its first build only
+        fresh = BoundarySampling(points=unit.points.copy(), h=unit.h,
+                                 region=unit.region)
+        trace = null_homotopy(SampledMap(sampling=fresh,
+                                         images=unit.points + 3.0))
+        for _ in range(2):
+            radial_extension(trace)
+        assert sorts == [1]
+
+
 class TestStraightLineMatchesEager:
     @pytest.mark.parametrize("t_steps", [2, 3, 16, 257])
     def test_frames_min_norm_witness(self, t_steps):

@@ -74,6 +74,62 @@ class TestBoxWinding:
         assert ev.batches == []
 
 
+def box_points_reference(lo, hi):
+    """The box boundary samples built per call, as before the template:
+    linspace fractions along the corners rolled by one."""
+    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]],
+                        [hi[0], hi[1]], [lo[0], hi[1]]])
+    frac = np.linspace(0.0, 1.0, locator.SAMPLES_PER_EDGE,
+                       endpoint=False)[:, None]
+    return np.concatenate([a + frac * (b - a) for a, b in
+                           zip(corners, np.roll(corners, -1, axis=0))])
+
+
+class TestConstantGeometry:
+    @pytest.mark.parametrize("lo, hi", [
+        ([-0.0, -0.0], [1.0, 1.0]), ([-1.0, -0.0], [-0.0, 0.0]),
+        ([-0.0, 0.0], [0.0, 2.0]), ([0.0, 0.0], [1e-300, 1e-300]),
+        ([3.0, -1e-300], [3.0 + 1e-300 * 2**60, 0.0]),
+        ([-5e299, -5e299], [5e299, 5e299]), ([-1e300, 1.0], [0.0, 1e300]),
+    ])
+    def test_box_points_equal_the_reference(self, lo, hi):
+        lo, hi = np.array(lo), np.array(hi)
+        assert locator._box_points(lo, hi).tobytes() == \
+            box_points_reference(lo, hi).tobytes()
+
+    def test_random_box_points_equal_the_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            lo = rng.normal(size=2) * 10.0 ** rng.integers(-300, 300)
+            hi = lo + rng.uniform(0.1, 2.0, 2) * 10.0 ** rng.integers(-300,
+                                                                      300)
+            assert locator._box_points(lo, hi).tobytes() == \
+                box_points_reference(lo, hi).tobytes()
+
+    def test_template_and_grid_are_read_only(self):
+        for n in (1, 2):
+            assert locator._disk_validation_grid(n) is \
+                locator._disk_validation_grid(n)
+        for array in (locator._BOX_EDGES, locator._BOX_FRACTIONS,
+                      locator._disk_validation_grid(1),
+                      locator._disk_validation_grid(2)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_stencil_equals_clip(self):
+        rng = np.random.default_rng(12)
+        values = [-0.0, 0.0, -1.0, 1.0]
+        for _ in range(200):
+            lo = rng.choice(values, 2) - rng.uniform(0.0, 1.0, 2) * \
+                rng.integers(0, 2, 2)
+            hi = lo + rng.uniform(0.5, 2.0, 2) * rng.integers(0, 2, 2)
+            x = np.where(rng.integers(0, 2, 2) == 1, lo, hi)
+            want = np.clip(x + locator._STENCIL
+                           * (locator.NEWTON_H * (hi - lo)), lo, hi)
+            assert locator._stencil(x, lo, hi).tobytes() == want.tobytes()
+
+
 class TestLocateZero2D:
     def test_identity_origin(self):
         spec = parse_map("x1, x2", 2)
@@ -653,6 +709,40 @@ class TestBrouwerFixedPoint:
         assert result.termination == "newton"
         assert calls["evaluate"] > 1
         assert calls["_check_finite"] == calls["evaluate"]
+
+    def test_callable_that_writes_into_its_input(self):
+        def plain(x):
+            return np.stack([(x[:, 0] + 0.2) / 2, (x[:, 1] - 0.1) / 2], axis=1)
+
+        def zeroing(x):
+            out = plain(x)
+            x[...] = 0.0
+            return out
+
+        grid = locator._disk_validation_grid(2).copy()
+        want = outcome_bytes(brouwer_fixed_point(plain, n=2))
+        assert want[-1] == "newton"
+        for _ in range(2):
+            assert outcome_bytes(brouwer_fixed_point(zeroing, n=2)) == want
+        assert locator._disk_validation_grid(2).tobytes() == grid.tobytes()
+
+    def test_domain_error_path_with_a_writing_callable(self):
+        # F is not finite at the second boundary sample only; the grid alone
+        # is evaluated again, from a copy the map may write into
+        circle = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6).points
+        batches = []
+
+        def zeroing(x):
+            batches.append(len(x))
+            out = x / 2
+            out[x[:, 1] == circle[1, 1]] = math.nan
+            x[...] = 0.0
+            return out
+
+        with pytest.raises(DomainError) as raised:
+            brouwer_fixed_point(zeroing, n=2)
+        assert batches == [561 + 256, 561]
+        assert raised.value.point.tobytes() == circle[1].tobytes()
 
     def test_validation_grid_has_the_centre_once(self):
         # radius 0 of each of the 40 rays is the centre (with signed zeros)

@@ -157,7 +157,8 @@ def test_typed_failure(error, call):
 @pytest.mark.parametrize("point, direction", FAR_POINTS.values(),
                          ids=list(FAR_POINTS))
 def test_far_witness_point(point, direction):
-    # each warned of an overflow, and 1.7e308 then raised InvalidInput
+    # each case warned of an overflow when it was added, and 1.7e308 then
+    # raised InvalidInput
     cert = certify_existence(parse_map("x1 + 3, x2 + 3", 2),
                              Region.disk([0.0, 0.0], 0.5))
     u = np.array(direction) / np.linalg.norm(direction)

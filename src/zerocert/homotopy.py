@@ -220,7 +220,10 @@ def radial_extension(H: HomotopyTrace):
     angular order is the sampling's ``angular_order``, sorted once for each
     sampling, so once per process for a cached unit one.  A call takes one
     finite real point of shape (2,) and blends the four Python-float
-    entries of ``H.corners`` for its grid cell; it evaluates no map.
+    entries of ``H.corners`` for its grid cell; it evaluates no map.  A
+    point with an entry of modulus >= 1 lies outside the disk, at t = 0,
+    so it gets the value of its direction without a norm, which could
+    overflow.
     """
     k = len(H.base.points)
     last = H.frame(np.full(k, len(H.t_grid) - 1), np.arange(k))
@@ -236,13 +239,16 @@ def radial_extension(H: HomotopyTrace):
 
     def phi(x):
         x = planar_point(x)
-        r = math.sqrt(x.dot(x))         # np.linalg.norm, bit for bit
-        if r <= 0.5:                    # false for a nan entry
-            return c.copy()
         x0, x1 = x.tolist()
-        if not (math.isfinite(x0) and math.isfinite(x1)):
+        if abs(x0) < 1.0 and abs(x1) < 1.0:     # false for nan and inf
+            r = math.sqrt(x.dot(x))     # np.linalg.norm, bit for bit
+            if r <= 0.5:
+                return c.copy()
+            t = min(max(2.0 - 2.0 * r, 0.0), 1.0)
+        elif not (math.isfinite(x0) and math.isfinite(x1)):
             raise InvalidInput(f"a point must be finite, got {[x0, x1]}")
-        t = min(max(2.0 - 2.0 * r, 0.0), 1.0)
+        else:
+            t = 0.0     # |x| >= 1, where x.dot(x) may overflow
         a = (math.atan2(x1, x0) - theta0) % two_pi
         j = bisect_right(rel_ang, a) - 1    # >= 0: rel_ang[0] is 0, a >= 0
         j2 = (j + 1) % k

@@ -23,6 +23,16 @@ any other character outside a token (a form feed, say) is a syntax error.
 A literal that overflows to infinity is rejected.  Numbers, like variable
 indices, are ASCII digits: the token regex is compiled with re.ASCII.
 
+``x^k`` is binary powering on float64 products, square-and-multiply from
+the lowest bit of ``|k|``: ``x^3 = x*x^2``, ``x^4 = x^2*x^2``,
+``x^7 = (x*x^2)*x^4``, ``x^-k = 1/x^k``, and ``x^0 = 1`` even for 0, inf
+and nan.  Each product rounds once, and the relative error is at most
+about ``(|k| - 1) * 2^-53``, one rounding more for a negative ``k``
+(measured: at most 1.3, 1.9 and 2.8 ulp for k = 3, 4 and 5, against 0.7
+for numpy's ``**`` with AVX-512).  The bits are the same on every IEEE
+machine, where numpy's ``**`` rounds by the SIMD path it takes; for
+k = -1, 0, 1 and 2 they are the bits of numpy's ``**``.
+
 The lexer is one ``findall`` of a token regex that also eats the
 whitespace after each token; a character it skipped shows as a length
 mismatch.  The parser walks the plain list of token strings in one loop per
@@ -38,7 +48,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 from typing import NamedTuple, Union
 
@@ -207,8 +217,10 @@ class _Parser:
     def array(self, slot):
         """``slot``, or a step that broadcasts it to one value per point if
         it holds a scalar.  Scalars round as the array loops do under
-        + - * / and neg, but not under ``**`` or a function:
-        ``exp(-2.6391)^-3`` would be one ulp off."""
+        + - * / and neg, but not under a function: ``sin(x)`` of a numpy
+        scalar can be one ulp off the array loop.  ``^`` is products only
+        and would round the same, but keeps its broadcast so that no tape
+        changes."""
         return self.emit("full", slot) if slot in self.scalars else slot
 
     def error(self, i, exc, *args):
@@ -342,7 +354,7 @@ def evaluate(spec: MapSpec, x) -> np.ndarray:
                 if op in _BINARY:
                     vals.append(_BINARY[op](vals[a], vals[b]))
                 elif op == "pow":
-                    vals.append(vals[a] ** float(b))
+                    vals.append(_power(vals[a], b))
                 elif op == "var":
                     vals.append(rows[:, a - 1])
                 elif op == "const":
@@ -356,6 +368,20 @@ def evaluate(spec: MapSpec, x) -> np.ndarray:
     _check_finite(pts, out, "non-finite value (division by zero or sqrt of "
                             "a negative)")
     return out[0] if single else out
+
+
+def _power(x, k):
+    """``x^k`` by square-and-multiply from the lowest bit of ``|k|``."""
+    if k == 0:
+        return np.ones_like(x)
+    e, square, result = abs(k), x, None
+    while True:
+        if e & 1:
+            result = square if result is None else result * square
+        e >>= 1
+        if not e:
+            return 1.0 / result if k < 0 else result
+        square = square * square
 
 
 def _check_finite(pts, out, detail):
@@ -427,29 +453,69 @@ def _print_node(node: Expr) -> str:
 # ---------------------------------------------------------------------------
 # derivative-based Lipschitz estimation
 
+# the sample count, and the squared margin of the spectral-norm screen,
+# which covers the rounding of both norms
+_LIPSCHITZ_SAMPLES = 200
+_SCREEN = (1.0 - 1e-9) ** 2
+
+
+@cache
+def _lipschitz_pattern(kind: str, dim: int) -> tuple:
+    """The draws of ``default_rng(0)`` behind ``lipschitz_estimate``'s
+    samples, read-only: for a disk the unit directions and ``u^(1/dim)``,
+    for a box ``u`` uniform in [0, 1)."""
+    rng = np.random.default_rng(0)
+    if kind == "disk":
+        raw = rng.normal(size=(_LIPSCHITZ_SAMPLES, dim))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        pattern = raw, rng.uniform(size=(_LIPSCHITZ_SAMPLES, 1)) ** (1.0 / dim)
+    else:
+        pattern = (rng.random((_LIPSCHITZ_SAMPLES, dim)),)
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
+
+
 def lipschitz_estimate(spec: MapSpec, region: Region) -> float:
     """Heuristic Lipschitz constant: 2x the max sampled Jacobian norm.
 
     Central finite differences with step 1e-6 * region diameter at a
-    deterministic sample of 200 interior points.
+    deterministic sample of 200 interior points.  The sample's pattern is
+    drawn from ``default_rng(0)`` once per region kind and dimension and
+    kept read-only: on a disk ``center + u_dir * (radius * u^(1/n))``, on a
+    box ``lower + (upper - lower) * u``, which is ``rng.uniform(lower,
+    upper)`` bit for bit.  Only the Jacobians with ``|J|_F >= max |J|_F *
+    (1 - 1e-9) / sqrt(min(m, n))`` get an SVD for ``|J|_2``; they include
+    the largest ``|J|_2``, since ``|J|_F >= |J|_2 >= |J|_F / sqrt(min(m,
+    n))``, so the estimate is that of all 200.  A region whose diameter is
+    not finite raises InvalidInput.
     """
-    samples = 200
-    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore"):    # a box's upper - lower may overflow
+        step = 1e-6 * region.diameter
+    if not math.isfinite(step):
+        raise InvalidInput("region too wide for a Lipschitz estimate: "
+                           "its diameter is not finite")
+    m, n = spec.m, spec.n
     if region.kind == "disk":
-        raw = rng.normal(size=(samples, region.dim))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = region.radius * rng.uniform(size=(samples, 1)) ** (1.0 / region.dim)
-        pts = region.center + raw * radii
+        directions, scale = _lipschitz_pattern("disk", region.dim)
+        pts = region.center + directions * (region.radius * scale)
     else:
-        pts = rng.uniform(region.lower, region.upper, size=(samples, region.dim))
-    step = 1e-6 * region.diameter
+        (u,) = _lipschitz_pattern("box", region.dim)
+        pts = region.lower + (region.upper - region.lower) * u
     # one batch, ordered p + e_j, p - e_j for each sample p and axis j
-    shifts = step * np.eye(spec.n)
+    shifts = step * np.eye(n)
     probes = np.stack([pts[:, None, :] + shifts, pts[:, None, :] - shifts],
                       axis=2)
-    values = evaluate(spec, probes.reshape(-1, spec.n))
-    values = values.reshape(samples, spec.n, 2, spec.m)
+    values = evaluate(spec, probes.reshape(-1, n))
+    values = values.reshape(-1, n, 2, m)
     jac = (values[:, :, 0] - values[:, :, 1]).transpose(0, 2, 1) / (2 * step)
+    # scaled so that the largest entry is 1, no square overflows and the
+    # largest sum is at least 1
+    peak = float(np.max(np.abs(jac)))
+    if 0.0 < peak < math.inf:
+        scaled = jac / peak
+        frob2 = np.einsum("kij,kij->k", scaled, scaled)
+        jac = jac[frob2 >= frob2.max() * (_SCREEN / min(m, n))]
     return 2.0 * float(np.max(np.linalg.norm(jac, 2, axis=(1, 2))))
 
 

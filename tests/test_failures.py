@@ -9,8 +9,8 @@ import pytest
 from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
                       Region, SampledMap, Unsupported, VanishingOnBoundary,
                       boundary_nonvanishing, box_winding, brouwer_fixed_point,
-                      builtin_map, certify_existence, locate_zero,
-                      null_homotopy, parse_map, poincare_bohl,
+                      builtin_map, certify_existence, lipschitz_estimate,
+                      locate_zero, null_homotopy, parse_map, poincare_bohl,
                       radial_extension, sample_sphere, sign_obstruction,
                       straight_line, winding_number)
 from zerocert.cli import main
@@ -134,6 +134,10 @@ def test_count_arguments_must_be_integers(call):
     (InvalidInput, lambda: sample_sphere(BOX2)),
     (InvalidInput, lambda: straight_line(_planar(1.0), _planar(2.0),
                                          t_steps=2)),
+    (InvalidInput, lambda: lipschitz_estimate(
+        PLANE, Region.box([-1e308, 0.0], [1e308, 1.0]))),
+    (InvalidInput, lambda: lipschitz_estimate(
+        PLANE, Region.disk([0.0, 0.0], 1e308))),
     *[(InvalidInput, lambda x=x: _witness()(x)) for x in BAD_POINTS.values()],
     *[(InvalidInput, lambda x=x: _phi()(x)) for x in BAD_POINTS.values()],
 ], ids=["certify-box", "certify-2d-map-3d-disk", "certify-level-1",
@@ -146,7 +150,8 @@ def test_count_arguments_must_be_integers(call):
         "disk-without-center", "box-without-lower", "unknown-kind",
         "box-corner-lengths", "disk-dim-0", "sampling-3-columns",
         "sampling-off-circle", "sampling-wrong-h", "sample_sphere-box",
-        "straight_line-radii-differ",
+        "straight_line-radii-differ", "lipschitz-box-too-wide",
+        "lipschitz-disk-too-wide",
         *[f"witness-{name}" for name in BAD_POINTS],
         *[f"phi-{name}" for name in BAD_POINTS]])
 def test_typed_failure(error, call):
@@ -172,6 +177,17 @@ def test_far_witness_point(point, direction):
                 cert.extension_witness(bad)
 
 
+@pytest.mark.parametrize("point, direction", FAR_POINTS.values(),
+                         ids=list(FAR_POINTS))
+def test_far_phi_point(point, direction):
+    # each case warned of an overflow in x.dot(x) when it was added
+    phi = _phi()
+    u = np.array(direction) / np.linalg.norm(direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(phi(point), phi(2.0 * u), rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--map", "x1, x2", "--n", "2", "--center=a,b",
      "--radius", "1"],
@@ -179,8 +195,10 @@ def test_far_witness_point(point, direction):
     ["homotopy", "--from", "x1, x2", "--to", "x1 + x2, x1, x2"],
     ["certify", "--map", "x1, x2", "--n", "2", "--center=0,0",
      "--radius", "1", "--level", "-1"],
+    ["certify", "--map", "x1, x2", "--n", "2", "--center=0,0",
+     "--radius", "1e308", "--lipschitz", "auto"],
 ], ids=["certify-center", "locate-odd-box", "homotopy-m-differs",
-        "certify-level-1"])
+        "certify-level-1", "certify-lipschitz-auto-too-wide"])
 def test_cli_input_error_exits_4(argv, capsys):
     assert main(argv) == 4
     captured = capsys.readouterr()

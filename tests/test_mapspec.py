@@ -1,11 +1,17 @@
+import functools
 import math
+import operator
+import os
 import re
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import zerocert
 from zerocert import (BUILTIN_MAPS, DomainError, InvalidInput,
                       MapSyntaxError, NonIntegerExponent, Region,
                       SampledMap, UndefinedVariable, boundary_nonvanishing,
@@ -111,6 +117,72 @@ class TestEvaluation:
         spec = parse_map("x1*x2, x1", 2)
         assert evaluate(spec, [[3, 2]]).tolist() == [[6.0, 3.0]]
         assert evaluate(spec, np.array([True, False])).tolist() == [0.0, 1.0]
+
+
+# exponents at which numpy's ** takes a fast path of plain products
+NUMPY_EXACT_EXPONENTS = (-1, 0, 1, 2)
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+class TestPowerSemantics:
+    def test_products_match_python_floats(self):
+        spec = parse_map("x1^3, x1^4, x1^7, x1^-3, x1^1, x1^2, x1^-1", 1)
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([rng.normal(scale=3.0, size=500),
+                             rng.uniform(-1e40, 1e40, size=100),
+                             [1e-40, -2.5e-44, 1.0, -1.0]])
+        got = evaluate(spec, xs[:, None])
+        for x, row in zip(xs.tolist(), got.tolist()):
+            x2 = x * x
+            x3 = x * x2
+            assert row == [x3, x2 * x2, x3 * (x2 * x2), 1.0 / x3, x, x2,
+                           1.0 / x], x
+
+    def test_zeroth_power_is_one(self):
+        spec = parse_map("x1^0, (x1 / x1)^0", 1)
+        pts = [[0.0], [math.inf], [-math.inf], [math.nan], [-0.0], [2.5]]
+        assert evaluate(spec, pts).tolist() == [[1.0, 1.0]] * len(pts)
+
+    @pytest.mark.parametrize("k", NUMPY_EXACT_EXPONENTS)
+    def test_small_exponents_equal_numpy(self, k):
+        rng = np.random.default_rng(k + 10)
+        x = np.concatenate([
+            rng.normal(scale=2.0, size=10000),
+            np.exp(rng.uniform(-700.0, 700.0, size=10000)),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308]])
+        with np.errstate(all="ignore"):
+            want = x ** float(k)
+            assert mapspec._power(x, k).tobytes() == want.tobytes()
+        finite = np.isfinite(want) & (x != 0.0)
+        got = evaluate(parse_map(f"x1^{k}", 1), x[finite][:, None])[:, 0]
+        assert got.tobytes() == want[finite].tobytes()
+
+    @pytest.mark.parametrize("text, bad", [
+        ("x1^-3", 0.0), ("x1^-2 + 1", -0.0), ("(x1 - 1)^-7", 1.0),
+        ("x1^5", 1e70), ("x1^4 - x1^4", -1e80), ("x1^-1", 0.0)])
+    def test_domain_error_at_the_first_bad_row(self, text, bad):
+        # the second column numbers the rows; rows 3 and 6 both fail
+        pts = np.stack([np.linspace(1.5, 3.0, 8), np.arange(8.0)], axis=1)
+        pts[[3, 6], 0] = bad
+        with pytest.raises(DomainError) as err:
+            evaluate(parse_map(text + ", x2", 2), pts)
+        assert err.value.point.tobytes() == pts[3].tobytes()
+
+    def test_same_bytes_without_avx512(self):
+        # numpy ignores feature names it does not know, so this runs anywhere
+        text = "x1^3, x1^4, x1^-3, x1^7"
+        code = ("import sys, numpy as np, zerocert as z; "
+                "x = np.random.default_rng(2).uniform(-3.0, 3.0, (1000, 1)); "
+                f"sys.stdout.write(z.evaluate(z.parse_map({text!r}, 1), x)"
+                ".tobytes().hex())")
+        src = os.path.dirname(os.path.dirname(zerocert.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src,
+                     NPY_DISABLE_CPU_FEATURES=NO_AVX512), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        x = np.random.default_rng(2).uniform(-3.0, 3.0, (1000, 1))
+        assert proc.stdout == evaluate(parse_map(text, 1), x).tobytes().hex()
 
 
 def _shift(*a):
@@ -298,6 +370,99 @@ class TestLipschitzEstimate:
         assert est == 2.0 * worst
 
 
+def _unscreened_estimate(spec, region):
+    """The estimate from fresh draws of ``default_rng(0)`` and an SVD of
+    every one of the 200 Jacobians."""
+    rng = np.random.default_rng(0)
+    if region.kind == "disk":
+        raw = rng.normal(size=(200, region.dim))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        radii = region.radius * rng.uniform(size=(200, 1)) ** (1.0 / region.dim)
+        pts = region.center + raw * radii
+    else:
+        pts = rng.uniform(region.lower, region.upper, size=(200, region.dim))
+    step = 1e-6 * region.diameter
+    shifts = step * np.eye(spec.n)
+    probes = np.stack([pts[:, None, :] + shifts, pts[:, None, :] - shifts],
+                      axis=2)
+    values = evaluate(spec, probes.reshape(-1, spec.n))
+    values = values.reshape(200, spec.n, 2, spec.m)
+    jac = (values[:, :, 0] - values[:, :, 1]).transpose(0, 2, 1) / (2 * step)
+    return 2.0 * float(np.max(np.linalg.norm(jac, 2, axis=(1, 2))))
+
+
+def _lipschitz_case(rng, m, n, constant):
+    """A random map R^n -> R^m and a random disk or box in R^n."""
+    def term():
+        if constant:
+            return f"{rng.uniform(-3.0, 3.0):.5f}"
+        xs = [f"x{rng.integers(1, n + 1)}" for _ in range(rng.integers(1, 4))]
+        factor = "*".join(f"{x}^{rng.integers(1, 5)}" for x in xs)
+        inner = [factor, f"sin({factor})", f"cos({factor})",
+                 f"{factor}*exp({xs[0]})"][rng.integers(0, 4)]
+        return f"{rng.uniform(-3.0, 3.0):.5f}*{inner}"
+    text = ", ".join(" + ".join(term() for _ in range(rng.integers(1, 4)))
+                     for _ in range(m))
+    centre = rng.uniform(-1.0, 1.0, size=n)
+    if rng.random() < 0.5:
+        region = Region.disk(centre, float(rng.uniform(0.05, 2.0)))
+    else:
+        region = Region.box(centre, centre + rng.uniform(0.05, 2.0, size=n))
+    return parse_map(text, n), region
+
+
+class TestScreenedLipschitzEstimate:
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3),
+                                      (3, 2), (3, 3)])
+    def test_equals_the_svd_of_every_sample(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        kinds = set()
+        for i in range(32):
+            spec, region = _lipschitz_case(rng, m, n, constant=i < 2)
+            kinds.add(region.kind)
+            assert lipschitz_estimate(spec, region) \
+                == _unscreened_estimate(spec, region), (spec.source_text,
+                                                        region)
+        assert kinds == {"disk", "box"}
+
+    def test_constant_map_is_zero(self):
+        for region in (Region.disk([0.3, -0.2], 1.5),
+                       Region.box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])):
+            spec = parse_map("3, -1.5", region.dim)
+            assert lipschitz_estimate(spec, region) == 0.0 \
+                == _unscreened_estimate(spec, region)
+
+    def test_box_pattern_equals_rng_uniform(self):
+        rng = np.random.default_rng(8)
+        for dim in (1, 2, 3):
+            (u,) = mapspec._lipschitz_pattern("box", dim)
+            for _ in range(700):
+                scale = 10.0 ** int(rng.integers(-300, 300))
+                lower = rng.normal(size=dim) * scale
+                upper = lower + rng.uniform(0.01, 5.0, size=dim) * scale
+                want = np.random.default_rng(0).uniform(lower, upper,
+                                                        size=(200, dim))
+                got = lower + (upper - lower) * u
+                assert got.tobytes() == want.tobytes(), (lower, upper)
+
+    def test_pattern_is_read_only_and_reused(self, monkeypatch):
+        spec = parse_map("x1*x2, x1 - x2^3", 2)
+        probes = []
+        monkeypatch.setattr(mapspec, "evaluate", lambda s, x: probes.append(
+            x.tobytes()) or evaluate(s, x))
+        mapspec._lipschitz_pattern.cache_clear()
+        for region in (Region.disk([0.1, 0.2], 0.7),
+                       Region.box([0.0, -1.0], [2.0, 1.0])):
+            first = lipschitz_estimate(spec, region)
+            pattern = mapspec._lipschitz_pattern(region.kind, 2)
+            assert lipschitz_estimate(spec, region) == first
+            assert probes[-1] == probes[-2]
+            for a in pattern:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 0.5
+        assert mapspec._lipschitz_pattern.cache_info().misses == 2
+
+
 # ---------------------------------------------------------------------------
 # reference: the character-loop lexer and peek/advance parser that the
 # one-scan front end replaced, kept to check that both agree
@@ -477,7 +642,22 @@ def _eval_node(node, cols):
         if node.op == "mul":
             return a * b
         return a / b
-    return _eval_node(node.base, cols) ** float(node.exponent)
+    return _ref_power(_eval_node(node.base, cols), node.exponent)
+
+
+def _ref_power(a, k):
+    """The DSL's ``a^k``: the product, from the left, of the squares
+    ``a^(2^i)`` for the set bits ``i`` of ``|k|``; ``1 / a^|k|`` for a
+    negative ``k`` and 1 for ``k = 0``."""
+    if k == 0:
+        return np.ones_like(a)
+    if k < 0:
+        return 1.0 / _ref_power(a, -k)
+    squares = [a]
+    while 2 ** len(squares) <= k:
+        squares.append(squares[-1] * squares[-1])
+    factors = [sq for i, sq in enumerate(squares) if k >> i & 1]
+    return functools.reduce(operator.mul, factors)
 
 
 def _ref_evaluate(spec, pts):

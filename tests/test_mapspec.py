@@ -119,11 +119,6 @@ class TestEvaluation:
         assert evaluate(spec, np.array([True, False])).tolist() == [0.0, 1.0]
 
 
-# exponents at which numpy's ** takes a fast path of plain products
-NUMPY_EXACT_EXPONENTS = (-1, 0, 1, 2)
-NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
-
-
 class TestPowerSemantics:
     def test_products_match_python_floats(self):
         spec = parse_map("x1^3, x1^4, x1^7, x1^-3, x1^1, x1^2, x1^-1", 1)
@@ -143,7 +138,8 @@ class TestPowerSemantics:
         pts = [[0.0], [math.inf], [-math.inf], [math.nan], [-0.0], [2.5]]
         assert evaluate(spec, pts).tolist() == [[1.0, 1.0]] * len(pts)
 
-    @pytest.mark.parametrize("k", NUMPY_EXACT_EXPONENTS)
+    # numpy's ** takes a fast path of plain products at these exponents
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2])
     def test_small_exponents_equal_numpy(self, k):
         rng = np.random.default_rng(k + 10)
         x = np.concatenate([
@@ -179,7 +175,8 @@ class TestPowerSemantics:
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=src,
-                     NPY_DISABLE_CPU_FEATURES=NO_AVX512), timeout=60)
+                     NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"),
+            timeout=60)
         assert proc.returncode == 0, proc.stderr
         x = np.random.default_rng(2).uniform(-3.0, 3.0, (1000, 1))
         assert proc.stdout == evaluate(parse_map(text, 1), x).tobytes().hex()
@@ -321,6 +318,18 @@ class TestRoundtrip:
             assert again.components == spec.components
 
 
+def _fresh_samples(region):
+    """The 200 sample points of ``lipschitz_estimate``, drawn afresh from
+    ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    if region.kind == "disk":
+        raw = rng.normal(size=(200, region.dim))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        radii = region.radius * rng.uniform(size=(200, 1)) ** (1.0 / region.dim)
+        return region.center + raw * radii
+    return rng.uniform(region.lower, region.upper, size=(200, region.dim))
+
+
 class TestLipschitzEstimate:
     def test_identity(self, unit_disk):
         spec = parse_map("x1, x2", 2)
@@ -350,17 +359,9 @@ class TestLipschitzEstimate:
         est = lipschitz_estimate(spec, region)
         assert calls == [2 * region.dim * 200]
         # reference: one central difference per sample point and axis
-        rng = np.random.default_rng(0)
-        if region.kind == "disk":
-            raw = rng.normal(size=(200, region.dim))
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            radii = region.radius * rng.uniform(size=(200, 1)) ** (1.0 / region.dim)
-            pts = region.center + raw * radii
-        else:
-            pts = rng.uniform(region.lower, region.upper, size=(200, region.dim))
         step = 1e-6 * region.diameter
         worst = 0.0
-        for p in pts:
+        for p in _fresh_samples(region):
             jac = np.empty((spec.m, spec.n))
             for j in range(spec.n):
                 e = np.zeros(spec.n)
@@ -371,16 +372,9 @@ class TestLipschitzEstimate:
 
 
 def _unscreened_estimate(spec, region):
-    """The estimate from fresh draws of ``default_rng(0)`` and an SVD of
-    every one of the 200 Jacobians."""
-    rng = np.random.default_rng(0)
-    if region.kind == "disk":
-        raw = rng.normal(size=(200, region.dim))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = region.radius * rng.uniform(size=(200, 1)) ** (1.0 / region.dim)
-        pts = region.center + raw * radii
-    else:
-        pts = rng.uniform(region.lower, region.upper, size=(200, region.dim))
+    """The estimate at ``_fresh_samples`` with an SVD of every one of the
+    200 Jacobians."""
+    pts = _fresh_samples(region)
     step = 1e-6 * region.diameter
     shifts = step * np.eye(spec.n)
     probes = np.stack([pts[:, None, :] + shifts, pts[:, None, :] - shifts],

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetExhausted, InvalidInput, Unsupported, VanishingOnBoundary
 from .geometry import (MAX_STEP, BoundarySampling, check_count,
                        check_lipschitz, circle_arc_midpoint, mesh_norm,
-                       refine_polyline)
+                       refine_polyline, row_norms)
 from .homotopy import SampledMap
 
 RESIDUAL_TOL = 0.05             # tolerated pre-rounding residual, in turns
@@ -84,7 +84,7 @@ def _result(steps, boundary, inserted, L) -> WindingResult:
     rigor = "heuristic"
     if L is not None and max_step < MAX_STEP and residual < RESIDUAL_TOL:
         h = mesh_norm(pts)
-        if float(np.min(np.linalg.norm(ims, axis=1))) > L * h / 2.0:
+        if float(np.min(row_norms(ims))) > L * h / 2.0:
             rigor = "rigorous"
     return WindingResult(value=value, total_refinements=inserted,
                          rigor=rigor, max_step_angle=max_step,

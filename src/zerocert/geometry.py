@@ -46,6 +46,23 @@ def _check_finite_vector(name, values):
         raise InvalidInput(f"{name} must be finite, got {values}")
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the rows of a 2-D array: np.linalg.norm(a,
+    axis=1) bit for bit, without its dispatch.
+
+    That norm is the square root of np.add.reduce of the squares along the
+    rows.  Below 8 columns numpy's reduction adds them one after another,
+    left to right, which is the column sum here; from 8 columns on it sums
+    pairwise, and the reduction itself is kept."""
+    sq = a * a
+    if not 0 < sq.shape[1] < 8:
+        return np.sqrt(np.add.reduce(sq, axis=1))
+    total = sq[:, 0]
+    for j in range(1, sq.shape[1]):
+        total = total + sq[:, j]
+    return np.sqrt(total)
+
+
 @dataclass(frozen=True, eq=False)
 class Region:
     """Closed disk D^n_r(x0) or axis-aligned box, the domain of a map."""
@@ -105,7 +122,9 @@ class Region:
     def diameter(self) -> float:
         if self.kind == "disk":
             return 2.0 * self.radius
-        return float(np.linalg.norm(self.upper - self.lower))
+        # upper - lower, or the sum of its squares, may overflow to inf
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.upper - self.lower))
 
     def boundary_tolerance(self) -> float:
         scale = self.radius if self.kind == "disk" else 0.5 * self.diameter
@@ -133,7 +152,7 @@ class BoundarySampling:
         n = self.region.dim
         if self.region.kind == "disk":
             tol = self.region.boundary_tolerance()
-            dev = np.abs(np.linalg.norm(self.points - self.region.center, axis=1)
+            dev = np.abs(row_norms(self.points - self.region.center)
                          - self.region.radius)
             if np.max(dev) > tol:
                 raise InvalidInput(
@@ -166,7 +185,7 @@ def mesh_norm(points: np.ndarray) -> float:
     if len(points) < 2:
         return 0.0
     diffs = np.diff(points, axis=0)
-    h = float(np.max(np.linalg.norm(diffs, axis=1)))
+    h = float(np.max(row_norms(diffs)))
     return max(h, float(np.linalg.norm(points[-1] - points[0])))
 
 
@@ -273,19 +292,19 @@ def wrapped_steps(images: np.ndarray) -> np.ndarray:
     """Angle steps of planar images around a closed polyline, each wrapped
     into [-pi, pi); their sum is 2 pi times the winding number."""
     angles = np.arctan2(images[:, 1], images[:, 0])
-    steps = np.diff(np.concatenate([angles, angles[:1]]))
-    return (steps + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def row_norms(a: np.ndarray) -> np.ndarray:
-    """The Euclidean norms of the rows of a 2-D array: np.linalg.norm(a,
-    axis=1) bit for bit, without its dispatch."""
-    return np.sqrt(np.add.reduce(a * a, axis=1))
+    # np.diff of the angles with the first appended, in one array
+    steps = np.empty_like(angles)
+    np.subtract(angles[1:], angles[:-1], out=steps[:-1])
+    np.subtract(angles[:1], angles[-1:], out=steps[-1:])
+    steps += math.pi
+    steps %= 2.0 * math.pi
+    steps -= math.pi
+    return steps
 
 
 def vanishing_floor(norms) -> float:
     """The norm at or below which a boundary image of ``norms`` vanishes."""
-    return 1e-12 * (1.0 + float(np.max(norms)))
+    return 1e-12 * (1.0 + float(np.maximum.reduce(norms)))
 
 
 def refine_polyline(pts, ims, evaluator, midpoint, budget: int):

@@ -243,6 +243,9 @@ def _itp_point(a, b, fa, fb, width, r):
 
 
 def _quadtree_2d(ev, box, eps_x, eps_f, max_iter):
+    (l0, l1), (u0, u1) = box.lower.tolist(), box.upper.tolist()
+    if not (math.isfinite(u0 - l0) and math.isfinite(u1 - l1)):
+        raise InvalidInput("box too wide: its width is not finite")
     rng = None      # the jiggle generator, seeded 0 at the first jiggle
     lo = box.lower.copy()
     hi = box.upper.copy()
@@ -336,6 +339,13 @@ def _stencil(x, lo, hi):
                       hi)
 
 
+def _clip(v, lo, hi):
+    """np.clip(v, lo, hi) of Python floats with lo < hi, bit for bit: a NaN
+    ``v`` stays NaN, and a tie (zeros of either sign) gives the bound, which
+    is numpy's maximum and minimum giving their second argument."""
+    return lo if v <= lo else hi if v >= hi else v
+
+
 def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
     """Newton's method from the centre of the box [lo, hi], whose winding is
     nonzero: the result at the zero it finds, or None when it gives up.
@@ -349,14 +359,25 @@ def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
     iterate is kept only when a square around it of diameter at most eps_x,
     clipped to the box, winds nonzero: the same guarantee as a quadtree
     cell.
+
+    The tail runs on Python floats, which round every operation as numpy's
+    float64 does: the iterate, the box and the stencil widths are floats,
+    each batch is _stencil's built entry by entry, bit for bit, and only the
+    batch and the accepted point become arrays.
     """
-    x = 0.5 * (lo + hi)
+    (l0, l1), (u0, u1) = lo.tolist(), hi.tolist()
+    h0, h1 = NEWTON_H * (u0 - l0), NEWTON_H * (u1 - l1)
+    x0, x1 = 0.5 * (l0 + u0), 0.5 * (l1 + u1)
     images = first
     last = math.inf
     for it in range(1, max_iter + 1):
-        pts = _stencil(x, lo, hi)
+        # _stencil's x + s * h for s = 0, 1, -1, clipped (0.0 * h is 0.0)
+        c0, c1 = _clip(x0 + 0.0, l0, u0), _clip(x1 + 0.0, l1, u1)
+        p0, m0 = _clip(x0 + h0, l0, u0), _clip(x0 - h0, l0, u0)
+        p1, m1 = _clip(x1 + h1, l1, u1), _clip(x1 - h1, l1, u1)
         if it > 1:
-            images = ev(pts)
+            images = ev(np.array([[c0, c1], [p0, c1], [m0, c1],
+                                  [c0, p1], [c0, m1]]))
         (f, g), (f1, g1), (f2, g2), (f3, g3), (f4, g4) = images.tolist()
         # the Jacobian's columns are these differences over the stencil
         # widths, so -J^-1 F needs no division by a width
@@ -364,14 +385,14 @@ def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
         det = c1x * c2y - c2x * c1y
         if det == 0.0 or not math.isfinite(det):
             return None
-        dx = (pts[1, 0] - pts[2, 0]) * (c2x * g - c2y * f) / det
-        dy = (pts[3, 1] - pts[4, 1]) * (c1y * f - c1x * g) / det
-        x = x + (dx, dy)
-        if not np.all((lo <= x) & (x <= hi)):
+        dx = (p0 - m0) * (c2x * g - c2y * f) / det
+        dy = (p1 - m1) * (c1y * f - c1x * g) / det
+        x0, x1 = x0 + dx, x1 + dy
+        if not (l0 <= x0 <= u0 and l1 <= x1 <= u1):
             return None
         size = math.hypot(dx, dy)
         if size <= NEWTON_STOP * eps_x:
-            return _accept(ev, lo, hi, x, eps_x, it)
+            return _accept(ev, lo, hi, np.array([x0, x1]), eps_x, it)
         if it > 2 and NEWTON_SHRINK * size > last:
             return None
         last = size

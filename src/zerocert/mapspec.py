@@ -490,8 +490,7 @@ def lipschitz_estimate(spec: MapSpec, region: Region) -> float:
     n))``, so the estimate is that of all 200.  A region whose diameter is
     not finite raises InvalidInput.
     """
-    with np.errstate(over="ignore"):    # a box's upper - lower may overflow
-        step = 1e-6 * region.diameter
+    step = 1e-6 * region.diameter
     if not math.isfinite(step):
         raise InvalidInput("region too wide for a Lipschitz estimate: "
                            "its diameter is not finite")

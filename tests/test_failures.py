@@ -138,6 +138,8 @@ def test_count_arguments_must_be_integers(call):
         PLANE, Region.box([-1e308, 0.0], [1e308, 1.0]))),
     (InvalidInput, lambda: lipschitz_estimate(
         PLANE, Region.disk([0.0, 0.0], 1e308))),
+    (InvalidInput, lambda: locate_zero(
+        PLANE, Region.box([-1e308, 0.0], [1e308, 1.0]))),
     *[(InvalidInput, lambda x=x: _witness()(x)) for x in BAD_POINTS.values()],
     *[(InvalidInput, lambda x=x: _phi()(x)) for x in BAD_POINTS.values()],
 ], ids=["certify-box", "certify-2d-map-3d-disk", "certify-level-1",
@@ -151,7 +153,7 @@ def test_count_arguments_must_be_integers(call):
         "box-corner-lengths", "disk-dim-0", "sampling-3-columns",
         "sampling-off-circle", "sampling-wrong-h", "sample_sphere-box",
         "straight_line-radii-differ", "lipschitz-box-too-wide",
-        "lipschitz-disk-too-wide",
+        "lipschitz-disk-too-wide", "locate-box-too-wide",
         *[f"witness-{name}" for name in BAD_POINTS],
         *[f"phi-{name}" for name in BAD_POINTS]])
 def test_typed_failure(error, call):
@@ -197,8 +199,10 @@ def test_far_phi_point(point, direction):
      "--radius", "1", "--level", "-1"],
     ["certify", "--map", "x1, x2", "--n", "2", "--center=0,0",
      "--radius", "1e308", "--lipschitz", "auto"],
+    ["locate", "--map", "x1 - 0.5, x2 - 0.5", "--box=-1e308,1e308,0,1"],
 ], ids=["certify-center", "locate-odd-box", "homotopy-m-differs",
-        "certify-level-1", "certify-lipschitz-auto-too-wide"])
+        "certify-level-1", "certify-lipschitz-auto-too-wide",
+        "locate-box-too-wide"])
 def test_cli_input_error_exits_4(argv, capsys):
     assert main(argv) == 4
     captured = capsys.readouterr()

@@ -9,7 +9,7 @@ from zerocert import (InvalidInput, Region, VanishingOnBoundary,
                       boundary_nonvanishing, parse_map, sample_sphere)
 from zerocert.geometry import (SPHERE_CACHE, _unit_sampling,
                                circle_arc_midpoint, refine_polyline,
-                               row_norms, unit_sphere)
+                               row_norms, unit_sphere, wrapped_steps)
 
 
 def cells_per_edge(n, level):
@@ -260,16 +260,50 @@ class TestRowNorms:
                 assert row_norms(a).tobytes() == \
                     np.linalg.norm(a, axis=1).tobytes()
 
+    @pytest.mark.parametrize("m", range(13))
+    def test_column_counts(self, m):
+        # below 8 columns the column sum, from 8 on numpy's pairwise
+        # reduction; no column gives zeros
+        rng = np.random.default_rng(22 + m)
+        for k in (0, 1, 5, 64, 1536):
+            for _ in range(4):
+                a = rng.normal(size=(k, m)) * 10.0 ** rng.integers(
+                    -100, 100, size=(k, 1))
+                assert row_norms(a).tobytes() == \
+                    np.linalg.norm(a, axis=1).tobytes()
+        assert row_norms(np.empty((3, 0))).tolist() == [0.0] * 3
+
     @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -2.2e-308,
                                        1e200, -1e200])
     def test_special_rows(self, value):
-        for m in range(1, 6):
+        for m in range(1, 13):
             a = np.full((3, m), value)
             a[1, 0] = 1.0
             # 1e200 squared overflows to inf in both
             with np.errstate(over="ignore"):
                 assert row_norms(a).tobytes() == \
                     np.linalg.norm(a, axis=1).tobytes()
+
+
+class TestWrappedSteps:
+    @staticmethod
+    def reference(images):
+        angles = np.arctan2(images[:, 1], images[:, 0])
+        steps = np.diff(np.concatenate([angles, angles[:1]]))
+        return (steps + math.pi) % (2.0 * math.pi) - math.pi
+
+    @pytest.mark.parametrize("k", [1, 2, 64, 257])
+    def test_equals_diff_of_concatenation(self, k):
+        rng = np.random.default_rng(31 + k)
+        specials = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e300]
+        for _ in range(20):
+            images = rng.normal(size=(k, 2)) * 10.0 ** rng.integers(
+                -200, 200, size=(k, 1))
+            # exact axis directions, where arctan2 gives 0, +-pi/2 or +-pi
+            mask = rng.random((k, 2)) < 0.2
+            images[mask] = rng.choice(specials, size=int(mask.sum()))
+            assert wrapped_steps(images).tobytes() == \
+                self.reference(images).tobytes()
 
 
 class TestCircleArcMidpoint:
@@ -333,3 +367,10 @@ class TestRegion:
     def test_diameter(self):
         assert Region.disk([0.0, 0.0], 2.0).diameter == 4.0
         assert Region.box([0.0, 0.0], [3.0, 4.0]).diameter == 5.0
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([-1e308, 0.0], [1e308, 1.0]), ([-1e200, -1e200], [1e200, 1e200])],
+        ids=["width-overflows", "square-overflows"])
+    def test_diameter_overflows_to_inf(self, lower, upper):
+        # no RuntimeWarning: the test run makes one an error
+        assert Region.box(lower, upper).diameter == math.inf

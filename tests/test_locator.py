@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zerocert import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
-                      Region, VanishingOnBoundary, box_winding,
+                      Region, VanishingOnBoundary, ZeroCertError, box_winding,
                       brouwer_fixed_point, evaluate, locate_zero, parse_map,
                       sample_sphere)
 from zerocert import locator, mapspec
@@ -128,6 +128,23 @@ class TestConstantGeometry:
             want = np.clip(x + locator._STENCIL
                            * (locator.NEWTON_H * (hi - lo)), lo, hi)
             assert locator._stencil(x, lo, hi).tobytes() == want.tobytes()
+
+
+    def test_clip_equals_numpy(self):
+        # ties between zeros of either sign give the bound, and a NaN stays
+        values = [-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0,
+                  math.inf, math.nan]
+        bounds = [b for b in values if not math.isnan(b)]
+        for lo in bounds:
+            for hi in bounds:
+                if not lo < hi:
+                    continue
+                for v in values + [lo, hi]:
+                    want = np.minimum(np.maximum(np.full((5, 2), v),
+                                                 np.array([lo, lo])),
+                                      np.array([hi, hi]))[0, 0]
+                    got = locator._clip(v, lo, hi)
+                    assert np.float64(got).tobytes() == want.tobytes()
 
 
 class TestLocateZero2D:
@@ -298,6 +315,18 @@ class TestNewtonTail:
         ev = counting_evaluator(parse_map("x1 - 0.3, x2 - 0.4", 2))
         locate_zero(ev, UNIT_BOX, eps_x=eps_x, eps_f=1e-9)
         assert calls == []
+
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([-1e308, 0.0], [1e308, 1.0]), ([0.0, -1e308], [1.0, 1e308])])
+    def test_box_too_wide(self, lower, upper, counting_evaluator):
+        # InvalidInput before any evaluation, and no RuntimeWarning, which
+        # the test run makes an error
+        ev = counting_evaluator(parse_map("x1 - 0.5, x2 - 0.5", 2))
+        with pytest.raises(InvalidInput, match="box too wide: its width is "
+                                               "not finite"):
+            locate_zero(ev, Region.box(lower, upper))
+        assert ev.batches == []
 
 
 class TestNewtonFallback:
@@ -509,6 +538,146 @@ def outcome_bytes(result):
     return (b"".join(lo.tobytes() + hi.tobytes() for lo, hi in result.trail),
             result.point.tobytes(), np.float64(result.residual).tobytes(),
             result.iterations, result.termination)
+
+
+def reference_stencil(x, lo, hi):
+    """The numpy stencil that the Python-float Newton tail reproduces."""
+    stencil = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                        [0.0, -1.0]])
+    return np.minimum(np.maximum(
+        x + stencil * (locator.NEWTON_H * (hi - lo)), lo), hi)
+
+
+def reference_newton_tail(ev, lo, hi, eps_x, max_iter, first):
+    """The Newton tail on numpy arrays, as the locator ran it before it ran
+    on Python floats: the behaviour its float tail must reproduce."""
+    x = 0.5 * (lo + hi)
+    images = first
+    last = math.inf
+    for it in range(1, max_iter + 1):
+        pts = reference_stencil(x, lo, hi)
+        if it > 1:
+            images = ev(pts)
+        (f, g), (f1, g1), (f2, g2), (f3, g3), (f4, g4) = images.tolist()
+        c1x, c1y, c2x, c2y = f1 - f2, g1 - g2, f3 - f4, g3 - g4
+        det = c1x * c2y - c2x * c1y
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        dx = (pts[1, 0] - pts[2, 0]) * (c2x * g - c2y * f) / det
+        dy = (pts[3, 1] - pts[4, 1]) * (c1y * f - c1x * g) / det
+        x = x + (dx, dy)
+        if not np.all((lo <= x) & (x <= hi)):
+            return None
+        size = math.hypot(dx, dy)
+        if size <= locator.NEWTON_STOP * eps_x:
+            return locator._accept(ev, lo, hi, x, eps_x, it)
+        if it > 2 and locator.NEWTON_SHRINK * size > last:
+            return None
+        last = size
+    return None
+
+
+class TestNewtonTailMatchesOracle:
+    """The oracle is ``reference_newton_tail``, the tail on numpy arrays.
+    Each case runs locate_zero once with the locator's tail and once with
+    the oracle in its place, and compares the outcome's bytes (or the
+    error) and the bytes of every batch the map was called with."""
+
+    @staticmethod
+    def run(map_like, box, eps_x, tail):
+        batches = []
+        ev = as_evaluator(map_like)
+
+        def recording(pts):
+            batches.append(pts.copy())
+            return ev(pts)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locator, "_newton_tail", tail)
+            try:
+                result = locate_zero(recording, box, eps_x=eps_x)
+            except ZeroCertError as err:
+                return (type(err), str(err)), batches, None
+        return ((outcome_bytes(result), result.cell_diameter), batches,
+                result.termination)
+
+    def assert_matches(self, map_like, box, eps_x):
+        """Assert that both tails give the same bytes; return the
+        termination, or None for an error."""
+        got, got_batches, termination = self.run(map_like, box, eps_x,
+                                                 locator._newton_tail)
+        want, want_batches, _ = self.run(map_like, box, eps_x,
+                                         reference_newton_tail)
+        assert got == want
+        assert [b.tobytes() for b in got_batches] == \
+            [b.tobytes() for b in want_batches]
+        return termination
+
+    @staticmethod
+    def random_box(rng, zero, lo_zero=False):
+        width = rng.uniform(0.05, 3.0, 2) * 10.0 ** rng.integers(-3, 3)
+        lower = zero - rng.uniform(0.02, 0.98, 2) * width
+        if lo_zero:
+            # one corner coordinate exactly 0.0 or -0.0, the zero inside
+            axis = int(rng.integers(2))
+            zero[axis] = abs(zero[axis])
+            lower[axis] = rng.choice([0.0, -0.0])
+        return Region.box(lower, lower + width)
+
+    def test_random_maps(self):
+        rng = np.random.default_rng(61)
+        terminations = []
+        for case in range(150):
+            kind = case % 3
+            zero = rng.uniform(-2.0, 2.0, 2)
+            box = self.random_box(rng, zero, lo_zero=case % 5 == 0)
+            eps_x = 10.0 ** rng.uniform(-12, -5)
+            if kind == 0:
+                # affine, with a random matrix
+                (a, b), (c, d) = rng.normal(size=(2, 2)).tolist()
+                z1, z2 = zero.tolist()
+                text = (f"{a!r}*(x1 - {z1!r}) + {b!r}*(x2 - {z2!r}), "
+                        f"{c!r}*(x1 - {z1!r}) + {d!r}*(x2 - {z2!r})")
+                map_like = parse_map(text, 2)
+            else:
+                # a complex quadratic or quartic with a root at ``zero``
+                degree = 2 if kind == 1 else 4
+                roots = np.concatenate((
+                    [complex(*zero)],
+                    rng.uniform(-3, 3, degree - 1)
+                    + 1j * rng.uniform(-3, 3, degree - 1)))
+                map_like = complex_poly_map(np.poly(roots))
+            terminations.append(self.assert_matches(map_like, box, eps_x))
+        # most cases are answered by the tail; the others give it up, for
+        # the quadtree or for DegreeLost
+        assert terminations.count("newton") >= 80
+
+    def test_zero_on_an_edge(self):
+        # the zero lies within the stencil width of the right edge, so the
+        # +h point of x1 is clipped to the box
+        spec = parse_map("x1 - 1, x2 - 0.4", 2)
+        for upper in (1.0 + 1e-9, 1.0 + 2.0 ** -25, 1.0 + 2.0 ** -52):
+            box = Region.box([-1.0, -1.0], [upper, 1.0])
+            self.assert_matches(spec, box, 1e-8)
+        # and the lower edge, at a corner that is 0.0 or -0.0: the zero is
+        # nearer to it than the stencil width 2^-20
+        spec = parse_map("x1 - 5e-7, x2^3 - 0.1", 2)
+        for lower in (0.0, -0.0):
+            box = Region.box([lower, 0.0], [1.0, 1.0])
+            assert self.assert_matches(spec, box, 1e-10) == "newton"
+
+    def test_stencil_width_underflows_to_zero(self):
+        # NEWTON_H * (hi - lo) is 0.0 on this box: the stencil collapses
+        # onto the iterate, the Jacobian is singular and the tail gives up
+        center = 5e-321
+        scale = 2.0 ** 600
+
+        def subnormal_map(pts):
+            return (pts - center) * scale * scale
+
+        box = Region.box([0.0, 0.0], [1e-320, 1e-320])
+        assert locator.NEWTON_H * 1e-320 == 0.0
+        self.assert_matches(subnormal_map, box, 1e-321)
 
 
 class TestLocateZero1D:

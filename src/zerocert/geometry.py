@@ -47,13 +47,16 @@ def _check_finite_vector(name, values):
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """The Euclidean norms of the rows of a 2-D array: np.linalg.norm(a,
-    axis=1) bit for bit, without its dispatch.
+    """The Euclidean norms of the rows of a real 2-D array:
+    np.linalg.norm(a, axis=1) bit for bit, without its dispatch.
 
-    That norm is the square root of np.add.reduce of the squares along the
-    rows.  Below 8 columns numpy's reduction adds them one after another,
-    left to right, which is the column sum here; from 8 columns on it sums
-    pairwise, and the reduction itself is kept."""
+    That norm casts an array that is not floating point to float, then takes
+    the square root of np.add.reduce of the squares along the rows.  Below 8
+    columns numpy's reduction adds them one after another, left to right,
+    which is the column sum here; from 8 columns on it sums pairwise, and
+    the reduction itself is kept."""
+    if a.dtype.kind != "f":
+        a = a.astype(float)     # an integer square would wrap
     sq = a * a
     if not 0 < sq.shape[1] < 8:
         return np.sqrt(np.add.reduce(sq, axis=1))
@@ -291,15 +294,11 @@ def check_count(name: str, value, least: int) -> None:
 def wrapped_steps(images: np.ndarray) -> np.ndarray:
     """Angle steps of planar images around a closed polyline, each wrapped
     into [-pi, pi); their sum is 2 pi times the winding number."""
-    angles = np.arctan2(images[:, 1], images[:, 0])
-    # np.diff of the angles with the first appended, in one array
-    steps = np.empty_like(angles)
-    np.subtract(angles[1:], angles[:-1], out=steps[:-1])
-    np.subtract(angles[:1], angles[-1:], out=steps[-1:])
-    steps += math.pi
-    steps %= 2.0 * math.pi
-    steps -= math.pi
-    return steps
+    angles = np.empty(len(images) + 1)      # the first angle again last
+    np.arctan2(images[:, 1], images[:, 0], out=angles[:-1])
+    angles[-1] = angles[0]
+    steps = angles[1:] - angles[:-1]
+    return (steps + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def vanishing_floor(norms) -> float:

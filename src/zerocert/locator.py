@@ -66,9 +66,6 @@ NEWTON_STOP = 0.125     # a step of at most NEWTON_STOP * eps_x ends the tail
 NEWTON_SHRINK = 4.0     # each step after the second is this much shorter
 ACCEPT_HALF = 0.35      # half-side of the accepted square, times eps_x: its
                         # diameter 0.99 eps_x leaves room for rounding
-# the iterate, then the +-h stencil of x1 and of x2
-_STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
-                     [0.0, 1.0], [0.0, -1.0]])
 # ITP in 1D: k1 = ITP_K1 / (width of the first bracket), k2 = ITP_K2
 ITP_K1 = 0.2
 ITP_K2 = 2
@@ -251,9 +248,10 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter):
     hi = box.upper.copy()
     first = None    # the images of the Newton tail's first batch
     if _runs_tail(lo, hi, eps_x):
+        center = (0.5 * (l0 + u0), 0.5 * (l1 + u1))
         try:
             pts, ims, first = _box_boundary(
-                ev, lo, hi, _stencil(0.5 * (lo + hi), lo, hi))
+                ev, lo, hi, _stencil(center, (l0, l1), (u0, u1))[0])
         except DomainError:
             pass    # alone, the boundary raises again when it is at fault
     if first is None:
@@ -332,17 +330,26 @@ def _runs_tail(lo, hi, eps_x):
 
 
 def _stencil(x, lo, hi):
-    """The batch of a Newton step at ``x``: x and its central-difference
-    stencil, NEWTON_H times the width of the top box [lo, hi] per axis,
-    clipped to the box (np.clip, bit for bit, without its dispatch)."""
-    return np.minimum(np.maximum(x + _STENCIL * (NEWTON_H * (hi - lo)), lo),
-                      hi)
+    """The batch of a Newton step at ``x`` in the top box [lo, hi], each a
+    pair of Python floats: x, then x +- h in x1 and in x2, for the widths
+    h = NEWTON_H * (hi - lo), clipped to the box.  Also the spans of the
+    clipped +-h points per axis, over which the step takes its differences.
+    """
+    (x0, x1), (l0, l1), (u0, u1) = x, lo, hi
+    h0, h1 = NEWTON_H * (u0 - l0), NEWTON_H * (u1 - l1)
+    # x + s * h for s = 0, 1, -1, as on arrays (0.0 * h is 0.0)
+    c0, c1 = _clip(x0 + 0.0, l0, u0), _clip(x1 + 0.0, l1, u1)
+    p0, m0 = _clip(x0 + h0, l0, u0), _clip(x0 - h0, l0, u0)
+    p1, m1 = _clip(x1 + h1, l1, u1), _clip(x1 - h1, l1, u1)
+    return (np.array([[c0, c1], [p0, c1], [m0, c1], [c0, p1], [c0, m1]]),
+            (p0 - m0, p1 - m1))
 
 
 def _clip(v, lo, hi):
-    """np.clip(v, lo, hi) of Python floats with lo < hi, bit for bit: a NaN
-    ``v`` stays NaN, and a tie (zeros of either sign) gives the bound, which
-    is numpy's maximum and minimum giving their second argument."""
+    """v clipped to [lo, hi], lo < hi: a NaN ``v`` stays NaN, and a tie
+    between zeros of either sign gives the bound.  On x86-64 that is numpy's
+    np.clip bit for bit (its maximum and minimum give their second argument
+    on such a tie), and it is the same on every machine."""
     return lo if v <= lo else hi if v >= hi else v
 
 
@@ -361,23 +368,20 @@ def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
     cell.
 
     The tail runs on Python floats, which round every operation as numpy's
-    float64 does: the iterate, the box and the stencil widths are floats,
-    each batch is _stencil's built entry by entry, bit for bit, and only the
-    batch and the accepted point become arrays.
+    float64 does: the iterate, the box and the stencil are floats, and only
+    the batches and the accepted point become arrays.  Its batches and
+    answer are those of the same steps on numpy arrays bit for bit, with
+    np.clip's tie between zeros as x86-64 numpy breaks it (see _clip).
     """
-    (l0, l1), (u0, u1) = lo.tolist(), hi.tolist()
-    h0, h1 = NEWTON_H * (u0 - l0), NEWTON_H * (u1 - l1)
+    lower, upper = lo.tolist(), hi.tolist()
+    (l0, l1), (u0, u1) = lower, upper
     x0, x1 = 0.5 * (l0 + u0), 0.5 * (l1 + u1)
     images = first
     last = math.inf
     for it in range(1, max_iter + 1):
-        # _stencil's x + s * h for s = 0, 1, -1, clipped (0.0 * h is 0.0)
-        c0, c1 = _clip(x0 + 0.0, l0, u0), _clip(x1 + 0.0, l1, u1)
-        p0, m0 = _clip(x0 + h0, l0, u0), _clip(x0 - h0, l0, u0)
-        p1, m1 = _clip(x1 + h1, l1, u1), _clip(x1 - h1, l1, u1)
+        pts, (w0, w1) = _stencil((x0, x1), lower, upper)
         if it > 1:
-            images = ev(np.array([[c0, c1], [p0, c1], [m0, c1],
-                                  [c0, p1], [c0, m1]]))
+            images = ev(pts)
         (f, g), (f1, g1), (f2, g2), (f3, g3), (f4, g4) = images.tolist()
         # the Jacobian's columns are these differences over the stencil
         # widths, so -J^-1 F needs no division by a width
@@ -385,8 +389,8 @@ def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
         det = c1x * c2y - c2x * c1y
         if det == 0.0 or not math.isfinite(det):
             return None
-        dx = (p0 - m0) * (c2x * g - c2y * f) / det
-        dy = (p1 - m1) * (c1y * f - c1x * g) / det
+        dx = w0 * (c2x * g - c2y * f) / det
+        dy = w1 * (c1y * f - c1x * g) / det
         x0, x1 = x0 + dx, x1 + dy
         if not (l0 <= x0 <= u0 and l1 <= x1 <= u1):
             return None

@@ -7,7 +7,7 @@ import pytest
 
 from zerocert import (InvalidInput, Region, VanishingOnBoundary,
                       boundary_nonvanishing, parse_map, sample_sphere)
-from zerocert.geometry import (SPHERE_CACHE, _unit_sampling,
+from zerocert.geometry import (SPHERE_CACHE, BoundarySampling, _unit_sampling,
                                circle_arc_midpoint, refine_polyline,
                                row_norms, unit_sphere, wrapped_steps)
 
@@ -283,6 +283,24 @@ class TestRowNorms:
             with np.errstate(over="ignore"):
                 assert row_norms(a).tobytes() == \
                     np.linalg.norm(a, axis=1).tobytes()
+
+    def test_integer_rows_are_cast_to_float(self):
+        # 4e9 squared wraps in int64; the norm squares floats
+        a = np.array([[4_000_000_000, 0], [3, -4], [0, 0]], dtype=np.int64)
+        for rows in (a, a.astype(np.int32) // 2, a != 0):
+            assert row_norms(rows).tobytes() == \
+                np.linalg.norm(rows, axis=1).tobytes()
+        assert row_norms(a).tolist() == [4e9, 5.0, 0.0]
+
+    def test_integer_sampling_checks_its_h(self):
+        # the int64 differences 4e9 square past 2^63: a wrapped square
+        # would make h NaN, and any declared h would pass the check
+        pts = np.array([[0, 0], [4_000_000_000, 0],
+                        [4_000_000_000, 3_000_000_000], [0, 3_000_000_000]])
+        box = Region.box([0.0, 0.0], [4e9, 3e9])
+        assert BoundarySampling(points=pts, h=4e9, region=box).h == 4e9
+        with pytest.raises(InvalidInput, match="does not match"):
+            BoundarySampling(points=pts, h=1.0, region=box)
 
 
 class TestWrappedSteps:

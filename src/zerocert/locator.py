@@ -14,11 +14,14 @@ boundary is evaluated alone and the tail is skipped.  The tail gives up
 when an iterate leaves the box, when the difference Jacobian is singular
 or not finite, or when a step after the second fails to shrink fourfold;
 a failed tail costs a few evaluations and the answer is the quadtree's
-below, unchanged.  Once a step is at most eps_x / 8, the point is accepted
-only when a square of diameter at most eps_x around it, clipped to the
-box, has nonzero boundary winding: the guarantee of a quadtree cell.  A
-box with several zeros may so return a different zero than the quadtree
-would.
+below, unchanged.  Once a step is at most eps_x / 8, or once the
+quadratic model of the last two steps puts the next one below the float
+spacing at the iterate, the point is accepted only when a square of
+diameter at most eps_x around it, clipped to the box, has nonzero boundary
+winding: the guarantee of a quadtree cell.  A square refused at the early
+stop lets the tail go on.  A box with several zeros may so return a
+different zero than the quadtree would.  A 2D box whose width or diameter
+is not finite is rejected before any evaluation.
 
 The quadtree recursively bisects a box into four sub-boxes and follows
 nonzero boundary winding (generalized bisection, Kearfott 1979), computed
@@ -102,6 +105,7 @@ def box_winding(map_like, lower, upper) -> int:
     box = Region.box(lower, upper)      # 1-D, finite, lower < upper
     if box.dim != 2:
         raise InvalidInput("box winding is planar only")
+    _check_box_size(box)
     ev = as_evaluator(map_like)
     pts, ims, _ = _box_boundary(ev, box.lower, box.upper)
     return _wind(ev, pts, ims)
@@ -153,12 +157,13 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
     return _locate(as_evaluator(map_like), box, eps_x, eps_f, max_iter)
 
 
-def _locate(ev, box, eps_x, eps_f, max_iter):
-    """locate_zero of the checked evaluator ``ev``, with checked arguments."""
+def _locate(ev, box, eps_x, eps_f, max_iter, top=None):
+    """locate_zero of the checked evaluator ``ev``, with checked arguments;
+    ``top`` is for _quadtree_2d."""
     if box.dim == 1:
         return _bisect_1d(ev, box, eps_x, eps_f, max_iter)
     if box.dim == 2:
-        return _quadtree_2d(ev, box, eps_x, eps_f, max_iter)
+        return _quadtree_2d(ev, box, eps_x, eps_f, max_iter, top)
     raise InvalidInput("localization is implemented for n in {1, 2}")
 
 
@@ -239,26 +244,28 @@ def _itp_point(a, b, fa, fb, width, r):
     return x if a < x < b else mid
 
 
-def _quadtree_2d(ev, box, eps_x, eps_f, max_iter):
-    (l0, l1), (u0, u1) = box.lower.tolist(), box.upper.tolist()
-    if not (math.isfinite(u0 - l0) and math.isfinite(u1 - l1)):
-        raise InvalidInput("box too wide: its width is not finite")
+def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, top=None):
+    """The 2D locator.  ``top`` holds the images of the first batch, as
+    _top_points gives it, when the caller has evaluated it."""
+    _check_box_size(box)
     rng = None      # the jiggle generator, seeded 0 at the first jiggle
     lo = box.lower.copy()
     hi = box.upper.copy()
-    first = None    # the images of the Newton tail's first batch
-    if _runs_tail(lo, hi, eps_x):
-        center = (0.5 * (l0 + u0), 0.5 * (l1 + u1))
+    batch = _top_points(lo, hi, eps_x)
+    pts = batch[:4 * SAMPLES_PER_EDGE]
+    if top is None and len(batch) > len(pts):
         try:
-            pts, ims, first = _box_boundary(
-                ev, lo, hi, _stencil(center, (l0, l1), (u0, u1))[0])
+            top = ev(batch)
         except DomainError:
             pass    # alone, the boundary raises again when it is at fault
-    if first is None:
-        pts, ims, _ = _box_boundary(ev, lo, hi)
+    if top is None:
+        top = ev(pts)
+    if top.shape[1] != 2:
+        raise InvalidInput("box winding needs codomain dimension 2")
+    ims, first = top[:len(pts)], top[len(pts):]
     if _wind(ev, pts, ims) == 0:
         raise DegreeLost((lo, hi))
-    if first is not None:
+    if len(first):
         try:
             result = _newton_tail(ev, lo, hi, eps_x, max_iter, first)
         except (DomainError, VanishingOnBoundary, BudgetExhausted):
@@ -323,6 +330,29 @@ def _level(ev, lo, hi, cut):
     return ims[0], list(zip(subs, boundaries, np.split(ims[1:], 4)))
 
 
+def _check_box_size(box):
+    """InvalidInput unless the 2D box's widths and diameter are finite, so
+    that no difference or norm of its corners overflows."""
+    (l0, l1), (u0, u1) = box.lower.tolist(), box.upper.tolist()
+    w0, w1 = u0 - l0, u1 - l1
+    if not (math.isfinite(w0) and math.isfinite(w1)):
+        raise InvalidInput("box too wide: its width is not finite")
+    # Python floats overflow to inf without a warning
+    if not math.isfinite(w0 * w0 + w1 * w1):
+        raise InvalidInput("box too wide: its diameter is not finite")
+
+
+def _top_points(lo, hi, eps_x):
+    """The first batch of the 2D locator on the top box [lo, hi]: the box's
+    _box_points, then the Newton tail's first stencil when the tail runs."""
+    pts = _box_points(lo, hi)
+    if not _runs_tail(lo, hi, eps_x):
+        return pts
+    (l0, l1), (u0, u1) = lo.tolist(), hi.tolist()
+    center = (0.5 * (l0 + u0), 0.5 * (l1 + u1))
+    return np.concatenate((pts, _stencil(center, (l0, l1), (u0, u1))[0]))
+
+
 def _runs_tail(lo, hi, eps_x):
     """Whether the Newton tail runs on the top box [lo, hi]: eps_x = 0 asks
     for float resolution, and a box within eps_x is already small enough."""
@@ -365,7 +395,11 @@ def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
     before.  Once a step is at most NEWTON_STOP * eps_x, the new
     iterate is kept only when a square around it of diameter at most eps_x,
     clipped to the box, winds nonzero: the same guarantee as a quadtree
-    cell.
+    cell.  From the second step on, the square is also tried early, without
+    evaluating the iterate's stencil, when the quadratic convergence model
+    (Dennis & Schnabel 1983, ch. 5) puts the next step, size^3 / last^2 for
+    this step's length size and the last one's, below the float spacing at
+    the new iterate; when that square winds 0 the tail goes on.
 
     The tail runs on Python floats, which round every operation as numpy's
     float64 does: the iterate, the box and the stencil are floats, and only
@@ -399,6 +433,14 @@ def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
             return _accept(ev, lo, hi, np.array([x0, x1]), eps_x, it)
         if it > 2 and NEWTON_SHRINK * size > last:
             return None
+        # the quadratic model's next step, size^3 / last^2, below the float
+        # spacing at the iterate; as size * (size / last)^2 it overflows
+        # only where it is above that spacing, and a float ** would raise
+        ratio = size / last
+        if it > 1 and size * ratio * ratio <= math.ulp(max(abs(x0), abs(x1))):
+            result = _accept(ev, lo, hi, np.array([x0, x1]), eps_x, it)
+            if result is not None:
+                return result
         last = size
     return None
 
@@ -442,11 +484,15 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     result is ||f(point) - point||.
 
     One evaluation of f covers a grid of the disk, on which f must map into
-    the disk, and the certificate's boundary samples, whose images give G
-    there.  When that call raises DomainError, the grid is evaluated and
-    checked alone, so the error is the one of a grid evaluated before the
-    boundary.  The grid is built once per process for each n and is
-    read-only, like the unit-sphere samplings.
+    the disk, the certificate's boundary samples, whose images give G
+    there, and for n = 2 the first batch the locator evaluates for G on
+    [-1, 1]^2 (the top box's boundary and the first Newton stencil).  When
+    that call raises DomainError, the grid and the boundary samples are
+    evaluated without that batch, which the locator then evaluates itself;
+    when that call raises too, the grid is evaluated and checked alone, so
+    the error is the one of a grid evaluated before the boundary.  The grid
+    is built once per process for each n and is read-only, like the
+    unit-sphere samplings.
     """
     _check_tolerance("eps", eps)
     if n is None:
@@ -458,22 +504,22 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     f = as_evaluator(map_like)
 
     disk = Region.disk(np.zeros(n), 1.0)
+    box = Region.box(-np.ones(n), np.ones(n))
     sampling, circle = _boundary(disk, None)
     grid = _disk_validation_grid(n)
-    try:
-        images = f(np.concatenate((grid, circle)))
-    except DomainError:
-        # the grid alone raises again when a grid point is at fault, and
-        # is checked before the boundary's error goes out; a callable map
-        # gets its own copy of the read-only grid (as_evaluator)
-        _check_self_map(f(grid), n)
-        raise
+    parts = [grid, circle]
+    if n == 2:
+        parts.append(_top_points(box.lower, box.upper, 0.5 * eps))
+    images = _first_images(f, parts, n)
     _check_self_map(images[:len(grid)], n)
 
     # G is evaluated only in [-1, 1]^n, where x - f(x) of a finite f(x) is
     # finite: f's own check covers it
     g = lambda pts: pts - f(pts)
-    g_circle = circle - images[len(grid):]
+    end = len(grid) + len(circle)
+    g_circle = circle - images[len(grid):end]
+    # G at the locator's first batch, when that batch was evaluated here
+    top = parts[2] - images[end:] if len(images) > end else None
     cert = _certify_sampled(g, disk, sampling, g_circle, None)
     if cert.verdict == "ZeroOnBoundary":
         # the boundary sample where G vanishes is a fixed point; f there is
@@ -487,9 +533,25 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     if cert.verdict != "ZeroGuaranteed":
         raise ZeroCertError(
             f"could not certify a fixed point (verdict {cert.verdict})")
-    box = Region.box(-np.ones(n), np.ones(n))
     # ||p - f(p)||, the located residual, is ||f(p) - p|| bit for bit
-    return _locate(g, box, 0.5 * eps, 1e-12, 200)
+    return _locate(g, box, 0.5 * eps, 1e-12, 200, top)
+
+
+def _first_images(f, parts, n):
+    """f's images of the concatenated ``parts`` in one call: the validation
+    grid, the boundary samples and maybe the locator's first batch.  On
+    DomainError the last part is dropped and the call made again, down to
+    the grid and the boundary; when that call raises, the grid alone is
+    evaluated and checked before the error goes out, so the error is the
+    one of a grid evaluated before the boundary.  A callable map gets its
+    own copy of the read-only grid (as_evaluator)."""
+    try:
+        return f(np.concatenate(parts))
+    except DomainError:
+        if len(parts) > 2:
+            return _first_images(f, parts[:-1], n)
+        _check_self_map(f(parts[0]), n)
+        raise
 
 
 def _check_self_map(grid_images, n):

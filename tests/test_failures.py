@@ -140,6 +140,8 @@ def test_count_arguments_must_be_integers(call):
         PLANE, Region.disk([0.0, 0.0], 1e308))),
     (InvalidInput, lambda: locate_zero(
         PLANE, Region.box([-1e308, 0.0], [1e308, 1.0]))),
+    (InvalidInput, lambda: locate_zero(
+        PLANE, Region.box([1e308, 0.0], [1.7e308, 1.0]))),
     *[(InvalidInput, lambda x=x: _witness()(x)) for x in BAD_POINTS.values()],
     *[(InvalidInput, lambda x=x: _phi()(x)) for x in BAD_POINTS.values()],
 ], ids=["certify-box", "certify-2d-map-3d-disk", "certify-level-1",
@@ -154,6 +156,7 @@ def test_count_arguments_must_be_integers(call):
         "sampling-off-circle", "sampling-wrong-h", "sample_sphere-box",
         "straight_line-radii-differ", "lipschitz-box-too-wide",
         "lipschitz-disk-too-wide", "locate-box-too-wide",
+        "locate-box-diameter-too-wide",
         *[f"witness-{name}" for name in BAD_POINTS],
         *[f"phi-{name}" for name in BAD_POINTS]])
 def test_typed_failure(error, call):
@@ -200,9 +203,11 @@ def test_far_phi_point(point, direction):
     ["certify", "--map", "x1, x2", "--n", "2", "--center=0,0",
      "--radius", "1e308", "--lipschitz", "auto"],
     ["locate", "--map", "x1 - 0.5, x2 - 0.5", "--box=-1e308,1e308,0,1"],
+    ["locate", "--map", "x1 - 0.5, x2 - 0.5",
+     "--box=-1e200,1e200,-1e200,1e200"],
 ], ids=["certify-center", "locate-odd-box", "homotopy-m-differs",
         "certify-level-1", "certify-lipschitz-auto-too-wide",
-        "locate-box-too-wide"])
+        "locate-box-too-wide", "locate-box-diameter-too-wide"])
 def test_cli_input_error_exits_4(argv, capsys):
     assert main(argv) == 4
     captured = capsys.readouterr()

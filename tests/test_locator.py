@@ -74,6 +74,19 @@ class TestBoxWinding:
             box_winding(ev, lower, upper)
         assert ev.batches == []
 
+    @pytest.mark.parametrize("lower, upper, match", [
+        ([-1e308, 0.0], [1e308, 1.0], "width"),
+        ([-1e200, -1e200], [1e200, 1e200], "diameter"),
+    ])
+    def test_too_wide(self, lower, upper, match, counting_evaluator):
+        # InvalidInput before any evaluation, and no RuntimeWarning, which
+        # the test run makes an error
+        ev = counting_evaluator(parse_map("x1 - 0.5, x2 - 0.5", 2))
+        with pytest.raises(InvalidInput, match=f"box too wide: its {match} "
+                                               "is not finite"):
+            box_winding(ev, lower, upper)
+        assert ev.batches == []
+
 
 def box_points_reference(lo, hi):
     """The box boundary samples built per call, as before the template:
@@ -317,6 +330,56 @@ class TestNewtonTail:
         with pytest.raises(DegreeLost):
             locate_zero(ev, UNIT_BOX, eps_x=1e-10)
         assert ev.batches == [69]
+
+    # (z - 0.3 - 0.4i)(z - 1.5 - 0.2i): Newton converges quadratically
+    EARLY_STOP = ("0.85 + (-0.6)*x2 + (-1.0)*x2^2 + (-1.8)*x1 + 1.0*x1^2, "
+                  "0.3000000000000001 + (-1.8)*x2 + 0.6*x1 + 2.0*x1*x2")
+
+    def test_early_stop_when_the_next_step_is_below_rounding(
+            self, counting_evaluator):
+        # after step 5 the quadratic model puts step 6 below the float
+        # spacing, so the square is wound at step 5's iterate: one stencil
+        # fewer than running step 6, and the same point and residual
+        ev = counting_evaluator(parse_map(self.EARLY_STOP, 2))
+        result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
+        assert (result.termination, result.iterations) == ("newton", 5)
+        assert ev.batches == [69, 5, 5, 5, 5, 65]
+        assert [v.hex() for v in result.point.tolist()] == [
+            "0x1.3333333333332p-2", "0x1.9999999999999p-2"]
+        assert result.residual.hex() == "0x1.cd82b446159f3p-55"
+
+    def test_refused_early_accept_goes_on(self, counting_evaluator,
+                                          monkeypatch):
+        # a refused early square is not a give-up: the tail takes step 6,
+        # which is below eps_x / 8, and its square is accepted
+        refused = []
+        accept = locator._accept
+
+        def refuse_first(*args):
+            if not refused:
+                refused.append(args[-1])
+                return None
+            return accept(*args)
+
+        monkeypatch.setattr(locator, "_accept", refuse_first)
+        ev = counting_evaluator(parse_map(self.EARLY_STOP, 2))
+        result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
+        assert refused == [5]
+        assert (result.termination, result.iterations) == ("newton", 6)
+        assert ev.batches == [69, 5, 5, 5, 5, 5, 65]
+
+    def test_early_stop_on_a_wide_box(self, counting_evaluator):
+        # steps of about 1e119 on a box 2e120 wide: size^3 overflows, and a
+        # float ** would raise, yet the early stop fires where it should
+        text = ("1e-240*((x1 + 0.7e120)*(x1 + 3e120) - (x2 + 0.2e120)*"
+                "(x2 - 2e120)), 1e-240*((x1 + 0.7e120)*(x2 - 2e120) + "
+                "(x2 + 0.2e120)*(x1 + 3e120))")
+        ev = counting_evaluator(parse_map(text, 2))
+        box = Region.box([-1e120, -1e120], [1e120, 1e120])
+        result = locate_zero(ev, box, eps_x=1e110)
+        assert (result.termination, result.iterations) == ("newton", 5)
+        assert ev.batches == [69, 5, 5, 5, 5, 65]
+        assert result.point.tolist() == [-0.7e120, -0.2e120]
 
     @pytest.mark.parametrize("eps_x", [0.0, 3.0])
     def test_skipped(self, eps_x, counting_evaluator, monkeypatch):
@@ -574,7 +637,9 @@ def reference_first_batch(x, lo, hi):
 
 def reference_newton_tail(ev, lo, hi, eps_x, max_iter, first):
     """The Newton tail on numpy arrays, as the locator ran it before it ran
-    on Python floats: the behaviour its float tail must reproduce."""
+    on Python floats, with the same early stop when the next step is
+    predicted below rounding: the behaviour its float tail must
+    reproduce."""
     x = 0.5 * (lo + hi)
     images = first
     last = math.inf
@@ -597,6 +662,13 @@ def reference_newton_tail(ev, lo, hi, eps_x, max_iter, first):
             return locator._accept(ev, lo, hi, x, eps_x, it)
         if it > 2 and locator.NEWTON_SHRINK * size > last:
             return None
+        # the next step the quadratic model predicts is below rounding
+        ratio = size / last
+        if it > 1 and size * ratio * ratio <= math.ulp(
+                float(np.max(np.abs(x)))):
+            result = locator._accept(ev, lo, hi, x, eps_x, it)
+            if result is not None:
+                return result
         last = size
     return None
 
@@ -880,15 +952,25 @@ class TestBrouwerFixedPoint:
         assert abs(result.point[0] - 0.5) <= 1e-6
 
     def test_boundary_evaluated_once(self, counting_evaluator):
-        # the validation grid and the boundary circle in one batch, and
-        # neither again
+        # the validation grid, the boundary circle and the locator's first
+        # batch (the top box's 64 boundary samples and the first Newton
+        # stencil) in one batch, and neither grid nor circle again
         f = counting_evaluator(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2", 2))
         result = brouwer_fixed_point(f, n=2)
         assert np.linalg.norm(result.point - [0.2, -0.1]) <= 1e-6
         grid = len(locator._disk_validation_grid(2))
         boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
-        assert f.batches[0] == grid + boundary
+        assert f.batches[0] == grid + boundary + 64 + 5
         assert not {grid, boundary, grid + boundary} & set(f.batches[1:])
+
+    def test_first_locator_batch_rides_with_the_grid(self,
+                                                    counting_evaluator):
+        # grid, circle and the locator's first batch of G in one call, then
+        # the second Newton stencil and the accepted square with its point
+        f = counting_evaluator(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2", 2))
+        result = brouwer_fixed_point(f, n=2)
+        assert result.termination == "newton"
+        assert f.batches == [561 + 256 + 64 + 5, 5, 65]
 
     def test_each_batch_checked_once(self, monkeypatch):
         # G = x - f(x) is finite wherever f is on [-1, 1]^n, so only f's
@@ -922,8 +1004,9 @@ class TestBrouwerFixedPoint:
         assert locator._disk_validation_grid(2).tobytes() == grid.tobytes()
 
     def test_domain_error_path_with_a_writing_callable(self):
-        # F is not finite at the second boundary sample only; the grid alone
-        # is evaluated again, from a copy the map may write into
+        # F is not finite at the second boundary sample only; the grid and
+        # circle without the locator's first batch, then the grid alone, are
+        # evaluated again, from copies the map may write into
         circle = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6).points
         batches = []
 
@@ -936,7 +1019,7 @@ class TestBrouwerFixedPoint:
 
         with pytest.raises(DomainError) as raised:
             brouwer_fixed_point(zeroing, n=2)
-        assert batches == [561 + 256, 561]
+        assert batches == [561 + 256 + 69, 561 + 256, 561]
         assert raised.value.point.tobytes() == circle[1].tobytes()
 
     def test_validation_grid_has_the_centre_once(self):
@@ -965,8 +1048,9 @@ class TestBrouwerFixedPoint:
         f = counting_evaluator(spec)
         with pytest.raises(error, match=match) as raised:
             brouwer_fixed_point(f, n=2)
-        # the grid with the circle raises; the grid alone does not
-        assert f.batches == [561 + 256, 561]
+        # the grid with the circle raises, with or without the locator's
+        # first batch; the grid alone does not
+        assert f.batches == [561 + 256 + 69, 561 + 256, 561]
         if error is DomainError:
             assert raised.value.point.tobytes() == circle[1].tobytes()
 
@@ -979,6 +1063,6 @@ class TestBrouwerFixedPoint:
         assert result.residual == 0.0
         grid = len(locator._disk_validation_grid(2))
         boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
-        # disk validation grid with the boundary; the residual reads f at
-        # the fixed point from that batch
-        assert f.batches == [grid + boundary]
+        # disk validation grid with the boundary and the locator's first
+        # batch; the residual reads f at the fixed point from that batch
+        assert f.batches == [grid + boundary + 64 + 5]

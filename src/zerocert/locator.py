@@ -1,10 +1,15 @@
 """Constructive zero localization once existence is certified.
 
-n=1 brackets a sign change, with both endpoints in one evaluation.  Each
-step evaluates the ITP point (Oliveira & Takahashi 2020): regula falsi,
-truncated towards the midpoint and projected into a shrinking band around
-it, so the step count is at most bisection's plus ITP_N0 and usually far
-less.  With eps_x = 0 it bisects plainly, down to adjacent floats.
+n=1 brackets a sign change.  One call evaluates both endpoints and the
+midpoint, the first step's point; when it raises DomainError, the
+endpoints are evaluated alone and the midpoint after them.  Each later
+step evaluates one point: Chandrupatla's (1997) inverse quadratic
+interpolation through the two bracket ends and the end dropped last, where
+his test finds it safe, else the midpoint, projected into ITP's band
+around the midpoint (Oliveira & Takahashi 2020).  The band halves each
+step and leaves room for rounding, so the step count is at most
+bisection's plus ITP_N0, and usually far less.  With eps_x = 0 it bisects
+plainly, down to adjacent floats.
 
 n=2 first winds the top box, then runs a Newton tail from its centre: each
 step evaluates the iterate and a central-difference stencil in one batch.
@@ -69,10 +74,7 @@ NEWTON_STOP = 0.125     # a step of at most NEWTON_STOP * eps_x ends the tail
 NEWTON_SHRINK = 4.0     # each step after the second is this much shorter
 ACCEPT_HALF = 0.35      # half-side of the accepted square, times eps_x: its
                         # diameter 0.99 eps_x leaves room for rounding
-# ITP in 1D: k1 = ITP_K1 / (width of the first bracket), k2 = ITP_K2
-ITP_K1 = 0.2
-ITP_K2 = 2
-ITP_N0 = 1
+ITP_N0 = 2              # steps the 1D band allows beyond bisection's count
 # the box-edge template of _box_points: per sample, the indices in
 # (lo[0], lo[1], hi[0], hi[1]) of its edge's start and end corner, the
 # corners counterclockwise from lo, and its fraction along the edge
@@ -159,9 +161,9 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
 
 def _locate(ev, box, eps_x, eps_f, max_iter, top=None):
     """locate_zero of the checked evaluator ``ev``, with checked arguments;
-    ``top`` is for _quadtree_2d."""
+    ``top`` holds the images of _top_points when the caller has them."""
     if box.dim == 1:
-        return _bisect_1d(ev, box, eps_x, eps_f, max_iter)
+        return _bisect_1d(ev, box, eps_x, eps_f, max_iter, top)
     if box.dim == 2:
         return _quadtree_2d(ev, box, eps_x, eps_f, max_iter, top)
     raise InvalidInput("localization is implemented for n in {1, 2}")
@@ -173,21 +175,32 @@ def _check_tolerance(name, value):
         raise InvalidInput(f"{name} must be >= 0, got {value!r}")
 
 
-def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
-    a, b = float(box.lower[0]), float(box.upper[0])
-    ends = ev(np.array([[a], [b]]))
-    if ends.shape[1] != 1:
+def _bisect_1d(ev, box, eps_x, eps_f, max_iter, top=None):
+    """The 1D locator.  ``top`` holds the images of the first batch, as
+    _top_points gives it, when the caller has evaluated it."""
+    batch = _top_points(box.lower, box.upper, eps_x)
+    if top is None:
+        try:
+            top = ev(batch)
+        except DomainError:
+            top = ev(batch[:2])     # the endpoints raise again when at fault
+    if top.shape[1] != 1:
         raise InvalidInput("1D localization needs codomain dimension 1")
-    fa, fb = float(ends[0, 0]), float(ends[1, 0])
+    (a,), (b,) = batch[:2].tolist()
+    fa, fb = float(top[0, 0]), float(top[1, 0])
     if fa == 0.0:
-        return _finish(ev, np.array([a]), b - a, 0, [], "residual", ends[0])
+        return _finish(ev, np.array([a]), b - a, 0, [], "residual", top[0])
     if fb == 0.0:
-        return _finish(ev, np.array([b]), b - a, 0, [], "residual", ends[1])
+        return _finish(ev, np.array([b]), b - a, 0, [], "residual", top[1])
     if (fa > 0) == (fb > 0):
         raise DegreeLost((a, b))
-    image_a, image_b = ends
-    width = b - a
-    n_max = _itp_budget(width, eps_x)
+    image_a, image_b = top[0], top[1]
+    n_max = _itp_budget(b - a, eps_x)
+    # the float spacing at the first bracket's larger end bounds the
+    # rounding of every later mid, x and band radius
+    u = math.ulp(max(abs(a), abs(b)))
+    # the end the last step dropped, and whether that step moved a
+    c = fc = moved_a = None
     trail = []
     for it in range(1, max_iter + 1):
         mid = 0.5 * (a + b)
@@ -196,16 +209,26 @@ def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
             return _finish(ev, np.array([mid]), b - a, it - 1, trail,
                            "cell_diameter", image_a if mid == a else image_b)
         x = mid
-        if n_max is not None:
-            # ITP keeps the bracket within eps_x * 2^(n_max - it) of width
-            r = max(0.0, math.ldexp(eps_x, n_max - it) - 0.5 * (b - a))
-            x = _itp_point(a, b, fa, fb, width, r)
-        image = ev(np.array([[x]]))[0]
-        fm = float(image[0])
-        if (fm > 0) == (fa > 0):
-            a, fa, image_a = x, fm, image
+        if it > 1 and n_max is not None:
+            # the band keeps the bracket within (eps_x - 2u) *
+            # 2^(n_max - it) + u of width, rounding included, so within
+            # eps_x by step n_max
+            r = max(0.0, math.ldexp(eps_x - 2.0 * u, n_max - it)
+                    - 0.5 * (b - a) - 2.0 * u)
+            if moved_a:
+                x = _chandrupatla_point(a, fa, b, fb, c, fc, mid, r)
+            else:
+                x = _chandrupatla_point(b, fb, a, fa, c, fc, mid, r)
+        if it == 1 and len(top) == 3:
+            image = top[2]
         else:
-            b, fb, image_b = x, fm, image
+            image = ev(np.array([[x]]))[0]
+        fm = float(image[0])
+        moved_a = (fm > 0) == (fa > 0)
+        if moved_a:
+            c, fc, a, fa, image_a = a, fa, x, fm, image
+        else:
+            c, fc, b, fb, image_b = b, fb, x, fm, image
         trail.append((a, b))
         if abs(fm) <= eps_f:
             return _finish(ev, np.array([x]), b - a, it, trail, "residual",
@@ -221,27 +244,34 @@ def _bisect_1d(ev, box, eps_x, eps_f, max_iter):
 def _itp_budget(width, eps_x):
     """ITP's step budget n_max for a bracket of ``width``: the bisection
     count that shrinks it to eps_x, plus ITP_N0.  None, for plain bisection,
-    when eps_x is 0 or so small against the width that 2^n_max overflows."""
+    when eps_x is 0 or so small against the width that 2^n_max overflows.
+    Else 2 * width is finite, and so is the band's radius, which starts at
+    step 2 below eps_x * 2^(n_max - 2) < 2 * width (ITP_N0 = 2)."""
     if eps_x == 0.0 or not math.isfinite(2.0 * width / eps_x):
         return None
     return max(0, math.ceil(math.log2(width / eps_x))) + ITP_N0
 
 
-def _itp_point(a, b, fa, fb, width, r):
-    """The ITP point of the bracket [a, b] (Oliveira & Takahashi 2020): the
-    regula falsi point, moved k1 * (b - a)^k2 towards the midpoint, then kept
-    within ``r`` of it.  The midpoint when that point is not strictly inside
-    the bracket.  ``width`` is the first bracket's, which sets k1."""
-    mid = 0.5 * (a + b)
-    falsi = a + (b - a) * (fa / (fa - fb))
-    delta = ITP_K1 * (b - a) * ((b - a) / width) ** (ITP_K2 - 1)
-    toward_mid = mid - falsi
+def _chandrupatla_point(x1, f1, x2, f2, x3, f3, mid, r):
+    """The next point of the bracket between x1, the end the last step
+    moved, and x2, where x3 is the end that step dropped (Chandrupatla
+    1997): inverse quadratic interpolation through the three where his
+    test 1 - sqrt(1 - xi) < phi < sqrt(xi) says it is safe, else the
+    midpoint ``mid``; then kept within ``r`` of ``mid`` (ITP's band,
+    Oliveira & Takahashi 2020).  The midpoint when that point is not
+    strictly inside the bracket.  f1 and f3 have one sign, f2 the other."""
     x = mid
-    if delta <= abs(toward_mid):
-        x = falsi + math.copysign(delta, toward_mid)
+    xi = (x1 - x2) / (x3 - x2)
+    phi = (f1 - f2) / (f3 - f2)
+    # phi = 1 when f1 = f3, so the test also keeps f3 - f1 off zero
+    if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+        alpha = (x3 - x1) / (x2 - x1)
+        t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
+        x = x1 + t * (x2 - x1)
     if abs(x - mid) > r:
-        x = mid - math.copysign(r, toward_mid)
-    return x if a < x < b else mid
+        x = mid + math.copysign(r, x - mid)
+    return x if min(x1, x2) < x < max(x1, x2) else mid
 
 
 def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, top=None):
@@ -343,8 +373,12 @@ def _check_box_size(box):
 
 
 def _top_points(lo, hi, eps_x):
-    """The first batch of the 2D locator on the top box [lo, hi]: the box's
-    _box_points, then the Newton tail's first stencil when the tail runs."""
+    """The first batch of the locator on the top box [lo, hi]: in 1D the
+    two ends and the midpoint; in 2D the box's _box_points, then the Newton
+    tail's first stencil when the tail runs."""
+    if len(lo) == 1:
+        (a,), (b,) = lo.tolist(), hi.tolist()
+        return np.array([[a], [b], [0.5 * (a + b)]])
     pts = _box_points(lo, hi)
     if not _runs_tail(lo, hi, eps_x):
         return pts
@@ -485,8 +519,9 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
 
     One evaluation of f covers a grid of the disk, on which f must map into
     the disk, the certificate's boundary samples, whose images give G
-    there, and for n = 2 the first batch the locator evaluates for G on
-    [-1, 1]^2 (the top box's boundary and the first Newton stencil).  When
+    there, and the first batch the locator evaluates for G on [-1, 1]^n
+    (for n = 1 the ends and the midpoint, for n = 2 the top box's boundary
+    and the first Newton stencil).  When
     that call raises DomainError, the grid and the boundary samples are
     evaluated without that batch, which the locator then evaluates itself;
     when that call raises too, the grid is evaluated and checked alone, so
@@ -507,9 +542,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     box = Region.box(-np.ones(n), np.ones(n))
     sampling, circle = _boundary(disk, None)
     grid = _disk_validation_grid(n)
-    parts = [grid, circle]
-    if n == 2:
-        parts.append(_top_points(box.lower, box.upper, 0.5 * eps))
+    parts = [grid, circle, _top_points(box.lower, box.upper, 0.5 * eps)]
     images = _first_images(f, parts, n)
     _check_self_map(images[:len(grid)], n)
 
@@ -539,7 +572,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
 
 def _first_images(f, parts, n):
     """f's images of the concatenated ``parts`` in one call: the validation
-    grid, the boundary samples and maybe the locator's first batch.  On
+    grid, the boundary samples and the locator's first batch.  On
     DomainError the last part is dropped and the call made again, down to
     the grid and the boundary; when that call raises, the grid alone is
     evaluated and checked before the error goes out, so the error is the

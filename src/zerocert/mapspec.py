@@ -463,12 +463,15 @@ _SCREEN = (1.0 - 1e-9) ** 2
 def _lipschitz_pattern(kind: str, dim: int) -> tuple:
     """The draws of ``default_rng(0)`` behind ``lipschitz_estimate``'s
     samples, read-only: for a disk the unit directions and ``u^(1/dim)``,
-    for a box ``u`` uniform in [0, 1)."""
+    for a box ``u`` uniform in [0, 1).  ``u^(1/dim)`` is Python's float
+    ``**``, whose bits do not depend on the SIMD path numpy dispatches to;
+    for dim 1 and 2 they are numpy's."""
     rng = np.random.default_rng(0)
     if kind == "disk":
         raw = rng.normal(size=(_LIPSCHITZ_SAMPLES, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        pattern = raw, rng.uniform(size=(_LIPSCHITZ_SAMPLES, 1)) ** (1.0 / dim)
+        u = rng.uniform(size=_LIPSCHITZ_SAMPLES).tolist()
+        pattern = raw, np.array([[v ** (1.0 / dim)] for v in u])
     else:
         pattern = (rng.random((_LIPSCHITZ_SAMPLES, dim)),)
     for a in pattern:

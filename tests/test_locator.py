@@ -795,9 +795,9 @@ class TestLocateZero1D:
         result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_x=1e-9,
                              eps_f=0.0)
         assert result.termination == "cell_diameter"
-        # endpoints, one midpoint per iteration, and the midpoint of the
-        # last cell, which no iteration evaluated
-        assert ev.batches == [2] + [1] * result.iterations + [1]
+        # endpoints with the first midpoint, one point per later iteration,
+        # and the midpoint of the last cell, which no iteration evaluated
+        assert ev.batches == [3] + [1] * (result.iterations - 1) + [1]
 
     def test_stops_at_float_resolution(self, counting_evaluator):
         # with eps_x = 0 the bracket reaches two adjacent floats; their
@@ -814,7 +814,7 @@ class TestLocateZero1D:
         root = 0.1 ** (1.0 / 3.0)
         assert abs(result.point[0] - root) <= np.spacing(root)
         assert result.residual == abs(result.point[0] ** 3 - 0.1)
-        assert ev.batches == [2] + [1] * result.iterations
+        assert ev.batches == [3] + [1] * (result.iterations - 1)
 
     def test_vector_codomain_rejected(self):
         # F = (x1 - 0.3, x1) has no zero; column 0 alone would give 0.3
@@ -823,14 +823,28 @@ class TestLocateZero1D:
             locate_zero(spec, Region.box([-1.0], [1.0]))
 
     def test_residual_stop_reuses_last_midpoint(self, counting_evaluator):
-        # ITP points 0.1, 0.55, 0.47975, ...: the sixth is within eps_f of
-        # the zero 0.5, and its image is the residual
-        ev = counting_evaluator(parse_map("x1 - 0.5", 1))
+        # points 0, 0.5, 0.35, 0.3667..., 0.36602452..., 0.36602540...: the
+        # sixth is within eps_f of the zero (sqrt(3) - 1) / 2, and its image
+        # is the residual
+        ev = counting_evaluator(parse_map("x1 + x1^2 - 0.5", 1))
         result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_f=1e-6)
         assert result.termination == "residual"
         assert result.iterations == 6
-        assert result.residual == abs(result.point[0] - 0.5) <= 1e-6
-        assert ev.batches == [2] + [1] * 6
+        p = result.point[0]
+        assert result.residual == abs(p + p * p - 0.5) <= 1e-6
+        assert p == result.trail[-1][1]
+        assert ev.batches == [3] + [1] * 5
+
+    def test_linear_map_in_two_iterations(self, counting_evaluator):
+        # the midpoint, then inverse quadratic interpolation through data
+        # of a line, which lands on its zero
+        ev = counting_evaluator(parse_map("x1 - 0.5", 1))
+        result = locate_zero(ev, Region.box([-1.0], [1.0]), eps_f=1e-6)
+        assert result.trail == [(0.0, 1.0), (0.5, 1.0)]
+        assert result.point.tolist() == [0.5]
+        assert result.residual == 0.0
+        assert result.termination == "residual"
+        assert ev.batches == [3, 1]
 
     def test_fewer_steps_than_bisection(self, counting_evaluator):
         # bisection halves [-1, 1] 31 times to reach eps_x = 1e-9
@@ -843,17 +857,70 @@ class TestLocateZero1D:
     @pytest.mark.parametrize("eps_x", [1e-6, 1e-12])
     def test_itp_worst_case(self, eps_x, counting_evaluator):
         # a steep convex map: regula falsi would creep in from the left end;
-        # ITP needs at most bisection's count plus n0, and the endpoints and
-        # the final midpoint are one evaluation each
+        # the band allows at most bisection's count plus n0 steps, the first
+        # rides with the endpoints and the final midpoint is one more call
         a, b = -0.7, 1.0
         ev = counting_evaluator(parse_map("exp(20*x1) - 1", 1))
         result = locate_zero(ev, Region.box([a], [b]), eps_x=eps_x,
                              eps_f=0.0)
-        assert result.termination == "cell_diameter"
+        assert result.termination in ("cell_diameter", "residual")
+        if result.termination == "residual":
+            # a step may land on the exact zero
+            assert result.residual == 0.0
         assert result.cell_diameter <= eps_x
         assert abs(result.point[0]) <= eps_x
-        bound = math.ceil(math.log2((b - a) / eps_x)) + locator.ITP_N0 + 2
-        assert len(ev.batches) <= bound
+        bisections = math.ceil(math.log2((b - a) / eps_x))
+        assert result.iterations <= bisections + locator.ITP_N0
+        assert len(ev.batches) <= bisections + 3
+
+    @pytest.mark.parametrize("text, eps_x", [
+        # one-sided maps whose bracket rides the band's edge: without room
+        # for the rounding of the midpoint and of the projected point, the
+        # bracket is a float spacing wider than eps_x at step n_max
+        ("(x1 - 0.3)*sqrt(abs(x1 - 0.3))", 1e-12),
+        ("(x1 - 0.3)^3", 1e-6),
+    ])
+    def test_band_leaves_room_for_rounding(self, text, eps_x):
+        box = Region.box([-1.0], [1.0])
+        result = locate_zero(parse_map(text, 1), box, eps_x=eps_x,
+                             eps_f=0.0)
+        assert result.iterations <= locator._itp_budget(2.0, eps_x)
+        assert result.cell_diameter <= eps_x
+        assert abs(result.point[0] - 0.3) <= eps_x
+
+    @pytest.mark.parametrize("text, root, calls", [
+        ("x1^9 - 0.001", 0.1 ** (1.0 / 3.0), 12),
+        ("exp(20*x1) - 1.5", math.log(1.5) / 20.0, 13),
+    ])
+    def test_hard_maps_in_few_calls(self, text, root, calls,
+                                    counting_evaluator):
+        # regula falsi converges from one side on these, so with its point
+        # the bracket follows the band's bisection schedule: 44 and 45 calls
+        ev = counting_evaluator(parse_map(text, 1))
+        box = Region.box([-0.7], [1.0])
+        result = locate_zero(ev, box, eps_x=1e-12, eps_f=0.0)
+        assert abs(result.point[0] - root) <= 1e-12
+        assert len(ev.batches) <= calls
+
+    def test_domain_error_at_the_first_midpoint(self, counting_evaluator):
+        # x1 / (x1 - 0.5) is not finite at the midpoint 0.5: the endpoints
+        # are evaluated alone, and the zero at 0 ends the search
+        ev = counting_evaluator(parse_map("x1/(x1 - 0.5)", 1))
+        result = locate_zero(ev, Region.box([0.0], [1.0]))
+        assert result.point.tolist() == [0.0]
+        assert result.residual == 0.0
+        assert result.termination == "residual"
+        assert result.iterations == 0
+        assert ev.batches == [3, 2]
+
+    def test_domain_error_at_the_midpoint_still_raises(self,
+                                                       counting_evaluator):
+        # 1/x1 changes sign on [-1, 1] without a zero: after the endpoints
+        # alone, the midpoint's own evaluation raises
+        ev = counting_evaluator(parse_map("1/x1", 1))
+        with pytest.raises(DomainError):
+            locate_zero(ev, Region.box([-1.0], [1.0]))
+        assert ev.batches == [3, 2, 1]
 
     @pytest.mark.parametrize("text, point", [("x1", 0.0), ("x1 - 1", 1.0)])
     def test_zero_at_an_endpoint(self, text, point):
@@ -873,6 +940,42 @@ class TestLocateZero1D:
         assert best.iterations == 3 == len(best.trail)
         a, b = best.trail[-1]
         assert a < 0.2 ** (1.0 / 3.0) < b
+
+
+class TestChandrupatlaPoint:
+    # the bracket [0.5, 1] after a step that moved its lower end from 0, so
+    # x1 = 0.5, x2 = 1, x3 = 0 and xi = 0.5; its midpoint is 0.75
+    @staticmethod
+    def point(f1, f2, f3, r=1.0):
+        return locator._chandrupatla_point(0.5, f1, 1.0, f2, 0.0, f3, 0.75,
+                                           r)
+
+    def test_interpolates_a_line(self):
+        # F = x - 0.6: phi = 0.5 passes the test
+        assert self.point(-0.1, 0.4, -0.6) == pytest.approx(0.6, abs=1e-15)
+
+    def test_inverse_quadratic_through_three_points(self):
+        # x = g(y) = 0.6 + y - y^2 / 4 through the three images
+        g = lambda y: 0.6 + y - 0.25 * y * y
+        ys = (-0.1, 0.4, -0.6)
+        x = locator._chandrupatla_point(g(ys[0]), ys[0], g(ys[1]), ys[1],
+                                        g(ys[2]), ys[2], 0.75, 1.0)
+        assert x == pytest.approx(0.6, abs=1e-15)
+
+    @pytest.mark.parametrize("f1, f3", [
+        (-0.9, -1.0),       # phi = 0.95 >= sqrt(xi)
+        (-0.05, -3.0),      # phi = 0.2625 <= 1 - sqrt(1 - xi)
+    ])
+    def test_midpoint_where_the_test_fails(self, f1, f3):
+        assert self.point(f1, 1.0, f3) == 0.75
+
+    def test_band_around_the_midpoint(self):
+        assert self.point(-0.1, 0.4, -0.6, r=0.01) == 0.75 - 0.01
+        assert self.point(-0.1, 0.4, -0.6, r=0.0) == 0.75
+
+    def test_overflowing_differences_give_the_midpoint(self):
+        # f1 - f2 and f3 - f2 overflow, so phi is nan and the test fails
+        assert self.point(1e308, -1e308, 1.5e308) == 0.75
 
 
 class TestToleranceValidation:
@@ -950,6 +1053,19 @@ class TestBrouwerFixedPoint:
         spec = parse_map("x1/2 + 0.25", 1)
         result = brouwer_fixed_point(spec)
         assert abs(result.point[0] - 0.5) <= 1e-6
+
+    def test_one_dimensional_first_batch_rides_with_the_grid(
+            self, counting_evaluator):
+        # the 101-point grid, the two boundary points and the locator's
+        # first batch of G (-1, 1 and the midpoint 0) in one call; then
+        # interpolation through G's line lands on the fixed point 0.2
+        f = counting_evaluator(parse_map("(x1 + 0.2)/2", 1))
+        result = brouwer_fixed_point(f, n=1)
+        assert len(locator._disk_validation_grid(1)) == 101
+        assert f.batches == [101 + 2 + 3, 1]
+        assert result.point.tolist() == [0.2]
+        assert result.residual == 0.0
+        assert result.termination == "residual"
 
     def test_boundary_evaluated_once(self, counting_evaluator):
         # the validation grid, the boundary circle and the locator's first

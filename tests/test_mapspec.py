@@ -320,13 +320,14 @@ class TestRoundtrip:
 
 def _fresh_samples(region):
     """The 200 sample points of ``lipschitz_estimate``, drawn afresh from
-    ``default_rng(0)``."""
+    ``default_rng(0)``, with each radial factor from Python's float ``**``."""
     rng = np.random.default_rng(0)
     if region.kind == "disk":
         raw = rng.normal(size=(200, region.dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = region.radius * rng.uniform(size=(200, 1)) ** (1.0 / region.dim)
-        return region.center + raw * radii
+        scale = [[u ** (1.0 / region.dim)]
+                 for u in rng.uniform(size=200).tolist()]
+        return region.center + raw * (region.radius * np.array(scale))
     return rng.uniform(region.lower, region.upper, size=(200, region.dim))
 
 
@@ -438,6 +439,20 @@ class TestScreenedLipschitzEstimate:
                                                         size=(200, dim))
                 got = lower + (upper - lower) * u
                 assert got.tobytes() == want.tobytes(), (lower, upper)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_disk_radii_are_python_powers(self, dim):
+        # a float's ** does not depend on numpy's SIMD dispatch; for dim 1
+        # and 2 it is also numpy's u ** (1 / dim) bit for bit
+        directions, scale = mapspec._lipschitz_pattern("disk", dim)
+        rng = np.random.default_rng(0)
+        rng.normal(size=(200, dim))
+        u = rng.uniform(size=(200, 1))
+        assert scale.shape == (200, 1)
+        assert scale.ravel().tolist() == [float(v) ** (1.0 / dim)
+                                          for v in u.ravel()]
+        if dim <= 2:
+            assert scale.tobytes() == (u ** (1.0 / dim)).tobytes()
 
     def test_pattern_is_read_only_and_reused(self, monkeypatch):
         spec = parse_map("x1*x2, x1 - x2^3", 2)

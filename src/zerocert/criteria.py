@@ -25,8 +25,7 @@ from .degree import boundary_obstruction
 from .errors import InvalidInput, Unsupported, VanishingOnBoundary
 from .geometry import (Region, check_lipschitz, row_norms, unit_sphere,
                        vanishing_floor)
-from .homotopy import (SampledMap, null_homotopy, planar_point,
-                       radial_extension)
+from .homotopy import SampledMap, extension_blend, planar_point
 from .mapspec import MapSpec, as_evaluator
 
 
@@ -218,15 +217,15 @@ def _certify_sampled(ev, region, unit, ims, lipschitz,
                     obstruction=value, rigor=rigor, evidence=evidence)
     witness = None
     if w is not None:
-        phi_unit = None
+        blend = None
         c0, c1 = x0.tolist()
 
         def witness(x):
             # built on the first call, from the boundary the winding summed
-            # (refined samples included)
-            nonlocal phi_unit
-            if phi_unit is None:
-                phi_unit = radial_extension(null_homotopy(w.boundary))
+            # (refined samples included) and the angle steps it summed
+            nonlocal blend
+            if blend is None:
+                blend = extension_blend(w.boundary, w.steps)
             a, b = planar_point(x).tolist()
             # (x - x0) / r on Python floats, which overflow without a warning
             y0, y1 = (a - c0) / r, (b - c1) / r
@@ -239,7 +238,7 @@ def _certify_sampled(ev, region, unit, ims, lipschitz,
                 if not math.isfinite(half):
                     raise InvalidInput(f"a point must be finite, got {[a, b]}")
                 y0, y1 = d0 / half, d1 / half
-            return phi_unit((y0, y1))
+            return blend(y0, y1)
     return cert(verdict="NoConclusion", route=None, obstruction=value,
                 rigor=rigor, evidence=evidence, extension_witness=witness,
                 reason=reason)

@@ -33,6 +33,9 @@ class WindingResult:
     # the boundary map as refined: the samples whose angle steps were summed
     boundary: Optional[SampledMap] = field(default=None, repr=False,
                                            compare=False)
+    # the wrapped angle steps of those samples' images (geometry.wrapped_steps)
+    steps: Optional[np.ndarray] = field(default=None, repr=False,
+                                        compare=False)
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,8 @@ def winding_number(f: SampledMap, refine_budget: int = 4096,
     Arcs whose image angle step reaches pi/2 are split by re-querying the
     map at the circle midpoint until none remain or the budget runs out; a
     norm within geometry.vanishing_floor raises VanishingOnBoundary.  The
-    result's ``boundary`` is ``f`` with those midpoints inserted.
+    result's ``boundary`` is ``f`` with those midpoints inserted, and its
+    ``steps`` the angle steps that were summed.
     """
     check_lipschitz(L)
     check_count("refine_budget", refine_budget, 0)
@@ -88,7 +92,7 @@ def _result(steps, boundary, inserted, L) -> WindingResult:
             rigor = "rigorous"
     return WindingResult(value=value, total_refinements=inserted,
                          rigor=rigor, max_step_angle=max_step,
-                         residual=residual, boundary=boundary)
+                         residual=residual, boundary=boundary, steps=steps)
 
 
 def sign_obstruction(f: SampledMap) -> int:

@@ -8,14 +8,17 @@ only when it is read.  Validity ("the homotopy misses zero") is certified
 only up to the grid: heuristically when the minimum image norm is positive,
 rigorously when it exceeds L*g/2 for a supplied Lipschitz constant L and
 grid diameter g.  The zero-free extension of ``radial_extension`` blends
-one cell's ``corners`` per point; it evaluates no map.
+one cell's ``corners`` per point; it evaluates no map.  A null homotopy
+records its constant t = 1 value as the trace's ``end``, so the extension
+reads its centre value without building the last frame.  The t-grid of
+each step count is built once, read-only, with its Python lists.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +29,19 @@ from .geometry import (BoundarySampling, check_count, check_lipschitz,
 from .mapspec import as_evaluator
 
 ENDPOINT_TOL = 1e-9
+T_STEPS = 65                    # null_homotopy's default t-grid size
+T_GRID_CACHE = 4                # t-grids kept, one per t_steps, least
+                                # recently used dropped
+
+
+@lru_cache(maxsize=T_GRID_CACHE)
+def _t_grid(t_steps: int) -> tuple:
+    """(t, 1 - t, t as a list, 1 - t as a list) for t = linspace(0, 1,
+    t_steps): read-only arrays and tuples of Python floats."""
+    t = np.linspace(0.0, 1.0, t_steps)
+    s = 1.0 - t
+    t.flags.writeable = s.flags.writeable = False
+    return t, s, tuple(t.tolist()), tuple(s.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +57,7 @@ class SampledMap:
             raise InvalidInput("image array must be 2-D")
         if len(self.images) != len(self.sampling.points):
             raise InvalidInput("images and sampling points differ in length")
-        if not np.all(np.isfinite(self.images)):
+        if not np.isfinite(self.images).all():
             raise InvalidInput("images contain non-finite entries")
 
     @property
@@ -68,12 +84,16 @@ class HomotopyTrace:
     on first read.  ``corners(i, j, j2)`` takes integers and returns the
     entries (i, j), (i, j2), (i+1, j) and (i+1, j2), each a list of m
     Python floats equal bit for bit to the same entries of ``frame``; it is
-    the single-point path of ``radial_extension``."""
+    the single-point path of ``radial_extension``.  ``end``, when set, is
+    the last frame's one value, equal bit for bit to each of its entries
+    (a read-only (m,) array); None when the last frame need not be
+    constant."""
 
     base: BoundarySampling
     t_grid: np.ndarray              # ordered, includes 0 and 1
     frame: Callable                 # (i, j) index arrays -> (len, m) images
     corners: Callable               # (i, j, j2) ints -> four m-lists
+    end: Optional[np.ndarray] = None
 
     @cached_property
     def frames(self) -> np.ndarray:
@@ -131,7 +151,7 @@ def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
             or not np.allclose(f.sampling.points, g.sampling.points,
                                atol=1e-12)):
         raise InvalidInput("maps are sampled on different boundary points")
-    t_grid = np.linspace(0.0, 1.0, t_steps)
+    t_grid, _, t_list, _ = _t_grid(t_steps)
 
     def frame(i, j):
         t = t_grid[i][:, None]
@@ -140,7 +160,7 @@ def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
     def corners(i, j, j2):
         fs, gs = f.images[[j, j2]], g.images[[j, j2]]
         lo, hi = [((1.0 - t) * fs + t * gs).tolist()
-                  for t in t_grid[i:i + 2].tolist()]
+                  for t in t_list[i:i + 2]]
         return lo + hi
 
     trace = HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame,
@@ -148,14 +168,22 @@ def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
     return trace, _report(trace, L)
 
 
-def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
+def null_homotopy(f: SampledMap, t_steps: int = T_STEPS) -> HomotopyTrace:
     """Contract a winding-zero planar boundary map to a constant.
 
     Works in log-polar coordinates: radii are interpolated geometrically and
     the (unwrapped) angles linearly, so no frame ever vanishes.  Requires the
     discrete angle sum to close up to a full turn count of zero.  Row 0 is
-    the exact boundary images.
+    the exact boundary images.  At t = 1, s = 1 - t is exactly 0, so every
+    entry is the same exp(mean log radius) at the mean angle: the trace
+    records it as ``end``.
     """
+    return _null_homotopy(f, t_steps, None)
+
+
+def _null_homotopy(f: SampledMap, t_steps: int, steps) -> HomotopyTrace:
+    """null_homotopy of ``f``; ``steps``, when not None, are the
+    ``wrapped_steps`` of its images, which a WindingResult holds."""
     check_count("t_steps", t_steps, 2)
     if f.m != 2:
         raise InvalidInput("null_homotopy needs a planar codomain")
@@ -164,7 +192,8 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
     norms = row_norms(images)
     if norms.min() <= 0.0:
         raise NotANullHomotopy("map vanishes on a sample")
-    steps = wrapped_steps(images)
+    if steps is None:
+        steps = wrapped_steps(images)
     turns = round(float(np.add.reduce(steps)) / (2.0 * math.pi))
     if turns != 0:
         raise NotANullHomotopy(f"map has winding {turns}, not contractible")
@@ -173,8 +202,7 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
     log_r = np.log(norms)
     target_log_r = float(np.add.reduce(log_r)) / k
     target_angle = float(np.add.reduce(lifted)) / k
-    t_grid = np.linspace(0.0, 1.0, t_steps)
-    s_grid = 1.0 - t_grid
+    t_grid, s_grid, _, s_list = _t_grid(t_steps)
     r_tail, a_tail = t_grid * target_log_r, t_grid * target_angle
     is_row0 = np.arange(t_steps) == 0
     exact = np.ascontiguousarray(images.T)        # row 0 is the exact images
@@ -188,7 +216,7 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
 
     # the same arithmetic on Python floats; exp stays numpy's, which rounds
     # unlike math.exp, while math.cos and math.sin agree with numpy's
-    s_list, r_list, a_list = s_grid.tolist(), r_tail.tolist(), a_tail.tolist()
+    r_list, a_list = r_tail.tolist(), a_tail.tolist()
     lr_list, lf_list = log_r.tolist(), lifted.tolist()
     exp, cos, sin = np.exp, math.cos, math.sin
 
@@ -206,8 +234,11 @@ def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
             out[0], out[1] = images[j].tolist(), images[j2].tolist()
         return out
 
+    # s_list[-1] * x is a zero, which leaves the tail's value unchanged
+    end = np.array(corners(t_steps - 2, 0, 0)[2])
+    end.flags.writeable = False
     return HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame,
-                         corners=corners)
+                         corners=corners, end=end)
 
 
 def radial_extension(H: HomotopyTrace):
@@ -216,31 +247,57 @@ def radial_extension(H: HomotopyTrace):
     Returns an evaluator phi on the unit disk: constant on the inner half
     disk, and the homotopy frames (bilinearly interpolated in angle and t)
     on the annulus, matching the boundary map exactly at sampling points.
-    Only the last frame is built here, with ``H.frame``; the boundary's
-    angular order is the sampling's ``angular_order``, sorted once for each
-    sampling, so once per process for a cached unit one.  A call takes one
-    finite real point of shape (2,) and blends the four Python-float
-    entries of ``H.corners`` for its grid cell; it evaluates no map.  A
-    point with an entry of modulus >= 1 lies outside the disk, at t = 0,
-    so it gets the value of its direction without a norm, which could
-    overflow.
+    The constant is ``H.end``; only a trace without one (``straight_line``)
+    has its last frame built with ``H.frame`` and checked to be constant.
+    The boundary's angular order is the sampling's ``angular_order``, sorted
+    once for each sampling, so once per process for a cached unit one.
+
+    One blend (``_blend``) answers every point, with two entries: phi
+    takes one real point of shape (2,) and passes its coordinates on, and
+    a certificate's extension witness passes its rescaled coordinates,
+    which it has already checked, as Python floats.  The blend mixes the
+    four Python-float entries of ``H.corners`` for the point's grid cell;
+    it evaluates no map.  A point with an entry of modulus >= 1 lies
+    outside the disk, at t = 0, so it gets the value of its direction
+    without a norm, which could overflow.
     """
-    k = len(H.base.points)
-    last = H.frame(np.full(k, len(H.t_grid) - 1), np.arange(k))
-    c = last[0].copy()
-    if float(np.max(np.abs(last - c))) > ENDPOINT_TOL:
-        raise NotANullHomotopy("final frame is not constant")
-    if np.linalg.norm(c) <= 0.0:
+    blend = _blend(H)
+
+    def phi(x):
+        return blend(*planar_point(x).tolist())
+
+    return phi
+
+
+def extension_blend(f: SampledMap, steps):
+    """The blend of ``radial_extension(null_homotopy(f))``, where ``steps``
+    are the ``wrapped_steps`` of f's images: a function of the two Python
+    float coordinates of a point."""
+    return _blend(_null_homotopy(f, T_STEPS, steps))
+
+
+def _blend(H: HomotopyTrace):
+    """radial_extension's point function, on two Python floats."""
+    c = H.end
+    if c is None:
+        k = len(H.base.points)
+        last = H.frame(np.full(k, len(H.t_grid) - 1), np.arange(k))
+        c = last[0].copy()
+        if float(np.max(np.abs(last - c))) > ENDPOINT_TOL:
+            raise NotANullHomotopy("final frame is not constant")
+    if c.dot(c) <= 0.0:     # np.linalg.norm(c) <= 0.0
         raise NotANullHomotopy("final constant is zero")
     # the scalar work runs on Python floats, which round as numpy does
     theta0, rel_ang, order = H.base.angular_order
-    t_grid = H.t_grid.tolist()
-    corners, two_pi = H.corners, 2.0 * math.pi
+    t_grid, _, t_list, _ = _t_grid(len(H.t_grid))
+    if t_grid is not H.t_grid:      # a grid of the caller's own
+        t_list = H.t_grid.tolist()
+    corners, two_pi, k = H.corners, 2.0 * math.pi, len(rel_ang)
+    last_cell, planar = len(t_list) - 2, len(c) == 2
 
-    def phi(x):
-        x = planar_point(x)
-        x0, x1 = x.tolist()
+    def blend(x0, x1):
         if abs(x0) < 1.0 and abs(x1) < 1.0:     # false for nan and inf
+            x = np.array((x0, x1))
             r = math.sqrt(x.dot(x))     # np.linalg.norm, bit for bit
             if r <= 0.5:
                 return c.copy()
@@ -257,16 +314,19 @@ def radial_extension(H: HomotopyTrace):
             w = 0.0
         else:
             w = ((a - rel_ang[j]) % two_pi) / width
-        i = bisect_right(t_grid, t) - 1
-        i = min(max(i, 0), len(t_grid) - 2)
-        span = t_grid[i + 1] - t_grid[i]
-        s = (t - t_grid[i]) / span if span > 0 else 0.0
+        i = min(max(bisect_right(t_list, t) - 1, 0), last_cell)
+        span = t_list[i + 1] - t_list[i]
+        s = (t - t_list[i]) / span if span > 0 else 0.0
         u, v = 1.0 - w, 1.0 - s
-        return np.array([
-            v * (u * f00 + w * f01) + s * (u * f10 + w * f11)
-            for f00, f01, f10, f11 in zip(*corners(i, order[j], order[j2]))])
+        cell = corners(i, order[j], order[j2])
+        if planar:
+            (p0, q0), (p1, q1), (p2, q2), (p3, q3) = cell
+            return np.array([v * (u * p0 + w * p1) + s * (u * p2 + w * p3),
+                             v * (u * q0 + w * q1) + s * (u * q2 + w * q3)])
+        return np.array([v * (u * f00 + w * f01) + s * (u * f10 + w * f11)
+                         for f00, f01, f10, f11 in zip(*cell)])
 
-    return phi
+    return blend
 
 
 def planar_point(x) -> np.ndarray:

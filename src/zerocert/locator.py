@@ -67,6 +67,8 @@ from .mapspec import MapSpec, as_evaluator
 MAX_JIGGLES = 5
 SAMPLES_PER_EDGE = 16             # per box edge
 BUDGET = 4096                     # refinement insertions per box winding
+HUGE_IMAGE = 2.0 ** 500           # a residual's image with an entry this
+                                  # large is scaled before its norm
 
 # Newton tail of the 2D locator
 NEWTON_H = 2.0 ** -20   # difference step, times the top box's width per axis
@@ -502,7 +504,12 @@ def _finish(ev, point, diameter, iterations, trail, termination,
     just evaluated it, else the point is evaluated here."""
     if image is None:
         image = ev(point[None, :])[0]
-    residual = float(np.linalg.norm(image))
+    # the norm squares its entries, which overflows from about 1.3e154
+    peak = max(map(abs, image.tolist()))
+    if peak >= HUGE_IMAGE:
+        residual = peak * float(np.linalg.norm(image / peak))
+    else:
+        residual = float(np.linalg.norm(image))
     return LocateResult(point=point, residual=residual,
                         cell_diameter=float(diameter), iterations=iterations,
                         trail=trail, termination=termination)

@@ -518,7 +518,8 @@ def lipschitz_estimate(spec: MapSpec, region: Region) -> float:
         scaled = jac / peak
         frob2 = np.einsum("kij,kij->k", scaled, scaled)
         jac = jac[frob2 >= frob2.max() * (_SCREEN / min(m, n))]
-    return 2.0 * float(np.max(np.linalg.norm(jac, 2, axis=(1, 2))))
+    # a Jacobian's 2-norm is its largest singular value, which svd lists first
+    return 2.0 * float(np.linalg.svd(jac, compute_uv=False)[:, 0].max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from zerocert import (InvalidInput, Region, Unsupported,
                       boundary_nonvanishing, certify_existence, classify_cat,
                       evaluate, locate_zero, parse_map, poincare_bohl,
                       winding_number)
-from zerocert import criteria, geometry
+from zerocert import criteria, geometry, homotopy
 from zerocert.cli import certificate_dumps
 from zerocert.homotopy import SampledMap, straight_line
 from zerocert.geometry import sample_sphere
@@ -177,17 +178,48 @@ class TestCertifyExistence:
 
     def test_witness_built_on_first_call(self, unit_disk, monkeypatch):
         built = []
-        for name in ("null_homotopy", "radial_extension"):
-            real = getattr(criteria, name)
-            monkeypatch.setattr(criteria, name, lambda arg, real=real, name=name:
-                                built.append(name) or real(arg))
+        real = criteria.extension_blend
+        monkeypatch.setattr(criteria, "extension_blend", lambda *args:
+                            built.append("extension_blend") or real(*args))
         cert = certify_existence(SHIFTED, unit_disk)
         assert cert.extension_witness is not None and built == []
         first = cert.extension_witness([0.9, 0.1])
-        assert built == ["null_homotopy", "radial_extension"]
+        assert built == ["extension_blend"]
         again = cert.extension_witness([0.9, 0.1])
         assert again.tobytes() == first.tobytes()
-        assert built == ["null_homotopy", "radial_extension"]
+        assert built == ["extension_blend"]
+
+    def test_witness_build_reuses_the_winding(self, unit_disk, monkeypatch):
+        # the build takes the winding's angle steps and the null homotopy's
+        # recorded end: no wrapped_steps and no frame call, refined or not
+        steps, frames = [], []
+        real_steps, real_null = homotopy.wrapped_steps, homotopy._null_homotopy
+        monkeypatch.setattr(homotopy, "wrapped_steps",
+                            lambda ims: steps.append(1) or real_steps(ims))
+
+        def counted_null(*args):
+            trace = real_null(*args)
+
+            def frame(i, j):
+                frames.append(1)
+                return trace.frame(i, j)
+            return replace(trace, frame=frame)
+        monkeypatch.setattr(homotopy, "_null_homotopy", counted_null)
+        a = (1.0079240994538576, 0.012369710592005685)
+        refined = parse_map(f"(x1 - {a[0]!r})^2 - (x2 - {a[1]!r})^2, "
+                            f"2*(x1 - {a[0]!r})*(x2 - {a[1]!r})", 2)
+        rng = np.random.default_rng(9)
+        for spec in (SHIFTED, refined):
+            cert = certify_existence(spec, unit_disk)
+            assert cert.obstruction == 0
+            for x in rng.uniform(-1.2, 1.2, (64, 2)):
+                assert cert.extension_witness(x).shape == (2,)
+        assert steps == [] and frames == []
+        # a build without the winding's steps and the recorded end counts
+        trace = homotopy.null_homotopy(
+            SampledMap.from_evaluator(SHIFTED, sample_sphere(unit_disk, 6)))
+        homotopy.radial_extension(replace(trace, end=None))
+        assert steps == [1] and frames == [1]
 
     def test_large_disk_contains_zero(self):
         spec = parse_map("x1 - 1.2, x2 + 0.5", 2)

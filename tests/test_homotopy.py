@@ -9,9 +9,10 @@ from conftest import circle_map, sampled_circle_map
 from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
                       Region, SampledMap, certify_existence, evaluate,
                       null_homotopy, parse_map, radial_extension,
-                      sample_sphere, straight_line)
+                      sample_sphere, straight_line, winding_number)
+from zerocert import homotopy
 from zerocert.geometry import mesh_norm, wrapped_steps
-from zerocert.homotopy import ENDPOINT_TOL
+from zerocert.homotopy import ENDPOINT_TOL, extension_blend
 
 
 def _identity_map(level=6):
@@ -508,8 +509,118 @@ class TestScalarCorners:
             return trace.frame(i, j)
 
         phi = radial_extension(replace(trace, frame=counted))
-        assert calls == [[len(trace.t_grid) - 1]]
+        # a null homotopy's recorded end stands for its last frame
+        want = [] if build == "null" else [[len(trace.t_grid) - 1]]
+        assert calls == want
         rng = np.random.default_rng(7)
         for x in _probe_points(rng, f.sampling, 80):
             phi(x)
-        assert len(calls) == 1
+        assert calls == want
+
+
+def _near_double_root(rng):
+    """(z - a)^2 on the level-6 unit circle, a just outside it: the image
+    often turns by more than pi between two samples, so that the winding
+    refines its boundary."""
+    a = complex((1.0 + rng.uniform(0.002, 0.01))
+                * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+
+    def evaluator(pts):
+        z = (pts[:, 0] + 1j * pts[:, 1] - a) ** 2
+        return np.stack([z.real, z.imag], axis=1)
+    return SampledMap.from_evaluator(
+        evaluator, sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
+
+
+def _winding_zero_boundaries(rng):
+    """WindingResults of winding 0: random maps on unrefined samplings of
+    several disks, then boundaries the winding refined."""
+    results = []
+    for level in (2, 4, 6):
+        region = Region.disk(rng.uniform(-2.0, 2.0, 2),
+                             float(rng.uniform(0.3, 3.0)))
+        results.append(winding_number(
+            _winding_zero_map(rng, sample_sphere(region, level))))
+    # a draw whose samples alias the double turn gets winding 1 unrefined
+    refined = [w for w in (winding_number(_near_double_root(rng))
+                           for _ in range(12))
+               if w.value == 0 and w.total_refinements > 0]
+    assert len(refined) >= 3
+    results += refined[:3]
+    assert all(w.value == 0 for w in results)
+    return results
+
+
+class TestRecordedEnd:
+    """A null homotopy records its t = 1 value as ``end``; the extension
+    reads it in place of the last frame."""
+
+    @pytest.mark.parametrize("t_steps", [2, 3, 17, 65])
+    def test_end_is_every_entry_of_the_last_frame(self, t_steps):
+        rng = np.random.default_rng(400 + t_steps)
+        for w in _winding_zero_boundaries(rng):
+            trace = null_homotopy(w.boundary, t_steps)
+            last = trace.frames[-1]
+            assert trace.end.dtype == last.dtype and trace.end.shape == (2,)
+            assert last.tobytes() == np.tile(trace.end, (len(last), 1)).tobytes()
+            with pytest.raises(ValueError):
+                trace.end[0] = 1.0
+
+    @pytest.mark.parametrize("t_steps", [2, 17, 65])
+    def test_winding_steps_give_the_same_trace(self, t_steps):
+        # the WindingResult's steps are the boundary's own wrapped steps
+        rng = np.random.default_rng(500 + t_steps)
+        for w in _winding_zero_boundaries(rng):
+            assert w.steps.tobytes() == wrapped_steps(w.boundary.images).tobytes()
+            got = homotopy._null_homotopy(w.boundary, t_steps, w.steps)
+            want = null_homotopy(w.boundary, t_steps)
+            assert got.frames.tobytes() == want.frames.tobytes()
+            assert got.end.tobytes() == want.end.tobytes()
+            assert got.corners(0, 1, 2) == want.corners(0, 1, 2)
+
+    def test_straight_line_records_no_end(self):
+        f = _shifted_map(level=3)
+        assert straight_line(f, f, t_steps=4)[0].end is None
+
+    def test_t_grid_is_built_once_and_read_only(self):
+        f = _shifted_map(level=3)
+        trace, line = null_homotopy(f, 9), straight_line(f, f, 9)[0]
+        assert trace.t_grid is line.t_grid
+        t, s, t_list, s_list = homotopy._t_grid(9)
+        assert t is trace.t_grid
+        assert t.tobytes() == np.linspace(0.0, 1.0, 9).tobytes()
+        assert s.tobytes() == (1.0 - np.linspace(0.0, 1.0, 9)).tobytes()
+        assert (list(t_list), list(s_list)) == (t.tolist(), s.tolist())
+        for grid in (t, s):
+            with pytest.raises(ValueError):
+                grid[1] = 0.5
+        assert homotopy._t_grid.cache_info().maxsize == homotopy.T_GRID_CACHE
+
+
+    def test_a_grid_of_the_callers_own(self):
+        # a trace built with its own t-grid is blended on that grid, not on
+        # the cached one of its length
+        rng = np.random.default_rng(700)
+        trace = null_homotopy(_winding_zero_map(rng, sample_sphere(
+            Region.disk([0.0, 0.0], 1.0), 4)), 9)
+        own = replace(trace, t_grid=np.linspace(0.0, 1.0, 9) ** 2)
+        _assert_same_witness(own, _probe_points(rng, own.base, 80))
+
+
+class TestFloatEntry:
+    """The certificate's entry into the blend, on Python floats, answers as
+    the public ``phi`` does, byte for byte."""
+
+    def test_float_entry_is_phi(self):
+        rng = np.random.default_rng(600)
+        for w in _winding_zero_boundaries(rng):
+            blend = extension_blend(w.boundary, w.steps)
+            phi = radial_extension(null_homotopy(w.boundary))
+            points = _probe_points(rng, w.boundary.sampling, 120)
+            # far points, and a strided view as phi's input
+            points = np.concatenate([points, [[1e300, 1e300], [-1.7e308, 0.0],
+                                              [3.0, -4.0]]])
+            for x in list(points) + [np.asfortranarray(points)[5]]:
+                got, want = blend(*x.tolist()), phi(x)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), x

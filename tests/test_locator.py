@@ -258,6 +258,18 @@ class TestLocateZero2D:
         # the top box's boundary, then its centre: no Newton step
         assert ev.batches == [64, 1]
 
+    @pytest.mark.parametrize("text, upper, eps_x", [
+        ("1e200*(x1^3 - 0.2)", 1.0, 1e-6), ("x1 - 3e307", 1e308, 1e300)])
+    def test_residual_beyond_the_square_range(self, text, upper, eps_x):
+        # |F(point)| is far above 1.3e154, where a norm's square overflows
+        # with a RuntimeWarning, which the test run makes an error
+        spec = parse_map(text, 1)
+        result = locate_zero(spec, Region.box([0.0], [upper]), eps_x=eps_x,
+                             eps_f=0.0)
+        image = evaluate(spec, result.point[None])[0]
+        assert math.isfinite(result.residual)
+        assert result.residual == abs(image[0]) > 1e154
+
     def test_iteration_limit_keeps_the_best_cell(self):
         with pytest.raises(BudgetExhausted, match="quadtree") as err:
             locate_zero(parse_map("x1 - 0.3, x2 - 0.4", 2), UNIT_BOX,
@@ -1182,3 +1194,26 @@ class TestBrouwerFixedPoint:
         # disk validation grid with the boundary and the locator's first
         # batch; the residual reads f at the fixed point from that batch
         assert f.batches == [grid + boundary + 64 + 5]
+
+
+class TestResidual:
+    """``_finish``'s residual is the image's norm: below 2^500 that of
+    ``np.linalg.norm``, bit for bit, and scaled by the largest entry above,
+    where the norm's squares would overflow."""
+
+    @staticmethod
+    def residual(image):
+        ev = as_evaluator(lambda pts: np.array([image]))
+        return locator._finish(ev, np.zeros(2), 0.0, 0, [], "residual").residual
+
+    def test_norm_bits_below_the_scale(self):
+        rng = np.random.default_rng(3)
+        for image in rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(
+                -150, 150, (200, 1)):
+            assert self.residual(image) == float(np.linalg.norm(image))
+
+    @pytest.mark.parametrize("image, want", [
+        ([3e200, -4e200], 5e200), ([1e308, 1e308], 1e308 * math.sqrt(2)),
+        ([0.0, -2.0 ** 500], 2.0 ** 500)])
+    def test_no_overflow_above_it(self, image, want):
+        assert self.residual(image) == pytest.approx(want, rel=1e-15)

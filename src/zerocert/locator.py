@@ -1,9 +1,14 @@
 """Constructive zero localization once existence is certified.
 
-n=1 brackets a sign change.  One call evaluates both endpoints and the
-midpoint, the first step's point; when it raises DomainError, the
-endpoints are evaluated alone and the midpoint after them.  Each later
-step evaluates one point: Chandrupatla's (1997) inverse quadratic
+One call evaluates the top box's first batch, in parts: in 1D the ends,
+then the midpoint; in 2D the boundary, then the Newton tail's first
+stencil when the tail runs.  On DomainError the last part is dropped and
+the call made again, down to the ends or the boundary (a dropped midpoint
+is evaluated on its own, a dropped stencil skips the tail).  The codomain
+dimension is checked once, on that call's images.
+
+n=1 brackets a sign change.  Each step evaluates one point, the first
+the midpoint; each later one Chandrupatla's (1997) inverse quadratic
 interpolation through the two bracket ends and the end dropped last, where
 his test finds it safe, else the midpoint, projected into ITP's band
 around the midpoint (Oliveira & Takahashi 2020).  The band halves each
@@ -12,13 +17,11 @@ bisection's plus ITP_N0, and usually far less.  With eps_x = 0 it bisects
 plainly, down to adjacent floats.
 
 n=2 first winds the top box, then runs a Newton tail from its centre: each
-step evaluates the iterate and a central-difference stencil in one batch.
-The first step's batch depends only on the box, so one call evaluates it
-with the top box's boundary; when that call raises DomainError, the
-boundary is evaluated alone and the tail is skipped.  The tail gives up
-when an iterate leaves the box, when the difference Jacobian is singular
-or not finite, or when a step after the second fails to shrink fourfold;
-a failed tail costs a few evaluations and the answer is the quadtree's
+step evaluates the iterate and a central-difference stencil in one batch,
+the first step's in the top box's call.  The tail gives up when an
+iterate leaves the box, when the difference Jacobian is singular or not
+finite, or when a step after the second fails to shrink fourfold; a
+failed tail costs a few evaluations and the answer is the quadtree's
 below, unchanged.  Once a step is at most eps_x / 8, or once the
 quadratic model of the last two steps puts the next one below the float
 spacing at the iterate, the point is accepted only when a square of
@@ -163,12 +166,31 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
 
 def _locate(ev, box, eps_x, eps_f, max_iter, top=None):
     """locate_zero of the checked evaluator ``ev``, with checked arguments;
-    ``top`` holds the images of _top_points when the caller has them."""
-    if box.dim == 1:
-        return _bisect_1d(ev, box, eps_x, eps_f, max_iter, top)
-    if box.dim == 2:
-        return _quadtree_2d(ev, box, eps_x, eps_f, max_iter, top)
-    raise InvalidInput("localization is implemented for n in {1, 2}")
+    ``top`` holds the images of the concatenated _top_parts when the caller
+    has them, else they are evaluated here."""
+    n = box.dim
+    if n > 2:
+        raise InvalidInput("localization is implemented for n in {1, 2}")
+    if n == 2:
+        _check_box_size(box)
+    if top is None:
+        top = _leading_images(ev, _top_parts(box.lower, box.upper, eps_x), 1)
+    if top.shape[1] != n:
+        raise InvalidInput(f"{n}D localization needs codomain dimension {n}")
+    solve = _bisect_1d if n == 1 else _quadtree_2d
+    return solve(ev, box, eps_x, eps_f, max_iter, top)
+
+
+def _leading_images(ev, parts, keep):
+    """The images of the concatenated ``parts``, evaluated in one call.  On
+    DomainError the last part is dropped and the call made again; with only
+    ``keep`` parts left, the error goes out."""
+    try:
+        return ev(np.concatenate(parts))
+    except DomainError:
+        if len(parts) == keep:
+            raise
+        return _leading_images(ev, parts[:-1], keep)
 
 
 def _check_tolerance(name, value):
@@ -177,18 +199,10 @@ def _check_tolerance(name, value):
         raise InvalidInput(f"{name} must be >= 0, got {value!r}")
 
 
-def _bisect_1d(ev, box, eps_x, eps_f, max_iter, top=None):
-    """The 1D locator.  ``top`` holds the images of the first batch, as
-    _top_points gives it, when the caller has evaluated it."""
-    batch = _top_points(box.lower, box.upper, eps_x)
-    if top is None:
-        try:
-            top = ev(batch)
-        except DomainError:
-            top = ev(batch[:2])     # the endpoints raise again when at fault
-    if top.shape[1] != 1:
-        raise InvalidInput("1D localization needs codomain dimension 1")
-    (a,), (b,) = batch[:2].tolist()
+def _bisect_1d(ev, box, eps_x, eps_f, max_iter, top):
+    """The 1D locator.  ``top`` holds the images of the ends and, unless
+    it raised, the midpoint: the leading parts of _top_parts."""
+    (a,), (b,) = box.lower.tolist(), box.upper.tolist()
     fa, fb = float(top[0, 0]), float(top[1, 0])
     if fa == 0.0:
         return _finish(ev, np.array([a]), b - a, 0, [], "residual", top[0])
@@ -251,7 +265,8 @@ def _itp_budget(width, eps_x):
     step 2 below eps_x * 2^(n_max - 2) < 2 * width (ITP_N0 = 2)."""
     if eps_x == 0.0 or not math.isfinite(2.0 * width / eps_x):
         return None
-    return max(0, math.ceil(math.log2(width / eps_x))) + ITP_N0
+    # width / eps_x rounds to 0 when eps_x is far larger, even infinite
+    return math.ceil(math.log2(max(1.0, width / eps_x))) + ITP_N0
 
 
 def _chandrupatla_point(x1, f1, x2, f2, x3, f3, mid, r):
@@ -276,24 +291,14 @@ def _chandrupatla_point(x1, f1, x2, f2, x3, f3, mid, r):
     return x if min(x1, x2) < x < max(x1, x2) else mid
 
 
-def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, top=None):
-    """The 2D locator.  ``top`` holds the images of the first batch, as
-    _top_points gives it, when the caller has evaluated it."""
-    _check_box_size(box)
+def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, top):
+    """The 2D locator.  ``top`` holds the images of the top box's boundary
+    and, unless it raised, the first Newton stencil: the leading parts of
+    _top_parts."""
     rng = None      # the jiggle generator, seeded 0 at the first jiggle
     lo = box.lower.copy()
     hi = box.upper.copy()
-    batch = _top_points(lo, hi, eps_x)
-    pts = batch[:4 * SAMPLES_PER_EDGE]
-    if top is None and len(batch) > len(pts):
-        try:
-            top = ev(batch)
-        except DomainError:
-            pass    # alone, the boundary raises again when it is at fault
-    if top is None:
-        top = ev(pts)
-    if top.shape[1] != 2:
-        raise InvalidInput("box winding needs codomain dimension 2")
+    pts = _box_points(lo, hi)
     ims, first = top[:len(pts)], top[len(pts):]
     if _wind(ev, pts, ims) == 0:
         raise DegreeLost((lo, hi))
@@ -374,19 +379,19 @@ def _check_box_size(box):
         raise InvalidInput("box too wide: its diameter is not finite")
 
 
-def _top_points(lo, hi, eps_x):
-    """The first batch of the locator on the top box [lo, hi]: in 1D the
-    two ends and the midpoint; in 2D the box's _box_points, then the Newton
-    tail's first stencil when the tail runs."""
+def _top_parts(lo, hi, eps_x):
+    """The first batch of the locator on the top box [lo, hi], as a list of
+    parts: in 1D the two ends, then the midpoint; in 2D the box's
+    _box_points, then the Newton tail's first stencil when the tail runs."""
     if len(lo) == 1:
         (a,), (b,) = lo.tolist(), hi.tolist()
-        return np.array([[a], [b], [0.5 * (a + b)]])
-    pts = _box_points(lo, hi)
-    if not _runs_tail(lo, hi, eps_x):
-        return pts
-    (l0, l1), (u0, u1) = lo.tolist(), hi.tolist()
-    center = (0.5 * (l0 + u0), 0.5 * (l1 + u1))
-    return np.concatenate((pts, _stencil(center, (l0, l1), (u0, u1))[0]))
+        return [np.array([[a], [b]]), np.array([[0.5 * (a + b)]])]
+    parts = [_box_points(lo, hi)]
+    if _runs_tail(lo, hi, eps_x):
+        (l0, l1), (u0, u1) = lo.tolist(), hi.tolist()
+        center = (0.5 * (l0 + u0), 0.5 * (l1 + u1))
+        parts.append(_stencil(center, (l0, l1), (u0, u1))[0])
+    return parts
 
 
 def _runs_tail(lo, hi, eps_x):
@@ -524,24 +529,23 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     is certified first and then located by locate_zero.  The residual of the
     result is ||f(point) - point||.
 
-    One evaluation of f covers a grid of the disk, on which f must map into
-    the disk, the certificate's boundary samples, whose images give G
-    there, and the first batch the locator evaluates for G on [-1, 1]^n
-    (for n = 1 the ends and the midpoint, for n = 2 the top box's boundary
-    and the first Newton stencil).  When
-    that call raises DomainError, the grid and the boundary samples are
-    evaluated without that batch, which the locator then evaluates itself;
-    when that call raises too, the grid is evaluated and checked alone, so
-    the error is the one of a grid evaluated before the boundary.  The grid
-    is built once per process for each n and is read-only, like the
-    unit-sphere samplings.
+    One evaluation of f covers three parts: a grid of the disk, on which f
+    must map into the disk, the certificate's boundary samples, whose
+    images give G there, and the locator's whole first batch for G on
+    [-1, 1]^n.  The locator's rule drops the last part on DomainError,
+    down to the grid and the boundary; the locator then evaluates its
+    first batch itself.  When the grid and the boundary raise too, the
+    grid is evaluated and checked alone, so the error is the one of a grid
+    evaluated before the boundary.  The grid is built once per process for
+    each n and is read-only, like the unit-sphere samplings.
     """
     _check_tolerance("eps", eps)
     if n is None:
         if not isinstance(map_like, MapSpec):
             raise InvalidInput("pass n explicitly for callable maps")
         n = map_like.n
-    if n not in (1, 2):
+    check_count("n", n, 1)
+    if n > 2:
         raise InvalidInput("fixed points are located for n in {1, 2}")
     f = as_evaluator(map_like)
 
@@ -549,8 +553,14 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     box = Region.box(-np.ones(n), np.ones(n))
     sampling, circle = _boundary(disk, None)
     grid = _disk_validation_grid(n)
-    parts = [grid, circle, _top_points(box.lower, box.upper, 0.5 * eps)]
-    images = _first_images(f, parts, n)
+    parts = [grid, circle,
+             np.concatenate(_top_parts(box.lower, box.upper, 0.5 * eps))]
+    try:
+        images = _leading_images(f, parts, 2)
+    except DomainError:
+        # the error of a grid evaluated before the boundary
+        _check_self_map(f(grid), n)
+        raise
     _check_self_map(images[:len(grid)], n)
 
     # G is evaluated only in [-1, 1]^n, where x - f(x) of a finite f(x) is
@@ -562,36 +572,15 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     top = parts[2] - images[end:] if len(images) > end else None
     cert = _certify_sampled(g, disk, sampling, g_circle, None)
     if cert.verdict == "ZeroOnBoundary":
-        # the boundary sample where G vanishes is a fixed point; f there is
-        # the batch row of that sample
-        point = cert.evidence[0].witness
-        row = len(grid) + int(np.argmin(row_norms(g_circle)))
-        residual = float(np.linalg.norm(images[row] - point))
-        return LocateResult(point=point, residual=residual, cell_diameter=0.0,
-                            iterations=0, trail=[],
-                            termination="boundary_fixed_point")
+        # the boundary sample where G vanishes is a fixed point
+        idx = int(np.argmin(row_norms(g_circle)))
+        return _finish(g, cert.evidence[0].witness, 0.0, 0, [],
+                       "boundary_fixed_point", g_circle[idx])
     if cert.verdict != "ZeroGuaranteed":
         raise ZeroCertError(
             f"could not certify a fixed point (verdict {cert.verdict})")
     # ||p - f(p)||, the located residual, is ||f(p) - p|| bit for bit
     return _locate(g, box, 0.5 * eps, 1e-12, 200, top)
-
-
-def _first_images(f, parts, n):
-    """f's images of the concatenated ``parts`` in one call: the validation
-    grid, the boundary samples and the locator's first batch.  On
-    DomainError the last part is dropped and the call made again, down to
-    the grid and the boundary; when that call raises, the grid alone is
-    evaluated and checked before the error goes out, so the error is the
-    one of a grid evaluated before the boundary.  A callable map gets its
-    own copy of the read-only grid (as_evaluator)."""
-    try:
-        return f(np.concatenate(parts))
-    except DomainError:
-        if len(parts) > 2:
-            return _first_images(f, parts[:-1], n)
-        _check_self_map(f(parts[0]), n)
-        raise
 
 
 def _check_self_map(grid_images, n):

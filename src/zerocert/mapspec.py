@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import (DomainError, InvalidInput, MapSyntaxError,
                      NonIntegerExponent, UndefinedVariable)
-from .geometry import Region
+from .geometry import Region, check_count
 
 MAX_DEPTH = 64
 # evaluate keeps one array per tape step alive, so it runs a large batch
@@ -311,8 +311,7 @@ def map_digest(text: str) -> str:
 
 def parse_map(text: str, n: int) -> MapSpec:
     """Parse a comma-separated expression list into a MapSpec."""
-    if n < 1:
-        raise InvalidInput(f"domain dimension must be >= 1, got {n}")
+    check_count("domain dimension", n, 1)
     parser = _Parser(text, n)
     tokens = parser.tokens
     slot, i = parser.parse_expr(0, 1)

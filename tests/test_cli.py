@@ -164,6 +164,20 @@ class TestOtherCommands:
         assert captured.out == ""
         assert "codomain dimension 1" in captured.err
 
+    @pytest.mark.parametrize("argv, point", [
+        (["locate", "--map", "x1 - 0.3", "--box=0,1", "--eps-x", "inf"],
+         0.25),
+        (["fixed-point", "--map", "(x1 + 0.2)/2", "--n", "1", "--eps", "inf"],
+         0.5),
+    ], ids=["locate", "fixed-point"])
+    def test_infinite_tolerance_ends_at_the_first_cell(self, argv, point,
+                                                       capsys):
+        code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["point"] == [point]
+        assert (out["termination"], out["iterations"]) == ("cell_diameter", 1)
+
     @pytest.mark.parametrize("argv, field", [
         (["certify", "--map", "x1, x2", "--n", "2", "--center=nan,0",
           "--radius", "1"], "center"),

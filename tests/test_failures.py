@@ -69,8 +69,9 @@ def _axis_points(h=math.sqrt(2.0), first=1.0):
 # Each case failed at the time it was added: max_iter=nan and 2.5 raised
 # TypeError, a tuple box AttributeError, level=nan numpy's ValueError for
 # n = 2 and nothing for n = 3 (a 6-point mesh), level=2.5 built a 23-point
-# circle with one short gap, and refine_budget=nan and t_steps=2.5 were not
-# rejected as integers.
+# circle with one short gap, refine_budget=nan and t_steps=2.5 were not
+# rejected as integers, parse_map took n = 2.5 and raised TypeError for
+# "2", and brouwer_fixed_point(n=2.0) raised numpy's TypeError.
 @pytest.mark.parametrize("call", [
     lambda: locate_zero(PLANE, BOX2, max_iter=math.nan),
     lambda: locate_zero(PLANE, BOX2, max_iter=2.5),
@@ -82,9 +83,13 @@ def _axis_points(h=math.sqrt(2.0), first=1.0):
     lambda: winding_number(_planar(), refine_budget=math.nan),
     lambda: straight_line(_planar(), _planar(), t_steps=2.5),
     lambda: null_homotopy(_circle(lambda p: p + 3.0), t_steps=2.5),
+    lambda: parse_map("x1", 2.5),
+    lambda: parse_map("x1", "2"),
+    lambda: brouwer_fixed_point(lambda p: p / 2, n=2.0),
 ], ids=["max_iter-nan", "max_iter-2.5", "tuple-box", "level-nan-n2",
         "level-nan-n3", "level-2.5-n2", "refine_budget-nan",
-        "straight_line-t_steps-2.5", "null_homotopy-t_steps-2.5"])
+        "straight_line-t_steps-2.5", "null_homotopy-t_steps-2.5",
+        "parse_map-n-2.5", "parse_map-n-str", "brouwer-n-2.0"])
 def test_count_arguments_must_be_integers(call):
     with pytest.raises(InvalidInput,
                        match="must be an integer|needs a box region"):
@@ -205,9 +210,12 @@ def test_far_phi_point(point, direction):
     ["locate", "--map", "x1 - 0.5, x2 - 0.5", "--box=-1e308,1e308,0,1"],
     ["locate", "--map", "x1 - 0.5, x2 - 0.5",
      "--box=-1e200,1e200,-1e200,1e200"],
+    ["locate", "--map", "x1 - 0.3", "--box=0,1,0,1"],
+    ["locate", "--map", "1/x1", "--box=-1,1"],
 ], ids=["certify-center", "locate-odd-box", "homotopy-m-differs",
         "certify-level-1", "certify-lipschitz-auto-too-wide",
-        "locate-box-too-wide", "locate-box-diameter-too-wide"])
+        "locate-box-too-wide", "locate-box-diameter-too-wide",
+        "locate-2d-codomain-1", "locate-1d-domain-error"])
 def test_cli_input_error_exits_4(argv, capsys):
     assert main(argv) == 4
     captured = capsys.readouterr()

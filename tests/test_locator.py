@@ -211,6 +211,23 @@ class TestLocateZero2D:
         with pytest.raises(DegreeLost):
             locate_zero(spec, UNIT_BOX)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("as_spec", [True, False], ids=["spec", "callable"])
+    def test_codomain_must_be_2(self, m, as_spec, counting_evaluator):
+        # the top box's boundary and first stencil are evaluated in one call,
+        # and its images' width is checked before any winding
+        text = ", ".join(["x1 - 0.3", "x2 - 0.4", "x1"][:m])
+        spec = parse_map(text, 2)
+        ev = counting_evaluator(spec if as_spec
+                                else lambda pts: evaluate(spec, pts))
+        with pytest.raises(InvalidInput, match="2D localization needs "
+                                               "codomain dimension 2"):
+            locate_zero(ev, UNIT_BOX)
+        assert ev.batches == [64 + 5]
+        with pytest.raises(InvalidInput, match="box winding needs codomain "
+                                               "dimension 2"):
+            box_winding(spec, UNIT_BOX.lower, UNIT_BOX.upper)
+
     def test_degree_lost_when_a_level_winds_to_zero(self):
         # F = (z - a)^2 with a just below the box has no zero in it, but
         # its full turn near a falls between two samples of the bottom edge,
@@ -953,6 +970,30 @@ class TestLocateZero1D:
         a, b = best.trail[-1]
         assert a < 0.2 ** (1.0 / 3.0) < b
 
+    @staticmethod
+    def outcome(result):
+        return (result.point.tobytes(), result.residual, result.cell_diameter,
+                result.iterations, result.trail, result.termination)
+
+    def test_infinite_eps_x_ends_at_the_first_cell(self, counting_evaluator):
+        # width / eps_x is 0, with no log2: the answer of eps_x = 1e300
+        ev = counting_evaluator(parse_map("x1 - 0.3", 1))
+        result = locate_zero(ev, Region.box([0.0], [1.0]), eps_x=math.inf)
+        assert result.point.tolist() == [0.25]
+        assert (result.termination, result.iterations) == ("cell_diameter", 1)
+        assert ev.batches == [3, 1]
+        huge = locate_zero(parse_map("x1 - 0.3", 1), Region.box([0.0], [1.0]),
+                           eps_x=1e300)
+        assert self.outcome(result) == self.outcome(huge)
+
+    def test_subnormal_width_against_a_finite_eps_x(self):
+        # 1e-320 / 1e10 rounds to 0 as well; the first midpoint is the zero
+        result = locate_zero(parse_map("x1 - 5e-321", 1),
+                             Region.box([0.0], [1e-320]), eps_x=1e10)
+        assert result.point.tolist() == [5e-321]
+        assert (result.residual, result.iterations) == (0.0, 1)
+        assert result.termination == "residual"
+
 
 class TestChandrupatlaPoint:
     # the bracket [0.5, 1] after a step that moved its lower end from 0, so
@@ -1043,6 +1084,21 @@ class TestBrouwerFixedPoint:
     def test_quarter_rotation(self):
         spec = parse_map("-x2, x1", 2)
         result = brouwer_fixed_point(spec)
+        assert np.linalg.norm(result.point) <= 1e-6
+
+    def test_infinite_eps(self, counting_evaluator):
+        # the 1D locator ends at its first cell, as with eps = 1e300
+        f = counting_evaluator(parse_map("(x1 + 0.2)/2", 1))
+        result = brouwer_fixed_point(f, eps=math.inf, n=1)
+        assert result.point.tolist() == [0.5]
+        assert (result.termination, result.iterations) == ("cell_diameter", 1)
+        assert f.batches == [101 + 2 + 3, 1]
+        huge = brouwer_fixed_point(parse_map("(x1 + 0.2)/2", 1), eps=1e300)
+        assert (result.point.tobytes(), result.residual) == (
+            huge.point.tobytes(), huge.residual)
+
+    def test_numpy_integer_n(self):
+        result = brouwer_fixed_point(lambda pts: pts / 2, n=np.int64(2))
         assert np.linalg.norm(result.point) <= 1e-6
 
     def test_leaves_disk_rejected(self):

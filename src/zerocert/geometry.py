@@ -302,8 +302,10 @@ def wrapped_steps(images: np.ndarray) -> np.ndarray:
 
 
 def vanishing_floor(norms) -> float:
-    """The norm at or below which a boundary image of ``norms`` vanishes."""
-    return 1e-12 * (1.0 + float(np.maximum.reduce(norms)))
+    """The norm at or below which a boundary image of ``norms`` vanishes:
+    relative to the largest, so that F and c * F (c > 0) answer alike.
+    With every norm 0 it is 0, and a norm of 0 still vanishes."""
+    return 1e-12 * float(np.maximum.reduce(norms))
 
 
 def refine_polyline(pts, ims, evaluator, midpoint, budget: int):

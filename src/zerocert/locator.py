@@ -1,11 +1,12 @@
 """Constructive zero localization once existence is certified.
 
-One call evaluates the top box's first batch, in parts: in 1D the ends,
-then the midpoint; in 2D the boundary, then the Newton tail's first
-stencil when the tail runs.  On DomainError the last part is dropped and
-the call made again, down to the ends or the boundary (a dropped midpoint
-is evaluated on its own, a dropped stencil skips the tail).  The codomain
-dimension is checked once, on that call's images.
+One call evaluates the locator's first batch on the top box, in parts: in
+1D the ends, then the midpoint; in 2D the Newton tail's first stencil when
+the tail runs, else the box's boundary.  On DomainError the last part is
+dropped and the call made again, down to the ends (a dropped midpoint is
+evaluated on its own); a 2D stencil that raises skips the tail, and the
+boundary is evaluated alone.  The codomain dimension is checked once, on
+that call's images.
 
 n=1 brackets a sign change.  Each step evaluates one point, the first
 the midpoint; each later one Chandrupatla's (1997) inverse quadratic
@@ -16,19 +17,20 @@ step and leaves room for rounding, so the step count is at most
 bisection's plus ITP_N0, and usually far less.  With eps_x = 0 it bisects
 plainly, down to adjacent floats.
 
-n=2 first winds the top box, then runs a Newton tail from its centre: each
-step evaluates the iterate and a central-difference stencil in one batch,
-the first step's in the top box's call.  The tail gives up when an
-iterate leaves the box, when the difference Jacobian is singular or not
-finite, or when a step after the second fails to shrink fourfold; a
-failed tail costs a few evaluations and the answer is the quadtree's
-below, unchanged.  Once a step is at most eps_x / 8, or once the
-quadratic model of the last two steps puts the next one below the float
-spacing at the iterate, the point is accepted only when a square of
+n=2 runs a Newton tail from the top box's centre: each step evaluates the
+iterate and a central-difference stencil in one batch, the first step's in
+the first call.  The tail gives up when an iterate leaves the box, when
+the difference Jacobian is singular or not finite, or when a step after
+the second fails to shrink fourfold.  Once a step is at most eps_x / 8, or
+once the quadratic model of the last two steps puts the next one below the
+float spacing at the iterate, the point is accepted only when a square of
 diameter at most eps_x around it, clipped to the box, has nonzero boundary
-winding: the guarantee of a quadtree cell.  A square refused at the early
-stop lets the tail go on.  A box with several zeros may so return a
-different zero than the quadtree would.  A 2D box whose width or diameter
+winding: a quadtree cell's guarantee, which needs no winding of the top
+box.  A square refused at the early stop lets the tail go on.  Only the
+quadtree winds the top box, after a tail that gave up or in place of one
+that does not run; DegreeLost means that the box, or a cut of it, winds 0.
+A box with several zeros may so return a different zero than the quadtree
+would, even when its boundary winds 0.  A 2D box whose width or diameter
 is not finite is rejected before any evaluation.
 
 The quadtree recursively bisects a box into four sub-boxes and follows
@@ -155,7 +157,9 @@ def _wind(ev, pts, ims):
 
 def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
                 eps_f: float = 1e-9, max_iter: int = 100) -> LocateResult:
-    """Approximate a zero inside a box with nonzero boundary obstruction."""
+    """Approximate a zero inside a box: in 2D a Newton answer proved by its
+    own square, or the quadtree's.  DegreeLost when no answer is found and
+    the top box, or a cut of it, winds 0."""
     if not isinstance(box, Region) or box.kind != "box":
         raise InvalidInput("locate_zero needs a box region")
     _check_tolerance("eps_x", eps_x)
@@ -174,7 +178,13 @@ def _locate(ev, box, eps_x, eps_f, max_iter, top=None):
     if n == 2:
         _check_box_size(box)
     if top is None:
-        top = _leading_images(ev, _top_parts(box.lower, box.upper, eps_x), 1)
+        lo, hi = box.lower, box.upper
+        try:
+            top = _leading_images(ev, _top_parts(lo, hi, eps_x), 1)
+        except DomainError:
+            if n == 1 or not _runs_tail(lo, hi, eps_x):
+                raise
+            top = ev(_box_points(lo, hi))   # the stencil raised: no tail
     if top.shape[1] != n:
         raise InvalidInput(f"{n}D localization needs codomain dimension {n}")
     solve = _bisect_1d if n == 1 else _quadtree_2d
@@ -292,23 +302,22 @@ def _chandrupatla_point(x1, f1, x2, f2, x3, f3, mid, r):
 
 
 def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, top):
-    """The 2D locator.  ``top`` holds the images of the top box's boundary
-    and, unless it raised, the first Newton stencil: the leading parts of
-    _top_parts."""
+    """The 2D locator.  ``top`` holds the images of the first Newton
+    stencil, or of the top box's boundary when the tail does not run or
+    its first stencil raised; only the quadtree evaluates and winds it."""
     rng = None      # the jiggle generator, seeded 0 at the first jiggle
     lo = box.lower.copy()
     hi = box.upper.copy()
-    pts = _box_points(lo, hi)
-    ims, first = top[:len(pts)], top[len(pts):]
-    if _wind(ev, pts, ims) == 0:
-        raise DegreeLost((lo, hi))
-    if len(first):
+    if len(top) != len(_BOX_FRACTIONS):     # the first stencil's images
         try:
-            result = _newton_tail(ev, lo, hi, eps_x, max_iter, first)
+            result = _newton_tail(ev, lo, hi, eps_x, max_iter, top)
         except (DomainError, VanishingOnBoundary, BudgetExhausted):
             result = None   # the tail gives up; the quadtree decides
         if result is not None:
             return result
+        top = ev(_box_points(lo, hi))
+    if _wind(ev, _box_points(lo, hi), top) == 0:
+        raise DegreeLost((lo, hi))
     trail = []
     for it in range(1, max_iter + 1):
         center = 0.5 * (lo + hi)
@@ -381,17 +390,16 @@ def _check_box_size(box):
 
 def _top_parts(lo, hi, eps_x):
     """The first batch of the locator on the top box [lo, hi], as a list of
-    parts: in 1D the two ends, then the midpoint; in 2D the box's
-    _box_points, then the Newton tail's first stencil when the tail runs."""
+    parts: in 1D the two ends, then the midpoint; in 2D the Newton tail's
+    first stencil when the tail runs, else the box's _box_points."""
     if len(lo) == 1:
         (a,), (b,) = lo.tolist(), hi.tolist()
         return [np.array([[a], [b]]), np.array([[0.5 * (a + b)]])]
-    parts = [_box_points(lo, hi)]
-    if _runs_tail(lo, hi, eps_x):
-        (l0, l1), (u0, u1) = lo.tolist(), hi.tolist()
-        center = (0.5 * (l0 + u0), 0.5 * (l1 + u1))
-        parts.append(_stencil(center, (l0, l1), (u0, u1))[0])
-    return parts
+    if not _runs_tail(lo, hi, eps_x):
+        return [_box_points(lo, hi)]
+    (l0, l1), (u0, u1) = lo.tolist(), hi.tolist()
+    center = (0.5 * (l0 + u0), 0.5 * (l1 + u1))
+    return [_stencil(center, (l0, l1), (u0, u1))[0]]
 
 
 def _runs_tail(lo, hi, eps_x):
@@ -425,12 +433,12 @@ def _clip(v, lo, hi):
 
 
 def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
-    """Newton's method from the centre of the box [lo, hi], whose winding is
-    nonzero: the result at the zero it finds, or None when it gives up.
+    """Newton's method from the centre of the box [lo, hi]: the result at
+    the zero it finds, or None when it gives up.
 
     Each step evaluates the batch of _stencil at its iterate; ``first``
-    holds the images of the first step's batch, which the top box's
-    evaluation covered.  The tail gives up when an iterate leaves the box,
+    holds the images of the first step's batch, which the locator's first
+    call evaluated.  The tail gives up when an iterate leaves the box,
     when the difference Jacobian is singular or not finite, or when a step
     after the second is not NEWTON_SHRINK times shorter than the one
     before.  Once a step is at most NEWTON_STOP * eps_x, the new

@@ -9,7 +9,8 @@ from zerocert import (InvalidInput, Region, VanishingOnBoundary,
                       boundary_nonvanishing, parse_map, sample_sphere)
 from zerocert.geometry import (SPHERE_CACHE, BoundarySampling, _unit_sampling,
                                circle_arc_midpoint, refine_polyline,
-                               row_norms, unit_sphere, wrapped_steps)
+                               row_norms, unit_sphere, vanishing_floor,
+                               wrapped_steps)
 
 
 def cells_per_edge(n, level):
@@ -238,7 +239,7 @@ class TestNearestNeighborGap:
 class TestRefinePolyline:
     def test_floor_is_relative_to_input_images(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        floor = 1e-12 * (1.0 + 4.0)
+        floor = 1e-12 * 4.0     # relative to the largest image norm, 4
         for norm, vanishes in ((floor, True), (2.0 * floor, False)):
             ims = np.array([[4.0, 0.0], [0.0, 3.0], [-norm, 0.0],
                             [0.0, -2.0]])
@@ -248,6 +249,27 @@ class TestRefinePolyline:
                 assert err.value.index == 2
             else:
                 refine_polyline(pts, ims, None, None, 0)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-100, 1e100])
+    def test_floor_scales_with_the_images(self, scale):
+        # c * F vanishes where F does: the floor is 4e-12 * c here
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        for norm, vanishes in ((3e-12, True), (5e-12, False)):
+            ims = scale * np.array([[4.0, 0.0], [0.0, 3.0], [-norm, 0.0],
+                                    [0.0, -2.0]])
+            if vanishes:
+                with pytest.raises(VanishingOnBoundary):
+                    refine_polyline(pts, ims, None, None, 0)
+            else:
+                refine_polyline(pts, ims, None, None, 0)
+
+    def test_all_zero_images_vanish(self):
+        # the floor is 0, and a norm of 0 is at or below it
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        assert vanishing_floor(np.zeros(4)) == 0.0
+        with pytest.raises(VanishingOnBoundary) as err:
+            refine_polyline(pts, np.zeros((4, 2)), None, None, 0)
+        assert (err.value.index, err.value.norm) == (0, 0.0)
 
 
 class TestRowNorms:

@@ -15,8 +15,8 @@ UNIT_BOX = Region.box([-1.0, -1.0], [1.0, 1.0])
 
 
 def without_tail(patch):
-    """Make locate_zero skip its Newton tail, and the tail's first batch in
-    the top box's evaluation: the quadtree alone decides."""
+    """Make locate_zero skip its Newton tail: the first call evaluates the
+    top box, and the quadtree alone decides."""
     patch.setattr(locator, "_runs_tail", lambda *args: False)
 
 
@@ -214,8 +214,8 @@ class TestLocateZero2D:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("as_spec", [True, False], ids=["spec", "callable"])
     def test_codomain_must_be_2(self, m, as_spec, counting_evaluator):
-        # the top box's boundary and first stencil are evaluated in one call,
-        # and its images' width is checked before any winding
+        # the first Newton stencil is the first call, and its images' width
+        # is checked before any step
         text = ", ".join(["x1 - 0.3", "x2 - 0.4", "x1"][:m])
         spec = parse_map(text, 2)
         ev = counting_evaluator(spec if as_spec
@@ -223,7 +223,7 @@ class TestLocateZero2D:
         with pytest.raises(InvalidInput, match="2D localization needs "
                                                "codomain dimension 2"):
             locate_zero(ev, UNIT_BOX)
-        assert ev.batches == [64 + 5]
+        assert ev.batches == [5]
         with pytest.raises(InvalidInput, match="box winding needs codomain "
                                                "dimension 2"):
             box_winding(spec, UNIT_BOX.lower, UNIT_BOX.upper)
@@ -313,15 +313,15 @@ class TestLocateZero2D:
 
 class TestNewtonTail:
     def test_affine_map_in_two_steps(self, counting_evaluator):
-        # the top box with the first Newton step's 5 points, the second step
-        # (below eps_x / 8), then the accepted square's 64 boundary samples
-        # and the point in one batch
+        # the first Newton step's 5 points, the second step (below
+        # eps_x / 8), then the accepted square's 64 boundary samples and the
+        # point in one batch: the top box is never evaluated
         spec = parse_map("x1 - 0.3, x2 - 0.4", 2)
         ev = counting_evaluator(spec)
         result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
         assert result.termination == "newton"
         assert result.iterations == 2
-        assert ev.batches == [69, 5, 65]
+        assert ev.batches == [5, 5, 65]
         assert np.linalg.norm(result.point - [0.3, 0.4]) <= 1e-10
         (lo, hi), = result.trail
         assert np.all(lo < result.point) and np.all(result.point < hi)
@@ -353,12 +353,32 @@ class TestNewtonTail:
         assert hi[0] == box.upper[0] and hi[0] - lo[0] < hi[1] - lo[1]
 
     def test_top_box_of_winding_zero(self, counting_evaluator):
-        # the first Newton step rides along with the top box, which then
-        # winds 0: no more evaluations
+        # the first Newton step lands at x1 = 3, outside the box, so the
+        # tail gives up; the top box is evaluated only then, and winds 0
         ev = counting_evaluator(parse_map("x1 - 3, x2", 2))
         with pytest.raises(DegreeLost):
             locate_zero(ev, UNIT_BOX, eps_x=1e-10)
-        assert ev.batches == [69]
+        assert ev.batches == [5, 64]
+
+    def test_zero_in_a_box_of_winding_zero(self, counting_evaluator):
+        # zeros at (0.3, 0.1) and (-0.4, 0.1), of opposite index: the box
+        # winds 0, but the tail converges to one zero, which its own square
+        # proves; the top box is never evaluated.  The quadtree alone loses
+        # the degree at the top box
+        spec = parse_map("(x1 - 0.3)*(x1 + 0.4), x2 - 0.1", 2)
+        box = Region.box([-0.6, -1.0], [1.0, 1.0])
+        assert box_winding(spec, box.lower, box.upper) == 0
+        ev = counting_evaluator(spec)
+        result = locate_zero(ev, box)
+        assert result.termination == "newton"
+        assert result.point.tolist() == [0.3, 0.1]
+        assert ev.batches == [5, 5, 5, 5, 5, 65]
+        (lo, hi), = result.trail
+        assert box_winding(spec, lo, hi) == 1
+        with pytest.MonkeyPatch.context() as patch:
+            without_tail(patch)
+            with pytest.raises(DegreeLost):
+                locate_zero(spec, box)
 
     # (z - 0.3 - 0.4i)(z - 1.5 - 0.2i): Newton converges quadratically
     EARLY_STOP = ("0.85 + (-0.6)*x2 + (-1.0)*x2^2 + (-1.8)*x1 + 1.0*x1^2, "
@@ -372,7 +392,7 @@ class TestNewtonTail:
         ev = counting_evaluator(parse_map(self.EARLY_STOP, 2))
         result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
         assert (result.termination, result.iterations) == ("newton", 5)
-        assert ev.batches == [69, 5, 5, 5, 5, 65]
+        assert ev.batches == [5, 5, 5, 5, 5, 65]
         assert [v.hex() for v in result.point.tolist()] == [
             "0x1.3333333333332p-2", "0x1.9999999999999p-2"]
         assert result.residual.hex() == "0x1.cd82b446159f3p-55"
@@ -395,7 +415,7 @@ class TestNewtonTail:
         result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
         assert refused == [5]
         assert (result.termination, result.iterations) == ("newton", 6)
-        assert ev.batches == [69, 5, 5, 5, 5, 5, 65]
+        assert ev.batches == [5, 5, 5, 5, 5, 5, 65]
 
     def test_early_stop_on_a_wide_box(self, counting_evaluator):
         # steps of about 1e119 on a box 2e120 wide: size^3 overflows, and a
@@ -407,7 +427,7 @@ class TestNewtonTail:
         box = Region.box([-1e120, -1e120], [1e120, 1e120])
         result = locate_zero(ev, box, eps_x=1e110)
         assert (result.termination, result.iterations) == ("newton", 5)
-        assert ev.batches == [69, 5, 5, 5, 5, 65]
+        assert ev.batches == [5, 5, 5, 5, 5, 65]
         assert result.point.tolist() == [-0.7e120, -0.2e120]
 
     @pytest.mark.parametrize("eps_x", [0.0, 3.0])
@@ -470,12 +490,12 @@ class TestNewtonFallback:
 
     @pytest.mark.parametrize("box, batches", [
         # at the centre of [-1, 1]^2 the Jacobian is nearly 0: the first
-        # step leaves the box
-        (UNIT_BOX, [64 + 5, 257, 257, 257, 1]),
-        # on [0, 1]^2 Newton needs 6 steps: the tail takes all 3, the first
-        # with the top box, then two stencils of 5
+        # step leaves the box, and the top box is evaluated after it
+        (UNIT_BOX, [5, 64, 257, 257, 257, 1]),
+        # on [0, 1]^2 Newton needs 6 steps: the tail takes all 3 stencils
+        # of 5, then the top box's 64 samples
         (Region.box([0.0, 0.0], [1.0, 1.0]),
-         [64 + 5, 5, 5, 257, 257, 257, 1]),
+         [5, 5, 5, 64, 257, 257, 257, 1]),
     ], ids=["leaves-the-box", "out-of-steps"])
     def test_quadtree_takes_over_the_iteration_limit(self, box, batches,
                                                      counting_evaluator):
@@ -489,9 +509,9 @@ class TestNewtonFallback:
 
     def test_undefined_at_a_first_stencil_point(self, counting_evaluator):
         # 0/0 only at (2^-20 * 2, 0), the first step's +h point of x1: the
-        # top box with the stencil raises, the top box alone is fine, and
-        # the quadtree decides, with one evaluation more than it needs, as
-        # when the tail's own first batch raised
+        # stencil raises, the tail is skipped and the top box is evaluated
+        # alone, and the quadtree decides, with one evaluation more than it
+        # needs
         spec = parse_map("x1 - 0.3 + 0/((x1 - 1.9073486328125e-06)^2 + x2^2), "
                          "x2 - 0.4", 2)
         ev = counting_evaluator(spec)
@@ -501,7 +521,8 @@ class TestNewtonFallback:
             without_tail(patch)
             expected = locate_zero(quadtree, UNIT_BOX, eps_x=1e-10)
         assert outcome_bytes(result) == outcome_bytes(expected)
-        assert ev.batches == [69] + quadtree.batches
+        assert ev.batches == [5] + quadtree.batches
+        assert quadtree.batches[0] == 64
 
 
 def reference_quadtree(ev, box, eps_x, eps_f, max_iter=100, seed=0):
@@ -1137,14 +1158,14 @@ class TestBrouwerFixedPoint:
 
     def test_boundary_evaluated_once(self, counting_evaluator):
         # the validation grid, the boundary circle and the locator's first
-        # batch (the top box's 64 boundary samples and the first Newton
-        # stencil) in one batch, and neither grid nor circle again
+        # batch (the first Newton stencil) in one batch, and neither grid nor
+        # circle again
         f = counting_evaluator(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2", 2))
         result = brouwer_fixed_point(f, n=2)
         assert np.linalg.norm(result.point - [0.2, -0.1]) <= 1e-6
         grid = len(locator._disk_validation_grid(2))
         boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
-        assert f.batches[0] == grid + boundary + 64 + 5
+        assert f.batches[0] == grid + boundary + 5
         assert not {grid, boundary, grid + boundary} & set(f.batches[1:])
 
     def test_first_locator_batch_rides_with_the_grid(self,
@@ -1154,7 +1175,7 @@ class TestBrouwerFixedPoint:
         f = counting_evaluator(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2", 2))
         result = brouwer_fixed_point(f, n=2)
         assert result.termination == "newton"
-        assert f.batches == [561 + 256 + 64 + 5, 5, 65]
+        assert f.batches == [561 + 256 + 5, 5, 65]
 
     def test_each_batch_checked_once(self, monkeypatch):
         # G = x - f(x) is finite wherever f is on [-1, 1]^n, so only f's
@@ -1203,7 +1224,7 @@ class TestBrouwerFixedPoint:
 
         with pytest.raises(DomainError) as raised:
             brouwer_fixed_point(zeroing, n=2)
-        assert batches == [561 + 256 + 69, 561 + 256, 561]
+        assert batches == [561 + 256 + 5, 561 + 256, 561]
         assert raised.value.point.tobytes() == circle[1].tobytes()
 
     def test_validation_grid_has_the_centre_once(self):
@@ -1234,7 +1255,7 @@ class TestBrouwerFixedPoint:
             brouwer_fixed_point(f, n=2)
         # the grid with the circle raises, with or without the locator's
         # first batch; the grid alone does not
-        assert f.batches == [561 + 256 + 69, 561 + 256, 561]
+        assert f.batches == [561 + 256 + 5, 561 + 256, 561]
         if error is DomainError:
             assert raised.value.point.tobytes() == circle[1].tobytes()
 
@@ -1249,7 +1270,7 @@ class TestBrouwerFixedPoint:
         boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
         # disk validation grid with the boundary and the locator's first
         # batch; the residual reads f at the fixed point from that batch
-        assert f.batches == [grid + boundary + 64 + 5]
+        assert f.batches == [grid + boundary + 5]
 
 
 class TestResidual:

@@ -212,7 +212,9 @@ _ENTRY_POINTS = {
                     lambda F: box_winding(F, [-1.0, -1.0], [1.0, 1.0])),
     "locate_zero_1d": (_shift(0.3), lambda F: locate_zero(
         F, Region.box([-1.0], [1.0])).point.tobytes()),
-    "locate_zero_2d": (_shift(0.3, -0.2), lambda F: locate_zero(
+    # the zero beyond x1 = 0.45, so that the tail's second stencil and then
+    # the top box evaluate a NaN row
+    "locate_zero_2d": (_shift(0.5, -0.2), lambda F: locate_zero(
         F, Region.box([-1.0, -1.0], [1.0, 1.0])).point.tobytes()),
     "brouwer_fixed_point": (lambda pts: 0.5 * pts + [0.1, -0.05],
                             lambda F: brouwer_fixed_point(F, n=2)

@@ -14,7 +14,6 @@ its witness already in the coordinates of the region.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, List, Optional
@@ -25,7 +24,7 @@ from .degree import boundary_obstruction
 from .errors import InvalidInput, Unsupported, VanishingOnBoundary
 from .geometry import (Region, check_lipschitz, row_norms, unit_sphere,
                        vanishing_floor)
-from .homotopy import SampledMap, extension_blend, planar_point
+from .homotopy import SampledMap, null_extension
 from .mapspec import MapSpec, as_evaluator
 
 
@@ -217,28 +216,15 @@ def _certify_sampled(ev, region, unit, ims, lipschitz,
                     obstruction=value, rigor=rigor, evidence=evidence)
     witness = None
     if w is not None:
-        blend = None
-        c0, c1 = x0.tolist()
+        phi = None
 
         def witness(x):
             # built on the first call, from the boundary the winding summed
             # (refined samples included) and the angle steps it summed
-            nonlocal blend
-            if blend is None:
-                blend = extension_blend(w.boundary, w.steps)
-            a, b = planar_point(x).tolist()
-            # (x - x0) / r on Python floats, which overflow without a warning
-            y0, y1 = (a - c0) / r, (b - c1) / r
-            if not math.isfinite(y0 * y0 + y1 * y1):
-                # |y|^2 overflows: phi depends only on the direction u of so
-                # far a point (t clamps to 0), so y = 2u, from quarters of the
-                # coordinates, which cannot overflow
-                d0, d1 = 0.25 * a - 0.25 * c0, 0.25 * b - 0.25 * c1
-                half = 0.5 * math.hypot(d0, d1)
-                if not math.isfinite(half):
-                    raise InvalidInput(f"a point must be finite, got {[a, b]}")
-                y0, y1 = d0 / half, d1 / half
-            return blend(y0, y1)
+            nonlocal phi
+            if phi is None:
+                phi = null_extension(w.boundary, w.steps, region)
+            return phi(x)
     return cert(verdict="NoConclusion", route=None, obstruction=value,
                 rigor=rigor, evidence=evidence, extension_witness=witness,
                 reason=reason)

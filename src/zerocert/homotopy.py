@@ -2,16 +2,16 @@
 
 A homotopy lives on a finite (sample point, t) grid, held in closed form
 twice: ``HomotopyTrace.frame(i, j)`` evaluates any set of grid entries as
-one numpy array, and ``HomotopyTrace.corners(i, j, j2)`` evaluates the four
-entries of one grid cell as Python floats.  The whole frame grid is built
-only when it is read.  Validity ("the homotopy misses zero") is certified
-only up to the grid: heuristically when the minimum image norm is positive,
-rigorously when it exceeds L*g/2 for a supplied Lipschitz constant L and
-grid diameter g.  The zero-free extension of ``radial_extension`` blends
-one cell's ``corners`` per point; it evaluates no map.  A null homotopy
-records its constant t = 1 value as the trace's ``end``, so the extension
-reads its centre value without building the last frame.  The t-grid of
-each step count is built once, read-only, with its Python lists.
+one numpy array, and ``HomotopyTrace.corners(i, j, j2)`` the four entries
+of one grid cell as Python floats; the whole grid is built only when read.
+Validity ("the homotopy misses zero") is certified only up to the grid:
+heuristically when the minimum image norm is above the vanishing floor of
+the frame norms, rigorously when it also exceeds L*g/2 for a supplied
+Lipschitz constant L and grid diameter g.  One point function is the
+zero-free extension of a null homotopy, on a disk in its own coordinates:
+``radial_extension`` returns it on the sampling's disk, a certificate's
+witness on the certificate's.  It blends one cell's ``corners`` per point
+and reads a null homotopy's recorded t = 1 value, ``end``, for the centre.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotANullHomotopy
 from .geometry import (BoundarySampling, check_count, check_lipschitz,
-                       row_norms, wrapped_steps)
+                       row_norms, vanishing_floor, wrapped_steps)
 from .mapspec import as_evaluator
 
 ENDPOINT_TOL = 1e-9
@@ -103,9 +103,11 @@ class HomotopyTrace:
 
     @cached_property
     def _least(self) -> tuple:
+        """(min_norm, witness, vanishing_floor of all frame norms)."""
         norms = np.linalg.norm(self.frames, axis=2)
         t_idx, p_idx = np.unravel_index(int(np.argmin(norms)), norms.shape)
-        return float(norms[t_idx, p_idx]), (int(p_idx), int(t_idx))
+        return (float(norms[t_idx, p_idx]), (int(p_idx), int(t_idx)),
+                vanishing_floor(norms.ravel()))
 
     @property
     def min_norm(self) -> float:
@@ -127,16 +129,16 @@ class ValidityReport:
 
 
 def _report(trace: HomotopyTrace, L: Optional[float]) -> ValidityReport:
-    if L is None:
-        return ValidityReport(valid=trace.min_norm > 0.0,
-                              min_norm=trace.min_norm, witness=trace.witness,
-                              rigor="heuristic")
-    dt = float(np.max(np.diff(trace.t_grid))) if len(trace.t_grid) > 1 else 0.0
-    g = math.hypot(trace.base.h, dt)
-    threshold = L * g / 2.0
-    return ValidityReport(valid=trace.min_norm > threshold,
-                          min_norm=trace.min_norm, witness=trace.witness,
-                          rigor="rigorous", threshold=threshold)
+    """Valid when the smallest frame norm is above the vanishing_floor of
+    the frame norms, and with L above L*g/2 too."""
+    least, witness, floor = trace._least
+    threshold, rigor = floor, "heuristic"
+    if L is not None:
+        dt = float(np.max(np.diff(trace.t_grid)))
+        threshold, rigor = L * math.hypot(trace.base.h, dt) / 2.0, "rigorous"
+    return ValidityReport(valid=least > max(floor, threshold),
+                          min_norm=least, witness=witness, rigor=rigor,
+                          threshold=threshold)
 
 
 def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
@@ -244,40 +246,31 @@ def _null_homotopy(f: SampledMap, t_steps: int, steps) -> HomotopyTrace:
 def radial_extension(H: HomotopyTrace):
     """Zero-free disk extension built from a null-homotopy of the boundary map.
 
-    Returns an evaluator phi on the unit disk: constant on the inner half
-    disk, and the homotopy frames (bilinearly interpolated in angle and t)
-    on the annulus, matching the boundary map exactly at sampling points.
-    The constant is ``H.end``; only a trace without one (``straight_line``)
-    has its last frame built with ``H.frame`` and checked to be constant.
-    The boundary's angular order is the sampling's ``angular_order``, sorted
-    once for each sampling, so once per process for a cached unit one.
-
-    One blend (``_blend``) answers every point, with two entries: phi
-    takes one real point of shape (2,) and passes its coordinates on, and
-    a certificate's extension witness passes its rescaled coordinates,
-    which it has already checked, as Python floats.  The blend mixes the
-    four Python-float entries of ``H.corners`` for the point's grid cell;
-    it evaluates no map.  A point with an entry of modulus >= 1 lies
-    outside the disk, at t = 0, so it gets the value of its direction
-    without a norm, which could overflow.
+    Returns an evaluator phi of one real point of shape (2,) in the
+    coordinates of the disk of ``H.base``: constant on the inner half disk,
+    and the homotopy frames (bilinearly interpolated in angle and t) on the
+    annulus, matching the boundary map exactly at sampling points.  The
+    constant is ``H.end``; only a trace without one (``straight_line``) has
+    its last frame built and checked to be constant.  phi blends the four
+    Python-float entries of ``H.corners`` for the point's grid cell and
+    evaluates no map; a point whose rescaled squared norm overflows gets the
+    value of its direction.  A sampling not of a planar disk is refused.
     """
-    blend = _blend(H)
-
-    def phi(x):
-        return blend(*planar_point(x).tolist())
-
-    return phi
+    return _extension(H, H.base.region)
 
 
-def extension_blend(f: SampledMap, steps):
-    """The blend of ``radial_extension(null_homotopy(f))``, where ``steps``
-    are the ``wrapped_steps`` of f's images: a function of the two Python
-    float coordinates of a point."""
-    return _blend(_null_homotopy(f, T_STEPS, steps))
+def null_extension(f: SampledMap, steps, region):
+    """``_extension`` of ``null_homotopy(f)`` on the disk ``region``, where
+    ``steps`` are the ``wrapped_steps`` of f's images."""
+    return _extension(_null_homotopy(f, T_STEPS, steps), region)
 
 
-def _blend(H: HomotopyTrace):
-    """radial_extension's point function, on two Python floats."""
+def _extension(H: HomotopyTrace, region):
+    """radial_extension's point function phi of ``H``, taking points of the
+    disk ``region`` and rescaling them onto the unit disk."""
+    if H.base.region.kind != "disk" or H.base.region.dim != 2:
+        raise InvalidInput(
+            "radial extension needs a planar sampling of a disk")
     c = H.end
     if c is None:
         k = len(H.base.points)
@@ -289,31 +282,40 @@ def _blend(H: HomotopyTrace):
         raise NotANullHomotopy("final constant is zero")
     # the scalar work runs on Python floats, which round as numpy does
     theta0, rel_ang, order = H.base.angular_order
-    t_grid, _, t_list, _ = _t_grid(len(H.t_grid))
-    if t_grid is not H.t_grid:      # a grid of the caller's own
-        t_list = H.t_grid.tolist()
+    t_list = H.t_grid.tolist()
     corners, two_pi, k = H.corners, 2.0 * math.pi, len(rel_ang)
     last_cell, planar = len(t_list) - 2, len(c) == 2
+    (c0, c1), rad = region.center.tolist(), region.radius
 
-    def blend(x0, x1):
-        if abs(x0) < 1.0 and abs(x1) < 1.0:     # false for nan and inf
-            x = np.array((x0, x1))
-            r = math.sqrt(x.dot(x))     # np.linalg.norm, bit for bit
+    def phi(x):
+        a, b = planar_point(x).tolist()
+        # (x - x0) / r on Python floats, which overflow without a warning
+        y0, y1 = (a - c0) / rad, (b - c1) / rad
+        if not math.isfinite(y0 * y0 + y1 * y1):
+            # |y|^2 overflows: phi depends only on the direction u of so
+            # far a point (t clamps to 0), so y = 2u, from quarters of the
+            # coordinates, which cannot overflow
+            d0, d1 = 0.25 * a - 0.25 * c0, 0.25 * b - 0.25 * c1
+            half = 0.5 * math.hypot(d0, d1)
+            if not math.isfinite(half):
+                raise InvalidInput(f"a point must be finite, got {[a, b]}")
+            y0, y1 = d0 / half, d1 / half
+        if abs(y0) < 1.0 and abs(y1) < 1.0:
+            y = np.array((y0, y1))
+            r = math.sqrt(y.dot(y))     # np.linalg.norm, bit for bit
             if r <= 0.5:
                 return c.copy()
             t = min(max(2.0 - 2.0 * r, 0.0), 1.0)
-        elif not (math.isfinite(x0) and math.isfinite(x1)):
-            raise InvalidInput(f"a point must be finite, got {[x0, x1]}")
         else:
-            t = 0.0     # |x| >= 1, where x.dot(x) may overflow
-        a = (math.atan2(x1, x0) - theta0) % two_pi
-        j = bisect_right(rel_ang, a) - 1    # >= 0: rel_ang[0] is 0, a >= 0
+            t = 0.0     # |y| >= 1: outside the disk, with no norm taken
+        ang = (math.atan2(y1, y0) - theta0) % two_pi
+        j = bisect_right(rel_ang, ang) - 1  # >= 0: rel_ang[0] is 0, ang >= 0
         j2 = (j + 1) % k
         width = (rel_ang[j2] - rel_ang[j]) % two_pi
         if width == 0.0:
             w = 0.0
         else:
-            w = ((a - rel_ang[j]) % two_pi) / width
+            w = ((ang - rel_ang[j]) % two_pi) / width
         i = min(max(bisect_right(t_list, t) - 1, 0), last_cell)
         span = t_list[i + 1] - t_list[i]
         s = (t - t_list[i]) / span if span > 0 else 0.0
@@ -326,7 +328,7 @@ def _blend(H: HomotopyTrace):
         return np.array([v * (u * f00 + w * f01) + s * (u * f10 + w * f11)
                          for f00, f01, f10, f11 in zip(*cell)])
 
-    return blend
+    return phi
 
 
 def planar_point(x) -> np.ndarray:

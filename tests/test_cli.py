@@ -233,6 +233,13 @@ class TestOtherCommands:
         assert out["valid"] is False
         assert out["witness"]["t"] == pytest.approx(0.2357, abs=0.01)
 
+    def test_homotopy_crossing_zero_is_invalid(self, capsys):
+        # x + 3t vanishes at the sample x = -1, t = 1/3 up to rounding
+        code = main(["homotopy", "--from", "x1", "--to", "x1+3", "--n", "1"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["valid"] is False and out["min_norm"] < 1e-15
+
     def test_examples_lists_builtins(self, capsys):
         code = main(["examples"])
         out = capsys.readouterr().out

@@ -178,16 +178,16 @@ class TestCertifyExistence:
 
     def test_witness_built_on_first_call(self, unit_disk, monkeypatch):
         built = []
-        real = criteria.extension_blend
-        monkeypatch.setattr(criteria, "extension_blend", lambda *args:
-                            built.append("extension_blend") or real(*args))
+        real = criteria.null_extension
+        monkeypatch.setattr(criteria, "null_extension", lambda *args:
+                            built.append("null_extension") or real(*args))
         cert = certify_existence(SHIFTED, unit_disk)
         assert cert.extension_witness is not None and built == []
         first = cert.extension_witness([0.9, 0.1])
-        assert built == ["extension_blend"]
+        assert built == ["null_extension"]
         again = cert.extension_witness([0.9, 0.1])
         assert again.tobytes() == first.tobytes()
-        assert built == ["extension_blend"]
+        assert built == ["null_extension"]
 
     def test_witness_build_reuses_the_winding(self, unit_disk, monkeypatch):
         # the build takes the winding's angle steps and the null homotopy's

@@ -59,11 +59,20 @@ FAR_POINTS = {"1.7e308": ([1.7e308, 0.0], [1.0, 0.0]),
               "1e160": ([0.0, -1e160], [0.0, -1.0])}
 
 
-def _axis_points(h=math.sqrt(2.0), first=1.0):
+def _line_to_constant(region):
+    """The straight-line trace from x + 3 to the constant 3 on the level-0
+    boundary sampling of ``region``."""
+    sampling = sample_sphere(region, 0)
+    f = SampledMap(sampling=sampling, images=sampling.points + 3.0)
+    g = SampledMap(sampling=sampling, images=np.full_like(f.images, 3.0))
+    return straight_line(f, g, t_steps=3)[0]
+
+
+def _axis_points(h=math.sqrt(2.0), first=1.0, region=DISK2):
     """A BoundarySampling of the unit circle's four axis points, the first
     at distance ``first`` from the centre, declared with mesh norm ``h``."""
     points = np.array([[first, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    return BoundarySampling(points=points, h=h, region=DISK2)
+    return BoundarySampling(points=points, h=h, region=region)
 
 
 # Each case failed at the time it was added: max_iter=nan and 2.5 raised
@@ -147,6 +156,12 @@ def test_count_arguments_must_be_integers(call):
         PLANE, Region.box([-1e308, 0.0], [1e308, 1.0]))),
     (InvalidInput, lambda: locate_zero(
         PLANE, Region.box([1e308, 0.0], [1.7e308, 1.0]))),
+    (InvalidInput, lambda: radial_extension(_line_to_constant(DISK3))),
+    (InvalidInput, lambda: radial_extension(_line_to_constant(
+        Region.disk([0.0], 1.0)))),
+    (InvalidInput, lambda: radial_extension(null_homotopy(SampledMap(
+        sampling=_axis_points(region=BOX2),
+        images=_axis_points().points + 3.0)))),
     *[(InvalidInput, lambda x=x: _witness()(x)) for x in BAD_POINTS.values()],
     *[(InvalidInput, lambda x=x: _phi()(x)) for x in BAD_POINTS.values()],
 ], ids=["certify-box", "certify-2d-map-3d-disk", "certify-level-1",
@@ -161,7 +176,8 @@ def test_count_arguments_must_be_integers(call):
         "sampling-off-circle", "sampling-wrong-h", "sample_sphere-box",
         "straight_line-radii-differ", "lipschitz-box-too-wide",
         "lipschitz-disk-too-wide", "locate-box-too-wide",
-        "locate-box-diameter-too-wide",
+        "locate-box-diameter-too-wide", "radial_extension-3d",
+        "radial_extension-s0", "radial_extension-box",
         *[f"witness-{name}" for name in BAD_POINTS],
         *[f"phi-{name}" for name in BAD_POINTS]])
 def test_typed_failure(error, call):

@@ -12,7 +12,7 @@ from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
                       sample_sphere, straight_line, winding_number)
 from zerocert import homotopy
 from zerocert.geometry import mesh_norm, wrapped_steps
-from zerocert.homotopy import ENDPOINT_TOL, extension_blend
+from zerocert.homotopy import ENDPOINT_TOL, null_extension
 
 
 def _identity_map(level=6):
@@ -97,6 +97,20 @@ class TestStraightLine:
         bwd, _ = straight_line(g, f, t_steps=9)
         assert np.allclose(fwd.frames, bwd.frames[::-1])
 
+    @pytest.mark.parametrize("L", [None, 1e-20])
+    def test_crossing_at_a_sample_is_invalid(self, L):
+        # x + 3t crosses 0 at x = -1, t = 1/3, where the frame norm is
+        # a rounding error above 0, below the vanishing floor
+        sampling = sample_sphere(Region.disk([0.0], 1.0))
+        f = SampledMap(sampling=sampling, images=sampling.points.copy())
+        g = SampledMap(sampling=sampling, images=sampling.points + 3.0)
+        trace, report = straight_line(f, g, t_steps=4, L=L)
+        floor = 1e-12 * float(np.max(np.linalg.norm(trace.frames, axis=2)))
+        assert 0.0 < report.min_norm <= floor
+        assert not report.valid
+        if L is None:
+            assert report.rigor == "heuristic" and report.threshold == floor
+
     def test_mismatched_samplings_rejected(self):
         f = _identity_map(level=3)
         g = _identity_map(level=4)
@@ -161,6 +175,37 @@ class TestRadialExtension:
             radial_extension(trace)
 
 
+class TestDiskCoordinates:
+    """phi takes points of its sampling's own disk; a certificate's witness
+    on that disk answers as phi does."""
+
+    DISK = Region.disk([0.5, 0.0], 2.0)
+    SPEC = parse_map("x1 + 3, x2 + 3", 2)
+
+    @pytest.mark.parametrize("level", [3, 6])
+    def test_matches_the_map_at_the_samples(self, level):
+        f = SampledMap.from_evaluator(self.SPEC, sample_sphere(self.DISK,
+                                                               level))
+        phi = radial_extension(null_homotopy(f))
+        got = np.array([phi(p) for p in f.sampling.points])
+        scale = 1.0 + float(np.max(np.linalg.norm(f.images, axis=1)))
+        assert np.max(np.abs(got - f.images)) <= 1e-12 * scale
+
+    def test_certificate_witness_is_phi(self):
+        cert = certify_existence(self.SPEC, self.DISK)
+        assert cert.obstruction == 0
+        phi = radial_extension(null_homotopy(SampledMap.from_evaluator(
+            self.SPEC, sample_sphere(self.DISK, 6))))
+        rng = np.random.default_rng(31)
+        radii = self.DISK.radius * np.sqrt(rng.uniform(0.0, 1.0, 200))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 200)
+        points = self.DISK.center + radii[:, None] * np.stack(
+            [np.cos(angles), np.sin(angles)], axis=1)
+        for x in points:
+            assert np.allclose(cert.extension_witness(x), phi(x),
+                               rtol=0.0, atol=1e-12), x
+
+
 def eager_trace(t_grid, frames):
     """Reference: a trace's grid, its smallest norm and where it is hit."""
     norms = np.linalg.norm(frames, axis=2)
@@ -215,7 +260,8 @@ class TestNullHomotopyMatchesLoop:
 
 
 def radial_extension_eager(H):
-    """Reference: the extension over the whole reordered frame grid."""
+    """Reference: the extension over the whole reordered frame grid, of a
+    point of the sampling's disk rescaled onto the unit disk."""
     last = H.frames[-1]
     c = last[0].copy()
     if float(np.max(np.abs(last - c))) > ENDPOINT_TOL:
@@ -234,7 +280,7 @@ def radial_extension_eager(H):
     k = len(rel_ang)
 
     def phi(x):
-        x = np.asarray(x, dtype=float)
+        x = (np.asarray(x, dtype=float) - region.center) / region.radius
         r = float(np.linalg.norm(x))
         if r <= 0.5:
             return c.copy()
@@ -274,17 +320,19 @@ def _winding_zero_map(rng, sampling):
 
 
 def _probe_points(rng, sampling, count):
-    """Unit-disk points: the inner half disk, the annulus, just outside it,
-    and exact boundary samples."""
-    rel = (sampling.points - sampling.region.center) / sampling.region.radius
+    """Points of the sampling's disk, at these fractions of its radius from
+    its centre: the inner half disk, the annulus, just outside it, the
+    centre and one half; and exact boundary samples."""
+    region = sampling.region
     quarter = count // 4
     radii = np.concatenate([rng.uniform(0.0, 0.5, quarter),
                             rng.uniform(0.5, 1.0, quarter),
                             rng.uniform(1.0, 1.5, quarter)])
     angles = rng.uniform(-math.pi, math.pi, len(radii))
     inside = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
-    picked = rel[rng.choice(len(rel), count - len(radii))]
-    return np.concatenate([inside, picked, [[0.0, 0.0], [0.5, 0.0]]])
+    picked = sampling.points[rng.choice(len(sampling), count - len(radii))]
+    inside = np.concatenate([inside, [[0.0, 0.0], [0.5, 0.0]]])
+    return np.concatenate([region.center + region.radius * inside, picked])
 
 
 def _assert_same_witness(trace, points):
@@ -607,20 +655,21 @@ class TestRecordedEnd:
         _assert_same_witness(own, _probe_points(rng, own.base, 80))
 
 
-class TestFloatEntry:
-    """The certificate's entry into the blend, on Python floats, answers as
-    the public ``phi`` does, byte for byte."""
+class TestWitnessBuilder:
+    """The certificate's witness builder, on the boundary's own disk, is
+    the public ``phi`` of the winding's boundary, byte for byte."""
 
-    def test_float_entry_is_phi(self):
+    def test_builder_is_radial_extension(self):
         rng = np.random.default_rng(600)
         for w in _winding_zero_boundaries(rng):
-            blend = extension_blend(w.boundary, w.steps)
+            sampling = w.boundary.sampling
+            built = null_extension(w.boundary, w.steps, sampling.region)
             phi = radial_extension(null_homotopy(w.boundary))
-            points = _probe_points(rng, w.boundary.sampling, 120)
+            points = _probe_points(rng, sampling, 120)
             # far points, and a strided view as phi's input
             points = np.concatenate([points, [[1e300, 1e300], [-1.7e308, 0.0],
                                               [3.0, -4.0]]])
             for x in list(points) + [np.asfortranarray(points)[5]]:
-                got, want = blend(*x.tolist()), phi(x)
+                got, want = built(x), phi(x)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), x

@@ -145,18 +145,23 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
         raise InvalidInput("certify_existence needs a disk region")
     check_lipschitz(lipschitz)
     n = region.dim
+    _check_domain(map_like, n)
     ev = as_evaluator(map_like)
     digest = ""
     if isinstance(map_like, MapSpec):
-        if map_like.n != n:
-            raise InvalidInput(
-                f"map domain dimension {map_like.n} != region dimension {n}")
         if n > map_like.m:
             # refuse before sampling, which is costly for n >= 3
             raise Unsupported(n, map_like.m)
         digest = map_like.digest
     unit, points = _boundary(region, level)
     return _certify_sampled(ev, region, unit, ev(points), lipschitz, digest)
+
+
+def _check_domain(map_like, n):
+    """InvalidInput when ``map_like`` is a MapSpec of domain dimension != n."""
+    if isinstance(map_like, MapSpec) and map_like.n != n:
+        raise InvalidInput(
+            f"map domain dimension {map_like.n} != region dimension {n}")
 
 
 def _boundary(region: Region, level: Optional[int]):

@@ -280,9 +280,11 @@ def check_lipschitz(L: Optional[float]) -> None:
 
 def check_count(name: str, value, least: int) -> None:
     """InvalidInput unless ``value`` is an integer (``operator.index``
-    takes it) of at least ``least``: a NaN or fractional count passes a
-    bare comparison and fails later, or is silently truncated."""
+    takes it), not a bool, of at least ``least``: a NaN or fractional count
+    passes a bare comparison and fails later, or is silently truncated."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise InvalidInput(

@@ -26,8 +26,9 @@ once the quadratic model of the last two steps puts the next one below the
 float spacing at the iterate, the point is accepted only when a square of
 diameter at most eps_x around it, clipped to the box, has nonzero boundary
 winding: a quadtree cell's guarantee, which needs no winding of the top
-box.  A square refused at the early stop lets the tail go on.  Only the
-quadtree winds the top box, after a tail that gave up or in place of one
+box; its boundary is ACCEPT_SAMPLES_PER_EDGE samples per edge, refined as
+any box's.  A square refused at the early stop lets the tail go on.  Only
+the quadtree winds the top box, after a tail that gave up or in place of one
 that does not run; DegreeLost means that the box, or a cut of it, winds 0.
 A box with several zeros may so return a different zero than the quadtree
 would, even when its boundary winds 0.  A 2D box whose width or diameter
@@ -48,10 +49,9 @@ stays within the vanishing floor ends in BudgetExhausted (the cell has
 shrunk onto the zero); one where some attempt wound all four sub-boxes to
 0 ends in DegreeLost.
 
-Box boundaries come from one box-edge template (each sample's start and
-end corner and its fraction along the edge), and brouwer_fixed_point's
-validation grid is built once per n; both are built once per process and
-are read-only, like the unit-sphere samplings of ``geometry``.
+Box boundaries come from one box-edge template per samples-per-edge count,
+and brouwer_fixed_point's validation grid from one per n; both are built
+once per process and are read-only, like the unit-sphere samplings.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .criteria import _boundary, _certify_sampled
+from .criteria import _boundary, _certify_sampled, _check_domain
 from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
 from .geometry import (MAX_STEP, Region, check_count, refine_polyline,
@@ -71,6 +71,7 @@ from .mapspec import MapSpec, as_evaluator
 
 MAX_JIGGLES = 5
 SAMPLES_PER_EDGE = 16             # per box edge
+ACCEPT_SAMPLES_PER_EDGE = 4       # per edge of the Newton accept square
 BUDGET = 4096                     # refinement insertions per box winding
 HUGE_IMAGE = 2.0 ** 500           # a residual's image with an entry this
                                   # large is scaled before its norm
@@ -82,15 +83,9 @@ NEWTON_SHRINK = 4.0     # each step after the second is this much shorter
 ACCEPT_HALF = 0.35      # half-side of the accepted square, times eps_x: its
                         # diameter 0.99 eps_x leaves room for rounding
 ITP_N0 = 2              # steps the 1D band allows beyond bisection's count
-# the box-edge template of _box_points: per sample, the indices in
-# (lo[0], lo[1], hi[0], hi[1]) of its edge's start and end corner, the
-# corners counterclockwise from lo, and its fraction along the edge
+# the corners of a box, counterclockwise from lo, as indices in
+# (lo[0], lo[1], hi[0], hi[1])
 _CORNERS = [[0, 1], [2, 1], [2, 3], [0, 3]]
-_BOX_EDGES = np.repeat([_CORNERS, _CORNERS[1:] + _CORNERS[:1]],
-                       SAMPLES_PER_EDGE, axis=1)
-_BOX_FRACTIONS = np.tile(np.linspace(0.0, 1.0, SAMPLES_PER_EDGE,
-                                     endpoint=False), 4)[:, None]
-_BOX_EDGES.flags.writeable = _BOX_FRACTIONS.flags.writeable = False
 
 
 @dataclass(eq=False)
@@ -115,23 +110,36 @@ def box_winding(map_like, lower, upper) -> int:
     if box.dim != 2:
         raise InvalidInput("box winding is planar only")
     _check_box_size(box)
+    _check_domain(map_like, 2)
     ev = as_evaluator(map_like)
     pts, ims, _ = _box_boundary(ev, box.lower, box.upper)
     return _wind(ev, pts, ims)
 
 
-def _box_points(lo, hi):
+def _box_points(lo, hi, count=SAMPLES_PER_EDGE):
     """Counterclockwise boundary samples of the box [lo, hi], starting at
-    lo, SAMPLES_PER_EDGE per edge: a + f * (b - a) for the start corner a,
-    end corner b and fraction f of each sample in the box-edge template."""
-    a, b = np.array(lo.tolist() + hi.tolist())[_BOX_EDGES]
-    return a + _BOX_FRACTIONS * (b - a)
+    lo, ``count`` per edge: a + f * (b - a) for the start corner a, end
+    corner b and fraction f of each sample in the box-edge template."""
+    edges, fractions = _box_template(count)
+    a, b = np.array(lo.tolist() + hi.tolist())[edges]
+    return a + fractions * (b - a)
 
 
-def _box_boundary(ev, lo, hi, extra=np.empty((0, 2))):
+@functools.cache
+def _box_template(count):
+    """The read-only box-edge template of ``count`` samples per edge: each
+    sample's start and end corner in _CORNERS, and fraction along the edge."""
+    edges = np.repeat([_CORNERS, _CORNERS[1:] + _CORNERS[:1]], count, axis=1)
+    fractions = np.tile(np.arange(count) / count, 4)[:, None]
+    edges.flags.writeable = fractions.flags.writeable = False
+    return edges, fractions
+
+
+def _box_boundary(ev, lo, hi, extra=np.empty((0, 2)),
+                  count=SAMPLES_PER_EDGE):
     """The _box_points of the box [lo, hi], their images and the images of
     the points ``extra``, all evaluated in one call."""
-    pts = _box_points(lo, hi)
+    pts = _box_points(lo, hi, count)
     ims = ev(np.concatenate((pts, extra)))
     if ims.shape[1] != 2:
         raise InvalidInput("box winding needs codomain dimension 2")
@@ -162,6 +170,7 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
     the top box, or a cut of it, winds 0."""
     if not isinstance(box, Region) or box.kind != "box":
         raise InvalidInput("locate_zero needs a box region")
+    _check_domain(map_like, box.dim)
     _check_tolerance("eps_x", eps_x)
     _check_tolerance("eps_f", eps_f)
     check_count("max_iter", max_iter, 1)
@@ -308,7 +317,7 @@ def _quadtree_2d(ev, box, eps_x, eps_f, max_iter, top):
     rng = None      # the jiggle generator, seeded 0 at the first jiggle
     lo = box.lower.copy()
     hi = box.upper.copy()
-    if len(top) != len(_BOX_FRACTIONS):     # the first stencil's images
+    if len(top) != 4 * SAMPLES_PER_EDGE:    # the first stencil's images
         try:
             result = _newton_tail(ev, lo, hi, eps_x, max_iter, top)
         except (DomainError, VanishingOnBoundary, BudgetExhausted):
@@ -497,14 +506,17 @@ def _newton_tail(ev, lo, hi, eps_x, max_iter, first):
 def _accept(ev, lo, hi, point, eps_x, steps):
     """The Newton result at ``point`` when the square of diameter
     2 * sqrt(2) * ACCEPT_HALF * eps_x around it, clipped to [lo, hi], winds
-    nonzero, else None.  One batch evaluates the square's boundary and the
-    point, whose image gives the residual."""
+    nonzero, else None.  One batch evaluates the point, whose image gives
+    the residual, and the square's corners and quarter points: an affine
+    image of an edge turns by less than pi, and F is affine to rounding
+    there."""
     sub_lo = np.maximum(lo, point - ACCEPT_HALF * eps_x)
     sub_hi = np.minimum(hi, point + ACCEPT_HALF * eps_x)
     diameter = float(np.linalg.norm(sub_hi - sub_lo))
     if not (np.all(sub_lo < sub_hi) and diameter <= eps_x):
         return None     # eps_x is below the float spacing at the point
-    pts, ims, image = _box_boundary(ev, sub_lo, sub_hi, point[None, :])
+    pts, ims, image = _box_boundary(ev, sub_lo, sub_hi, point[None, :],
+                                    ACCEPT_SAMPLES_PER_EDGE)
     if _wind(ev, pts, ims) == 0:
         return None
     return _finish(ev, point, diameter, steps, [(sub_lo, sub_hi)], "newton",
@@ -537,15 +549,15 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     is certified first and then located by locate_zero.  The residual of the
     result is ||f(point) - point||.
 
-    One evaluation of f covers three parts: a grid of the disk, on which f
-    must map into the disk, the certificate's boundary samples, whose
-    images give G there, and the locator's whole first batch for G on
-    [-1, 1]^n.  The locator's rule drops the last part on DomainError,
-    down to the grid and the boundary; the locator then evaluates its
-    first batch itself.  When the grid and the boundary raise too, the
-    grid is evaluated and checked alone, so the error is the one of a grid
-    evaluated before the boundary.  The grid is built once per process for
-    each n and is read-only, like the unit-sphere samplings.
+    One evaluation of f covers three parts: a grid of the disk's interior,
+    the certificate's boundary samples, whose images give G there, and the
+    locator's whole first batch for G on [-1, 1]^n; f must map the first
+    two into the disk.  The locator's rule drops the last part on
+    DomainError, down to the grid and the boundary; the locator then
+    evaluates its first batch itself.  When the grid and the boundary raise
+    too, the grid is evaluated and checked alone, so the error is the one
+    of a grid evaluated before the boundary.  The grid is built once per
+    process for each n and is read-only, like the unit-sphere samplings.
     """
     _check_tolerance("eps", eps)
     if n is None:
@@ -555,6 +567,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     check_count("n", n, 1)
     if n > 2:
         raise InvalidInput("fixed points are located for n in {1, 2}")
+    _check_domain(map_like, n)
     f = as_evaluator(map_like)
 
     disk = Region.disk(np.zeros(n), 1.0)
@@ -569,12 +582,12 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
         # the error of a grid evaluated before the boundary
         _check_self_map(f(grid), n)
         raise
-    _check_self_map(images[:len(grid)], n)
+    end = len(grid) + len(circle)
+    _check_self_map(images[:end], n)
 
     # G is evaluated only in [-1, 1]^n, where x - f(x) of a finite f(x) is
     # finite: f's own check covers it
     g = lambda pts: pts - f(pts)
-    end = len(grid) + len(circle)
     g_circle = circle - images[len(grid):end]
     # G at the locator's first batch, when that batch was evaluated here
     top = parts[2] - images[end:] if len(images) > end else None
@@ -591,12 +604,12 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     return _locate(g, box, 0.5 * eps, 1e-12, 200, top)
 
 
-def _check_self_map(grid_images, n):
-    """InvalidInput unless f's images on the validation grid have m = n
-    and lie in the unit disk."""
-    if grid_images.shape[1] != n:
+def _check_self_map(images, n):
+    """InvalidInput unless f's ``images``, on the validation grid and
+    maybe the boundary samples, have m = n and lie in the unit disk."""
+    if images.shape[1] != n:
         raise InvalidInput("a self-map needs m = n")
-    largest = float(np.max(row_norms(grid_images)))
+    largest = float(np.max(row_norms(images)))
     if largest > 1.0 + 1e-9:
         raise InvalidInput(
             f"map leaves the unit disk (||f|| up to {largest:.6f})")
@@ -604,12 +617,12 @@ def _check_self_map(grid_images, n):
 
 @functools.cache
 def _disk_validation_grid(n: int) -> np.ndarray:
-    """The read-only grid of D^n that a self-map is checked on."""
+    """The read-only grid of D^n's interior that a self-map is checked on:
+    99 points in 1D; in 2D the centre, then 40 rays of 13 radii to 13/14."""
     if n == 1:
-        grid = np.linspace(-1.0, 1.0, 101)[:, None]
+        grid = np.linspace(-1.0, 1.0, 101)[1:-1, None]
     else:
-        # the centre once, then 40 rays of 14 radii each
-        radii = np.linspace(0.0, 1.0, 15)[1:]
+        radii = np.linspace(0.0, 1.0, 15)[1:-1]
         angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
         rr, aa = np.meshgrid(radii, angles)
         grid = np.concatenate((np.zeros((1, 2)), np.stack(

@@ -13,6 +13,7 @@ from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
                       locate_zero, null_homotopy, parse_map, poincare_bohl,
                       radial_extension, sample_sphere, sign_obstruction,
                       straight_line, winding_number)
+from zerocert import mapspec
 from zerocert.cli import main
 
 PLANE = parse_map("x1, x2", 2)
@@ -80,7 +81,10 @@ def _axis_points(h=math.sqrt(2.0), first=1.0, region=DISK2):
 # n = 2 and nothing for n = 3 (a 6-point mesh), level=2.5 built a 23-point
 # circle with one short gap, refine_budget=nan and t_steps=2.5 were not
 # rejected as integers, parse_map took n = 2.5 and raised TypeError for
-# "2", and brouwer_fixed_point(n=2.0) raised numpy's TypeError.
+# "2", and brouwer_fixed_point(n=2.0) raised numpy's TypeError.  A bool
+# passed operator.index as 0 or 1: brouwer_fixed_point(n=True) raised
+# numpy's TypeError, max_iter=True ran one step and level=True sampled
+# level 1.
 @pytest.mark.parametrize("call", [
     lambda: locate_zero(PLANE, BOX2, max_iter=math.nan),
     lambda: locate_zero(PLANE, BOX2, max_iter=2.5),
@@ -95,14 +99,37 @@ def _axis_points(h=math.sqrt(2.0), first=1.0, region=DISK2):
     lambda: parse_map("x1", 2.5),
     lambda: parse_map("x1", "2"),
     lambda: brouwer_fixed_point(lambda p: p / 2, n=2.0),
+    lambda: brouwer_fixed_point(lambda p: p / 2, n=True),
+    lambda: locate_zero(PLANE, BOX2, max_iter=True),
+    lambda: sample_sphere(DISK2, True),
+    lambda: parse_map("x1", True),
 ], ids=["max_iter-nan", "max_iter-2.5", "tuple-box", "level-nan-n2",
         "level-nan-n3", "level-2.5-n2", "refine_budget-nan",
         "straight_line-t_steps-2.5", "null_homotopy-t_steps-2.5",
-        "parse_map-n-2.5", "parse_map-n-str", "brouwer-n-2.0"])
+        "parse_map-n-2.5", "parse_map-n-str", "brouwer-n-2.0",
+        "brouwer-n-True", "max_iter-True", "level-True", "parse_map-n-True"])
 def test_count_arguments_must_be_integers(call):
     with pytest.raises(InvalidInput,
                        match="must be an integer|needs a box region"):
         call()
+
+
+# Each case failed at the time it was added: the map was evaluated on the
+# region's points first, and the error spoke of the shape of that batch.
+@pytest.mark.parametrize("call, n, dim", [
+    (lambda: locate_zero(parse_map("x1, x2, x3", 3), BOX2), 3, 2),
+    (lambda: brouwer_fixed_point(parse_map("x1/2, x2/2", 2), n=1), 2, 1),
+    (lambda: box_winding(parse_map("x1, x2, x3", 3), [-1, -1], [1, 1]), 3, 2),
+    (lambda: certify_existence(PLANE, DISK3), 2, 3),
+], ids=["locate", "fixed_point", "box_winding", "certify"])
+def test_map_domain_checked_before_evaluation(call, n, dim, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(mapspec, "evaluate",
+                        lambda *args: evaluated.append(args))
+    with pytest.raises(InvalidInput, match=f"^map domain dimension {n} != "
+                                           f"region dimension {dim}$"):
+        call()
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("error, call", [
@@ -118,6 +145,11 @@ def test_count_arguments_must_be_integers(call):
     (InvalidInput, lambda: box_winding(parse_map("x1", 2), [-1, -1], [1, 1])),
     (InvalidInput, lambda: brouwer_fixed_point(lambda p: 0.5 * p)),
     (InvalidInput, lambda: brouwer_fixed_point(parse_map("x1, x2, x3", 3))),
+    (InvalidInput, lambda: brouwer_fixed_point(parse_map("x1/2, x2/2", 2),
+                                               n=1)),
+    (InvalidInput, lambda: box_winding(parse_map("x1, x2, x3", 3),
+                                       [-1, -1], [1, 1])),
+    (InvalidInput, lambda: locate_zero(parse_map("x1, x2, x3", 3), BOX2)),
     (InvalidInput, lambda: null_homotopy(_circle(
         lambda p: np.hstack((p + 3.0, p[:, :1]))))),
     (InvalidInput, lambda: straight_line(_planar(), _planar(), t_steps=1)),
@@ -167,7 +199,9 @@ def test_count_arguments_must_be_integers(call):
 ], ids=["certify-box", "certify-2d-map-3d-disk", "certify-level-1",
         "nonvanishing-box", "poincare_bohl-m-ne-n", "locate-disk",
         "locate-3d-box", "box_winding-3d", "box_winding-scalar",
-        "fixed_point-callable-without-n", "fixed_point-n3", "null-m3",
+        "fixed_point-callable-without-n", "fixed_point-n3",
+        "fixed_point-domain-ne-n", "box_winding-domain-3", "locate-domain-3",
+        "null-m3",
         "straight_line-t_steps-1", "straight_line-m-differs", "winding-n3",
         "sign-m2", "parse_map-n0", "builtin-unknown",
         "poincare_bohl-vanishes", "null-vanishes", "certify-n-gt-m",

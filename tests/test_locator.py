@@ -11,6 +11,8 @@ from zerocert import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
 from zerocert import locator, mapspec
 from zerocert.mapspec import as_evaluator
 
+from conftest import CountingEvaluator
+
 UNIT_BOX = Region.box([-1.0, -1.0], [1.0, 1.0])
 
 
@@ -88,13 +90,12 @@ class TestBoxWinding:
         assert ev.batches == []
 
 
-def box_points_reference(lo, hi):
+def box_points_reference(lo, hi, count=locator.SAMPLES_PER_EDGE):
     """The box boundary samples built per call, as before the template:
     linspace fractions along the corners rolled by one."""
     corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]],
                         [hi[0], hi[1]], [lo[0], hi[1]]])
-    frac = np.linspace(0.0, 1.0, locator.SAMPLES_PER_EDGE,
-                       endpoint=False)[:, None]
+    frac = np.linspace(0.0, 1.0, count, endpoint=False)[:, None]
     return np.concatenate([a + frac * (b - a) for a, b in
                            zip(corners, np.roll(corners, -1, axis=0))])
 
@@ -110,6 +111,9 @@ class TestConstantGeometry:
         lo, hi = np.array(lo), np.array(hi)
         assert locator._box_points(lo, hi).tobytes() == \
             box_points_reference(lo, hi).tobytes()
+        count = locator.ACCEPT_SAMPLES_PER_EDGE
+        assert locator._box_points(lo, hi, count).tobytes() == \
+            box_points_reference(lo, hi, count).tobytes()
 
     def test_random_box_points_equal_the_reference(self):
         rng = np.random.default_rng(11)
@@ -121,10 +125,16 @@ class TestConstantGeometry:
                 box_points_reference(lo, hi).tobytes()
 
     def test_template_and_grid_are_read_only(self):
+        # one template per samples-per-edge count, one grid per n
+        counts = (locator.SAMPLES_PER_EDGE, locator.ACCEPT_SAMPLES_PER_EDGE)
+        for count in counts:
+            assert locator._box_template(count) is \
+                locator._box_template(count)
         for n in (1, 2):
             assert locator._disk_validation_grid(n) is \
                 locator._disk_validation_grid(n)
-        for array in (locator._BOX_EDGES, locator._BOX_FRACTIONS,
+        for array in (*locator._box_template(counts[0]),
+                      *locator._box_template(counts[1]),
                       locator._disk_validation_grid(1),
                       locator._disk_validation_grid(2)):
             assert not array.flags.writeable
@@ -314,14 +324,15 @@ class TestLocateZero2D:
 class TestNewtonTail:
     def test_affine_map_in_two_steps(self, counting_evaluator):
         # the first Newton step's 5 points, the second step (below
-        # eps_x / 8), then the accepted square's 64 boundary samples and the
-        # point in one batch: the top box is never evaluated
+        # eps_x / 8), then the accepted square's 16 boundary samples (the
+        # corners and quarter points of its edges) and the point in one
+        # batch: the top box is never evaluated
         spec = parse_map("x1 - 0.3, x2 - 0.4", 2)
         ev = counting_evaluator(spec)
         result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
         assert result.termination == "newton"
         assert result.iterations == 2
-        assert ev.batches == [5, 5, 65]
+        assert ev.batches == [5, 5, 17]
         assert np.linalg.norm(result.point - [0.3, 0.4]) <= 1e-10
         (lo, hi), = result.trail
         assert np.all(lo < result.point) and np.all(result.point < hi)
@@ -372,7 +383,7 @@ class TestNewtonTail:
         result = locate_zero(ev, box)
         assert result.termination == "newton"
         assert result.point.tolist() == [0.3, 0.1]
-        assert ev.batches == [5, 5, 5, 5, 5, 65]
+        assert ev.batches == [5, 5, 5, 5, 5, 17]
         (lo, hi), = result.trail
         assert box_winding(spec, lo, hi) == 1
         with pytest.MonkeyPatch.context() as patch:
@@ -392,7 +403,7 @@ class TestNewtonTail:
         ev = counting_evaluator(parse_map(self.EARLY_STOP, 2))
         result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
         assert (result.termination, result.iterations) == ("newton", 5)
-        assert ev.batches == [5, 5, 5, 5, 5, 65]
+        assert ev.batches == [5, 5, 5, 5, 5, 17]
         assert [v.hex() for v in result.point.tolist()] == [
             "0x1.3333333333332p-2", "0x1.9999999999999p-2"]
         assert result.residual.hex() == "0x1.cd82b446159f3p-55"
@@ -415,7 +426,7 @@ class TestNewtonTail:
         result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
         assert refused == [5]
         assert (result.termination, result.iterations) == ("newton", 6)
-        assert ev.batches == [5, 5, 5, 5, 5, 5, 65]
+        assert ev.batches == [5, 5, 5, 5, 5, 5, 17]
 
     def test_early_stop_on_a_wide_box(self, counting_evaluator):
         # steps of about 1e119 on a box 2e120 wide: size^3 overflows, and a
@@ -427,7 +438,7 @@ class TestNewtonTail:
         box = Region.box([-1e120, -1e120], [1e120, 1e120])
         result = locate_zero(ev, box, eps_x=1e110)
         assert (result.termination, result.iterations) == ("newton", 5)
-        assert ev.batches == [5, 5, 5, 5, 5, 65]
+        assert ev.batches == [5, 5, 5, 5, 5, 17]
         assert result.point.tolist() == [-0.7e120, -0.2e120]
 
     @pytest.mark.parametrize("eps_x", [0.0, 3.0])
@@ -828,6 +839,92 @@ class TestNewtonTailMatchesOracle:
         self.assert_matches(subnormal_map, box, 1e-321)
 
 
+def accept_on_64_samples(ev, lo, hi, point, eps_x, steps):
+    """_accept as it wound its square before the 4-per-edge sampling: the
+    square's SAMPLES_PER_EDGE = 16 samples per edge, 64 in all, and the
+    point in one batch."""
+    sub_lo = np.maximum(lo, point - locator.ACCEPT_HALF * eps_x)
+    sub_hi = np.minimum(hi, point + locator.ACCEPT_HALF * eps_x)
+    diameter = float(np.linalg.norm(sub_hi - sub_lo))
+    if not (np.all(sub_lo < sub_hi) and diameter <= eps_x):
+        return None
+    pts = box_points_reference(sub_lo, sub_hi)
+    ims = ev(np.concatenate((pts, point[None, :])))
+    if locator._wind(ev, pts, ims[:-1]) == 0:
+        return None
+    return locator._finish(ev, point, diameter, steps, [(sub_lo, sub_hi)],
+                           "newton", ims[-1])
+
+
+class TestAcceptSquareMatchesOracle:
+    """The oracle is ``accept_on_64_samples``.  Near an answer F is affine
+    to rounding, so the square's corners and quarter points wind as its 64
+    samples do: every outcome is the same bytes, with fewer points."""
+
+    @staticmethod
+    def run(spec, box, eps_x, oracle):
+        ev = CountingEvaluator(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            if oracle:
+                patch.setattr(locator, "_accept", accept_on_64_samples)
+            try:
+                result = locate_zero(ev, box, eps_x=eps_x)
+            except ZeroCertError as err:
+                return (type(err), str(err)), sum(ev.batches)
+        return ((*outcome_bytes(result), result.cell_diameter),
+                sum(ev.batches))
+
+    def test_random_near_affine_maps(self):
+        rng = np.random.default_rng(83)
+        newton = saved = 0
+        for _ in range(120):
+            a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
+            rot_a = np.array([[math.cos(a), -math.sin(a)],
+                              [math.sin(a), math.cos(a)]])
+            rot_b = np.array([[math.cos(b), -math.sin(b)],
+                              [math.sin(b), math.cos(b)]])
+            cond = 10.0 ** rng.uniform(0.0, 3.0)
+            m = rot_a @ np.diag([1.0, 1.0 / cond]) @ rot_b
+            (m11, m12), (m21, m22) = m.tolist()
+            z1, z2 = rng.uniform(-0.8, 0.8, 2).tolist()
+            q1, q2 = (rng.normal(size=2) * 10.0 ** rng.uniform(-4, -1)
+                      ).tolist()
+            spec = parse_map(
+                f"{m11!r}*(x1 - {z1!r}) + {m12!r}*(x2 - {z2!r}) + "
+                f"{q1!r}*(x1 - {z1!r})^2, "
+                f"{m21!r}*(x1 - {z1!r}) + {m22!r}*(x2 - {z2!r}) + "
+                f"{q2!r}*(x2 - {z2!r})^2", 2)
+            eps_x = 10.0 ** rng.uniform(-12.0, -2.0)
+            got, got_points = self.run(spec, UNIT_BOX, eps_x, False)
+            want, want_points = self.run(spec, UNIT_BOX, eps_x, True)
+            assert got == want
+            newton += "newton" in got
+            saved += want_points - got_points
+        # 48 points fewer per square, less the refinements the 16 samples
+        # take beyond the 64's
+        assert newton >= 100
+        assert saved > 40 * newton
+
+    def test_thin_square(self, counting_evaluator):
+        # the image of the accept square is a thin parallelogram: its 16
+        # samples need seven refinement rounds of 2 points (its 64 needed
+        # five), and the answer is the same
+        spec = parse_map("x1 - 0.3 + 10*(x2 - 0.4), "
+                         "x1 - 0.3 + 10.5*(x2 - 0.4)", 2)
+        ev = counting_evaluator(spec)
+        result = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
+        assert (result.termination, result.iterations) == ("newton", 2)
+        assert result.point.tolist() == [0.3, 0.4]
+        assert ev.batches == [5, 5, 17] + [2] * 7
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locator, "_accept", accept_on_64_samples)
+            ev = counting_evaluator(spec)
+            want = locate_zero(ev, UNIT_BOX, eps_x=1e-10)
+        assert ev.batches == [5, 5, 65] + [2] * 5
+        assert outcome_bytes(result) == outcome_bytes(want)
+        assert result.cell_diameter == want.cell_diameter
+
+
 class TestLocateZero1D:
     def test_cube_root(self):
         spec = parse_map("x1^3 - 0.5", 1)
@@ -1113,7 +1210,7 @@ class TestBrouwerFixedPoint:
         result = brouwer_fixed_point(f, eps=math.inf, n=1)
         assert result.point.tolist() == [0.5]
         assert (result.termination, result.iterations) == ("cell_diameter", 1)
-        assert f.batches == [101 + 2 + 3, 1]
+        assert f.batches == [99 + 2 + 3, 1]
         huge = brouwer_fixed_point(parse_map("(x1 + 0.2)/2", 1), eps=1e300)
         assert (result.point.tobytes(), result.residual) == (
             huge.point.tobytes(), huge.residual)
@@ -1145,13 +1242,14 @@ class TestBrouwerFixedPoint:
 
     def test_one_dimensional_first_batch_rides_with_the_grid(
             self, counting_evaluator):
-        # the 101-point grid, the two boundary points and the locator's
-        # first batch of G (-1, 1 and the midpoint 0) in one call; then
-        # interpolation through G's line lands on the fixed point 0.2
+        # the 99-point grid of the interior, the two boundary points and
+        # the locator's first batch of G (-1, 1 and the midpoint 0) in one
+        # call; then interpolation through G's line lands on the fixed
+        # point 0.2
         f = counting_evaluator(parse_map("(x1 + 0.2)/2", 1))
         result = brouwer_fixed_point(f, n=1)
-        assert len(locator._disk_validation_grid(1)) == 101
-        assert f.batches == [101 + 2 + 3, 1]
+        assert len(locator._disk_validation_grid(1)) == 99
+        assert f.batches == [99 + 2 + 3, 1]
         assert result.point.tolist() == [0.2]
         assert result.residual == 0.0
         assert result.termination == "residual"
@@ -1175,7 +1273,7 @@ class TestBrouwerFixedPoint:
         f = counting_evaluator(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2", 2))
         result = brouwer_fixed_point(f, n=2)
         assert result.termination == "newton"
-        assert f.batches == [561 + 256 + 5, 5, 65]
+        assert f.batches == [521 + 256 + 5, 5, 17]
 
     def test_each_batch_checked_once(self, monkeypatch):
         # G = x - f(x) is finite wherever f is on [-1, 1]^n, so only f's
@@ -1224,25 +1322,28 @@ class TestBrouwerFixedPoint:
 
         with pytest.raises(DomainError) as raised:
             brouwer_fixed_point(zeroing, n=2)
-        assert batches == [561 + 256 + 5, 561 + 256, 561]
+        assert batches == [521 + 256 + 5, 521 + 256, 521]
         assert raised.value.point.tobytes() == circle[1].tobytes()
 
     def test_validation_grid_has_the_centre_once(self):
-        # radius 0 of each of the 40 rays is the centre (with signed zeros)
-        radii = np.linspace(0.0, 1.0, 15)
+        # radius 0 of each of the 40 rays is the centre (with signed zeros);
+        # radius 1 is left to the certificate's 256 boundary samples
+        radii = np.linspace(0.0, 1.0, 15)[:-1]
         angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
         rr, aa = np.meshgrid(radii, angles)
         rays = np.stack([(rr * np.cos(aa)).ravel(),
                          (rr * np.sin(aa)).ravel()], axis=1)
         grid = locator._disk_validation_grid(2)
-        assert grid.shape == (561, 2)
+        assert grid.shape == (521, 2)
         assert grid[0].tobytes() == np.zeros(2).tobytes()
         assert grid[1:].tobytes() == rays[rr.ravel() > 0.0].tobytes()
 
     @pytest.mark.parametrize("first, error, match", [
         ("x1/2", DomainError, "non-finite"),
-        # leaves the disk on the grid: the grid's check speaks first
-        ("2*x1", InvalidInput, r"leaves the unit disk \(\|\|f\|\| up to 2\.0"),
+        # leaves the disk on the grid, whose outer radius is 13/14: the
+        # grid's check speaks first
+        ("2*x1", InvalidInput,
+         r"leaves the unit disk \(\|\|f\|\| up to 1\.857143"),
     ])
     def test_finite_on_the_grid_only(self, first, error, match,
                                      counting_evaluator):
@@ -1255,9 +1356,37 @@ class TestBrouwerFixedPoint:
             brouwer_fixed_point(f, n=2)
         # the grid with the circle raises, with or without the locator's
         # first batch; the grid alone does not
-        assert f.batches == [561 + 256 + 5, 561 + 256, 561]
+        assert f.batches == [521 + 256 + 5, 521 + 256, 521]
         if error is DomainError:
             assert raised.value.point.tobytes() == circle[1].tobytes()
+
+    def test_leaves_the_disk_on_the_circle(self):
+        # ||f|| is 1.05 at (1, 0) and below 0.96 on the grid, whose outer
+        # radius is 13/14: only the boundary samples see it
+        spec = parse_map("x1 + 0.05*x1^8, x2", 2)
+        grid = locator._disk_validation_grid(2)
+        assert np.max(np.linalg.norm(evaluate(spec, grid), axis=1)) < 0.96
+        with pytest.raises(InvalidInput, match=r"leaves the unit disk "
+                           r"\(\|\|f\|\| up to 1\.050000\)"):
+            brouwer_fixed_point(spec)
+
+    def test_self_map_checked_at_every_boundary_sample(self):
+        # f leaves the disk only near the boundary sample at 4.21875
+        # degrees, between the 9-degree rays of the grid: a ring of the
+        # grid at radius 1 would not see it, the 256 samples do
+        circle = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6).points
+        p = circle[3]
+
+        def f(x):
+            bump = np.maximum(0.0, 1.0 - np.linalg.norm(x - p, axis=1) / 0.02)
+            return x * (0.5 + 0.6 * bump)[:, None]
+
+        angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+        ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        assert np.max(np.linalg.norm(f(ring), axis=1)) <= 0.5
+        with pytest.raises(InvalidInput, match=r"leaves the unit disk "
+                           r"\(\|\|f\|\| up to 1\.100000\)"):
+            brouwer_fixed_point(f, n=2)
 
     def test_boundary_fixed_point(self, counting_evaluator):
         # f fixes (1, 0), a sample of the boundary circle

@@ -55,7 +55,7 @@ class TestLocate:
         result = locate_zero(ev, UNIT_BOX, eps_x=1e-10, eps_f=1e-12)
         assert result.termination == "newton"
         assert np.linalg.norm(result.point - [0.3, 0.4]) <= 1e-10
-        assert ev.batches == [5, 5, 65]
+        assert ev.batches == [5, 5, 17]
 
 
 PLANE = Region.disk([0.0, 0.0], 1.0)

@@ -157,11 +157,16 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
     return _certify_sampled(ev, region, unit, ev(points), lipschitz, digest)
 
 
-def _check_domain(map_like, n):
-    """InvalidInput when ``map_like`` is a MapSpec of domain dimension != n."""
-    if isinstance(map_like, MapSpec) and map_like.n != n:
-        raise InvalidInput(
-            f"map domain dimension {map_like.n} != region dimension {n}")
+def _check_domain(map_like, n, codomain=None):
+    """InvalidInput when ``map_like`` is a MapSpec of domain dimension != n,
+    or, given the message ``codomain``, of codomain dimension != n.  A
+    callable's dimensions show only in its images."""
+    if isinstance(map_like, MapSpec):
+        if map_like.n != n:
+            raise InvalidInput(
+                f"map domain dimension {map_like.n} != region dimension {n}")
+        if codomain is not None and map_like.m != n:
+            raise InvalidInput(codomain)
 
 
 def _boundary(region: Region, level: Optional[int]):

@@ -5,8 +5,8 @@ One call evaluates the locator's first batch on the top box, in parts: in
 the tail runs, else the box's boundary.  On DomainError the last part is
 dropped and the call made again, down to the ends (a dropped midpoint is
 evaluated on its own); a 2D stencil that raises skips the tail, and the
-boundary is evaluated alone.  The codomain dimension is checked once, on
-that call's images.
+boundary is evaluated alone.  A MapSpec's codomain dimension is checked
+before any evaluation, a callable's once, on that call's images.
 
 n=1 brackets a sign change.  Each step evaluates one point, the first
 the midpoint; each later one Chandrupatla's (1997) inverse quadratic
@@ -110,7 +110,7 @@ def box_winding(map_like, lower, upper) -> int:
     if box.dim != 2:
         raise InvalidInput("box winding is planar only")
     _check_box_size(box)
-    _check_domain(map_like, 2)
+    _check_domain(map_like, 2, "box winding needs codomain dimension 2")
     ev = as_evaluator(map_like)
     pts, ims, _ = _box_boundary(ev, box.lower, box.upper)
     return _wind(ev, pts, ims)
@@ -170,22 +170,25 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
     the top box, or a cut of it, winds 0."""
     if not isinstance(box, Region) or box.kind != "box":
         raise InvalidInput("locate_zero needs a box region")
-    _check_domain(map_like, box.dim)
     _check_tolerance("eps_x", eps_x)
     _check_tolerance("eps_f", eps_f)
     check_count("max_iter", max_iter, 1)
-    return _locate(as_evaluator(map_like), box, eps_x, eps_f, max_iter)
-
-
-def _locate(ev, box, eps_x, eps_f, max_iter, top=None):
-    """locate_zero of the checked evaluator ``ev``, with checked arguments;
-    ``top`` holds the images of the concatenated _top_parts when the caller
-    has them, else they are evaluated here."""
     n = box.dim
     if n > 2:
         raise InvalidInput("localization is implemented for n in {1, 2}")
     if n == 2:
         _check_box_size(box)
+    _check_domain(map_like, n,
+                  f"{n}D localization needs codomain dimension {n}")
+    return _locate(as_evaluator(map_like), box, eps_x, eps_f, max_iter)
+
+
+def _locate(ev, box, eps_x, eps_f, max_iter, top=None):
+    """locate_zero of the checked evaluator ``ev``, with checked arguments
+    (n <= 2, a box of finite size); ``top`` holds the images of the
+    concatenated _top_parts when the caller has them, else they are
+    evaluated here."""
+    n = box.dim
     if top is None:
         lo, hi = box.lower, box.upper
         try:
@@ -567,7 +570,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     check_count("n", n, 1)
     if n > 2:
         raise InvalidInput("fixed points are located for n in {1, 2}")
-    _check_domain(map_like, n)
+    _check_domain(map_like, n, "a self-map needs m = n")
     f = as_evaluator(map_like)
 
     disk = Region.disk(np.zeros(n), 1.0)

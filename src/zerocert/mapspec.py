@@ -481,35 +481,49 @@ def _lipschitz_pattern(kind: str, dim: int) -> tuple:
 def lipschitz_estimate(spec: MapSpec, region: Region) -> float:
     """Heuristic Lipschitz constant: 2x the max sampled Jacobian norm.
 
-    Central finite differences with step 1e-6 * region diameter at a
-    deterministic sample of 200 interior points.  The sample's pattern is
-    drawn from ``default_rng(0)`` once per region kind and dimension and
-    kept read-only: on a disk ``center + u_dir * (radius * u^(1/n))``, on a
-    box ``lower + (upper - lower) * u``, which is ``rng.uniform(lower,
-    upper)`` bit for bit.  Only the Jacobians with ``|J|_F >= max |J|_F *
-    (1 - 1e-9) / sqrt(min(m, n))`` get an SVD for ``|J|_2``; they include
-    the largest ``|J|_2``, since ``|J|_F >= |J|_2 >= |J|_F / sqrt(min(m,
-    n))``, so the estimate is that of all 200.  A region whose diameter is
-    not finite raises InvalidInput.
+    Forward finite differences with step 1e-6 * region diameter at a
+    deterministic sample of 200 interior points: each sample p and its n
+    probes ``p + step * e_j`` are evaluated in one batch, n + 1 points per
+    sample, and ``J[:, j] = (F(p + step * e_j) - F(p)) / step``.  The
+    sample's pattern is drawn from ``default_rng(0)`` once per region kind
+    and dimension and kept read-only: on a disk ``center + u_dir * (radius
+    * u^(1/n))``, on a box ``lower + (upper - lower) * u``, which is
+    ``rng.uniform(lower, upper)`` bit for bit.  Only the Jacobians with
+    ``|J|_F >= max |J|_F * (1 - 1e-9) / sqrt(min(m, n))`` get an SVD for
+    ``|J|_2``; they include the largest ``|J|_2``, since ``|J|_F >= |J|_2
+    >= |J|_F / sqrt(min(m, n))``, so the estimate is that of all 200.
+
+    A region of another dimension than the map's domain raises
+    InvalidInput, as does one whose diameter is not finite, and one too
+    small for its position, where a probe rounds back onto its sample and
+    that column of J would read 0.
     """
+    m, n = spec.m, spec.n
+    if n != region.dim:
+        raise InvalidInput(
+            f"map domain dimension {n} != region dimension {region.dim}")
     step = 1e-6 * region.diameter
     if not math.isfinite(step):
         raise InvalidInput("region too wide for a Lipschitz estimate: "
                            "its diameter is not finite")
-    m, n = spec.m, spec.n
     if region.kind == "disk":
-        directions, scale = _lipschitz_pattern("disk", region.dim)
+        directions, scale = _lipschitz_pattern("disk", n)
         pts = region.center + directions * (region.radius * scale)
     else:
-        (u,) = _lipschitz_pattern("box", region.dim)
+        (u,) = _lipschitz_pattern("box", n)
         pts = region.lower + (region.upper - region.lower) * u
-    # one batch, ordered p + e_j, p - e_j for each sample p and axis j
-    shifts = step * np.eye(n)
-    probes = np.stack([pts[:, None, :] + shifts, pts[:, None, :] - shifts],
-                      axis=2)
-    values = evaluate(spec, probes.reshape(-1, n))
-    values = values.reshape(-1, n, 2, m)
-    jac = (values[:, :, 0] - values[:, :, 1]).transpose(0, 2, 1) / (2 * step)
+    # one batch, ordered p, p + step*e_1, ..., p + step*e_n for each sample p
+    shifts = np.concatenate((np.zeros((1, n)), step * np.eye(n)))
+    probes = pts[:, None, :] + shifts
+    # probe j differs from its sample in coordinate j alone
+    stuck = np.diagonal(probes[:, 1:], axis1=1, axis2=2) == pts
+    if stuck.any():
+        k, j = np.argwhere(stuck)[0]
+        raise InvalidInput(
+            f"region too small for a Lipschitz estimate: the step {step:g} "
+            f"along x{j + 1} does not move the sample {pts[k].tolist()}")
+    values = evaluate(spec, probes.reshape(-1, n)).reshape(-1, n + 1, m)
+    jac = (values[:, 1:] - values[:, :1]).transpose(0, 2, 1) / step
     # scaled so that the largest entry is 1, no square overflows and the
     # largest sum is at least 1
     peak = float(np.max(np.abs(jac)))

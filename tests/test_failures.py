@@ -1,6 +1,7 @@
 """Every bad argument and every failing input maps to its typed error, and
 the CLI to its documented exit code."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -115,13 +116,19 @@ def test_count_arguments_must_be_integers(call):
 
 
 # Each case failed at the time it was added: the map was evaluated on the
-# region's points first, and the error spoke of the shape of that batch.
+# region's points first, and the error spoke of the shape of that batch;
+# lipschitz_estimate broadcast the two shapes and returned a wrong value
+# (1.39e6 for x1 on a unit disk in the plane) or raised numpy's
+# ValueError.
 @pytest.mark.parametrize("call, n, dim", [
     (lambda: locate_zero(parse_map("x1, x2, x3", 3), BOX2), 3, 2),
     (lambda: brouwer_fixed_point(parse_map("x1/2, x2/2", 2), n=1), 2, 1),
     (lambda: box_winding(parse_map("x1, x2, x3", 3), [-1, -1], [1, 1]), 3, 2),
     (lambda: certify_existence(PLANE, DISK3), 2, 3),
-], ids=["locate", "fixed_point", "box_winding", "certify"])
+    (lambda: lipschitz_estimate(PLANE, DISK3), 2, 3),
+    (lambda: lipschitz_estimate(parse_map("x1", 1), DISK2), 1, 2),
+], ids=["locate", "fixed_point", "box_winding", "certify", "lipschitz-2-3",
+        "lipschitz-1-2"])
 def test_map_domain_checked_before_evaluation(call, n, dim, monkeypatch):
     evaluated = []
     monkeypatch.setattr(mapspec, "evaluate",
@@ -130,6 +137,47 @@ def test_map_domain_checked_before_evaluation(call, n, dim, monkeypatch):
                                            f"region dimension {dim}$"):
         call()
     assert evaluated == []
+
+
+# Each case evaluated points before it failed at the time it was added:
+# 782 for the fixed point, 5 for the 2D locate, 64 for box_winding and 3
+# for the 1D locate.
+@pytest.mark.parametrize("call, message", [
+    (lambda: brouwer_fixed_point(parse_map("x1/2, x2/2, x1", 2)),
+     "a self-map needs m = n"),
+    (lambda: locate_zero(parse_map("x1/2, x2/2, x1", 2), BOX2),
+     "2D localization needs codomain dimension 2"),
+    (lambda: box_winding(parse_map("x1/2, x2/2, x1", 2), [-1, -1], [1, 1]),
+     "box winding needs codomain dimension 2"),
+    (lambda: locate_zero(parse_map("x1, x1", 1), Region.box([-1], [1])),
+     "1D localization needs codomain dimension 1"),
+], ids=["fixed_point", "locate-2d", "box_winding", "locate-1d"])
+def test_map_codomain_checked_before_evaluation(call, message, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(mapspec, "evaluate",
+                        lambda *args: evaluated.append(args))
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call()
+    assert evaluated == []
+
+
+# Each case failed at the time it was added: every probe of the 1D map
+# rounded back onto its sample and the estimate read 0.0, the 2D map lost
+# its x1 column and read 2.0 (about 3.24 is right), which
+# certify_existence then used for a rigorous label, and the step 1e-6 *
+# 2e-318 underflowed to 0, so numpy warned of 0/0 and the SVD raised
+# LinAlgError.
+@pytest.mark.parametrize("text, region", [
+    ("3*(x1 - 1e10)", Region.disk([1e10], 1e-3)),
+    ("x1 - 1e10, x1 - 1e10 + (x2 - 5)", Region.disk([1e10, 5.0], 1e-3)),
+    ("x1, x2", Region.disk([0.0, 0.0], 1e-318)),
+], ids=["1d-far", "2d-far", "step-underflows"])
+def test_lipschitz_step_must_move_every_sample(text, region):
+    spec = parse_map(text, region.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="x1 does not move the sample"):
+            lipschitz_estimate(spec, region)
 
 
 @pytest.mark.parametrize("error, call", [
@@ -262,12 +310,22 @@ def test_far_phi_point(point, direction):
      "--box=-1e200,1e200,-1e200,1e200"],
     ["locate", "--map", "x1 - 0.3", "--box=0,1,0,1"],
     ["locate", "--map", "1/x1", "--box=-1,1"],
+    ["certify", "--map", "x1, x2", "--n", "2", "--center=0,0",
+     "--radius", "1e-318", "--lipschitz", "auto"],
+    ["certify", "--map", "x1 - 1e10, x2", "--n", "2", "--center=1e10,0",
+     "--radius", "1e-3", "--lipschitz", "auto"],
+    ["certify", "--map", "3*(x1 - 1e10)", "--n", "1", "--center=1e10",
+     "--radius", "1e-3", "--lipschitz", "auto"],
 ], ids=["certify-center", "locate-odd-box", "homotopy-m-differs",
         "certify-level-1", "certify-lipschitz-auto-too-wide",
         "locate-box-too-wide", "locate-box-diameter-too-wide",
-        "locate-2d-codomain-1", "locate-1d-domain-error"])
+        "locate-2d-codomain-1", "locate-1d-domain-error",
+        "certify-lipschitz-auto-step-underflows",
+        "certify-lipschitz-auto-2d-far", "certify-lipschitz-auto-1d-far"])
 def test_cli_input_error_exits_4(argv, capsys):
-    assert main(argv) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -360,8 +360,8 @@ class TestLipschitzEstimate:
         monkeypatch.setattr(mapspec, "evaluate",
                             lambda s, x: calls.append(len(x)) or evaluate(s, x))
         est = lipschitz_estimate(spec, region)
-        assert calls == [2 * region.dim * 200]
-        # reference: one central difference per sample point and axis
+        assert calls == [(region.dim + 1) * 200]
+        # reference: one forward difference per sample point and axis
         step = 1e-6 * region.diameter
         worst = 0.0
         for p in _fresh_samples(region):
@@ -369,9 +369,51 @@ class TestLipschitzEstimate:
             for j in range(spec.n):
                 e = np.zeros(spec.n)
                 e[j] = step
-                jac[:, j] = (evaluate(spec, p + e) - evaluate(spec, p - e)) / (2 * step)
+                jac[:, j] = (evaluate(spec, p + e) - evaluate(spec, p)) / step
             worst = max(worst, float(np.linalg.norm(jac, 2)))
         assert est == 2.0 * worst
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_batch_of_n_plus_one_points_per_sample(self, n, monkeypatch):
+        spec = parse_map(", ".join(f"x{i}^2" for i in range(1, n + 1)), n)
+        calls = []
+        monkeypatch.setattr(mapspec, "evaluate",
+                            lambda s, x: calls.append(len(x)) or evaluate(s, x))
+        lipschitz_estimate(spec, Region.disk(np.full(n, 0.3), 1.2))
+        assert calls == [(n + 1) * 200]
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_holomorphic_map_within_1e_5_of_its_derivative(self, degree):
+        # |J|_2 of z -> p(z) is |p'(z)|; disks and roots as in the
+        # certify-plane benchmark
+        rng = np.random.default_rng(degree)
+        for _ in range(16):
+            centre = rng.uniform(-1.0, 1.0, 2)
+            radius = float(rng.uniform(0.5, 2.0))
+            roots = complex(*centre) + radius * rng.uniform(0.0, 2.5, degree) \
+                * np.exp(2j * np.pi * rng.uniform(size=degree))
+            coeffs = rng.uniform(0.5, 2.0) \
+                * np.exp(2j * np.pi * rng.uniform()) * np.poly(roots)
+            spec = parse_map(_complex_poly_text(coeffs), 2)
+            region = Region.disk(centre, radius)
+            z = _fresh_samples(region) @ [1.0, 1j]
+            want = float(np.max(np.abs(np.polyval(np.polyder(coeffs), z))))
+            est = lipschitz_estimate(spec, region)
+            assert est / 2.0 == pytest.approx(want, rel=1e-5, abs=0.0), \
+                (spec.source_text, region)
+
+
+def _complex_poly_text(coeffs):
+    """``Re p(x1 + i*x2), Im p(x1 + i*x2)`` expanded into monomials, for
+    complex ``coeffs`` listed highest degree first."""
+    re_terms, im_terms = [], []
+    for k, a in enumerate(coeffs[::-1]):
+        for j in range(k + 1):          # a * C(k, j) * x1^(k-j) * (i*x2)^j
+            c = a * math.comb(k, j) * 1j ** j
+            monomial = f"x1^{k - j}*x2^{j}"
+            re_terms.append(f"({float(c.real)!r})*{monomial}")
+            im_terms.append(f"({float(c.imag)!r})*{monomial}")
+    return f"{' + '.join(re_terms)}, {' + '.join(im_terms)}"
 
 
 def _unscreened_estimate(spec, region):
@@ -379,12 +421,10 @@ def _unscreened_estimate(spec, region):
     200 Jacobians."""
     pts = _fresh_samples(region)
     step = 1e-6 * region.diameter
-    shifts = step * np.eye(spec.n)
-    probes = np.stack([pts[:, None, :] + shifts, pts[:, None, :] - shifts],
-                      axis=2)
-    values = evaluate(spec, probes.reshape(-1, spec.n))
-    values = values.reshape(200, spec.n, 2, spec.m)
-    jac = (values[:, :, 0] - values[:, :, 1]).transpose(0, 2, 1) / (2 * step)
+    shifts = np.concatenate((np.zeros((1, spec.n)), step * np.eye(spec.n)))
+    values = evaluate(spec, (pts[:, None, :] + shifts).reshape(-1, spec.n))
+    values = values.reshape(200, spec.n + 1, spec.m)
+    jac = (values[:, 1:] - values[:, :1]).transpose(0, 2, 1) / step
     return 2.0 * float(np.max(np.linalg.norm(jac, 2, axis=(1, 2))))
 
 

@@ -57,7 +57,8 @@ def boundary_nonvanishing(map_like, region: Region,
                           L: Optional[float] = None) -> CheckResult:
     """Minimum image norm over boundary samples; the standing hypothesis."""
     check_lipschitz(L)
-    unit, _, norms = _sampled(map_like, region, level)
+    ev = as_evaluator(map_like, region.dim)
+    unit, _, norms = _sampled(ev, region, level)
     return _nonvanishing(unit, region, norms, L)
 
 
@@ -73,14 +74,17 @@ def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
     F/|F| + (x - x0)/r within h/2 of the samples; otherwise "heuristic".
     """
     check_lipschitz(L)
-    unit, ims, norms = _sampled(map_like, region, level)
+    n = region.dim
+    ev = as_evaluator(map_like, n, n,
+                      "Poincare-Bohl needs codomain dimension m = n")
+    unit, ims, norms = _sampled(ev, region, level)
     return _poincare_bohl(unit, region, ims, norms, L)
 
 
-def _sampled(map_like, region: Region, level: Optional[int]):
-    """(unit sampling, boundary images, image norms) of a map."""
+def _sampled(ev, region: Region, level: Optional[int]):
+    """(unit sampling, boundary images, image norms) of an evaluator."""
     unit, points = _boundary(region, level)
-    ims = as_evaluator(map_like)(points)
+    ims = ev(points)
     return unit, ims, row_norms(ims)
 
 
@@ -109,8 +113,6 @@ def _nonvanishing(unit, region, norms, L) -> CheckResult:
 def _poincare_bohl(unit, region, ims, norms, L) -> CheckResult:
     """poincare_bohl from the images and their norms, on the unit disk: the
     margins read F/|F| + y at the unit samples y; the map is (L*r)-Lipschitz."""
-    if ims.shape[1] != region.dim:
-        raise InvalidInput("Poincare-Bohl needs codomain dimension m = n")
     least = int(norms.argmin())
     if norms[least] <= 0.0:
         raise VanishingOnBoundary(
@@ -145,8 +147,7 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
         raise InvalidInput("certify_existence needs a disk region")
     check_lipschitz(lipschitz)
     n = region.dim
-    _check_domain(map_like, n)
-    ev = as_evaluator(map_like)
+    ev = as_evaluator(map_like, n)
     digest = ""
     if isinstance(map_like, MapSpec):
         if n > map_like.m:
@@ -155,18 +156,6 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
         digest = map_like.digest
     unit, points = _boundary(region, level)
     return _certify_sampled(ev, region, unit, ev(points), lipschitz, digest)
-
-
-def _check_domain(map_like, n, codomain=None):
-    """InvalidInput when ``map_like`` is a MapSpec of domain dimension != n,
-    or, given the message ``codomain``, of codomain dimension != n.  A
-    callable's dimensions show only in its images."""
-    if isinstance(map_like, MapSpec):
-        if map_like.n != n:
-            raise InvalidInput(
-                f"map domain dimension {map_like.n} != region dimension {n}")
-        if codomain is not None and map_like.m != n:
-            raise InvalidInput(codomain)
 
 
 def _boundary(region: Region, level: Optional[int]):

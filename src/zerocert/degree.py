@@ -20,8 +20,6 @@ from .geometry import (MAX_STEP, BoundarySampling, check_count,
                        refine_polyline, row_norms)
 from .homotopy import SampledMap
 
-RESIDUAL_TOL = 0.05             # tolerated pre-rounding residual, in turns
-
 
 @dataclass(frozen=True)
 class WindingResult:
@@ -86,7 +84,7 @@ def _result(steps, boundary, inserted, L) -> WindingResult:
     residual = abs(turns - value)
     max_step = float(np.max(np.abs(steps)))
     rigor = "heuristic"
-    if L is not None and max_step < MAX_STEP and residual < RESIDUAL_TOL:
+    if L is not None and max_step < MAX_STEP:
         h = mesh_norm(pts)
         if float(np.min(row_norms(ims))) > L * h / 2.0:
             rigor = "rigorous"

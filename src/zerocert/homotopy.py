@@ -68,7 +68,7 @@ class SampledMap:
     def from_evaluator(map_like, sampling: BoundarySampling) -> "SampledMap":
         """Evaluate a MapSpec or callable on ``sampling``; the map is kept
         as its checked evaluator (``mapspec.as_evaluator``)."""
-        evaluator = as_evaluator(map_like)
+        evaluator = as_evaluator(map_like, sampling.region.dim)
         images = evaluator(sampling.points)
         return SampledMap(sampling=sampling, images=images,
                           evaluator=evaluator)

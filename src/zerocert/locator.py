@@ -5,8 +5,8 @@ One call evaluates the locator's first batch on the top box, in parts: in
 the tail runs, else the box's boundary.  On DomainError the last part is
 dropped and the call made again, down to the ends (a dropped midpoint is
 evaluated on its own); a 2D stencil that raises skips the tail, and the
-boundary is evaluated alone.  A MapSpec's codomain dimension is checked
-before any evaluation, a callable's once, on that call's images.
+boundary is evaluated alone.  Each entry point states the dimensions it
+needs to ``mapspec.as_evaluator``, which checks them.
 
 n=1 brackets a sign change.  Each step evaluates one point, the first
 the midpoint; each later one Chandrupatla's (1997) inverse quadratic
@@ -62,7 +62,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .criteria import _boundary, _certify_sampled, _check_domain
+from .criteria import _boundary, _certify_sampled
 from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                      VanishingOnBoundary, ZeroCertError)
 from .geometry import (MAX_STEP, Region, check_count, refine_polyline,
@@ -110,10 +110,9 @@ def box_winding(map_like, lower, upper) -> int:
     if box.dim != 2:
         raise InvalidInput("box winding is planar only")
     _check_box_size(box)
-    _check_domain(map_like, 2, "box winding needs codomain dimension 2")
-    ev = as_evaluator(map_like)
-    pts, ims, _ = _box_boundary(ev, box.lower, box.upper)
-    return _wind(ev, pts, ims)
+    ev = as_evaluator(map_like, 2, 2, "box winding needs codomain dimension 2")
+    pts = _box_points(box.lower, box.upper)
+    return _wind(ev, pts, ev(pts))
 
 
 def _box_points(lo, hi, count=SAMPLES_PER_EDGE):
@@ -133,17 +132,6 @@ def _box_template(count):
     fractions = np.tile(np.arange(count) / count, 4)[:, None]
     edges.flags.writeable = fractions.flags.writeable = False
     return edges, fractions
-
-
-def _box_boundary(ev, lo, hi, extra=np.empty((0, 2)),
-                  count=SAMPLES_PER_EDGE):
-    """The _box_points of the box [lo, hi], their images and the images of
-    the points ``extra``, all evaluated in one call."""
-    pts = _box_points(lo, hi, count)
-    ims = ev(np.concatenate((pts, extra)))
-    if ims.shape[1] != 2:
-        raise InvalidInput("box winding needs codomain dimension 2")
-    return pts, ims[:len(pts)], ims[len(pts):]
 
 
 def _chord_midpoint(a, b):
@@ -178,9 +166,9 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
         raise InvalidInput("localization is implemented for n in {1, 2}")
     if n == 2:
         _check_box_size(box)
-    _check_domain(map_like, n,
-                  f"{n}D localization needs codomain dimension {n}")
-    return _locate(as_evaluator(map_like), box, eps_x, eps_f, max_iter)
+    ev = as_evaluator(map_like, n, n,
+                      f"{n}D localization needs codomain dimension {n}")
+    return _locate(ev, box, eps_x, eps_f, max_iter)
 
 
 def _locate(ev, box, eps_x, eps_f, max_iter, top=None):
@@ -197,8 +185,6 @@ def _locate(ev, box, eps_x, eps_f, max_iter, top=None):
             if n == 1 or not _runs_tail(lo, hi, eps_x):
                 raise
             top = ev(_box_points(lo, hi))   # the stencil raised: no tail
-    if top.shape[1] != n:
-        raise InvalidInput(f"{n}D localization needs codomain dimension {n}")
     solve = _bisect_1d if n == 1 else _quadtree_2d
     return solve(ev, box, eps_x, eps_f, max_iter, top)
 
@@ -518,12 +504,12 @@ def _accept(ev, lo, hi, point, eps_x, steps):
     diameter = float(np.linalg.norm(sub_hi - sub_lo))
     if not (np.all(sub_lo < sub_hi) and diameter <= eps_x):
         return None     # eps_x is below the float spacing at the point
-    pts, ims, image = _box_boundary(ev, sub_lo, sub_hi, point[None, :],
-                                    ACCEPT_SAMPLES_PER_EDGE)
-    if _wind(ev, pts, ims) == 0:
+    pts = _box_points(sub_lo, sub_hi, ACCEPT_SAMPLES_PER_EDGE)
+    ims = ev(np.concatenate((pts, point[None, :])))
+    if _wind(ev, pts, ims[:-1]) == 0:
         return None
     return _finish(ev, point, diameter, steps, [(sub_lo, sub_hi)], "newton",
-                   image[0])
+                   ims[-1])
 
 
 def _finish(ev, point, diameter, iterations, trail, termination,
@@ -570,8 +556,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     check_count("n", n, 1)
     if n > 2:
         raise InvalidInput("fixed points are located for n in {1, 2}")
-    _check_domain(map_like, n, "a self-map needs m = n")
-    f = as_evaluator(map_like)
+    f = as_evaluator(map_like, n, n, "a self-map needs m = n")
 
     disk = Region.disk(np.zeros(n), 1.0)
     box = Region.box(-np.ones(n), np.ones(n))
@@ -583,10 +568,10 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
         images = _leading_images(f, parts, 2)
     except DomainError:
         # the error of a grid evaluated before the boundary
-        _check_self_map(f(grid), n)
+        _check_self_map(f(grid))
         raise
     end = len(grid) + len(circle)
-    _check_self_map(images[:end], n)
+    _check_self_map(images[:end])
 
     # G is evaluated only in [-1, 1]^n, where x - f(x) of a finite f(x) is
     # finite: f's own check covers it
@@ -607,11 +592,9 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     return _locate(g, box, 0.5 * eps, 1e-12, 200, top)
 
 
-def _check_self_map(images, n):
+def _check_self_map(images):
     """InvalidInput unless f's ``images``, on the validation grid and
-    maybe the boundary samples, have m = n and lie in the unit disk."""
-    if images.shape[1] != n:
-        raise InvalidInput("a self-map needs m = n")
+    maybe the boundary samples, lie in the unit disk."""
     largest = float(np.max(row_norms(images)))
     if largest > 1.0 + 1e-9:
         raise InvalidInput(

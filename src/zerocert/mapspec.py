@@ -391,17 +391,26 @@ def _check_finite(pts, out, detail):
         raise DomainError(pts[row], detail)
 
 
-def as_evaluator(map_like):
+def as_evaluator(map_like, n=None, m=None, codomain=None):
     """The one evaluation contract: a batch evaluator that takes (k, n)
     points and returns a finite float64 (k, m) ndarray.
 
-    A MapSpec goes through ``evaluate``, which checks its own output.  A
-    callable gets its own copy of the points, which it may write into, and
-    its output is converted once: it must be a real 2-D array (or nested
-    list) with one row per point, else InvalidInput, and a non-finite row
-    raises DomainError.
+    A route passes the dimensions it needs.  A MapSpec of another domain
+    dimension than ``n``, or codomain dimension than ``m``, raises
+    InvalidInput before any evaluation, the latter with the route's message
+    ``codomain``; it then goes through ``evaluate``, which checks its own
+    output.  A callable gets its own copy of the points, which it may write
+    into, and each call's output is converted once: it must be a real 2-D
+    array (or nested list) with one row per point, else InvalidInput, of
+    width ``m``, else InvalidInput(codomain), and a non-finite row raises
+    DomainError.
     """
     if isinstance(map_like, MapSpec):
+        if n is not None and map_like.n != n:
+            raise InvalidInput(
+                f"map domain dimension {map_like.n} != region dimension {n}")
+        if m is not None and map_like.m != m:
+            raise InvalidInput(codomain)
         return lambda pts: evaluate(map_like, pts)
     if not callable(map_like):
         raise InvalidInput(
@@ -417,6 +426,8 @@ def as_evaluator(map_like):
             raise InvalidInput(
                 f"map returned a {out.dtype} array of shape {out.shape} for "
                 f"{len(pts)} points, not one row of real values per point")
+        if m is not None and out.shape[1] != m:
+            raise InvalidInput(codomain)
         out = out.astype(float, copy=False)
         _check_finite(pts, out, "non-finite value")
         return out
@@ -483,25 +494,26 @@ def lipschitz_estimate(spec: MapSpec, region: Region) -> float:
 
     Forward finite differences with step 1e-6 * region diameter at a
     deterministic sample of 200 interior points: each sample p and its n
-    probes ``p + step * e_j`` are evaluated in one batch, n + 1 points per
-    sample, and ``J[:, j] = (F(p + step * e_j) - F(p)) / step``.  The
-    sample's pattern is drawn from ``default_rng(0)`` once per region kind
-    and dimension and kept read-only: on a disk ``center + u_dir * (radius
-    * u^(1/n))``, on a box ``lower + (upper - lower) * u``, which is
+    probes ``q_j = p + step * e_j`` are evaluated in one batch, n + 1
+    points per sample, and ``J[:, j] = (F(q_j) - F(p)) / s_j`` for the step
+    ``s_j = (q_j - p)_j`` the probe took after rounding, which at a large
+    ``p_j`` can be far from ``step``.  The sample's pattern is drawn from
+    ``default_rng(0)`` once per region kind and dimension and kept
+    read-only: on a disk ``center + u_dir * (radius * u^(1/n))``, on a box
+    ``lower + (upper - lower) * u``, which is
     ``rng.uniform(lower, upper)`` bit for bit.  Only the Jacobians with
     ``|J|_F >= max |J|_F * (1 - 1e-9) / sqrt(min(m, n))`` get an SVD for
     ``|J|_2``; they include the largest ``|J|_2``, since ``|J|_F >= |J|_2
     >= |J|_F / sqrt(min(m, n))``, so the estimate is that of all 200.
 
-    A region of another dimension than the map's domain raises
-    InvalidInput, as does one whose diameter is not finite, and one too
+    The map is reached through ``as_evaluator``, so a region of another
+    dimension than the map's domain raises InvalidInput before any
+    evaluation.  So does a region whose diameter is not finite, and one too
     small for its position, where a probe rounds back onto its sample and
     that column of J would read 0.
     """
-    m, n = spec.m, spec.n
-    if n != region.dim:
-        raise InvalidInput(
-            f"map domain dimension {n} != region dimension {region.dim}")
+    n = region.dim
+    ev = as_evaluator(spec, n)
     step = 1e-6 * region.diameter
     if not math.isfinite(step):
         raise InvalidInput("region too wide for a Lipschitz estimate: "
@@ -515,15 +527,18 @@ def lipschitz_estimate(spec: MapSpec, region: Region) -> float:
     # one batch, ordered p, p + step*e_1, ..., p + step*e_n for each sample p
     shifts = np.concatenate((np.zeros((1, n)), step * np.eye(n)))
     probes = pts[:, None, :] + shifts
-    # probe j differs from its sample in coordinate j alone
-    stuck = np.diagonal(probes[:, 1:], axis1=1, axis2=2) == pts
+    # probe j differs from its sample in coordinate j alone, by the step it
+    # took after rounding
+    moved = np.diagonal(probes[:, 1:], axis1=1, axis2=2) - pts
+    stuck = moved == 0.0
     if stuck.any():
         k, j = np.argwhere(stuck)[0]
         raise InvalidInput(
             f"region too small for a Lipschitz estimate: the step {step:g} "
             f"along x{j + 1} does not move the sample {pts[k].tolist()}")
-    values = evaluate(spec, probes.reshape(-1, n)).reshape(-1, n + 1, m)
-    jac = (values[:, 1:] - values[:, :1]).transpose(0, 2, 1) / step
+    values = ev(probes.reshape(-1, n)).reshape(len(pts), n + 1, -1)
+    m = values.shape[2]
+    jac = (values[:, 1:] - values[:, :1]).transpose(0, 2, 1) / moved[:, None]
     # scaled so that the largest entry is 1, no square overflows and the
     # largest sum is at least 1
     peak = float(np.max(np.abs(jac)))

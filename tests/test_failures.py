@@ -115,11 +115,15 @@ def test_count_arguments_must_be_integers(call):
         call()
 
 
-# Each case failed at the time it was added: the map was evaluated on the
-# region's points first, and the error spoke of the shape of that batch;
-# lipschitz_estimate broadcast the two shapes and returned a wrong value
-# (1.39e6 for x1 on a unit disk in the plane) or raised numpy's
-# ValueError.
+# Every entry point states the dimensions it needs to mapspec.as_evaluator,
+# which refuses a MapSpec of other dimensions before any evaluation.  The
+# locate, fixed_point, box_winding, certify and lipschitz cases failed at the
+# time they were added: the map was evaluated on the region's points first,
+# and the error spoke of the shape of that batch; lipschitz_estimate
+# broadcast the two shapes and returned a wrong value (1.39e6 for x1 on a
+# unit disk in the plane) or raised numpy's ValueError.  The
+# boundary_nonvanishing, poincare_bohl and from_evaluator cases failed in
+# evaluate, with "points must be a real (k,) or (k, n) array".
 @pytest.mark.parametrize("call, n, dim", [
     (lambda: locate_zero(parse_map("x1, x2, x3", 3), BOX2), 3, 2),
     (lambda: brouwer_fixed_point(parse_map("x1/2, x2/2", 2), n=1), 2, 1),
@@ -127,8 +131,14 @@ def test_count_arguments_must_be_integers(call):
     (lambda: certify_existence(PLANE, DISK3), 2, 3),
     (lambda: lipschitz_estimate(PLANE, DISK3), 2, 3),
     (lambda: lipschitz_estimate(parse_map("x1", 1), DISK2), 1, 2),
+    (lambda: boundary_nonvanishing(parse_map("x1", 1), DISK2), 1, 2),
+    (lambda: poincare_bohl(PLANE, DISK3), 2, 3),
+    (lambda: locate_zero(PLANE, Region.box([-1.0], [1.0])), 2, 1),
+    (lambda: brouwer_fixed_point(parse_map("x1/2", 1), n=2), 1, 2),
+    (lambda: SampledMap.from_evaluator(PLANE, sample_sphere(DISK3, 1)), 2, 3),
 ], ids=["locate", "fixed_point", "box_winding", "certify", "lipschitz-2-3",
-        "lipschitz-1-2"])
+        "lipschitz-1-2", "boundary_nonvanishing", "poincare_bohl",
+        "locate-1d", "fixed_point-2d", "from_evaluator"])
 def test_map_domain_checked_before_evaluation(call, n, dim, monkeypatch):
     evaluated = []
     monkeypatch.setattr(mapspec, "evaluate",
@@ -139,26 +149,69 @@ def test_map_domain_checked_before_evaluation(call, n, dim, monkeypatch):
     assert evaluated == []
 
 
+# The routes that need a codomain dimension: each runs a map, refuses one of
+# another width with its message, and is given a MapSpec of another width.
+# A MapSpec is refused before any evaluation, a callable on the images of
+# its call.
+CODOMAIN_ROUTES = {
+    "fixed_point": (lambda f: brouwer_fixed_point(f, n=2),
+                    "a self-map needs m = n", "x1/2, x2/2, x1"),
+    "fixed_point-1d": (lambda f: brouwer_fixed_point(f, n=1),
+                       "a self-map needs m = n", "x1/2, x1"),
+    "locate-2d": (lambda f: locate_zero(f, BOX2),
+                  "2D localization needs codomain dimension 2",
+                  "x1/2, x2/2, x1"),
+    "locate-1d": (lambda f: locate_zero(f, Region.box([-1], [1])),
+                  "1D localization needs codomain dimension 1", "x1, x1"),
+    "box_winding": (lambda f: box_winding(f, [-1, -1], [1, 1]),
+                    "box winding needs codomain dimension 2",
+                    "x1/2, x2/2, x1"),
+    "poincare_bohl": (lambda f: poincare_bohl(f, DISK2),
+                      "Poincare-Bohl needs codomain dimension m = n",
+                      "x1, x2, x1"),
+}
+
+
 # Each case evaluated points before it failed at the time it was added:
-# 782 for the fixed point, 5 for the 2D locate, 64 for box_winding and 3
-# for the 1D locate.
-@pytest.mark.parametrize("call, message", [
-    (lambda: brouwer_fixed_point(parse_map("x1/2, x2/2, x1", 2)),
-     "a self-map needs m = n"),
-    (lambda: locate_zero(parse_map("x1/2, x2/2, x1", 2), BOX2),
-     "2D localization needs codomain dimension 2"),
-    (lambda: box_winding(parse_map("x1/2, x2/2, x1", 2), [-1, -1], [1, 1]),
-     "box winding needs codomain dimension 2"),
-    (lambda: locate_zero(parse_map("x1, x1", 1), Region.box([-1], [1])),
-     "1D localization needs codomain dimension 1"),
-], ids=["fixed_point", "locate-2d", "box_winding", "locate-1d"])
-def test_map_codomain_checked_before_evaluation(call, message, monkeypatch):
+# 782 for the fixed point, 5 for the 2D locate, 64 for box_winding, 3 for
+# the 1D locate and 256 for poincare_bohl.
+@pytest.mark.parametrize("route", sorted(CODOMAIN_ROUTES))
+def test_map_codomain_checked_before_evaluation(route, monkeypatch):
+    run, message, text = CODOMAIN_ROUTES[route]
+    spec = parse_map(text, text.count(","))     # one output too many
     evaluated = []
     monkeypatch.setattr(mapspec, "evaluate",
                         lambda *args: evaluated.append(args))
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
-        call()
+        run(spec)
     assert evaluated == []
+
+
+@pytest.mark.parametrize("route", sorted(CODOMAIN_ROUTES))
+def test_callable_width_checked_on_its_images(route):
+    run, message, _ = CODOMAIN_ROUTES[route]
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        run(lambda pts: np.zeros((len(pts), 3)))
+
+
+# Each case failed at the time it was added: a callable's width was checked
+# on the images of its first call alone, so the 3-wide images of the second
+# call raised numpy's broadcast ValueError in the fixed point's x - f(x), a
+# ValueError from the Newton step's unpacking, and in 1D went unchecked into
+# the residual.
+@pytest.mark.parametrize("route", ["fixed_point", "locate-2d", "locate-1d"])
+def test_callable_width_checked_on_every_call(route):
+    run, message, _ = CODOMAIN_ROUTES[route]
+    calls = []
+
+    def widens(pts):
+        calls.append(len(pts))
+        out = 0.5 * pts - 0.1
+        return out if len(calls) == 1 else np.hstack((out, out[:, :1]))
+
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        run(widens)
+    assert len(calls) == 2
 
 
 # Each case failed at the time it was added: every probe of the 1D map

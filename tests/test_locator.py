@@ -89,6 +89,14 @@ class TestBoxWinding:
             box_winding(ev, lower, upper)
         assert ev.batches == []
 
+    def test_budget_exhausted_on_fast_oscillation(self):
+        # the image angle is pi/2 - w*x1: each dyadic refinement of the 1/8
+        # edge spacing still steps by a multiple 2^k * 2pi/3, +-2pi/3 mod 2pi
+        w = 16 * math.pi / 3 * 4 ** 10
+        spec = parse_map(f"sin({w!r}*x1), cos({w!r}*x1)", 2)
+        with pytest.raises(BudgetExhausted, match="box winding refinement"):
+            box_winding(spec, [-1, -1], [1, 1])
+
 
 def box_points_reference(lo, hi, count=locator.SAMPLES_PER_EDGE):
     """The box boundary samples built per call, as before the template:
@@ -183,7 +191,47 @@ class TestConstantGeometry:
         assert ties == 36
 
 
+def recorded(patch, name, log, entry=lambda args, out: out):
+    """Wrap locator.``name`` so that each call appends entry(args, result)
+    to ``log``."""
+    original = getattr(locator, name)
+
+    def wrapper(*args):
+        out = original(*args)
+        log.append(entry(args, out))
+        return out
+    patch.setattr(locator, name, wrapper)
+
+
 class TestLocateZero2D:
+    def test_square_below_the_float_spacing_is_refused(self, monkeypatch):
+        # no square of diameter 1e-20 around (0.3, 0.4) has two distinct
+        # corners: the tail's answer is refused unwound, and the quadtree
+        # stops on the residual
+        accepted, wound = [], []
+        recorded(monkeypatch, "_accept", accepted)
+        recorded(monkeypatch, "_wind", wound, lambda args, out: len(args[1]))
+        result = locate_zero(parse_map("x1 - 0.3, x2 - 0.4", 2), UNIT_BOX,
+                             eps_x=1e-20)
+        assert accepted and accepted == [None] * len(accepted)
+        assert 4 * locator.ACCEPT_SAMPLES_PER_EDGE not in wound
+        assert result.termination == "residual" and result.iterations == 30
+        assert np.linalg.norm(result.point - [0.3, 0.4]) <= 1e-9
+
+    def test_square_of_winding_0_is_refused(self, monkeypatch):
+        # the tail stops at x1 = 0.186, near the zero at 0.2, and its square
+        # of half-side 0.35 * eps_x also holds the zero at 0.3, of the other
+        # orientation: it winds 0, and the quadtree finds the zero at -0.8
+        wound = []
+        recorded(monkeypatch, "_wind", wound,
+                 lambda args, out: (len(args[1]), out))
+        result = locate_zero(parse_map("(x1 - 0.2)*(x1 - 0.3)*(x1 + 0.8), "
+                                       "x2", 2), UNIT_BOX, eps_x=0.5)
+        assert wound[0] == (4 * locator.ACCEPT_SAMPLES_PER_EDGE, 0)
+        assert result.termination == "cell_diameter"
+        assert np.linalg.norm(result.point - [-0.8, 0.0]) \
+            <= result.cell_diameter <= 0.5
+
     def test_identity_origin(self):
         spec = parse_map("x1, x2", 2)
         result = locate_zero(spec, UNIT_BOX, eps_x=1e-7)
@@ -1186,6 +1234,13 @@ class TestBrouwerFixedPoint:
     def test_codomain_must_equal_domain(self, map_like):
         with pytest.raises(InvalidInput, match="m = n"):
             brouwer_fixed_point(map_like, n=2)
+
+    def test_no_sign_change_is_not_certified(self):
+        # f maps [-1, 1] into the disk within its 1e-9 tolerance, but
+        # x - f(x) = -5e-10 keeps one sign on the boundary
+        with pytest.raises(ZeroCertError, match=r"^could not certify a fixed "
+                                                r"point \(verdict NoConclusion\)$"):
+            brouwer_fixed_point(parse_map("x1 + 5e-10", 1))
 
     def test_constant_map(self):
         spec = parse_map("0.3, -0.2", 2)

@@ -348,6 +348,12 @@ class TestLipschitzEstimate:
         region = Region.disk([0.0], 1.0)
         assert lipschitz_estimate(spec, region) == pytest.approx(6.0, rel=1e-6)
 
+    def test_far_sample_divides_by_the_step_taken(self):
+        # the step 2e-5 is about 10 float spacings of 1e10, so each probe
+        # rounds; over the nominal step the estimate read 5.72
+        spec = parse_map("3*(x1 - 1e10)", 1)
+        assert lipschitz_estimate(spec, Region.disk([1e10], 10.0)) == 6.0
+
     @pytest.mark.parametrize("text, region", [
         ("x1^3 - 2*x1 + sin(x1)", Region.disk([0.2], 1.5)),
         ("x1^2 - x2^2 + 0.3, 2*x1*x2 - sin(x2)", Region.disk([0.1, -0.4], 1.3)),
@@ -361,7 +367,8 @@ class TestLipschitzEstimate:
                             lambda s, x: calls.append(len(x)) or evaluate(s, x))
         est = lipschitz_estimate(spec, region)
         assert calls == [(region.dim + 1) * 200]
-        # reference: one forward difference per sample point and axis
+        # reference: one forward difference per sample point and axis, over
+        # the step the probe took
         step = 1e-6 * region.diameter
         worst = 0.0
         for p in _fresh_samples(region):
@@ -369,7 +376,9 @@ class TestLipschitzEstimate:
             for j in range(spec.n):
                 e = np.zeros(spec.n)
                 e[j] = step
-                jac[:, j] = (evaluate(spec, p + e) - evaluate(spec, p)) / step
+                q = p + e
+                jac[:, j] = ((evaluate(spec, q) - evaluate(spec, p))
+                             / (q[j] - p[j]))
             worst = max(worst, float(np.linalg.norm(jac, 2)))
         assert est == 2.0 * worst
 
@@ -418,13 +427,17 @@ def _complex_poly_text(coeffs):
 
 def _unscreened_estimate(spec, region):
     """The estimate at ``_fresh_samples`` with an SVD of every one of the
-    200 Jacobians."""
+    200 Jacobians, each column over the step its probe took."""
     pts = _fresh_samples(region)
     step = 1e-6 * region.diameter
     shifts = np.concatenate((np.zeros((1, spec.n)), step * np.eye(spec.n)))
-    values = evaluate(spec, (pts[:, None, :] + shifts).reshape(-1, spec.n))
+    probes = pts[:, None, :] + shifts
+    axes = np.arange(spec.n)
+    moved = probes[:, 1 + axes, axes] - pts
+    values = evaluate(spec, probes.reshape(-1, spec.n))
     values = values.reshape(200, spec.n + 1, spec.m)
-    jac = (values[:, 1:] - values[:, :1]).transpose(0, 2, 1) / step
+    jac = (values[:, 1:] - values[:, :1]).transpose(0, 2, 1) \
+        / moved[:, None, :]
     return 2.0 * float(np.max(np.linalg.norm(jac, 2, axis=(1, 2))))
 
 

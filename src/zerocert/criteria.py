@@ -75,7 +75,7 @@ def poincare_bohl(map_like, region: Region, level: Optional[int] = None,
     """
     check_lipschitz(L)
     n = region.dim
-    ev = as_evaluator(map_like, n, n,
+    ev = as_evaluator(map_like, n,
                       "Poincare-Bohl needs codomain dimension m = n")
     unit, ims, norms = _sampled(ev, region, level)
     return _poincare_bohl(unit, region, ims, norms, L)

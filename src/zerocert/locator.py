@@ -110,7 +110,7 @@ def box_winding(map_like, lower, upper) -> int:
     if box.dim != 2:
         raise InvalidInput("box winding is planar only")
     _check_box_size(box)
-    ev = as_evaluator(map_like, 2, 2, "box winding needs codomain dimension 2")
+    ev = as_evaluator(map_like, 2, "box winding needs codomain dimension 2")
     pts = _box_points(box.lower, box.upper)
     return _wind(ev, pts, ev(pts))
 
@@ -166,7 +166,7 @@ def locate_zero(map_like, box: Region, eps_x: float = 1e-6,
         raise InvalidInput("localization is implemented for n in {1, 2}")
     if n == 2:
         _check_box_size(box)
-    ev = as_evaluator(map_like, n, n,
+    ev = as_evaluator(map_like, n,
                       f"{n}D localization needs codomain dimension {n}")
     return _locate(ev, box, eps_x, eps_f, max_iter)
 
@@ -556,7 +556,7 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     check_count("n", n, 1)
     if n > 2:
         raise InvalidInput("fixed points are located for n in {1, 2}")
-    f = as_evaluator(map_like, n, n, "a self-map needs m = n")
+    f = as_evaluator(map_like, n, "a self-map needs m = n")
 
     disk = Region.disk(np.zeros(n), 1.0)
     box = Region.box(-np.ones(n), np.ones(n))

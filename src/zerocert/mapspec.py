@@ -391,25 +391,25 @@ def _check_finite(pts, out, detail):
         raise DomainError(pts[row], detail)
 
 
-def as_evaluator(map_like, n=None, m=None, codomain=None):
+def as_evaluator(map_like, n=None, codomain=None):
     """The one evaluation contract: a batch evaluator that takes (k, n)
     points and returns a finite float64 (k, m) ndarray.
 
-    A route passes the dimensions it needs.  A MapSpec of another domain
-    dimension than ``n``, or codomain dimension than ``m``, raises
-    InvalidInput before any evaluation, the latter with the route's message
-    ``codomain``; it then goes through ``evaluate``, which checks its own
-    output.  A callable gets its own copy of the points, which it may write
-    into, and each call's output is converted once: it must be a real 2-D
-    array (or nested list) with one row per point, else InvalidInput, of
-    width ``m``, else InvalidInput(codomain), and a non-finite row raises
+    A route passes its domain dimension ``n`` and, if it needs m = n, its
+    message ``codomain``.  A MapSpec of another n raises InvalidInput, and
+    then one with m != n InvalidInput(codomain), both before any evaluation;
+    it then goes through ``evaluate``, which checks its own output.  A callable gets its
+    own copy of the points, which it may write into, and each call's output
+    is converted once: it must be a real 2-D array (or nested list) with
+    one row per point, else InvalidInput, n wide when ``codomain`` is
+    given, else InvalidInput(codomain), and a non-finite row raises
     DomainError.
     """
     if isinstance(map_like, MapSpec):
         if n is not None and map_like.n != n:
             raise InvalidInput(
                 f"map domain dimension {map_like.n} != region dimension {n}")
-        if m is not None and map_like.m != m:
+        if codomain is not None and map_like.m != n:
             raise InvalidInput(codomain)
         return lambda pts: evaluate(map_like, pts)
     if not callable(map_like):
@@ -426,7 +426,7 @@ def as_evaluator(map_like, n=None, m=None, codomain=None):
             raise InvalidInput(
                 f"map returned a {out.dtype} array of shape {out.shape} for "
                 f"{len(pts)} points, not one row of real values per point")
-        if m is not None and out.shape[1] != m:
+        if codomain is not None and out.shape[1] != n:
             raise InvalidInput(codomain)
         out = out.astype(float, copy=False)
         _check_finite(pts, out, "non-finite value")

@@ -187,11 +187,16 @@ def test_map_codomain_checked_before_evaluation(route, monkeypatch):
     assert evaluated == []
 
 
+# The width is checked before finiteness, so 3-wide NaN images raise the
+# route's message too: at the time the NaN case was added they raised
+# DomainError, which brouwer_fixed_point and locate_zero answer by
+# evaluating again on fewer points.
 @pytest.mark.parametrize("route", sorted(CODOMAIN_ROUTES))
 def test_callable_width_checked_on_its_images(route):
     run, message, _ = CODOMAIN_ROUTES[route]
-    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
-        run(lambda pts: np.zeros((len(pts), 3)))
+    for value in (0.0, np.nan):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            run(lambda pts: np.full((len(pts), 3), value))
 
 
 # Each case failed at the time it was added: a callable's width was checked

@@ -50,8 +50,7 @@ shrunk onto the zero); one where some attempt wound all four sub-boxes to
 0 ends in DegreeLost.
 
 Box boundaries come from one box-edge template per samples-per-edge count,
-and brouwer_fixed_point's validation grid from one per n; both are built
-once per process and are read-only, like the unit-sphere samplings.
+built once per process and read-only, like the unit-sphere samplings.
 """
 from __future__ import annotations
 
@@ -531,22 +530,21 @@ def _finish(ev, point, diameter, iterations, trail, termination,
 
 def brouwer_fixed_point(map_like, eps: float = 1e-6,
                         n: Optional[int] = None) -> LocateResult:
-    """Fixed point of a continuous self-map f of the unit disk D^n, n in {1,2}.
+    """Fixed point of a continuous map f of the unit disk D^n, n in {1, 2},
+    that maps the boundary sphere into the disk.
 
-    Reduces to locating a zero of G(x) = x - f(x): on the boundary sphere G
-    never points opposite to x (that would force ||f(x)|| > 1), so existence
-    is certified first and then located by locate_zero.  The residual of the
-    result is ||f(point) - point||.
+    Reduces to locating a zero of G(x) = x - f(x).  On the boundary G never
+    points opposite to x (that would force ||f(x)|| > 1), so G's certificate
+    proves a fixed point from the boundary alone (Rothe's theorem; Granas &
+    Dugundji 2003), and the locator of locate_zero then finds it; f may
+    leave the disk inside.  The residual of the result is
+    ||f(point) - point||.
 
-    One evaluation of f covers three parts: a grid of the disk's interior,
-    the certificate's boundary samples, whose images give G there, and the
-    locator's whole first batch for G on [-1, 1]^n; f must map the first
-    two into the disk.  The locator's rule drops the last part on
-    DomainError, down to the grid and the boundary; the locator then
-    evaluates its first batch itself.  When the grid and the boundary raise
-    too, the grid is evaluated and checked alone, so the error is the one
-    of a grid evaluated before the boundary.  The grid is built once per
-    process for each n and is read-only, like the unit-sphere samplings.
+    One evaluation of f covers two parts: the certificate's boundary
+    samples, whose images are checked to lie in the disk and give G there,
+    and the locator's whole first batch for G on [-1, 1]^n.  On DomainError
+    the locator's part is dropped and the boundary evaluated alone; the
+    locator then evaluates its first batch itself.
     """
     _check_tolerance("eps", eps)
     if n is None:
@@ -561,24 +559,18 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     disk = Region.disk(np.zeros(n), 1.0)
     box = Region.box(-np.ones(n), np.ones(n))
     sampling, circle = _boundary(disk, None)
-    grid = _disk_validation_grid(n)
-    parts = [grid, circle,
+    parts = [circle,
              np.concatenate(_top_parts(box.lower, box.upper, 0.5 * eps))]
-    try:
-        images = _leading_images(f, parts, 2)
-    except DomainError:
-        # the error of a grid evaluated before the boundary
-        _check_self_map(f(grid))
-        raise
-    end = len(grid) + len(circle)
+    images = _leading_images(f, parts, 1)
+    end = len(circle)
     _check_self_map(images[:end])
 
     # G is evaluated only in [-1, 1]^n, where x - f(x) of a finite f(x) is
     # finite: f's own check covers it
     g = lambda pts: pts - f(pts)
-    g_circle = circle - images[len(grid):end]
+    g_circle = circle - images[:end]
     # G at the locator's first batch, when that batch was evaluated here
-    top = parts[2] - images[end:] if len(images) > end else None
+    top = parts[1] - images[end:] if len(images) > end else None
     cert = _certify_sampled(g, disk, sampling, g_circle, None)
     if cert.verdict == "ZeroOnBoundary":
         # the boundary sample where G vanishes is a fixed point
@@ -593,25 +585,10 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
 
 
 def _check_self_map(images):
-    """InvalidInput unless f's ``images``, on the validation grid and
-    maybe the boundary samples, lie in the unit disk."""
+    """InvalidInput unless f's ``images`` at the boundary samples lie in
+    the unit disk."""
     largest = float(np.max(row_norms(images)))
     if largest > 1.0 + 1e-9:
         raise InvalidInput(
             f"map leaves the unit disk (||f|| up to {largest:.6f})")
 
-
-@functools.cache
-def _disk_validation_grid(n: int) -> np.ndarray:
-    """The read-only grid of D^n's interior that a self-map is checked on:
-    99 points in 1D; in 2D the centre, then 40 rays of 13 radii to 13/14."""
-    if n == 1:
-        grid = np.linspace(-1.0, 1.0, 101)[1:-1, None]
-    else:
-        radii = np.linspace(0.0, 1.0, 15)[1:-1]
-        angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
-        rr, aa = np.meshgrid(radii, angles)
-        grid = np.concatenate((np.zeros((1, 2)), np.stack(
-            [(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)))
-    grid.flags.writeable = False
-    return grid

@@ -132,19 +132,14 @@ class TestConstantGeometry:
             assert locator._box_points(lo, hi).tobytes() == \
                 box_points_reference(lo, hi).tobytes()
 
-    def test_template_and_grid_are_read_only(self):
-        # one template per samples-per-edge count, one grid per n
+    def test_templates_are_read_only(self):
+        # one template per samples-per-edge count
         counts = (locator.SAMPLES_PER_EDGE, locator.ACCEPT_SAMPLES_PER_EDGE)
         for count in counts:
             assert locator._box_template(count) is \
                 locator._box_template(count)
-        for n in (1, 2):
-            assert locator._disk_validation_grid(n) is \
-                locator._disk_validation_grid(n)
         for array in (*locator._box_template(counts[0]),
-                      *locator._box_template(counts[1]),
-                      locator._disk_validation_grid(1),
-                      locator._disk_validation_grid(2)):
+                      *locator._box_template(counts[1])):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -1265,7 +1260,7 @@ class TestBrouwerFixedPoint:
         result = brouwer_fixed_point(f, eps=math.inf, n=1)
         assert result.point.tolist() == [0.5]
         assert (result.termination, result.iterations) == ("cell_diameter", 1)
-        assert f.batches == [99 + 2 + 3, 1]
+        assert f.batches == [2 + 3, 1]
         huge = brouwer_fixed_point(parse_map("(x1 + 0.2)/2", 1), eps=1e300)
         assert (result.point.tobytes(), result.residual) == (
             huge.point.tobytes(), huge.residual)
@@ -1295,40 +1290,36 @@ class TestBrouwerFixedPoint:
         result = brouwer_fixed_point(spec)
         assert abs(result.point[0] - 0.5) <= 1e-6
 
-    def test_one_dimensional_first_batch_rides_with_the_grid(
+    def test_one_dimensional_first_batch_rides_with_the_boundary(
             self, counting_evaluator):
-        # the 99-point grid of the interior, the two boundary points and
-        # the locator's first batch of G (-1, 1 and the midpoint 0) in one
-        # call; then interpolation through G's line lands on the fixed
-        # point 0.2
+        # the two boundary points and the locator's first batch of G (-1, 1
+        # and the midpoint 0) in one call; then interpolation through G's
+        # line lands on the fixed point 0.2
         f = counting_evaluator(parse_map("(x1 + 0.2)/2", 1))
         result = brouwer_fixed_point(f, n=1)
-        assert len(locator._disk_validation_grid(1)) == 99
-        assert f.batches == [99 + 2 + 3, 1]
+        assert f.batches == [2 + 3, 1]
         assert result.point.tolist() == [0.2]
         assert result.residual == 0.0
         assert result.termination == "residual"
 
     def test_boundary_evaluated_once(self, counting_evaluator):
-        # the validation grid, the boundary circle and the locator's first
-        # batch (the first Newton stencil) in one batch, and neither grid nor
-        # circle again
+        # the boundary circle and the locator's first batch (the first
+        # Newton stencil) in one batch, and the circle not again
         f = counting_evaluator(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2", 2))
         result = brouwer_fixed_point(f, n=2)
         assert np.linalg.norm(result.point - [0.2, -0.1]) <= 1e-6
-        grid = len(locator._disk_validation_grid(2))
         boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
-        assert f.batches[0] == grid + boundary + 5
-        assert not {grid, boundary, grid + boundary} & set(f.batches[1:])
+        assert f.batches[0] == boundary + 5
+        assert boundary not in f.batches[1:]
 
-    def test_first_locator_batch_rides_with_the_grid(self,
-                                                    counting_evaluator):
-        # grid, circle and the locator's first batch of G in one call, then
-        # the second Newton stencil and the accepted square with its point
+    def test_first_locator_batch_rides_with_the_boundary(
+            self, counting_evaluator):
+        # circle and the locator's first batch of G in one call, then the
+        # second Newton stencil and the accepted square with its point
         f = counting_evaluator(parse_map("(x1 + 0.2)/2, (x2 - 0.1)/2", 2))
         result = brouwer_fixed_point(f, n=2)
         assert result.termination == "newton"
-        assert f.batches == [521 + 256 + 5, 5, 17]
+        assert f.batches == [256 + 5, 5, 17]
 
     def test_each_batch_checked_once(self, monkeypatch):
         # G = x - f(x) is finite wherever f is on [-1, 1]^n, so only f's
@@ -1354,17 +1345,15 @@ class TestBrouwerFixedPoint:
             x[...] = 0.0
             return out
 
-        grid = locator._disk_validation_grid(2).copy()
         want = outcome_bytes(brouwer_fixed_point(plain, n=2))
         assert want[-1] == "newton"
         for _ in range(2):
             assert outcome_bytes(brouwer_fixed_point(zeroing, n=2)) == want
-        assert locator._disk_validation_grid(2).tobytes() == grid.tobytes()
 
     def test_domain_error_path_with_a_writing_callable(self):
-        # F is not finite at the second boundary sample only; the grid and
-        # circle without the locator's first batch, then the grid alone, are
-        # evaluated again, from copies the map may write into
+        # F is not finite at the second boundary sample only; the circle
+        # without the locator's first batch is evaluated again, from a copy
+        # the map may write into
         circle = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6).points
         batches = []
 
@@ -1377,58 +1366,87 @@ class TestBrouwerFixedPoint:
 
         with pytest.raises(DomainError) as raised:
             brouwer_fixed_point(zeroing, n=2)
-        assert batches == [521 + 256 + 5, 521 + 256, 521]
+        assert batches == [256 + 5, 256]
         assert raised.value.point.tobytes() == circle[1].tobytes()
 
-    def test_validation_grid_has_the_centre_once(self):
-        # radius 0 of each of the 40 rays is the centre (with signed zeros);
-        # radius 1 is left to the certificate's 256 boundary samples
-        radii = np.linspace(0.0, 1.0, 15)[:-1]
-        angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
-        rr, aa = np.meshgrid(radii, angles)
-        rays = np.stack([(rr * np.cos(aa)).ravel(),
-                         (rr * np.sin(aa)).ravel()], axis=1)
-        grid = locator._disk_validation_grid(2)
-        assert grid.shape == (521, 2)
-        assert grid[0].tobytes() == np.zeros(2).tobytes()
-        assert grid[1:].tobytes() == rays[rr.ravel() > 0.0].tobytes()
-
-    @pytest.mark.parametrize("first, error, match", [
-        ("x1/2", DomainError, "non-finite"),
-        # leaves the disk on the grid, whose outer radius is 13/14: the
-        # grid's check speaks first
-        ("2*x1", InvalidInput,
-         r"leaves the unit disk \(\|\|f\|\| up to 1\.857143"),
-    ])
-    def test_finite_on_the_grid_only(self, first, error, match,
-                                     counting_evaluator):
-        # 0/0 only where x2 is the second boundary sample's, on no grid point
+    @pytest.mark.parametrize("first", [
+        "x1/2",
+        # leaves the disk everywhere: the evaluation's error comes before
+        # the self-map check
+        "2*x1",
+    ], ids=["self_map", "leaves_the_disk"])
+    def test_not_finite_at_one_boundary_sample(self, first,
+                                               counting_evaluator):
+        # 0/0 only where x2 is the second boundary sample's
         circle = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6).points
         spec = parse_map(f"{first} + 0/(x2 - {float(circle[1, 1])!r}), "
                          f"{first.replace('x1', 'x2')}", 2)
         f = counting_evaluator(spec)
-        with pytest.raises(error, match=match) as raised:
+        with pytest.raises(DomainError, match="non-finite") as raised:
             brouwer_fixed_point(f, n=2)
-        # the grid with the circle raises, with or without the locator's
-        # first batch; the grid alone does not
-        assert f.batches == [521 + 256 + 5, 521 + 256, 521]
-        if error is DomainError:
-            assert raised.value.point.tobytes() == circle[1].tobytes()
+        # the circle raises with or without the locator's first batch
+        assert f.batches == [256 + 5, 256]
+        assert raised.value.point.tobytes() == circle[1].tobytes()
 
     def test_leaves_the_disk_on_the_circle(self):
-        # ||f|| is 1.05 at (1, 0) and below 0.96 on the grid, whose outer
-        # radius is 13/14: only the boundary samples see it
+        # ||f|| is 1.05 at (1, 0), a boundary sample
         spec = parse_map("x1 + 0.05*x1^8, x2", 2)
-        grid = locator._disk_validation_grid(2)
-        assert np.max(np.linalg.norm(evaluate(spec, grid), axis=1)) < 0.96
         with pytest.raises(InvalidInput, match=r"leaves the unit disk "
                            r"\(\|\|f\|\| up to 1\.050000\)"):
             brouwer_fixed_point(spec)
 
+    def test_leaves_the_disk_inside_only(self):
+        # f is (0.3, 0) on the circle and ||f|| about 1.07 at (1/sqrt(3), 0):
+        # the boundary alone proves the fixed point (Rothe's theorem), on the
+        # x1 axis at the real root of 2x^3 - x - 0.3
+        spec = parse_map("0.3 + 2*x1*(1 - x1^2 - x2^2), "
+                         "2*x2*(1 - x1^2 - x2^2)", 2)
+        inside = evaluate(spec, np.array([[1.0 / math.sqrt(3.0), 0.0]]))
+        assert np.linalg.norm(inside) > 1.06
+        result = brouwer_fixed_point(spec)
+        assert math.dist(result.point, (0.8256377746, 0.0)) <= 1e-6
+        assert result.residual <= 1e-6
+
+    def test_one_dimensional_leaves_the_interval_inside_only(self):
+        # f(-1) = f(1) = 0.5 and f(1/sqrt(3)) is about 1.65; f has three
+        # fixed points, any of them will do
+        spec = parse_map("0.5 + 3*x1*(1 - x1^2)", 1)
+        assert evaluate(spec, np.array([[1.0 / math.sqrt(3.0)]]))[0, 0] > 1.6
+        result = brouwer_fixed_point(spec)
+        (p,) = result.point.tolist()
+        assert -1.0 <= p <= 1.0
+        assert abs(evaluate(spec, result.point[None])[0, 0] - p) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_locates_the_zero_of_x_minus_f(self, n):
+        # the fixed point is locate_zero's answer for G(x) = x - f(x) on
+        # [-1, 1]^n, bit for bit, with the locator's parameters
+        rng = np.random.default_rng(41 + n)
+        eps = 1e-6
+        box = Region.box(-np.ones(n), np.ones(n))
+        for _ in range(20):
+            a = rng.uniform(-1.0, 1.0, size=(n, n))
+            a *= rng.uniform(0.1, 0.6) / np.linalg.norm(a, 2)
+            b = rng.uniform(-1.0, 1.0, size=n)
+            b *= rng.uniform(0.0, 0.35) / np.linalg.norm(b)
+            spec = parse_map(", ".join(
+                " + ".join([repr(float(b[i]))] +
+                           [f"{float(a[i, j])!r}*x{j + 1}" for j in range(n)])
+                for i in range(n)), n)
+            got = brouwer_fixed_point(spec, eps=eps)
+            want = locate_zero(lambda p: p - evaluate(spec, p), box,
+                               0.5 * eps, 1e-12, 200)
+            assert (got.point.tobytes(), got.residual, got.cell_diameter,
+                    got.iterations, got.termination) == (
+                want.point.tobytes(), want.residual, want.cell_diameter,
+                want.iterations, want.termination)
+            assert np.asarray(got.trail).tobytes() == \
+                np.asarray(want.trail).tobytes()
+
     def test_self_map_checked_at_every_boundary_sample(self):
         # f leaves the disk only near the boundary sample at 4.21875
-        # degrees, between the 9-degree rays of the grid: a ring of the
-        # grid at radius 1 would not see it, the 256 samples do
+        # degrees: a ring of 40 points 9 degrees apart would not see it,
+        # the 256 samples do
         circle = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6).points
         p = circle[3]
 
@@ -1450,11 +1468,10 @@ class TestBrouwerFixedPoint:
         assert result.termination == "boundary_fixed_point"
         assert np.array_equal(result.point, [1.0, 0.0])
         assert result.residual == 0.0
-        grid = len(locator._disk_validation_grid(2))
         boundary = len(sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
-        # disk validation grid with the boundary and the locator's first
-        # batch; the residual reads f at the fixed point from that batch
-        assert f.batches == [grid + boundary + 5]
+        # the boundary with the locator's first batch; the residual reads f
+        # at the fixed point from that batch
+        assert f.batches == [boundary + 5]
 
 
 class TestResidual:

@@ -4,10 +4,10 @@ A map F: R^n -> R^m is written as m comma-separated expressions over the
 variables x1..xn, e.g. ``"x1^2 - x2^2, 2*x1*x2"``.  A parse gives its
 tape: a flat list of steps ``(op, a, b)``, where ``a`` and ``b`` are
 earlier slots (or a variable index, a constant, an exponent).  Equal
-subtrees are merged as they are parsed, so they share one slot.  Evaluation
-runs the tape in one loop over a batch of points.  The immutable tree (the
-public AST, ``MapSpec.components``) is built from the tape when first read,
-one node per step, so merged subtrees share one node.
+subtrees are merged as they are parsed, so they share one slot.  The tape
+is the one representation of a map: ``evaluate`` runs it in one loop over a
+batch of points, and ``to_text`` prints it in one loop, so a merged subtree
+is printed wherever it is used.
 
 Grammar::
 
@@ -48,9 +48,9 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from itertools import islice
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,42 +65,11 @@ _CHUNK = 8192
 _FUNCS = ("sin", "cos", "exp", "sqrt", "abs")
 _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
            "div": operator.truediv}
+_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 _UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
           "sqrt": np.sqrt, "abs": np.abs}
 # the ops that round a numpy scalar operand exactly as the array loop does
-_EXACT = frozenset(_BINARY) | {"neg"}
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # neg | sin | cos | exp | sqrt | abs
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # add | sub | mul | div
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Expr"
-    exponent: int
-
-
-Expr = Union[Const, Var, Unary, Binary, Power]
+_EXACT = frozenset(_BINARY) | {"neg", "pow"}
 
 
 class Tape(NamedTuple):
@@ -113,38 +82,14 @@ class Tape(NamedTuple):
 @dataclass(frozen=True)
 class MapSpec:
     """Parsed map F: R^n -> R^m with a stable content digest.  ``tape`` is
-    what ``evaluate`` runs; only ``parse_map`` builds it.  The tree
-    ``components`` is built from the tape when first read."""
+    what ``evaluate`` runs and ``to_text`` prints; only ``parse_map`` builds
+    it."""
 
     n: int
     m: int
     source_text: str
     digest: str
     tape: Tape = field(repr=False, compare=False)
-
-    @cached_property
-    def components(self) -> tuple:
-        return _tree(self.tape)
-
-
-def _tree(tape: Tape) -> tuple:
-    """The tree of each output: one node per step, so equal subtrees are
-    one shared node."""
-    nodes = []
-    for op, a, b in tape.steps:
-        if op in _BINARY:
-            nodes.append(Binary(op, nodes[a], nodes[b]))
-        elif op == "const":
-            nodes.append(Const(float(a)))
-        elif op == "var":
-            nodes.append(Var(a))
-        elif op == "pow":
-            nodes.append(Power(nodes[a], b))
-        elif op == "full":
-            nodes.append(nodes[a])
-        else:
-            nodes.append(Unary(op, nodes[a]))
-    return tuple([nodes[s] for s in tape.outputs])
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +154,17 @@ class _Parser:
         if slot is None:
             slots, scalars = self.slots, self.scalars
             slot = slots[key] = len(slots)
+            # b is a slot only in a binary op
             if op == "const" or (op in _EXACT and a in scalars
-                                 and (b is None or b in scalars)):
+                                 and (op not in _BINARY or b in scalars)):
                 scalars.add(slot)
         return slot
 
     def array(self, slot):
         """``slot``, or a step that broadcasts it to one value per point if
         it holds a scalar.  Scalars round as the array loops do under
-        + - * / and neg, but not under a function: ``sin(x)`` of a numpy
-        scalar can be one ulp off the array loop.  ``^`` is products only
-        and would round the same, but keeps its broadcast so that no tape
-        changes."""
+        + - * /, neg and ``^`` (products only), but not under a function:
+        ``sin(x)`` of a numpy scalar can be one ulp off the array loop."""
         return self.emit("full", slot) if slot in self.scalars else slot
 
     def error(self, i, exc, *args):
@@ -250,8 +194,7 @@ class _Parser:
                 if not (tok := tokens[i]).isdecimal():  # digit-only numbers
                     raise self.error(i, NonIntegerExponent,
                                      tok or "end of input")
-                slot = emit("pow", self.array(slot),
-                            -int(tok) if negative else int(tok))
+                slot = emit("pow", slot, -int(tok) if negative else int(tok))
                 i += 1
                 tok = tokens[i]
             if negate:
@@ -438,26 +381,27 @@ def as_evaluator(map_like, n=None, codomain=None):
 # pretty printing
 
 def to_text(spec: MapSpec) -> str:
-    """Canonical text form; re-parsing yields a structurally identical tree."""
-    return ", ".join(_print_node(c) for c in spec.components)
-
-
-def _print_node(node: Expr) -> str:
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return f"(-{_print_node(node.arg)})"
-        return f"{node.op}({_print_node(node.arg)})"
-    if isinstance(node, Binary):
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[node.op]
-        return f"({_print_node(node.left)} {sym} {_print_node(node.right)})"
-    base = _print_node(node.base)
-    if isinstance(node.base, (Const, Var)):
-        return f"{base}^{node.exponent}"
-    return f"({base})^{node.exponent}"
+    """Canonical text form, printed from the tape: each step's text is built
+    from its operands' texts, so a merged step is printed wherever it is
+    used.  Re-parsing yields the same tape."""
+    steps, texts = spec.tape.steps, []
+    for op, a, b in steps:
+        if op in _BINARY:
+            texts.append(f"({texts[a]} {_SYMBOLS[op]} {texts[b]})")
+        elif op == "const":
+            texts.append(repr(float(a)))
+        elif op == "var":
+            texts.append(f"x{a}")
+        elif op == "pow":
+            leaf = steps[a][0] in ("const", "var")
+            texts.append(f"{texts[a]}^{b}" if leaf else f"({texts[a]})^{b}")
+        elif op == "full":
+            texts.append(texts[a])
+        elif op == "neg":
+            texts.append(f"(-{texts[a]})")
+        else:
+            texts.append(f"{op}({texts[a]})")
+    return ", ".join([texts[s] for s in spec.tape.outputs])
 
 
 # ---------------------------------------------------------------------------

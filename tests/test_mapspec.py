@@ -6,7 +6,8 @@ import re
 import subprocess
 import sys
 import time
-from types import SimpleNamespace
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 import pytest
@@ -21,9 +22,8 @@ from zerocert import (BUILTIN_MAPS, DomainError, InvalidInput,
                       to_text, winding_number)
 from zerocert.cli import certificate_dumps
 import zerocert.mapspec as mapspec
-from zerocert.mapspec import (_EXACT, _FUNCS, _SYMS, MAX_DEPTH, Binary,
-                              Const, Power, Tape, Unary, Var, _position,
-                              _tokenize, _TOKEN_RE, map_digest)
+from zerocert.mapspec import (_EXACT, _FUNCS, _SYMS, MAX_DEPTH, Tape,
+                              _position, _tokenize, _TOKEN_RE, map_digest)
 
 
 class TestParsing:
@@ -75,7 +75,7 @@ class TestParsing:
     def test_whitespace_insignificant(self):
         a = parse_map("x1 +\n 2 * x2", 2)
         b = parse_map("x1+2*x2", 2)
-        assert a.components == b.components
+        assert a.tape == b.tape
 
 
 class TestEvaluation:
@@ -309,7 +309,7 @@ class TestRoundtrip:
         for name in BUILTIN_MAPS:
             spec = builtin_map(name)
             again = parse_map(to_text(spec), spec.n)
-            assert again.components == spec.components
+            assert again.tape == spec.tape
 
     def test_random_expressions(self):
         rng = np.random.default_rng(11)
@@ -317,7 +317,7 @@ class TestRoundtrip:
             text = ", ".join(_random_expr(rng) for _ in range(rng.integers(1, 3)))
             spec = parse_map(text, 2)
             again = parse_map(to_text(spec), 2)
-            assert again.components == spec.components
+            assert again.tape == spec.tape
 
 
 def _fresh_samples(region):
@@ -528,8 +528,66 @@ class TestScreenedLipschitzEstimate:
 
 
 # ---------------------------------------------------------------------------
+# reference: the tree of a map, one node per term, and its printer, which
+# the tape printer replaced, kept to check that both print the same text
+
+@dataclass(frozen=True)
+class Const:
+    value: float
+
+
+@dataclass(frozen=True)
+class Var:
+    index: int  # 1-based
+
+
+@dataclass(frozen=True)
+class Unary:
+    op: str  # neg | sin | cos | exp | sqrt | abs
+    arg: "Expr"
+
+
+@dataclass(frozen=True)
+class Binary:
+    op: str  # add | sub | mul | div
+    left: "Expr"
+    right: "Expr"
+
+
+@dataclass(frozen=True)
+class Power:
+    base: "Expr"
+    exponent: int
+
+
+Expr = Union[Const, Var, Unary, Binary, Power]
+
+
+def _print_node(node: Expr) -> str:
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return f"x{node.index}"
+    if isinstance(node, Unary):
+        if node.op == "neg":
+            return f"(-{_print_node(node.arg)})"
+        return f"{node.op}({_print_node(node.arg)})"
+    if isinstance(node, Binary):
+        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[node.op]
+        return f"({_print_node(node.left)} {sym} {_print_node(node.right)})"
+    base = _print_node(node.base)
+    if isinstance(node.base, (Const, Var)):
+        return f"{base}^{node.exponent}"
+    return f"({base})^{node.exponent}"
+
+
+def _ref_text(components):
+    return ", ".join(_print_node(c) for c in components)
+
+
 # reference: the character-loop lexer and peek/advance parser that the
-# one-scan front end replaced, kept to check that both agree
+# one-scan front end replaced, kept to check that both agree; it builds
+# the reference tree
 
 _REF_TOKEN_RE = re.compile(
     r"(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -726,8 +784,9 @@ def _ref_power(a, k):
 
 def _ref_evaluate(spec, pts):
     cols = [pts[:, j] for j in range(spec.n)]
+    tree = _RefParser(spec.source_text, spec.n).parse_map()
     with np.errstate(all="ignore"):
-        out = np.stack([_eval_node(c, cols) for c in spec.components], axis=1)
+        out = np.stack([_eval_node(c, cols) for c in tree], axis=1)
     mapspec._check_finite(pts, out, "non-finite value (division by zero or "
                                     "sqrt of a negative)")
     return out
@@ -799,11 +858,56 @@ class TestTapeMatchesTree:
 class TestMerging:
     def test_equal_subtrees_share_one_step(self):
         spec = parse_map("(x1 - 0.5)^2 + (x1 - 0.5)^2, sin(x1 - 0.5)", 1)
-        assert [op for op, _, _ in spec.tape.steps].count("sub") == 1
-        square = spec.components[0].left
-        assert spec.components[0].right is square
-        assert spec.components[1].arg is square.base
-        assert parse_map(to_text(spec), 1).components == spec.components
+        steps, (total, sine) = spec.tape
+        assert [op for op, _, _ in steps].count("sub") == 1
+        op, square, same = steps[total]
+        assert op == "add" and same == square
+        op, shifted, exponent = steps[square]
+        assert op == "pow" and exponent == 2
+        assert steps[sine] == ("sin", shifted, None)
+        assert parse_map(to_text(spec), 1).tape == spec.tape
+
+    def test_scalar_power_keeps_its_scalar(self):
+        # ^ of a scalar is products only and needs no broadcast; a function
+        # of the power broadcasts it first
+        spec = parse_map("sin((2 - 3)^-2) + 2^0*x1", 1)
+        assert [op for op, _, _ in spec.tape.steps] == [
+            "const", "const", "sub", "pow", "full", "sin", "pow", "var",
+            "mul", "add"]
+
+
+class TestToTextMatchesTree:
+    """``to_text`` prints the tape as the reference printer prints the
+    reference tree, byte for byte, and its text parses to the same tape."""
+
+    TEXTS = [
+        "(x1 - 0.5)^2 + (x1 - 0.5)^2, sin(x1 - 0.5), (2 - 3)^-2*x1 + 2^0",
+        "exp(-2.6391)^-3 + 1.324, sin(-0.5)^2 + x1 / x2",
+        "1/1.7976931348623157e308 + x1, 1e-999",
+        "x1^0 + (x1*x2)^-1 - -x2^-3 + (x1^2)^2, sqrt(abs(x1)) / cos(x1^2)"]
+
+    def test_matches_reference_printer(self):
+        rng = np.random.default_rng(37)
+        cases = [(text, n) for text, n, _ in BUILTIN_MAPS.values()]
+        cases += [(text, 2) for text in self.TEXTS]
+        cases += [(", ".join(_tape_expr(rng) for _ in range(rng.integers(1, 4))),
+                   2) for _ in range(2000)]
+        ops, powers = set(), set()
+        for text, n in cases:
+            spec = parse_map(text, n)
+            printed = to_text(spec)
+            assert printed == _ref_text(_RefParser(text, n).parse_map()), text
+            assert parse_map(printed, n).tape == spec.tape, text
+            steps = spec.tape.steps
+            ops.update(op for op, _, _ in steps)
+            powers.update((steps[a][0], (b > 0) - (b < 0))
+                          for op, a, b in steps if op == "pow")
+        assert ops == {"const", "var", "full", "neg", "add", "sub", "mul",
+                       "div", "pow", "sin", "cos", "exp", "sqrt", "abs"}
+        # leaf and other bases, each with a negative, zero and positive
+        # exponent
+        assert {(base, sign) for base in ("const", "var", "sub", "neg", "exp")
+                for sign in (-1, 0, 1)} <= powers
 
 
 # oracle: the four-method recursive descent (parse_expr, parse_term,
@@ -815,9 +919,8 @@ class _OracleParser:
 
     Each parse method returns the tape slot of what it parsed.  ``slots``
     maps each step ``(op, a, b)`` to its slot, so a subtree that was seen
-    before costs no new step, and ``_tree`` builds no second node for it.
-    ``leaves`` maps each number or variable token to its slot, so a leaf
-    that repeats is converted and checked once.
+    before costs no new step.  ``leaves`` maps each number or variable
+    token to its slot, so a leaf that repeats is converted and checked once.
     """
 
     def __init__(self, text: str, n: int):
@@ -840,15 +943,16 @@ class _OracleParser:
             slots, scalars = self.slots, self.scalars
             slot = slots[key] = len(slots)
             if op == "const" or (op in _EXACT and a in scalars
-                                 and (b is None or b in scalars)):
+                                 and (op == "pow" or b is None
+                                      or b in scalars)):
                 scalars.add(slot)
         return slot
 
     def array(self, slot):
         """``slot``, or a step that broadcasts it to one value per point if
         it holds a scalar.  Scalars round as the array loops do under
-        + - * / and neg, but not under ``**`` or a function:
-        ``exp(-2.6391)^-3`` would be one ulp off."""
+        + - * /, neg and ``^``, but not under a function: ``sin(x)`` of a
+        numpy scalar can be one ulp off the array loop."""
         return self.emit("full", slot) if slot in self.scalars else slot
 
     def error(self, i, exc, *args):
@@ -906,8 +1010,7 @@ class _OracleParser:
             self.i = i + 1
             if not tok.isdecimal():      # exactly the digit-only number tokens
                 raise self.error(i, NonIntegerExponent, tok or "end of input")
-            slot = self.emit("pow", self.array(slot),
-                             -int(tok) if negative else int(tok))
+            slot = self.emit("pow", slot, -int(tok) if negative else int(tok))
         return self.emit("neg", slot) if negate else slot
 
     def parse_atom(self, depth):
@@ -1014,7 +1117,7 @@ class TestTapeMatchesOracle:
             text = _sphere_text(rng, n)
             assert _tape_matches_oracle(text, n), text
             spec = parse_map(text, n)
-            assert spec.components == tuple(_RefParser(text, n).parse_map())
+            assert to_text(spec) == _ref_text(_RefParser(text, n).parse_map())
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_plane_polynomials(self, degree):
@@ -1037,45 +1140,40 @@ class TestTapeMatchesOracle:
 class TestLazyTree:
     TEXT = "(x1 - 0.5)^2 - x2^2, 2*x1*x2 - sin(x1 - 0.5)"
 
-    def test_parse_builds_no_tree(self):
-        spec = parse_map(self.TEXT, 2)
-        assert "components" not in vars(spec)
-        components = spec.components
-        assert vars(spec)["components"] is components
-        assert spec.components is components
-
     def test_equal_parses_are_equal_and_hash_equal(self):
         a, b = parse_map(self.TEXT, 2), parse_map(self.TEXT, 2)
-        a.components                     # a tree read on one side only
         assert a == b and hash(a) == hash(b)
-        assert a.components == b.components
+        assert a.tape == b.tape
         assert a != parse_map(self.TEXT + ", x1", 2)
         assert len({a, b}) == 1
 
     def test_to_text_round_trips(self):
         spec = parse_map(self.TEXT, 2)
         again = parse_map(to_text(spec), 2)
-        assert "components" not in vars(again)
-        assert again.components == spec.components
+        assert again.tape == spec.tape
         assert to_text(again) == to_text(spec)
 
 
 def _outcome(parse):
-    """(tree, digest, to_text) of a successful parse, or the error's
-    (type, message, line, column)."""
+    """The (digest, text) that ``parse`` returns, or the error's (type,
+    message, line, column)."""
     try:
-        spec = parse()
+        return parse()
     except MapSyntaxError as err:
         return type(err), str(err), err.line, err.column
-    return spec.components, spec.digest, to_text(spec)
+
+
+def _parse_outcome(text, n):
+    def parse():
+        spec = parse_map(text, n)
+        return spec.digest, to_text(spec)
+    return _outcome(parse)
 
 
 def _ref_outcome(text, n):
     def parse():
-        comps = _RefParserRejectingOverflow(text, n).parse_map()
-        # what _outcome and to_text read of a MapSpec
-        return SimpleNamespace(components=tuple(comps),
-                               digest=map_digest(text))
+        tree = _RefParserRejectingOverflow(text, n).parse_map()
+        return map_digest(text), _ref_text(tree)
     return _outcome(parse)
 
 
@@ -1122,7 +1220,7 @@ class TestOneScanParser:
             text = _fuzz_text(rng, expr_rng)
             n = int(rng.integers(1, 4))
             expected = _ref_outcome(text, n)
-            assert _outcome(lambda: parse_map(text, n)) == expected, text
+            assert _parse_outcome(text, n) == expected, text
             assert _tape_matches_oracle(text, n), text
             if not expected[1].startswith("unexpected character"):
                 # the token list is the reference lexer's
@@ -1143,7 +1241,7 @@ class TestOneScanParser:
             with pytest.raises(MapSyntaxError, match=re.escape(message)) as err:
                 parse_map(text, 2)
             assert (err.value.line, err.value.column) == (3, 3)
-            assert _outcome(lambda: parse_map(text, 2)) == _ref_outcome(text, 2)
+            assert _parse_outcome(text, 2) == _ref_outcome(text, 2)
 
     def test_end_of_input_column(self):
         with pytest.raises(MapSyntaxError,
@@ -1160,7 +1258,7 @@ class TestOneScanParser:
                            match="expression nesting too deep") as err:
             parse_map(deep, 1)
         assert (err.value.line, err.value.column) == (1, 16 * len(opener) + 1)
-        assert _outcome(lambda: parse_map(deep, 1)) == _ref_outcome(deep, 1)
+        assert _parse_outcome(deep, 1) == _ref_outcome(deep, 1)
 
     def test_undefined_variable_position(self):
         with pytest.raises(UndefinedVariable) as err:
@@ -1217,5 +1315,5 @@ class TestOverflowingLiteral:
     def test_largest_finite_literal_round_trips(self):
         spec = parse_map("1/1.7976931348623157e308 + x1, 1e-999", 1)
         again = parse_map(to_text(spec), 1)
-        assert again.components == spec.components
-        assert spec.components[1] == Const(0.0)
+        assert again.tape == spec.tape
+        assert spec.tape.steps[spec.tape.outputs[1]] == ("const", 0.0, None)

@@ -144,7 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--t-steps", type=int, default=64)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--lipschitz", type=float, default=None)
+    p.add_argument("--lipschitz", type=float, default=None,
+                   help="L bounding H's Lipschitz constant jointly in (x, t); "
+                        "H is then valid only above L*hypot(h, dt)/2, h the "
+                        "mesh norm and dt the largest t step")
 
     sub.add_parser("examples", help="list builtin maps")
     return parser

@@ -24,7 +24,7 @@ from .degree import boundary_obstruction
 from .errors import InvalidInput, Unsupported, VanishingOnBoundary
 from .geometry import (Region, check_lipschitz, row_norms, unit_sphere,
                        vanishing_floor)
-from .homotopy import SampledMap, null_extension
+from .homotopy import SampledMap, log_polar_extension
 from .mapspec import MapSpec, as_evaluator
 
 
@@ -222,7 +222,7 @@ def _certify_sampled(ev, region, unit, ims, lipschitz,
             # (refined samples included) and the angle steps it summed
             nonlocal phi
             if phi is None:
-                phi = null_extension(w.boundary, w.steps, region)
+                phi = log_polar_extension(w.boundary, w.steps, region)
             return phi(x)
     return cert(verdict="NoConclusion", route=None, obstruction=value,
                 rigor=rigor, evidence=evidence, extension_witness=witness,

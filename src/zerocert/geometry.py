@@ -173,13 +173,15 @@ class BoundarySampling:
     def angular_order(self) -> tuple:
         """For n = 2, (theta0, angles, order), computed on first read:
         the first sample's angle about the centre, the samples' angles from
-        it in [0, 2 pi) sorted as Python floats, and their sorting order."""
+        it in [0, 2 pi) sorted, and their stable sorting order.  The angles
+        are math.atan2's on Python floats, so they do not depend on numpy's
+        SIMD dispatch."""
         rel = (self.points - self.region.center) / self.region.radius
-        angles = np.arctan2(rel[:, 1], rel[:, 0])
-        rel_ang = np.mod(angles - angles[0], 2.0 * math.pi)
-        order = np.argsort(rel_ang)
-        return (float(angles[0]), tuple(rel_ang[order].tolist()),
-                tuple(order.tolist()))
+        angles = list(map(math.atan2, rel[:, 1].tolist(), rel[:, 0].tolist()))
+        theta0, two_pi = angles[0], 2.0 * math.pi
+        rel_ang = [(a - theta0) % two_pi for a in angles]
+        order = sorted(range(len(rel_ang)), key=rel_ang.__getitem__)
+        return theta0, tuple(map(rel_ang.__getitem__, order)), tuple(order)
 
 
 def mesh_norm(points: np.ndarray) -> float:

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,33 +177,26 @@ class TestCertifyExistence:
 
     def test_witness_built_on_first_call(self, unit_disk, monkeypatch):
         built = []
-        real = criteria.null_extension
-        monkeypatch.setattr(criteria, "null_extension", lambda *args:
-                            built.append("null_extension") or real(*args))
+        real = criteria.log_polar_extension
+        monkeypatch.setattr(criteria, "log_polar_extension", lambda *args:
+                            built.append("log_polar_extension") or real(*args))
         cert = certify_existence(SHIFTED, unit_disk)
         assert cert.extension_witness is not None and built == []
         first = cert.extension_witness([0.9, 0.1])
-        assert built == ["null_extension"]
+        assert built == ["log_polar_extension"]
         again = cert.extension_witness([0.9, 0.1])
         assert again.tobytes() == first.tobytes()
-        assert built == ["null_extension"]
+        assert built == ["log_polar_extension"]
 
     def test_witness_build_reuses_the_winding(self, unit_disk, monkeypatch):
-        # the build takes the winding's angle steps and the null homotopy's
-        # recorded end: no wrapped_steps and no frame call, refined or not
-        steps, frames = [], []
-        real_steps, real_null = homotopy.wrapped_steps, homotopy._null_homotopy
+        # the build takes the winding's boundary and angle steps: no
+        # wrapped_steps, and the log radii of only the samples a point
+        # needs, refined or not
+        steps, logs = [], []
+        real_steps, real_log = homotopy.wrapped_steps, math.log
         monkeypatch.setattr(homotopy, "wrapped_steps",
                             lambda ims: steps.append(1) or real_steps(ims))
-
-        def counted_null(*args):
-            trace = real_null(*args)
-
-            def frame(i, j):
-                frames.append(1)
-                return trace.frame(i, j)
-            return replace(trace, frame=frame)
-        monkeypatch.setattr(homotopy, "_null_homotopy", counted_null)
+        monkeypatch.setattr(math, "log", lambda v: logs.append(1) or real_log(v))
         a = (1.0079240994538576, 0.012369710592005685)
         refined = parse_map(f"(x1 - {a[0]!r})^2 - (x2 - {a[1]!r})^2, "
                             f"2*(x1 - {a[0]!r})*(x2 - {a[1]!r})", 2)
@@ -212,14 +204,19 @@ class TestCertifyExistence:
         for spec in (SHIFTED, refined):
             cert = certify_existence(spec, unit_disk)
             assert cert.obstruction == 0
+            logs.clear()
+            assert cert.extension_witness([0.7, -0.4]).shape == (2,)
+            assert len(logs) <= 3
             for x in rng.uniform(-1.2, 1.2, (64, 2)):
                 assert cert.extension_witness(x).shape == (2,)
-        assert steps == [] and frames == []
-        # a build without the winding's steps and the recorded end counts
+            assert len(logs) <= 3 + 2 * 64
+        assert steps == []
+        # radial_extension takes the steps of the trace's row 0 itself
         trace = homotopy.null_homotopy(
             SampledMap.from_evaluator(SHIFTED, sample_sphere(unit_disk, 6)))
-        homotopy.radial_extension(replace(trace, end=None))
-        assert steps == [1] and frames == [1]
+        steps.clear()
+        homotopy.radial_extension(trace)
+        assert steps == [1]
 
     def test_large_disk_contains_zero(self):
         spec = parse_map("x1 - 1.2, x2 + 0.5", 2)
@@ -532,14 +529,14 @@ GOLDEN_SHA256 = {
 # extension witness of each winding-0 certificate at WITNESS_POINTS
 WITNESS_POINTS = [[0.0, 0.0], [0.7, -0.2], [-0.5, 0.5], [0.9, 0.1]]
 GOLDEN_WITNESS = {
-    "n2-winding-zero": [(2.999999999999999, 3.0000000000000004),
-        (3.4294333933513736, 2.900732825881773),
-        (2.7294050709942494, 3.3102799336525592),
-        (3.7910576519248678, 3.0977434509868425)],
-    "n2-winding-zero-refined": [(0.912230296825436, 0.02239399683307962),
-        (0.08267273772806909, 0.29711038990677635),
-        (1.5054766389633174, -0.4731900526812475),
-        (-0.015718290269376323, -0.017181586857507803)],
+    "n2-winding-zero": [(3.9999999999999996, 2.9999999999999996),
+        (3.983392468490315, 2.8732098363082184),
+        (3.2972958210619416, 3.382533014923431),
+        (3.994849276128126, 3.0893843209546445)],
+    "n2-winding-zero-refined": [(-9.021838797535072e-05, 0.00019603763389297853),
+        (-0.0023660440979654967, 0.002276150025983801),
+        (0.00778962700712212, 0.008938312330087742),
+        (-0.0016875531074228573, -0.004399290115540291)],
 }
 
 
@@ -560,8 +557,9 @@ class TestGoldenCertificates:
     """Every certificate byte of a fixed set of certificates, pinned before
     the boundary checks were reworked into one pass: a change to a verdict,
     margin, threshold, witness or rigor label shows here.  The n = 2 cases
-    and the witness values also pin numpy's float64 cos, sin and arctan2
-    (captured with numpy 2.4 on x86-64)."""
+    also pin numpy's float64 cos, sin and arctan2 (captured with numpy 2.4
+    on x86-64); the extension witness values pin the math module's atan2,
+    log, exp, cos and sin, since the witness is computed on Python floats."""
 
     @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c[0])
     def test_certificate_bytes(self, case):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from bisect import bisect_right
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,9 +14,10 @@ from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
                       Region, SampledMap, certify_existence, evaluate,
                       null_homotopy, parse_map, radial_extension,
                       sample_sphere, straight_line, winding_number)
-from zerocert import homotopy
+import zerocert
+from zerocert import geometry, homotopy
 from zerocert.geometry import mesh_norm, wrapped_steps
-from zerocert.homotopy import ENDPOINT_TOL, null_extension
+from zerocert.homotopy import log_polar_extension
 
 
 def _identity_map(level=6):
@@ -192,18 +197,28 @@ class TestDiskCoordinates:
         assert np.max(np.abs(got - f.images)) <= 1e-12 * scale
 
     def test_certificate_witness_is_phi(self):
+        # the witness at x is phi of the unit-circle map F(x0 + r u) at
+        # (x - x0) / r, byte for byte; phi of the disk's own sampling sorts
+        # the rescaled samples, whose angles round apart from the unit
+        # circle's, so it agrees to rounding only
         cert = certify_existence(self.SPEC, self.DISK)
         assert cert.obstruction == 0
+        x0, r = self.DISK.center, self.DISK.radius
+        unit = SampledMap.from_evaluator(
+            lambda pts: evaluate(self.SPEC, r * pts + x0),
+            sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
+        phi_unit = radial_extension(null_homotopy(unit))
         phi = radial_extension(null_homotopy(SampledMap.from_evaluator(
             self.SPEC, sample_sphere(self.DISK, 6))))
         rng = np.random.default_rng(31)
-        radii = self.DISK.radius * np.sqrt(rng.uniform(0.0, 1.0, 200))
+        radii = r * np.sqrt(rng.uniform(0.0, 1.0, 200))
         angles = rng.uniform(0.0, 2.0 * math.pi, 200)
-        points = self.DISK.center + radii[:, None] * np.stack(
+        points = x0 + radii[:, None] * np.stack(
             [np.cos(angles), np.sin(angles)], axis=1)
         for x in points:
-            assert np.allclose(cert.extension_witness(x), phi(x),
-                               rtol=0.0, atol=1e-12), x
+            got = cert.extension_witness(x)
+            assert got.tobytes() == phi_unit((x - x0) / r).tobytes(), x
+            assert np.allclose(got, phi(x), rtol=0.0, atol=1e-12), x
 
 
 def eager_trace(t_grid, frames):
@@ -216,19 +231,18 @@ def eager_trace(t_grid, frames):
 
 
 def null_homotopy_loop(f, t_steps):
-    """Reference: the log-polar contraction built one frame at a time."""
+    """Reference: the log-polar contraction to the first sample's image,
+    built one frame at a time."""
     norms = np.linalg.norm(f.images, axis=1)
     steps = wrapped_steps(f.images)
     angle0 = np.arctan2(f.images[0, 1], f.images[0, 0])
     lifted = angle0 + np.concatenate([[0.0], np.cumsum(steps[:-1])])
     log_r = np.log(norms)
-    target_log_r = float(np.mean(log_r))
-    target_angle = float(np.mean(lifted))
     t_grid = np.linspace(0.0, 1.0, t_steps)
     frames = np.empty((t_steps, len(norms), 2))
     for i, t in enumerate(t_grid):
-        r = np.exp((1.0 - t) * log_r + t * target_log_r)
-        a = (1.0 - t) * lifted + t * target_angle
+        r = np.exp((1.0 - t) * log_r + t * log_r[0])
+        a = (1.0 - t) * lifted + t * lifted[0]
         frames[i, :, 0] = r * np.cos(a)
         frames[i, :, 1] = r * np.sin(a)
     frames[0] = f.images
@@ -259,50 +273,46 @@ class TestNullHomotopyMatchesLoop:
             assert got.witness == want.witness
 
 
-def radial_extension_eager(H):
-    """Reference: the extension over the whole reordered frame grid, of a
-    point of the sampling's disk rescaled onto the unit disk."""
-    last = H.frames[-1]
-    c = last[0].copy()
-    if float(np.max(np.abs(last - c))) > ENDPOINT_TOL:
-        raise NotANullHomotopy("final frame is not constant")
-    if np.linalg.norm(c) <= 0.0:
-        raise NotANullHomotopy("final constant is zero")
-    region = H.base.region
-    rel = (H.base.points - region.center) / region.radius
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    theta0 = angles[0]
-    rel_ang = np.mod(angles - theta0, 2.0 * math.pi)
-    order = np.argsort(rel_ang)
-    rel_ang = rel_ang[order]
-    frames = H.frames[:, order, :]
-    t_grid = H.t_grid
-    k = len(rel_ang)
+def log_polar_eager(f, region):
+    """Reference: the closed-form extension of the winding-0 boundary map f
+    on the disk ``region``, with every sample's (rho, theta) and the
+    sampling's angular order computed up front, in plain loops."""
+    two_pi = 2.0 * math.pi
+    images, steps = f.images.tolist(), wrapped_steps(f.images).tolist()
+    ang0 = math.atan2(images[0][1], images[0][0])
+    rho, theta, before = [], [], 0.0
+    for (a, b), step in zip(images, steps):
+        ang = math.atan2(b, a)
+        rho.append(math.log(math.hypot(a, b)))
+        theta.append(ang + two_pi * round((ang0 + before - ang) / two_pi))
+        before += step
+    own = f.sampling.region
+    rel = ((f.sampling.points - own.center) / own.radius).tolist()
+    angles = [math.atan2(b, a) for a, b in rel]
+    rel_ang = [(a - angles[0]) % two_pi for a in angles]
+    order = sorted(range(len(rel)), key=rel_ang.__getitem__)
+    sorted_ang = [rel_ang[j] for j in order]
+    e0 = math.exp(rho[0])
+    centre = [e0 * math.cos(theta[0]), e0 * math.sin(theta[0])]
 
     def phi(x):
-        x = (np.asarray(x, dtype=float) - region.center) / region.radius
-        r = float(np.linalg.norm(x))
-        if r <= 0.5:
-            return c.copy()
-        t = min(max(2.0 - 2.0 * r, 0.0), 1.0)
-        theta = math.atan2(x[1], x[0])
-        a = (theta - theta0) % (2.0 * math.pi)
-        j = int(np.searchsorted(rel_ang, a, side="right")) - 1
-        if j < 0:
-            j = k - 1
-        j2 = (j + 1) % k
-        width = (rel_ang[j2] - rel_ang[j]) % (2.0 * math.pi)
-        if width == 0.0:
-            w = 0.0
-        else:
-            w = ((a - rel_ang[j]) % (2.0 * math.pi)) / width
-        i = int(np.searchsorted(t_grid, t, side="right")) - 1
-        i = min(max(i, 0), len(t_grid) - 2)
-        span = t_grid[i + 1] - t_grid[i]
-        s = (t - t_grid[i]) / span if span > 0 else 0.0
-        lo = (1.0 - w) * frames[i, j] + w * frames[i, j2]
-        hi = (1.0 - w) * frames[i + 1, j] + w * frames[i + 1, j2]
-        return (1.0 - s) * lo + s * hi
+        y = ((np.asarray(x, dtype=float) - region.center)
+             / region.radius).tolist()
+        norm = math.sqrt(y[0] * y[0] + y[1] * y[1])
+        if norm <= 0.5:
+            return np.array(centre)
+        s = min(max(2.0 - 2.0 * norm, 0.0), 1.0)
+        ang = (math.atan2(y[1], y[0]) - angles[0]) % two_pi
+        i = bisect_right(sorted_ang, ang) - 1
+        i2 = (i + 1) % len(order)
+        width = (sorted_ang[i2] - sorted_ang[i]) % two_pi
+        w = ((ang - sorted_ang[i]) % two_pi) / width if width else 0.0
+        j, j2 = order[i], order[i2]
+        if w == 0.0 and (s == 0.0 or y == rel[j]):
+            return f.images[j].copy()
+        R = (1.0 - s) * ((1.0 - w) * rho[j] + w * rho[j2]) + s * rho[0]
+        T = (1.0 - s) * ((1.0 - w) * theta[j] + w * theta[j2]) + s * theta[0]
+        return np.array([math.exp(R) * math.cos(T), math.exp(R) * math.sin(T)])
 
     return phi
 
@@ -336,26 +346,28 @@ def _probe_points(rng, sampling, count):
 
 
 def _assert_same_witness(trace, points):
-    got, want = radial_extension(trace), radial_extension_eager(trace)
+    """radial_extension(trace) is the eager closed form of its row 0."""
+    row0 = SampledMap(sampling=trace.base, images=trace.frames[0])
+    got = radial_extension(trace)
+    want = log_polar_eager(row0, trace.base.region)
     for x in points:
         a, b = got(x), want(x)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), x
 
 
-class TestRadialExtensionMatchesEager:
-    """The extension built from four frame entries per point equals the one
-    interpolating the whole frame grid, bit for bit."""
+class TestExtensionMatchesEager:
+    """The extension that computes each sample's log-polar values on first
+    use equals the one computing them all up front, bit for bit."""
 
-    @pytest.mark.parametrize("t_steps", [2, 3, 65])
-    def test_null_homotopy_witness(self, t_steps):
-        rng = np.random.default_rng(100 + t_steps)
+    def test_null_homotopy_witness(self):
+        rng = np.random.default_rng(100)
         checked = 0
         for m in range(140):
             level = 2 + m % 7
             region = (Region.disk([0.0, 0.0], 1.0) if m % 2 else Region.disk(
                 rng.uniform(-2.0, 2.0, 2), float(rng.uniform(0.3, 3.0))))
             sampling = sample_sphere(region, level)
-            trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
+            trace = null_homotopy(_winding_zero_map(rng, sampling))
             points = _probe_points(rng, sampling, 80)
             _assert_same_witness(trace, points)
             checked += len(points)
@@ -369,12 +381,11 @@ class TestRadialExtensionMatchesEager:
         sampling = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6)
         f = SampledMap.from_evaluator(
             lambda pts: evaluate(spec, 2.0 * pts + region.center), sampling)
-        want = radial_extension_eager(null_homotopy(f))
+        want = log_polar_eager(f, region)
         rng = np.random.default_rng(5)
         for x in _probe_points(rng, sampling, 200):
             y = 2.0 * x + region.center
-            got = cert.extension_witness(y)
-            assert got.tobytes() == want((y - region.center) / 2.0).tobytes()
+            assert cert.extension_witness(y).tobytes() == want(y).tobytes()
 
     @pytest.mark.parametrize("shift", [0.0, 0.7, -2.9])
     def test_sampling_out_of_angular_order(self, shift):
@@ -390,45 +401,60 @@ class TestRadialExtensionMatchesEager:
                                                   np.sin(theta)], axis=1)
             sampling = BoundarySampling(points=pts, h=mesh_norm(pts),
                                         region=region)
-            for t_steps in (2, 5, 65):
-                trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
+            for _ in range(3):
+                trace = null_homotopy(_winding_zero_map(rng, sampling))
                 _assert_same_witness(trace, _probe_points(rng, sampling, 80))
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_straight_line_to_a_constant(self, m):
-        rng = np.random.default_rng(m)
+    def test_straight_line_to_a_constant(self):
+        # the extension is that of row 0, whatever constant the line ends at
+        rng = np.random.default_rng(2)
         for level in (2, 5):
             sampling = sample_sphere(Region.disk([1.0, 2.0], 0.5), level)
-            f = SampledMap(sampling=sampling,
-                           images=rng.normal(size=(len(sampling), m)))
+            f = _winding_zero_map(rng, sampling)
             g = SampledMap(sampling=sampling, images=np.tile(
-                rng.normal(size=m), (len(sampling), 1)))
+                rng.normal(size=2), (len(sampling), 1)))
             for t_steps in (2, 3, 17):
                 trace, _ = straight_line(f, g, t_steps)
                 _assert_same_witness(trace, _probe_points(rng, sampling, 80))
 
-    def test_checks_raise_the_same(self):
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_codomain_not_planar_is_refused(self, m):
+        rng = np.random.default_rng(m)
+        sampling = sample_sphere(Region.disk([1.0, 2.0], 0.5), 3)
+        f = SampledMap(sampling=sampling,
+                       images=rng.normal(size=(len(sampling), m)))
+        g = SampledMap(sampling=sampling, images=np.ones((len(sampling), m)))
+        with pytest.raises(InvalidInput, match="planar codomain"):
+            radial_extension(straight_line(f, g, 3)[0])
+
+    def test_checks_raise(self):
         f = _identity_map(level=4)
         g = _shifted_map(level=4)
-        trace, _ = straight_line(f, g, t_steps=5)
-        for build in (radial_extension, radial_extension_eager):
-            with pytest.raises(NotANullHomotopy, match="not constant"):
-                build(trace)
+        with pytest.raises(NotANullHomotopy, match="not constant"):
+            radial_extension(straight_line(f, g, t_steps=5)[0])
         zero = SampledMap(sampling=f.sampling, images=np.zeros_like(f.images))
-        trace, _ = straight_line(f, zero, t_steps=5)
-        for build in (radial_extension, radial_extension_eager):
-            with pytest.raises(NotANullHomotopy, match="constant is zero"):
-                build(trace)
+        with pytest.raises(NotANullHomotopy, match="constant is zero"):
+            radial_extension(straight_line(f, zero, t_steps=5)[0])
+        # a constant end does not make a row 0 of winding 1 contractible
+        const = SampledMap(sampling=f.sampling,
+                           images=np.tile([3.0, 3.0], (len(f.images), 1)))
+        with pytest.raises(NotANullHomotopy, match="winding 1"):
+            radial_extension(straight_line(f, const, t_steps=5)[0])
+        images = g.images.copy()
+        images[3] = 0.0
+        with pytest.raises(NotANullHomotopy, match="vanishes on a sample"):
+            radial_extension(straight_line(SampledMap(
+                sampling=f.sampling, images=images), const, t_steps=5)[0])
 
 
 def angular_order_eager(sampling):
-    """Reference: the sampling's angles about its centre, relative to the
-    first sample's, sorted, as radial_extension computed them per build."""
+    """Reference: the sampling's angles about its centre from math.atan2,
+    relative to the first sample's, sorted stably."""
     rel = (sampling.points - sampling.region.center) / sampling.region.radius
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    rel_ang = np.mod(angles - angles[0], 2.0 * math.pi)
-    order = np.argsort(rel_ang)
-    return float(angles[0]), rel_ang[order].tolist(), order.tolist()
+    angles = [math.atan2(b, a) for a, b in rel.tolist()]
+    rel_ang = [(a - angles[0]) % (2.0 * math.pi) for a in angles]
+    order = sorted(range(len(rel_ang)), key=rel_ang.__getitem__)
+    return angles[0], [rel_ang[j] for j in order], order
 
 
 class TestAngularOrder:
@@ -451,12 +477,12 @@ class TestAngularOrder:
         unit = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6)
         assert unit.angular_order is unit.angular_order
         sorts = []
-        argsort = np.argsort
 
         def counted(*args, **kwargs):
             sorts.append(1)
-            return argsort(*args, **kwargs)
-        monkeypatch.setattr(np, "argsort", counted)
+            return sorted(*args, **kwargs)
+        # geometry's own name shadows the builtin it sorts with
+        monkeypatch.setattr(geometry, "sorted", counted, raising=False)
         spec = parse_map("x1 + 3, x2 + 3", 2)
         for _ in range(2):
             cert = certify_existence(spec, Region.disk([0.5, -1.0], 2.0))
@@ -470,6 +496,17 @@ class TestAngularOrder:
         for _ in range(2):
             radial_extension(trace)
         assert sorts == [1]
+
+    def test_ties_keep_the_sample_order(self):
+        # a stable sort: samples of one angle stay in sample order
+        region = Region.disk([0.0, 0.0], 1.0)
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, 1.0],
+                        [0.0, -1.0], [1.0, 0.0]])
+        sampling = BoundarySampling(points=pts, h=mesh_norm(pts),
+                                    region=region)
+        theta0, angles, order = sampling.angular_order
+        assert order == (0, 5, 1, 3, 2, 4)
+        assert all(type(a) is float for a in (theta0, *angles))
 
 
 class TestStraightLineMatchesEager:
@@ -505,41 +542,10 @@ class TestStraightLineMatchesEager:
             null_homotopy(_shifted_map(level=3), t_steps=1)
 
 
-class TestScalarCorners:
-    """``corners`` is the witness's single-point path: it equals the frame
-    grid bit for bit, and ``phi`` never calls the vector ``frame``."""
 
-    @staticmethod
-    def _assert_corners_match(trace, rng):
-        k, frames = len(trace.base.points), trace.frames
-        js = np.unique(np.concatenate([[0, k - 1], rng.integers(0, k, 12)]))
-        for i in range(len(trace.t_grid) - 1):
-            for j in js.tolist():
-                for j2 in ((j + 1) % k, int(rng.integers(0, k))):
-                    got = trace.corners(i, j, j2)
-                    want = frames[[i, i, i + 1, i + 1], [j, j2, j, j2]]
-                    assert np.array(got).tobytes() == want.tobytes(), (i, j)
-                    assert all(type(v) is float for e in got for v in e)
-
-    @pytest.mark.parametrize("t_steps", [2, 3, 65])
-    def test_null_homotopy_corners_equal_frames(self, t_steps):
-        rng = np.random.default_rng(200 + t_steps)
-        for level in (2, 6):
-            sampling = sample_sphere(Region.disk(rng.uniform(-2, 2, 2), 1.3),
-                                     level)
-            trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
-            self._assert_corners_match(trace, rng)
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_straight_line_corners_equal_frames(self, m):
-        rng = np.random.default_rng(300 + m)
-        sampling = sample_sphere(Region.disk([0.5, 0.0], 2.0), 4)
-        f, g = (SampledMap(sampling=sampling,
-                           images=rng.normal(size=(len(sampling), m)))
-                for _ in range(2))
-        for t_steps in (2, 3, 17):
-            trace, _ = straight_line(f, g, t_steps)
-            self._assert_corners_match(trace, rng)
+class TestExtensionReadsTwoRows:
+    """radial_extension reads a trace's last row, to check it, and its row
+    0, whose closed form it returns; ``phi`` never calls ``frame``."""
 
     @pytest.mark.parametrize("build", ["null", "straight"])
     def test_phi_never_calls_frame(self, build):
@@ -557,8 +563,7 @@ class TestScalarCorners:
             return trace.frame(i, j)
 
         phi = radial_extension(replace(trace, frame=counted))
-        # a null homotopy's recorded end stands for its last frame
-        want = [] if build == "null" else [[len(trace.t_grid) - 1]]
+        want = [[len(trace.t_grid) - 1], [0]]
         assert calls == want
         rng = np.random.default_rng(7)
         for x in _probe_points(rng, f.sampling, 80):
@@ -599,60 +604,46 @@ def _winding_zero_boundaries(rng):
     return results
 
 
-class TestRecordedEnd:
-    """A null homotopy records its t = 1 value as ``end``; the extension
-    reads it in place of the last frame."""
+class TestContractionTarget:
+    """A null homotopy contracts to its first sample's image, which is the
+    constant the extension takes on the inner half disk."""
 
     @pytest.mark.parametrize("t_steps", [2, 3, 17, 65])
-    def test_end_is_every_entry_of_the_last_frame(self, t_steps):
+    def test_last_frame_is_the_first_image(self, t_steps):
         rng = np.random.default_rng(400 + t_steps)
         for w in _winding_zero_boundaries(rng):
             trace = null_homotopy(w.boundary, t_steps)
             last = trace.frames[-1]
-            assert trace.end.dtype == last.dtype and trace.end.shape == (2,)
-            assert last.tobytes() == np.tile(trace.end, (len(last), 1)).tobytes()
-            with pytest.raises(ValueError):
-                trace.end[0] = 1.0
-
-    @pytest.mark.parametrize("t_steps", [2, 17, 65])
-    def test_winding_steps_give_the_same_trace(self, t_steps):
-        # the WindingResult's steps are the boundary's own wrapped steps
-        rng = np.random.default_rng(500 + t_steps)
-        for w in _winding_zero_boundaries(rng):
-            assert w.steps.tobytes() == wrapped_steps(w.boundary.images).tobytes()
-            got = homotopy._null_homotopy(w.boundary, t_steps, w.steps)
-            want = null_homotopy(w.boundary, t_steps)
-            assert got.frames.tobytes() == want.frames.tobytes()
-            assert got.end.tobytes() == want.end.tobytes()
-            assert got.corners(0, 1, 2) == want.corners(0, 1, 2)
-
-    def test_straight_line_records_no_end(self):
-        f = _shifted_map(level=3)
-        assert straight_line(f, f, t_steps=4)[0].end is None
+            assert last.tobytes() == np.tile(last[0], (len(last), 1)).tobytes()
+            first = w.boundary.images[0]
+            assert np.allclose(last[0], first, rtol=1e-14, atol=0.0)
+            centre = radial_extension(trace)(trace.base.region.center)
+            assert np.allclose(centre, last[0], rtol=1e-14, atol=0.0)
 
     def test_t_grid_is_built_once_and_read_only(self):
         f = _shifted_map(level=3)
         trace, line = null_homotopy(f, 9), straight_line(f, f, 9)[0]
         assert trace.t_grid is line.t_grid
-        t, s, t_list, s_list = homotopy._t_grid(9)
+        t, s = homotopy._t_grid(9)
         assert t is trace.t_grid
         assert t.tobytes() == np.linspace(0.0, 1.0, 9).tobytes()
         assert s.tobytes() == (1.0 - np.linspace(0.0, 1.0, 9)).tobytes()
-        assert (list(t_list), list(s_list)) == (t.tolist(), s.tolist())
         for grid in (t, s):
             with pytest.raises(ValueError):
                 grid[1] = 0.5
         assert homotopy._t_grid.cache_info().maxsize == homotopy.T_GRID_CACHE
 
-
-    def test_a_grid_of_the_callers_own(self):
-        # a trace built with its own t-grid is blended on that grid, not on
-        # the cached one of its length
+    def test_extension_does_not_depend_on_the_t_grid(self):
         rng = np.random.default_rng(700)
-        trace = null_homotopy(_winding_zero_map(rng, sample_sphere(
-            Region.disk([0.0, 0.0], 1.0), 4)), 9)
-        own = replace(trace, t_grid=np.linspace(0.0, 1.0, 9) ** 2)
-        _assert_same_witness(own, _probe_points(rng, own.base, 80))
+        f = _winding_zero_map(rng, sample_sphere(
+            Region.disk([0.0, 0.0], 1.0), 4))
+        trace = null_homotopy(f, 9)
+        traces = [null_homotopy(f, 2), null_homotopy(f, 65),
+                  replace(trace, t_grid=np.linspace(0.0, 1.0, 9) ** 2)]
+        phi = radial_extension(trace)
+        for other in map(radial_extension, traces):
+            for x in _probe_points(rng, f.sampling, 80):
+                assert other(x).tobytes() == phi(x).tobytes(), x
 
 
 class TestWitnessBuilder:
@@ -662,8 +653,10 @@ class TestWitnessBuilder:
     def test_builder_is_radial_extension(self):
         rng = np.random.default_rng(600)
         for w in _winding_zero_boundaries(rng):
+            # the WindingResult's steps are the boundary's own wrapped steps
+            assert w.steps.tobytes() == wrapped_steps(w.boundary.images).tobytes()
             sampling = w.boundary.sampling
-            built = null_extension(w.boundary, w.steps, sampling.region)
+            built = log_polar_extension(w.boundary, w.steps, sampling.region)
             phi = radial_extension(null_homotopy(w.boundary))
             points = _probe_points(rng, sampling, 120)
             # far points, and a strided view as phi's input
@@ -673,3 +666,178 @@ class TestWitnessBuilder:
                 got, want = built(x), phi(x)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), x
+
+
+def _uniform_disk(rng, region, count, lo=0.0, hi=1.0):
+    """``count`` points of the annulus lo <= |y| < hi of ``region``."""
+    radii = region.radius * np.sqrt(rng.uniform(lo * lo, hi * hi, count))
+    angles = rng.uniform(0.0, 2.0 * math.pi, count)
+    return region.center + radii[:, None] * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=1)
+
+
+class TestClosedFormContract:
+    """phi is F at the samples, at least min |F_j| in modulus, continuous,
+    built on its first call without evaluating the map."""
+
+    def test_equals_f_at_every_sample(self):
+        rng = np.random.default_rng(800)
+        for w in _winding_zero_boundaries(rng):
+            f = w.boundary
+            phi = log_polar_extension(f, w.steps, f.sampling.region)
+            for p, image in zip(f.sampling.points, f.images):
+                assert phi(p).tobytes() == image.tobytes(), p
+
+    def test_certificate_witness_equals_f_at_its_refined_samples(self):
+        a = (1.0079240994538576, 0.012369710592005685)
+        spec = parse_map(f"(x1 - {a[0]!r})^2 - (x2 - {a[1]!r})^2, "
+                         f"2*(x1 - {a[0]!r})*(x2 - {a[1]!r})", 2)
+        unit = Region.disk([0.0, 0.0], 1.0)
+        w = winding_number(SampledMap.from_evaluator(spec,
+                                                     sample_sphere(unit, 6)))
+        assert w.value == 0 and w.total_refinements > 0
+        phi = certify_existence(spec, unit).extension_witness
+        for p, image in zip(w.boundary.sampling.points, w.boundary.images):
+            assert phi(p).tobytes() == image.tobytes(), p
+
+    def test_modulus_is_at_least_the_least_sample_norm(self):
+        rng = np.random.default_rng(810)
+        for w in _winding_zero_boundaries(rng):
+            f, region = w.boundary, w.boundary.sampling.region
+            phi = log_polar_extension(f, w.steps, region)
+            least = float(np.min(np.linalg.norm(f.images, axis=1)))
+            far = region.center + np.array([[1e6, -3e5], [1e300, 1e300],
+                                            [-1.7e308, 0.0]])
+            points = np.concatenate([_uniform_disk(rng, region, 400),
+                                     _uniform_disk(rng, region, 100, 1.0, 9.0),
+                                     far])
+            for x in points:
+                assert np.linalg.norm(phi(x)) >= least * (1.0 - 1e-15), x
+
+    def test_continuous_across_the_seam(self):
+        rng = np.random.default_rng(820)
+        for w in _winding_zero_boundaries(rng):
+            f, region = w.boundary, w.boundary.sampling.region
+            phi = log_polar_extension(f, w.steps, region)
+            scale = float(np.max(np.linalg.norm(f.images, axis=1)))
+            # the sorted order wraps at sample 0's angle, 0 for the unit
+            # circle's sampling: its two sides are the last gap and the first
+            theta0 = f.sampling.angular_order[0]
+            for radius in (0.6, 0.9, 1.0, 2.0):
+                a, b = (region.center + radius * region.radius * np.array(
+                    [math.cos(theta0 + d), math.sin(theta0 + d)])
+                        for d in (-1e-9, 1e-9))
+                assert np.max(np.abs(phi(a) - phi(b))) <= 1e-6 * scale
+
+    def test_continuous_across_the_half_radius(self):
+        # across |y| = 1/2, where the annulus meets the constant
+        rng = np.random.default_rng(821)
+        for w in _winding_zero_boundaries(rng):
+            f, region = w.boundary, w.boundary.sampling.region
+            phi = log_polar_extension(f, w.steps, region)
+            scale = float(np.max(np.linalg.norm(f.images, axis=1)))
+            centre = phi(region.center)
+            for ang in rng.uniform(0.0, 2.0 * math.pi, 16):
+                u = np.array([math.cos(ang), math.sin(ang)])
+                for radius in (0.5 - 1e-12, 0.5, 0.5 + 1e-12):
+                    x = region.center + radius * region.radius * u
+                    assert np.max(np.abs(phi(x) - centre)) <= 1e-9 * scale
+
+    def test_inner_half_disk_is_the_first_image_in_log_polar_form(self):
+        rng = np.random.default_rng(840)
+        for w in _winding_zero_boundaries(rng):
+            f, region = w.boundary, w.boundary.sampling.region
+            phi = log_polar_extension(f, w.steps, region)
+            a, b = f.images[0].tolist()
+            r = math.exp(math.log(math.hypot(a, b)))
+            want = np.array([r * math.cos(math.atan2(b, a)),
+                             r * math.sin(math.atan2(b, a))]).tobytes()
+            for x in _uniform_disk(rng, region, 50, 0.0, 0.5):
+                assert phi(x).tobytes() == want, x
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0], [math.inf, 0.0],
+                                     [0.1, 0.2, 0.3], [0.1]])
+    def test_bad_point_raises(self, bad):
+        cert = certify_existence(parse_map("x1 + 3, x2 + 3", 2),
+                                 Region.disk([0.5, -1.0], 2.0))
+        phi = radial_extension(null_homotopy(_shifted_map(level=4)))
+        for fn in (cert.extension_witness, phi):
+            with pytest.raises(InvalidInput):
+                fn(bad)
+
+    def test_built_on_first_call_without_evaluating(self, counting_evaluator,
+                                                    monkeypatch):
+        unit = Region.disk([0.0, 0.0], 1.0)
+        sample_sphere(unit, 6).angular_order    # sorted once per process
+        ev = counting_evaluator(parse_map("x1 + 3, x2 - 2", 2))
+        cert = certify_existence(ev, unit)
+        assert cert.obstruction == 0
+        batches = list(ev.batches)
+        logs, builds = [], []
+        real_log, real_cumsum = math.log, np.cumsum
+        monkeypatch.setattr(math, "log",
+                            lambda v: logs.append(v) or real_log(v))
+        monkeypatch.setattr(np, "cumsum",
+                            lambda v: builds.append(1) or real_cumsum(v))
+        assert cert.extension_witness([0.6, 0.5]).shape == (2,)
+        # one build: sample 0's log radius and those of the point's two
+        # neighbours, not a pass over the samples
+        assert builds == [1] and len(logs) <= 3
+        rng = np.random.default_rng(830)
+        for x in _uniform_disk(rng, unit, 50, 0.0, 2.0):
+            cert.extension_witness(x)
+        assert builds == [1] and ev.batches == batches
+
+
+DISPATCH_OFF = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def witness_bytes_hex():
+    """The witness values of 24 off-centre winding-0 certificates, one of
+    whose windings refines, at 10 fixed points each, as one hex string."""
+    rng = np.random.default_rng(900)
+    a = (1.0079240994538576, 0.012369710592005685)
+    cases = [(f"(x1 - {a[0]!r})^2 - (x2 - {a[1]!r})^2, "
+              f"2*(x1 - {a[0]!r})*(x2 - {a[1]!r})", [0.0, 0.0], 1.0)]
+    while len(cases) < 24:
+        center = rng.uniform(-1.0, 1.0, 2)
+        radius = float(rng.uniform(0.5, 2.0))
+        # two roots outside the disk: (z - p)(z - q) winds 0 on its circle
+        (p0, p1), (q0, q1) = ((center + radius * rng.uniform(1.2, 2.5) * np.array(
+            [math.cos(t), math.sin(t)])).tolist()
+            for t in rng.uniform(0, 2 * math.pi, 2))
+        cases.append((f"(x1 - {p0!r})*(x1 - {q0!r}) - (x2 - {p1!r})*(x2 - {q1!r}), "
+                      f"(x1 - {p0!r})*(x2 - {q1!r}) + (x2 - {p1!r})*(x1 - {q0!r})",
+                      center.tolist(), radius))
+    unit_points = np.concatenate([_uniform_disk(rng, Region.disk([0.0, 0.0], 1.0),
+                                                9, 0.45, 1.05), [[3e6, -4e6]]])
+    out = []
+    for text, center, radius in cases:
+        cert = certify_existence(parse_map(text, 2), Region.disk(center, radius))
+        assert cert.obstruction == 0
+        for y in unit_points:
+            out.append(cert.extension_witness(radius * y + center).tobytes())
+    return b"".join(out).hex()
+
+
+def test_witness_bits_do_not_depend_on_numpy_dispatch():
+    # the same witness bytes in a process with numpy's AVX-512 loops
+    # switched off; where the CPU lacks them numpy warns, and both sides
+    # run the same loops
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zerocert.__file__)))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=DISPATCH_OFF,
+               PYTHONPATH=os.pathsep.join([src, tests]))
+    code = ("import numpy as np\n"
+            "try:\n"
+            "    from numpy._core._multiarray_umath import __cpu_features__\n"
+            "except ImportError:\n"
+            "    from numpy.core._multiarray_umath import __cpu_features__\n"
+            f"assert not any(__cpu_features__.get(f) for f in {DISPATCH_OFF.split()!r})\n"
+            "from test_homotopy import witness_bytes_hex\n"
+            "print(witness_bytes_hex())\n")
+    out = subprocess.run([sys.executable, "-W", "ignore::ImportWarning", "-c",
+                          code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == witness_bytes_hex()

@@ -345,29 +345,53 @@ def _probe_points(rng, sampling, count):
     return np.concatenate([region.center + region.radius * inside, picked])
 
 
+def radial_extension_eager(trace):
+    """Reference: radial_extension's checks made on the whole frame grid,
+    then the eager closed form of row 0 on the trace's disk."""
+    base = trace.base
+    if base.region.kind != "disk" or base.region.dim != 2:
+        raise InvalidInput(
+            "radial extension needs a planar sampling of a disk")
+    frames = trace.frames
+    last = frames[-1]
+    if np.max(np.abs(last - last[0])) > homotopy.ENDPOINT_TOL:
+        raise NotANullHomotopy("final frame is not constant")
+    if not np.linalg.norm(last[0]) > 0.0:
+        raise NotANullHomotopy("final constant is zero")
+    if frames.shape[2] != 2:
+        raise InvalidInput("a null homotopy needs a planar codomain")
+    if np.linalg.norm(frames[0], axis=1).min() <= 0.0:
+        raise NotANullHomotopy("map vanishes on a sample")
+    turns = round(float(np.sum(wrapped_steps(frames[0]))) / (2.0 * math.pi))
+    if turns != 0:
+        raise NotANullHomotopy(f"map has winding {turns}, not contractible")
+    row0 = SampledMap(sampling=base, images=frames[0])
+    return log_polar_eager(row0, base.region)
+
+
 def _assert_same_witness(trace, points):
-    """radial_extension(trace) is the eager closed form of its row 0."""
-    row0 = SampledMap(sampling=trace.base, images=trace.frames[0])
-    got = radial_extension(trace)
-    want = log_polar_eager(row0, trace.base.region)
+    got, want = radial_extension(trace), radial_extension_eager(trace)
     for x in points:
         a, b = got(x), want(x)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), x
 
 
-class TestExtensionMatchesEager:
+class TestRadialExtensionMatchesEager:
     """The extension that computes each sample's log-polar values on first
-    use equals the one computing them all up front, bit for bit."""
+    use equals the one computing them all up front, bit for bit, and it
+    refuses the same traces."""
 
-    def test_null_homotopy_witness(self):
-        rng = np.random.default_rng(100)
+    @pytest.mark.parametrize("t_steps", [2, 3, 65])
+    def test_null_homotopy_witness(self, t_steps):
+        # the extension is that of row 0, however many rows the trace has
+        rng = np.random.default_rng(100 + t_steps)
         checked = 0
         for m in range(140):
             level = 2 + m % 7
             region = (Region.disk([0.0, 0.0], 1.0) if m % 2 else Region.disk(
                 rng.uniform(-2.0, 2.0, 2), float(rng.uniform(0.3, 3.0))))
             sampling = sample_sphere(region, level)
-            trace = null_homotopy(_winding_zero_map(rng, sampling))
+            trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
             points = _probe_points(rng, sampling, 80)
             _assert_same_witness(trace, points)
             checked += len(points)
@@ -401,50 +425,50 @@ class TestExtensionMatchesEager:
                                                   np.sin(theta)], axis=1)
             sampling = BoundarySampling(points=pts, h=mesh_norm(pts),
                                         region=region)
-            for _ in range(3):
-                trace = null_homotopy(_winding_zero_map(rng, sampling))
+            for t_steps in (2, 5, 65):
+                trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
                 _assert_same_witness(trace, _probe_points(rng, sampling, 80))
 
-    def test_straight_line_to_a_constant(self):
-        # the extension is that of row 0, whatever constant the line ends at
-        rng = np.random.default_rng(2)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_straight_line_to_a_constant(self, m):
+        # the extension is that of row 0, whatever constant the line ends
+        # at; a row 0 that is not planar is refused by both
+        rng = np.random.default_rng(m)
         for level in (2, 5):
             sampling = sample_sphere(Region.disk([1.0, 2.0], 0.5), level)
-            f = _winding_zero_map(rng, sampling)
+            f = (_winding_zero_map(rng, sampling) if m == 2 else SampledMap(
+                sampling=sampling, images=rng.normal(size=(len(sampling), m))))
             g = SampledMap(sampling=sampling, images=np.tile(
-                rng.normal(size=2), (len(sampling), 1)))
+                rng.normal(size=m), (len(sampling), 1)))
             for t_steps in (2, 3, 17):
                 trace, _ = straight_line(f, g, t_steps)
-                _assert_same_witness(trace, _probe_points(rng, sampling, 80))
+                if m == 2:
+                    _assert_same_witness(trace,
+                                         _probe_points(rng, sampling, 80))
+                    continue
+                for build in (radial_extension, radial_extension_eager):
+                    with pytest.raises(InvalidInput, match="planar codomain"):
+                        build(trace)
 
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_codomain_not_planar_is_refused(self, m):
-        rng = np.random.default_rng(m)
-        sampling = sample_sphere(Region.disk([1.0, 2.0], 0.5), 3)
-        f = SampledMap(sampling=sampling,
-                       images=rng.normal(size=(len(sampling), m)))
-        g = SampledMap(sampling=sampling, images=np.ones((len(sampling), m)))
-        with pytest.raises(InvalidInput, match="planar codomain"):
-            radial_extension(straight_line(f, g, 3)[0])
-
-    def test_checks_raise(self):
+    def test_checks_raise_the_same(self):
         f = _identity_map(level=4)
         g = _shifted_map(level=4)
-        with pytest.raises(NotANullHomotopy, match="not constant"):
-            radial_extension(straight_line(f, g, t_steps=5)[0])
-        zero = SampledMap(sampling=f.sampling, images=np.zeros_like(f.images))
-        with pytest.raises(NotANullHomotopy, match="constant is zero"):
-            radial_extension(straight_line(f, zero, t_steps=5)[0])
-        # a constant end does not make a row 0 of winding 1 contractible
         const = SampledMap(sampling=f.sampling,
                            images=np.tile([3.0, 3.0], (len(f.images), 1)))
-        with pytest.raises(NotANullHomotopy, match="winding 1"):
-            radial_extension(straight_line(f, const, t_steps=5)[0])
+        zero = SampledMap(sampling=f.sampling, images=np.zeros_like(f.images))
         images = g.images.copy()
         images[3] = 0.0
-        with pytest.raises(NotANullHomotopy, match="vanishes on a sample"):
-            radial_extension(straight_line(SampledMap(
-                sampling=f.sampling, images=images), const, t_steps=5)[0])
+        vanishing = SampledMap(sampling=f.sampling, images=images)
+        cases = [((f, g), "not constant"), ((f, zero), "constant is zero"),
+                 # a constant end does not make a row 0 of winding 1
+                 # contractible
+                 ((f, const), "winding 1"),
+                 ((vanishing, const), "vanishes on a sample")]
+        for (start, end), message in cases:
+            trace, _ = straight_line(start, end, t_steps=5)
+            for build in (radial_extension, radial_extension_eager):
+                with pytest.raises(NotANullHomotopy, match=message):
+                    build(trace)
 
 
 def angular_order_eager(sampling):
@@ -543,9 +567,57 @@ class TestStraightLineMatchesEager:
 
 
 
-class TestExtensionReadsTwoRows:
-    """radial_extension reads a trace's last row, to check it, and its row
-    0, whose closed form it returns; ``phi`` never calls ``frame``."""
+class TestScalarCorners:
+    """A cell of the trace is read at its four corners (i, j), (i, j2),
+    (i + 1, j), (i + 1, j2): ``frame`` gives them as the grid does, bit for
+    bit.  ``phi`` blends a polar cell of the disk from scalar corners
+    alone: at the boundary samples it is row 0 of a null homotopy, at the
+    inner half radius the contraction's end, and it never calls
+    ``frame``."""
+
+    @staticmethod
+    def _assert_corners_match(trace, rng):
+        k, frames = len(trace.base.points), trace.frames
+        js = np.unique(np.concatenate([[0, k - 1], rng.integers(0, k, 12)]))
+        for i in range(len(trace.t_grid) - 1):
+            for j in js.tolist():
+                for j2 in ((j + 1) % k, int(rng.integers(0, k))):
+                    rows, cols = [i, i, i + 1, i + 1], [j, j2, j, j2]
+                    got = trace.frame(np.array(rows), np.array(cols))
+                    want = frames[rows, cols]
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (i, j)
+
+    @pytest.mark.parametrize("t_steps", [2, 3, 65])
+    def test_null_homotopy_corners_equal_frames(self, t_steps):
+        rng = np.random.default_rng(200 + t_steps)
+        for level in (2, 6):
+            sampling = sample_sphere(Region.disk(rng.uniform(-2, 2, 2), 1.3),
+                                     level)
+            trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
+            self._assert_corners_match(trace, rng)
+            phi, region = radial_extension(trace), sampling.region
+            end = phi(region.center)
+            assert type(end) is np.ndarray and end.dtype == np.float64
+            inner = 0.5 * (1.0 - 2.0 ** -20)
+            for j, x in enumerate(sampling.points):
+                outer = phi(x)
+                assert outer.tobytes() == trace.frames[0, j].tobytes(), j
+                y = region.center + inner * (x - region.center)
+                assert phi(y).tobytes() == end.tobytes(), j
+                assert np.allclose(trace.frames[-1, j], end, rtol=1e-14,
+                                   atol=0.0), j
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_straight_line_corners_equal_frames(self, m):
+        rng = np.random.default_rng(300 + m)
+        sampling = sample_sphere(Region.disk([0.5, 0.0], 2.0), 4)
+        f, g = (SampledMap(sampling=sampling,
+                           images=rng.normal(size=(len(sampling), m)))
+                for _ in range(2))
+        for t_steps in (2, 3, 17):
+            trace, _ = straight_line(f, g, t_steps)
+            self._assert_corners_match(trace, rng)
 
     @pytest.mark.parametrize("build", ["null", "straight"])
     def test_phi_never_calls_frame(self, build):
@@ -604,21 +676,50 @@ def _winding_zero_boundaries(rng):
     return results
 
 
-class TestContractionTarget:
-    """A null homotopy contracts to its first sample's image, which is the
-    constant the extension takes on the inner half disk."""
+class TestRecordedEnd:
+    """A null homotopy ends at its first sample's image: every entry of its
+    last frame is that one value, and the extension takes it on the inner
+    half disk.  The trace keeps no end of its own: its extension is that of
+    row 0, whatever the t-grid or the last row."""
 
     @pytest.mark.parametrize("t_steps", [2, 3, 17, 65])
-    def test_last_frame_is_the_first_image(self, t_steps):
+    def test_end_is_every_entry_of_the_last_frame(self, t_steps):
         rng = np.random.default_rng(400 + t_steps)
         for w in _winding_zero_boundaries(rng):
             trace = null_homotopy(w.boundary, t_steps)
             last = trace.frames[-1]
-            assert last.tobytes() == np.tile(last[0], (len(last), 1)).tobytes()
+            end = last[0]
+            assert end.dtype == np.float64 and end.shape == (2,)
+            assert last.tobytes() == np.tile(end, (len(last), 1)).tobytes()
             first = w.boundary.images[0]
-            assert np.allclose(last[0], first, rtol=1e-14, atol=0.0)
+            assert np.allclose(end, first, rtol=1e-14, atol=0.0)
             centre = radial_extension(trace)(trace.base.region.center)
-            assert np.allclose(centre, last[0], rtol=1e-14, atol=0.0)
+            assert np.allclose(centre, end, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("t_steps", [2, 17, 65])
+    def test_winding_steps_give_the_same_trace(self, t_steps):
+        # the WindingResult's steps are the boundary's own wrapped steps, and
+        # the witness built from them is phi of the boundary's contraction
+        rng = np.random.default_rng(500 + t_steps)
+        for w in _winding_zero_boundaries(rng):
+            assert w.steps.tobytes() == wrapped_steps(w.boundary.images).tobytes()
+            region = w.boundary.sampling.region
+            got = log_polar_extension(w.boundary, w.steps, region)
+            want = radial_extension(null_homotopy(w.boundary, t_steps))
+            for x in _probe_points(rng, w.boundary.sampling, 40):
+                assert got(x).tobytes() == want(x).tobytes(), x
+
+    def test_straight_line_records_no_end(self):
+        # neither trace stores its end, and a straight line to a constant
+        # extends as the null homotopy of its row 0 does
+        f = _shifted_map(level=3)
+        const = SampledMap(sampling=f.sampling,
+                           images=np.tile([-2.0, 5.0], (len(f.images), 1)))
+        line, null = straight_line(f, const, t_steps=4)[0], null_homotopy(f)
+        assert not hasattr(line, "end") and not hasattr(null, "end")
+        phi, want = radial_extension(line), radial_extension(null)
+        for x in _probe_points(np.random.default_rng(4), f.sampling, 40):
+            assert phi(x).tobytes() == want(x).tobytes(), x
 
     def test_t_grid_is_built_once_and_read_only(self):
         f = _shifted_map(level=3)
@@ -633,7 +734,9 @@ class TestContractionTarget:
                 grid[1] = 0.5
         assert homotopy._t_grid.cache_info().maxsize == homotopy.T_GRID_CACHE
 
-    def test_extension_does_not_depend_on_the_t_grid(self):
+    def test_a_grid_of_the_callers_own(self):
+        # the extension reads no t-grid: a trace built with its own grid,
+        # and traces of other lengths, extend as the cached one does
         rng = np.random.default_rng(700)
         f = _winding_zero_map(rng, sample_sphere(
             Region.disk([0.0, 0.0], 1.0), 4))
@@ -653,8 +756,6 @@ class TestWitnessBuilder:
     def test_builder_is_radial_extension(self):
         rng = np.random.default_rng(600)
         for w in _winding_zero_boundaries(rng):
-            # the WindingResult's steps are the boundary's own wrapped steps
-            assert w.steps.tobytes() == wrapped_steps(w.boundary.images).tobytes()
             sampling = w.boundary.sampling
             built = log_polar_extension(w.boundary, w.steps, sampling.region)
             phi = radial_extension(null_homotopy(w.boundary))

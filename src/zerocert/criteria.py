@@ -40,7 +40,11 @@ class CheckResult:
 
 @dataclass(eq=False)
 class Certificate:
-    map_digest: str
+    """The verdict on a disk, with the evidence behind it.  ``spec`` is the
+    certified MapSpec, None for a callable map; ``map_digest`` is read from
+    it."""
+
+    spec: Optional[MapSpec]
     region: Region
     verdict: str                    # ZeroGuaranteed | NoConclusion | ZeroOnBoundary
     route: Optional[str]            # sign_change | winding | poincare_bohl
@@ -50,6 +54,12 @@ class Certificate:
     evidence: List[CheckResult] = field(default_factory=list)
     extension_witness: Optional[Callable] = None
     reason: Optional[str] = None
+
+    @property
+    def map_digest(self) -> str:
+        """The map's ``MapSpec.digest``, hashed when first read; "" for a
+        callable map."""
+        return "" if self.spec is None else self.spec.digest
 
 
 def boundary_nonvanishing(map_like, region: Region,
@@ -148,14 +158,14 @@ def certify_existence(map_like, region: Region, level: Optional[int] = None,
     check_lipschitz(lipschitz)
     n = region.dim
     ev = as_evaluator(map_like, n)
-    digest = ""
+    spec = None
     if isinstance(map_like, MapSpec):
         if n > map_like.m:
             # refuse before sampling, which is costly for n >= 3
             raise Unsupported(n, map_like.m)
-        digest = map_like.digest
+        spec = map_like
     unit, points = _boundary(region, level)
-    return _certify_sampled(ev, region, unit, ev(points), lipschitz, digest)
+    return _certify_sampled(ev, region, unit, ev(points), lipschitz, spec)
 
 
 def _boundary(region: Region, level: Optional[int]):
@@ -169,17 +179,17 @@ def _boundary(region: Region, level: Optional[int]):
 
 
 def _certify_sampled(ev, region, unit, ims, lipschitz,
-                     digest="") -> Certificate:
+                     spec=None) -> Certificate:
     """certify_existence of the checked evaluator ``ev`` from its images
     ``ims`` at the points of _boundary(region, level), whose unit sampling
-    is ``unit``."""
+    is ``unit``; ``spec`` is the MapSpec behind ``ev``, if any."""
     n, m = region.dim, ims.shape[1]
     if n > m:
         raise Unsupported(n, m)
     norms = row_norms(ims)
     nonvanish = _nonvanishing(unit, region, norms, lipschitz)
     min_norm = nonvanish.margin
-    cert = partial(Certificate, map_digest=digest, region=region,
+    cert = partial(Certificate, spec=spec, region=region,
                    min_boundary_norm=min_norm)
     if min_norm <= vanishing_floor(norms):
         return cert(verdict="ZeroOnBoundary", route=None, obstruction=None,

@@ -542,9 +542,11 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
 
     One evaluation of f covers two parts: the certificate's boundary
     samples, whose images are checked to lie in the disk and give G there,
-    and the locator's whole first batch for G on [-1, 1]^n.  On DomainError
-    the locator's part is dropped and the boundary evaluated alone; the
-    locator then evaluates its first batch itself.
+    and the locator's first batch for G on [-1, 1]^n.  For n = 1 the
+    boundary S^0 is the interval's two ends, so the locator's part is its
+    midpoint alone.  On DomainError the locator's part is dropped and the
+    boundary evaluated alone; the locator then evaluates the rest of its
+    first batch itself.
     """
     _check_tolerance("eps", eps)
     if n is None:
@@ -559,8 +561,11 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     disk = Region.disk(np.zeros(n), 1.0)
     box = Region.box(-np.ones(n), np.ones(n))
     sampling, circle = _boundary(disk, None)
-    parts = [circle,
-             np.concatenate(_top_parts(box.lower, box.upper, 0.5 * eps))]
+    top_parts = _top_parts(box.lower, box.upper, 0.5 * eps)
+    if n == 1:
+        # S^0 is [[-1], [1]], the ends of the locator's first batch
+        top_parts = top_parts[1:]
+    parts = [circle, np.concatenate(top_parts)]
     images = _leading_images(f, parts, 1)
     end = len(circle)
     _check_self_map(images[:end])
@@ -569,8 +574,11 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     # finite: f's own check covers it
     g = lambda pts: pts - f(pts)
     g_circle = circle - images[:end]
-    # G at the locator's first batch, when that batch was evaluated here
+    # G at the locator's first batch, as far as it was evaluated here; for
+    # n = 1 that batch starts with the boundary's two ends
     top = parts[1] - images[end:] if len(images) > end else None
+    if n == 1:
+        top = g_circle if top is None else np.concatenate((g_circle, top))
     cert = _certify_sampled(g, disk, sampling, g_circle, None)
     if cert.verdict == "ZeroOnBoundary":
         # the boundary sample where G vanishes is a fixed point

@@ -33,13 +33,24 @@ for numpy's ``**`` with AVX-512).  The bits are the same on every IEEE
 machine, where numpy's ``**`` rounds by the SIMD path it takes; for
 k = -1, 0, 1 and 2 they are the bits of numpy's ``**``.
 
-The lexer is one ``findall`` of a token regex that also eats the
-whitespace after each token; a character it skipped shows as a length
-mismatch.  The parser walks the plain list of token strings in one loop per
-nesting level: sums, products, unary minus, '^' and leaves seen before take
-no call, and only a parenthesis or a function call recurses.  No line or
-column is tracked on the way: an error scans the text again up to the
-failing token to report its position.
+The lexer pads each symbol with spaces and cuts the text with
+``str.split``.  That is the token regex's cut of an ASCII text with no
+signed exponent (``1e-5`` is one regex token) and no whitespace but space,
+tab, CR and LF.  Any other text, and any text whose split tokens fail to
+parse, is lexed by ``_tokenize`` and parsed again: one ``findall`` of the
+token regex, which also eats the whitespace after each token, so that a
+character it skipped shows as a length mismatch.  The parser refuses a
+split token that joins two regex tokens (``2x1``, ``1_0``, ``1.2.3``), so a
+parse of split tokens saw the regex tokens, and every error and its
+position is that of the regex tokens.
+
+The parser walks the plain list of token strings in one loop per nesting
+level: sums, products, unary minus, '^' and leaves seen before take no
+parse call, and the sum and product steps merge with one dict lookup each.
+Only a parenthesis or a function call recurses.  No line or column is
+tracked on the way: an error scans the text again up to the failing token
+to report its position.  A MapSpec's digest is hashed the first time it is
+read, not by the parse.
 """
 from __future__ import annotations
 
@@ -48,7 +59,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -81,15 +92,20 @@ class Tape(NamedTuple):
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Parsed map F: R^n -> R^m with a stable content digest.  ``tape`` is
-    what ``evaluate`` runs and ``to_text`` prints; only ``parse_map`` builds
-    it."""
+    """Parsed map F: R^n -> R^m.  ``tape`` is what ``evaluate`` runs and
+    ``to_text`` prints; only ``parse_map`` builds it.  Two specs are equal
+    when their ``(n, m, source_text)`` are."""
 
     n: int
     m: int
     source_text: str
-    digest: str
     tape: Tape = field(repr=False, compare=False)
+
+    @cached_property
+    def digest(self) -> str:
+        """``map_digest(source_text)``, the stable content hash, computed
+        the first time it is read: a parse does not pay for it."""
+        return map_digest(self.source_text)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +116,11 @@ _TOKEN_RE = re.compile(              # one token and the whitespace after it
     r"[ \t\r\n]*", re.ASCII)
 _WHITESPACE = " \t\r\n"
 _SYMS = frozenset("-+*/^(),") | {""}     # "" is the end-of-input token
+_PADDED = [(sym, f" {sym} ") for sym in "-+*/^(),"]
+# what sends a text to _tokenize: a signed exponent, and the ASCII
+# whitespace that str.split drops but the token regex does not skip
+_NOT_SPLIT = ("e-", "e+", "E-", "E+", "\v", "\f", "\x1c", "\x1d", "\x1e",
+              "\x1f")
 
 
 def _position(text: str, pos: int):
@@ -124,6 +145,22 @@ def _tokenize(text: str):
     return tokens
 
 
+def _split_tokens(text: str):
+    """The tokens of ``text`` cut by ``str.split`` once each symbol is padded
+    with spaces, ending in '', or None when they may not be _tokenize's: a
+    text that is not ASCII, holds a signed exponent (``1e-5`` is one token)
+    or whitespace other than space, tab, CR and LF.  A token can still join
+    two of _tokenize's (``2x1``, ``1.2.3``); the parser refuses it."""
+    if not text.isascii() or any(s in text for s in _NOT_SPLIT):
+        return None
+    padded = text
+    for sym, spaced in _PADDED:
+        padded = padded.replace(sym, spaced)
+    tokens = padded.split()
+    tokens.append("")
+    return tokens
+
+
 class _Parser:
     """One pass over the token list.  ``parse_expr`` parses sums, products,
     unary minus, '^' and leaves seen before in one loop; it recurses, by
@@ -136,9 +173,9 @@ class _Parser:
     token to its slot, so a leaf that repeats is converted and checked once.
     """
 
-    def __init__(self, text: str, n: int):
+    def __init__(self, text: str, tokens: list, n: int):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
         self.n = n
         self.slots = {}      # step -> slot; in insertion order, the tape
         self.leaves = {}     # number or variable token -> slot
@@ -148,7 +185,9 @@ class _Parser:
         """Slot of the step ``(op, a, b)``.  ``a`` and ``b`` are slots,
         except in a constant (its np.float64 value), a variable (its 1-based
         index) and ``pow`` (its integer exponent).  A step seen before keeps
-        its slot, so equal subtrees share one slot."""
+        its slot, so equal subtrees share one slot.  A step is a scalar when
+        it is a constant, or an exact op (``_EXACT``) whose slot operands
+        are scalars; ``parse_expr`` inlines this for sums and products."""
         key = (op, a, b)
         slot = self.slots.get(key)
         if slot is None:
@@ -180,6 +219,11 @@ class _Parser:
         if depth > MAX_DEPTH:
             raise self.error(i, MapSyntaxError, "expression nesting too deep")
         tokens, leaves, emit = self.tokens, self.leaves, self.emit
+        # the product and sum steps are emit's, inlined: one setdefault gives
+        # the step's slot, new (the length before) or seen before, and a new
+        # step is a scalar when both its operands are
+        slots, scalars = self.slots, self.scalars
+        slot_of = slots.setdefault
         total = add = prod = mul = None      # the sum and product so far
         while True:
             negate = tokens[i] == "-"
@@ -199,11 +243,23 @@ class _Parser:
                 tok = tokens[i]
             if negate:
                 slot = emit("neg", slot)
-            prod = emit(mul, prod, slot) if mul else slot
+            if mul:
+                new = len(slots)
+                left, prod = prod, slot_of((mul, prod, slot), new)
+                if prod == new and left in scalars and slot in scalars:
+                    scalars.add(new)
+            else:
+                prod = slot
             if tok == "*" or tok == "/":
                 mul = "mul" if tok == "*" else "div"
             else:
-                total = emit(add, total, prod) if add else prod
+                if add:
+                    new = len(slots)
+                    left, total = total, slot_of((add, total, prod), new)
+                    if total == new and left in scalars and prod in scalars:
+                        scalars.add(new)
+                else:
+                    total = prod
                 if tok != "+" and tok != "-":
                     return total, i
                 add, mul = "add" if tok == "+" else "sub", None
@@ -229,6 +285,10 @@ class _Parser:
             raise self.error(i, MapSyntaxError,
                              f"unexpected token {tok or 'end of input'!r}")
         if tok[0] == "." or tok[0].isdecimal():     # a number
+            # float reads "1_0" and refuses "1.2.3": split tokens that are
+            # not one of _tokenize's, which parse_map parses again
+            if "_" in tok:
+                raise ValueError(f"malformed number {tok!r}")
             value = float(tok)
             if value == math.inf:
                 raise self.error(i, MapSyntaxError,
@@ -255,8 +315,18 @@ def map_digest(text: str) -> str:
 def parse_map(text: str, n: int) -> MapSpec:
     """Parse a comma-separated expression list into a MapSpec."""
     check_count("domain dimension", n, 1)
-    parser = _Parser(text, n)
-    tokens = parser.tokens
+    tokens = _split_tokens(text)
+    if tokens is not None:
+        try:
+            return _parse(text, tokens, n)
+        except (MapSyntaxError, ValueError):
+            pass    # parsed again below, for _tokenize's error and position
+    return _parse(text, _tokenize(text), n)
+
+
+def _parse(text: str, tokens: list, n: int) -> MapSpec:
+    """The MapSpec of ``text`` from its token list ``tokens``."""
+    parser = _Parser(text, tokens, n)
     slot, i = parser.parse_expr(0, 1)
     outputs = [slot]
     while tokens[i] == ",":
@@ -265,9 +335,7 @@ def parse_map(text: str, n: int) -> MapSpec:
     if tokens[i]:
         raise parser.error(i, MapSyntaxError,
                            f"unexpected trailing input {tokens[i]!r}")
-    # equals map_digest(text): the lexer skips nothing but whitespace
-    digest = hashlib.sha256("".join(tokens).encode("utf-8")).hexdigest()
-    return MapSpec(n=n, m=len(outputs), source_text=text, digest=digest,
+    return MapSpec(n=n, m=len(outputs), source_text=text,
                    tape=Tape(tuple(parser.slots), tuple(outputs)))
 
 

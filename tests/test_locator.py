@@ -1260,7 +1260,7 @@ class TestBrouwerFixedPoint:
         result = brouwer_fixed_point(f, eps=math.inf, n=1)
         assert result.point.tolist() == [0.5]
         assert (result.termination, result.iterations) == ("cell_diameter", 1)
-        assert f.batches == [2 + 3, 1]
+        assert f.batches == [2 + 1, 1]
         huge = brouwer_fixed_point(parse_map("(x1 + 0.2)/2", 1), eps=1e300)
         assert (result.point.tobytes(), result.residual) == (
             huge.point.tobytes(), huge.residual)
@@ -1292,15 +1292,25 @@ class TestBrouwerFixedPoint:
 
     def test_one_dimensional_first_batch_rides_with_the_boundary(
             self, counting_evaluator):
-        # the two boundary points and the locator's first batch of G (-1, 1
-        # and the midpoint 0) in one call; then interpolation through G's
-        # line lands on the fixed point 0.2
+        # the two boundary points, which are the ends -1 and 1 of the
+        # locator's first batch of G, and its midpoint 0 in one call; then
+        # interpolation through G's line lands on the fixed point 0.2
         f = counting_evaluator(parse_map("(x1 + 0.2)/2", 1))
         result = brouwer_fixed_point(f, n=1)
-        assert f.batches == [2 + 3, 1]
+        assert f.batches == [2 + 1, 1]
         assert result.point.tolist() == [0.2]
         assert result.residual == 0.0
         assert result.termination == "residual"
+
+    def test_one_dimensional_midpoint_raises(self, counting_evaluator):
+        # f is 0/0 at the midpoint 0 only: the ends are evaluated again
+        # alone, once, and the locator's first step evaluates the midpoint,
+        # which raises
+        f = counting_evaluator(parse_map("(x1 + 0.2)/2 + 0/x1", 1))
+        with pytest.raises(DomainError, match="non-finite") as raised:
+            brouwer_fixed_point(f, n=1)
+        assert f.batches == [2 + 1, 2, 1]
+        assert raised.value.point.tobytes() == np.array([0.0]).tobytes()
 
     def test_boundary_evaluated_once(self, counting_evaluator):
         # the boundary circle and the locator's first batch (the first

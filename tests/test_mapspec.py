@@ -1,4 +1,7 @@
 import functools
+import hashlib
+import importlib.util
+import json
 import math
 import operator
 import os
@@ -7,6 +10,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -20,10 +24,11 @@ from zerocert import (BUILTIN_MAPS, DomainError, InvalidInput,
                       certify_existence, evaluate, lipschitz_estimate,
                       locate_zero, parse_map, poincare_bohl, sample_sphere,
                       to_text, winding_number)
-from zerocert.cli import certificate_dumps
+from zerocert.cli import certificate_dumps, main
 import zerocert.mapspec as mapspec
-from zerocert.mapspec import (_EXACT, _FUNCS, _SYMS, MAX_DEPTH, Tape,
-                              _position, _tokenize, _TOKEN_RE, map_digest)
+from zerocert.mapspec import (_EXACT, _FUNCS, _SYMS, _WHITESPACE, MAX_DEPTH,
+                              MapSpec, Tape, _position, _tokenize, _TOKEN_RE,
+                              map_digest)
 
 
 class TestParsing:
@@ -285,6 +290,66 @@ class TestDigest:
 
     def test_distinct_maps_distinct_digests(self):
         assert parse_map("x1", 1).digest != parse_map("x1 + 1", 1).digest
+
+    # one text of each lexer path: split, and regex for its signed exponent
+    TEXTS = ("x1^2 - x2^2 -\t0.3,\r\n 2*x1*x2\t- 0.1",
+             "1e-05*x1^2 + x1 - 2.5e+3*x2^3 + 0.25, x2 - 1E-2*x1")
+
+    def test_hashed_when_read(self, monkeypatch):
+        # neither a parse nor a certificate hashes; the first read does
+        def refuse(*args):
+            raise AssertionError("sha256 called")
+
+        monkeypatch.setattr(hashlib, "sha256", refuse)
+        specs = [parse_map(text, 2) for text in self.TEXTS]
+        certs = [certify_existence(spec, Region.disk([0.0, 0.0], 1.0))
+                 for spec in specs]
+        with pytest.raises(AssertionError, match="sha256 called"):
+            certs[0].map_digest
+        monkeypatch.undo()
+        for text, spec, cert in zip(self.TEXTS, specs, certs):
+            assert cert.spec is spec
+            assert spec.digest == map_digest(text)
+            assert cert.map_digest == map_digest(text)
+            assert json.loads(certificate_dumps(cert))["map_digest"] \
+                == map_digest(text)
+
+    def test_hashed_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, original=hashlib.sha256):
+            calls.append(args)
+            return original(*args)
+
+        spec = parse_map("x1, x2", 2)
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        assert spec.digest == spec.digest == map_digest("x1,x2")
+        assert len(calls) == 2      # the first read and map_digest
+
+    def test_cli_json(self, capsys):
+        text = self.TEXTS[0]
+        assert main(["certify", "--map", text, "--n", "2", "--center=0,0",
+                     "--radius", "1"]) == 0
+        digest = json.loads(capsys.readouterr().out)["map_digest"]
+        assert digest == map_digest(text) == hashlib.sha256(
+            b"x1^2-x2^2-0.3,2*x1*x2-0.1").hexdigest()
+
+    def test_callable_certificate_reads_the_empty_digest(self):
+        cert = certify_existence(lambda pts: pts, Region.disk([0.0, 0.0], 1.0))
+        assert cert.spec is None and cert.map_digest == ""
+
+    def test_whitespace_variants(self):
+        # they differ as specs, by their source text, and share the digest
+        tight, loose = parse_map("x1,x2", 2), parse_map(" x1 ,\t x2\r\n", 2)
+        assert tight != loose and tight.tape == loose.tape
+        assert tight.digest == loose.digest == map_digest("x1,x2")
+        again = parse_map("x1,x2", 2)
+        assert again == tight and hash(again) == hash(tight)
+
+    def test_no_digest_field(self):
+        spec = parse_map("x1", 1)
+        assert "digest" not in repr(spec)
+        assert MapSpec(n=1, m=1, source_text="x1", tape=spec.tape) == spec
 
 
 def _random_expr(rng, depth=0):
@@ -1290,6 +1355,119 @@ class TestOneScanParser:
             parse_map(text + "$", 1)
         assert err.value.column == 20_003
         assert time.perf_counter() - start < 2.0
+
+
+def _split_parse(text, n):
+    """The split tokens of ``text`` and whether the split path parses them:
+    (None, False) for a text that goes to the regex path."""
+    tokens = mapspec._split_tokens(text)
+    if tokens is None:
+        return None, False
+    try:
+        mapspec._parse(text, tokens, n)
+    except (MapSyntaxError, ValueError):
+        return tokens, False
+    return tokens, True
+
+
+class _Parsed(Exception):
+    pass
+
+
+class _Recorder:
+    """Stands in for zerocert in a benchmark task: stops the task at its
+    parse and records what it parses."""
+
+    def parse_map(self, text, n):
+        raise _Parsed(text, n)
+
+    def __getattr__(self, name):     # a call around the parse, never made
+        return lambda *args, **kwargs: None
+
+
+def _workload_texts(monkeypatch):
+    """(text, n) of every map in the count windows of the benchmark's three
+    workloads, on two seeds."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    if not path.exists():
+        pytest.skip("the benchmark's workloads are not in this tree")
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    texts = []
+    for workload in workloads.WORKLOADS.values():
+        for seed in (11, 3141):
+            for index in range(workload.count_passes):
+                for task in workloads.make_pass(workload, seed, index):
+                    with pytest.raises(_Parsed) as parsed:
+                        task.run(_Recorder(), None)
+                    texts.append(parsed.value.args)
+    return texts
+
+
+class TestSplitLexer:
+    def test_ascii_whitespace(self):
+        # what str.split drops of an ASCII text: _WHITESPACE, which the
+        # token regex skips, and the rest, which sends a text to _tokenize
+        dropped = "".join(c for c in map(chr, range(128)) if c.isspace())
+        assert sorted(dropped) == sorted(
+            _WHITESPACE + "".join(c for c in mapspec._NOT_SPLIT if len(c) == 1))
+
+    def test_workload_maps(self, monkeypatch):
+        texts = _workload_texts(monkeypatch)
+        split = 0
+        for text, n in texts:
+            tokens, parsed = _split_parse(text, n)
+            if tokens is None:
+                # the only reason in these texts
+                assert re.search("[eE][-+]", text), text
+                continue
+            assert parsed, text
+            assert tokens == _tokenize(text), text
+            split += 1
+        assert len(texts) == 2 * (16 * 28 + 8 * 32 + 16 * 12)
+        assert split >= 0.9 * len(texts)
+
+    def test_fuzz_corpus(self):
+        # the corpus of TestOneScanParser's fuzz
+        rng = np.random.default_rng(2026)
+        expr_rng = np.random.default_rng(7)
+        paths = {"regex": 0, "split": 0, "split, then regex": 0}
+        for _ in range(24_000):
+            text = _fuzz_text(rng, expr_rng)
+            n = int(rng.integers(1, 4))
+            tokens, parsed = _split_parse(text, n)
+            if parsed:
+                assert tokens == _tokenize(text), text
+            paths["regex" if tokens is None else
+                  "split" if parsed else "split, then regex"] += 1
+        assert min(paths.values()) >= 1000, paths
+
+    @pytest.mark.parametrize("text", [
+        "1e-05*x1", "2E+3*x1", "x1 + \u0663", "x1 +\f1", "x1\v+ 1",
+        "x1 +\x1c 1"])
+    def test_regex_path(self, text):
+        assert mapspec._split_tokens(text) is None
+        assert _tape_matches_oracle(text, 1)
+        assert _parse_outcome(text, 1) == _ref_outcome(text, 1)
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("1_0", "unexpected trailing input '_0' (line 1, column 2)"),
+        ("1.2.3", "unexpected trailing input '.3' (line 1, column 4)"),
+        ("2x1", "unexpected trailing input 'x1' (line 1, column 2)"),
+        ("1e", "unexpected trailing input 'e' (line 1, column 2)"),
+        (".", "unexpected character '.' (line 1, column 1)"),
+        ("x1.5", "unexpected trailing input '.5' (line 1, column 3)"),
+        ("x1 + $", "unexpected character '$' (line 1, column 6)")])
+    def test_split_path_fails_then_regex_errs(self, text, outcome):
+        tokens, parsed = _split_parse(text, 1)
+        assert tokens is not None and not parsed
+        with pytest.raises(MapSyntaxError) as err:
+            parse_map(text, 1)
+        assert f"{err.value}" == outcome
+        assert _tape_matches_oracle(text, 1)
+        assert _parse_outcome(text, 1) == _ref_outcome(text, 1)
 
 
 class TestAsciiDigits:

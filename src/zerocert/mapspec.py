@@ -47,10 +47,15 @@ position is that of the regex tokens.
 The parser walks the plain list of token strings in one loop per nesting
 level: sums, products, unary minus, '^' and leaves seen before take no
 parse call, and the sum and product steps merge with one dict lookup each.
-Only a parenthesis or a function call recurses.  No line or column is
-tracked on the way: an error scans the text again up to the failing token
-to report its position.  A MapSpec's digest is hashed the first time it is
-read, not by the parse.
+Only a parenthesis or a function call recurses, and only the first time
+its tokens are seen: the parse is memoized by the group's first two tokens
+and checked against all of its tokens, so ``(x1 - 0.5)`` written ten times
+is read once, and a repeat at a greater depth is parsed again for the
+nesting error.  A negative leaf in parentheses, ``(-0.5)``, emits its leaf
+and ``neg`` without a recursion.  No line or column is tracked on the way:
+an error scans the text again up to the failing token to report its
+position.  A MapSpec's digest is hashed the first time it is read, not by
+the parse.
 """
 from __future__ import annotations
 
@@ -164,13 +169,17 @@ def _split_tokens(text: str):
 class _Parser:
     """One pass over the token list.  ``parse_expr`` parses sums, products,
     unary minus, '^' and leaves seen before in one loop; it recurses, by
-    ``parse_atom``, only into a parenthesis or a function call.  Both take
-    the index of their first token and return the tape slot of what they
-    parsed and the index after it.
+    ``group``, only into a parenthesis or a function call whose tokens it
+    has not parsed before, and reads a negative leaf in parentheses,
+    ``(-0.5)``, in place.  ``parse_expr`` and ``group`` take the index of
+    their first token and return the tape slot of what they parsed and the
+    index after it.
 
     ``slots`` maps each step ``(op, a, b)`` to its slot, so a subtree seen
     before costs no new step.  ``leaves`` maps each number or variable
     token to its slot, so a leaf that repeats is converted and checked once.
+    ``groups`` holds the parenthesized groups parsed, so a group that
+    repeats is not read again.
     """
 
     def __init__(self, text: str, tokens: list, n: int):
@@ -180,6 +189,7 @@ class _Parser:
         self.slots = {}      # step -> slot; in insertion order, the tape
         self.leaves = {}     # number or variable token -> slot
         self.scalars = set()  # slots that hold one numpy scalar, not an array
+        self.groups = {}     # (first, second token inside) -> first group
 
     def emit(self, op, a, b=None):
         """Slot of the step ``(op, a, b)``.  ``a`` and ``b`` are slots,
@@ -228,9 +238,24 @@ class _Parser:
         while True:
             negate = tokens[i] == "-"
             i += negate
-            if (slot := leaves.get(tokens[i])) is None:
-                slot, i = self.parse_atom(i, depth)
-            else:                            # a number or variable seen before
+            if (slot := leaves.get(tok := tokens[i])) is not None:
+                i += 1                       # a number or variable seen before
+            elif tok == "(":
+                if (tokens[i + 1] == "-" and tokens[i + 2] not in _SYMS
+                        and tokens[i + 3] == ")" and depth + 4 <= MAX_DEPTH):
+                    # (-leaf): the leaf and its neg, the steps its group's
+                    # parse emits, without the recursion
+                    if (slot := leaves.get(tokens[i + 2])) is None:
+                        slot = self.parse_atom(i + 2)
+                    slot = emit("neg", slot)
+                    i += 4
+                else:
+                    slot, i = self.group(i, depth)
+            elif tok in _FUNCS and tokens[i + 1] == "(":
+                slot, i = self.group(i + 1, depth)
+                slot = emit(tok, self.array(slot))
+            else:
+                slot = self.parse_atom(i)
                 i += 1
             if (tok := tokens[i]) == "^":
                 negative = tokens[i + 1] == "-"
@@ -265,22 +290,42 @@ class _Parser:
                 add, mul = "add" if tok == "+" else "sub", None
             i += 1
 
-    def parse_atom(self, i, depth):
-        """A new number or variable, a parenthesis or a call at token ``i``."""
+    def group(self, i, depth):
+        """The slot of the parenthesized expression whose '(' is token
+        ``i``, and the index after its ')'.
+
+        ``groups`` keeps the first group seen for each pair of first two
+        tokens inside it: its tokens through ')', its slot and its depth.  A
+        later group with the same tokens at no greater depth is that slot:
+        its parse would emit only steps already in ``slots`` and could raise
+        no error.  Any other group is parsed, so a nesting error and its
+        position are the parse's."""
+        tokens = self.tokens
+        # a '(' that ends the input has no second token, and its parse raises
+        key = (tokens[i + 1], tokens[i + 2]) if tokens[i + 1] else None
+        seen = self.groups.get(key)
+        if seen is not None:
+            body, slot, first_depth = seen
+            end = i + len(body)
+            if depth <= first_depth and tokens[i:end] == body:
+                return slot, end
+        slot, end = self.parse_expr(i + 1, depth + 4)
+        if tokens[end] != ")":
+            raise self.error(end, MapSyntaxError, "expected ')', got "
+                             f"{tokens[end] or 'end of input'!r}")
+        end += 1
+        if seen is None:
+            self.groups[key] = tokens[i:end], slot, depth
+        return slot, end
+
+    def parse_atom(self, i):
+        """The slot of the new number or variable at token ``i``, or the
+        error there: a function name without its '(' or any other token."""
         tokens = self.tokens
         tok = tokens[i]
-        if tok == "(" or tok in _FUNCS:
-            if tok != "(":
-                i += 1
-                if tokens[i] != "(":
-                    raise self.error(i, MapSyntaxError, "expected '(', got "
-                                     f"{tokens[i] or 'end of input'!r}")
-            slot, i = self.parse_expr(i + 1, depth + 4)
-            if tokens[i] != ")":
-                raise self.error(i, MapSyntaxError, "expected ')', got "
-                                 f"{tokens[i] or 'end of input'!r}")
-            return (slot if tok == "(" else self.emit(tok, self.array(slot)),
-                    i + 1)
+        if tok in _FUNCS:
+            raise self.error(i + 1, MapSyntaxError, "expected '(', got "
+                             f"{tokens[i + 1] or 'end of input'!r}")
         if tok in _SYMS:
             raise self.error(i, MapSyntaxError,
                              f"unexpected token {tok or 'end of input'!r}")
@@ -303,7 +348,7 @@ class _Parser:
                 raise self.error(i, UndefinedVariable, tok, self.n)
             slot = self.emit("var", index)
         self.leaves[tok] = slot
-        return slot, i + 1
+        return slot
 
 
 def map_digest(text: str) -> str:
@@ -475,10 +520,13 @@ def to_text(spec: MapSpec) -> str:
 # ---------------------------------------------------------------------------
 # derivative-based Lipschitz estimation
 
-# the sample count, and the squared margin of the spectral-norm screen,
-# which covers the rounding of both norms
+# the sample count, and the margins of the spectral-norm screens, which
+# cover the rounding of both norms: the squared one of the Frobenius
+# screen, and that of the 2x2 Gram eigenvalue, whose rounding is a few ulp
+# of |J|_F^2 <= 2 |J|_2^2
 _LIPSCHITZ_SAMPLES = 200
 _SCREEN = (1.0 - 1e-9) ** 2
+_GRAM_SCREEN = 1.0 - 1e-12
 
 
 @cache
@@ -513,10 +561,15 @@ def lipschitz_estimate(spec: MapSpec, region: Region) -> float:
     ``default_rng(0)`` once per region kind and dimension and kept
     read-only: on a disk ``center + u_dir * (radius * u^(1/n))``, on a box
     ``lower + (upper - lower) * u``, which is
-    ``rng.uniform(lower, upper)`` bit for bit.  Only the Jacobians with
-    ``|J|_F >= max |J|_F * (1 - 1e-9) / sqrt(min(m, n))`` get an SVD for
-    ``|J|_2``; they include the largest ``|J|_2``, since ``|J|_F >= |J|_2
-    >= |J|_F / sqrt(min(m, n))``, so the estimate is that of all 200.
+    ``rng.uniform(lower, upper)`` bit for bit.  Only the Jacobians that
+    can hold the largest ``|J|_2`` get an SVD, so the estimate is that of
+    all 200.  When ``min(m, n) == 2`` they are those whose ``|J|_2^2``,
+    the larger eigenvalue of the 2x2 Gram matrix, is within
+    ``1 - 1e-12`` of the largest: its rounding is a few ulp of ``|J|_F^2
+    <= 2 |J|_2^2``, and a linear map, whose Jacobians all tie, keeps a few
+    of them.  Otherwise they are those with ``|J|_F >= max |J|_F *
+    (1 - 1e-9) / sqrt(min(m, n))``, since ``|J|_F >= |J|_2 >= |J|_F /
+    sqrt(min(m, n))``.
 
     The map is reached through ``as_evaluator``, so a region of another
     dimension than the map's domain raises InvalidInput before any
@@ -556,8 +609,18 @@ def lipschitz_estimate(spec: MapSpec, region: Region) -> float:
     peak = float(np.max(np.abs(jac)))
     if 0.0 < peak < math.inf:
         scaled = jac / peak
-        frob2 = np.einsum("kij,kij->k", scaled, scaled)
-        jac = jac[frob2 >= frob2.max() * (_SCREEN / min(m, n))]
+        if min(m, n) == 2:
+            # |J|_2^2 is the larger eigenvalue of the 2x2 Gram matrix
+            # [[a, b], [b, d]]: J^T J for two columns, else J J^T
+            pair = scaled if n == 2 else scaled.transpose(0, 2, 1)
+            a, d = np.einsum("kij,kij->jk", pair, pair)
+            b = np.einsum("ki,ki->k", pair[:, :, 0], pair[:, :, 1])
+            half = 0.5 * (a - d)
+            norm2 = 0.5 * (a + d) + np.sqrt(half * half + b * b)
+            jac = jac[norm2 >= norm2.max() * _GRAM_SCREEN]
+        else:
+            frob2 = np.einsum("kij,kij->k", scaled, scaled)
+            jac = jac[frob2 >= frob2.max() * (_SCREEN / min(m, n))]
     # a Jacobian's 2-norm is its largest singular value, which svd lists first
     return 2.0 * float(np.linalg.svd(jac, compute_uv=False)[:, 0].max())
 

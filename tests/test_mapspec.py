@@ -540,6 +540,23 @@ class TestScreenedLipschitzEstimate:
                                                         region)
         assert kinds == {"disk", "box"}
 
+    @pytest.mark.parametrize("text, n", [
+        ("x1 - 0.5*x2 + 0.1, 0.3*x1 + x2 - 0.2", 2),
+        ("x1 + x2, x1 - 2*x2, 3*x1", 2),
+        ("x1 + x2 - x3, 2*x1 - x3", 3)])
+    def test_linear_map_takes_few_svds(self, text, n, monkeypatch):
+        # every Jacobian of a linear map ties up to rounding: the Frobenius
+        # screen would pass all 200, the Gram eigenvalue screen a few
+        spec = parse_map(text, n)
+        region = Region.disk(np.linspace(-0.3, 0.2, n), 1.2)
+        want = _unscreened_estimate(spec, region)
+        sizes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                            sizes.append(len(a)) or svd(a, *args, **kwargs))
+        assert lipschitz_estimate(spec, region) == want
+        assert len(sizes) == 1 and 1 <= sizes[0] <= 5, sizes
+
     def test_constant_map_is_zero(self):
         for region in (Region.disk([0.3, -0.2], 1.5),
                        Region.box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])):
@@ -941,6 +958,152 @@ class TestMerging:
             "mul", "add"]
 
 
+class _GroupSpy:
+    """Wraps ``_Parser.group`` to record what each call finds in the memo:
+    'hit' for a repeat at no greater depth, 'deeper' for one parsed again."""
+
+    def __init__(self, monkeypatch):
+        self.events = []
+        original = mapspec._Parser.group
+
+        def group(parser, i, depth):
+            tokens = parser.tokens
+            for body, _, first_depth in parser.groups.values():
+                if tokens[i:i + len(body)] == body:
+                    self.events.append("hit" if depth <= first_depth
+                                       else "deeper")
+            return original(parser, i, depth)
+        monkeypatch.setattr(mapspec._Parser, "group", group)
+
+
+class _CountedParse:
+    """Counts ``_Parser.parse_expr`` calls, one per parse of an expression."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = mapspec._Parser.parse_expr
+
+        def counted(parser, i, depth):
+            self.calls += 1
+            return original(parser, i, depth)
+        monkeypatch.setattr(mapspec._Parser, "parse_expr", counted)
+
+
+def _same_as_reference(text, n):
+    return _parse_outcome(text, n) == _ref_outcome(text, n) \
+        and _tape_matches_oracle(text, n)
+
+
+class TestGroupMemo:
+    """A repeated parenthesized group is parsed once."""
+
+    @pytest.mark.parametrize("text", [
+        "sin(x1 + 1) + sin(x1 + 1)*x2 - cos(x1 + 1)",
+        "((x1 - 0.5)^2 + x2)*(x1 - 0.5) + ((x1 - 0.5)^2 + x2), (x1 - 0.5)",
+        "(x1 + (x1 + 2)) * (x1 + 2) + (x1 + (x1 + 2))",
+        "(x1 - 0.5) + (x1 - 0.25) + (x1 - 0.5)",
+        "(x1) + (x1)^2 + sqrt((x1))"])
+    def test_repeats_match_the_reference(self, text):
+        assert _same_as_reference(text, 2), text
+        assert to_text(parse_map(text, 2)) \
+            == _ref_text(_RefParser(text, 2).parse_map())
+
+    def test_repeat_is_parsed_once(self, monkeypatch):
+        counted = _CountedParse(monkeypatch)
+        spy = _GroupSpy(monkeypatch)
+        parse_map("sin(x1 + 1) + sin(x1 + 1)*(x1 + 1) - (x1 + 1)^2", 1)
+        # the top level and the first (x1 + 1)
+        assert counted.calls == 2
+        assert spy.events == ["hit", "hit", "hit"]
+
+    def test_deeper_repeat_is_parsed_again(self, monkeypatch):
+        text = "(x1 + 1) + ((x1 + 1)) + (x1 + 1)"
+        counted = _CountedParse(monkeypatch)
+        spy = _GroupSpy(monkeypatch)
+        parse_map(text, 1)
+        # the inner copy of ((x1 + 1)) is one level deeper than the first
+        assert spy.events == ["deeper", "hit"]
+        assert counted.calls == 4
+        assert _same_as_reference(text, 1)
+
+    def test_depth_error_after_a_recorded_group(self):
+        # the first copy is recorded at depth 1; the 16th parenthesis of the
+        # second is past the limit, at the token after it, as at the parent
+        text = "(x1 + 1) + " + "(" * 15 + "(x1 + 1)" + ")" * 15
+        with pytest.raises(MapSyntaxError) as err:
+            parse_map(text, 1)
+        assert str(err.value) == \
+            "expression nesting too deep (line 1, column 28)"
+        assert _same_as_reference(text, 1)
+
+    def test_error_after_a_hit(self, monkeypatch):
+        text = "(x1 + 1) * (x1 + 1) + (x1 + 1"
+        spy = _GroupSpy(monkeypatch)
+        with pytest.raises(MapSyntaxError) as err:
+            parse_map(text, 1)
+        assert str(err.value) == \
+            "expected ')', got 'end of input' (line 1, column 30)"
+        assert "hit" in spy.events
+        assert _same_as_reference(text, 1)
+
+    def test_fuzz_reaches_hits_misses_and_errors(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        expr_rng = np.random.default_rng(41)
+        seen = set()
+        spy = _GroupSpy(monkeypatch)
+        for _ in range(1500):
+            text = _repeated_group_text(rng, expr_rng)
+            n = int(rng.integers(1, 4))
+            spy.events.clear()
+            expected = _ref_outcome(text, n)
+            assert _parse_outcome(text, n) == expected, text
+            assert _tape_matches_oracle(text, n), text
+            failed = isinstance(expected[0], type)
+            seen.update(spy.events)
+            if "hit" in spy.events and failed:
+                seen.add(f"{expected[1].split(' (')[0]} after a hit")
+        assert {"hit", "deeper",
+                "expression nesting too deep after a hit"} <= seen, seen
+
+
+class TestNegativeLeaf:
+    """``(-leaf)`` emits the leaf and its neg without a recursion."""
+
+    @pytest.mark.parametrize("text", [
+        "(-0.5)*x1 + (-0.5)*x2", "(-x1)^2", "-(-x1)", "(-x2) - (-0.5)",
+        "(-1e999)", "(-sin)", "(-x3)", "(-y)", "(-1.5)^-2 + x1",
+        "(- 2.5 ) * x1", "(-)", "(-x1", "(-0.5)x1"])
+    def test_matches_the_reference(self, text):
+        assert _same_as_reference(text, 2), text
+
+    def test_errors_and_positions(self):
+        for text, message in (
+                ("(-1e999)", "number '1e999' out of range (line 1, column 3)"),
+                ("(-sin)", "expected '(', got ')' (line 1, column 6)")):
+            with pytest.raises(MapSyntaxError) as err:
+                parse_map(text, 1)
+            assert str(err.value) == message
+
+    def test_no_recursion(self, monkeypatch):
+        counted = _CountedParse(monkeypatch)
+        spec = parse_map("(-0.5)*x1 + (-0.5)*x2 - (-x1)", 2)
+        assert counted.calls == 1
+        assert [op for op, _, _ in spec.tape.steps] == [
+            "const", "neg", "var", "mul", "var", "mul", "add", "neg", "sub"]
+
+    @pytest.mark.parametrize("depth, fails", [(14, False), (15, True)])
+    def test_at_the_depth_limit(self, depth, fails):
+        # the 16th nested parenthesis fails on the '-' after it
+        text = "(" * depth + "(-x1)" + ")" * depth
+        assert _same_as_reference(text, 1)
+        if fails:
+            with pytest.raises(MapSyntaxError, match="nesting too deep") as err:
+                parse_map(text, 1)
+            assert err.value.column == depth + 2
+        else:
+            parse_map(text, 1)
+
+
 class TestToTextMatchesTree:
     """``to_text`` prints the tape as the reference printer prints the
     reference tree, byte for byte, and its text parses to the same tape."""
@@ -1254,8 +1417,23 @@ _CLEAN = ["x1", "x2", "x3", "x0", "x12", "x01", "x", "1", "0", "2.5", ".5",
 _FRAGMENTS = _CLEAN + [".", "..", "\u00e9", "$", "#", "\u00a0", "\f", "\v"]
 
 
+def _repeated_group_text(rng, expr_rng):
+    """One group repeated 2-4 times, each copy inside 0-16 parentheses: a
+    copy at no greater depth than the first is a memo hit, a deeper one is
+    parsed again, and one past the nesting limit of 15 fails."""
+    group = rng.choice(["(", "sin(", "abs(", "(-"]) \
+        + _random_expr(expr_rng, 2) + ")"
+    copies = []
+    for _ in range(rng.integers(2, 5)):
+        depth = int(rng.integers(0, 17))
+        copies.append("(" * depth + group + ")" * depth)
+    return rng.choice([" + ", "*", " - ", ", "]).join(copies)
+
+
 def _fuzz_text(rng, expr_rng):
-    kind = rng.integers(4)
+    kind = rng.integers(5)
+    if kind == 4:
+        return _repeated_group_text(rng, expr_rng)
     if kind == 0:
         # a valid expression with one fragment inserted or one character
         # deleted, so errors sit deep inside long input

@@ -9,8 +9,8 @@ from .errors import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                      UndefinedVariable, Unsupported, VanishingOnBoundary,
                      ZeroCertError)
 from .geometry import BoundarySampling, Region, sample_sphere
-from .homotopy import (HomotopyTrace, SampledMap, ValidityReport,
-                       null_homotopy, radial_extension, straight_line)
+from .homotopy import (SampledMap, ValidityReport, null_homotopy,
+                       radial_extension, straight_line)
 from .locator import (LocateResult, box_winding, brouwer_fixed_point,
                       locate_zero)
 from .mapspec import (BUILTIN_MAPS, MapSpec, builtin_map, evaluate,

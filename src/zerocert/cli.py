@@ -142,12 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True, metavar="MAP")
     p.add_argument("--to", dest="target", required=True, metavar="MAP")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--t-steps", type=int, default=64)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--lipschitz", type=float, default=None,
-                   help="L bounding H's Lipschitz constant jointly in (x, t); "
-                        "H is then valid only above L*hypot(h, dt)/2, h the "
-                        "mesh norm and dt the largest t step")
+                   help="L bounding the Lipschitz constant in x of both "
+                        "maps; H is then valid only above L*h/2, h the "
+                        "mesh norm")
 
     sub.add_parser("examples", help="list builtin maps")
     return parser
@@ -239,12 +238,9 @@ def _cmd_homotopy(args) -> int:
     sampling = sample_sphere(Region.disk(np.zeros(args.n), 1.0), args.level)
     f = SampledMap.from_evaluator(source, sampling)
     g = SampledMap.from_evaluator(target, sampling)
-    trace, report = straight_line(f, g, t_steps=args.t_steps, L=args.lipschitz)
-    witness = None
-    if report.witness is not None:
-        p_idx, t_idx = report.witness
-        witness = {"point": [float(v) for v in sampling.points[p_idx]],
-                   "t": float(trace.t_grid[t_idx])}
+    report = straight_line(f, g, L=args.lipschitz)
+    p_idx, t = report.witness
+    witness = {"point": [float(v) for v in sampling.points[p_idx]], "t": t}
     print(json.dumps({
         "valid": report.valid,
         "min_norm": report.min_norm,

@@ -28,7 +28,8 @@ class BudgetExhausted(ZeroCertError):
 
 
 class NotANullHomotopy(ZeroCertError):
-    """The final frame of a homotopy trace is not a nonzero constant."""
+    """A boundary map has no null homotopy: it vanishes on a sample or its
+    winding is not 0."""
 
 
 class DegreeLost(ZeroCertError):

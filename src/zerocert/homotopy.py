@@ -1,49 +1,34 @@
-"""Sampled homotopies between boundary maps, and the zero-free extension.
+"""Straight-line homotopies between boundary maps, and the zero-free
+extension.
 
-A homotopy lives on a finite (sample point, t) grid, held in closed form:
-``HomotopyTrace.frame(i, j)`` evaluates any set of grid entries as one
-numpy array, and the whole grid is built only when read.  Validity ("the
-homotopy misses zero") is certified only up to the grid: heuristically
-when the minimum image norm is above the vanishing floor of the frame
-norms, rigorously when it also exceeds L*g/2 for a supplied Lipschitz
-constant L (of H jointly in (x, t)) and grid diameter g.
+A straight line H = (1-t) f + t g misses 0 at a sample when the segment
+[f_j, g_j] does; ``straight_line`` measures that distance exactly in t, by
+one projection per sample, and decides validity from it: heuristically
+against the vanishing floor of the endpoint norms, rigorously against
+L*h/2 for a Lipschitz constant L in x of both maps.
 
 A winding-0 planar boundary map F contracts in log-polar coordinates to
-its first sample's image, and that contraction, run radially, is a
-zero-free extension of F over the disk.  ``log_polar_extension`` is its
-one point function, in closed form on Python floats with ``math``
-functions: the certificate's witness, and what ``radial_extension``
-returns for the t = 0 row of a trace.  Its modulus is a convex
-combination of the boundary's log radii, exponentiated, so it is at
-least the least |F| at a sample.
+its first sample's image (``null_homotopy`` gives its angle steps), and
+that contraction, run radially, is a zero-free extension of F over the
+disk.  ``log_polar_extension`` is its one point function, in closed form
+on Python floats with ``math`` functions: the certificate's witness, and
+what ``radial_extension`` returns.  Its modulus is a convex combination of
+the boundary's log radii, exponentiated, so it is at least the least |F|
+at a sample.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidInput, NotANullHomotopy
-from .geometry import (BoundarySampling, check_count, check_lipschitz,
-                       row_norms, vanishing_floor, wrapped_steps)
+from .geometry import (BoundarySampling, check_lipschitz, row_norms,
+                       vanishing_floor, wrapped_steps)
 from .mapspec import as_evaluator
-
-ENDPOINT_TOL = 1e-9
-T_GRID_CACHE = 4                # t-grids kept, one per t_steps, least
-                                # recently used dropped
-
-
-@lru_cache(maxsize=T_GRID_CACHE)
-def _t_grid(t_steps: int) -> tuple:
-    """(t, 1 - t) for t = linspace(0, 1, t_steps), as read-only arrays."""
-    t = np.linspace(0.0, 1.0, t_steps)
-    s = 1.0 - t
-    t.flags.writeable = s.flags.writeable = False
-    return t, s
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,72 +61,37 @@ class SampledMap:
                           evaluator=evaluator)
 
 
-@dataclass(frozen=True, eq=False)
-class HomotopyTrace:
-    """H(x_j, t_i) on the grid of ``base.points`` and ``t_grid``.
-
-    ``frame(i, j)`` takes two integer index arrays of one length and returns
-    the images H(x_j, t_i) of those pairs, shape (length, m).  ``frames``
-    (the (T, k, m) grid), ``min_norm`` and ``witness`` are computed from it
-    on first read."""
-
-    base: BoundarySampling
-    t_grid: np.ndarray              # ordered, includes 0 and 1
-    frame: Callable                 # (i, j) index arrays -> (len, m) images
-
-    @cached_property
-    def frames(self) -> np.ndarray:
-        T, k = len(self.t_grid), len(self.base.points)
-        return self.frame(np.repeat(np.arange(T), k),
-                          np.tile(np.arange(k), T)).reshape(T, k, -1)
-
-    @cached_property
-    def _least(self) -> tuple:
-        """(min_norm, witness, vanishing_floor of all frame norms)."""
-        norms = np.linalg.norm(self.frames, axis=2)
-        t_idx, p_idx = np.unravel_index(int(np.argmin(norms)), norms.shape)
-        return (float(norms[t_idx, p_idx]), (int(p_idx), int(t_idx)),
-                vanishing_floor(norms.ravel()))
-
-    @property
-    def min_norm(self) -> float:
-        return self._least[0]
-
-    @property
-    def witness(self) -> tuple:
-        """(point index, t index) attaining ``min_norm``."""
-        return self._least[1]
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     valid: bool
     min_norm: float
-    witness: Optional[tuple]
+    witness: tuple                  # (sample index, t*)
     rigor: str                      # "heuristic" | "rigorous"
     threshold: float = 0.0
 
 
-def _report(trace: HomotopyTrace, L: Optional[float]) -> ValidityReport:
-    """Valid when the smallest frame norm is above the vanishing_floor of
-    the frame norms, and with L above L*g/2 too, where L bounds H's
-    Lipschitz constant jointly in (x, t) and g = hypot(h, largest t step)
-    is the grid's diameter."""
-    least, witness, floor = trace._least
-    threshold, rigor = floor, "heuristic"
-    if L is not None:
-        dt = float(np.max(np.diff(trace.t_grid)))
-        threshold, rigor = L * math.hypot(trace.base.h, dt) / 2.0, "rigorous"
-    return ValidityReport(valid=least > max(floor, threshold),
-                          min_norm=least, witness=witness, rigor=rigor,
-                          threshold=threshold)
+def straight_line(f: SampledMap, g: SampledMap, *,
+                  L: Optional[float] = None) -> ValidityReport:
+    """Whether H(x, t) = (1-t) f(x) + t g(x) misses 0 on the samples.
 
+    At a sample the least |H| over t in [0, 1] is the distance from 0 to
+    the segment [f_j, g_j], attained at t* = clip(-f_j.d / |d|^2, 0, 1),
+    d = g_j - f_j (t* = 0 where f_j = g_j): exact in t.  ``min_norm`` is
+    the least of these distances, and the witness is (sample index, t*).
 
-def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
-                  L: Optional[float] = None):
-    """Linear interpolation homotopy H(x,t) = (1-t) f(x) + t g(x)."""
+    Heuristic (L None): valid when ``min_norm`` is above the
+    vanishing_floor of f's and g's norms.  For a planar map of a planar
+    boundary a crossing between two samples is also refused: there
+    q_j = conj(f_j) g_j, whose angle is pi where the segment passes through
+    0, steps across the negative real axis, and the witness is the sample
+    before that step.  With m != 2 or n != 2 such a crossing stays unseen
+    without L.
+
+    With L, a Lipschitz constant in x of both f and g (so of every
+    H(., t), a convex combination of them): valid when ``min_norm`` is
+    also above L*h/2, h the mesh norm, and rigorous.
+    """
     check_lipschitz(L)
-    check_count("t_steps", t_steps, 2)
     if f.m != g.m:
         raise InvalidInput("codomain dimensions differ")
     if f.sampling is not g.sampling and (
@@ -149,19 +99,42 @@ def straight_line(f: SampledMap, g: SampledMap, t_steps: int,
             or not np.allclose(f.sampling.points, g.sampling.points,
                                atol=1e-12)):
         raise InvalidInput("maps are sampled on different boundary points")
-    t_grid, _ = _t_grid(t_steps)
+    a, b = f.images, g.images
+    d = b - a
+    dd = np.add.reduce(d * d, axis=1)
+    t = np.clip(np.divide(-np.add.reduce(a * d, axis=1), dd, where=dd > 0.0,
+                          out=np.zeros_like(dd)), 0.0, 1.0)
+    dist = row_norms((1.0 - t)[:, None] * a + t[:, None] * b)
+    j = int(np.argmin(dist))
+    least = float(dist[j])
+    threshold = vanishing_floor(np.concatenate((row_norms(a), row_norms(b))))
+    valid = least > threshold
+    if L is not None:
+        threshold = L * f.sampling.h / 2.0
+        valid = valid and least > threshold
+    elif valid and f.m == 2 and f.sampling.region.dim == 2:
+        q = np.stack((np.add.reduce(a * b, axis=1),
+                      a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]), axis=1)
+        crossed = np.abs(np.arctan2(q[:, 1], q[:, 0])
+                         + wrapped_steps(q)) > math.pi
+        if crossed.any():
+            j, valid = int(np.argmax(crossed)), False
+    return ValidityReport(valid=valid, min_norm=least,
+                          witness=(j, float(t[j])),
+                          rigor="heuristic" if L is None else "rigorous",
+                          threshold=threshold)
 
-    def frame(i, j):
-        t = t_grid[i][:, None]
-        return (1.0 - t) * f.images[j] + t * g.images[j]
 
-    trace = HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame)
-    return trace, _report(trace, L)
+def null_homotopy(f: SampledMap) -> np.ndarray:
+    """The ``wrapped_steps`` of f's images, after checking that f is planar
+    (InvalidInput), misses 0 at every sample and winds 0 times
+    (NotANullHomotopy).
 
-
-def _winding_zero_steps(f: SampledMap) -> np.ndarray:
-    """The ``wrapped_steps`` of f's images, after checking that f is planar,
-    misses 0 at every sample and winds 0 times."""
+    With the images, they are f's contraction in closed form: in log-polar
+    coordinates the radii interpolate geometrically and the angles, lifted
+    by these steps, linearly to the first sample's image, so no stage of
+    it vanishes.  ``log_polar_extension`` runs it radially over the disk.
+    """
     if f.m != 2:
         raise InvalidInput("a null homotopy needs a planar codomain")
     if row_norms(f.images).min() <= 0.0:
@@ -174,62 +147,20 @@ def _winding_zero_steps(f: SampledMap) -> np.ndarray:
     return steps
 
 
-def null_homotopy(f: SampledMap, t_steps: int = 65) -> HomotopyTrace:
-    """Contract a winding-zero planar boundary map to a constant.
+def radial_extension(f: SampledMap):
+    """Zero-free disk extension of a winding-0 planar boundary map f.
 
-    Works in log-polar coordinates: radii are interpolated geometrically and
-    the (unwrapped) angles linearly, so no frame ever vanishes.  Requires the
-    discrete angle sum to close up to a full turn count of zero.  Row 0 is
-    the exact boundary images.  At t = 1, s = 1 - t is exactly 0, so every
-    entry is the same value, the first sample's image in log-polar form:
-    the target of ``log_polar_extension`` too.
+    Refuses a sampling not of a planar disk (InvalidInput) and a map that
+    ``null_homotopy`` refuses, then returns ``log_polar_extension`` of f on
+    its sampling's disk: a function of one point of shape (2,) that matches
+    f exactly at the samples.  On the certificate's disk this is the
+    certificate's witness.
     """
-    check_count("t_steps", t_steps, 2)
-    steps = _winding_zero_steps(f)
-    images = np.asarray(f.images, dtype=float)
-    lifted = np.arctan2(images[0, 1], images[0, 0]) + np.concatenate(
-        [[0.0], np.cumsum(steps[:-1])])
-    log_r = np.log(row_norms(images))
-    t_grid, s_grid = _t_grid(t_steps)
-    r_tail, a_tail = t_grid * log_r[0], t_grid * lifted[0]
-    is_row0 = np.arange(t_steps) == 0
-    exact = np.ascontiguousarray(images.T)        # row 0 is the exact images
-
-    def frame(i, j):
-        s = s_grid[i]
-        r = np.exp(s * log_r[j] + r_tail[i])
-        a = s * lifted[j] + a_tail[i]
-        out = r * np.array([np.cos(a), np.sin(a)])
-        return np.where(is_row0[i], exact.take(j, 1), out).T
-
-    return HomotopyTrace(base=f.sampling, t_grid=t_grid, frame=frame)
-
-
-def radial_extension(H: HomotopyTrace):
-    """Zero-free disk extension of the t = 0 row of a contraction.
-
-    Refuses a sampling not of a planar disk (InvalidInput) and a trace whose
-    last frame is not one nonzero constant (NotANullHomotopy), then returns
-    ``log_polar_extension`` of the t = 0 row on the disk of ``H.base``: a
-    function of one point of shape (2,) that matches the row exactly at the
-    sampling points.  The row must be planar (InvalidInput), miss 0 and wind
-    0 times (NotANullHomotopy).  For ``null_homotopy(f)`` the row is f, so
-    on the certificate's disk this is the certificate's witness.
-    """
-    base = H.base
-    if base.region.kind != "disk" or base.region.dim != 2:
+    region = f.sampling.region
+    if region.kind != "disk" or region.dim != 2:
         raise InvalidInput(
             "radial extension needs a planar sampling of a disk")
-    k = len(base.points)
-    last = H.frame(np.full(k, len(H.t_grid) - 1), np.arange(k))
-    c = last[0]
-    if float(np.max(np.abs(last - c))) > ENDPOINT_TOL:
-        raise NotANullHomotopy("final frame is not constant")
-    if c.dot(c) <= 0.0:     # np.linalg.norm(c) <= 0.0
-        raise NotANullHomotopy("final constant is zero")
-    f = SampledMap(sampling=base,
-                   images=H.frame(np.zeros(k, dtype=int), np.arange(k)))
-    return log_polar_extension(f, _winding_zero_steps(f), base.region)
+    return log_polar_extension(f, null_homotopy(f), region)
 
 
 def log_polar_extension(f: SampledMap, steps, region):

@@ -533,12 +533,16 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     """Fixed point of a continuous map f of the unit disk D^n, n in {1, 2},
     that maps the boundary sphere into the disk.
 
-    Reduces to locating a zero of G(x) = x - f(x).  On the boundary G never
-    points opposite to x (that would force ||f(x)|| > 1), so G's certificate
-    proves a fixed point from the boundary alone (Rothe's theorem; Granas &
-    Dugundji 2003), and the locator of locate_zero then finds it; f may
-    leave the disk inside.  The residual of the result is
-    ||f(point) - point||.
+    Reduces to locating a zero of G(x) = x - f(r(x)) on [-1, 1]^n, where
+    r(x) = x / max(1, ||x||) retracts the box radially onto the disk.  On
+    the boundary G never points opposite to x (that would force
+    ||f(x)|| > 1), so G's certificate proves a fixed point from the
+    boundary alone (Rothe's theorem; Granas & Dugundji 2003), and the
+    locator of locate_zero then finds it; f may leave the disk inside.  A
+    zero with ||x|| > 1 would need x = f(x / ||x||), of norm at most 1, so
+    every zero in the box is a fixed point in the disk (but for the
+    tolerance of _check_self_map).  The residual of the result is
+    ||f(r(point)) - point||.
 
     One evaluation of f covers two parts: the certificate's boundary
     samples, whose images are checked to lie in the disk and give G there,
@@ -565,18 +569,18 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     if n == 1:
         # S^0 is [[-1], [1]], the ends of the locator's first batch
         top_parts = top_parts[1:]
-    parts = [circle, np.concatenate(top_parts)]
-    images = _leading_images(f, parts, 1)
+    top_points = np.concatenate(top_parts)
+    images = _leading_images(f, [circle, _retract(top_points)], 1)
     end = len(circle)
     _check_self_map(images[:end])
 
-    # G is evaluated only in [-1, 1]^n, where x - f(x) of a finite f(x) is
-    # finite: f's own check covers it
-    g = lambda pts: pts - f(pts)
+    # G is evaluated only in [-1, 1]^n, where x - f(r(x)) of a finite
+    # f(r(x)) is finite: f's own check covers it
+    g = lambda pts: pts - f(_retract(pts))
     g_circle = circle - images[:end]
     # G at the locator's first batch, as far as it was evaluated here; for
     # n = 1 that batch starts with the boundary's two ends
-    top = parts[1] - images[end:] if len(images) > end else None
+    top = top_points - images[end:] if len(images) > end else None
     if n == 1:
         top = g_circle if top is None else np.concatenate((g_circle, top))
     cert = _certify_sampled(g, disk, sampling, g_circle, None)
@@ -592,9 +596,16 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     return _locate(g, box, 0.5 * eps, 1e-12, 200, top)
 
 
+def _retract(points):
+    """Each row x of ``points`` as x / max(1, ||x||): the points of the
+    unit disk unchanged, bit for bit, the others moved onto its circle."""
+    return points / np.maximum(row_norms(points), 1.0)[:, None]
+
+
 def _check_self_map(images):
     """InvalidInput unless f's ``images`` at the boundary samples lie in
-    the unit disk."""
+    the unit disk, up to 1e-9: so a zero of x - f(r(x)) may sit up to 1e-9
+    outside the circle."""
     largest = float(np.max(row_norms(images)))
     if largest > 1.0 + 1e-9:
         raise InvalidInput(

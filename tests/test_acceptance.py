@@ -13,10 +13,9 @@ from conftest import (brute_force_winding, circle_map, random_trig_map,
                       sampled_circle_map)
 
 from zerocert import (Region, SampledMap, box_winding, brouwer_fixed_point,
-                      certify_existence, evaluate, locate_zero,
-                      null_homotopy, parse_map, poincare_bohl,
-                      radial_extension, sample_sphere, straight_line, to_text,
-                      winding_number)
+                      certify_existence, evaluate, locate_zero, parse_map,
+                      poincare_bohl, radial_extension, sample_sphere,
+                      straight_line, to_text, winding_number)
 from zerocert.cli import certificate_dumps, main
 
 
@@ -43,13 +42,12 @@ def test_criterion_02_paper_nonhomotopy_example():
                    evaluator=lambda pts: np.asarray(pts, float) + [3.0, 3.0])
     assert winding_number(f).value == 1
     assert winding_number(g).value == 0
-    trace, report = straight_line(f, g, t_steps=257, L=5.0)
-    assert not report.valid
-    p_idx, t_idx = report.witness
-    t_star = 1.0 / (3.0 * math.sqrt(2.0))
-    assert trace.t_grid[t_idx] == pytest.approx(t_star, abs=0.01)
+    report = straight_line(f, g, L=5.0)
+    assert not report.valid and report.min_norm <= 1e-15
+    p_idx, t = report.witness
+    assert t == pytest.approx(1.0 / (3.0 * math.sqrt(2.0)), abs=1e-12)
     expected = -np.array([1.0, 1.0]) / math.sqrt(2.0)
-    assert np.linalg.norm(f.sampling.points[p_idx] - expected) < 0.05
+    assert np.linalg.norm(f.sampling.points[p_idx] - expected) < 1e-15
     assert time.perf_counter() - start < 1.0
     _report(2, "winding 1 vs 0 maps are not homotopic, vanishing witness")
 
@@ -122,7 +120,7 @@ def test_criterion_07_brouwer_fixed_points():
 def test_criterion_08_zero_free_extension_witness():
     ev = lambda pts: np.asarray(pts, dtype=float) + np.array([3.0, 3.0])
     f = sampled_circle_map(ev, level=6)
-    phi = radial_extension(null_homotopy(f, t_steps=65))
+    phi = radial_extension(f)
     radii = np.linspace(0.0, 1.0, 100)
     angles = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
     worst = math.inf
@@ -155,7 +153,7 @@ def test_criterion_10_property_suites():
         shift *= 0.4 * min_f / np.linalg.norm(shift)
         g = SampledMap(sampling=f.sampling, images=f.images + shift,
                        evaluator=lambda pts, e=f_ev, s=shift: e(pts) + s)
-        _, report = straight_line(f, g, t_steps=9)
+        report = straight_line(f, g)
         assert report.valid
         assert winding_number(f).value == winding_number(g).value
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -226,12 +227,32 @@ class TestOtherCommands:
         assert out["valid"] is True
 
     def test_homotopy_invalid_with_witness(self, capsys):
+        # x + 3t vanishes at the sample -(1, 1)/sqrt(2), t = 1/(3 sqrt 2)
         code = main(["homotopy", "--from", "x1, x2", "--to", "x1+3, x2+3",
-                     "--t-steps", "257", "--lipschitz", "5"])
+                     "--lipschitz", "5"])
         out = json.loads(capsys.readouterr().out)
         assert code == 2
-        assert out["valid"] is False
-        assert out["witness"]["t"] == pytest.approx(0.2357, abs=0.01)
+        assert out["valid"] is False and out["min_norm"] <= 1e-15
+        assert out["rigor"] == "rigorous"
+        assert out["witness"]["t"] == pytest.approx(
+            1.0 / (3.0 * math.sqrt(2.0)), abs=1e-12)
+        assert out["witness"]["point"] == pytest.approx(
+            [-math.sqrt(0.5)] * 2, abs=1e-15)
+
+    @pytest.mark.parametrize("argv, rigor", [
+        (["--from", "x1", "--to", "x1+2.9", "--n", "1"], "heuristic"),
+        (["--from", "x1, x2", "--to", "-x1, -x2", "--lipschitz", "1"],
+         "rigorous"),
+    ], ids=["x-to-x+2.9", "x-to-minus-x"])
+    def test_homotopy_crossing_between_grid_rows_is_invalid(self, argv,
+                                                             rigor, capsys):
+        # both lines pass through 0: at x = -1, t = 1/2.9, and on the whole
+        # circle at t = 1/2
+        code = main(["homotopy", *argv])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["valid"] is False and out["min_norm"] <= 1e-15
+        assert out["rigor"] == rigor
 
     def test_homotopy_crossing_zero_is_invalid(self, capsys):
         # x + 3t vanishes at the sample x = -1, t = 1/3 up to rounding

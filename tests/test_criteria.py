@@ -211,11 +211,10 @@ class TestCertifyExistence:
                 assert cert.extension_witness(x).shape == (2,)
             assert len(logs) <= 3 + 2 * 64
         assert steps == []
-        # radial_extension takes the steps of the trace's row 0 itself
-        trace = homotopy.null_homotopy(
-            SampledMap.from_evaluator(SHIFTED, sample_sphere(unit_disk, 6)))
+        # radial_extension takes the steps of its map itself
+        f = SampledMap.from_evaluator(SHIFTED, sample_sphere(unit_disk, 6))
         steps.clear()
-        homotopy.radial_extension(trace)
+        homotopy.radial_extension(f)
         assert steps == [1]
 
     def test_large_disk_contains_zero(self):
@@ -378,7 +377,7 @@ class TestLipschitzValidation:
             lambda: boundary_nonvanishing(IDENTITY, unit_disk, level=3, L=L),
             lambda: poincare_bohl(IDENTITY, unit_disk, level=3, L=L),
             lambda: winding_number(f, L=L),
-            lambda: straight_line(f, f, t_steps=4, L=L),
+            lambda: straight_line(f, f, L=L),
         ]
         for call in calls:
             with pytest.raises(InvalidInput):

@@ -90,7 +90,7 @@ class TestWindingNumber:
             g_ev = lambda pts, s=shift: f_ev(pts) + s
             g = SampledMap(sampling=f.sampling, images=f.images + shift,
                            evaluator=g_ev)
-            _, report = straight_line(f, g, t_steps=16)
+            report = straight_line(f, g)
             assert report.valid
             assert winding_number(f).value == winding_number(g).value
 

@@ -44,7 +44,7 @@ def _witness():
 
 def _phi():
     """The radial extension of a winding-0 unit-circle map."""
-    return radial_extension(null_homotopy(_circle(lambda p: p + 3.0, 4)))
+    return radial_extension(_circle(lambda p: p + 3.0, 4))
 
 
 BAD_POINTS = {"scalar": 0.5, "one-entry": [0.9], "three-entries":
@@ -61,13 +61,10 @@ FAR_POINTS = {"1.7e308": ([1.7e308, 0.0], [1.0, 0.0]),
               "1e160": ([0.0, -1e160], [0.0, -1.0])}
 
 
-def _line_to_constant(region):
-    """The straight-line trace from x + 3 to the constant 3 on the level-0
-    boundary sampling of ``region``."""
+def _shifted(region):
+    """x + 3 on the level-0 boundary sampling of ``region``."""
     sampling = sample_sphere(region, 0)
-    f = SampledMap(sampling=sampling, images=sampling.points + 3.0)
-    g = SampledMap(sampling=sampling, images=np.full_like(f.images, 3.0))
-    return straight_line(f, g, t_steps=3)[0]
+    return SampledMap(sampling=sampling, images=sampling.points + 3.0)
 
 
 def _axis_points(h=math.sqrt(2.0), first=1.0, region=DISK2):
@@ -80,8 +77,8 @@ def _axis_points(h=math.sqrt(2.0), first=1.0, region=DISK2):
 # Each case failed at the time it was added: max_iter=nan and 2.5 raised
 # TypeError, a tuple box AttributeError, level=nan numpy's ValueError for
 # n = 2 and nothing for n = 3 (a 6-point mesh), level=2.5 built a 23-point
-# circle with one short gap, refine_budget=nan and t_steps=2.5 were not
-# rejected as integers, parse_map took n = 2.5 and raised TypeError for
+# circle with one short gap, refine_budget=nan was not rejected as an
+# integer, parse_map took n = 2.5 and raised TypeError for
 # "2", and brouwer_fixed_point(n=2.0) raised numpy's TypeError.  A bool
 # passed operator.index as 0 or 1: brouwer_fixed_point(n=True) raised
 # numpy's TypeError, max_iter=True ran one step and level=True sampled
@@ -95,8 +92,6 @@ def _axis_points(h=math.sqrt(2.0), first=1.0, region=DISK2):
                               level=math.nan),
     lambda: sample_sphere(DISK2, 2.5),
     lambda: winding_number(_planar(), refine_budget=math.nan),
-    lambda: straight_line(_planar(), _planar(), t_steps=2.5),
-    lambda: null_homotopy(_circle(lambda p: p + 3.0), t_steps=2.5),
     lambda: parse_map("x1", 2.5),
     lambda: parse_map("x1", "2"),
     lambda: brouwer_fixed_point(lambda p: p / 2, n=2.0),
@@ -106,7 +101,6 @@ def _axis_points(h=math.sqrt(2.0), first=1.0, region=DISK2):
     lambda: parse_map("x1", True),
 ], ids=["max_iter-nan", "max_iter-2.5", "tuple-box", "level-nan-n2",
         "level-nan-n3", "level-2.5-n2", "refine_budget-nan",
-        "straight_line-t_steps-2.5", "null_homotopy-t_steps-2.5",
         "parse_map-n-2.5", "parse_map-n-str", "brouwer-n-2.0",
         "brouwer-n-True", "max_iter-True", "level-True", "parse_map-n-True"])
 def test_count_arguments_must_be_integers(call):
@@ -258,9 +252,8 @@ def test_lipschitz_step_must_move_every_sample(text, region):
     (InvalidInput, lambda: locate_zero(parse_map("x1, x2, x3", 3), BOX2)),
     (InvalidInput, lambda: null_homotopy(_circle(
         lambda p: np.hstack((p + 3.0, p[:, :1]))))),
-    (InvalidInput, lambda: straight_line(_planar(), _planar(), t_steps=1)),
     (InvalidInput, lambda: straight_line(
-        _planar(), _circle(lambda p: np.hstack((p, p[:, :1]))), t_steps=2)),
+        _planar(), _circle(lambda p: np.hstack((p, p[:, :1]))))),
     (InvalidInput, lambda: winding_number(SampledMap.from_evaluator(
         parse_map("x1, x2", 3), sample_sphere(DISK3, 0)))),
     (InvalidInput, lambda: sign_obstruction(SampledMap.from_evaluator(
@@ -284,8 +277,7 @@ def test_lipschitz_step_must_move_every_sample(text, region):
         h=math.hypot(1.1, 1.0), first=1.1)),
     (InvalidInput, lambda: _axis_points(h=1.0)),
     (InvalidInput, lambda: sample_sphere(BOX2)),
-    (InvalidInput, lambda: straight_line(_planar(1.0), _planar(2.0),
-                                         t_steps=2)),
+    (InvalidInput, lambda: straight_line(_planar(1.0), _planar(2.0))),
     (InvalidInput, lambda: lipschitz_estimate(
         PLANE, Region.box([-1e308, 0.0], [1e308, 1.0]))),
     (InvalidInput, lambda: lipschitz_estimate(
@@ -294,12 +286,12 @@ def test_lipschitz_step_must_move_every_sample(text, region):
         PLANE, Region.box([-1e308, 0.0], [1e308, 1.0]))),
     (InvalidInput, lambda: locate_zero(
         PLANE, Region.box([1e308, 0.0], [1.7e308, 1.0]))),
-    (InvalidInput, lambda: radial_extension(_line_to_constant(DISK3))),
-    (InvalidInput, lambda: radial_extension(_line_to_constant(
+    (InvalidInput, lambda: radial_extension(_shifted(DISK3))),
+    (InvalidInput, lambda: radial_extension(_shifted(
         Region.disk([0.0], 1.0)))),
-    (InvalidInput, lambda: radial_extension(null_homotopy(SampledMap(
+    (InvalidInput, lambda: radial_extension(SampledMap(
         sampling=_axis_points(region=BOX2),
-        images=_axis_points().points + 3.0)))),
+        images=_axis_points().points + 3.0))),
     *[(InvalidInput, lambda x=x: _witness()(x)) for x in BAD_POINTS.values()],
     *[(InvalidInput, lambda x=x: _phi()(x)) for x in BAD_POINTS.values()],
 ], ids=["certify-box", "certify-2d-map-3d-disk", "certify-level-1",
@@ -307,8 +299,7 @@ def test_lipschitz_step_must_move_every_sample(text, region):
         "locate-3d-box", "box_winding-3d", "box_winding-scalar",
         "fixed_point-callable-without-n", "fixed_point-n3",
         "fixed_point-domain-ne-n", "box_winding-domain-3", "locate-domain-3",
-        "null-m3",
-        "straight_line-t_steps-1", "straight_line-m-differs", "winding-n3",
+        "null-m3", "straight_line-m-differs", "winding-n3",
         "sign-m2", "parse_map-n0", "builtin-unknown",
         "poincare_bohl-vanishes", "null-vanishes", "certify-n-gt-m",
         "disk-without-center", "box-without-lower", "unknown-kind",
@@ -359,6 +350,8 @@ def test_far_phi_point(point, direction):
      "--radius", "1"],
     ["locate", "--map", "x1, x2", "--box=0,1,2"],
     ["homotopy", "--from", "x1, x2", "--to", "x1 + x2, x1, x2"],
+    ["homotopy", "--from", "x1, x2", "--to", "x1 + 3, x2 + 3",
+     "--t-steps", "64"],
     ["certify", "--map", "x1, x2", "--n", "2", "--center=0,0",
      "--radius", "1", "--level", "-1"],
     ["certify", "--map", "x1, x2", "--n", "2", "--center=0,0",
@@ -375,6 +368,7 @@ def test_far_phi_point(point, direction):
     ["certify", "--map", "3*(x1 - 1e10)", "--n", "1", "--center=1e10",
      "--radius", "1e-3", "--lipschitz", "auto"],
 ], ids=["certify-center", "locate-odd-box", "homotopy-m-differs",
+        "homotopy-t-steps",
         "certify-level-1", "certify-lipschitz-auto-too-wide",
         "locate-box-too-wide", "locate-box-diameter-too-wide",
         "locate-2d-codomain-1", "locate-1d-domain-error",

@@ -3,19 +3,17 @@ import os
 import subprocess
 import sys
 from bisect import bisect_right
-from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import circle_map, sampled_circle_map
+from conftest import sampled_circle_map
 
 from zerocert import (BoundarySampling, InvalidInput, NotANullHomotopy,
                       Region, SampledMap, certify_existence, evaluate,
                       null_homotopy, parse_map, radial_extension,
                       sample_sphere, straight_line, winding_number)
 import zerocert
-from zerocert import geometry, homotopy
+from zerocert import geometry
 from zerocert.geometry import mesh_norm, wrapped_steps
 from zerocert.homotopy import log_polar_extension
 
@@ -58,33 +56,121 @@ class TestSampledMap:
         assert g.m == g.images.shape[1] == 5
 
 
+def projection_loop(f, g):
+    """Reference: per sample, the distance from 0 to the segment
+    [f_j, g_j] and the t in [0, 1] where it is attained, in plain Python
+    floats."""
+    out = []
+    for a, b in zip(f.images.tolist(), g.images.tolist()):
+        d = [y - x for x, y in zip(a, b)]
+        dd = sum(v * v for v in d)
+        t = 0.0
+        if dd > 0.0:
+            t = min(max(-sum(x * v for x, v in zip(a, d)) / dd, 0.0), 1.0)
+        out.append((math.hypot(*[(1.0 - t) * x + t * y
+                                 for x, y in zip(a, b)]), t))
+    return out
+
+
+def _quadratic_basis(points):
+    x, y = points[:, 0], points[:, 1]
+    return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
+
+
+def _quadratic_lipschitz(coefs):
+    """1.2 times the largest Jacobian 2-norm on the unit disk of the planar
+    quadratic with ``coefs`` over 1, x, y, x^2, xy, y^2.  The Jacobian is
+    affine in x, so its norm, a convex function, peaks on the circle."""
+    theta = np.linspace(0.0, 2.0 * math.pi, 4096)
+    x, y = np.cos(theta), np.sin(theta)
+    (a, b), (c, d) = ((k[1] + 2.0 * k[3] * x + k[4] * y,
+                       k[2] + k[4] * x + 2.0 * k[5] * y) for k in coefs)
+    # the larger singular value of [[a, b], [c, d]]
+    frob, det = a * a + b * b + c * c + d * d, a * d - b * c
+    sigma = np.sqrt(0.5 * (frob + np.sqrt(frob * frob - 4.0 * det * det)))
+    return 1.2 * float(np.max(sigma))
+
+
+def crosses_loop(f_images, g_images):
+    """Reference: whether (1-t) f + t g vanishes between two adjacent
+    samples of a dense circle: the segment [f, g] passes through 0 where
+    g/f is a negative real, so where f x g changes sign while f.g < 0."""
+    dot = np.sum(f_images * g_images, axis=1).tolist()
+    cross = (f_images[:, 0] * g_images[:, 1]
+             - f_images[:, 1] * g_images[:, 0]).tolist()
+    k = len(dot)
+    for j in range(k):
+        j2 = (j + 1) % k
+        if (cross[j] <= 0.0) != (cross[j2] <= 0.0) and (
+                dot[j] < 0.0 or dot[j2] < 0.0):
+            return True
+    return False
+
+
 class TestStraightLine:
     def test_constant_in_t(self):
+        # straight_line(f, f) is valid iff f misses 0: each segment is the
+        # point f_j, at t* = 0
         f = _shifted_map()
-        trace, report = straight_line(f, f, t_steps=16)
+        report = straight_line(f, f)
         assert report.valid
-        min_f = float(np.min(np.linalg.norm(f.images, axis=1)))
-        assert report.min_norm == pytest.approx(min_f)
-        assert np.allclose(trace.frames[0], trace.frames[-1])
+        j = int(np.argmin(np.linalg.norm(f.images, axis=1)))
+        assert report.min_norm == float(np.linalg.norm(f.images[j]))
+        assert report.witness == (j, 0.0)
+        images = f.images.copy()
+        images[7] = 0.0
+        vanishing = SampledMap(sampling=f.sampling, images=images)
+        for L in (None, 1.0):
+            report = straight_line(vanishing, vanishing, L=L)
+            assert not report.valid
+            assert report.min_norm == 0.0 and report.witness == (7, 0.0)
 
     def test_paper_nonhomotopic_pair_has_vanishing_witness(self):
-        # H(x,t) = x + t(3,3) vanishes at x = -(1,1)/sqrt(2), t = 1/(3 sqrt 2)
+        # H(x,t) = x + t(3,3) vanishes at the sample x = -(1,1)/sqrt(2),
+        # t = 1/(3 sqrt 2)
         f = _identity_map(level=6)
         g = _shifted_map(level=6)
-        trace, report = straight_line(f, g, t_steps=257, L=5.0)
-        assert not report.valid
-        p_idx, t_idx = report.witness
-        witness_point = f.sampling.points[p_idx]
-        expected_point = -np.array([1.0, 1.0]) / math.sqrt(2.0)
-        assert np.linalg.norm(witness_point - expected_point) < 0.05
-        assert trace.t_grid[t_idx] == pytest.approx(1.0 / (3.0 * math.sqrt(2.0)),
-                                                    abs=0.01)
+        for L in (None, 5.0):
+            report = straight_line(f, g, L=L)
+            assert not report.valid and report.min_norm <= 1e-15
+            p_idx, t = report.witness
+            assert f.sampling.points[p_idx] == pytest.approx(
+                -np.ones(2) / math.sqrt(2.0), abs=1e-15)
+            assert t == pytest.approx(1.0 / (3.0 * math.sqrt(2.0)), abs=1e-12)
+
+    @pytest.mark.parametrize("source, target, n, L", [
+        ("x1", "x1 + 2.9", 1, None),
+        ("x1, x2", "-x1, -x2", 2, 1.0),
+    ], ids=["x-to-x+2.9", "x-to-minus-x"])
+    def test_crossing_off_a_uniform_t_grid_is_invalid(self, source, target,
+                                                       n, L):
+        # x + 2.9t vanishes at x = -1, t = 1/2.9, and (1 - 2t)x on the
+        # whole circle at t = 1/2
+        sampling = sample_sphere(Region.disk(np.zeros(n), 1.0))
+        f, g = (SampledMap.from_evaluator(parse_map(text, n), sampling)
+                for text in (source, target))
+        report = straight_line(f, g, L=L)
+        assert not report.valid and report.min_norm <= 1e-15
+        want = 1.0 / 2.9 if n == 1 else 0.5
+        assert report.witness[1] == pytest.approx(want, abs=1e-15)
+
+    def test_wide_margin_stays_valid(self):
+        # (1 + t)x + (3, 3) is at least 3 sqrt 2 - 2 from 0, attained at
+        # x = -(1,1)/sqrt(2), t = 1; L = 2 bounds both maps
+        f = _shifted_map(level=6)
+        g = SampledMap(sampling=f.sampling,
+                       images=2.0 * f.sampling.points + 3.0)
+        for L in (None, 2.0):
+            report = straight_line(f, g, L=L)
+            assert report.valid
+            assert report.min_norm == pytest.approx(3.0 * math.sqrt(2.0) - 2.0,
+                                                    rel=1e-14)
+            assert report.witness[1] == 1.0
 
     def test_positive_multiple_is_valid(self):
         f = _identity_map()
         g = SampledMap(sampling=f.sampling, images=2.0 * f.images)
-        _, report = straight_line(f, g, t_steps=32)
-        assert report.valid
+        assert straight_line(f, g).valid
 
     def test_positive_scaling_validity_random(self):
         rng = np.random.default_rng(21)
@@ -92,27 +178,42 @@ class TestStraightLine:
         for _ in range(100):
             lam = rng.uniform(0.1, 10.0, size=(len(f.images), 1))
             g = SampledMap(sampling=f.sampling, images=lam * f.images)
-            _, report = straight_line(f, g, t_steps=16)
-            assert report.valid
+            assert straight_line(f, g).valid
 
     def test_symmetry_with_reverse(self):
+        # swapping f and g keeps the least distance and maps t* to 1 - t*
+        rng = np.random.default_rng(22)
         f = _identity_map(level=4)
-        g = _shifted_map(level=4, shift=(0.1, 0.4))
-        fwd, _ = straight_line(f, g, t_steps=9)
-        bwd, _ = straight_line(g, f, t_steps=9)
-        assert np.allclose(fwd.frames, bwd.frames[::-1])
+        pairs = [(f, _shifted_map(level=4, shift=(0.1, 0.4))),
+                 (f, _shifted_map(level=4))]
+        for m in (1, 2, 3):
+            sampling = sample_sphere(Region.disk([0.5, 0.0], 2.0), 3)
+            pairs += [tuple(SampledMap(sampling=sampling, images=1.5 + rng.normal(
+                size=(len(sampling), m))) for _ in range(2))
+                for _ in range(5)]
+        for f, g in pairs:
+            fwd, bwd = straight_line(f, g), straight_line(g, f)
+            assert bwd.min_norm == pytest.approx(fwd.min_norm, rel=1e-12,
+                                                 abs=1e-15)
+            assert bwd.witness[0] == fwd.witness[0]
+            assert bwd.witness[1] == pytest.approx(1.0 - fwd.witness[1],
+                                                   abs=1e-12)
+            assert bwd.valid == fwd.valid
 
     @pytest.mark.parametrize("L", [None, 1e-20])
     def test_crossing_at_a_sample_is_invalid(self, L):
-        # x + 3t crosses 0 at x = -1, t = 1/3, where the frame norm is
-        # a rounding error above 0, below the vanishing floor
+        # x + 3t crosses 0 at x = -1, t = 1/3, where the least distance is
+        # at most a rounding error, below the vanishing floor
         sampling = sample_sphere(Region.disk([0.0], 1.0))
         f = SampledMap(sampling=sampling, images=sampling.points.copy())
         g = SampledMap(sampling=sampling, images=sampling.points + 3.0)
-        trace, report = straight_line(f, g, t_steps=4, L=L)
-        floor = 1e-12 * float(np.max(np.linalg.norm(trace.frames, axis=2)))
-        assert 0.0 < report.min_norm <= floor
+        report = straight_line(f, g, L=L)
+        floor = 1e-12 * 4.0                 # of the largest norm, |1 + 3|
+        assert report.min_norm <= floor
         assert not report.valid
+        p_idx, t = report.witness
+        assert sampling.points[p_idx].tolist() == [-1.0]
+        assert t == pytest.approx(1.0 / 3.0, abs=1e-15)
         if L is None:
             assert report.rigor == "heuristic" and report.threshold == floor
 
@@ -120,17 +221,78 @@ class TestStraightLine:
         f = _identity_map(level=3)
         g = _identity_map(level=4)
         with pytest.raises(InvalidInput):
-            straight_line(f, g, t_steps=8)
+            straight_line(f, g)
+
+    def test_lipschitz_is_keyword_only(self):
+        f = _identity_map(level=3)
+        with pytest.raises(TypeError):
+            straight_line(f, f, 64)
+
+    def test_random_quadratic_pairs(self):
+        # 300 pairs of planar quadratics on the unit disk.  A pair crosses
+        # when a dense circle of 4096 samples sees a sign change of f x g
+        # where f.g < 0; a pair does not when the exact-in-t check with a
+        # true L clears it on that circle.  The two partition the pairs.
+        # At the default level the heuristic refuses exactly the crossing
+        # pairs, by a crossing between samples, and with L none of them
+        # passes.
+        rng = np.random.default_rng(0)
+        unit = Region.disk([0.0, 0.0], 1.0)
+        sampling, dense = sample_sphere(unit), sample_sphere(unit, 10)
+        assert len(dense) == 4096
+        crossing = heuristic = rigorous = 0
+        for _ in range(300):
+            coefs = [rng.normal(size=(2, 6)) for _ in range(2)]
+            L = max(map(_quadratic_lipschitz, coefs))
+            f, g = (SampledMap(sampling=sampling, images=_quadratic_basis(
+                sampling.points) @ c.T) for c in coefs)
+            f_dense, g_dense = (_quadratic_basis(dense.points) @ c.T
+                                for c in coefs)
+            crosses = crosses_loop(f_dense, g_dense)
+            cleared = straight_line(
+                SampledMap(sampling=dense, images=f_dense),
+                SampledMap(sampling=dense, images=g_dense), L=L).valid
+            assert crosses != cleared
+            report = straight_line(f, g)
+            assert report.valid == (not crosses)
+            if crosses:
+                assert report.min_norm > report.threshold
+            bounded = straight_line(f, g, L=L)
+            assert not (crosses and bounded.valid)
+            crossing += crosses
+            heuristic += report.valid
+            rigorous += bounded.valid
+        assert (crossing, heuristic, rigorous) == (227, 73, 60)
+
+
+def contraction_loop(f, steps, t_grid):
+    """Reference: the log-polar contraction of the winding-0 planar map f
+    to its first sample's image, its angles lifted by ``steps``, built one
+    frame at a time, shape (len(t_grid), k, 2)."""
+    norms = np.linalg.norm(f.images, axis=1)
+    angle0 = np.arctan2(f.images[0, 1], f.images[0, 0])
+    lifted = angle0 + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    log_r = np.log(norms)
+    frames = np.empty((len(t_grid), len(norms), 2))
+    for i, t in enumerate(t_grid):
+        r = np.exp((1.0 - t) * log_r + t * log_r[0])
+        a = (1.0 - t) * lifted + t * lifted[0]
+        frames[i, :, 0] = r * np.cos(a)
+        frames[i, :, 1] = r * np.sin(a)
+    return frames
 
 
 class TestNullHomotopy:
     def test_contracts_winding_zero_map(self):
         f = _shifted_map(level=5)
-        trace = null_homotopy(f, t_steps=33)
-        assert np.allclose(trace.frames[0], f.images)
-        last = trace.frames[-1]
-        assert np.max(np.abs(last - last[0])) < 1e-9
-        assert trace.min_norm > 0
+        steps = null_homotopy(f)
+        assert steps.tobytes() == wrapped_steps(f.images).tobytes()
+        assert abs(float(np.sum(steps))) < math.pi
+        frames = contraction_loop(f, steps, np.linspace(0.0, 1.0, 33))
+        assert np.allclose(frames[0], f.images, rtol=0.0, atol=1e-13 * 5.0)
+        last = frames[-1]
+        assert np.max(np.abs(last - last[0])) == 0.0
+        assert np.min(np.linalg.norm(frames, axis=2)) > 0
 
     def test_rejects_nonzero_winding(self):
         with pytest.raises(NotANullHomotopy):
@@ -142,27 +304,26 @@ class TestRadialExtension:
         f = _shifted_map(level=4, shift=(5.0, 0.0))
         const = SampledMap(sampling=f.sampling,
                            images=np.tile([5.0, 0.0], (len(f.images), 1)))
-        trace, _ = straight_line(const, const, t_steps=5)
-        phi = radial_extension(trace)
+        phi = radial_extension(const)
         for x in ([0.0, 0.0], [0.3, 0.2], [0.9, 0.0], [0.0, -1.0]):
             assert np.allclose(phi(x), [5.0, 0.0])
 
     def test_center_value_is_terminal_constant(self):
         f = _shifted_map(level=5)
-        trace = null_homotopy(f)
-        phi = radial_extension(trace)
-        assert np.allclose(phi([0.0, 0.0]), trace.frames[-1][0])
+        end = contraction_loop(f, null_homotopy(f), [1.0])[0, 0]
+        assert np.allclose(radial_extension(f)([0.0, 0.0]), end,
+                           rtol=1e-14, atol=0.0)
 
     def test_boundary_agreement_exact(self):
         f = _shifted_map(level=5)
-        phi = radial_extension(null_homotopy(f))
+        phi = radial_extension(f)
         for p, image in zip(f.sampling.points, f.images):
             assert np.allclose(phi(p), image, atol=1e-12)
 
     def test_zero_free_on_grid(self):
         # the winding-0 map admits a zero-free disk extension
         f = _shifted_map(level=6)
-        phi = radial_extension(null_homotopy(f, t_steps=65))
+        phi = radial_extension(f)
         radii = np.linspace(0.0, 1.0, 100)
         angles = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
         worst = math.inf
@@ -173,11 +334,9 @@ class TestRadialExtension:
         assert worst > 0.0
 
     def test_rejects_nonconstant_tail(self):
-        f = _identity_map(level=4)
-        g = _shifted_map(level=4)
-        trace, _ = straight_line(f, g, t_steps=5)
-        with pytest.raises(NotANullHomotopy):
-            radial_extension(trace)
+        # the identity winds once: no contraction of it ends at a constant
+        with pytest.raises(NotANullHomotopy, match="winding 1"):
+            radial_extension(_identity_map(level=4))
 
 
 class TestDiskCoordinates:
@@ -191,7 +350,7 @@ class TestDiskCoordinates:
     def test_matches_the_map_at_the_samples(self, level):
         f = SampledMap.from_evaluator(self.SPEC, sample_sphere(self.DISK,
                                                                level))
-        phi = radial_extension(null_homotopy(f))
+        phi = radial_extension(f)
         got = np.array([phi(p) for p in f.sampling.points])
         scale = 1.0 + float(np.max(np.linalg.norm(f.images, axis=1)))
         assert np.max(np.abs(got - f.images)) <= 1e-12 * scale
@@ -207,9 +366,9 @@ class TestDiskCoordinates:
         unit = SampledMap.from_evaluator(
             lambda pts: evaluate(self.SPEC, r * pts + x0),
             sample_sphere(Region.disk([0.0, 0.0], 1.0), 6))
-        phi_unit = radial_extension(null_homotopy(unit))
-        phi = radial_extension(null_homotopy(SampledMap.from_evaluator(
-            self.SPEC, sample_sphere(self.DISK, 6))))
+        phi_unit = radial_extension(unit)
+        phi = radial_extension(SampledMap.from_evaluator(
+            self.SPEC, sample_sphere(self.DISK, 6)))
         rng = np.random.default_rng(31)
         radii = r * np.sqrt(rng.uniform(0.0, 1.0, 200))
         angles = rng.uniform(0.0, 2.0 * math.pi, 200)
@@ -221,39 +380,16 @@ class TestDiskCoordinates:
             assert np.allclose(got, phi(x), rtol=0.0, atol=1e-12), x
 
 
-def eager_trace(t_grid, frames):
-    """Reference: a trace's grid, its smallest norm and where it is hit."""
-    norms = np.linalg.norm(frames, axis=2)
-    t_idx, p_idx = np.unravel_index(int(np.argmin(norms)), norms.shape)
-    return SimpleNamespace(t_grid=t_grid, frames=frames,
-                           min_norm=float(norms[t_idx, p_idx]),
-                           witness=(int(p_idx), int(t_idx)))
-
-
-def null_homotopy_loop(f, t_steps):
-    """Reference: the log-polar contraction to the first sample's image,
-    built one frame at a time."""
-    norms = np.linalg.norm(f.images, axis=1)
-    steps = wrapped_steps(f.images)
-    angle0 = np.arctan2(f.images[0, 1], f.images[0, 0])
-    lifted = angle0 + np.concatenate([[0.0], np.cumsum(steps[:-1])])
-    log_r = np.log(norms)
-    t_grid = np.linspace(0.0, 1.0, t_steps)
-    frames = np.empty((t_steps, len(norms), 2))
-    for i, t in enumerate(t_grid):
-        r = np.exp((1.0 - t) * log_r + t * log_r[0])
-        a = (1.0 - t) * lifted + t * lifted[0]
-        frames[i, :, 0] = r * np.cos(a)
-        frames[i, :, 1] = r * np.sin(a)
-    frames[0] = f.images
-    return eager_trace(t_grid, frames)
-
-
 class TestNullHomotopyMatchesLoop:
+    """phi along a sample's ray is the log-polar contraction run radially:
+    at a fraction 1 - t/2 of the radius it is the contraction's frame at t,
+    built one frame at a time from the steps ``null_homotopy`` returns."""
+
     @pytest.mark.parametrize("t_steps", [2, 3, 17, 65])
     def test_equals_frame_loop(self, t_steps):
         rng = np.random.default_rng(t_steps)
         region = Region.disk([0.25, -0.5], 1.5)
+        t_grid = np.linspace(0.0, 1.0, t_steps)
         for k in (5, 37, 100, 256, 333):
             theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
             pts = region.center + 1.5 * np.stack([np.cos(theta),
@@ -266,11 +402,14 @@ class TestNullHomotopyMatchesLoop:
             r = rng.uniform(0.2, 5.0, k)
             f = SampledMap(sampling=sampling, images=np.stack(
                 [r * np.cos(a), r * np.sin(a)], axis=1))
-            got, want = null_homotopy(f, t_steps), null_homotopy_loop(f, t_steps)
-            assert np.array_equal(got.t_grid, want.t_grid)
-            assert got.frames.tobytes() == want.frames.tobytes()
-            assert got.min_norm == want.min_norm
-            assert got.witness == want.witness
+            frames = contraction_loop(f, null_homotopy(f), t_grid)
+            phi = radial_extension(f)
+            for j in rng.choice(k, min(k, 12), replace=False).tolist():
+                u = (pts[j] - region.center) / region.radius
+                for t, frame in zip(t_grid.tolist(), frames[:, j]):
+                    x = region.center + region.radius * (1.0 - t / 2.0) * u
+                    assert np.allclose(phi(x), frame, rtol=0.0,
+                                       atol=1e-10 * 5.0), (k, j, t)
 
 
 def log_polar_eager(f, region):
@@ -345,32 +484,25 @@ def _probe_points(rng, sampling, count):
     return np.concatenate([region.center + region.radius * inside, picked])
 
 
-def radial_extension_eager(trace):
-    """Reference: radial_extension's checks made on the whole frame grid,
-    then the eager closed form of row 0 on the trace's disk."""
-    base = trace.base
-    if base.region.kind != "disk" or base.region.dim != 2:
+def radial_extension_eager(f):
+    """Reference: radial_extension's checks made on f's images in plain
+    numpy, then the eager closed form on f's disk."""
+    region = f.sampling.region
+    if region.kind != "disk" or region.dim != 2:
         raise InvalidInput(
             "radial extension needs a planar sampling of a disk")
-    frames = trace.frames
-    last = frames[-1]
-    if np.max(np.abs(last - last[0])) > homotopy.ENDPOINT_TOL:
-        raise NotANullHomotopy("final frame is not constant")
-    if not np.linalg.norm(last[0]) > 0.0:
-        raise NotANullHomotopy("final constant is zero")
-    if frames.shape[2] != 2:
+    if f.images.shape[1] != 2:
         raise InvalidInput("a null homotopy needs a planar codomain")
-    if np.linalg.norm(frames[0], axis=1).min() <= 0.0:
+    if np.linalg.norm(f.images, axis=1).min() <= 0.0:
         raise NotANullHomotopy("map vanishes on a sample")
-    turns = round(float(np.sum(wrapped_steps(frames[0]))) / (2.0 * math.pi))
+    turns = round(float(np.sum(wrapped_steps(f.images))) / (2.0 * math.pi))
     if turns != 0:
         raise NotANullHomotopy(f"map has winding {turns}, not contractible")
-    row0 = SampledMap(sampling=base, images=frames[0])
-    return log_polar_eager(row0, base.region)
+    return log_polar_eager(f, region)
 
 
-def _assert_same_witness(trace, points):
-    got, want = radial_extension(trace), radial_extension_eager(trace)
+def _assert_same_witness(f, points):
+    got, want = radial_extension(f), radial_extension_eager(f)
     for x in points:
         a, b = got(x), want(x)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), x
@@ -379,21 +511,19 @@ def _assert_same_witness(trace, points):
 class TestRadialExtensionMatchesEager:
     """The extension that computes each sample's log-polar values on first
     use equals the one computing them all up front, bit for bit, and it
-    refuses the same traces."""
+    refuses the same maps."""
 
-    @pytest.mark.parametrize("t_steps", [2, 3, 65])
-    def test_null_homotopy_witness(self, t_steps):
-        # the extension is that of row 0, however many rows the trace has
-        rng = np.random.default_rng(100 + t_steps)
+    @pytest.mark.parametrize("seed", [2, 3, 65])
+    def test_null_homotopy_witness(self, seed):
+        rng = np.random.default_rng(100 + seed)
         checked = 0
         for m in range(140):
             level = 2 + m % 7
             region = (Region.disk([0.0, 0.0], 1.0) if m % 2 else Region.disk(
                 rng.uniform(-2.0, 2.0, 2), float(rng.uniform(0.3, 3.0))))
             sampling = sample_sphere(region, level)
-            trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
             points = _probe_points(rng, sampling, 80)
-            _assert_same_witness(trace, points)
+            _assert_same_witness(_winding_zero_map(rng, sampling), points)
             checked += len(points)
         assert checked >= 140 * 80
 
@@ -425,14 +555,15 @@ class TestRadialExtensionMatchesEager:
                                                   np.sin(theta)], axis=1)
             sampling = BoundarySampling(points=pts, h=mesh_norm(pts),
                                         region=region)
-            for t_steps in (2, 5, 65):
-                trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
-                _assert_same_witness(trace, _probe_points(rng, sampling, 80))
+            for _ in range(3):
+                _assert_same_witness(_winding_zero_map(rng, sampling),
+                                     _probe_points(rng, sampling, 80))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_straight_line_to_a_constant(self, m):
-        # the extension is that of row 0, whatever constant the line ends
-        # at; a row 0 that is not planar is refused by both
+        # the line from f to a constant is decided by the plain-loop
+        # projection; f extends as the eager extension does when planar,
+        # and both refuse it otherwise
         rng = np.random.default_rng(m)
         for level in (2, 5):
             sampling = sample_sphere(Region.disk([1.0, 2.0], 0.5), level)
@@ -440,35 +571,30 @@ class TestRadialExtensionMatchesEager:
                 sampling=sampling, images=rng.normal(size=(len(sampling), m))))
             g = SampledMap(sampling=sampling, images=np.tile(
                 rng.normal(size=m), (len(sampling), 1)))
-            for t_steps in (2, 3, 17):
-                trace, _ = straight_line(f, g, t_steps)
-                if m == 2:
-                    _assert_same_witness(trace,
-                                         _probe_points(rng, sampling, 80))
-                    continue
-                for build in (radial_extension, radial_extension_eager):
-                    with pytest.raises(InvalidInput, match="planar codomain"):
-                        build(trace)
+            report, want = straight_line(f, g), projection_loop(f, g)
+            least = min(dist for dist, _ in want)
+            assert report.min_norm == pytest.approx(least, rel=1e-14)
+            assert report.witness[1] == pytest.approx(
+                want[report.witness[0]][1], rel=1e-14, abs=1e-300)
+            if m == 2:
+                _assert_same_witness(f, _probe_points(rng, sampling, 80))
+                continue
+            for build in (radial_extension, radial_extension_eager):
+                with pytest.raises(InvalidInput, match="planar codomain"):
+                    build(f)
 
     def test_checks_raise_the_same(self):
         f = _identity_map(level=4)
-        g = _shifted_map(level=4)
-        const = SampledMap(sampling=f.sampling,
-                           images=np.tile([3.0, 3.0], (len(f.images), 1)))
         zero = SampledMap(sampling=f.sampling, images=np.zeros_like(f.images))
-        images = g.images.copy()
+        images = f.images + 3.0
         images[3] = 0.0
         vanishing = SampledMap(sampling=f.sampling, images=images)
-        cases = [((f, g), "not constant"), ((f, zero), "constant is zero"),
-                 # a constant end does not make a row 0 of winding 1
-                 # contractible
-                 ((f, const), "winding 1"),
-                 ((vanishing, const), "vanishes on a sample")]
-        for (start, end), message in cases:
-            trace, _ = straight_line(start, end, t_steps=5)
+        cases = [(f, "winding 1"), (zero, "vanishes on a sample"),
+                 (vanishing, "vanishes on a sample")]
+        for start, message in cases:
             for build in (radial_extension, radial_extension_eager):
                 with pytest.raises(NotANullHomotopy, match=message):
-                    build(trace)
+                    build(start)
 
 
 def angular_order_eager(sampling):
@@ -515,10 +641,9 @@ class TestAngularOrder:
         # a fresh sampling sorts on its first build only
         fresh = BoundarySampling(points=unit.points.copy(), h=unit.h,
                                  region=unit.region)
-        trace = null_homotopy(SampledMap(sampling=fresh,
-                                         images=unit.points + 3.0))
+        f = SampledMap(sampling=fresh, images=unit.points + 3.0)
         for _ in range(2):
-            radial_extension(trace)
+            radial_extension(f)
         assert sorts == [1]
 
     def test_ties_keep_the_sample_order(self):
@@ -536,111 +661,82 @@ class TestAngularOrder:
 class TestStraightLineMatchesEager:
     @pytest.mark.parametrize("t_steps", [2, 3, 16, 257])
     def test_frames_min_norm_witness(self, t_steps):
+        # the least distance is the plain-loop projection's, and no frame
+        # of a uniform t-grid reads below it
         rng = np.random.default_rng(t_steps)
+        t_grid = np.linspace(0.0, 1.0, t_steps)[:, None, None]
         for level, m in ((2, 1), (4, 2), (6, 3)):
             sampling = sample_sphere(Region.disk([0.0, 0.5], 2.0), level)
             f = SampledMap(sampling=sampling,
                            images=rng.normal(size=(len(sampling), m)))
             g = SampledMap(sampling=sampling,
                            images=rng.normal(size=(len(sampling), m)))
-            t_grid = np.linspace(0.0, 1.0, t_steps)
-            want = eager_trace(t_grid, (1.0 - t_grid)[:, None, None]
-                               * f.images[None]
-                               + t_grid[:, None, None] * g.images[None])
-            got, report = straight_line(f, g, t_steps)
-            assert got.frames.tobytes() == want.frames.tobytes()
-            assert got.min_norm == want.min_norm == report.min_norm
-            assert got.witness == want.witness == report.witness
+            report, want = straight_line(f, g), projection_loop(f, g)
+            j = min(range(len(want)), key=lambda i: want[i][0])
+            assert report.min_norm == pytest.approx(want[j][0], rel=1e-13)
+            p_idx, t = report.witness
+            assert t == pytest.approx(want[p_idx][1], rel=1e-13, abs=1e-300)
+            if report.valid or m != 2:
+                assert p_idx == j
+            frames = (1.0 - t_grid) * f.images + t_grid * g.images
+            grid_least = float(np.min(np.linalg.norm(frames, axis=2)))
+            assert report.min_norm <= grid_least * (1.0 + 1e-13)
 
     def test_frame_entries_match_the_grid(self):
-        f = _identity_map(level=3)
-        g = _shifted_map(level=3)
-        trace, _ = straight_line(f, g, t_steps=9)
-        i, j = np.array([0, 8, 3, 3]), np.array([5, 0, 31, 7])
-        assert trace.frame(i, j).tobytes() == trace.frames[i, j].tobytes()
-        trace = null_homotopy(_shifted_map(level=3), t_steps=9)
-        assert trace.frame(i, j).tobytes() == trace.frames[i, j].tobytes()
-
-    def test_null_homotopy_needs_two_steps(self):
-        with pytest.raises(InvalidInput, match="t_steps"):
-            null_homotopy(_shifted_map(level=3), t_steps=1)
-
+        # H at the witness entry (sample, t*) has the norm min_norm; with
+        # L no crossing between samples moves the witness off it
+        rng = np.random.default_rng(9)
+        for m in (1, 2, 3):
+            sampling = sample_sphere(Region.disk([0.0, 0.0], 1.0), 3)
+            f, g = (SampledMap(sampling=sampling, images=rng.normal(
+                size=(len(sampling), m))) for _ in range(2))
+            report = straight_line(f, g, L=1.0)
+            j, t = report.witness
+            entry = (1.0 - t) * f.images[j] + t * g.images[j]
+            assert float(np.linalg.norm(entry)) == report.min_norm
 
 
 class TestScalarCorners:
-    """A cell of the trace is read at its four corners (i, j), (i, j2),
-    (i + 1, j), (i + 1, j2): ``frame`` gives them as the grid does, bit for
-    bit.  ``phi`` blends a polar cell of the disk from scalar corners
-    alone: at the boundary samples it is row 0 of a null homotopy, at the
-    inner half radius the contraction's end, and it never calls
-    ``frame``."""
+    """``phi`` blends a polar cell of the disk from scalar corners: at the
+    boundary samples they are the contraction's t = 0 frame, the images,
+    and at the inner half radius its t = 1 frame, the end.  A straight
+    line that points away from 0 is nearest 0 at its t = 0 or t = 1
+    corner."""
 
-    @staticmethod
-    def _assert_corners_match(trace, rng):
-        k, frames = len(trace.base.points), trace.frames
-        js = np.unique(np.concatenate([[0, k - 1], rng.integers(0, k, 12)]))
-        for i in range(len(trace.t_grid) - 1):
-            for j in js.tolist():
-                for j2 in ((j + 1) % k, int(rng.integers(0, k))):
-                    rows, cols = [i, i, i + 1, i + 1], [j, j2, j, j2]
-                    got = trace.frame(np.array(rows), np.array(cols))
-                    want = frames[rows, cols]
-                    assert got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes(), (i, j)
-
-    @pytest.mark.parametrize("t_steps", [2, 3, 65])
-    def test_null_homotopy_corners_equal_frames(self, t_steps):
-        rng = np.random.default_rng(200 + t_steps)
+    @pytest.mark.parametrize("seed", [2, 3, 65])
+    def test_null_homotopy_corners_equal_frames(self, seed):
+        rng = np.random.default_rng(200 + seed)
         for level in (2, 6):
             sampling = sample_sphere(Region.disk(rng.uniform(-2, 2, 2), 1.3),
                                      level)
-            trace = null_homotopy(_winding_zero_map(rng, sampling), t_steps)
-            self._assert_corners_match(trace, rng)
-            phi, region = radial_extension(trace), sampling.region
+            f = _winding_zero_map(rng, sampling)
+            last = contraction_loop(f, null_homotopy(f), [1.0])[0]
+            phi, region = radial_extension(f), sampling.region
             end = phi(region.center)
             assert type(end) is np.ndarray and end.dtype == np.float64
             inner = 0.5 * (1.0 - 2.0 ** -20)
             for j, x in enumerate(sampling.points):
                 outer = phi(x)
-                assert outer.tobytes() == trace.frames[0, j].tobytes(), j
+                assert outer.tobytes() == f.images[j].tobytes(), j
                 y = region.center + inner * (x - region.center)
                 assert phi(y).tobytes() == end.tobytes(), j
-                assert np.allclose(trace.frames[-1, j], end, rtol=1e-14,
-                                   atol=0.0), j
+                assert np.allclose(last[j], end, rtol=1e-14, atol=0.0), j
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_straight_line_corners_equal_frames(self, m):
+        # g = lam f with lam >= 1: the segment runs from f_j away from 0,
+        # so t* is the corner 0 from f and 1 from g, and the distance |f_j|
         rng = np.random.default_rng(300 + m)
         sampling = sample_sphere(Region.disk([0.5, 0.0], 2.0), 4)
-        f, g = (SampledMap(sampling=sampling,
-                           images=rng.normal(size=(len(sampling), m)))
-                for _ in range(2))
-        for t_steps in (2, 3, 17):
-            trace, _ = straight_line(f, g, t_steps)
-            self._assert_corners_match(trace, rng)
-
-    @pytest.mark.parametrize("build", ["null", "straight"])
-    def test_phi_never_calls_frame(self, build):
-        f = _shifted_map(level=5)
-        if build == "null":
-            trace = null_homotopy(f)
-        else:
-            const = SampledMap(sampling=f.sampling,
-                               images=np.tile([3.0, -1.0], (len(f.images), 1)))
-            trace, _ = straight_line(f, const, t_steps=9)
-        calls = []
-
-        def counted(i, j):
-            calls.append(np.unique(i).tolist())
-            return trace.frame(i, j)
-
-        phi = radial_extension(replace(trace, frame=counted))
-        want = [[len(trace.t_grid) - 1], [0]]
-        assert calls == want
-        rng = np.random.default_rng(7)
-        for x in _probe_points(rng, f.sampling, 80):
-            phi(x)
-        assert calls == want
+        f = SampledMap(sampling=sampling,
+                       images=rng.normal(size=(len(sampling), m)))
+        g = SampledMap(sampling=sampling, images=rng.uniform(
+            1.0, 3.0, (len(sampling), 1)) * f.images)
+        least = float(np.min(np.linalg.norm(f.images, axis=1)))
+        for start, end, corner in ((f, g, 0.0), (g, f, 1.0)):
+            report = straight_line(start, end)
+            assert report.valid and report.witness[1] == corner
+            assert report.min_norm == least
 
 
 def _near_double_root(rng):
@@ -679,74 +775,54 @@ def _winding_zero_boundaries(rng):
 class TestRecordedEnd:
     """A null homotopy ends at its first sample's image: every entry of its
     last frame is that one value, and the extension takes it on the inner
-    half disk.  The trace keeps no end of its own: its extension is that of
-    row 0, whatever the t-grid or the last row."""
+    half disk."""
 
     @pytest.mark.parametrize("t_steps", [2, 3, 17, 65])
     def test_end_is_every_entry_of_the_last_frame(self, t_steps):
         rng = np.random.default_rng(400 + t_steps)
         for w in _winding_zero_boundaries(rng):
-            trace = null_homotopy(w.boundary, t_steps)
-            last = trace.frames[-1]
+            f = w.boundary
+            frames = contraction_loop(f, null_homotopy(f),
+                                      np.linspace(0.0, 1.0, t_steps))
+            last = frames[-1]
             end = last[0]
             assert end.dtype == np.float64 and end.shape == (2,)
             assert last.tobytes() == np.tile(end, (len(last), 1)).tobytes()
-            first = w.boundary.images[0]
-            assert np.allclose(end, first, rtol=1e-14, atol=0.0)
-            centre = radial_extension(trace)(trace.base.region.center)
+            assert np.allclose(end, f.images[0], rtol=1e-14, atol=0.0)
+            centre = radial_extension(f)(f.sampling.region.center)
             assert np.allclose(centre, end, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("t_steps", [2, 17, 65])
-    def test_winding_steps_give_the_same_trace(self, t_steps):
+    @pytest.mark.parametrize("seed", [2, 17, 65])
+    def test_winding_steps_give_the_same_trace(self, seed):
         # the WindingResult's steps are the boundary's own wrapped steps, and
-        # the witness built from them is phi of the boundary's contraction
-        rng = np.random.default_rng(500 + t_steps)
+        # the witness built from them is the boundary's radial extension
+        rng = np.random.default_rng(500 + seed)
         for w in _winding_zero_boundaries(rng):
             assert w.steps.tobytes() == wrapped_steps(w.boundary.images).tobytes()
+            assert w.steps.tobytes() == null_homotopy(w.boundary).tobytes()
             region = w.boundary.sampling.region
             got = log_polar_extension(w.boundary, w.steps, region)
-            want = radial_extension(null_homotopy(w.boundary, t_steps))
+            want = radial_extension(w.boundary)
             for x in _probe_points(rng, w.boundary.sampling, 40):
                 assert got(x).tobytes() == want(x).tobytes(), x
 
-    def test_straight_line_records_no_end(self):
-        # neither trace stores its end, and a straight line to a constant
-        # extends as the null homotopy of its row 0 does
-        f = _shifted_map(level=3)
-        const = SampledMap(sampling=f.sampling,
-                           images=np.tile([-2.0, 5.0], (len(f.images), 1)))
-        line, null = straight_line(f, const, t_steps=4)[0], null_homotopy(f)
-        assert not hasattr(line, "end") and not hasattr(null, "end")
-        phi, want = radial_extension(line), radial_extension(null)
-        for x in _probe_points(np.random.default_rng(4), f.sampling, 40):
-            assert phi(x).tobytes() == want(x).tobytes(), x
-
-    def test_t_grid_is_built_once_and_read_only(self):
-        f = _shifted_map(level=3)
-        trace, line = null_homotopy(f, 9), straight_line(f, f, 9)[0]
-        assert trace.t_grid is line.t_grid
-        t, s = homotopy._t_grid(9)
-        assert t is trace.t_grid
-        assert t.tobytes() == np.linspace(0.0, 1.0, 9).tobytes()
-        assert s.tobytes() == (1.0 - np.linspace(0.0, 1.0, 9)).tobytes()
-        for grid in (t, s):
-            with pytest.raises(ValueError):
-                grid[1] = 0.5
-        assert homotopy._t_grid.cache_info().maxsize == homotopy.T_GRID_CACHE
-
     def test_a_grid_of_the_callers_own(self):
-        # the extension reads no t-grid: a trace built with its own grid,
-        # and traces of other lengths, extend as the cached one does
+        # the steps are the whole contraction: on a t-grid of the caller's
+        # own, not uniform, its frames start at f and end at phi's centre,
+        # and phi along each sample's ray runs through them
         rng = np.random.default_rng(700)
         f = _winding_zero_map(rng, sample_sphere(
             Region.disk([0.0, 0.0], 1.0), 4))
-        trace = null_homotopy(f, 9)
-        traces = [null_homotopy(f, 2), null_homotopy(f, 65),
-                  replace(trace, t_grid=np.linspace(0.0, 1.0, 9) ** 2)]
-        phi = radial_extension(trace)
-        for other in map(radial_extension, traces):
-            for x in _probe_points(rng, f.sampling, 80):
-                assert other(x).tobytes() == phi(x).tobytes(), x
+        t_grid = np.linspace(0.0, 1.0, 9) ** 2
+        frames = contraction_loop(f, null_homotopy(f), t_grid)
+        phi = radial_extension(f)
+        assert np.allclose(frames[0], f.images, rtol=0.0, atol=1e-13 * 5.0)
+        assert np.allclose(frames[-1], phi([0.0, 0.0]), rtol=0.0,
+                           atol=1e-13 * 5.0)
+        for j, p in enumerate(f.sampling.points):
+            for t, frame in zip(t_grid.tolist(), frames[:, j]):
+                assert np.allclose(phi((1.0 - t / 2.0) * p), frame,
+                                   rtol=0.0, atol=1e-12 * 5.0), (j, t)
 
 
 class TestWitnessBuilder:
@@ -758,7 +834,7 @@ class TestWitnessBuilder:
         for w in _winding_zero_boundaries(rng):
             sampling = w.boundary.sampling
             built = log_polar_extension(w.boundary, w.steps, sampling.region)
-            phi = radial_extension(null_homotopy(w.boundary))
+            phi = radial_extension(w.boundary)
             points = _probe_points(rng, sampling, 120)
             # far points, and a strided view as phi's input
             points = np.concatenate([points, [[1e300, 1e300], [-1.7e308, 0.0],
@@ -861,7 +937,7 @@ class TestClosedFormContract:
     def test_bad_point_raises(self, bad):
         cert = certify_existence(parse_map("x1 + 3, x2 + 3", 2),
                                  Region.disk([0.5, -1.0], 2.0))
-        phi = radial_extension(null_homotopy(_shifted_map(level=4)))
+        phi = radial_extension(_shifted_map(level=4))
         for fn in (cert.extension_witness, phi):
             with pytest.raises(InvalidInput):
                 fn(bad)

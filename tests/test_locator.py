@@ -1,3 +1,4 @@
+import json
 import math
 import platform
 
@@ -9,6 +10,7 @@ from zerocert import (BudgetExhausted, DegreeLost, DomainError, InvalidInput,
                       brouwer_fixed_point, evaluate, locate_zero, parse_map,
                       sample_sphere)
 from zerocert import locator, mapspec
+from zerocert.cli import main
 from zerocert.mapspec import as_evaluator
 
 from conftest import CountingEvaluator
@@ -683,8 +685,9 @@ class TestQuadtreeMatchesOracle:
         assert jiggled
 
     def test_fixed_point_contractions(self):
-        # brouwer_fixed_point locates a zero of G = x - f(x) on [-1, 1]^2
-        # with eps_x = eps / 2 and eps_f = 1e-12
+        # brouwer_fixed_point locates a zero of G = x - f(r(x)) on
+        # [-1, 1]^2, r the retraction onto the disk, with eps_x = eps / 2
+        # and eps_f = 1e-12
         rng = np.random.default_rng(43)
         for _ in range(8):
             a = rng.uniform(-0.5, 0.5, size=(2, 2))
@@ -1332,7 +1335,7 @@ class TestBrouwerFixedPoint:
         assert f.batches == [256 + 5, 5, 17]
 
     def test_each_batch_checked_once(self, monkeypatch):
-        # G = x - f(x) is finite wherever f is on [-1, 1]^n, so only f's
+        # G = x - f(r(x)) is finite wherever f is on the disk, so only f's
         # own evaluation checks a batch of G
         calls = {"evaluate": 0, "_check_finite": 0}
         for name in calls:
@@ -1416,6 +1419,57 @@ class TestBrouwerFixedPoint:
         result = brouwer_fixed_point(spec)
         assert math.dist(result.point, (0.8256377746, 0.0)) <= 1e-6
         assert result.residual <= 1e-6
+
+    @staticmethod
+    def _bump(a, c, ang):
+        """a*x + c*(1 - |x|^2)*u, u the unit vector at angle ``ang``: on
+        the circle it is a*x, inside the disk."""
+        u0, u1 = c * math.cos(ang), c * math.sin(ang)
+        return parse_map(f"{a!r}*x1 + ({u0!r})*(1 - x1^2 - x2^2), "
+                         f"{a!r}*x2 + ({u1!r})*(1 - x1^2 - x2^2)", 2)
+
+    def test_fixed_point_beside_one_in_a_corner(self, capsys):
+        # fixed points at (p, p), p = (sqrt(0.25 + 8c^2) - 0.5) / 4c, and
+        # near (-0.981, -0.981), a corner of the box outside the disk: G
+        # on the box would wind 0 around both and lose the degree
+        c = 0.75 / math.sqrt(2.0)
+        text = f"0.5*x1 + {c!r}*(1 - x1^2 - x2^2), 0.5*x2 + {c!r}*(1 - x1^2 - x2^2)"
+        p = (math.sqrt(0.25 + 8.0 * c * c) - 0.5) / (4.0 * c)
+        assert main(["fixed-point", "--map", text]) == 0
+        point = json.loads(capsys.readouterr().out)["point"]
+        assert math.dist(point, (p, p)) <= 1e-6
+        assert round(p, 4) == 0.5097
+
+    @pytest.mark.parametrize("a, c, ang", [
+        (0.7885012032657381, 1.0597587782729725, 4.086956167564611),
+        (0.7341646112028755, 0.4180206309467316, 3.9156003111145408),
+        (0.319709266380928, 1.418958354709097, 2.2940548446177735),
+    ])
+    def test_bump_maps_that_lost_the_degree_on_the_box(self, a, c, ang):
+        # each raised DegreeLost while G was located as x - f(x) on the box
+        spec = self._bump(a, c, ang)
+        result = brouwer_fixed_point(spec)
+        assert np.linalg.norm(result.point) <= 1.0
+        image = evaluate(spec, result.point[None])[0]
+        assert np.linalg.norm(image - result.point) <= 1e-6
+
+    def test_only_fixed_point_on_the_circle(self):
+        # (x + e)/2 fixes e alone; at a boundary sample the certificate
+        # returns it, and between samples the winding's refinement meets
+        # it as a zero on the boundary
+        unit = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6).points
+        for e, sampled in ((unit[32], True),
+                           (np.array([math.cos(2.0), math.sin(2.0)]), False)):
+            e0, e1 = e.tolist()
+            spec = parse_map(f"(x1 + ({e0!r}))/2, (x2 + ({e1!r}))/2", 2)
+            if sampled:
+                result = brouwer_fixed_point(spec)
+                assert result.termination == "boundary_fixed_point"
+                assert result.point.tobytes() == e.tobytes()
+                continue
+            with pytest.raises(VanishingOnBoundary) as raised:
+                brouwer_fixed_point(spec)
+            assert math.dist(raised.value.point, e) <= 1e-11
 
     def test_one_dimensional_leaves_the_interval_inside_only(self):
         # f(-1) = f(1) = 0.5 and f(1/sqrt(3)) is about 1.65; f has three

@@ -18,8 +18,8 @@ PUBLIC_API = {
     # geometry
     "BoundarySampling", "Region", "sample_sphere",
     # homotopy
-    "HomotopyTrace", "SampledMap", "ValidityReport", "null_homotopy",
-    "radial_extension", "straight_line",
+    "SampledMap", "ValidityReport", "null_homotopy", "radial_extension",
+    "straight_line",
     # locator
     "LocateResult", "box_winding", "brouwer_fixed_point", "locate_zero",
     # mapspec

@@ -5,7 +5,8 @@ A straight line H = (1-t) f + t g misses 0 at a sample when the segment
 [f_j, g_j] does; ``straight_line`` measures that distance exactly in t, by
 one projection per sample, and decides validity from it: heuristically
 against the vanishing floor of the endpoint norms, rigorously against
-L*h/2 for a Lipschitz constant L in x of both maps.
+L*h/2 for a Lipschitz constant L in x of both maps, and rigorously against
+the floor alone for n = 1, whose boundary is its two samples.
 
 A winding-0 planar boundary map F contracts in log-polar coordinates to
 its first sample's image (``null_homotopy`` gives its angle steps), and
@@ -89,7 +90,9 @@ def straight_line(f: SampledMap, g: SampledMap, *,
 
     With L, a Lipschitz constant in x of both f and g (so of every
     H(., t), a convex combination of them): valid when ``min_norm`` is
-    also above L*h/2, h the mesh norm, and rigorous.
+    also above L*h/2, h the mesh norm, and rigorous.  For n = 1 the two
+    samples are the whole boundary S^0: the floor alone decides, and the
+    report is rigorous with or without L.
     """
     check_lipschitz(L)
     if f.m != g.m:
@@ -109,7 +112,8 @@ def straight_line(f: SampledMap, g: SampledMap, *,
     least = float(dist[j])
     threshold = vanishing_floor(np.concatenate((row_norms(a), row_norms(b))))
     valid = least > threshold
-    if L is not None:
+    exact = f.sampling.region.dim == 1
+    if L is not None and not exact:
         threshold = L * f.sampling.h / 2.0
         valid = valid and least > threshold
     elif valid and f.m == 2 and f.sampling.region.dim == 2:
@@ -121,7 +125,8 @@ def straight_line(f: SampledMap, g: SampledMap, *,
             j, valid = int(np.argmax(crossed)), False
     return ValidityReport(valid=valid, min_norm=least,
                           witness=(j, float(t[j])),
-                          rigor="heuristic" if L is None else "rigorous",
+                          rigor="heuristic" if L is None and not exact
+                          else "rigorous",
                           threshold=threshold)
 
 

@@ -542,7 +542,9 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     zero with ||x|| > 1 would need x = f(x / ||x||), of norm at most 1, so
     every zero in the box is a fixed point in the disk (but for the
     tolerance of _check_self_map).  The residual of the result is
-    ||f(r(point)) - point||.
+    ||f(r(point)) - point||.  A fixed point on the circle, at a sample or
+    met by the winding's refinement of G between two samples, is returned
+    there with termination "boundary_fixed_point".
 
     One evaluation of f covers two parts: the certificate's boundary
     samples, whose images are checked to lie in the disk and give G there,
@@ -583,7 +585,12 @@ def brouwer_fixed_point(map_like, eps: float = 1e-6,
     top = top_points - images[end:] if len(images) > end else None
     if n == 1:
         top = g_circle if top is None else np.concatenate((g_circle, top))
-    cert = _certify_sampled(g, disk, sampling, g_circle, None)
+    try:
+        cert = _certify_sampled(g, disk, sampling, g_circle, None)
+    except VanishingOnBoundary as exc:
+        # the winding's refinement met G = 0 between two samples: a fixed
+        # point on the circle
+        return _finish(g, exc.point, 0.0, 0, [], "boundary_fixed_point")
     if cert.verdict == "ZeroOnBoundary":
         # the boundary sample where G vanishes is a fixed point
         idx = int(np.argmin(row_norms(g_circle)))

@@ -7,7 +7,11 @@ earlier slots (or a variable index, a constant, an exponent).  Equal
 subtrees are merged as they are parsed, so they share one slot.  The tape
 is the one representation of a map: ``evaluate`` runs it in one loop over a
 batch of points, and ``to_text`` prints it in one loop, so a merged subtree
-is printed wherever it is used.
+is printed wherever it is used.  The tape holds the expression alone.  A
+constant stays one np.float64 through + - * /, neg and '^', which round a
+scalar as their array loops do; ``evaluate`` broadcasts a function's
+scalar operand to one value per point, since numpy's scalar ``sin`` can
+round one ulp off its array loop.
 
 Grammar::
 
@@ -84,8 +88,6 @@ _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 _UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
           "sqrt": np.sqrt, "abs": np.abs}
-# the ops that round a numpy scalar operand exactly as the array loop does
-_EXACT = frozenset(_BINARY) | {"neg", "pow"}
 
 
 class Tape(NamedTuple):
@@ -176,7 +178,8 @@ class _Parser:
     index after it.
 
     ``slots`` maps each step ``(op, a, b)`` to its slot, so a subtree seen
-    before costs no new step.  ``leaves`` maps each number or variable
+    before costs no new step; a constant stays a scalar, which ``evaluate``
+    broadcasts under a function.  ``leaves`` maps each number or variable
     token to its slot, so a leaf that repeats is converted and checked once.
     ``groups`` holds the parenthesized groups parsed, so a group that
     repeats is not read again.
@@ -188,33 +191,15 @@ class _Parser:
         self.n = n
         self.slots = {}      # step -> slot; in insertion order, the tape
         self.leaves = {}     # number or variable token -> slot
-        self.scalars = set()  # slots that hold one numpy scalar, not an array
         self.groups = {}     # (first, second token inside) -> first group
 
     def emit(self, op, a, b=None):
         """Slot of the step ``(op, a, b)``.  ``a`` and ``b`` are slots,
         except in a constant (its np.float64 value), a variable (its 1-based
         index) and ``pow`` (its integer exponent).  A step seen before keeps
-        its slot, so equal subtrees share one slot.  A step is a scalar when
-        it is a constant, or an exact op (``_EXACT``) whose slot operands
-        are scalars; ``parse_expr`` inlines this for sums and products."""
-        key = (op, a, b)
-        slot = self.slots.get(key)
-        if slot is None:
-            slots, scalars = self.slots, self.scalars
-            slot = slots[key] = len(slots)
-            # b is a slot only in a binary op
-            if op == "const" or (op in _EXACT and a in scalars
-                                 and (op not in _BINARY or b in scalars)):
-                scalars.add(slot)
-        return slot
-
-    def array(self, slot):
-        """``slot``, or a step that broadcasts it to one value per point if
-        it holds a scalar.  Scalars round as the array loops do under
-        + - * /, neg and ``^`` (products only), but not under a function:
-        ``sin(x)`` of a numpy scalar can be one ulp off the array loop."""
-        return self.emit("full", slot) if slot in self.scalars else slot
+        its slot, so equal subtrees share one slot; ``parse_expr`` inlines
+        this for sums and products."""
+        return self.slots.setdefault((op, a, b), len(self.slots))
 
     def error(self, i, exc, *args):
         """``exc(*args, line, column)`` at token ``i``, located by scanning
@@ -230,9 +215,8 @@ class _Parser:
             raise self.error(i, MapSyntaxError, "expression nesting too deep")
         tokens, leaves, emit = self.tokens, self.leaves, self.emit
         # the product and sum steps are emit's, inlined: one setdefault gives
-        # the step's slot, new (the length before) or seen before, and a new
-        # step is a scalar when both its operands are
-        slots, scalars = self.slots, self.scalars
+        # the step's slot, new (the length before) or seen before
+        slots = self.slots
         slot_of = slots.setdefault
         total = add = prod = mul = None      # the sum and product so far
         while True:
@@ -253,7 +237,7 @@ class _Parser:
                     slot, i = self.group(i, depth)
             elif tok in _FUNCS and tokens[i + 1] == "(":
                 slot, i = self.group(i + 1, depth)
-                slot = emit(tok, self.array(slot))
+                slot = emit(tok, slot)
             else:
                 slot = self.parse_atom(i)
                 i += 1
@@ -269,20 +253,14 @@ class _Parser:
             if negate:
                 slot = emit("neg", slot)
             if mul:
-                new = len(slots)
-                left, prod = prod, slot_of((mul, prod, slot), new)
-                if prod == new and left in scalars and slot in scalars:
-                    scalars.add(new)
+                prod = slot_of((mul, prod, slot), len(slots))
             else:
                 prod = slot
             if tok == "*" or tok == "/":
                 mul = "mul" if tok == "*" else "div"
             else:
                 if add:
-                    new = len(slots)
-                    left, total = total, slot_of((add, total, prod), new)
-                    if total == new and left in scalars and prod in scalars:
-                        scalars.add(new)
+                    total = slot_of((add, total, prod), len(slots))
                 else:
                     total = prod
                 if tok != "+" and tok != "-":
@@ -414,10 +392,13 @@ def evaluate(spec: MapSpec, x) -> np.ndarray:
                     vals.append(rows[:, a - 1])
                 elif op == "const":
                     vals.append(a)
-                elif op == "full":
-                    vals.append(np.full(len(rows), vals[a]))
                 else:
-                    vals.append(_UNARY[op](vals[a]))
+                    v = vals[a]
+                    if op != "neg" and not v.ndim:
+                        # a function of a constant gets one value per point:
+                        # numpy's scalar loop can round one ulp off the array's
+                        v = np.full(len(rows), v)
+                    vals.append(_UNARY[op](v))
             for j, slot in enumerate(spec.tape.outputs):
                 out[lo:lo + _CHUNK, j] = vals[slot]
     _check_finite(pts, out, "non-finite value (division by zero or sqrt of "
@@ -508,8 +489,6 @@ def to_text(spec: MapSpec) -> str:
         elif op == "pow":
             leaf = steps[a][0] in ("const", "var")
             texts.append(f"{texts[a]}^{b}" if leaf else f"({texts[a]})^{b}")
-        elif op == "full":
-            texts.append(texts[a])
         elif op == "neg":
             texts.append(f"(-{texts[a]})")
         else:

@@ -220,6 +220,16 @@ class TestOtherCommands:
         assert code == 0
         assert np.linalg.norm(np.array(out["point"]) - [0.2, -0.1]) <= 1e-5
 
+    def test_fixed_point_on_the_circle(self, capsys):
+        # (x + e)/2 fixes e = (cos 2, sin 2) alone, between two samples
+        c, s = math.cos(2.0), math.sin(2.0)
+        code = main(["fixed-point", "--map",
+                     f"(x1 + ({c!r}))/2, (x2 + ({s!r}))/2"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["termination"] == "boundary_fixed_point"
+        assert math.dist(out["point"], (c, s)) <= 1e-11
+
     def test_homotopy_valid(self, capsys):
         code = main(["homotopy", "--from", "x1, x2", "--to", "2*x1, 2*x2"])
         out = json.loads(capsys.readouterr().out)
@@ -240,10 +250,12 @@ class TestOtherCommands:
             [-math.sqrt(0.5)] * 2, abs=1e-15)
 
     @pytest.mark.parametrize("argv, rigor", [
-        (["--from", "x1", "--to", "x1+2.9", "--n", "1"], "heuristic"),
+        (["--from", "x1", "--to", "x1+2.9", "--n", "1"], "rigorous"),
+        (["--from", "x1", "--to", "x1+2.9", "--n", "1", "--lipschitz", "2"],
+         "rigorous"),
         (["--from", "x1, x2", "--to", "-x1, -x2", "--lipschitz", "1"],
          "rigorous"),
-    ], ids=["x-to-x+2.9", "x-to-minus-x"])
+    ], ids=["x-to-x+2.9", "x-to-x+2.9-lipschitz", "x-to-minus-x"])
     def test_homotopy_crossing_between_grid_rows_is_invalid(self, argv,
                                                              rigor, capsys):
         # both lines pass through 0: at x = -1, t = 1/2.9, and on the whole
@@ -253,6 +265,17 @@ class TestOtherCommands:
         assert code == 2
         assert out["valid"] is False and out["min_norm"] <= 1e-15
         assert out["rigor"] == rigor
+
+    @pytest.mark.parametrize("lipschitz", [[], ["--lipschitz", "2"]])
+    def test_homotopy_one_dimensional(self, lipschitz, capsys):
+        # (1 + t)x never vanishes at x = +-1, the whole of S^0, and L*h/2
+        # does not apply there
+        code = main(["homotopy", "--from", "x1", "--to", "2*x1", "--n", "1",
+                     *lipschitz])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["valid"] is True and out["rigor"] == "rigorous"
+        assert out["min_norm"] == 1.0
 
     def test_homotopy_crossing_zero_is_invalid(self, capsys):
         # x + 3t vanishes at the sample x = -1, t = 1/3 up to rounding

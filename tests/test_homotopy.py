@@ -203,7 +203,8 @@ class TestStraightLine:
     @pytest.mark.parametrize("L", [None, 1e-20])
     def test_crossing_at_a_sample_is_invalid(self, L):
         # x + 3t crosses 0 at x = -1, t = 1/3, where the least distance is
-        # at most a rounding error, below the vanishing floor
+        # at most a rounding error, below the vanishing floor; S^0 is its
+        # two samples, so the floor decides rigorously, with or without L
         sampling = sample_sphere(Region.disk([0.0], 1.0))
         f = SampledMap(sampling=sampling, images=sampling.points.copy())
         g = SampledMap(sampling=sampling, images=sampling.points + 3.0)
@@ -214,8 +215,18 @@ class TestStraightLine:
         p_idx, t = report.witness
         assert sampling.points[p_idx].tolist() == [-1.0]
         assert t == pytest.approx(1.0 / 3.0, abs=1e-15)
-        if L is None:
-            assert report.rigor == "heuristic" and report.threshold == floor
+        assert report.rigor == "rigorous" and report.threshold == floor
+
+    @pytest.mark.parametrize("L", [None, 2.0, 1e300])
+    def test_one_dimensional_is_decided_at_its_two_samples(self, L):
+        # (1 + t)x is at least 1 at x = +-1 for every t; L*h/2 = L would
+        # refuse it, but nothing lies between the two samples of S^0
+        sampling = sample_sphere(Region.disk([0.0], 1.0))
+        f = SampledMap(sampling=sampling, images=sampling.points.copy())
+        g = SampledMap(sampling=sampling, images=2.0 * sampling.points)
+        report = straight_line(f, g, L=L)
+        assert report.valid and report.min_norm == 1.0
+        assert report.rigor == "rigorous" and report.threshold == 2e-12
 
     def test_mismatched_samplings_rejected(self):
         f = _identity_map(level=3)

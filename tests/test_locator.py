@@ -1456,20 +1456,20 @@ class TestBrouwerFixedPoint:
     def test_only_fixed_point_on_the_circle(self):
         # (x + e)/2 fixes e alone; at a boundary sample the certificate
         # returns it, and between samples the winding's refinement meets
-        # it as a zero on the boundary
+        # it as a zero on the boundary, which is returned too
         unit = sample_sphere(Region.disk([0.0, 0.0], 1.0), 6).points
         for e, sampled in ((unit[32], True),
                            (np.array([math.cos(2.0), math.sin(2.0)]), False)):
             e0, e1 = e.tolist()
             spec = parse_map(f"(x1 + ({e0!r}))/2, (x2 + ({e1!r}))/2", 2)
+            result = brouwer_fixed_point(spec)
+            assert result.termination == "boundary_fixed_point"
+            assert result.iterations == 0 and result.cell_diameter == 0.0
             if sampled:
-                result = brouwer_fixed_point(spec)
-                assert result.termination == "boundary_fixed_point"
                 assert result.point.tobytes() == e.tobytes()
                 continue
-            with pytest.raises(VanishingOnBoundary) as raised:
-                brouwer_fixed_point(spec)
-            assert math.dist(raised.value.point, e) <= 1e-11
+            assert math.dist(result.point, e) <= 1e-11
+            assert result.residual <= 1e-11
 
     def test_one_dimensional_leaves_the_interval_inside_only(self):
         # f(-1) = f(1) = 0.5 and f(1/sqrt(3)) is about 1.65; f has three

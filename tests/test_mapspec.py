@@ -26,8 +26,8 @@ from zerocert import (BUILTIN_MAPS, DomainError, InvalidInput,
                       to_text, winding_number)
 from zerocert.cli import certificate_dumps, main
 import zerocert.mapspec as mapspec
-from zerocert.mapspec import (_EXACT, _FUNCS, _SYMS, _WHITESPACE, MAX_DEPTH,
-                              MapSpec, Tape, _position, _tokenize, _TOKEN_RE,
+from zerocert.mapspec import (_FUNCS, _SYMS, _WHITESPACE, MAX_DEPTH, MapSpec,
+                              Tape, _position, _tokenize, _TOKEN_RE,
                               map_digest)
 
 
@@ -920,7 +920,7 @@ class TestTapeMatchesTree:
             assert _eval_outcome(evaluate, spec, pts) == expected, text
             ops.update(op for op, _, _ in spec.tape.steps)
             outcomes.add(type(expected))
-        assert ops == {"const", "var", "full", "neg", "add", "sub", "mul",
+        assert ops == {"const", "var", "neg", "add", "sub", "mul",
                        "div", "pow", "sin", "cos", "exp", "sqrt", "abs"}
         assert outcomes == {bytes, tuple}
 
@@ -950,12 +950,58 @@ class TestMerging:
         assert parse_map(to_text(spec), 1).tape == spec.tape
 
     def test_scalar_power_keeps_its_scalar(self):
-        # ^ of a scalar is products only and needs no broadcast; a function
-        # of the power broadcasts it first
+        # the tape is the expression alone: a function of a constant power
+        # takes the power's slot, and evaluate broadcasts it
         spec = parse_map("sin((2 - 3)^-2) + 2^0*x1", 1)
         assert [op for op, _, _ in spec.tape.steps] == [
-            "const", "const", "sub", "pow", "full", "sin", "pow", "var",
-            "mul", "add"]
+            "const", "const", "sub", "pow", "sin", "pow", "var", "mul", "add"]
+
+
+def _constants():
+    """1,000 seeded constants: signed zeros, subnormals, the extremes and
+    draws spread over every magnitude."""
+    rng = np.random.default_rng(42)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+               2.0, -2.6391, 0.5, -0.5, 1.7976931348623157e308]
+    spread = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-300, 300, 500)
+    return special + spread.tolist() + rng.uniform(-20.0, 20.0, 487).tolist()
+
+
+class TestFunctionOfAConstant:
+    """A function of a constant is numpy's array loop on one value per
+    point, bit for bit: its tape is the expression alone, and evaluate
+    broadcasts the scalar operand."""
+
+    @pytest.mark.parametrize("fn", _FUNCS)
+    def test_bytes_of_the_array_loop(self, fn):
+        pts = np.random.default_rng(7).normal(size=(17, 1))
+        for c in _constants():
+            c = abs(c) if fn == "sqrt" else c
+            spec = parse_map(f"{fn}({c!r}), x1", 1)
+            ops = {op for op, _, _ in spec.tape.steps}
+            negated = {"neg"} if repr(c).startswith("-") else set()
+            assert ops == {"const", fn, "var"} | negated, c
+            with np.errstate(all="ignore"):
+                want = getattr(np, fn)(np.full(len(pts), c))
+            if not np.isfinite(want).all():
+                with pytest.raises(DomainError):
+                    evaluate(spec, pts)
+                continue
+            assert evaluate(spec, pts)[:, 0].tobytes() == want.tobytes(), c
+
+    def test_a_function_gets_one_value_per_point(self, monkeypatch):
+        # where numpy's scalar and array loops agree the bytes cannot tell
+        # them apart: every function sees an array of the batch's length
+        shapes = []
+
+        def spy(loop):
+            return lambda v: shapes.append(np.shape(v)) or loop(v)
+        for fn in _FUNCS:
+            monkeypatch.setitem(mapspec._UNARY, fn, spy(mapspec._UNARY[fn]))
+        spec = parse_map("sin(2)*x1, exp(-2.6391)^-3 + x1, sqrt(abs(-2)), "
+                         "cos(x1 - 0.5) + cos(sin(0.5)^2)", 1)
+        evaluate(spec, np.zeros((5, 1)))
+        assert shapes == [(5,)] * 7
 
 
 class _GroupSpy:
@@ -1130,7 +1176,7 @@ class TestToTextMatchesTree:
             ops.update(op for op, _, _ in steps)
             powers.update((steps[a][0], (b > 0) - (b < 0))
                           for op, a, b in steps if op == "pow")
-        assert ops == {"const", "var", "full", "neg", "add", "sub", "mul",
+        assert ops == {"const", "var", "neg", "add", "sub", "mul",
                        "div", "pow", "sin", "cos", "exp", "sqrt", "abs"}
         # leaf and other bases, each with a negative, zero and positive
         # exponent
@@ -1158,7 +1204,6 @@ class _OracleParser:
         self.n = n
         self.slots = {}      # step -> slot; in insertion order, the tape
         self.leaves = {}     # number or variable token -> slot
-        self.scalars = set()  # slots that hold one numpy scalar, not an array
 
     def emit(self, op, a, b=None):
         """Slot of the step ``(op, a, b)``.  ``a`` and ``b`` are slots,
@@ -1168,20 +1213,8 @@ class _OracleParser:
         key = (op, a, b)
         slot = self.slots.get(key)
         if slot is None:
-            slots, scalars = self.slots, self.scalars
-            slot = slots[key] = len(slots)
-            if op == "const" or (op in _EXACT and a in scalars
-                                 and (op == "pow" or b is None
-                                      or b in scalars)):
-                scalars.add(slot)
+            slot = self.slots[key] = len(self.slots)
         return slot
-
-    def array(self, slot):
-        """``slot``, or a step that broadcasts it to one value per point if
-        it holds a scalar.  Scalars round as the array loops do under
-        + - * /, neg and ``^``, but not under a function: ``sin(x)`` of a
-        numpy scalar can be one ulp off the array loop."""
-        return self.emit("full", slot) if slot in self.scalars else slot
 
     def error(self, i, exc, *args):
         """``exc(*args, line, column)`` at token ``i``, located by scanning
@@ -1261,7 +1294,7 @@ class _OracleParser:
                 raise self.error(i, MapSyntaxError, "expected ')', got "
                                  f"{tokens[i] or 'end of input'!r}")
             self.i = i + 1
-            return slot if tok == "(" else self.emit(tok, self.array(slot))
+            return slot if tok == "(" else self.emit(tok, slot)
         if tok in _SYMS:
             raise self.error(i, MapSyntaxError,
                              f"unexpected token {tok or 'end of input'!r}")
